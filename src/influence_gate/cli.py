@@ -12,10 +12,9 @@ configuration and reports. Exit codes: 0 ok, 2 config error, 3 data error,
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ from .core_model import (
     LinearSchema,
     LogitSchema,
     MMSchema,
+    MomentIndexReport,
+    MomentVerdict,
     deletion_set,
     load_csv,
     write_table,
@@ -77,21 +78,27 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _as_float_list(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _as_number(key: str, raw: str, kind):
+    """`raw` parsed as `kind` (int or float); a ConfigError naming `key`
+    when it does not parse."""
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
 
 
-def _as_int_list(raw: str) -> list:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+def _as_list(key: str, raw: str, kind) -> list:
+    return [_as_number(key, tok, kind) for tok in raw.split(",") if tok.strip()]
 
 
-def _as_bool(raw: str) -> bool:
+def _as_bool(key: str, raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
 @dataclass
@@ -125,25 +132,30 @@ class RunConfig:
             raise ConfigError(f"exactly one deletion spec allowed, got {specs}")
         cfg = RunConfig(model=model, data_path=data_path, raw=raw)
         if "deletion.indices" in raw:
-            cfg.deletion_indices = _as_int_list(raw["deletion.indices"])
+            cfg.deletion_indices = _as_list("deletion.indices", raw["deletion.indices"], int)
         if "deletion.scan_size" in raw:
-            cfg.scan_size = int(raw["deletion.scan_size"])
+            cfg.scan_size = cfg.get_int("deletion.scan_size", None)
         if "deletion.kfold.partitions" in raw:
-            cfg.kfold_partitions = int(raw["deletion.kfold.partitions"])
-            cfg.kfold_folds = int(raw.get("deletion.kfold.folds", "5"))
+            cfg.kfold_partitions = cfg.get_int("deletion.kfold.partitions", None)
+            cfg.kfold_folds = cfg.get_int("deletion.kfold.folds", 5)
         if "r" in raw:
-            cfg.r_values = _as_float_list(raw["r"])
-            if any(r <= 1 for r in cfg.r_values):
-                raise ConfigError("all r values must exceed 1")
+            cfg.r_values = _as_list("r", raw["r"], float)
+            if not cfg.r_values or any(r <= 1 for r in cfg.r_values):
+                raise ConfigError("r must list one or more values, all above 1")
         if "out" in raw:
             out = Path(raw["out"])
             cfg.out_dir = out if out.is_absolute() else base_dir / out
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
+        cfg.seed = cfg.get_int("seed", 0)
         return cfg
 
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
+
+    def get_int(self, key: str, default):
+        return _as_number(key, self.raw[key], int) if key in self.raw else default
+
+    def get_float(self, key: str, default):
+        return _as_number(key, self.raw[key], float) if key in self.raw else default
 
 
 def load_run_config(path) -> RunConfig:
@@ -170,7 +182,7 @@ def _load_dataset(cfg: RunConfig):
         schema = LinearSchema(
             response=cfg.get("data.response", "y"),
             covariates=tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
-            intercept=_as_bool(cfg.get("data.intercept", "true")),
+            intercept=_as_bool("data.intercept", cfg.get("data.intercept", "true")),
         )
     else:
         covs = cfg.get("data.covariates")
@@ -179,7 +191,7 @@ def _load_dataset(cfg: RunConfig):
         schema = LogitSchema(
             outcome=cfg.get("data.outcome", "y"),
             covariates=tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
-            intercept=_as_bool(cfg.get("data.intercept", "true")),
+            intercept=_as_bool("data.intercept", cfg.get("data.intercept", "true")),
         )
     return load_csv(cfg.data_path, schema)
 
@@ -199,35 +211,37 @@ def _linear_prior(cfg: RunConfig) -> linear_gate.LinearPrior:
     cov_raw = cfg.get("prior.theta.cov_diag")
     if mean_raw is None or cov_raw is None:
         raise ConfigError("conjugate prior needs prior.theta.mean and prior.theta.cov_diag")
-    mean = np.array(_as_float_list(mean_raw))
-    cov = np.diag(_as_float_list(cov_raw))
-    return linear_gate.LinearPrior.conjugate(alpha, beta, ThetaPriorSpec.normal(mean, cov))
+    mean = np.array(_as_list("prior.theta.mean", mean_raw, float))
+    cov = np.diag(_as_list("prior.theta.cov_diag", cov_raw, float))
+    try:
+        return linear_gate.LinearPrior.conjugate(alpha, beta, ThetaPriorSpec.normal(mean, cov))
+    except ValueError as exc:
+        raise ConfigError(f"prior: {exc}") from None
+
+
+def _positive(cfg: RunConfig, key: str, default: float) -> float:
+    value = cfg.get_float(key, default)
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return value
 
 
 def _epsilon(cfg: RunConfig) -> float:
-    try:
-        return float(cfg.get("prior.epsilon", "1.0"))
-    except ValueError:
-        raise ConfigError("prior.epsilon must be numeric") from None
+    return _positive(cfg, "prior.epsilon", 1.0)
 
 
 def _sampler_config(cfg: RunConfig, default_draws=10_000) -> SamplerConfig:
     scale_raw = cfg.get("sampler.scale")
-    return SamplerConfig(
-        seed=int(cfg.get("sampler.seed", str(cfg.seed))),
-        draws=int(cfg.get("sampler.draws", str(default_draws))),
-        burn_in=int(cfg.get("sampler.burn_in", "1000")),
-        thin=int(cfg.get("sampler.thin", "1")),
-        proposal_scale=tuple(_as_float_list(scale_raw)) if scale_raw else None,
-    )
-
-
-def _worker_threads() -> int:
-    raw = os.environ.get("INFLUENCE_GATE_THREADS", "1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return SamplerConfig(
+            seed=cfg.get_int("sampler.seed", cfg.seed),
+            draws=cfg.get_int("sampler.draws", default_draws),
+            burn_in=cfg.get_int("sampler.burn_in", 1000),
+            thin=cfg.get_int("sampler.thin", 1),
+            proposal_scale=tuple(_as_list("sampler.scale", scale_raw, float)) if scale_raw else None,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sampler: {exc}") from None
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -324,59 +338,50 @@ def _subset_label(indices) -> str:
 # --- commands -------------------------------------------------------------------
 
 
-def _deletion_sets_for_gate(cfg: RunConfig, n: int) -> list:
-    if cfg.deletion_indices is not None:
-        zero_based = [i - 1 for i in cfg.deletion_indices]
-        return [deletion_set(zero_based, n)]
-    if cfg.scan_size is not None:
-        if cfg.scan_size == 0:
-            return [deletion_set([], n)]
-        if math.comb(n, cfg.scan_size) > SUBSET_ENUMERATION_BUDGET:
-            raise BudgetError(
-                f"C({n},{cfg.scan_size}) exceeds the enumeration budget {SUBSET_ENUMERATION_BUDGET}"
-            )
-        from itertools import combinations
-
-        return [deletion_set(c, n) for c in combinations(range(n), cfg.scan_size)]
-    raise ConfigError("gate needs deletion.indices or deletion.scan_size")
+def _check_scan_size(size: int, n: int, smallest: int) -> None:
+    if not smallest <= size <= n:
+        raise ConfigError(f"deletion.scan_size must be in [{smallest}, {n}], got {size}")
+    total = math.comb(n, size)
+    if total > SUBSET_ENUMERATION_BUDGET:
+        raise BudgetError(f"C({n},{size}) = {total} exceeds budget {SUBSET_ENUMERATION_BUDGET}")
 
 
 def cmd_gate(cfg: RunConfig) -> list:
     """Per-deletion-set verdicts and moment cut-offs, written as CSV + JSON."""
     data = _load_dataset(cfg)
-    sets = _deletion_sets_for_gate(cfg, data.n)
-    rows = []
-    if cfg.model == "linear":
-        prior = _linear_prior(cfg)
-        for dels in sets:
-            if dels.cardinality == 0:
-                rows.append(_empty_deletion_row(cfg.r_values))
-                continue
-            rep = linear_gate.moment_index_linear(data, dels, prior)
-            for r in cfg.r_values:
-                verdict = linear_gate.theorem31_verdict(data, dels, r, prior)
-                rows.append(_gate_row(dels, r, verdict, rep))
+    if cfg.deletion_indices is not None:
+        given = deletion_set([i - 1 for i in cfg.deletion_indices], data.n).indices
+        size, sets = len(given), [given]
+    elif cfg.scan_size is not None:
+        size = cfg.scan_size
+        _check_scan_size(size, data.n, 0)
+        sets = combinations(range(data.n), size)
+    else:
+        raise ConfigError("gate needs deletion.indices or deletion.scan_size")
+    if size == 0:
+        constant = MomentVerdict.finite("empty deletion: weight is constant")
+        rows = [_gate_row((), r, constant, _empty_report()) for r in cfg.r_values]
+    elif cfg.model == "linear":
+        rows = _linear_gate_rows(cfg, data, sets)
     elif cfg.model == "mm":
-        params = MMScanParams(grid_size=int(cfg.get("scan.grid_size", mm_gate.DEFAULT_GRID_SIZE)))
-        for dels in sets:
-            if dels.cardinality == 0:
-                rows.append(_empty_deletion_row(cfg.r_values))
-                continue
+        params = MMScanParams(grid_size=cfg.get_int("scan.grid_size", mm_gate.DEFAULT_GRID_SIZE))
+        rows = []
+        for indices in sets:
+            dels = deletion_set(indices, data.n)
             rep = mm_gate.moment_index_mm(data, dels, params)
             for r in cfg.r_values:
                 scan = mm_gate.scan_kappa(data, dels, r, params.kmin, params.kmax, params.grid_size)
                 verdict = mm_gate.theorem41_verdict(data, dels, r, scan)
-                rows.append(_gate_row(dels, r, verdict, rep))
+                rows.append(_gate_row(indices, r, verdict, rep))
     else:
         epsilon = _epsilon(cfg)
-        for dels in sets:
-            if dels.cardinality == 0:
-                rows.append(_empty_deletion_row(cfg.r_values))
-                continue
+        rows = []
+        for indices in sets:
+            dels = deletion_set(indices, data.n)
             rep = logit_gate.moment_index_logit(data, dels, epsilon)
             for r in cfg.r_values:
                 verdict = logit_gate.theorem51_verdict(data, dels, r, epsilon)
-                rows.append(_gate_row(dels, r, verdict, rep))
+                rows.append(_gate_row(indices, r, verdict, rep))
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "gate_report.csv", GATE_CSV_COLUMNS,
@@ -385,9 +390,26 @@ def cmd_gate(cfg: RunConfig) -> list:
     return rows
 
 
-def _gate_row(dels, r, verdict, rep) -> dict:
+def _linear_gate_rows(cfg: RunConfig, data, sets) -> list:
+    """Gate rows from the batched linear kernel: one cut-off call and one
+    verdict call cover every set and every order r."""
+    prior = _linear_prior(cfg)
+    if cfg.scan_size is not None:
+        result = linear_gate.scan_deletion_subsets(data, cfg.scan_size, prior)
+    else:
+        result = linear_gate.moment_indices(data, list(sets), prior)
+    verdicts = linear_gate.theorem31_verdicts(data, result.subsets, cfg.r_values, prior)
+    rows = []
+    for i, per_r in enumerate(verdicts):
+        rep = result.report(i)
+        for r, verdict in zip(cfg.r_values, per_r):
+            rows.append(_gate_row(result.subsets[i], r, verdict, rep))
+    return rows
+
+
+def _gate_row(indices, r, verdict, rep) -> dict:
     return {
-        "deletion": _subset_label(dels.indices),
+        "deletion": _subset_label(indices),
         "r": float(r),
         "verdict": verdict.tag.value,
         "detail": verdict.detail,
@@ -397,39 +419,6 @@ def _gate_row(dels, r, verdict, rep) -> dict:
         "r_star": float(rep.r_star),
         "binding": rep.binding,
     }
-
-
-def _empty_deletion_row(r_values) -> dict:
-    return {
-        "deletion": "",
-        "r": float(r_values[0]) if r_values else 2.0,
-        "verdict": "finite",
-        "detail": "empty deletion: weight is constant",
-        "r_a": math.inf,
-        "r_b": math.inf,
-        "r_c": math.inf,
-        "r_star": math.inf,
-        "binding": "empty deletion",
-    }
-
-
-def _scan_chunk(args):
-    design, response, subset_size, prior_kind, alpha, beta, combos = args
-    from .core_model import RegressionData
-
-    data = RegressionData(design=design, response=response)
-    if prior_kind == "noninformative":
-        prior = linear_gate.LinearPrior.noninformative()
-    else:
-        prior = linear_gate.LinearPrior.conjugate(
-            alpha, beta, ThetaPriorSpec.normal(np.zeros(data.k), np.eye(data.k))
-        )
-    X, y = data.design, data.response
-    Q, _ = np.linalg.qr(X)
-    H = Q @ Q.T
-    e = y - Q @ (Q.T @ y)
-    rss = float(e @ e)
-    return linear_gate._batched_cutoffs(H, e, rss, np.array(combos, int), data.n, data.k, prior)
 
 
 def cmd_scan(cfg: RunConfig) -> dict:
@@ -443,54 +432,25 @@ def cmd_scan(cfg: RunConfig) -> dict:
         raise ConfigError("scan supports the linear model")
     if cfg.scan_size is None:
         raise ConfigError("scan needs deletion.scan_size")
+    top = cfg.get_int("scan.top", 100)
+    if top < 1:
+        raise ConfigError(f"scan.top must be at least 1, got {top}")
+    flag_cases = _as_list("scan.flag_cases", cfg.get("scan.flag_cases", ""), int)
     data = _load_dataset(cfg)
-    n, I = data.n, cfg.scan_size
-    total = math.comb(n, I)
-    if total > SUBSET_ENUMERATION_BUDGET:
-        raise BudgetError(f"C({n},{I}) = {total} exceeds budget {SUBSET_ENUMERATION_BUDGET}")
+    _check_scan_size(cfg.scan_size, data.n, 1)
     prior = _linear_prior(cfg)
-    workers = _worker_threads()
-    if workers > 1:
-        from itertools import combinations, islice
-
-        combos = combinations(range(n), I)
-        chunks = []
-        while True:
-            block = list(islice(combos, 200_000))
-            if not block:
-                break
-            chunks.append(block)
-        args = [
-            (np.asarray(data.design), np.asarray(data.response), I, prior.kind,
-             prior.alpha, prior.beta, block)
-            for block in chunks
-        ]
-        subsets, ra, rb, rc, rs = [], [], [], [], []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block, out in zip(chunks, pool.map(_scan_chunk, args)):
-                subsets.append(np.array(block, int))
-                for lst, vec in zip((ra, rb, rc, rs), out):
-                    lst.append(vec)
-        result = linear_gate.SubsetScanResult(
-            subsets=np.concatenate(subsets),
-            r_a=np.concatenate(ra), r_b=np.concatenate(rb),
-            r_c=np.concatenate(rc), r_star=np.concatenate(rs),
-        )
-    else:
-        result = linear_gate.scan_deletion_subsets(data, I, prior)
-    top = int(cfg.get("scan.top", "100"))
+    result = linear_gate.scan_deletion_subsets(data, cfg.scan_size, prior)
     order_a = np.argsort(result.r_a, kind="stable")
     order_c = np.argsort(result.r_c, kind="stable")
     flagged = {}
-    if cfg.get("scan.flag_cases"):
-        for case in _as_int_list(cfg.get("scan.flag_cases")):
-            idx0 = case - 1
-            in_a = int(np.sum([idx0 in result.subsets[i] for i in order_a[:top]]))
-            in_c = int(np.sum([idx0 in result.subsets[i] for i in order_c[:top]]))
-            flagged[str(case)] = {
-                f"top{top}_by_r_a": in_a,
-                f"top{top}_by_r_c": in_c,
-            }
+    for case in flag_cases:
+        idx0 = case - 1
+        in_a = int(np.sum([idx0 in result.subsets[i] for i in order_a[:top]]))
+        in_c = int(np.sum([idx0 in result.subsets[i] for i in order_c[:top]]))
+        flagged[str(case)] = {
+            f"top{top}_by_r_a": in_a,
+            f"top{top}_by_r_c": in_c,
+        }
     rows = [
         {
             "subset": _subset_label(result.subsets[i]),
@@ -527,27 +487,28 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
     folds = cfg.kfold_folds
     if not 2 <= folds <= n:
         raise ConfigError(f"fold count must be in [2, {n}]")
+    if cfg.kfold_partitions < 1:
+        raise ConfigError("deletion.kfold.partitions must be at least 1")
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    count_ge1 = 0
-    count_ge2 = 0
-    for p in range(cfg.kfold_partitions):
+    partitions = []
+    for _ in range(cfg.kfold_partitions):
         perm = rng.permutation(n)
-        parts = [sorted(perm[f::folds].tolist()) for f in range(folds)]
-        rstars = linear_gate.fold_moment_indices(data, parts, prior)
-        below = int(np.sum(rstars < 2.0))
-        count_ge1 += below >= 1
-        count_ge2 += below >= 2
-        for f, (fold, rs) in enumerate(zip(parts, rstars)):
-            rows.append(
-                {
-                    "partition": p + 1,
-                    "fold": f + 1,
-                    "size": len(fold),
-                    "r_star": float(rs),
-                    "below_2": bool(rs < 2.0),
-                }
-            )
+        partitions.append([sorted(perm[f::folds].tolist()) for f in range(folds)])
+    all_folds = [fold for parts in partitions for fold in parts]
+    rstars = linear_gate.fold_moment_indices(data, all_folds, prior)
+    below = (rstars < 2.0).reshape(len(partitions), folds).sum(axis=1)
+    count_ge1 = int(np.sum(below >= 1))
+    count_ge2 = int(np.sum(below >= 2))
+    rows = [
+        {
+            "partition": i // folds + 1,
+            "fold": i % folds + 1,
+            "size": len(fold),
+            "r_star": float(rs),
+            "below_2": bool(rs < 2.0),
+        }
+        for i, (fold, rs) in enumerate(zip(all_folds, rstars))
+    ]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "kfold_report.csv", KFOLD_CSV_COLUMNS,
@@ -555,14 +516,17 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
     summary = {
         "partitions": cfg.kfold_partitions,
         "folds": folds,
-        "partitions_with_ge1_fold_below_2": int(count_ge1),
-        "partitions_with_ge2_folds_below_2": int(count_ge2),
+        "partitions_with_ge1_fold_below_2": count_ge1,
+        "partitions_with_ge2_folds_below_2": count_ge2,
     }
     write_json_report(out / "kfold_report.json", "kfold", rows, extra=summary)
     return summary
 
 
 _MM_MEASURE_DEFAULTS = "kl,hellinger,chisq,cpo"
+# l1/l2 need a normalizing-constant estimate and the unnormalized posterior
+# at the draws, bdd needs g values; the CLI computes none of them.
+_CLI_MEASURES = tuple(m for m in is_engine.MEASURES if m not in ("l1", "l2", "bdd"))
 
 
 def cmd_estimate(cfg: RunConfig) -> list:
@@ -573,10 +537,14 @@ def cmd_estimate(cfg: RunConfig) -> list:
     restores a CLT when the gate blocks (mixture sampling itself is out of
     scope here).
     """
-    data = _load_dataset(cfg)
     measures = [
         tok.strip() for tok in cfg.get("measures", _MM_MEASURE_DEFAULTS).split(",") if tok.strip()
     ]
+    unsupported = [m for m in measures if m not in _CLI_MEASURES]
+    if unsupported:
+        raise ConfigError(f"measures: {unsupported} not supported; use {list(_CLI_MEASURES)}")
+    coord = cfg.get_int("estimate.coord", 1) - 1
+    data = _load_dataset(cfg)
     sampler_cfg = _sampler_config(cfg)
     if cfg.deletion_indices is None:
         raise ConfigError("estimate needs deletion.indices")
@@ -592,7 +560,7 @@ def cmd_estimate(cfg: RunConfig) -> list:
     elif cfg.model == "mm":
         bundle = ModelBundle(
             model="mm", data=data,
-            kappa_prior=KappaPriorSpec(scale=float(cfg.get("prior.kappa.scale", "1.0"))),
+            kappa_prior=KappaPriorSpec(scale=_positive(cfg, "prior.kappa.scale", 1.0)),
         )
         report = (
             mm_gate.moment_index_mm(data, dels) if dels.cardinality else _empty_report()
@@ -612,7 +580,6 @@ def cmd_estimate(cfg: RunConfig) -> list:
     lw = is_engine.log_weight(cfg.model, result.draws, data, dels)
     sample = is_engine.WeightedSample(model=cfg.model, draws=result.draws, log_weights=np.atleast_1d(lw))
     gate = is_engine.GateInputs(report=report)
-    coord = int(cfg.get("estimate.coord", "1")) - 1
     rows = []
     for measure in measures:
         aux = is_engine.MeasureAux(
@@ -648,14 +615,12 @@ def cmd_estimate(cfg: RunConfig) -> list:
     )
     write_json_report(out / "estimates.json", "estimate", rows,
                       extra={"advisory": advisory, "acceptance_rate": result.acceptance_rate})
-    if _as_bool(cfg.get("sampler.export_draws", "false")):
+    if _as_bool("sampler.export_draws", cfg.get("sampler.export_draws", "false")):
         draws_to_csv(out / "draws.csv", cfg.model, result.draws)
     return rows
 
 
 def _empty_report():
-    from .core_model import MomentIndexReport
-
     return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf, binding="empty deletion")
 
 
@@ -666,6 +631,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
         raise ConfigError("verify needs deletion.indices")
     dels = deletion_set([i - 1 for i in cfg.deletion_indices], data.n)
     sampler_cfg = _sampler_config(cfg, default_draws=100_000)
+    m_grid = _as_list("verify.m_grid", cfg.get("verify.m_grid", "1000,4000,16000,64000"), int)
+    reps = cfg.get_int("verify.replications", 50)
     if cfg.model == "linear":
         prior = _linear_prior(cfg)
         bundle = ModelBundle(model="linear", data=data, prior=prior)
@@ -683,8 +650,6 @@ def cmd_verify(cfg: RunConfig) -> dict:
     tail = tail_verifier.verify_moment_index(
         bundle, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
     )
-    m_grid = _as_int_list(cfg.get("verify.m_grid", "1000,4000,16000,64000"))
-    reps = int(cfg.get("verify.replications", "50"))
 
     def estimator(m, rng):
         sub = SamplerConfig(

@@ -11,9 +11,8 @@ adjusted residual sum of squares
 which at r = 1 equals the refit RSS of the case-deleted least-squares fit.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -32,12 +31,12 @@ from .prior_tails import TailClass, ThetaPriorSpec
 # noise must not flip the verdict.
 EIGENVALUE_BOUNDARY_TOL = 1e-9
 
-# Above this many rows the hat quantities come from a thin QR factorization
-# instead of the explicit n x n projection.
-QR_THRESHOLD = 64
+# Subsets per batched kernel call in a scan; bounds the memory held by the
+# stacked minors and eigenvectors.
+_SCAN_CHUNK = 65536
 
-_BISECT_MAX_ITER = 200
-_BISECT_WIDTH = 1e-10
+# Cut-off names in tie order: the first of equal minimal cut-offs binds.
+_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
 
 
 @dataclass(frozen=True)
@@ -92,29 +91,174 @@ class LeverageReport:
         return float(self.eigenvalues[-1])
 
 
-def _hat_pieces(data: RegressionData):
-    """Residual vector, RSS, and a callable building leverage minors."""
-    X, y = data.design, data.response
-    n = data.n
-    if n > QR_THRESHOLD:
-        Q, _ = np.linalg.qr(X)
-        fitted = Q @ (Q.T @ y)
+# --- the batched kernel -----------------------------------------------------------
+#
+# One thin QR of the design, X = QR, gives the residuals e and the RSS; the
+# leverage minor of a deletion set is H_del = Q_del Q_del', so the n x n hat
+# matrix is never formed. For N deletion sets of a common size I, the
+# spectrum step gives the ascending eigenvalues lam of each H_del and the
+# squared deleted residuals u2 in its eigenbasis. The cut-offs and the
+# Thm 3.1 verdicts are both read off (lam, u2, rss).
 
-        def minor(idx: np.ndarray) -> np.ndarray:
-            Qi = Q[idx, :]
-            return Qi @ Qi.T
 
+def _hat(data: RegressionData):
+    """Thin-QR factor Q, residual vector and RSS of the least-squares fit."""
+    Q, _ = np.linalg.qr(data.design)
+    e = data.response - Q @ (Q.T @ data.response)
+    return Q, e, float(e @ e)
+
+
+def _spectra(Q, e, idx: np.ndarray):
+    """Leverage minors of an (N, I) index array, their ascending spectra and
+    the squared deleted residuals in each eigenbasis."""
+    if idx.ndim != 2 or idx.shape[1] < 1:
+        raise ValueError("deletion sets must form an (N, I) array with I >= 1")
+    Q_del = Q[idx]
+    minors = Q_del @ np.swapaxes(Q_del, 1, 2)
+    minors = (minors + np.swapaxes(minors, 1, 2)) / 2.0
+    lam, V = np.linalg.eigh(minors)
+    u2 = np.einsum("nij,ni->nj", V, e[idx]) ** 2
+    return minors, lam, u2
+
+
+def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
+    """(r_a, r_b, r_c) arrays for N deletion sets of a common size.
+
+    r_c is the largest r in (0, r_a) with rss_star(r) above the prior
+    threshold. rss_star is non-increasing in r on that interval, so a
+    bisection vectorized across sets finds it. Residuals orthogonal to the
+    spectrum (or exactly zero) leave rss_star above the threshold everywhere,
+    and then the leverage cut-off binds: r_c = r_a. With every eigenvalue
+    zero rss_star is linear in r and r_c is its root.
+    """
+    N, I = lam.shape
+    lam_max = lam[:, -1]
+    with np.errstate(divide="ignore"):
+        r_a = np.where(lam_max > 1e-14, 1.0 / np.maximum(lam_max, 1e-300), np.inf)
+    size = n - k if prior.is_noninformative else n + 2.0 * prior.alpha
+    r_b = np.full(N, size / I)
+    threshold = prior.rss_threshold
+
+    def excess(r):
+        return rss - r * np.sum(u2 / (1.0 - r[:, None] * lam), axis=1) - threshold
+
+    sum_u2 = u2.sum(axis=1)
+    degenerate = sum_u2 <= 1e-24 * max(1.0, rss)
+    # The bracket ends just below r_a, where every 1 - r lam_i is positive;
+    # the relative margin matters only for large r_a, where r_a - 1e-9
+    # rounds to r_a. Sets with r_a = inf bisect on [0, 1] only to keep the
+    # arrays aligned; their r_c is set last.
+    lo = np.zeros(N)
+    hi = np.where(np.isinf(r_a), 1.0, np.minimum(r_a - 1e-9, r_a * (1.0 - 1e-12)))
+    settled = degenerate | (excess(hi) > 0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = excess(mid) > 0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    r_c = np.where(settled, r_a, 0.5 * (lo + hi))
+    linear = np.isinf(r_a) & ~degenerate
+    return r_a, r_b, np.where(linear, (rss - threshold) / np.maximum(sum_u2, 1e-300), r_c)
+
+
+def _theorem31(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
+    """Thm 3.1 verdict at order r for each of N same-size deletion sets.
+
+    The checks run in order, and the first that fires decides: leverage
+    eigenvalue at 1/r (boundary) or above it (infinite), then the sample
+    size condition (infinite on equality), then rss_star(r) at the prior
+    threshold (boundary), above it (finite) or below it (infinite).
+    """
+    N, I = lam.shape
+    lam_max = lam[:, -1]
+    if prior.is_noninformative:
+        size_fails = not n > r * I + k
+        size_verdict = MomentVerdict.infinite("sample size: n <= r*I + k")
     else:
-        G = np.linalg.inv(X.T @ X)
-        fitted = X @ (G @ (X.T @ y))
+        size_fails = not n / 2.0 + prior.alpha > r * I / 2.0
+        size_verdict = MomentVerdict.infinite("sample size: n/2 + alpha <= r*I/2")
+    # Sets that fail the leverage check reach no rss_star comparison, so the
+    # singular or negative denominators they give here are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rs = rss - r * np.sum(u2 / (1.0 - r * lam), axis=1)
+    thr = prior.rss_threshold
+    tol = 1e-9 * max(1.0, abs(rss), abs(thr))
+    outcomes = (
+        MomentVerdict.boundary("leverage eigenvalue equals 1/r"),
+        MomentVerdict.infinite("leverage above 1/r"),
+        size_verdict,
+        MomentVerdict.boundary("rss_star at the prior threshold"),
+        MomentVerdict.finite(),
+        MomentVerdict.infinite("rss_star below the prior threshold"),
+    )
+    checks = (
+        np.abs(lam_max - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL,
+        lam_max > 1.0 / r,
+        np.full(N, size_fails),
+        np.abs(rs - thr) < tol,
+        rs > thr,
+    )
+    return [outcomes[c] for c in np.select(checks, range(len(checks)), len(checks))]
 
-        def minor(idx: np.ndarray) -> np.ndarray:
-            Xi = X[idx, :]
-            return Xi @ G @ Xi.T
 
-    e = y - fitted
-    rss = float(e @ e)
-    return e, rss, minor
+@dataclass(frozen=True)
+class SubsetScanResult:
+    subsets: np.ndarray  # (N, I) int, 0-based; lexicographic in a scan
+    r_a: np.ndarray
+    r_b: np.ndarray
+    r_c: np.ndarray
+    r_star: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.subsets.shape[0]
+
+    def report(self, i: int) -> MomentIndexReport:
+        """The cut-offs of set i; the first minimal cut-off binds."""
+        cuts = (float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]))
+        return MomentIndexReport(*cuts, binding=_CUTOFF_NAMES[cuts.index(min(cuts))],
+                                 r_star=float(self.r_star[i]))
+
+
+def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior) -> SubsetScanResult:
+    Q, e, rss = hat
+    _, lam, u2 = _spectra(Q, e, idx)
+    r_a, r_b, r_c = _cutoffs(lam, u2, rss, n, k, prior)
+    return SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
+                            r_star=np.minimum(np.minimum(r_a, r_b), r_c))
+
+
+def moment_indices(data: RegressionData, subsets, prior: LinearPrior) -> SubsetScanResult:
+    """Cut-offs r_a, r_b, r_c for each row of an (N, I) array of 0-based
+    deletion sets of a common size I >= 1."""
+    idx = np.asarray(subsets, dtype=int)
+    return _index_batch(_hat(data), idx, data.n, data.k, prior)
+
+
+def theorem31_verdicts(data: RegressionData, subsets, r_values, prior: LinearPrior) -> list:
+    """Thm 3.1 verdicts for each row of an (N, I) array of 0-based deletion
+    sets at each order r in `r_values` (all above 1): one list per set,
+    ordered as `r_values`."""
+    if not all(r > 1 for r in r_values):
+        raise ValueError("moment order r must exceed 1")
+    if not prior.is_noninformative:
+        _require_part_i_prior(prior)
+    Q, e, rss = _hat(data)
+    _, lam, u2 = _spectra(Q, e, np.asarray(subsets, dtype=int))
+    per_r = [_theorem31(lam, u2, rss, data.n, data.k, float(r), prior) for r in r_values]
+    return [list(row) for row in zip(*per_r)]
+
+
+def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
+    """The (1, I) index array of a nonempty deletion set built for `data`."""
+    if dels.cardinality < 1:
+        raise ValueError("deletion set must be nonempty")
+    if dels.n != data.n:
+        raise ValueError("deletion set was built for a different n")
+    return dels.index_array()[None, :]
+
+
+# --- single deletion sets: N = 1 calls into the kernel ---------------------------------
 
 
 def leverage_minor(data: RegressionData, dels: DeletionSet, r: float | None = None) -> LeverageReport:
@@ -123,53 +267,43 @@ def leverage_minor(data: RegressionData, dels: DeletionSet, r: float | None = No
     When `r` is supplied and (X'X - r X_del X_del') is nonsingular, the
     stationary point theta_tilde of the r-tilted quadratic form is included.
     """
-    if dels.cardinality < 1:
-        raise ValueError("leverage is undefined for an empty deletion set")
-    if dels.n != data.n:
-        raise ValueError("deletion set was built for a different n")
-    idx = dels.index_array()
-    e, rss, minor = _hat_pieces(data)
-    H = minor(idx)
-    H = (H + H.T) / 2.0
-    lam = np.linalg.eigvalsh(H)
-    e_del = e[idx]
+    idx = _one_set(data, dels)
+    Q, e, rss = _hat(data)
+    minors, lam, _ = _spectra(Q, e, idx)
     theta_tilde = None
     theta_r = None
     if r is not None:
         X, y = data.design, data.response
-        Xi = X[idx, :]
+        Xi = X[idx[0], :]
         G = X.T @ X - r * (Xi.T @ Xi)
         if np.abs(np.linalg.det(G)) > 1e-12 * max(1.0, np.abs(np.linalg.det(X.T @ X))):
-            b = X.T @ y - r * (Xi.T @ y[idx])
+            b = X.T @ y - r * (Xi.T @ y[idx[0]])
             theta_tilde = np.linalg.solve(G, b)
             theta_r = float(r)
     return LeverageReport(
-        minor=H,
-        eigenvalues=lam,
-        deleted_residuals=e_del,
+        minor=minors[0],
+        eigenvalues=lam[0],
+        deleted_residuals=e[idx[0]],
         rss=rss,
         theta_tilde=theta_tilde,
         theta_tilde_r=theta_r,
     )
 
 
+def _set_spectrum(data: RegressionData, dels: DeletionSet):
+    """(lam, u2, rss) of one nonempty deletion set."""
+    Q, e, rss = _hat(data)
+    _, lam, u2 = _spectra(Q, e, _one_set(data, dels))
+    return lam[0], u2[0], rss
+
+
 def _rss_star_from_spectrum(rss, lam, u2, r):
-    """rss - r * sum(u_i^2 / (1 - r lam_i)) with a singularity guard."""
+    """rss - r * sum(u_i^2 / (1 - r lam_i)); refuses r with some lam_i
+    inside the boundary band around 1/r."""
     bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
     if np.any(bad):
         raise SingularLeverageError(float(lam[np.argmax(bad)]), float(r))
-    return _rss_star_raw(rss, lam, u2, r)
-
-
-def _rss_star_raw(rss, lam, u2, r):
-    """Same quantity without the boundary band; only guards an exact
-    denominator collapse. Used inside the r_c bisection, whose bracket ends
-    just below the leverage cut-off where the banded form would refuse to
-    evaluate."""
-    denom = 1.0 - r * lam
-    if np.any(np.abs(denom) < 1e-300):
-        raise SingularLeverageError(float(lam[np.argmin(np.abs(denom))]), float(r))
-    return float(rss - r * np.sum(u2 / denom))
+    return float(rss - r * np.sum(u2 / (1.0 - r * lam)))
 
 
 def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
@@ -178,11 +312,8 @@ def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
     At r = 1 this equals the RSS of the least-squares refit on the
     case-deleted data; at r = 0 it is the full-data RSS.
     """
-    rep = leverage_minor(data, dels)
-    lam = rep.eigenvalues
-    V = np.linalg.eigh(rep.minor)[1]
-    u2 = (V.T @ rep.deleted_residuals) ** 2
-    return _rss_star_from_spectrum(rep.rss, lam, u2, float(r))
+    lam, u2, rss = _set_spectrum(data, dels)
+    return _rss_star_from_spectrum(rss, lam, u2, float(r))
 
 
 def _require_part_i_prior(prior: LinearPrior) -> None:
@@ -206,94 +337,14 @@ def theorem31_verdict(
     size condition counts as infinite, while the leverage and residual
     conditions return boundary inside a tolerance band.
     """
-    if not r > 1:
-        raise ValueError("moment order r must exceed 1")
-    if dels.cardinality < 1:
-        raise ValueError("deletion set must be nonempty")
-    if not prior.is_noninformative:
-        _require_part_i_prior(prior)
-    rep = leverage_minor(data, dels)
-    n, k, I = data.n, data.k, dels.cardinality
-    lam_max = rep.lambda_max
-    if abs(lam_max - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL:
-        return MomentVerdict.boundary("leverage eigenvalue equals 1/r")
-    if lam_max > 1.0 / r:
-        return MomentVerdict.infinite("leverage above 1/r")
-    if prior.is_noninformative:
-        if not n > r * I + k:
-            return MomentVerdict.infinite("sample size: n <= r*I + k")
-    else:
-        if not n / 2.0 + prior.alpha > r * I / 2.0:
-            return MomentVerdict.infinite("sample size: n/2 + alpha <= r*I/2")
-    lam = rep.eigenvalues
-    V = np.linalg.eigh(rep.minor)[1]
-    u2 = (V.T @ rep.deleted_residuals) ** 2
-    rs = _rss_star_from_spectrum(rep.rss, lam, u2, r)
-    thr = prior.rss_threshold
-    tol = 1e-9 * max(1.0, abs(rep.rss), abs(thr))
-    if abs(rs - thr) < tol:
-        return MomentVerdict.boundary("rss_star at the prior threshold")
-    if rs > thr:
-        return MomentVerdict.finite()
-    return MomentVerdict.infinite("rss_star below the prior threshold")
-
-
-def _rc_bisection(rss, lam, u2, threshold, r_a):
-    """Largest r in (0, r_a) with rss_star(r) > threshold.
-
-    rss_star is non-increasing in r on that interval, so plain bisection
-    applies. Residuals orthogonal to the minor's spectrum (or exactly zero)
-    leave rss_star above the threshold everywhere, in which case the
-    leverage cut-off binds and r_c = r_a.
-    """
-    if float(np.sum(u2)) <= 1e-24 * max(1.0, rss):
-        return r_a
-    if math.isinf(r_a):
-        # All leverage eigenvalues are zero: rss_star is exactly linear in r.
-        slope = float(np.sum(u2))
-        return (rss - threshold) / slope
-
-    def f(r):
-        return _rss_star_raw(rss, lam, u2, r) - threshold
-
-    hi = r_a - 1e-9
-    if hi <= 0:
-        return r_a
-    if f(hi) > 0:
-        return r_a
-    lo = 0.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_WIDTH:
-            break
-    return 0.5 * (lo + hi)
+    return theorem31_verdicts(data, _one_set(data, dels), [r], prior)[0][0]
 
 
 def moment_index_linear(
     data: RegressionData, dels: DeletionSet, prior: LinearPrior
 ) -> MomentIndexReport:
     """Moment cut-offs r_a (leverage), r_b (sample size), r_c (residual)."""
-    if dels.cardinality < 1:
-        raise ValueError("deletion set must be nonempty")
-    rep = leverage_minor(data, dels)
-    n, k, I = data.n, data.k, dels.cardinality
-    lam = rep.eigenvalues
-    lam_max = rep.lambda_max
-    r_a = math.inf if lam_max <= 1e-14 else 1.0 / lam_max
-    if prior.is_noninformative:
-        r_b = (n - k) / I
-    else:
-        r_b = (n + 2.0 * prior.alpha) / I
-    V = np.linalg.eigh(rep.minor)[1]
-    u2 = (V.T @ rep.deleted_residuals) ** 2
-    r_c = _rc_bisection(rep.rss, lam, u2, prior.rss_threshold, r_a)
-    cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
-    binding = min(cuts, key=lambda kk: (cuts[kk], ("leverage", "sample-size", "residual").index(kk)))
-    return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=r_c, binding=binding)
+    return moment_indices(data, _one_set(data, dels), prior).report(0)
 
 
 def corollary3_dispatch(
@@ -312,8 +363,8 @@ def corollary3_dispatch(
     """
     if not r > 1:
         raise ValueError("moment order r must exceed 1")
-    rep = leverage_minor(data, dels)
-    lam_max = rep.lambda_max
+    lam, u2, rss = _set_spectrum(data, dels)
+    lam_max = float(lam[-1])
     if abs(lam_max - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL:
         return MomentVerdict.boundary("leverage eigenvalue equals 1/r")
     small_leverage = lam_max < 1.0 / r
@@ -328,11 +379,8 @@ def corollary3_dispatch(
     if sigma2_tail.is_thick:
         if not small_leverage:
             return MomentVerdict.infinite("leverage above 1/r")
-        lam = rep.eigenvalues
-        V = np.linalg.eigh(rep.minor)[1]
-        u2 = (V.T @ rep.deleted_residuals) ** 2
-        rs = _rss_star_from_spectrum(rep.rss, lam, u2, r)
-        tol = 1e-9 * max(1.0, abs(rep.rss))
+        rs = _rss_star_from_spectrum(rss, lam, u2, r)
+        tol = 1e-9 * max(1.0, abs(rss))
         if abs(rs) < tol:
             return MomentVerdict.boundary("rss_star at zero")
         if rs < 0:
@@ -463,115 +511,45 @@ def bounded_support_verdict(
     return MomentVerdict.infinite("rss_star below the box-adjusted threshold")
 
 
-# --- batched machinery for subset scans and k-fold audits ---------------------
-
-
-@dataclass(frozen=True)
-class SubsetScanResult:
-    subsets: np.ndarray  # (N, I) int, 0-based, lexicographic order
-    r_a: np.ndarray
-    r_b: np.ndarray
-    r_c: np.ndarray
-    r_star: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.subsets.shape[0]
-
-
-def _batched_cutoffs(H_full, e, rss, idx_sets, n, k, prior: LinearPrior):
-    """Vectorized (r_a, r_b, r_c, r_star) for many same-size deletion sets."""
-    idx = np.asarray(idx_sets, dtype=int)
-    N, I = idx.shape
-    minors = H_full[idx[:, :, None], idx[:, None, :]]
-    minors = (minors + np.swapaxes(minors, 1, 2)) / 2.0
-    lam, V = np.linalg.eigh(minors)
-    e_del = e[idx]
-    u2 = np.einsum("nij,ni->nj", V, e_del) ** 2
-    lam_max = lam[:, -1]
-    with np.errstate(divide="ignore"):
-        r_a = np.where(lam_max > 1e-14, 1.0 / np.maximum(lam_max, 1e-300), np.inf)
-    if prior.is_noninformative:
-        r_b = np.full(N, (n - k) / I)
-        threshold = 0.0
-    else:
-        r_b = np.full(N, (n + 2.0 * prior.alpha) / I)
-        threshold = -2.0 / prior.beta
-
-    # Bisection for the residual cut-off, vectorized across subsets.
-    sum_u2 = u2.sum(axis=1)
-    degenerate = sum_u2 <= 1e-24 * max(1.0, rss)
-    hi_cap = np.where(np.isinf(r_a), (rss - threshold) / np.maximum(sum_u2, 1e-300), r_a - 1e-9)
-    hi_cap = np.maximum(hi_cap, 1e-12)
-
-    def rss_star_vec(rv):
-        denom = 1.0 - rv[:, None] * lam
-        safe = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        return rss - rv * np.sum(u2 / safe, axis=1)
-
-    above_at_cap = rss_star_vec(hi_cap) - threshold > 0
-    lo = np.zeros(N)
-    hi = hi_cap.copy()
-    active = ~(degenerate | above_at_cap)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = rss_star_vec(mid) - threshold > 0
-        lo = np.where(active & pos, mid, lo)
-        hi = np.where(active & ~pos, mid, hi)
-    r_c = np.where(degenerate | above_at_cap, r_a, 0.5 * (lo + hi))
-    r_c = np.where(np.isinf(r_a) & (degenerate | above_at_cap), np.inf, r_c)
-    r_star = np.minimum(np.minimum(r_a, r_b), r_c)
-    return r_a, r_b, r_c, r_star
+# --- subset scans and k-fold audits --------------------------------------------
 
 
 def scan_deletion_subsets(
-    data: RegressionData, subset_size: int, prior: LinearPrior, chunk: int = 65536
+    data: RegressionData, subset_size: int, prior: LinearPrior
 ) -> SubsetScanResult:
     """Cut-offs for every deletion subset of the given size.
 
     Enumerates all C(n, I) subsets in lexicographic order; the per-subset
     spectral work is batched so that scans over ~1e5 subsets stay cheap.
     """
-    n, k = data.n, data.k
+    n = data.n
     if not 1 <= subset_size <= n:
         raise ValueError("subset size must be in [1, n]")
-    X, y = data.design, data.response
-    Q, _ = np.linalg.qr(X)
-    H = Q @ Q.T
-    e = y - Q @ (Q.T @ y)
-    rss = float(e @ e)
-
-    all_sets = []
-    ra_l, rb_l, rc_l, rs_l = [], [], [], []
-    buf = []
-    for combo in combinations(range(n), subset_size):
-        buf.append(combo)
-        if len(buf) == chunk:
-            arr = np.array(buf, dtype=int)
-            out = _batched_cutoffs(H, e, rss, arr, n, k, prior)
-            all_sets.append(arr)
-            for lst, vec in zip((ra_l, rb_l, rc_l, rs_l), out):
-                lst.append(vec)
-            buf = []
-    if buf:
-        arr = np.array(buf, dtype=int)
-        out = _batched_cutoffs(H, e, rss, arr, n, k, prior)
-        all_sets.append(arr)
-        for lst, vec in zip((ra_l, rb_l, rc_l, rs_l), out):
-            lst.append(vec)
+    hat = _hat(data)
+    combos = combinations(range(n), subset_size)
+    parts = []
+    while chunk := list(islice(combos, _SCAN_CHUNK)):
+        parts.append(_index_batch(hat, np.array(chunk, dtype=int), n, data.k, prior))
     return SubsetScanResult(
-        subsets=np.concatenate(all_sets, axis=0),
-        r_a=np.concatenate(ra_l),
-        r_b=np.concatenate(rb_l),
-        r_c=np.concatenate(rc_l),
-        r_star=np.concatenate(rs_l),
+        subsets=np.concatenate([p.subsets for p in parts]),
+        r_a=np.concatenate([p.r_a for p in parts]),
+        r_b=np.concatenate([p.r_b for p in parts]),
+        r_c=np.concatenate([p.r_c for p in parts]),
+        r_star=np.concatenate([p.r_star for p in parts]),
     )
 
 
 def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -> np.ndarray:
-    """r_star for each fold of a partition, treating each fold as the deletion set."""
-    out = np.empty(len(folds))
-    for i, fold in enumerate(folds):
-        rep = moment_index_linear(data, deletion_set(fold, data.n), prior)
-        out[i] = rep.r_star
+    """r_star for each fold, treating each fold as the deletion set.
+
+    Folds of equal size share one batched kernel call, so a list of folds
+    from many partitions costs one call per distinct fold size.
+    """
+    sets = [deletion_set(fold, data.n).indices for fold in folds]
+    hat = _hat(data)
+    out = np.empty(len(sets))
+    for size in sorted(set(map(len, sets))):
+        rows = [i for i, s in enumerate(sets) if len(s) == size]
+        idx = np.array([sets[i] for i in rows], dtype=int)
+        out[rows] = _index_batch(hat, idx, data.n, data.k, prior).r_star
     return out

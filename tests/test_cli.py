@@ -1,0 +1,173 @@
+"""End-to-end runs of the command-line entry point on the bundled data."""
+
+import csv
+import json
+import math
+
+import pytest
+
+from influence_gate.cli import main
+from influence_gate.core_model import LinearSchema, deletion_set, load_csv
+from influence_gate.linear_gate import LinearPrior, moment_index_linear, theorem31_verdict
+
+from conftest import DATA_DIR
+
+PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
+FZ_LINEAR = {
+    "model": "linear", "data": DATA_DIR / "feigl_zelen.csv",
+    "data.response": "time_weeks", "data.covariates": "wbc, ag",
+    "prior.kind": "noninformative",
+}
+FZ_LOGIT = {
+    "model": "logit", "data": DATA_DIR / "feigl_zelen.csv",
+    "data.outcome": "surv50", "data.covariates": "wbc, ag", "prior.epsilon": "1",
+}
+
+
+def run(tmp_path, command, config: dict) -> int:
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def read_csv(tmp_path, name) -> list:
+    with open(tmp_path / "out" / name, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# --- exit 0 -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, case", [(FZ_LINEAR, "15"), (PUROMYCIN_MM, "11"), (FZ_LOGIT, "15")])
+def test_gate_singleton(tmp_path, config, case):
+    assert run(tmp_path, "gate", {**config, "deletion.indices": case}) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    assert [row["deletion"] for row in rows] == [case]
+    assert rows[0]["verdict"] in ("finite", "infinite", "boundary", "indeterminate")
+    report = json.loads((tmp_path / "out" / "gate_report.json").read_text())
+    assert report["command"] == "gate" and len(report["rows"]) == 1
+
+
+def test_linear_gate_rows_match_single_set_functions(tmp_path):
+    config = {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}
+    assert run(tmp_path, "gate", config) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    data = load_csv(config["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    prior = LinearPrior.noninformative()
+    assert len(rows) == 2 * math.comb(33, 2)
+    for row in rows:
+        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        verdict = theorem31_verdict(data, dels, float(row["r"]), prior)
+        rep = moment_index_linear(data, dels, prior)
+        assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
+        assert row["binding"] == rep.binding
+        for name in ("r_a", "r_b", "r_c", "r_star"):
+            assert float(row[name]) == pytest.approx(getattr(rep, name), rel=0, abs=1e-9)
+    assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
+
+
+def test_gate_empty_deletion_writes_one_row_per_r(tmp_path):
+    assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "0", "r": "2, 3"}) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    assert [(row["deletion"], row["r"]) for row in rows] == [("", "2.0"), ("", "3.0")]
+    assert all(row["verdict"] == "finite" for row in rows)
+
+
+def test_scan(tmp_path):
+    assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "2",
+                                  "scan.top": "5", "scan.flag_cases": "15"}) == 0
+    assert len(read_csv(tmp_path, "scan_report.csv")) == math.comb(33, 2)
+    summary = json.loads((tmp_path / "out" / "scan_report.json").read_text())
+    assert summary["subset_count"] == math.comb(33, 2)
+    assert len(summary["ranking_by_r_c"]) == 5
+    assert set(summary["flagged_cases"]) == {"15"}
+
+
+def test_kfold(tmp_path):
+    config = {**FZ_LINEAR, "deletion.kfold.partitions": "4", "deletion.kfold.folds": "5"}
+    assert run(tmp_path, "kfold", config) == 0
+    rows = read_csv(tmp_path, "kfold_report.csv")
+    assert len(rows) == 20
+    sizes = [int(row["size"]) for row in rows if row["partition"] == "1"]
+    assert sorted(sizes) == [6, 6, 7, 7, 7]
+    for row in rows:
+        assert (row["below_2"] == "True") == (float(row["r_star"]) < 2.0)
+
+
+# --- exit 2: configuration errors ---------------------------------------------------
+
+
+BAD_VALUES = [
+    ("gate", FZ_LINEAR, "deletion.scan_size", "abc"),
+    ("gate", FZ_LINEAR, "deletion.indices", "1, x"),
+    ("gate", FZ_LINEAR, "r", "2, y"),
+    ("gate", FZ_LINEAR, "seed", "x"),
+    ("gate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "scan.grid_size", "x"),
+    ("scan", {**FZ_LINEAR, "deletion.scan_size": "2"}, "scan.top", "x"),
+    ("scan", {**FZ_LINEAR, "deletion.scan_size": "2"}, "scan.flag_cases", "x"),
+    ("kfold", FZ_LINEAR, "deletion.kfold.partitions", "x"),
+    ("kfold", {**FZ_LINEAR, "deletion.kfold.partitions": "2"}, "deletion.kfold.folds", "x"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.draws", "abc"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.seed", "x"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.burn_in", "x"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.thin", "x"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.scale", "0.1, x"),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "prior.kappa.scale", "x"),
+    ("estimate", {**FZ_LINEAR, "deletion.indices": "15"}, "estimate.coord", "x"),
+    ("estimate", {**FZ_LOGIT, "deletion.indices": "15"}, "prior.epsilon", "x"),
+    ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.replications", "x"),
+    ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.m_grid", "1000, x"),
+]
+
+
+@pytest.mark.parametrize("command, config, key, value", BAD_VALUES,
+                         ids=[f"{c}-{k}" for c, _, k, _ in BAD_VALUES])
+def test_unparseable_value_is_config_error(tmp_path, capsys, command, config, key, value):
+    assert run(tmp_path, command, {**config, key: value}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+@pytest.mark.parametrize("measures", ["kl, nonsense", "l1", "bdd"])
+def test_bad_measures_rejected_before_sampling(tmp_path, capsys, measures):
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "measures": measures}
+    assert run(tmp_path, "estimate", config) == 2
+    assert capsys.readouterr().err.startswith("config error: measures")
+    assert not (tmp_path / "out").exists()
+
+
+OUT_OF_RANGE = [
+    ("gate", {**FZ_LINEAR, "deletion.scan_size": "34"}),
+    ("scan", {**FZ_LINEAR, "deletion.scan_size": "0"}),
+    ("scan", {**FZ_LINEAR, "deletion.scan_size": "2", "scan.top": "0"}),
+    ("gate", {**FZ_LINEAR, "deletion.indices": "15", "r": "1"}),
+    ("kfold", {**FZ_LINEAR, "deletion.kfold.partitions": "0"}),
+    ("gate", {**FZ_LINEAR}),
+    ("gate", {**FZ_LOGIT, "deletion.indices": "15", "prior.epsilon": "0"}),
+    ("gate", {**FZ_LINEAR, "deletion.indices": "15", "prior.kind": "conjugate",
+              "prior.alpha": "-1", "prior.beta": "1", "prior.theta.mean": "0, 0, 0",
+              "prior.theta.cov_diag": "1, 1, 1"}),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "prior.kappa.scale": "-1"}),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.draws": "0"}),
+]
+
+
+@pytest.mark.parametrize("command, config", OUT_OF_RANGE,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(OUT_OF_RANGE)])
+def test_out_of_range_setting_is_config_error(tmp_path, command, config):
+    assert run(tmp_path, command, config) == 2
+
+
+# --- exit 3 and 4 -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", ["0", "34"])
+def test_out_of_range_deletion_index_is_data_error(tmp_path, capsys, index):
+    assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.indices": index}) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("command", ["gate", "scan"])
+def test_enumeration_over_budget_is_budget_error(tmp_path, capsys, command):
+    # C(33, 12) is about 3.5e8 subsets
+    assert run(tmp_path, command, {**FZ_LINEAR, "deletion.scan_size": "12"}) == 4
+    assert capsys.readouterr().err.startswith("budget error: ")

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -45,16 +46,25 @@ def explicit_hat(data: RegressionData) -> np.ndarray:
     return X @ np.linalg.inv(X.T @ X) @ X.T
 
 
+def leverage_reference(data: RegressionData, dels):
+    """Independent oracle: leverage minor from the explicit hat matrix, and
+    residuals and RSS from a least-squares solve."""
+    idx = list(dels.indices)
+    coef, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
+    e = data.response - data.design @ coef
+    return explicit_hat(data)[np.ix_(idx, idx)], e[idx], float(e @ e)
+
+
 def rc_reference(data, dels, prior, tol=1e-12) -> float:
     """Bisection oracle on the raw definition of rss_star."""
-    rep = leverage_minor(data, dels)
-    lam_max = rep.lambda_max
+    minor, e_del, rss = leverage_reference(data, dels)
+    lam_max = np.linalg.eigvalsh(minor)[-1]
     r_hi = (1.0 / lam_max if lam_max > 1e-14 else 1e9) - 1e-9
     thr = prior.rss_threshold
 
     def value(r):
-        M = np.eye(dels.cardinality) - r * rep.minor
-        return rep.rss - r * rep.deleted_residuals @ np.linalg.solve(M, rep.deleted_residuals)
+        M = np.eye(dels.cardinality) - r * minor
+        return rss - r * e_del @ np.linalg.solve(M, e_del)
 
     if value(r_hi) > thr:
         return 1.0 / lam_max if lam_max > 1e-14 else math.inf
@@ -105,7 +115,7 @@ class TestLeverageMinor:
 
     def test_qr_path_matches_direct(self):
         rng = np.random.default_rng(7)
-        data = random_regression(rng, 80, 4)  # above the QR threshold
+        data = random_regression(rng, 80, 4)
         H = explicit_hat(data)
         dels = deletion_set([5, 40, 79], 80)
         rep = leverage_minor(data, dels)
@@ -245,6 +255,17 @@ class TestTheorem31Verdict:
         v = theorem31_verdict(derived_linear, delete_last_of_4, 4.0, NONINF)
         assert v.tag.value == "boundary"
 
+    def test_boundary_band_at_residual(self, derived_linear, delete_last_of_4):
+        # rss_star(r) = 5 - 2.25 r / (1 - 0.25 r) crosses 0 at r = 10/7 with
+        # slope about -5.4: 2e-11 away it is ~1e-10 from 0, inside the
+        # 1e-9 * RSS band; 1e-6 away it is outside
+        root = 10.0 / 7.0
+        for r in (root - 2e-11, root, root + 2e-11):
+            v = theorem31_verdict(derived_linear, delete_last_of_4, r, NONINF)
+            assert (v.tag.value, v.detail) == ("boundary", "rss_star at the prior threshold")
+        assert theorem31_verdict(derived_linear, delete_last_of_4, root - 1e-6, NONINF).is_finite
+        assert theorem31_verdict(derived_linear, delete_last_of_4, root + 1e-6, NONINF).is_infinite
+
     def test_verdict_monotone_in_r(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
@@ -282,6 +303,20 @@ class TestMomentIndexLinear:
             for prior in (NONINF, conj(0.5, 2.0)):
                 rep = moment_index_linear(data, dels, prior)
                 assert rep.r_c == pytest.approx(rc_reference(data, dels, prior), abs=1e-6)
+
+    def test_zero_leverage_residual_root(self):
+        # the deleted row is zero, so H_del = 0 and rss_star(r) = rss - r e^2
+        # is linear in r: r_c is its root rss / e^2
+        X = np.array([[1.0], [2.0], [3.5], [0.0]])
+        y = np.array([1.0, 2.0, 3.0, 2.0])
+        data = RegressionData(design=X, response=y)
+        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+        e = y - X @ coef
+        rep = moment_index_linear(data, deletion_set([3], 4), NONINF)
+        assert math.isinf(rep.r_a)
+        assert rep.r_c == pytest.approx(float(e @ e) / e[3] ** 2, rel=1e-12)
+        assert rep.r_c < rep.r_b
+        assert rep.binding == "residual"
 
     def test_zero_leverage_zero_residual(self):
         # deleted case with zero covariate row and exact-zero residual:
@@ -466,18 +501,46 @@ class TestBoundedSupport:
         assert v.tag.value in ("finite", "infinite", "boundary")
 
 
+def reference_cutoffs(data, dels, prior):
+    """(r_a, r_b, r_c) from the independent oracles."""
+    minor, _, _ = leverage_reference(data, dels)
+    r_a = 1.0 / np.linalg.eigvalsh(minor)[-1]
+    I = dels.cardinality
+    r_b = (data.n - data.k) / I if prior.is_noninformative else (data.n + 2 * prior.alpha) / I
+    return r_a, r_b, rc_reference(data, dels, prior)
+
+
 class TestSubsetScan:
     def test_matches_per_subset_reports(self):
         rng = np.random.default_rng(77)
         data = random_regression(rng, 12, 3)
-        result = scan_deletion_subsets(data, 2, NONINF)
-        assert result.count == math.comb(12, 2)
-        pick = rng.choice(result.count, size=12, replace=False)
-        for i in pick:
-            dels = deletion_set(result.subsets[i], 12)
-            rep = moment_index_linear(data, dels, NONINF)
-            assert result.r_star[i] == pytest.approx(rep.r_star, rel=1e-6)
-            assert result.r_a[i] == pytest.approx(rep.r_a, rel=1e-9)
+        for prior in (NONINF, conj(0.5, 2.0)):
+            result = scan_deletion_subsets(data, 2, prior)
+            assert result.count == math.comb(12, 2)
+            assert [tuple(s) for s in result.subsets] == list(combinations(range(12), 2))
+            pick = rng.choice(result.count, size=12, replace=False)
+            for i in pick:
+                dels = deletion_set(result.subsets[i], 12)
+                r_a, r_b, r_c = reference_cutoffs(data, dels, prior)
+                assert result.r_a[i] == pytest.approx(r_a, rel=1e-9)
+                assert result.r_b[i] == r_b
+                assert result.r_c[i] == pytest.approx(r_c, abs=1e-6)
+                assert result.r_star[i] == min(result.r_a[i], result.r_b[i], result.r_c[i])
+                # rss_star is decreasing and equals the refit RSS at r = 1
+                assert (result.r_c[i] > 1.0) == (refit_rss(data, dels) > prior.rss_threshold)
+
+    def test_fold_indices_unequal_sizes(self):
+        # n = 33 in 5 folds gives sizes 7, 7, 7, 6, 6: one kernel call per size
+        rng = np.random.default_rng(79)
+        data = random_regression(rng, 33, 3)
+        perm = rng.permutation(33)
+        folds = [perm[f::5].tolist() for f in range(5)]
+        assert [len(f) for f in folds] == [7, 7, 7, 6, 6]
+        vals = fold_moment_indices(data, folds, NONINF)
+        for fold, val in zip(folds, vals):
+            dels = deletion_set(fold, 33)
+            assert val == pytest.approx(min(reference_cutoffs(data, dels, NONINF)), abs=1e-6)
+            assert val == pytest.approx(moment_index_linear(data, dels, NONINF).r_star, abs=1e-12)
 
     def test_fold_indices_match_singletons(self):
         rng = np.random.default_rng(78)
