@@ -14,12 +14,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from . import is_engine, linear_gate, logit_gate, mm_gate, tail_verifier
+from . import is_engine, linear_gate, tail_verifier
 from .core_model import (
     LinearSchema,
     LogitSchema,
@@ -38,12 +37,12 @@ from .errors import (
     InfluenceGateError,
     SamplerError,
 )
-from .mm_gate import KappaPriorSpec, MMScanParams
+from .families import FAMILIES, MMPrior
+from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, KappaPriorSpec, MMScanParams
 from .prior_tails import ThetaPriorSpec
 from .samplers import SamplerConfig, draws_to_csv
-from .tail_verifier import ModelBundle
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SUBSET_ENUMERATION_BUDGET = 10_000_000
 
 GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "r_star", "binding"]
@@ -53,7 +52,6 @@ ESTIMATE_CSV_COLUMNS = [
     "deletion", "measure", "value", "gate", "required_moments",
     "available_r_star", "standard_error", "flags",
 ]
-VERIFY_TAIL_CSV_COLUMNS = ["threshold", "exceedances", "estimate"]
 VERIFY_SCALING_CSV_COLUMNS = ["m", "replications", "variance"]
 
 
@@ -120,8 +118,8 @@ class RunConfig:
             model = raw["model"]
         except KeyError:
             raise ConfigError("missing required key 'model'") from None
-        if model not in ("linear", "mm", "logit"):
-            raise ConfigError(f"model must be linear|mm|logit, got {model!r}")
+        if model not in FAMILIES:
+            raise ConfigError(f"model must be {'|'.join(FAMILIES)}, got {model!r}")
         if "data" not in raw:
             raise ConfigError("missing required key 'data'")
         data_path = Path(raw["data"])
@@ -169,31 +167,37 @@ def load_run_config(path) -> RunConfig:
     return RunConfig.from_mapping(mapping, path.parent.resolve())
 
 
-def _load_dataset(cfg: RunConfig):
+def _model_inputs(cfg: RunConfig):
+    """(family, data, prior) of the configured model. The only reader of the
+    model-specific keys: the data schema, `prior.*` and `scan.grid_size`."""
+    family = FAMILIES[cfg.model]
     if cfg.model == "mm":
         schema = MMSchema(
             concentration=cfg.get("data.concentration", "concentration"),
             velocity=cfg.get("data.velocity", "velocity"),
         )
-    elif cfg.model == "linear":
-        covs = cfg.get("data.covariates")
-        if covs is None:
-            raise ConfigError("linear model needs data.covariates")
-        schema = LinearSchema(
-            response=cfg.get("data.response", "y"),
-            covariates=tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
-            intercept=_as_bool("data.intercept", cfg.get("data.intercept", "true")),
-        )
+        grid_size = cfg.get_int("scan.grid_size", DEFAULT_GRID_SIZE)
+        if grid_size < MIN_GRID_SIZE:
+            raise ConfigError(f"scan.grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
+        prior = MMPrior(kappa=KappaPriorSpec(scale=_positive(cfg, "prior.kappa.scale", 1.0)),
+                        scan=MMScanParams(grid_size=grid_size))
     else:
         covs = cfg.get("data.covariates")
         if covs is None:
-            raise ConfigError("logit model needs data.covariates")
-        schema = LogitSchema(
-            outcome=cfg.get("data.outcome", "y"),
-            covariates=tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
-            intercept=_as_bool("data.intercept", cfg.get("data.intercept", "true")),
-        )
-    return load_csv(cfg.data_path, schema)
+            raise ConfigError(f"{cfg.model} model needs data.covariates")
+        design = {"covariates": tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
+                  "intercept": _as_bool("data.intercept", cfg.get("data.intercept", "true"))}
+        if cfg.model == "linear":
+            schema = LinearSchema(response=cfg.get("data.response", "y"), **design)
+            prior = _linear_prior(cfg)
+        else:
+            schema = LogitSchema(outcome=cfg.get("data.outcome", "y"), **design)
+            prior = _positive(cfg, "prior.epsilon", 1.0)
+    data = load_csv(cfg.data_path, schema)
+    if cfg.model == "linear" and prior.is_noninformative and data.n <= data.k:
+        raise DataError(f"the flat prior gives an improper posterior unless n > k; "
+                        f"got n={data.n}, k={data.k}")
+    return family, data, prior
 
 
 def _linear_prior(cfg: RunConfig) -> linear_gate.LinearPrior:
@@ -226,19 +230,19 @@ def _positive(cfg: RunConfig, key: str, default: float) -> float:
     return value
 
 
-def _epsilon(cfg: RunConfig) -> float:
-    return _positive(cfg, "prior.epsilon", 1.0)
-
-
-def _sampler_config(cfg: RunConfig, default_draws=10_000) -> SamplerConfig:
-    scale_raw = cfg.get("sampler.scale")
+def _sampler_config(cfg: RunConfig, default_draws: int, width: int) -> SamplerConfig:
+    """Sampler settings for a model with `width` parameters per draw."""
+    scale = _as_list("sampler.scale", cfg.get("sampler.scale", ""), float)
+    if scale and len(scale) != width:
+        raise ConfigError(f"sampler.scale must list {width} values, one per parameter, "
+                          f"got {len(scale)}")
     try:
         return SamplerConfig(
             seed=cfg.get_int("sampler.seed", cfg.seed),
             draws=cfg.get_int("sampler.draws", default_draws),
             burn_in=cfg.get_int("sampler.burn_in", 1000),
             thin=cfg.get_int("sampler.thin", 1),
-            proposal_scale=tuple(_as_list("sampler.scale", scale_raw, float)) if scale_raw else None,
+            proposal_scale=tuple(scale) or None,
         )
     except ValueError as exc:
         raise ConfigError(f"sampler: {exc}") from None
@@ -247,16 +251,8 @@ def _sampler_config(cfg: RunConfig, default_draws=10_000) -> SamplerConfig:
 # --- report plumbing -----------------------------------------------------------
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return v
-
-
 def write_csv_report(path, columns, rows) -> None:
-    write_table(path, columns, [[_fmt(v) for v in row] for row in rows])
+    write_table(path, columns, rows)
 
 
 def validate_report(payload: dict) -> None:
@@ -265,7 +261,7 @@ def validate_report(payload: dict) -> None:
         raise ValueError("report missing schema_version")
     if not isinstance(payload.get("command"), str):
         raise ValueError("report missing command")
-    if not isinstance(payload.get("rows"), list):
+    if "rows" in payload and not isinstance(payload["rows"], list):
         raise ValueError("report rows must be a list")
 
 
@@ -280,12 +276,12 @@ def _jsonable(v):
     return v
 
 
-def write_json_report(path, command: str, rows: list, extra: dict | None = None) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
-    }
+def write_json_report(path, command: str, rows: list | None = None,
+                      extra: dict | None = None) -> None:
+    """Write a report; `rows` (optional) repeats the CSV table row by row."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command}
+    if rows is not None:
+        payload["rows"] = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
     if extra:
         payload.update({k: _jsonable(v) if not isinstance(v, dict) else v for k, v in extra.items()})
     validate_report(payload)
@@ -348,62 +344,25 @@ def _check_scan_size(size: int, n: int, smallest: int) -> None:
 
 def cmd_gate(cfg: RunConfig) -> list:
     """Per-deletion-set verdicts and moment cut-offs, written as CSV + JSON."""
-    data = _load_dataset(cfg)
+    family, data, prior = _model_inputs(cfg)
     if cfg.deletion_indices is not None:
-        given = deletion_set([i - 1 for i in cfg.deletion_indices], data.n).indices
-        size, sets = len(given), [given]
+        sets = [deletion_set([i - 1 for i in cfg.deletion_indices], data.n).indices]
+        size = len(sets[0])
     elif cfg.scan_size is not None:
-        size = cfg.scan_size
+        size = sets = cfg.scan_size
         _check_scan_size(size, data.n, 0)
-        sets = combinations(range(data.n), size)
     else:
         raise ConfigError("gate needs deletion.indices or deletion.scan_size")
     if size == 0:
         constant = MomentVerdict.finite("empty deletion: weight is constant")
         rows = [_gate_row((), r, constant, _empty_report()) for r in cfg.r_values]
-    elif cfg.model == "linear":
-        rows = _linear_gate_rows(cfg, data, sets)
-    elif cfg.model == "mm":
-        params = MMScanParams(grid_size=cfg.get_int("scan.grid_size", mm_gate.DEFAULT_GRID_SIZE))
-        rows = []
-        for indices in sets:
-            dels = deletion_set(indices, data.n)
-            rep = mm_gate.moment_index_mm(data, dels, params)
-            for r in cfg.r_values:
-                scan = mm_gate.scan_kappa(data, dels, r, params.kmin, params.kmax, params.grid_size)
-                verdict = mm_gate.theorem41_verdict(data, dels, r, scan)
-                rows.append(_gate_row(indices, r, verdict, rep))
     else:
-        epsilon = _epsilon(cfg)
-        rows = []
-        for indices in sets:
-            dels = deletion_set(indices, data.n)
-            rep = logit_gate.moment_index_logit(data, dels, epsilon)
-            for r in cfg.r_values:
-                verdict = logit_gate.theorem51_verdict(data, dels, r, epsilon)
-                rows.append(_gate_row(indices, r, verdict, rep))
+        rows = [_gate_row(*row) for row in family.gate_rows(data, prior, sets, cfg.r_values)]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "gate_report.csv", GATE_CSV_COLUMNS,
                      [[row[c] for c in GATE_CSV_COLUMNS] for row in rows])
     write_json_report(out / "gate_report.json", "gate", rows)
-    return rows
-
-
-def _linear_gate_rows(cfg: RunConfig, data, sets) -> list:
-    """Gate rows from the batched linear kernel: one cut-off call and one
-    verdict call cover every set and every order r."""
-    prior = _linear_prior(cfg)
-    if cfg.scan_size is not None:
-        result = linear_gate.scan_deletion_subsets(data, cfg.scan_size, prior)
-    else:
-        result = linear_gate.moment_indices(data, list(sets), prior)
-    verdicts = linear_gate.theorem31_verdicts(data, result.subsets, cfg.r_values, prior)
-    rows = []
-    for i, per_r in enumerate(verdicts):
-        rep = result.report(i)
-        for r, verdict in zip(cfg.r_values, per_r):
-            rows.append(_gate_row(result.subsets[i], r, verdict, rep))
     return rows
 
 
@@ -425,8 +384,9 @@ def cmd_scan(cfg: RunConfig) -> dict:
     """Enumerate all subsets of the configured size, rank by cut-offs.
 
     Linear model only (the scanning machinery rides on the closed-form hat
-    quantities). Emits the full table plus two rankings and membership
-    summaries for flagged cases.
+    quantities). The CSV holds the full table, written straight from the
+    result arrays; the JSON holds the subset count, two rankings and
+    membership summaries for flagged cases.
     """
     if cfg.model != "linear":
         raise ConfigError("scan supports the linear model")
@@ -436,9 +396,8 @@ def cmd_scan(cfg: RunConfig) -> dict:
     if top < 1:
         raise ConfigError(f"scan.top must be at least 1, got {top}")
     flag_cases = _as_list("scan.flag_cases", cfg.get("scan.flag_cases", ""), int)
-    data = _load_dataset(cfg)
+    _, data, prior = _model_inputs(cfg)
     _check_scan_size(cfg.scan_size, data.n, 1)
-    prior = _linear_prior(cfg)
     result = linear_gate.scan_deletion_subsets(data, cfg.scan_size, prior)
     order_a = np.argsort(result.r_a, kind="stable")
     order_c = np.argsort(result.r_c, kind="stable")
@@ -451,27 +410,18 @@ def cmd_scan(cfg: RunConfig) -> dict:
             f"top{top}_by_r_a": in_a,
             f"top{top}_by_r_c": in_c,
         }
-    rows = [
-        {
-            "subset": _subset_label(result.subsets[i]),
-            "r_a": float(result.r_a[i]),
-            "r_b": float(result.r_b[i]),
-            "r_c": float(result.r_c[i]),
-            "r_star": float(result.r_star[i]),
-        }
-        for i in range(result.count)
-    ]
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS,
-                     [[row[c] for c in SCAN_CSV_COLUMNS] for row in rows])
+                     zip(map(_subset_label, result.subsets.tolist()), result.r_a.tolist(),
+                         result.r_b.tolist(), result.r_c.tolist(), result.r_star.tolist()))
     summary = {
         "subset_count": result.count,
         "ranking_by_r_a": [_subset_label(result.subsets[i]) for i in order_a[:top]],
         "ranking_by_r_c": [_subset_label(result.subsets[i]) for i in order_c[:top]],
         "flagged_cases": flagged,
     }
-    write_json_report(out / "scan_report.json", "scan", rows, extra=summary)
+    write_json_report(out / "scan_report.json", "scan", extra=summary)
     return summary
 
 
@@ -481,8 +431,7 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
         raise ConfigError("kfold audit supports the linear model")
     if cfg.kfold_partitions is None:
         raise ConfigError("kfold needs deletion.kfold.partitions")
-    data = _load_dataset(cfg)
-    prior = _linear_prior(cfg)
+    _, data, prior = _model_inputs(cfg)
     n = data.n
     folds = cfg.kfold_folds
     if not 2 <= folds <= n:
@@ -523,10 +472,22 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
     return summary
 
 
-_MM_MEASURE_DEFAULTS = "kl,hellinger,chisq,cpo"
+_DEFAULT_MEASURES = "kl,hellinger,chisq,cpo"
 # l1/l2 need a normalizing-constant estimate and the unnormalized posterior
 # at the draws, bdd needs g values; the CLI computes none of them.
 _CLI_MEASURES = tuple(m for m in is_engine.MEASURES if m not in ("l1", "l2", "bdd"))
+
+
+def _sampling_inputs(cfg: RunConfig, command: str, default_draws: int):
+    """What estimate and verify share, all checked before any sampling:
+    (family, data, prior, deletion set, its analytic report, sampler config)."""
+    family, data, prior = _model_inputs(cfg)
+    sampler_cfg = _sampler_config(cfg, default_draws, family.draw_width(data))
+    if cfg.deletion_indices is None:
+        raise ConfigError(f"{command} needs deletion.indices")
+    dels = deletion_set([i - 1 for i in cfg.deletion_indices], data.n)
+    report = family.moment_index(data, dels, prior) if dels.cardinality else _empty_report()
+    return family, data, prior, dels, report, sampler_cfg
 
 
 def cmd_estimate(cfg: RunConfig) -> list:
@@ -538,57 +499,23 @@ def cmd_estimate(cfg: RunConfig) -> list:
     scope here).
     """
     measures = [
-        tok.strip() for tok in cfg.get("measures", _MM_MEASURE_DEFAULTS).split(",") if tok.strip()
+        tok.strip() for tok in cfg.get("measures", _DEFAULT_MEASURES).split(",") if tok.strip()
     ]
     unsupported = [m for m in measures if m not in _CLI_MEASURES]
     if unsupported:
         raise ConfigError(f"measures: {unsupported} not supported; use {list(_CLI_MEASURES)}")
     coord = cfg.get_int("estimate.coord", 1) - 1
-    data = _load_dataset(cfg)
-    sampler_cfg = _sampler_config(cfg)
-    if cfg.deletion_indices is None:
-        raise ConfigError("estimate needs deletion.indices")
-    dels = deletion_set([i - 1 for i in cfg.deletion_indices], data.n)
-    if cfg.model == "linear":
-        prior = _linear_prior(cfg)
-        bundle = ModelBundle(model="linear", data=data, prior=prior)
-        report = (
-            linear_gate.moment_index_linear(data, dels, prior)
-            if dels.cardinality
-            else _empty_report()
-        )
-    elif cfg.model == "mm":
-        bundle = ModelBundle(
-            model="mm", data=data,
-            kappa_prior=KappaPriorSpec(scale=_positive(cfg, "prior.kappa.scale", 1.0)),
-        )
-        report = (
-            mm_gate.moment_index_mm(data, dels) if dels.cardinality else _empty_report()
-        )
-    else:
-        epsilon = _epsilon(cfg)
-        bundle = ModelBundle(
-            model="logit", data=data,
-            prior=ThetaPriorSpec.laplace(np.zeros(data.k), 1.0 / epsilon),
-        )
-        report = (
-            logit_gate.moment_index_logit(data, dels, epsilon)
-            if dels.cardinality
-            else _empty_report()
-        )
-    result = bundle.sample(sampler_cfg)
-    lw = is_engine.log_weight(cfg.model, result.draws, data, dels)
-    sample = is_engine.WeightedSample(model=cfg.model, draws=result.draws, log_weights=np.atleast_1d(lw))
+    family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
+    result = family.sample(data, prior, sampler_cfg)
+    loglik = is_engine.deleted_log_likelihood(family.name, result.draws, data, dels)
+    sample = is_engine.WeightedSample(model=family.name, draws=result.draws,
+                                      log_weights=family.log_weight(loglik, dels.cardinality))
     gate = is_engine.GateInputs(report=report)
     rows = []
     for measure in measures:
         aux = is_engine.MeasureAux(
             coord=coord if measure in ("delta1", "delta2") else None,
-            deleted_log_lik=(
-                is_engine.deleted_log_likelihood(cfg.model, result.draws, data, dels)
-                if measure == "cpo"
-                else None
-            ),
+            deleted_log_lik=loglik if measure == "cpo" else None,
         )
         est = is_engine.estimate_measure(sample, measure, gate, aux)
         rows.append(
@@ -616,7 +543,7 @@ def cmd_estimate(cfg: RunConfig) -> list:
     write_json_report(out / "estimates.json", "estimate", rows,
                       extra={"advisory": advisory, "acceptance_rate": result.acceptance_rate})
     if _as_bool("sampler.export_draws", cfg.get("sampler.export_draws", "false")):
-        draws_to_csv(out / "draws.csv", cfg.model, result.draws)
+        draws_to_csv(out / "draws.csv", family.name, result.draws)
     return rows
 
 
@@ -626,29 +553,13 @@ def _empty_report():
 
 def cmd_verify(cfg: RunConfig) -> dict:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
-    data = _load_dataset(cfg)
-    if cfg.deletion_indices is None:
-        raise ConfigError("verify needs deletion.indices")
-    dels = deletion_set([i - 1 for i in cfg.deletion_indices], data.n)
-    sampler_cfg = _sampler_config(cfg, default_draws=100_000)
     m_grid = _as_list("verify.m_grid", cfg.get("verify.m_grid", "1000,4000,16000,64000"), int)
     reps = cfg.get_int("verify.replications", 50)
-    if cfg.model == "linear":
-        prior = _linear_prior(cfg)
-        bundle = ModelBundle(model="linear", data=data, prior=prior)
-        report = linear_gate.moment_index_linear(data, dels, prior) if dels.cardinality else _empty_report()
-    elif cfg.model == "mm":
-        bundle = ModelBundle(model="mm", data=data, kappa_prior=KappaPriorSpec())
-        report = mm_gate.moment_index_mm(data, dels) if dels.cardinality else _empty_report()
-    else:
-        epsilon = _epsilon(cfg)
-        bundle = ModelBundle(model="logit", data=data,
-                             prior=ThetaPriorSpec.laplace(np.zeros(data.k), 1.0 / epsilon))
-        report = logit_gate.moment_index_logit(data, dels, epsilon) if dels.cardinality else _empty_report()
+    family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     tail = tail_verifier.verify_moment_index(
-        bundle, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
+        family.name, data, prior, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
     )
 
     def estimator(m, rng):
@@ -656,8 +567,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
             seed=int(rng.integers(0, 2**63 - 1)), draws=m,
             burn_in=sampler_cfg.burn_in, thin=1, proposal_scale=sampler_cfg.proposal_scale,
         )
-        res = bundle.sample(sub)
-        lw = is_engine.log_weight(cfg.model, res.draws, data, dels)
+        res = family.sample(data, prior, sub)
+        lw = is_engine.log_weight(family.name, res.draws, data, dels)
         return is_engine.self_normalized_estimate(np.atleast_1d(lw), res.draws[:, 0])
 
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg.seed)
@@ -675,18 +586,11 @@ def cmd_verify(cfg: RunConfig) -> dict:
     }
     write_json_report(out / "verify_report.json", "verify", [summary])
     if not tail.degenerate:
-        try:
-            import csv as _csv
-
-            with open(out / "verify_tail.csv") as fh:
-                rows = list(_csv.DictReader(fh))
-            thr = [float(r["threshold"]) for r in rows]
-            # survival probability = exceedances / draws
-            surv = [int(r["exceedances"]) / sampler_cfg.draws for r in rows]
-            svg_line_plot(out / "verify_survival.svg", thr, surv,
+        if tail.survival:
+            thresholds, exceedances, _ = zip(*tail.survival)
+            svg_line_plot(out / "verify_survival.svg", thresholds,
+                          [e / sampler_cfg.draws for e in exceedances],
                           "weight survival function", "threshold", "P(W > t)")
-        except OSError:
-            pass
         if scaling.loglog_slope is not None:
             svg_line_plot(out / "verify_scaling.svg", scaling.m_grid, scaling.variance_at_m,
                           "estimator variance scaling", "draws", "variance")

@@ -12,14 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .core_model import (
-    DeletionSet,
-    LogitData,
-    MMData,
-    MomentIndexReport,
-    RegressionData,
-)
+from .core_model import DeletionSet, MomentIndexReport
 from .errors import DegenerateSampleError
+from .families import FAMILIES, family
 from .prior_tails import ThetaPriorSpec
 
 MEASURES = ("kl", "l1", "l2", "delta1", "delta2", "hellinger", "chisq", "cpo", "bdd")
@@ -47,11 +42,8 @@ SE_BATCHES = 32
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Posterior draws with unnormalized log deletion weights.
-
-    Draw layout by model: linear -> columns (theta_0..theta_{k-1}, sigma2);
-    mm -> (m, sigma2, kappa); logit -> (beta_0..beta_{k-1}).
-    """
+    """Posterior draws with unnormalized log deletion weights; the draw
+    columns are the ones `families.FAMILIES[model].columns` names."""
 
     model: str
     draws: np.ndarray
@@ -64,7 +56,7 @@ class WeightedSample:
             raise ValueError("draws and log_weights must have equal length")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log weights must be finite")
-        if self.model not in ("linear", "mm", "logit"):
+        if self.model not in FAMILIES:
             raise ValueError(f"unknown model tag {self.model!r}")
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "log_weights", lw)
@@ -124,83 +116,28 @@ def combined_moment_bound(r_prior: float, r_deletion: float) -> CombinedBound:
 
 
 def log_weight(model: str, draw: np.ndarray, data, dels: DeletionSet):
-    """Log of the unnormalized deletion weight at one draw or a batch.
+    """Log of the unnormalized deletion weight at one draw or a batch: the
+    negated deleted-case log-likelihood, less the family's constant per
+    deleted case.
 
     Accepts a single parameter point (1-d) or a batch (2-d, one draw per
     row); returns a scalar or a vector accordingly.
     """
     arr = np.asarray(draw, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    out = _log_weight_batch(model, batch, data, dels)
-    return float(out[0]) if single else out
-
-
-def _log_weight_batch(model, draws, data, dels: DeletionSet):
-    M = draws.shape[0]
-    if dels.cardinality == 0:
-        return np.zeros(M)
-    idx = dels.index_array()
-    I = dels.cardinality
-    if model == "linear":
-        if not isinstance(data, RegressionData):
-            raise TypeError("linear model needs RegressionData")
-        k = data.k
-        theta = draws[:, :k]
-        sigma2 = draws[:, k]
-        if np.any(sigma2 <= 0):
-            raise ValueError("sigma2 must be positive")
-        res = data.response[idx][None, :] - theta @ data.design[idx, :].T
-        return 0.5 * I * np.log(sigma2) + np.sum(res * res, axis=1) / (2.0 * sigma2)
-    if model == "mm":
-        if not isinstance(data, MMData):
-            raise TypeError("mm model needs MMData")
-        m, sigma2, kappa = draws[:, 0], draws[:, 1], draws[:, 2]
-        if np.any(sigma2 <= 0):
-            raise ValueError("sigma2 must be positive")
-        c = data.concentration[idx]
-        x = c[None, :] / (kappa[:, None] + c[None, :])
-        res = data.velocity[idx][None, :] - m[:, None] * x
-        return 0.5 * I * np.log(sigma2) + np.sum(res * res, axis=1) / (2.0 * sigma2)
-    if model == "logit":
-        if not isinstance(data, LogitData):
-            raise TypeError("logit model needs LogitData")
-        beta = draws
-        z = beta @ data.design[idx, :].T
-        y = data.outcome[idx][None, :]
-        return np.sum(np.logaddexp(0.0, z) - z * y, axis=1)
-    raise ValueError(f"unknown model tag {model!r}")
+    loglik = deleted_log_likelihood(model, arr, data, dels)
+    out = family(model).log_weight(loglik, dels.cardinality)
+    return float(out[0]) if arr.ndim == 1 else out
 
 
 def deleted_log_likelihood(model: str, draws: np.ndarray, data, dels: DeletionSet):
-    """Exact log likelihood of the deleted cases at each draw (for CPO)."""
+    """Exact log likelihood of the deleted cases at each draw."""
+    fam = family(model)
+    if not isinstance(data, fam.data_type):
+        raise TypeError(f"{model} model needs {fam.data_type.__name__}")
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    idx = dels.index_array()
-    I = dels.cardinality
-    if I == 0:
+    if dels.cardinality == 0:
         return np.zeros(draws.shape[0])
-    if model == "linear":
-        k = data.k
-        theta, sigma2 = draws[:, :k], draws[:, k]
-        res = data.response[idx][None, :] - theta @ data.design[idx, :].T
-        return (
-            -0.5 * I * np.log(2.0 * np.pi * sigma2)
-            - np.sum(res * res, axis=1) / (2.0 * sigma2)
-        )
-    if model == "mm":
-        m, sigma2, kappa = draws[:, 0], draws[:, 1], draws[:, 2]
-        c = data.concentration[idx]
-        x = c[None, :] / (kappa[:, None] + c[None, :])
-        res = data.velocity[idx][None, :] - m[:, None] * x
-        return (
-            -0.5 * I * np.log(2.0 * np.pi * sigma2)
-            - np.sum(res * res, axis=1) / (2.0 * sigma2)
-        )
-    if model == "logit":
-        z = draws @ data.design[idx, :].T
-        y = data.outcome[idx][None, :]
-        return np.sum(z * y - np.logaddexp(0.0, z), axis=1)
-    raise ValueError(f"unknown model tag {model!r}")
+    return fam.log_likelihood(draws, data, dels.index_array())
 
 
 # --- estimation ---------------------------------------------------------------
@@ -241,8 +178,8 @@ class MeasureAux:
 
     c_hat and log_q feed the integrated-loss measures; coord picks the
     parameter column for the moment-change measures; g_values is the
-    bounded-function payload; deleted_log_lik overrides the CPO likelihood
-    (otherwise computed from the sample's model/data would be needed).
+    bounded-function payload; deleted_log_lik is the exact deleted-case
+    log-likelihood at each draw that CPO needs.
     """
 
     c_hat: float | None = None

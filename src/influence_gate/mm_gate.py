@@ -24,6 +24,7 @@ import numpy as np
 from .core_model import DeletionSet, MMData, MomentIndexReport, MomentVerdict
 
 DEFAULT_GRID_SIZE = 4096
+MIN_GRID_SIZE = 16
 GOLDEN_XTOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -223,8 +224,8 @@ def scan_kappa(
     """
     if dels.cardinality < 1:
         raise ValueError("deletion set must be nonempty")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     c = data.concentration
     if kmin is None:
         kmin = 1e-4 * float(c.min())

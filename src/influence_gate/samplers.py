@@ -260,14 +260,8 @@ def sample_logit(data: LogitData, config: SamplerConfig, prior: ThetaPriorSpec) 
 
 def draws_to_csv(path, model: str, draws: np.ndarray) -> None:
     """Export retained draws, one row per draw, for external audit."""
+    from .families import family  # families imports this module
+
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    d = draws.shape[1]
-    if model == "linear":
-        header = [f"theta_{j}" for j in range(d - 1)] + ["sigma2"]
-    elif model == "mm":
-        header = ["m", "sigma2", "kappa"]
-    elif model == "logit":
-        header = [f"beta_{j}" for j in range(d)]
-    else:
-        raise ValueError(f"unknown model tag {model!r}")
+    header = family(model).columns(draws.shape[1])
     write_table(path, header, [[float(x) for x in row] for row in draws])

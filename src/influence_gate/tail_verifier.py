@@ -12,15 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import DeletionSet, MomentIndexReport, write_table
-from .errors import SamplerError
+from .families import family
 from .is_engine import log_weight
-from .samplers import (
-    SamplerConfig,
-    sample_linear_conjugate,
-    sample_linear_noninformative,
-    sample_logit,
-    sample_mm,
-)
+from .samplers import SamplerConfig
 
 DEFAULT_TOP_FRACTION = 0.01
 SENSITIVITY_FRACTIONS = (0.005, 0.01, 0.02)
@@ -43,6 +37,8 @@ class TailReport:
     analytic_r_star: float
     agreement: bool | None
     degenerate: bool = False
+    # (threshold, exceedances, running estimate) per regression threshold
+    survival: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -108,44 +104,26 @@ def survival_regression_index(weights_descending: np.ndarray,
     return slope, rows
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    """Everything needed to draw from a model's posterior and weight it."""
-
-    model: str
-    data: object
-    prior: object = None
-    kappa_prior: object = None
-
-    def sample(self, config: SamplerConfig):
-        if self.model == "linear":
-            if self.prior is None or self.prior.is_noninformative:
-                return sample_linear_noninformative(self.data, config)
-            return sample_linear_conjugate(self.data, config, self.prior)
-        if self.model == "mm":
-            return sample_mm(self.data, config, self.kappa_prior)
-        if self.model == "logit":
-            return sample_logit(self.data, config, self.prior)
-        raise SamplerError(f"unknown model tag {self.model!r}")
-
-
 def verify_moment_index(
-    bundle: ModelBundle,
+    model: str,
+    data,
+    prior,
     dels: DeletionSet,
     analytic: MomentIndexReport,
     config: SamplerConfig,
     top_fraction: float = DEFAULT_TOP_FRACTION,
     out_csv=None,
 ) -> TailReport:
-    """Simulate draws, estimate the weight tail index both ways, and compare.
+    """Simulate draws from the model's posterior (`families` says which prior
+    each model takes), estimate the weight tail index both ways, and compare.
 
     Agreement is judged only when the analytic index is at most 6 (thinner
     tails are not estimable at these sample sizes): the Hill estimate must
     sit within 25% of the analytic value. Constant weights (for instance an
     empty deletion) short-circuit to a degenerate report.
     """
-    result = bundle.sample(config)
-    lw = log_weight(bundle.model, result.draws, bundle.data, dels)
+    result = family(model).sample(data, prior, config)
+    lw = log_weight(model, result.draws, data, dels)
     lw = np.asarray(lw, dtype=float)
     r_star = float(analytic.r_star)
     if float(np.max(lw) - np.min(lw)) < 1e-12:
@@ -180,6 +158,7 @@ def verify_moment_index(
         regression_index=slope,
         analytic_r_star=r_star,
         agreement=agreement,
+        survival=tuple(rows),
     )
 
 

@@ -4,11 +4,21 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from influence_gate.cli import main
-from influence_gate.core_model import LinearSchema, deletion_set, load_csv
-from influence_gate.linear_gate import LinearPrior, moment_index_linear, theorem31_verdict
+from influence_gate.core_model import LinearSchema, MMSchema, deletion_set, load_csv
+from influence_gate.is_engine import log_weight
+from influence_gate.linear_gate import (
+    LinearPrior,
+    moment_index_linear,
+    scan_deletion_subsets,
+    theorem31_verdict,
+)
+from influence_gate.mm_gate import KappaPriorSpec
+from influence_gate.samplers import SamplerConfig, sample_mm
+from influence_gate.tail_verifier import hill_tail_index
 
 from conftest import DATA_DIR
 
@@ -171,3 +181,84 @@ def test_enumeration_over_budget_is_budget_error(tmp_path, capsys, command):
     # C(33, 12) is about 3.5e8 subsets
     assert run(tmp_path, command, {**FZ_LINEAR, "deletion.scan_size": "12"}) == 4
     assert capsys.readouterr().err.startswith("budget error: ")
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+def test_flat_prior_with_n_not_above_k_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "three_rows.csv"
+    path.write_text("y,a,b\n1.0,0.5,2.0\n2.0,1.5,0.5\n0.5,3.0,1.0\n")
+    config = {"model": "linear", "data": path, "data.covariates": "a, b", "deletion.indices": "1"}
+    assert run(tmp_path, command, config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "n=3" in err and "k=3" in err
+
+
+# --- exit 5 -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_mm_on_two_cases_is_sampler_error(tmp_path, capsys, command):
+    path = tmp_path / "two_rows.csv"
+    path.write_text("concentration,velocity\n0.02,67\n0.06,84\n")
+    assert run(tmp_path, command, {"model": "mm", "data": path, "deletion.indices": "1"}) == 5
+    assert capsys.readouterr().err.startswith("sampler error: need at least 3 observations")
+
+
+# --- model set-up shared by estimate and verify -------------------------------------
+
+
+WRONG_SCALE_LENGTH = [
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("verify", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("estimate", {**FZ_LOGIT, "deletion.indices": "15"}),
+    ("verify", {**FZ_LOGIT, "deletion.indices": "15"}),
+]
+
+
+@pytest.mark.parametrize("command, config", WRONG_SCALE_LENGTH,
+                         ids=[f"{c}-{cfg['model']}" for c, cfg in WRONG_SCALE_LENGTH])
+def test_wrong_length_sampler_scale_is_config_error(tmp_path, capsys, command, config):
+    # mm draws 3 parameters and this logit model 3 coefficients
+    assert run(tmp_path, command, {**config, "sampler.scale": "0.1, 0.2"}) == 2
+    assert capsys.readouterr().err.startswith("config error: sampler.scale ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+def test_mm_grid_size_below_minimum_is_config_error(tmp_path, capsys, command):
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "scan.grid_size": "8"}
+    assert run(tmp_path, command, config) == 2
+    assert capsys.readouterr().err.startswith("config error: scan.grid_size ")
+
+
+def test_verify_samples_from_configured_kappa_prior(tmp_path):
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "prior.kappa.scale": "5", "seed": "3",
+              "sampler.draws": "20000", "verify.m_grid": "1000, 2000", "verify.replications": "3"}
+    assert run(tmp_path, "verify", config) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
+    data = load_csv(config["data"], MMSchema(concentration="concentration", velocity="velocity"))
+    draws = sample_mm(data, SamplerConfig(seed=3, draws=20000, burn_in=1000),
+                      KappaPriorSpec(scale=5.0)).draws
+    lw = log_weight("mm", draws, data, deletion_set([10], data.n))
+    weights = np.sort(np.exp(lw - lw.max()))[::-1]
+    assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights, 0.01), rel=1e-12)
+
+
+# --- report shapes ------------------------------------------------------------------
+
+
+def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
+    config = {**FZ_LINEAR, "deletion.scan_size": "3", "scan.top": "5"}
+    assert run(tmp_path, "scan", config) == 0
+    summary = json.loads((tmp_path / "out" / "scan_report.json").read_text())
+    assert "rows" not in summary
+    assert summary["schema_version"] == 2
+    rows = read_csv(tmp_path, "scan_report.csv")
+    assert len(rows) == summary["subset_count"] == math.comb(33, 3)
+    data = load_csv(config["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    result = scan_deletion_subsets(data, 3, LinearPrior.noninformative())
+    for i in (0, len(rows) - 1):
+        assert rows[i]["subset"] == "+".join(str(j + 1) for j in result.subsets[i])
+        assert [float(rows[i][c]) for c in ("r_a", "r_b", "r_c", "r_star")] == [
+            result.r_a[i], result.r_b[i], result.r_c[i], result.r_star[i]]
+
