@@ -474,8 +474,12 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
 
 _DEFAULT_MEASURES = "kl,hellinger,chisq,cpo"
 # l1/l2 need a normalizing-constant estimate and the unnormalized posterior
-# at the draws, bdd needs g values; the CLI computes none of them.
-_CLI_MEASURES = tuple(m for m in is_engine.MEASURES if m not in ("l1", "l2", "bdd"))
+# at the draws, bdd needs g values, and delta1/delta2 need the adjusted-prior
+# integrability check; the CLI computes none of them.
+_CLI_MEASURES = tuple(m for m in is_engine.MEASURES
+                      if m not in ("l1", "l2", "bdd", "delta1", "delta2"))
+# Fewest draws that give the Hill estimate its minimum number of exceedances.
+_MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.DEFAULT_TOP_FRACTION)
 
 
 def _sampling_inputs(cfg: RunConfig, command: str, default_draws: int):
@@ -504,7 +508,6 @@ def cmd_estimate(cfg: RunConfig) -> list:
     unsupported = [m for m in measures if m not in _CLI_MEASURES]
     if unsupported:
         raise ConfigError(f"measures: {unsupported} not supported; use {list(_CLI_MEASURES)}")
-    coord = cfg.get_int("estimate.coord", 1) - 1
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family.name, result.draws, data, dels)
@@ -513,10 +516,7 @@ def cmd_estimate(cfg: RunConfig) -> list:
     gate = is_engine.GateInputs(report=report)
     rows = []
     for measure in measures:
-        aux = is_engine.MeasureAux(
-            coord=coord if measure in ("delta1", "delta2") else None,
-            deleted_log_lik=loglik if measure == "cpo" else None,
-        )
+        aux = is_engine.MeasureAux(deleted_log_lik=loglik if measure == "cpo" else None)
         est = is_engine.estimate_measure(sample, measure, gate, aux)
         rows.append(
             {
@@ -554,8 +554,16 @@ def _empty_report():
 def cmd_verify(cfg: RunConfig) -> dict:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
     m_grid = _as_list("verify.m_grid", cfg.get("verify.m_grid", "1000,4000,16000,64000"), int)
+    if not m_grid or m_grid[0] < 1 or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+        raise ConfigError(f"verify.m_grid must list strictly increasing sample sizes >= 1, "
+                          f"got {m_grid}")
     reps = cfg.get_int("verify.replications", 50)
+    if reps < 2:
+        raise ConfigError(f"verify.replications must be at least 2, got {reps}")
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
+    if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
+        raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
+                          f"index of a nonempty deletion, got {sampler_cfg.draws}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     tail = tail_verifier.verify_moment_index(

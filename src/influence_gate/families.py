@@ -24,8 +24,9 @@ from .linear_gate import (
     scan_deletion_subsets,
     theorem31_verdicts,
 )
-from .logit_gate import moment_index_logit, theorem51_verdict
-from .mm_gate import KappaPriorSpec, MMScanParams, moment_index_mm, scan_kappa, theorem41_verdict
+from .logit_gate import moment_index_logit, theorem51_verdicts
+from .logit_gate import moment_indices as logit_moment_indices
+from .mm_gate import KappaPriorSpec, MMScanParams, kappa_profile, moment_index_mm, theorem41_verdict
 from .prior_tails import ThetaPriorSpec
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
 
@@ -131,21 +132,22 @@ def _each_set(sets, n: int):
 
 
 def _mm_gate_rows(data, prior, sets, r_values):
-    params = prior.scan
+    """One kappa profile per set serves its index and every r."""
     for indices in _each_set(sets, data.n):
-        dels = deletion_set(indices, data.n)
-        rep = moment_index_mm(data, dels, params)
+        profile = kappa_profile(data, deletion_set(indices, data.n), prior.scan)
+        rep = profile.moment_index()
         for r in r_values:
-            scan = scan_kappa(data, dels, r, params.kmin, params.kmax, params.grid_size)
-            yield indices, r, theorem41_verdict(data, dels, r, scan), rep
+            yield indices, r, theorem41_verdict(data, profile.dels, r, profile.scan(r)), rep
 
 
 def _logit_gate_rows(data, epsilon, sets, r_values):
-    for indices in _each_set(sets, data.n):
-        dels = deletion_set(indices, data.n)
-        rep = moment_index_logit(data, dels, epsilon)
-        for r in r_values:
-            yield indices, r, theorem51_verdict(data, dels, r, epsilon), rep
+    """One batched index call and one verdict call cover every set and r."""
+    sets = list(_each_set(sets, data.n))
+    reports = logit_moment_indices(data, sets, epsilon)
+    verdicts = theorem51_verdicts(data, sets, r_values, epsilon)
+    for indices, rep, per_r in zip(sets, reports, verdicts):
+        for r, verdict in zip(r_values, per_r):
+            yield indices, r, verdict, rep
 
 
 FAMILIES = {

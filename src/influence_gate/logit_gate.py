@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict
+from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict, deletion_set
 from .errors import BudgetError
 from .prior_tails import TailClass, ThetaPriorSpec
 
@@ -47,12 +47,27 @@ class LogitCriterion:
     approximate: bool = False
 
 
-def _split_sums(data: LogitData, dels: DeletionSet):
-    X, y = data.design, data.outcome
-    mask = dels.mask()
-    s_in = X[mask].T @ y[mask] if mask.any() else np.zeros(data.k)
-    s_out = X.T @ y - s_in
-    return s_out, s_in, mask
+class VertexTable:
+    """Directions beta (rows) with what h needs of them that depends on
+    neither the deletion set nor epsilon: the per-case contributions
+    beta'x_i y_i - max(0, beta'x_i) and the L1 norms."""
+
+    def __init__(self, data: LogitData, betas: np.ndarray):
+        Z = betas @ data.design.T
+        self.betas = betas
+        self.contrib = Z * data.outcome[None, :] - np.maximum(Z, 0.0)
+        self.l1 = np.abs(betas).sum(axis=1)
+
+    def parts(self, dels: DeletionSet, epsilon: float):
+        """h(beta, r, eps) = h0(beta) + (r-1) * slope(beta) for every row.
+
+        slope = sum over deleted cases of max(0, beta'x_i) - beta'x_i y_i >= 0,
+        so h is affine and nondecreasing in r for every direction.
+        """
+        mask = dels.mask()
+        h0 = self.contrib[:, ~mask].sum(axis=1) - epsilon * self.l1
+        slope = (-self.contrib[:, mask]).sum(axis=1) if mask.any() else np.zeros(len(self.l1))
+        return h0, slope
 
 
 def h_eval(
@@ -60,24 +75,8 @@ def h_eval(
 ) -> float:
     """Tail-rate criterion at one direction; ties beta'x_i = 0 contribute 0."""
     beta = np.asarray(beta, dtype=float).ravel()
-    h0, slope = _h_affine_parts(data, dels, beta[None, :], epsilon)
+    h0, slope = VertexTable(data, beta[None, :]).parts(dels, epsilon)
     return float(h0[0] + (r - 1.0) * slope[0])
-
-
-def _h_affine_parts(data: LogitData, dels: DeletionSet, betas: np.ndarray, epsilon: float):
-    """h(beta, r, eps) = h0(beta) + (r-1) * slope(beta), batched over rows.
-
-    slope = sum over deleted cases of max(0, beta'x_i) - beta'x_i y_i >= 0,
-    so h is affine and nondecreasing in r for every direction.
-    """
-    X, y = data.design, data.outcome
-    mask = dels.mask()
-    Z = betas @ X.T  # (N, n)
-    pos = np.maximum(Z, 0.0)
-    contrib = Z * y[None, :] - pos  # per-case beta'x_i y_i - max(0, beta'x_i)
-    h0 = contrib[:, ~mask].sum(axis=1) - epsilon * np.abs(betas).sum(axis=1)
-    slope = (-contrib[:, mask]).sum(axis=1) if mask.any() else np.zeros(betas.shape[0])
-    return h0, slope
 
 
 def _candidate_directions(data: LogitData):
@@ -118,6 +117,16 @@ def _candidate_directions(data: LogitData):
     return d, scales, count
 
 
+def _require_exact(data: LogitData, epsilon: float) -> None:
+    if data.k > MAX_K or data.n > MAX_N:
+        raise BudgetError(
+            f"exact maximization supports k <= {MAX_K} and n <= {MAX_N}; "
+            f"got k={data.k}, n={data.n}"
+        )
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+
+
 def _lex_best(values: np.ndarray, betas: np.ndarray):
     """Max value with lexicographically smallest argmax among ties."""
     top = float(np.max(values))
@@ -125,6 +134,37 @@ def _lex_best(values: np.ndarray, betas: np.ndarray):
     order = np.lexsort(betas[tied].T[::-1])
     pick = tied[order[0]]
     return float(values[pick]), betas[pick]
+
+
+def _verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
+    """Sign of the sphere maximum of h, given h at every vertex."""
+    best, arg = _lex_best(values, betas)
+    if abs(best) <= BOUNDARY_BAND:
+        return MomentVerdict.boundary("criterion maximum at zero")
+    if best > 0:
+        return MomentVerdict.infinite(
+            f"criterion positive at direction {np.round(arg, 6).tolist()}"
+        )
+    return MomentVerdict.finite()
+
+
+def theorem51_verdicts(data: LogitData, sets, r_values, epsilon: float) -> list:
+    """Thm 5.1 verdicts for each 0-based deletion set in `sets` at each order
+    r in `r_values`: one list per set, ordered as `r_values`. The vertex
+    table depends only on the data and is built once for all sets."""
+    dsets = [deletion_set(indices, data.n) for indices in sets]
+    table = None
+    if any(dels.cardinality for dels in dsets):
+        _require_exact(data, epsilon)
+        table = VertexTable(data, _candidate_directions(data)[0])
+    out = []
+    for dels in dsets:
+        if dels.cardinality == 0:
+            out.append([MomentVerdict.finite("empty deletion: weight is constant")] * len(r_values))
+            continue
+        h0, slope = table.parts(dels, epsilon)
+        out.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
+    return out
 
 
 def max_h_l1_sphere(
@@ -140,13 +180,7 @@ def max_h_l1_sphere(
     optional multistart fallback draws random sphere directions instead and
     is flagged approximate in the result.
     """
-    if data.k > MAX_K or data.n > MAX_N:
-        raise BudgetError(
-            f"exact maximization supports k <= {MAX_K} and n <= {MAX_N}; "
-            f"got k={data.k}, n={data.n}"
-        )
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _require_exact(data, epsilon)
     approximate = False
     try:
         betas, scales, count = _candidate_directions(data)
@@ -159,7 +193,7 @@ def max_h_l1_sphere(
         scales = np.maximum(np.max(np.abs(data.design), axis=0), 1e-300)
         count = int(multistart)
         approximate = True
-    h0, slope = _h_affine_parts(data, dels, betas, epsilon)
+    h0, slope = VertexTable(data, betas).parts(dels, epsilon)
     values = h0 + (r - 1.0) * slope
     best, arg = _lex_best(values, betas)
     order = np.argsort(values)[::-1][: min(64, len(values))]
@@ -180,16 +214,7 @@ def theorem51_verdict(
     data: LogitData, dels: DeletionSet, r: float, epsilon: float
 ) -> MomentVerdict:
     """Sign of the sphere maximum decides the r-th weight moment."""
-    if dels.cardinality == 0:
-        return MomentVerdict.finite("empty deletion: weight is constant")
-    crit = max_h_l1_sphere(data, dels, r, epsilon)
-    if abs(crit.max_value) <= BOUNDARY_BAND:
-        return MomentVerdict.boundary("criterion maximum at zero")
-    if crit.max_value > 0:
-        return MomentVerdict.infinite(
-            f"criterion positive at direction {np.round(crit.argmax, 6).tolist()}"
-        )
-    return MomentVerdict.finite()
+    return theorem51_verdicts(data, [dels.indices], [r], epsilon)[0][0]
 
 
 def classify_logit_prior(spec: ThetaPriorSpec) -> TailClass:
@@ -236,10 +261,25 @@ def corollary5_dispatch(
     return MomentVerdict.indeterminate(f"no dispatch rule for tail class {tail.kind!r}")
 
 
-def moment_index_logit(
-    data: LogitData, dels: DeletionSet, epsilon: float
-) -> MomentIndexReport:
-    """Moment index from the r-affine structure of the criterion.
+def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> MomentIndexReport:
+    """r* = min over vertices of the root of h0 + (r-1)*slope; the first
+    vertex attaining it binds. Every per-case contribution is <= 0, so with
+    epsilon >= 0 h0 <= 0 and each root is at least 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.where(slope > 1e-12, 1.0 - h0 / slope, math.inf)
+    i = int(np.argmin(roots))
+    if roots[i] > R_STAR_CAP:
+        return MomentIndexReport(
+            r_a=math.inf, r_b=math.inf, r_c=math.inf,
+            binding=f"criterion negative up to the r cap {R_STAR_CAP:g}",
+        )
+    binding = "criterion vertex " + str(np.round(betas[i], 9).tolist())
+    return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=float(roots[i]), binding=binding)
+
+
+def moment_indices(data: LogitData, sets, epsilon: float) -> list:
+    """Moment index of each 0-based deletion set in `sets`, from the r-affine
+    structure of the criterion.
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
     sphere maximum is a nondecreasing piecewise-affine envelope in r and its
@@ -247,33 +287,23 @@ def moment_index_logit(
     Indices above the cap report as +infinity. The leverage and sample-size
     fields do not apply to this model and are +infinity.
     """
-    if dels.cardinality == 0:
-        return MomentIndexReport(
-            r_a=math.inf, r_b=math.inf, r_c=math.inf, binding="empty deletion"
-        )
-    betas, _, _ = _candidate_directions(data)
-    h0, slope = _h_affine_parts(data, dels, betas, epsilon)
-    tol = 1e-12
-    r_star = math.inf
-    arg = None
-    for i in range(len(h0)):
-        if slope[i] > tol:
-            root = 1.0 - h0[i] / slope[i]
-            cand = max(root, 1.0)
-        elif h0[i] > tol:
-            cand = 1.0
-        else:
-            continue
-        if cand < r_star:
-            r_star = cand
-            arg = betas[i]
-    if r_star > R_STAR_CAP:
-        return MomentIndexReport(
-            r_a=math.inf, r_b=math.inf, r_c=math.inf,
-            binding=f"criterion negative up to the r cap {R_STAR_CAP:g}",
-        )
-    binding = "criterion vertex " + str(np.round(arg, 9).tolist())
-    return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=r_star, binding=binding)
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    dsets = [deletion_set(indices, data.n) for indices in sets]
+    table = None
+    if any(dels.cardinality for dels in dsets):
+        table = VertexTable(data, _candidate_directions(data)[0])
+    return [_index_report(table.betas, *table.parts(dels, epsilon)) if dels.cardinality
+            else MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
+                                   binding="empty deletion")
+            for dels in dsets]
+
+
+def moment_index_logit(
+    data: LogitData, dels: DeletionSet, epsilon: float
+) -> MomentIndexReport:
+    """Moment index of one deletion set; see `moment_indices`."""
+    return moment_indices(data, [dels.indices], epsilon)[0]
 
 
 def propriety_certificate(data: LogitData, epsilon: float) -> bool:
@@ -283,9 +313,5 @@ def propriety_certificate(data: LogitData, epsilon: float) -> bool:
     case-deleted weight bounds the posterior normalizer: the posterior is
     proper. A False return is no conclusion.
     """
-    probe_r = 1.0 + 1e-6
-    for i in range(data.n):
-        dels = DeletionSet(indices=(i,), n=data.n)
-        if theorem51_verdict(data, dels, probe_r, epsilon).is_finite:
-            return True
-    return False
+    verdicts = theorem51_verdicts(data, [(i,) for i in range(data.n)], [1.0 + 1e-6], epsilon)
+    return any(per_r[0].is_finite for per_r in verdicts)

@@ -14,10 +14,16 @@ to four scalar functions of kappa:
 with leverage l = sum_del x_i^2 / sum_all x_i^2 and
 g = sum_del x_i v_i / sum_all x_i v_i. A < 0 iff l > 1/r and B > 0 iff
 g < 1/r, which is how violations are detected on the scan grid.
+
+The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
+depend on r: `kappa_profile` computes them once per deletion set, on the
+grid, at the endpoint limits and in the refinement of the extrema of l and g.
+`KappaProfile.scan(r)` adds the r part, and `KappaProfile.moment_index`
+bisects on r with every probe reading that one profile.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +38,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # three consecutive scan points spanning more than this fraction of kappa;
 # measure-zero touching must not trigger an infinite verdict.
 NEGLIGIBLE_INTERVAL_FRACTION = 1e-6
+
+# Width at which the bisection on r for the residual cut-off r_c stops.
+R_TOL = 5e-4
+
+# Tie order of the cut-offs: the first minimal one binds.
+_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
 
 
 @dataclass(frozen=True)
@@ -75,7 +87,7 @@ class Extremum:
 
 @dataclass(frozen=True)
 class KappaScan:
-    """Grid scan of the kappa axis with refined extrema and endpoint limits.
+    """Grid scan of the kappa axis at one r, with refined extrema.
 
     Endpoint behavior is appended analytically: at kappa -> 0 every x_i
     tends to 1, and at kappa -> infinity the sign of A is governed by the
@@ -91,34 +103,50 @@ class KappaScan:
     inf_g: Extremum
     sign_change_intervals: tuple
     asymptotic_coefficient: float
-    limit_zero: dict
-    limit_infinity: dict
     terminal_regime: bool
-    refinements: tuple = field(default=())
-    rss_star_all_defined: bool = True
+
+
+def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
+    """(sum x^2, sum_del x^2, sum x v, sum_del x v) over the cases, the first
+    axis of x and v; a second axis of x runs over kappa values."""
+    x2, xv = x * x, x * v
+    return x2.sum(axis=0), x2[mask].sum(axis=0), xv.sum(axis=0), xv[mask].sum(axis=0)
+
+
+def _sums_at(data: MMData, mask: np.ndarray, kappa: float) -> list:
+    c = data.concentration
+    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, mask)]
+
+
+def _abc(sums, v2, r: float, tol=None) -> tuple:
+    """A, B, C and rss_star = C - B^2/A from the kappa-sums and v2 =
+    (sum v^2, sum_del v^2); rss_star is NaN where |A| <= tol, by default
+    1e-14 max(1, sum x^2)."""
+    sum_x2, del_x2, sum_xv, del_xv = sums
+    a, b, c = sum_x2 - r * del_x2, sum_xv - r * del_xv, v2[0] - r * v2[1]
+    defined = np.abs(a) > (1e-14 * np.maximum(1.0, sum_x2) if tol is None else tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a, b, c, np.where(defined, c - b * b / np.where(defined, a, 1.0), np.nan)
+
+
+def _v2(data: MMData, mask: np.ndarray) -> list:
+    """(sum v^2, sum_del v^2): the first two kappa-sums with v in place of x."""
+    v = data.velocity
+    return [float(s) for s in _kappa_sums(v, v, mask)[:2]]
 
 
 def mm_eval(data: MMData, dels: DeletionSet, r: float, kappa: float) -> MMEval:
     """All pointwise quantities at one kappa."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    c, v = data.concentration, data.velocity
-    x = c / (kappa + c)
     mask = dels.mask()
-    x2 = x * x
-    xv = x * v
-    sum_x2 = float(x2.sum())
-    sum_xv = float(xv.sum())
-    a = sum_x2 - r * float(x2[mask].sum())
-    b = sum_xv - r * float(xv[mask].sum())
-    cval = float((v * v).sum()) - r * float((v[mask] * v[mask]).sum())
-    lev = float(x2[mask].sum()) / sum_x2
-    g = float(xv[mask].sum()) / sum_xv
-    tol_a = 1e-14 * max(1.0, sum_x2)
-    rss = None if abs(a) < tol_a else cval - b * b / a
+    sums = _sums_at(data, mask, kappa)
+    a, b, cval, rss = _abc(sums, _v2(data, mask), r)
+    c = data.concentration
     return MMEval(
-        kappa=float(kappa), x=x, a_val=a, b_val=b, c_val=cval,
-        leverage=lev, g_val=g, rss_star=rss,
+        kappa=float(kappa), x=c / (kappa + c), a_val=a, b_val=b, c_val=cval,
+        leverage=sums[1] / sums[0], g_val=sums[3] / sums[2],
+        rss_star=None if np.isnan(rss) else float(rss),
     )
 
 
@@ -142,70 +170,162 @@ def _golden_section(f, lo, hi, minimize=True, xtol=GOLDEN_XTOL):
     return x, f(x)
 
 
-def _grid_quantities(data: MMData, dels: DeletionSet, r: float, grid: np.ndarray):
-    c, v = data.concentration, data.velocity
-    mask = dels.mask()
-    x = c[:, None] / (grid[None, :] + c[:, None])  # (n, G)
-    x2 = x * x
-    xv = x * v[:, None]
-    sum_x2 = x2.sum(axis=0)
-    sum_xv = xv.sum(axis=0)
-    del_x2 = x2[mask].sum(axis=0)
-    del_xv = xv[mask].sum(axis=0)
-    A = sum_x2 - r * del_x2
-    B = sum_xv - r * del_xv
-    C = float((v * v).sum()) - r * float((v[mask] * v[mask]).sum())
-    lev = del_x2 / sum_x2
-    g = del_xv / sum_xv
-    defined = np.abs(A) > 1e-14 * np.maximum(1.0, sum_x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rss = np.where(defined, C - B * B / np.where(defined, A, 1.0), np.nan)
-    return A, B, C, lev, g, rss, defined
-
-
-def _limit_values(data: MMData, dels: DeletionSet, r: float):
-    """Analytic endpoint limits of the scan functions."""
-    c, v = data.concentration, data.velocity
-    mask = dels.mask()
-    n, I = data.n, dels.cardinality
-    C = float((v * v).sum()) - r * float((v[mask] * v[mask]).sum())
-    # kappa -> 0: every x_i -> 1.
-    a0 = n - r * I
-    b0 = float(v.sum()) - r * float(v[mask].sum())
-    zero = {
-        "leverage": I / n,
-        "g": float(v[mask].sum()) / float(v.sum()),
-        "a": float(a0),
-        "b": b0,
-        "rss_star": C - b0 * b0 / a0 if abs(a0) > 1e-14 else None,
-    }
-    # kappa -> infinity: x_i ~ c_i/kappa, so kappa^2 A -> a1 and kappa B -> b1.
-    c2 = c * c
-    cv = c * v
-    a1 = float(c2.sum()) - r * float(c2[mask].sum())
-    b1 = float(cv.sum()) - r * float(cv[mask].sum())
-    inf_lim = {
-        "leverage": float(c2[mask].sum()) / float(c2.sum()),
-        "g": float(cv[mask].sum()) / float(cv.sum()),
-        "a_coefficient": a1,
-        "b_coefficient": b1,
-        "rss_star": C - b1 * b1 / a1 if abs(a1) > 1e-12 * max(1.0, float(c2.sum())) else None,
-    }
-    return C, zero, inf_lim
-
-
 def _local_extrema_indices(values: np.ndarray, find_min: bool) -> list:
+    """Interior grid points no worse than both neighbours (none of the three
+    NaN), ascending, then the global best if it is not among them."""
     v = values if find_min else -values
-    idx = []
-    for i in range(1, len(v) - 1):
-        if np.isnan(v[i - 1]) or np.isnan(v[i]) or np.isnan(v[i + 1]):
-            continue
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            idx.append(i)
+    mid = v[1:-1]
+    idx = (np.flatnonzero((mid <= v[:-2]) & (mid <= v[2:])) + 1).tolist()
     best = int(np.nanargmin(v))
     if best not in idx:
         idx.append(best)
     return idx
+
+
+def _refined_extremum(grid, values, f, find_min, limit_candidates) -> Extremum:
+    """Best of a golden-section refinement around each grid extremum and the
+    (value, kappa) endpoint candidates; the first best candidate wins ties."""
+    cands = []
+    for i in _local_extrema_indices(values, find_min):
+        x, fx = _golden_section(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                                minimize=find_min)
+        cands.append((fx, x))
+    cands.extend(limit_candidates)
+    fx, x = (min if find_min else max)(cands, key=lambda t: t[0])
+    return Extremum(value=float(fx), kappa=float(x))
+
+
+@dataclass(frozen=True)
+class MMScanParams:
+    kmin: float | None = None
+    kmax: float | None = None
+    grid_size: int = DEFAULT_GRID_SIZE
+
+
+@dataclass(frozen=True)
+class KappaProfile:
+    """The r-free part of the kappa scan of one deletion set: the kappa-sums
+    on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
+    kappa -> infinity (`inf`, x_i ~ c_i/kappa), v2 = (sum v^2, sum_del v^2),
+    and the refined extrema of leverage and g."""
+
+    data: MMData
+    dels: DeletionSet
+    grid: np.ndarray
+    sums: tuple
+    zero: list
+    inf: list
+    v2: list
+    sup_leverage: Extremum
+    sup_g: Extremum
+    inf_g: Extremum
+    head_ok: bool
+
+    def scan(self, r: float) -> KappaScan:
+        """Add A, B, C and rss_star at order r, refine the infimum of
+        rss_star, and find the violation intervals."""
+        grid, mask = self.grid, self.dels.mask()
+        A, B, C, rss = _abc(self.sums, self.v2, r)
+        a0, b0, _, rss0 = _abc(self.zero, self.v2, r, 1e-14)
+        a1, b1, _, rss1 = _abc(self.inf, self.v2, r, 1e-12 * max(1.0, self.inf[0]))
+
+        def f_rss(kappa):
+            val = _abc(_sums_at(self.data, mask, kappa), self.v2, r)[3]
+            return math.inf if np.isnan(val) else float(val)
+
+        rss_limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
+                      if not np.isnan(val)]
+        if np.all(np.isnan(rss)) and not rss_limits:
+            inf_rss_star = Extremum(value=-math.inf, kappa=float(grid[0]))
+        else:
+            inf_rss_star = _refined_extremum(grid, rss, f_rss, True, rss_limits)
+        intervals = _violation_intervals(grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
+        tail_ok = True
+        if abs(a1) > 1e-12:
+            tail_ok = abs(grid[-1] * grid[-1] * A[-1] - a1) <= 0.01 * abs(a1)
+        return KappaScan(
+            grid=grid, r=float(r), c_val=C, sup_leverage=self.sup_leverage,
+            inf_rss_star=inf_rss_star, sup_g=self.sup_g, inf_g=self.inf_g,
+            sign_change_intervals=tuple(intervals), asymptotic_coefficient=a1,
+            terminal_regime=bool(tail_ok and self.head_ok),
+        )
+
+    def moment_index(self, r_tol: float = R_TOL) -> MomentIndexReport:
+        """Moment index by bisection on r, each probe scanning this profile.
+
+        Bisection is valid because moment finiteness of the nonnegative
+        weight is monotone in r. The leverage cut-off
+        r_a = 1/sup_kappa(leverage) and the sample-size cut-off
+        r_b = (n-1)/I do not depend on the residual scan, so bisection runs
+        inside (1, min(r_a, r_b)].
+        """
+        data, dels = self.data, self.dels
+        sup_lev = self.sup_leverage.value
+        r_a = math.inf if sup_lev <= 1e-14 else 1.0 / sup_lev
+        r_b = (data.n - 1.0) / dels.cardinality
+        hi = min(r_a, r_b)
+
+        def finite_at(r):
+            return theorem41_verdict(data, dels, r, self.scan(r)).is_finite
+
+        lo = 1.0 + 1e-9
+        if not finite_at(lo):
+            return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=lo, binding="residual")
+        hi_probe = hi - 1e-9
+        if finite_at(hi_probe):
+            r_c = math.inf
+        else:
+            a, b = lo, hi_probe
+            while b - a > r_tol:
+                mid = 0.5 * (a + b)
+                if finite_at(mid):
+                    a = mid
+                else:
+                    b = mid
+            r_c = 0.5 * (a + b)
+            if r_c >= hi_probe - 2 * r_tol:
+                # The residual condition failed only at the leverage/sample cap.
+                r_c = math.inf
+        cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
+        binding = min(cuts, key=lambda kk: (cuts[kk], _CUTOFF_NAMES.index(kk)))
+        return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=r_c, binding=binding)
+
+
+def kappa_profile(data: MMData, dels: DeletionSet,
+                  params: MMScanParams | None = None) -> KappaProfile:
+    """The r-free part of the kappa scan: a log-spaced grid and the
+    kappa-sums on it and at the endpoint limits, with golden-section
+    refinement around each grid extremum of leverage and g and the limits
+    folded into the reported extrema, so they cover the full half-line."""
+    params = params or MMScanParams()
+    if dels.cardinality < 1:
+        raise ValueError("deletion set must be nonempty")
+    if params.grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
+    c, v, mask = data.concentration, data.velocity, dels.mask()
+    kmin = 1e-4 * float(c.min()) if params.kmin is None else params.kmin
+    kmax = 1e4 * float(c.max()) if params.kmax is None else params.kmax
+    if not 0 < kmin < kmax:
+        raise ValueError("need 0 < kmin < kmax")
+    grid = np.geomspace(kmin, kmax, params.grid_size)
+    sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], mask)
+    zero, inf = ([float(s) for s in _kappa_sums(x, v, mask)] for x in (np.ones_like(c), c))
+
+    def refined(k, find_min):
+        """Refined extremum of leverage (k = 0) or g (k = 2), sums[k+1]/sums[k]."""
+        def f(kappa):
+            s = _sums_at(data, mask, kappa)
+            return s[k + 1] / s[k]
+
+        limits = [(zero[k + 1] / zero[k], 0.0), (inf[k + 1] / inf[k], math.inf)]
+        return _refined_extremum(grid, sums[k + 1] / sums[k], f, find_min, limits)
+
+    zero_lev = zero[1] / zero[0]
+    return KappaProfile(
+        data=data, dels=dels, grid=grid, sums=sums, zero=zero, inf=inf, v2=_v2(data, mask),
+        sup_leverage=refined(0, False), sup_g=refined(2, False), inf_g=refined(2, True),
+        head_ok=bool(abs(sums[1][0] / sums[0][0] - zero_lev) <= 0.01 * max(zero_lev, 1e-12)),
+    )
 
 
 def scan_kappa(
@@ -216,132 +336,32 @@ def scan_kappa(
     kmax: float | None = None,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> KappaScan:
-    """Scan the kappa axis for extrema of leverage, g, and rss_star.
-
-    Log-spaced grid plus golden-section refinement around each interior
-    extremum; analytic endpoint limits are folded into the reported extrema
-    so the scan covers the full half-line, not just the grid window.
-    """
-    if dels.cardinality < 1:
-        raise ValueError("deletion set must be nonempty")
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
-    c = data.concentration
-    if kmin is None:
-        kmin = 1e-4 * float(c.min())
-    if kmax is None:
-        kmax = 1e4 * float(c.max())
-    if not 0 < kmin < kmax:
-        raise ValueError("need 0 < kmin < kmax")
-    grid = np.geomspace(kmin, kmax, grid_size)
-    A, B, C, lev, g, rss, defined = _grid_quantities(data, dels, r, grid)
-    _, zero, inf_lim = _limit_values(data, dels, r)
-
-    def f_lev(kappa):
-        return mm_eval(data, dels, r, kappa).leverage
-
-    def f_g(kappa):
-        return mm_eval(data, dels, r, kappa).g_val
-
-    def f_rss(kappa):
-        val = mm_eval(data, dels, r, kappa).rss_star
-        return math.inf if val is None else val
-
-    refinements = []
-
-    def refined_extremum(values, f, find_min, limit_candidates):
-        cands = []
-        for i in _local_extrema_indices(values, find_min):
-            x, fx = _golden_section(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                                    minimize=find_min)
-            cands.append((fx, x))
-            refinements.append((f.__name__ if hasattr(f, "__name__") else "f", x, fx))
-        cands.extend(limit_candidates)
-        if find_min:
-            fx, x = min(cands, key=lambda t: t[0])
-        else:
-            fx, x = max(cands, key=lambda t: t[0])
-        return Extremum(value=float(fx), kappa=float(x))
-
-    sup_leverage = refined_extremum(
-        lev, f_lev, find_min=False,
-        limit_candidates=[(zero["leverage"], 0.0), (inf_lim["leverage"], math.inf)],
-    )
-    sup_g = refined_extremum(
-        g, f_g, find_min=False,
-        limit_candidates=[(zero["g"], 0.0), (inf_lim["g"], math.inf)],
-    )
-    inf_g = refined_extremum(
-        g, f_g, find_min=True,
-        limit_candidates=[(zero["g"], 0.0), (inf_lim["g"], math.inf)],
-    )
-    rss_limits = []
-    if zero["rss_star"] is not None:
-        rss_limits.append((zero["rss_star"], 0.0))
-    if inf_lim["rss_star"] is not None:
-        rss_limits.append((inf_lim["rss_star"], math.inf))
-    rss_for_min = np.where(defined, rss, np.nan)
-    if np.all(np.isnan(rss_for_min)) and not rss_limits:
-        inf_rss_star = Extremum(value=-math.inf, kappa=float(grid[0]))
-    else:
-        inf_rss_star = refined_extremum(rss_for_min, f_rss, find_min=True,
-                                        limit_candidates=rss_limits)
-
-    intervals = _violation_intervals(grid, A, B, C, rss, defined, zero, inf_lim, r)
-
-    a1 = inf_lim["a_coefficient"]
-    tail_ok = True
-    if abs(a1) > 1e-12:
-        tail_ok = abs(kmax * kmax * A[-1] - a1) <= 0.01 * abs(a1)
-    head_ok = abs(lev[0] - zero["leverage"]) <= 0.01 * max(zero["leverage"], 1e-12)
-    return KappaScan(
-        grid=grid,
-        r=float(r),
-        c_val=C,
-        sup_leverage=sup_leverage,
-        inf_rss_star=inf_rss_star,
-        sup_g=sup_g,
-        inf_g=inf_g,
-        sign_change_intervals=tuple(intervals),
-        asymptotic_coefficient=a1,
-        limit_zero=zero,
-        limit_infinity=inf_lim,
-        terminal_regime=bool(tail_ok and head_ok),
-        refinements=tuple(refinements),
-        rss_star_all_defined=bool(np.all(defined)),
-    )
+    """Scan the kappa axis for extrema of leverage, g, and rss_star at r."""
+    return kappa_profile(data, dels, MMScanParams(kmin, kmax, grid_size)).scan(r)
 
 
-def _runs(mask: np.ndarray):
+def _runs(mask: np.ndarray) -> list:
     """Start/end index pairs of runs of True."""
-    out = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(mask) - 1))
-    return out
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return list(zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _violation_intervals(grid, A, B, C, rss, defined, zero, inf_lim, r):
+def _violation_intervals(grid, A, B, C, rss, zero, infinity):
     """Kappa-intervals where an infinite-moment condition holds strictly.
 
     Two families: 'leverage' where A < 0 (leverage above 1/r) and
     'residual' where rss_star < 0 together with C < 0 or g < 1/r (B > 0).
     A run needs three consecutive grid points and non-negligible width.
     Endpoint regimes extend beyond the grid and are recorded with 0 or inf
-    endpoints.
+    endpoints; `zero` and `infinity` are the (A, B, rss_star) limits, as
+    coefficients of kappa^-2, kappa^-1 and 1 at infinity.
     """
     scaleC = max(1.0, abs(C))
     tol = 1e-9 * scaleC
     intervals = []
 
     lev_mask = A < -1e-12 * np.maximum(1.0, np.abs(A).max())
-    res_mask = defined & (rss < -tol) & ((C < -tol) | (B > 1e-12))
+    res_mask = (rss < -tol) & ((C < -tol) | (B > 1e-12))
     for name, mask in (("leverage", lev_mask), ("residual", res_mask)):
         for i0, i1 in _runs(mask):
             if i1 - i0 + 1 < 3:
@@ -352,18 +372,17 @@ def _violation_intervals(grid, A, B, C, rss, defined, zero, inf_lim, r):
 
     # kappa -> infinity regime: A < 0 for all large kappa when the
     # concentration coefficient is negative.
-    a1 = inf_lim["a_coefficient"]
+    a1, b1, rss1 = infinity
     if a1 < -1e-12:
         intervals.append(("leverage", float(grid[-1]), math.inf))
-    elif a1 > 1e-12 and inf_lim["rss_star"] is not None:
-        if inf_lim["rss_star"] < -tol and (C < -tol or inf_lim["b_coefficient"] > 1e-12):
-            intervals.append(("residual", float(grid[-1]), math.inf))
+    elif a1 > 1e-12 and rss1 < -tol and (C < -tol or b1 > 1e-12):
+        intervals.append(("residual", float(grid[-1]), math.inf))
     # kappa -> 0 regime.
-    if zero["a"] < -1e-12:
+    a0, b0, rss0 = zero
+    if a0 < -1e-12:
         intervals.append(("leverage", 0.0, float(grid[0])))
-    elif zero["rss_star"] is not None and zero["rss_star"] < -tol:
-        if C < -tol or zero["b"] > 1e-12:
-            intervals.append(("residual", 0.0, float(grid[0])))
+    elif rss0 < -tol and (C < -tol or b0 > 1e-12):
+        intervals.append(("residual", 0.0, float(grid[0])))
     return intervals
 
 
@@ -404,61 +423,11 @@ def theorem41_verdict(
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
-@dataclass(frozen=True)
-class MMScanParams:
-    kmin: float | None = None
-    kmax: float | None = None
-    grid_size: int = DEFAULT_GRID_SIZE
-
-
 def moment_index_mm(
     data: MMData,
     dels: DeletionSet,
     scan_params: MMScanParams | None = None,
-    r_tol: float = 5e-4,
+    r_tol: float = R_TOL,
 ) -> MomentIndexReport:
-    """Moment index by bisection on r, each probe re-scanning the kappa axis.
-
-    Bisection is valid because moment finiteness of the nonnegative weight
-    is monotone in r. The leverage cut-off r_a = 1/sup_kappa(leverage) and
-    the sample-size cut-off r_b = (n-1)/I do not depend on the residual
-    scan, so bisection runs inside (1, min(r_a, r_b)].
-    """
-    params = scan_params or MMScanParams()
-    n, I = data.n, dels.cardinality
-    if I < 1:
-        raise ValueError("deletion set must be nonempty")
-    base = scan_kappa(data, dels, 2.0, params.kmin, params.kmax, params.grid_size)
-    sup_lev = base.sup_leverage.value  # leverage does not depend on r
-    r_a = math.inf if sup_lev <= 1e-14 else 1.0 / sup_lev
-    r_b = (n - 1.0) / I
-    hi = min(r_a, r_b)
-
-    def finite_at(r):
-        scan = scan_kappa(data, dels, r, params.kmin, params.kmax, params.grid_size)
-        return theorem41_verdict(data, dels, r, scan).is_finite
-
-    lo = 1.0 + 1e-9
-    if not math.isfinite(hi):
-        raise ValueError("both leverage and sample-size cut-offs are infinite")
-    if not finite_at(lo):
-        return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=lo, binding="residual")
-    hi_probe = hi - 1e-9
-    if finite_at(hi_probe):
-        r_c = math.inf
-        cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
-    else:
-        a, b = lo, hi_probe
-        while b - a > r_tol:
-            mid = 0.5 * (a + b)
-            if finite_at(mid):
-                a = mid
-            else:
-                b = mid
-        r_c = 0.5 * (a + b)
-        if r_c >= hi_probe - 2 * r_tol:
-            # The residual condition failed only at the leverage/sample cap.
-            r_c = math.inf
-        cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
-    binding = min(cuts, key=lambda kk: (cuts[kk], ("leverage", "sample-size", "residual").index(kk)))
-    return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=cuts["residual"], binding=binding)
+    """Moment index by bisection on r over one kappa profile of the set."""
+    return kappa_profile(data, dels, scan_params).moment_index(r_tol)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from influence_gate.cli import main
-from influence_gate.core_model import LinearSchema, MMSchema, deletion_set, load_csv
+from influence_gate.core_model import LinearSchema, LogitSchema, MMSchema, deletion_set, load_csv
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import (
     LinearPrior,
@@ -16,6 +16,7 @@ from influence_gate.linear_gate import (
     scan_deletion_subsets,
     theorem31_verdict,
 )
+from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
 from influence_gate.mm_gate import KappaPriorSpec
 from influence_gate.samplers import SamplerConfig, sample_mm
 from influence_gate.tail_verifier import hill_tail_index
@@ -76,6 +77,23 @@ def test_linear_gate_rows_match_single_set_functions(tmp_path):
     assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
 
 
+def test_logit_gate_rows_match_single_set_functions(tmp_path):
+    config = {**FZ_LOGIT, "deletion.scan_size": "2", "r": "2, 4"}
+    assert run(tmp_path, "gate", config) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    data = load_csv(config["data"], LogitSchema(outcome="surv50", covariates=("wbc", "ag")))
+    assert len(rows) == 2 * math.comb(33, 2)
+    for row in rows:
+        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        verdict = theorem51_verdict(data, dels, float(row["r"]), 1.0)
+        rep = moment_index_logit(data, dels, 1.0)
+        assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
+        assert row["binding"] == rep.binding
+        for name in ("r_a", "r_b", "r_c", "r_star"):
+            assert float(row[name]) == pytest.approx(getattr(rep, name), rel=0, abs=1e-12)
+    assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
+
+
 def test_gate_empty_deletion_writes_one_row_per_r(tmp_path):
     assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "0", "r": "2, 3"}) == 0
     rows = read_csv(tmp_path, "gate_report.csv")
@@ -123,7 +141,6 @@ BAD_VALUES = [
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.thin", "x"),
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.scale", "0.1, x"),
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "prior.kappa.scale", "x"),
-    ("estimate", {**FZ_LINEAR, "deletion.indices": "15"}, "estimate.coord", "x"),
     ("estimate", {**FZ_LOGIT, "deletion.indices": "15"}, "prior.epsilon", "x"),
     ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.replications", "x"),
     ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.m_grid", "1000, x"),
@@ -137,7 +154,7 @@ def test_unparseable_value_is_config_error(tmp_path, capsys, command, config, ke
     assert capsys.readouterr().err.startswith(f"config error: {key} ")
 
 
-@pytest.mark.parametrize("measures", ["kl, nonsense", "l1", "bdd"])
+@pytest.mark.parametrize("measures", ["kl, nonsense", "l1", "bdd", "delta1"])
 def test_bad_measures_rejected_before_sampling(tmp_path, capsys, measures):
     config = {**PUROMYCIN_MM, "deletion.indices": "11", "measures": measures}
     assert run(tmp_path, "estimate", config) == 2
@@ -165,6 +182,31 @@ OUT_OF_RANGE = [
                          ids=[f"{c}-{i}" for i, (c, _) in enumerate(OUT_OF_RANGE)])
 def test_out_of_range_setting_is_config_error(tmp_path, command, config):
     assert run(tmp_path, command, config) == 2
+
+
+VERIFY_SETTINGS = {**FZ_LINEAR, "deletion.indices": "15", "verify.m_grid": "100, 200",
+                   "verify.replications": "2", "sampler.draws": "5000"}
+BAD_VERIFY_SETTINGS = [
+    ("verify.m_grid", "200, 100"),
+    ("verify.m_grid", "100, 100"),
+    ("verify.m_grid", "0, 100"),
+    ("verify.replications", "1"),
+    ("sampler.draws", "4999"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VERIFY_SETTINGS,
+                         ids=[f"{k}={v}" for k, v in BAD_VERIFY_SETTINGS])
+def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, value):
+    assert run(tmp_path, "verify", {**VERIFY_SETTINGS, key: value}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_runs_at_the_smallest_settings(tmp_path):
+    assert run(tmp_path, "verify", VERIFY_SETTINGS) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
+    assert math.isfinite(report["hill_estimate"]) and math.isfinite(report["loglog_slope"])
 
 
 # --- exit 3 and 4 -------------------------------------------------------------------

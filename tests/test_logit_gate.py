@@ -7,13 +7,17 @@ from scipy.integrate import quad
 from influence_gate.core_model import LogitData, deletion_set
 from influence_gate.errors import BudgetError
 from influence_gate.logit_gate import (
+    VertexTable,
+    _candidate_directions,
     classify_logit_prior,
     corollary5_dispatch,
     h_eval,
     max_h_l1_sphere,
     moment_index_logit,
+    moment_indices,
     propriety_certificate,
     theorem51_verdict,
+    theorem51_verdicts,
 )
 from influence_gate.prior_tails import TailClass, ThetaPriorSpec
 
@@ -249,6 +253,62 @@ class TestMomentIndexLogit:
     def test_empty_deletion_infinite(self, two_point):
         rep = moment_index_logit(two_point, deletion_set([], 2), 0.5)
         assert math.isinf(rep.r_star)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_vertex_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 9, 1 + seed % 3
+        # Small integer covariates make equal roots at distinct vertices common.
+        data = LogitData(design=rng.integers(-2, 3, (n, k)), outcome=rng.integers(0, 2, n))
+        table = VertexTable(data, _candidate_directions(data)[0])
+        for size in (1, 2, 4):
+            dels = deletion_set(rng.choice(n, size, replace=False).tolist(), n)
+            for eps in (0.0, 0.3):
+                r_star, arg = index_reference(table.betas, *table.parts(dels, eps))
+                rep = moment_index_logit(data, dels, eps)
+                if r_star > 64.0:
+                    assert math.isinf(rep.r_c) and "cap" in rep.binding
+                else:
+                    assert rep.r_c == r_star
+                    assert rep.binding == "criterion vertex " + str(np.round(arg, 9).tolist())
+
+
+def index_reference(betas, h0, slope):
+    """Oracle: per-vertex roots in a loop; the strict < keeps the first
+    vertex attaining the minimum."""
+    r_star, arg = math.inf, None
+    for i in range(len(h0)):
+        if slope[i] > 1e-12:
+            cand = max(1.0 - h0[i] / slope[i], 1.0)
+        elif h0[i] > 1e-12:
+            cand = 1.0
+        else:
+            continue
+        if cand < r_star:
+            r_star, arg = cand, betas[i]
+    return r_star, arg
+
+
+class TestBatches:
+    def test_batches_match_single_set_functions(self):
+        rng = np.random.default_rng(24)
+        data = LogitData(design=rng.standard_normal((10, 2)), outcome=rng.integers(0, 2, 10))
+        sets = [(), (3,), (0, 7), (1, 2, 5)]
+        r_values = [1.5, 2.0, 6.0]
+        reports = moment_indices(data, sets, 0.4)
+        verdicts = theorem51_verdicts(data, sets, r_values, 0.4)
+        for indices, rep, per_r in zip(sets, reports, verdicts):
+            dels = deletion_set(indices, 10)
+            assert rep == moment_index_logit(data, dels, 0.4)
+            assert per_r == [theorem51_verdict(data, dels, r, 0.4) for r in r_values]
+        assert verdicts[0] == [theorem51_verdict(data, deletion_set([], 10), 2.0, 0.4)] * 3
+
+    def test_budget_checks_apply_to_batches(self):
+        rng = np.random.default_rng(25)
+        data = LogitData(design=rng.standard_normal((250, 2)), outcome=rng.integers(0, 2, 250))
+        with pytest.raises(BudgetError):
+            theorem51_verdicts(data, [(0,)], [2.0], 0.1)
+        assert theorem51_verdicts(data, [()], [2.0], 0.1)[0][0].is_finite
 
 
 class TestProprietyCertificate:

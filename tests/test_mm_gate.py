@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from influence_gate.core_model import MMData, deletion_set
 from influence_gate.mm_gate import (
     KappaPriorSpec,
     MMScanParams,
+    _local_extrema_indices,
+    _runs,
+    kappa_profile,
     mm_eval,
     moment_index_mm,
     scan_kappa,
@@ -160,19 +165,18 @@ class TestTheorem41Verdict:
             seen_infinite = seen_infinite or v.is_infinite
 
 
+# Residual cut-offs r_c of the 11 Puromycin singleton deletions.
+SINGLETON_RC = [1.5937, 2.7912, 4.4963, 5.1689, 2.8678, 5.1914,
+                6.3796, 5.3198, 3.7706, 2.8093, 1.3233]
+
+
 class TestMomentIndexMM:
-    def test_case_1(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([0], 11))
-        assert rep.r_star == pytest.approx(1.59, abs=0.02)
+    @pytest.mark.parametrize("case", range(1, 12))
+    def test_singleton(self, puromycin, case):
+        rep = moment_index_mm(puromycin, deletion_set([case - 1], 11))
+        assert rep.r_c == pytest.approx(SINGLETON_RC[case - 1], abs=5e-4)
         assert rep.binding == "residual"
-
-    def test_case_11(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([10], 11))
-        assert rep.r_star == pytest.approx(1.32, abs=0.02)
-
-    def test_case_7(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([6], 11))
-        assert rep.r_star == pytest.approx(6.38, abs=0.02)
+        assert rep.r_star == rep.r_c
 
     def test_permutation_invariance(self, puromycin):
         rng = np.random.default_rng(2)
@@ -199,6 +203,84 @@ class TestMomentIndexMM:
     def test_invariant_r_star_is_min(self, puromycin):
         rep = moment_index_mm(puromycin, deletion_set([8], 11))
         assert rep.r_star == min(rep.r_a, rep.r_b, rep.r_c)
+
+
+def runs_reference(mask) -> list:
+    """Oracle: start/end index pairs of runs of True, by a scan."""
+    out = []
+    start = None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            out.append((start, i - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(mask) - 1))
+    return out
+
+
+def local_extrema_reference(values, find_min: bool) -> list:
+    """Oracle: interior points no worse than both neighbours, none of the
+    three NaN, then the global best if it is not among them."""
+    v = values if find_min else -values
+    idx = []
+    for i in range(1, len(v) - 1):
+        if np.isnan(v[i - 1]) or np.isnan(v[i]) or np.isnan(v[i + 1]):
+            continue
+        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+            idx.append(i)
+    best = int(np.nanargmin(v))
+    if best not in idx:
+        idx.append(best)
+    return idx
+
+
+class TestGridHelpers:
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_runs_match_scan(self, flags):
+        assert _runs(np.array(flags, dtype=bool)) == runs_reference(flags)
+
+    @pytest.mark.parametrize("flags", [[], [True] * 7, [False] * 7, [True, False, True],
+                                       [False, True, True, False]])
+    def test_runs_edge_cases(self, flags):
+        assert _runs(np.array(flags, dtype=bool)) == runs_reference(flags)
+
+    # Few distinct levels so that plateaus and ties are common.
+    @given(st.lists(st.sampled_from([math.nan, -1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=40)
+           .filter(lambda xs: not all(math.isnan(x) for x in xs)),
+           st.booleans())
+    def test_local_extrema_match_scan(self, values, find_min):
+        v = np.array(values)
+        assert _local_extrema_indices(v, find_min) == local_extrema_reference(v, find_min)
+
+    @pytest.mark.parametrize("values", [[1.0], [2.0, 1.0], [1.0] * 6, [math.nan, 1.0, math.nan],
+                                        [3.0, 1.0, 1.0, 1.0, 3.0], [1.0, 2.0, 3.0, 2.0, 1.0]])
+    @pytest.mark.parametrize("find_min", [True, False])
+    def test_local_extrema_edge_cases(self, values, find_min):
+        v = np.array(values)
+        assert _local_extrema_indices(v, find_min) == local_extrema_reference(v, find_min)
+
+
+class TestKappaProfile:
+    def test_scan_matches_scan_kappa(self, puromycin):
+        dels = deletion_set([0, 10], 11)
+        profile = kappa_profile(puromycin, dels)
+        for r in (1.3, 2.0, 3.7):
+            a, b = profile.scan(r), scan_kappa(puromycin, dels, r)
+            assert np.array_equal(a.grid, b.grid)
+            for name in ("c_val", "sup_leverage", "inf_rss_star", "sup_g", "inf_g",
+                         "sign_change_intervals", "asymptotic_coefficient", "terminal_regime"):
+                assert getattr(a, name) == getattr(b, name), name
+
+    def test_extrema_match_pointwise_evaluation(self, puromycin):
+        dels = deletion_set([0], 11)
+        scan = kappa_profile(puromycin, dels).scan(2.0)
+        for ext, field in ((scan.sup_leverage, "leverage"), (scan.sup_g, "g_val"),
+                           (scan.inf_g, "g_val"), (scan.inf_rss_star, "rss_star")):
+            if 0.0 < ext.kappa < math.inf:
+                ev = mm_eval(puromycin, dels, 2.0, ext.kappa)
+                assert getattr(ev, field) == ext.value
 
 
 class TestKappaPriorSpec:
