@@ -171,6 +171,20 @@ SINGLETON_RC = [1.5937, 2.7912, 4.4963, 5.1689, 2.8678, 5.1914,
 
 
 class TestMomentIndexMM:
+    # Two-decimal r* of cases 1, 11 and 7; test_singleton holds all 11 to 5e-4.
+    def test_case_1(self, puromycin):
+        rep = moment_index_mm(puromycin, deletion_set([0], 11))
+        assert rep.r_star == pytest.approx(1.59, abs=0.02)
+        assert rep.binding == "residual"
+
+    def test_case_11(self, puromycin):
+        rep = moment_index_mm(puromycin, deletion_set([10], 11))
+        assert rep.r_star == pytest.approx(1.32, abs=0.02)
+
+    def test_case_7(self, puromycin):
+        rep = moment_index_mm(puromycin, deletion_set([6], 11))
+        assert rep.r_star == pytest.approx(6.38, abs=0.02)
+
     @pytest.mark.parametrize("case", range(1, 12))
     def test_singleton(self, puromycin, case):
         rep = moment_index_mm(puromycin, deletion_set([case - 1], 11))
