@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,9 @@ SUBSET_ENUMERATION_BUDGET = 10_000_000
 
 GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "r_star", "binding"]
 SCAN_CSV_COLUMNS = ["subset", "r_a", "r_b", "r_c", "r_star"]
+# Scan rows are read out of the result arrays this many at a time, so the
+# CSV never needs the whole table as Python objects.
+SCAN_CSV_BLOCK = 16384
 KFOLD_CSV_COLUMNS = ["partition", "fold", "size", "r_star", "below_2"]
 ESTIMATE_CSV_COLUMNS = [
     "deletion", "measure", "value", "gate", "required_moments",
@@ -384,9 +388,9 @@ def cmd_scan(cfg: RunConfig) -> dict:
     """Enumerate all subsets of the configured size, rank by cut-offs.
 
     Linear model only (the scanning machinery rides on the closed-form hat
-    quantities). The CSV holds the full table, written straight from the
-    result arrays; the JSON holds the subset count, two rankings and
-    membership summaries for flagged cases.
+    quantities). The CSV holds the full table, streamed out of the result
+    arrays a block at a time; the JSON holds the subset count, two rankings
+    and membership summaries for flagged cases.
     """
     if cfg.model != "linear":
         raise ConfigError("scan supports the linear model")
@@ -412,9 +416,7 @@ def cmd_scan(cfg: RunConfig) -> dict:
         }
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS,
-                     zip(map(_subset_label, result.subsets.tolist()), result.r_a.tolist(),
-                         result.r_b.tolist(), result.r_c.tolist(), result.r_star.tolist()))
+    write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS, _scan_rows(result, data.n))
     summary = {
         "subset_count": result.count,
         "ranking_by_r_a": [_subset_label(result.subsets[i]) for i in order_a[:top]],
@@ -423,6 +425,20 @@ def cmd_scan(cfg: RunConfig) -> dict:
     }
     write_json_report(out / "scan_report.json", "scan", extra=summary)
     return summary
+
+
+def _scan_rows(result, n: int):
+    """The scan table's rows, read out of the result arrays SCAN_CSV_BLOCK
+    at a time; labels join 1-based case names from a table of all n."""
+    names = [str(i + 1) for i in range(n)]
+    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
+
+    def block(start):
+        part = slice(start, start + SCAN_CSV_BLOCK)
+        labels = ["+".join(map(names.__getitem__, row)) for row in result.subsets[part].tolist()]
+        return zip(labels, *(col[part].tolist() for col in columns))
+
+    return chain.from_iterable(map(block, range(0, result.count, SCAN_CSV_BLOCK)))
 
 
 def cmd_kfold_audit(cfg: RunConfig) -> dict:

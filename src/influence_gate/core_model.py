@@ -327,9 +327,10 @@ def _assemble_design(cols, intercept: bool, n: int) -> np.ndarray:
 
 
 def write_table(path, header, rows) -> None:
-    """Write a CSV table; floats use shortest round-trip decimal text."""
+    """Write a CSV table from any iterable of rows, consumed as it is
+    written. Floats come out as shortest round-trip decimal text: the csv
+    module writes str(x), which for a float is repr(x)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)

@@ -18,14 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .core_model import LogitData, MMData, RegressionData, deletion_set
-from .linear_gate import (
-    moment_index_linear,
-    moment_indices,
-    scan_deletion_subsets,
-    theorem31_verdicts,
-)
-from .logit_gate import moment_index_logit, theorem51_verdicts
-from .logit_gate import moment_indices as logit_moment_indices
+from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
+from .linear_gate import moment_index_linear
+from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
+from .logit_gate import moment_index_logit
 from .mm_gate import KappaPriorSpec, MMScanParams, kappa_profile, moment_index_mm, theorem41_verdict
 from .prior_tails import ThetaPriorSpec
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
@@ -115,12 +111,8 @@ def _sample_logit(data, epsilon, config):
 
 
 def _linear_gate_rows(data, prior, sets, r_values):
-    """One batched cut-off call and one verdict call cover every set and r."""
-    if isinstance(sets, int):
-        result = scan_deletion_subsets(data, sets, prior)
-    else:
-        result = moment_indices(data, sets, prior)
-    verdicts = theorem31_verdicts(data, result.subsets, r_values, prior)
+    """One spectral pass gives the cut-offs and the verdicts of every set and r."""
+    result, verdicts = linear_indices_and_verdicts(data, sets, r_values, prior)
     for i, per_r in enumerate(verdicts):
         rep = result.report(i)
         for r, verdict in zip(r_values, per_r):
@@ -141,10 +133,9 @@ def _mm_gate_rows(data, prior, sets, r_values):
 
 
 def _logit_gate_rows(data, epsilon, sets, r_values):
-    """One batched index call and one verdict call cover every set and r."""
+    """One vertex table gives the index and the verdicts of every set and r."""
     sets = list(_each_set(sets, data.n))
-    reports = logit_moment_indices(data, sets, epsilon)
-    verdicts = theorem51_verdicts(data, sets, r_values, epsilon)
+    reports, verdicts = logit_indices_and_verdicts(data, sets, r_values, epsilon)
     for indices, rep, per_r in zip(sets, reports, verdicts):
         for r, verdict in zip(r_values, per_r):
             yield indices, r, verdict, rep

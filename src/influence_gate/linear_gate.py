@@ -38,6 +38,12 @@ _SCAN_CHUNK = 65536
 # Cut-off names in tie order: the first of equal minimal cut-offs binds.
 _CUTOFF_NAMES = ("leverage", "sample-size", "residual")
 
+# The r_c Newton iteration stops for a set once its step is below this
+# relative size (a few ulps). Every Feigl-Zelen 5-subset settles within 17
+# Newton sweeps and 5 ulp steps, so reaching the limit is a fault and raises.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_SWEEPS = 64
+
 
 @dataclass(frozen=True)
 class LinearPrior:
@@ -98,7 +104,12 @@ class LeverageReport:
 # matrix is never formed. For N deletion sets of a common size I, the
 # spectrum step gives the ascending eigenvalues lam of each H_del and the
 # squared deleted residuals u2 in its eigenbasis. The cut-offs and the
-# Thm 3.1 verdicts are both read off (lam, u2, rss).
+# Thm 3.1 verdicts are both read off (lam, u2, rss), which one pass computes
+# for both. In the eigenbasis rss_star(r) = rss - sum_i r u2_i / (1 - r lam_i),
+# and with s = 1/r the residual cut-off r_c is the root of the secular
+# equation sum_i u2_i / (s - lam_i) = rss - threshold beyond the largest
+# eigenvalue (Bunch, Nielsen & Sorensen 1978), found by a safeguarded
+# Newton iteration vectorized across sets.
 
 
 def _hat(data: RegressionData):
@@ -121,15 +132,70 @@ def _spectra(Q, e, idx: np.ndarray):
     return minors, lam, u2
 
 
+def _secular_root(lam, u2, C: float, s_lo):
+    """Root s > lam_max of psi(s) = sum_i u2_i / (s - lam_i) = C > 0 for each
+    row, given a point s_lo at or left of it.
+
+    psi is convex and decreasing there and 1/psi is concave (Cauchy-Schwarz),
+    so from a point left of the root a Newton step on either stays left of
+    it. The step on 1/psi is the step on psi times psi/C > 1, so it is the
+    one taken. Iterates rise from max(s_lo, max_i lam_i + u2_i/C), left of
+    the root because psi exceeds each of its terms, and are capped at
+    lam_max + sum u2 / C, right of it because psi(s) <= sum u2 / (s - lam_max).
+    A row drops out once its step is within a few ulps.
+    """
+    s = np.maximum(s_lo, np.max(lam + u2 / C, axis=1))
+    cap = lam[:, -1] + u2.sum(axis=1) / C
+    todo = np.arange(s.size)
+    for _ in range(_ROOT_MAX_SWEEPS):
+        st = s[todo]
+        d = 1.0 / (st[:, None] - lam[todo])
+        t = u2[todo] * d
+        psi = t.sum(axis=1)
+        step = (psi - C) * psi / (C * (t * d).sum(axis=1))
+        s[todo] = np.minimum(st + np.maximum(step, 0.0), cap[todo])
+        todo = todo[s[todo] - st > _ROOT_RTOL * st]
+        if todo.size == 0:
+            return s
+    raise RuntimeError(f"r_c root iteration did not settle in {_ROOT_MAX_SWEEPS} sweeps "
+                       f"for {todo.size} deletion sets")
+
+
+def _ulp_crossing(excess, r):
+    """For each start r, the rounded midpoint of the adjacent floats around
+    the nearest sign change of the computed `excess(r, rows)` (positive
+    below it): the point a bisection run to convergence returns. The walk
+    steps one ulp at a time from r toward the change."""
+    r = r.copy()
+    out = np.empty_like(r)
+    rows = np.arange(r.size)
+    above = excess(r, rows) > 0
+    for _ in range(_ROOT_MAX_SWEEPS):
+        nxt = np.nextafter(r[rows], np.where(above, np.inf, 0.0))
+        crossed = (excess(nxt, rows) > 0) != above
+        mid = 0.5 * (r[rows] + nxt)
+        out[rows[crossed]] = mid[crossed]
+        r[rows] = nxt
+        rows, above = rows[~crossed], above[~crossed]
+        if rows.size == 0:
+            return out
+    raise RuntimeError(f"r_c sign change not found within {_ROOT_MAX_SWEEPS} ulps "
+                       f"for {rows.size} deletion sets")
+
+
 def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     """(r_a, r_b, r_c) arrays for N deletion sets of a common size.
 
     r_c is the largest r in (0, r_a) with rss_star(r) above the prior
-    threshold. rss_star is non-increasing in r on that interval, so a
-    bisection vectorized across sets finds it. Residuals orthogonal to the
-    spectrum (or exactly zero) leave rss_star above the threshold everywhere,
-    and then the leverage cut-off binds: r_c = r_a. With every eigenvalue
-    zero rss_star is linear in r and r_c is its root.
+    threshold. rss_star is non-increasing in r on that interval; with
+    s = 1/r its root solves psi(s) = rss - threshold, with psi as in
+    `_secular_root`, which solves it for every set at once to a few ulps.
+    r_c is then the float at which the computed rss_star crosses the
+    threshold (`_ulp_crossing`), so it does not depend on how the root was
+    approached. Residuals orthogonal to the spectrum (or exactly zero) leave
+    rss_star above the threshold everywhere, and then the leverage cut-off
+    binds: r_c = r_a. With every eigenvalue zero rss_star is linear in r and
+    r_c is its root.
     """
     N, I = lam.shape
     lam_max = lam[:, -1]
@@ -139,25 +205,21 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     r_b = np.full(N, size / I)
     threshold = prior.rss_threshold
 
-    def excess(r):
-        return rss - r * np.sum(u2 / (1.0 - r[:, None] * lam), axis=1) - threshold
+    def excess(r, rows):
+        return rss - r * np.sum(u2[rows] / (1.0 - r[:, None] * lam[rows]), axis=1) - threshold
 
     sum_u2 = u2.sum(axis=1)
     degenerate = sum_u2 <= 1e-24 * max(1.0, rss)
-    # The bracket ends just below r_a, where every 1 - r lam_i is positive;
-    # the relative margin matters only for large r_a, where r_a - 1e-9
-    # rounds to r_a. Sets with r_a = inf bisect on [0, 1] only to keep the
-    # arrays aligned; their r_c is set last.
-    lo = np.zeros(N)
-    hi = np.where(np.isinf(r_a), 1.0, np.minimum(r_a - 1e-9, r_a * (1.0 - 1e-12)))
-    settled = degenerate | (excess(hi) > 0)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        above = excess(mid) > 0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    r_c = np.where(settled, r_a, 0.5 * (lo + hi))
     linear = np.isinf(r_a) & ~degenerate
+    # rss_star is tested just below r_a, where every 1 - r lam_i is positive;
+    # the relative margin matters only for large r_a, where r_a - 1e-9
+    # rounds to r_a. Sets with r_a = inf take the linear root below.
+    hi = np.where(np.isinf(r_a), 1.0, np.minimum(r_a - 1e-9, r_a * (1.0 - 1e-12)))
+    settled = degenerate | (excess(hi, slice(None)) > 0)
+    r_c = np.where(settled, r_a, np.nan)
+    root = np.flatnonzero(~settled & ~linear)
+    s = _secular_root(lam[root], u2[root], rss - threshold, 1.0 / hi[root])
+    r_c[root] = _ulp_crossing(lambda r, rows: excess(r, root[rows]), 1.0 / s)
     return r_a, r_b, np.where(linear, (rss - threshold) / np.maximum(sum_u2, 1e-300), r_c)
 
 
@@ -220,33 +282,64 @@ class SubsetScanResult:
                                  r_star=float(self.r_star[i]))
 
 
-def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior) -> SubsetScanResult:
+def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_values=()):
+    """Cut-offs of an (N, I) index array and its verdicts at each r in
+    `r_values`, from one spectral pass: (SubsetScanResult, one verdict list
+    per set, ordered as `r_values`, or [] when r_values is empty)."""
     Q, e, rss = hat
     _, lam, u2 = _spectra(Q, e, idx)
     r_a, r_b, r_c = _cutoffs(lam, u2, rss, n, k, prior)
-    return SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
-                            r_star=np.minimum(np.minimum(r_a, r_b), r_c))
+    result = SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
+                              r_star=np.minimum(np.minimum(r_a, r_b), r_c))
+    per_r = [_theorem31(lam, u2, rss, n, k, r, prior) for r in r_values]
+    return result, [list(row) for row in zip(*per_r)]
+
+
+def _subset_blocks(n: int, size: int):
+    """Every subset of `size` of range(n) in lexicographic order, as index
+    arrays of at most _SCAN_CHUNK rows."""
+    if not 1 <= size <= n:
+        raise ValueError("subset size must be in [1, n]")
+    combos = combinations(range(n), size)
+    while chunk := list(islice(combos, _SCAN_CHUNK)):
+        yield np.array(chunk, dtype=int)
+
+
+def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrior):
+    """Cut-offs r_a, r_b, r_c of many deletion sets and their Thm 3.1
+    verdicts at each order r in `r_values` (all above 1), both read off one
+    spectral pass.
+
+    `sets` is an (N, I) array of 0-based deletion sets of a common size
+    I >= 1, or the int I for every subset of size I in lexicographic order.
+    Returns (SubsetScanResult, one verdict list per set, ordered as
+    `r_values`); with no r_values the verdict list is empty.
+    """
+    r_values = [float(r) for r in r_values]
+    if not all(r > 1 for r in r_values):
+        raise ValueError("moment order r must exceed 1")
+    if r_values and not prior.is_noninformative:
+        _require_part_i_prior(prior)
+    hat = _hat(data)
+    blocks = _subset_blocks(data.n, sets) if isinstance(sets, int) else [np.asarray(sets, dtype=int)]
+    results, verdicts = zip(*(_index_batch(hat, idx, data.n, data.k, prior, r_values)
+                              for idx in blocks))
+    result = SubsetScanResult(**{name: np.concatenate([getattr(part, name) for part in results])
+                                 for name in ("subsets", "r_a", "r_b", "r_c", "r_star")})
+    return result, [row for part in verdicts for row in part]
 
 
 def moment_indices(data: RegressionData, subsets, prior: LinearPrior) -> SubsetScanResult:
     """Cut-offs r_a, r_b, r_c for each row of an (N, I) array of 0-based
     deletion sets of a common size I >= 1."""
-    idx = np.asarray(subsets, dtype=int)
-    return _index_batch(_hat(data), idx, data.n, data.k, prior)
+    return indices_and_verdicts(data, np.asarray(subsets, dtype=int), (), prior)[0]
 
 
 def theorem31_verdicts(data: RegressionData, subsets, r_values, prior: LinearPrior) -> list:
     """Thm 3.1 verdicts for each row of an (N, I) array of 0-based deletion
     sets at each order r in `r_values` (all above 1): one list per set,
     ordered as `r_values`."""
-    if not all(r > 1 for r in r_values):
-        raise ValueError("moment order r must exceed 1")
-    if not prior.is_noninformative:
-        _require_part_i_prior(prior)
-    Q, e, rss = _hat(data)
-    _, lam, u2 = _spectra(Q, e, np.asarray(subsets, dtype=int))
-    per_r = [_theorem31(lam, u2, rss, data.n, data.k, float(r), prior) for r in r_values]
-    return [list(row) for row in zip(*per_r)]
+    return indices_and_verdicts(data, np.asarray(subsets, dtype=int), r_values, prior)[1]
 
 
 def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
@@ -520,23 +613,10 @@ def scan_deletion_subsets(
     """Cut-offs for every deletion subset of the given size.
 
     Enumerates all C(n, I) subsets in lexicographic order; the per-subset
-    spectral work is batched so that scans over ~1e5 subsets stay cheap.
+    spectral work is batched, _SCAN_CHUNK subsets at a time, so that scans
+    over ~1e5 subsets stay cheap.
     """
-    n = data.n
-    if not 1 <= subset_size <= n:
-        raise ValueError("subset size must be in [1, n]")
-    hat = _hat(data)
-    combos = combinations(range(n), subset_size)
-    parts = []
-    while chunk := list(islice(combos, _SCAN_CHUNK)):
-        parts.append(_index_batch(hat, np.array(chunk, dtype=int), n, data.k, prior))
-    return SubsetScanResult(
-        subsets=np.concatenate([p.subsets for p in parts]),
-        r_a=np.concatenate([p.r_a for p in parts]),
-        r_b=np.concatenate([p.r_b for p in parts]),
-        r_c=np.concatenate([p.r_c for p in parts]),
-        r_star=np.concatenate([p.r_star for p in parts]),
-    )
+    return indices_and_verdicts(data, int(subset_size), (), prior)[0]
 
 
 def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -> np.ndarray:
@@ -551,5 +631,5 @@ def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -
     for size in sorted(set(map(len, sets))):
         rows = [i for i, s in enumerate(sets) if len(s) == size]
         idx = np.array([sets[i] for i in rows], dtype=int)
-        out[rows] = _index_batch(hat, idx, data.n, data.k, prior).r_star
+        out[rows] = _index_batch(hat, idx, data.n, data.k, prior)[0].r_star
     return out

@@ -150,21 +150,8 @@ def _verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
 
 def theorem51_verdicts(data: LogitData, sets, r_values, epsilon: float) -> list:
     """Thm 5.1 verdicts for each 0-based deletion set in `sets` at each order
-    r in `r_values`: one list per set, ordered as `r_values`. The vertex
-    table depends only on the data and is built once for all sets."""
-    dsets = [deletion_set(indices, data.n) for indices in sets]
-    table = None
-    if any(dels.cardinality for dels in dsets):
-        _require_exact(data, epsilon)
-        table = VertexTable(data, _candidate_directions(data)[0])
-    out = []
-    for dels in dsets:
-        if dels.cardinality == 0:
-            out.append([MomentVerdict.finite("empty deletion: weight is constant")] * len(r_values))
-            continue
-        h0, slope = table.parts(dels, epsilon)
-        out.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
-    return out
+    r in `r_values`: one list per set, ordered as `r_values`."""
+    return indices_and_verdicts(data, sets, r_values, epsilon)[1]
 
 
 def max_h_l1_sphere(
@@ -277,26 +264,45 @@ def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> Momen
     return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=float(roots[i]), binding=binding)
 
 
-def moment_indices(data: LogitData, sets, epsilon: float) -> list:
-    """Moment index of each 0-based deletion set in `sets`, from the r-affine
-    structure of the criterion.
+def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
+    """Moment index of each 0-based deletion set in `sets` and its Thm 5.1
+    verdicts at each order r in `r_values`: (reports, one verdict list per
+    set ordered as `r_values`).
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
     sphere maximum is a nondecreasing piecewise-affine envelope in r and its
     zero crossing is exact: r* = min over vertices of the per-vertex root.
     Indices above the cap report as +infinity. The leverage and sample-size
-    fields do not apply to this model and are +infinity.
+    fields do not apply to this model and are +infinity. The vertex table
+    depends only on the data and is built once for all sets and r; the
+    exact-enumeration limits are checked only when verdicts are asked for.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     dsets = [deletion_set(indices, data.n) for indices in sets]
     table = None
     if any(dels.cardinality for dels in dsets):
+        if r_values:
+            _require_exact(data, epsilon)
         table = VertexTable(data, _candidate_directions(data)[0])
-    return [_index_report(table.betas, *table.parts(dels, epsilon)) if dels.cardinality
-            else MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
-                                   binding="empty deletion")
-            for dels in dsets]
+    reports, verdicts = [], []
+    for dels in dsets:
+        if dels.cardinality == 0:
+            reports.append(MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
+                                             binding="empty deletion"))
+            verdicts.append([MomentVerdict.finite("empty deletion: weight is constant")]
+                            * len(r_values))
+            continue
+        h0, slope = table.parts(dels, epsilon)
+        reports.append(_index_report(table.betas, h0, slope))
+        verdicts.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
+    return reports, verdicts
+
+
+def moment_indices(data: LogitData, sets, epsilon: float) -> list:
+    """Moment index of each 0-based deletion set in `sets`; see
+    `indices_and_verdicts`."""
+    return indices_and_verdicts(data, sets, (), epsilon)[0]
 
 
 def moment_index_logit(

@@ -264,4 +264,4 @@ def draws_to_csv(path, model: str, draws: np.ndarray) -> None:
 
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     header = family(model).columns(draws.shape[1])
-    write_table(path, header, [[float(x) for x in row] for row in draws])
+    write_table(path, header, draws.tolist())

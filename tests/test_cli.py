@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from influence_gate.cli import main
-from influence_gate.core_model import LinearSchema, LogitSchema, MMSchema, deletion_set, load_csv
+from influence_gate import cli, linear_gate, logit_gate
+from influence_gate.cli import SCAN_CSV_COLUMNS, main
+from influence_gate.core_model import (
+    LinearSchema,
+    LogitSchema,
+    MMSchema,
+    deletion_set,
+    load_csv,
+    write_table,
+)
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import (
     LinearPrior,
@@ -18,7 +26,7 @@ from influence_gate.linear_gate import (
 )
 from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
 from influence_gate.mm_gate import KappaPriorSpec
-from influence_gate.samplers import SamplerConfig, sample_mm
+from influence_gate.samplers import SamplerConfig, sample_linear_noninformative, sample_mm
 from influence_gate.tail_verifier import hill_tail_index
 
 from conftest import DATA_DIR
@@ -44,6 +52,19 @@ def run(tmp_path, command, config: dict) -> int:
 def read_csv(tmp_path, name) -> list:
     with open(tmp_path / "out" / name, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap `module.name`; the returned list gets one entry per call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # --- exit 0 -----------------------------------------------------------------------
@@ -92,6 +113,18 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
         for name in ("r_a", "r_b", "r_c", "r_star"):
             assert float(row[name]) == pytest.approx(getattr(rep, name), rel=0, abs=1e-12)
     assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
+
+
+def test_logit_gate_enumerates_vertices_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, logit_gate, "_candidate_directions")
+    assert run(tmp_path, "gate", {**FZ_LOGIT, "deletion.scan_size": "2", "r": "2, 4"}) == 0
+    assert len(calls) == 1
+
+
+def test_linear_gate_makes_one_spectral_pass(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, linear_gate, "_spectra")
+    assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}) == 0
+    assert len(calls) == 1
 
 
 def test_gate_empty_deletion_writes_one_row_per_r(tmp_path):
@@ -304,3 +337,29 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
         assert [float(rows[i][c]) for c in ("r_a", "r_b", "r_c", "r_star")] == [
             result.r_a[i], result.r_b[i], result.r_c[i], result.r_star[i]]
 
+
+def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch):
+    data = load_csv(FZ_LINEAR["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    result = scan_deletion_subsets(data, 3, LinearPrior.noninformative())
+    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
+    whole = tmp_path / "whole.csv"
+    write_table(whole, SCAN_CSV_COLUMNS,
+                [["+".join(str(j + 1) for j in subset), *map(repr, values)]
+                 for subset, *values in zip(result.subsets.tolist(), *(c.tolist() for c in columns))])
+    monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", 7)  # C(33, 3) = 7 * 779 + 3
+    assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0
+    assert (tmp_path / "out" / "scan_report.csv").read_bytes() == whole.read_bytes()
+
+
+def test_exported_draws_are_shortest_round_trip_text(tmp_path):
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "300",
+              "sampler.export_draws": "true", "seed": "3"}
+    assert run(tmp_path, "estimate", config) == 0
+    data = load_csv(FZ_LINEAR["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    draws = sample_linear_noninformative(data, SamplerConfig(seed=3, draws=300, burn_in=1000)).draws
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta_0", "theta_1", "theta_2", "sigma2"])
+        writer.writerows([[repr(float(x)) for x in row] for row in draws])
+    assert (tmp_path / "out" / "draws.csv").read_bytes() == expected.read_bytes()

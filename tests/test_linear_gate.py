@@ -3,8 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from influence_gate.core_model import RegressionData, deletion_set
+from influence_gate import linear_gate
+from influence_gate.core_model import LinearSchema, RegressionData, deletion_set, load_csv
 from influence_gate.errors import SingularLeverageError
 from influence_gate.linear_gate import (
     LinearPrior,
@@ -20,7 +22,7 @@ from influence_gate.linear_gate import (
 )
 from influence_gate.prior_tails import TailClass, ThetaPriorSpec
 
-from conftest import random_regression
+from conftest import DATA_DIR, random_regression
 
 NONINF = LinearPrior.noninformative()
 
@@ -379,6 +381,110 @@ class TestMomentIndexLinear:
         assert rep2.r_a == pytest.approx(rep.r_a, rel=1e-10)
         assert rep2.r_b == rep.r_b
         assert rep2.r_c != pytest.approx(rep.r_c, rel=1e-6)
+
+
+# --- the r_c root finder on synthetic spectra ---------------------------------------
+
+
+def rc_brentq(lam, u2, rss, thr) -> float:
+    """Independent oracle for r_c of one spectrum: Brent's method on the raw
+    rss_star(r) - threshold, summed with math.fsum, on (0, hi] below r_a."""
+    def excess(r):
+        return rss - r * math.fsum(u2 / (1.0 - r * lam)) - thr
+
+    if lam[-1] <= 1e-14:
+        if u2.sum() <= 1e-24 * max(1.0, rss):
+            return math.inf
+        hi = 2.0 * (rss - thr) / u2.sum()  # rss_star is close to linear in r
+    else:
+        r_a = 1.0 / lam[-1]
+        hi = min(r_a - 1e-9, r_a * (1.0 - 1e-12))
+        if u2.sum() <= 1e-24 * max(1.0, rss) or excess(hi) > 0:
+            return r_a
+    return brentq(excess, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+def bisection_cutoff(lam, u2, rss, thr):
+    """The vectorized 100-step bisection that r_c was found with before, kept
+    as an oracle: r_c of every set whose root lies below r_a."""
+    r_a = 1.0 / lam[:, -1]
+    lo, hi = np.zeros(len(lam)), np.minimum(r_a - 1e-9, r_a * (1.0 - 1e-12))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = rss - mid * np.sum(u2 / (1.0 - mid[:, None] * lam), axis=1) - thr > 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def synthetic_spectra(rng, case: str, N: int = 400, I: int = 4):
+    """(lam, u2, rss) for N sets of I deletions; `case` shapes the top of
+    the spectrum."""
+    lam = np.sort(rng.uniform(0.0, 0.95, (N, I)) ** rng.uniform(0.3, 3.0, (N, 1)), axis=1)
+    rss = 50.0
+    u2 = rss * rng.dirichlet(np.ones(I), N) * rng.uniform(0.05, 1.0, (N, 1))
+    if case == "tiny top u2":
+        u2[:, -1] *= 10.0 ** rng.uniform(-24, -8, N)
+    elif case == "zero top u2":
+        u2[:, -1] = 0.0
+    elif case == "repeated eigenvalues":
+        lam[:, -2] = lam[:, -1]
+        lam[: N // 2, 0] = lam[: N // 2, 1]
+    elif case == "r_a infinite":
+        lam[:] = 0.0
+        lam[: N // 2, -1] = 10.0 ** rng.uniform(-18, -14.5, N // 2)
+    return lam, u2, rss
+
+
+ROOT_CASES = ["generic", "tiny top u2", "zero top u2", "repeated eigenvalues", "r_a infinite"]
+
+
+class TestCutoffRoot:
+    @pytest.mark.parametrize("case", ROOT_CASES)
+    @pytest.mark.parametrize("prior", [NONINF, conj(0.5, 0.2)], ids=["flat", "conjugate"])
+    def test_matches_brent_oracle(self, case, prior):
+        # a run that reached the sweep limit would have raised
+        rng = np.random.default_rng(ROOT_CASES.index(case))
+        lam, u2, rss = synthetic_spectra(rng, case)
+        r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, 40, 3, prior)
+        thr = prior.rss_threshold
+        expected = np.array([rc_brentq(lam[i], u2[i], rss, thr) for i in range(len(lam))])
+        assert np.all((r_c == expected) | (np.abs(r_c - expected) <= 1e-10 * expected))
+        if case != "r_a infinite":
+            assert np.mean(r_c < r_a) > 0.4  # the root search is reached, not only r_a
+
+    @pytest.mark.parametrize("case", ROOT_CASES[:4])
+    def test_r_c_sits_at_the_computed_sign_change(self, case):
+        rng = np.random.default_rng(10 + ROOT_CASES.index(case))
+        lam, u2, rss = synthetic_spectra(rng, case)
+        r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, 40, 3, NONINF)
+        root = r_c < r_a
+        lam, u2, r_c = lam[root], u2[root], r_c[root]
+
+        def above(r):
+            return rss - r * np.sum(u2 / (1.0 - r[:, None] * lam), axis=1) > 0
+
+        # r_c is one of the two adjacent floats around the sign change
+        at_lo = above(r_c) & ~above(np.nextafter(r_c, np.inf))
+        at_hi = above(np.nextafter(r_c, 0.0)) & ~above(r_c)
+        assert np.all(at_lo | at_hi)
+
+    @pytest.mark.parametrize("prior", [NONINF, conj(2.0, 0.001)], ids=["flat", "conjugate"])
+    def test_equals_old_bisection_on_feigl_zelen_triples(self, prior):
+        data = load_csv(DATA_DIR / "feigl_zelen.csv",
+                        LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+        Q, e, rss = linear_gate._hat(data)
+        _, lam, u2 = linear_gate._spectra(Q, e, np.array(list(combinations(range(33), 3))))
+        r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, data.n, data.k, prior)
+        root = r_c < r_a
+        assert root.sum() > 1000
+        old = bisection_cutoff(lam[root], u2[root], rss, prior.rss_threshold)
+        assert np.array_equal(r_c[root], old)
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        lam, u2, rss = synthetic_spectra(np.random.default_rng(3), "tiny top u2")
+        monkeypatch.setattr(linear_gate, "_ROOT_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            linear_gate._cutoffs(lam, u2, rss, 40, 3, NONINF)
 
 
 class TestCorollaryDispatch:
