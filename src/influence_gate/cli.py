@@ -4,16 +4,18 @@ influence estimation, and empirical verification.
     influence-gate gate|scan|kfold|estimate|verify --config <path> [--seed N] [--out DIR]
 
 Configuration is a flat key = value text file with dotted section prefixes;
-the grammar is documented in the README. Case indices are 1-based in
-configuration and reports. Exit codes: 0 ok, 2 config error, 3 data error,
-4 budget error, 5 sampler error.
+`KEYS` lists every key with its kind, bound and default, and the README
+documents the grammar. Case indices are 1-based in configuration and
+reports. Exit codes: 0 ok, 2 config error, 3 data error, 4 budget error,
+5 sampler error.
 """
 
 import argparse
+import difflib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -62,6 +64,68 @@ VERIFY_SCALING_CSV_COLUMNS = ["m", "replications", "variance"]
 # --- configuration ------------------------------------------------------------
 
 
+REQUIRED = object()  # the default of a key every config must set
+
+
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: how its text parses and what values it allows.
+
+    kind: word | words | bool | path | int | ints | grid | float | floats.
+    A plural kind is a comma-separated list of the singular one, and a grid
+    is a strictly increasing list of ints. bound: the allowed words of a
+    word kind (None allows any), the least allowed int, or the number every
+    float must exceed. A list key with a nonempty default must list one or
+    more values; a float must be finite.
+    """
+
+    name: str
+    kind: str
+    bound: object = None
+    default: object = None
+
+
+KEYS = {key.name: key for key in (
+    Key("model", "word", tuple(FAMILIES), REQUIRED),
+    Key("data", "path", None, REQUIRED),
+    Key("data.response", "word", None, "y"),
+    Key("data.covariates", "words"),
+    Key("data.intercept", "bool", None, True),
+    Key("data.outcome", "word", None, "y"),
+    Key("data.concentration", "word", None, "concentration"),
+    Key("data.velocity", "word", None, "velocity"),
+    Key("deletion.indices", "ints"),
+    Key("deletion.scan_size", "int", 0),
+    Key("deletion.kfold.partitions", "int", 1),
+    Key("deletion.kfold.folds", "int", 2, 5),
+    Key("r", "floats", 1, (2.0,)),
+    Key("out", "path", None, Path(".")),
+    Key("seed", "int", 0, 0),
+    Key("prior.kind", "word", ("noninformative", "conjugate"), "noninformative"),
+    Key("prior.alpha", "float", 0),
+    Key("prior.beta", "float", 0),
+    Key("prior.theta.mean", "floats"),
+    Key("prior.theta.cov_diag", "floats", 0),
+    Key("prior.epsilon", "float", 0, 1.0),
+    Key("prior.kappa.scale", "float", 0, 1.0),
+    Key("scan.grid_size", "int", MIN_GRID_SIZE, DEFAULT_GRID_SIZE),
+    Key("scan.top", "int", 1, 100),
+    Key("scan.flag_cases", "ints", None, ()),
+    Key("measures", "words", is_engine.MEASURES, is_engine.MEASURES),
+    Key("sampler.seed", "int", 0),  # default: seed
+    Key("sampler.draws", "int", 1),  # default: set per command
+    Key("sampler.burn_in", "int", 0, 1000),
+    Key("sampler.thin", "int", 1, 1),
+    Key("sampler.scale", "floats", 0, ()),
+    Key("sampler.export_draws", "bool", None, False),
+    Key("verify.m_grid", "grid", 1, (1000, 4000, 16000, 64000)),
+    Key("verify.replications", "int", 2, 50),
+)}
+_DELETION_SPECS = ("deletion.indices", "deletion.scan_size", "deletion.kfold.partitions")
+_LIST_ITEM = {"words": "word", "ints": "int", "grid": "int", "floats": "float"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def parse_config_text(text: str) -> dict:
     """Flat `key = value` lines; `#` starts a comment; keys use dotted
     section prefixes. Later duplicates override earlier ones."""
@@ -80,87 +144,70 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _as_number(key: str, raw: str, kind):
-    """`raw` parsed as `kind` (int or float); a ConfigError naming `key`
-    when it does not parse."""
+def parse_config(raw: dict, base_dir: Path) -> dict:
+    """Every key of KEYS mapped to its value in `raw`, parsed, or else to
+    its default. Relative paths are taken from `base_dir`. A ConfigError
+    names the first key that is unknown, missing, malformed or out of
+    bounds."""
+    for name in raw:
+        if name not in KEYS:
+            near = difflib.get_close_matches(name, KEYS, n=1)
+            hint = f"; did you mean {near[0]}?" if near else ""
+            raise ConfigError(f"{name} is not a known key{hint}")
+    specs = [name for name in _DELETION_SPECS if name in raw]
+    if len(specs) > 1:
+        raise ConfigError(f"{specs[0]}: exactly one deletion spec allowed, got {specs}")
+    cfg = {}
+    for key in KEYS.values():
+        if key.name in raw:
+            cfg[key.name] = _parse_value(key, raw[key.name], base_dir)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"{key.name} is required")
+        else:
+            cfg[key.name] = key.default
+    return cfg
+
+
+def _parse_value(key: Key, text: str, base_dir: Path):
+    if key.kind == "path":
+        path = Path(text)
+        return path if path.is_absolute() else base_dir / path
+    if key.kind not in _LIST_ITEM:
+        return _parse_item(key, key.kind, text.strip())
+    values = tuple(_parse_item(key, _LIST_ITEM[key.kind], tok.strip())
+                   for tok in text.split(",") if tok.strip())
+    if key.default and not values:
+        raise ConfigError(f"{key.name} must list one or more values")
+    if key.kind == "grid" and any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{key.name} must be strictly increasing, got {text!r}")
+    return values
+
+
+def _parse_item(key: Key, kind: str, text: str):
+    if kind == "word":
+        if key.bound is not None and text not in key.bound:
+            raise ConfigError(f"{key.name} must be {'|'.join(key.bound)}, got {text!r}")
+        return text
+    if kind == "bool":
+        if text.lower() not in _BOOLS:
+            raise ConfigError(f"{key.name} must be a boolean, got {text!r}")
+        return _BOOLS[text.lower()]
     try:
-        return kind(raw.strip())
+        value = int(text) if kind == "int" else float(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+        what = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{key.name} must be {what}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key.name} must be finite, got {text!r}")
+    if key.bound is not None:
+        if kind == "int" and value < key.bound:
+            raise ConfigError(f"{key.name} must be at least {key.bound}, got {value}")
+        if kind == "float" and not value > key.bound:
+            raise ConfigError(f"{key.name} must be above {key.bound}, got {value}")
+    return value
 
 
-def _as_list(key: str, raw: str, kind) -> list:
-    return [_as_number(key, tok, kind) for tok in raw.split(",") if tok.strip()]
-
-
-def _as_bool(key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-
-
-@dataclass
-class RunConfig:
-    model: str
-    data_path: Path
-    raw: dict
-    deletion_indices: list | None = None
-    scan_size: int | None = None
-    kfold_partitions: int | None = None
-    kfold_folds: int | None = None
-    r_values: list = field(default_factory=lambda: [2.0])
-    out_dir: Path = Path(".")
-    seed: int = 0
-
-    @staticmethod
-    def from_mapping(raw: dict, base_dir: Path) -> "RunConfig":
-        try:
-            model = raw["model"]
-        except KeyError:
-            raise ConfigError("missing required key 'model'") from None
-        if model not in FAMILIES:
-            raise ConfigError(f"model must be {'|'.join(FAMILIES)}, got {model!r}")
-        if "data" not in raw:
-            raise ConfigError("missing required key 'data'")
-        data_path = Path(raw["data"])
-        if not data_path.is_absolute():
-            data_path = base_dir / data_path
-        specs = [k for k in ("deletion.indices", "deletion.scan_size", "deletion.kfold.partitions") if k in raw]
-        if len(specs) > 1:
-            raise ConfigError(f"exactly one deletion spec allowed, got {specs}")
-        cfg = RunConfig(model=model, data_path=data_path, raw=raw)
-        if "deletion.indices" in raw:
-            cfg.deletion_indices = _as_list("deletion.indices", raw["deletion.indices"], int)
-        if "deletion.scan_size" in raw:
-            cfg.scan_size = cfg.get_int("deletion.scan_size", None)
-        if "deletion.kfold.partitions" in raw:
-            cfg.kfold_partitions = cfg.get_int("deletion.kfold.partitions", None)
-            cfg.kfold_folds = cfg.get_int("deletion.kfold.folds", 5)
-        if "r" in raw:
-            cfg.r_values = _as_list("r", raw["r"], float)
-            if not cfg.r_values or any(r <= 1 for r in cfg.r_values):
-                raise ConfigError("r must list one or more values, all above 1")
-        if "out" in raw:
-            out = Path(raw["out"])
-            cfg.out_dir = out if out.is_absolute() else base_dir / out
-        cfg.seed = cfg.get_int("seed", 0)
-        return cfg
-
-    def get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
-    def get_int(self, key: str, default):
-        return _as_number(key, self.raw[key], int) if key in self.raw else default
-
-    def get_float(self, key: str, default):
-        return _as_number(key, self.raw[key], float) if key in self.raw else default
-
-
-def load_run_config(path) -> RunConfig:
+def load_run_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -168,88 +215,65 @@ def load_run_config(path) -> RunConfig:
         mapping = parse_config_text(path.read_text())
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig.from_mapping(mapping, path.parent.resolve())
+    return parse_config(mapping, path.parent.resolve())
 
 
-def _model_inputs(cfg: RunConfig):
-    """(family, data, prior) of the configured model. The only reader of the
-    model-specific keys: the data schema, `prior.*` and `scan.grid_size`."""
-    family = FAMILIES[cfg.model]
-    if cfg.model == "mm":
-        schema = MMSchema(
-            concentration=cfg.get("data.concentration", "concentration"),
-            velocity=cfg.get("data.velocity", "velocity"),
-        )
-        grid_size = cfg.get_int("scan.grid_size", DEFAULT_GRID_SIZE)
-        if grid_size < MIN_GRID_SIZE:
-            raise ConfigError(f"scan.grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
-        prior = MMPrior(kappa=KappaPriorSpec(scale=_positive(cfg, "prior.kappa.scale", 1.0)),
-                        scan=MMScanParams(grid_size=grid_size))
+_CONJUGATE_KEYS = ("prior.alpha", "prior.beta", "prior.theta.mean", "prior.theta.cov_diag")
+
+
+def _model_inputs(cfg: dict):
+    """(family, data, prior) of the configured model."""
+    model = cfg["model"]
+    if model == "mm":
+        schema = MMSchema(concentration=cfg["data.concentration"], velocity=cfg["data.velocity"])
+        prior = MMPrior(kappa=KappaPriorSpec(scale=cfg["prior.kappa.scale"]),
+                        scan=MMScanParams(grid_size=cfg["scan.grid_size"]))
     else:
-        covs = cfg.get("data.covariates")
-        if covs is None:
-            raise ConfigError(f"{cfg.model} model needs data.covariates")
-        design = {"covariates": tuple(tok.strip() for tok in covs.split(",") if tok.strip()),
-                  "intercept": _as_bool("data.intercept", cfg.get("data.intercept", "true"))}
-        if cfg.model == "linear":
-            schema = LinearSchema(response=cfg.get("data.response", "y"), **design)
-            prior = _linear_prior(cfg)
+        if cfg["data.covariates"] is None:
+            raise ConfigError(f"data.covariates is required by the {model} model")
+        design = {"covariates": cfg["data.covariates"], "intercept": cfg["data.intercept"]}
+        if model == "linear":
+            schema = LinearSchema(response=cfg["data.response"], **design)
+            missing = [name for name in _CONJUGATE_KEYS if cfg[name] is None]
+            if cfg["prior.kind"] == "conjugate" and missing:
+                raise ConfigError(f"{missing[0]} is required by prior.kind = conjugate")
         else:
-            schema = LogitSchema(outcome=cfg.get("data.outcome", "y"), **design)
-            prior = _positive(cfg, "prior.epsilon", 1.0)
-    data = load_csv(cfg.data_path, schema)
-    if cfg.model == "linear" and prior.is_noninformative and data.n <= data.k:
-        raise DataError(f"the flat prior gives an improper posterior unless n > k; "
-                        f"got n={data.n}, k={data.k}")
-    return family, data, prior
+            schema = LogitSchema(outcome=cfg["data.outcome"], **design)
+            prior = cfg["prior.epsilon"]
+    data = load_csv(cfg["data"], schema)
+    if model == "linear":
+        prior = _linear_prior(cfg, data)
+    return FAMILIES[model], data, prior
 
 
-def _linear_prior(cfg: RunConfig) -> linear_gate.LinearPrior:
-    kind = cfg.get("prior.kind", "noninformative")
-    if kind == "noninformative":
+def _linear_prior(cfg: dict, data) -> linear_gate.LinearPrior:
+    if cfg["prior.kind"] == "noninformative":
+        if data.n <= data.k:
+            raise DataError(f"the flat prior gives an improper posterior unless n > k; "
+                            f"got n={data.n}, k={data.k}")
         return linear_gate.LinearPrior.noninformative()
-    if kind != "conjugate":
-        raise ConfigError(f"prior.kind must be noninformative|conjugate, got {kind!r}")
-    try:
-        alpha = float(cfg.get("prior.alpha"))
-        beta = float(cfg.get("prior.beta"))
-    except (TypeError, ValueError):
-        raise ConfigError("conjugate prior needs numeric prior.alpha and prior.beta") from None
-    mean_raw = cfg.get("prior.theta.mean")
-    cov_raw = cfg.get("prior.theta.cov_diag")
-    if mean_raw is None or cov_raw is None:
-        raise ConfigError("conjugate prior needs prior.theta.mean and prior.theta.cov_diag")
-    mean = np.array(_as_list("prior.theta.mean", mean_raw, float))
-    cov = np.diag(_as_list("prior.theta.cov_diag", cov_raw, float))
-    try:
-        return linear_gate.LinearPrior.conjugate(alpha, beta, ThetaPriorSpec.normal(mean, cov))
-    except ValueError as exc:
-        raise ConfigError(f"prior: {exc}") from None
+    for name in ("prior.theta.mean", "prior.theta.cov_diag"):
+        if len(cfg[name]) != data.k:
+            raise ConfigError(f"{name} must list {data.k} values, one per design column, "
+                              f"got {len(cfg[name])}")
+    theta = ThetaPriorSpec.normal(cfg["prior.theta.mean"], np.diag(cfg["prior.theta.cov_diag"]))
+    return linear_gate.LinearPrior.conjugate(cfg["prior.alpha"], cfg["prior.beta"], theta)
 
 
-def _positive(cfg: RunConfig, key: str, default: float) -> float:
-    value = cfg.get_float(key, default)
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value!r}")
-    return value
-
-
-def _sampler_config(cfg: RunConfig, default_draws: int, width: int) -> SamplerConfig:
+def _sampler_config(cfg: dict, default_draws: int, width: int) -> SamplerConfig:
     """Sampler settings for a model with `width` parameters per draw."""
-    scale = _as_list("sampler.scale", cfg.get("sampler.scale", ""), float)
+    scale = cfg["sampler.scale"]
     if scale and len(scale) != width:
         raise ConfigError(f"sampler.scale must list {width} values, one per parameter, "
                           f"got {len(scale)}")
-    try:
-        return SamplerConfig(
-            seed=cfg.get_int("sampler.seed", cfg.seed),
-            draws=cfg.get_int("sampler.draws", default_draws),
-            burn_in=cfg.get_int("sampler.burn_in", 1000),
-            thin=cfg.get_int("sampler.thin", 1),
-            proposal_scale=tuple(scale) or None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampler: {exc}") from None
+    seed, draws = cfg["sampler.seed"], cfg["sampler.draws"]
+    return SamplerConfig(
+        seed=cfg["seed"] if seed is None else seed,
+        draws=default_draws if draws is None else draws,
+        burn_in=cfg["sampler.burn_in"],
+        thin=cfg["sampler.thin"],
+        proposal_scale=scale or None,
+    )
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -346,23 +370,24 @@ def _check_scan_size(size: int, n: int, smallest: int) -> None:
         raise BudgetError(f"C({n},{size}) = {total} exceeds budget {SUBSET_ENUMERATION_BUDGET}")
 
 
-def cmd_gate(cfg: RunConfig) -> list:
+def cmd_gate(cfg: dict) -> list:
     """Per-deletion-set verdicts and moment cut-offs, written as CSV + JSON."""
-    family, data, prior = _model_inputs(cfg)
-    if cfg.deletion_indices is not None:
-        sets = [deletion_set([i - 1 for i in cfg.deletion_indices], data.n).indices]
-        size = len(sets[0])
-    elif cfg.scan_size is not None:
-        size = sets = cfg.scan_size
-        _check_scan_size(size, data.n, 0)
-    else:
+    indices, size = cfg["deletion.indices"], cfg["deletion.scan_size"]
+    if indices is None and size is None:
         raise ConfigError("gate needs deletion.indices or deletion.scan_size")
+    family, data, prior = _model_inputs(cfg)
+    if indices is not None:
+        sets = [deletion_set([i - 1 for i in indices], data.n).indices]
+        size = len(sets[0])
+    else:
+        sets = size
+        _check_scan_size(size, data.n, 0)
     if size == 0:
         constant = MomentVerdict.finite("empty deletion: weight is constant")
-        rows = [_gate_row((), r, constant, _empty_report()) for r in cfg.r_values]
+        rows = [_gate_row((), r, constant, _empty_report()) for r in cfg["r"]]
     else:
-        rows = [_gate_row(*row) for row in family.gate_rows(data, prior, sets, cfg.r_values)]
-    out = cfg.out_dir
+        rows = [_gate_row(*row) for row in family.gate_rows(data, prior, sets, cfg["r"])]
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "gate_report.csv", GATE_CSV_COLUMNS,
                      [[row[c] for c in GATE_CSV_COLUMNS] for row in rows])
@@ -384,7 +409,7 @@ def _gate_row(indices, r, verdict, rep) -> dict:
     }
 
 
-def cmd_scan(cfg: RunConfig) -> dict:
+def cmd_scan(cfg: dict) -> dict:
     """Enumerate all subsets of the configured size, rank by cut-offs.
 
     Linear model only (the scanning machinery rides on the closed-form hat
@@ -392,17 +417,18 @@ def cmd_scan(cfg: RunConfig) -> dict:
     arrays a block at a time; the JSON holds the subset count, two rankings
     and membership summaries for flagged cases.
     """
-    if cfg.model != "linear":
+    if cfg["model"] != "linear":
         raise ConfigError("scan supports the linear model")
-    if cfg.scan_size is None:
+    size = cfg["deletion.scan_size"]
+    if size is None:
         raise ConfigError("scan needs deletion.scan_size")
-    top = cfg.get_int("scan.top", 100)
-    if top < 1:
-        raise ConfigError(f"scan.top must be at least 1, got {top}")
-    flag_cases = _as_list("scan.flag_cases", cfg.get("scan.flag_cases", ""), int)
+    top, flag_cases = cfg["scan.top"], cfg["scan.flag_cases"]
     _, data, prior = _model_inputs(cfg)
-    _check_scan_size(cfg.scan_size, data.n, 1)
-    result = linear_gate.scan_deletion_subsets(data, cfg.scan_size, prior)
+    _check_scan_size(size, data.n, 1)
+    outside = [case for case in flag_cases if not 1 <= case <= data.n]
+    if outside:
+        raise DataError(f"scan.flag_cases: case {outside[0]} is outside 1..{data.n}")
+    result = linear_gate.scan_deletion_subsets(data, size, prior)
     order_a = np.argsort(result.r_a, kind="stable")
     order_c = np.argsort(result.r_c, kind="stable")
     flagged = {}
@@ -414,7 +440,7 @@ def cmd_scan(cfg: RunConfig) -> dict:
             f"top{top}_by_r_a": in_a,
             f"top{top}_by_r_c": in_c,
         }
-    out = cfg.out_dir
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS, _scan_rows(result, data.n))
     summary = {
@@ -441,22 +467,20 @@ def _scan_rows(result, n: int):
     return chain.from_iterable(map(block, range(0, result.count, SCAN_CSV_BLOCK)))
 
 
-def cmd_kfold_audit(cfg: RunConfig) -> dict:
+def cmd_kfold_audit(cfg: dict) -> dict:
     """Random-partition audit: per-fold moment indices and CLT-failure counts."""
-    if cfg.model != "linear":
+    if cfg["model"] != "linear":
         raise ConfigError("kfold audit supports the linear model")
-    if cfg.kfold_partitions is None:
+    count, folds = cfg["deletion.kfold.partitions"], cfg["deletion.kfold.folds"]
+    if count is None:
         raise ConfigError("kfold needs deletion.kfold.partitions")
     _, data, prior = _model_inputs(cfg)
     n = data.n
-    folds = cfg.kfold_folds
-    if not 2 <= folds <= n:
-        raise ConfigError(f"fold count must be in [2, {n}]")
-    if cfg.kfold_partitions < 1:
-        raise ConfigError("deletion.kfold.partitions must be at least 1")
-    rng = np.random.default_rng(cfg.seed)
+    if folds > n:
+        raise ConfigError(f"deletion.kfold.folds must be in [2, {n}], got {folds}")
+    rng = np.random.default_rng(cfg["seed"])
     partitions = []
-    for _ in range(cfg.kfold_partitions):
+    for _ in range(count):
         perm = rng.permutation(n)
         partitions.append([sorted(perm[f::folds].tolist()) for f in range(folds)])
     all_folds = [fold for parts in partitions for fold in parts]
@@ -474,12 +498,12 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
         }
         for i, (fold, rs) in enumerate(zip(all_folds, rstars))
     ]
-    out = cfg.out_dir
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "kfold_report.csv", KFOLD_CSV_COLUMNS,
                      [[row[c] for c in KFOLD_CSV_COLUMNS] for row in rows])
     summary = {
-        "partitions": cfg.kfold_partitions,
+        "partitions": count,
         "folds": folds,
         "partitions_with_ge1_fold_below_2": count_ge1,
         "partitions_with_ge2_folds_below_2": count_ge2,
@@ -488,29 +512,23 @@ def cmd_kfold_audit(cfg: RunConfig) -> dict:
     return summary
 
 
-_DEFAULT_MEASURES = "kl,hellinger,chisq,cpo"
-# l1/l2 need a normalizing-constant estimate and the unnormalized posterior
-# at the draws, bdd needs g values, and delta1/delta2 need the adjusted-prior
-# integrability check; the CLI computes none of them.
-_CLI_MEASURES = tuple(m for m in is_engine.MEASURES
-                      if m not in ("l1", "l2", "bdd", "delta1", "delta2"))
 # Fewest draws that give the Hill estimate its minimum number of exceedances.
 _MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.DEFAULT_TOP_FRACTION)
 
 
-def _sampling_inputs(cfg: RunConfig, command: str, default_draws: int):
+def _sampling_inputs(cfg: dict, command: str, default_draws: int):
     """What estimate and verify share, all checked before any sampling:
     (family, data, prior, deletion set, its analytic report, sampler config)."""
+    if cfg["deletion.indices"] is None:
+        raise ConfigError(f"{command} needs deletion.indices")
     family, data, prior = _model_inputs(cfg)
     sampler_cfg = _sampler_config(cfg, default_draws, family.draw_width(data))
-    if cfg.deletion_indices is None:
-        raise ConfigError(f"{command} needs deletion.indices")
-    dels = deletion_set([i - 1 for i in cfg.deletion_indices], data.n)
+    dels = deletion_set([i - 1 for i in cfg["deletion.indices"]], data.n)
     report = family.moment_index(data, dels, prior) if dels.cardinality else _empty_report()
     return family, data, prior, dels, report, sampler_cfg
 
 
-def cmd_estimate(cfg: RunConfig) -> list:
+def cmd_estimate(cfg: dict) -> list:
     """Draw from the posterior and estimate the requested measures with gates.
 
     Blocked measures carry the blocking requirement; the report repeats the
@@ -518,22 +536,14 @@ def cmd_estimate(cfg: RunConfig) -> list:
     restores a CLT when the gate blocks (mixture sampling itself is out of
     scope here).
     """
-    measures = [
-        tok.strip() for tok in cfg.get("measures", _DEFAULT_MEASURES).split(",") if tok.strip()
-    ]
-    unsupported = [m for m in measures if m not in _CLI_MEASURES]
-    if unsupported:
-        raise ConfigError(f"measures: {unsupported} not supported; use {list(_CLI_MEASURES)}")
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family.name, result.draws, data, dels)
     sample = is_engine.WeightedSample(model=family.name, draws=result.draws,
                                       log_weights=family.log_weight(loglik, dels.cardinality))
-    gate = is_engine.GateInputs(report=report)
     rows = []
-    for measure in measures:
-        aux = is_engine.MeasureAux(deleted_log_lik=loglik if measure == "cpo" else None)
-        est = is_engine.estimate_measure(sample, measure, gate, aux)
+    for measure in cfg["measures"]:
+        est = is_engine.estimate_measure(sample, measure, report.r_star, loglik)
         rows.append(
             {
                 "deletion": _subset_label(dels.indices),
@@ -546,7 +556,7 @@ def cmd_estimate(cfg: RunConfig) -> list:
                 "flags": ";".join(est.flags),
             }
         )
-    out = cfg.out_dir
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "estimates.csv", ESTIMATE_CSV_COLUMNS,
                      [[row[c] for c in ESTIMATE_CSV_COLUMNS] for row in rows])
@@ -558,7 +568,7 @@ def cmd_estimate(cfg: RunConfig) -> list:
     )
     write_json_report(out / "estimates.json", "estimate", rows,
                       extra={"advisory": advisory, "acceptance_rate": result.acceptance_rate})
-    if _as_bool("sampler.export_draws", cfg.get("sampler.export_draws", "false")):
+    if cfg["sampler.export_draws"]:
         draws_to_csv(out / "draws.csv", family.name, result.draws)
     return rows
 
@@ -567,20 +577,14 @@ def _empty_report():
     return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf, binding="empty deletion")
 
 
-def cmd_verify(cfg: RunConfig) -> dict:
+def cmd_verify(cfg: dict) -> dict:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
-    m_grid = _as_list("verify.m_grid", cfg.get("verify.m_grid", "1000,4000,16000,64000"), int)
-    if not m_grid or m_grid[0] < 1 or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ConfigError(f"verify.m_grid must list strictly increasing sample sizes >= 1, "
-                          f"got {m_grid}")
-    reps = cfg.get_int("verify.replications", 50)
-    if reps < 2:
-        raise ConfigError(f"verify.replications must be at least 2, got {reps}")
+    m_grid, reps = cfg["verify.m_grid"], cfg["verify.replications"]
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
     if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
-    out = cfg.out_dir
+    out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     tail = tail_verifier.verify_moment_index(
         family.name, data, prior, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
@@ -595,7 +599,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         lw = is_engine.log_weight(family.name, res.draws, data, dels)
         return is_engine.self_normalized_estimate(np.atleast_1d(lw), res.draws[:, 0])
 
-    scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg.seed)
+    scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
     write_csv_report(
         out / "verify_scaling.csv", VERIFY_SCALING_CSV_COLUMNS,
         [[m, reps, v] for m, v in zip(scaling.m_grid, scaling.variance_at_m)],
@@ -639,9 +643,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg["seed"] = args.seed
         if args.out is not None:
-            cfg.out_dir = Path(args.out)
+            cfg["out"] = Path(args.out)
         dispatch = {
             "gate": cmd_gate,
             "scan": cmd_scan,

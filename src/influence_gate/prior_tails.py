@@ -259,47 +259,3 @@ def transfer_finiteness(
     return MomentVerdict.indeterminate(
         "finite reference moment transfers only through a lower ratio bound"
     )
-
-
-# --- density profiles used by the numeric ratio audit in the tests ----------
-
-
-def theta_log_density_profile(spec: ThetaPriorSpec, radii: np.ndarray) -> np.ndarray:
-    """Unnormalized log density along a fixed ray, as a function of radius."""
-    t = np.asarray(radii, dtype=float)
-    if spec.family == "normal":
-        scale = 1.0 if spec.cov is None else float(np.max(np.linalg.eigvalsh(spec.cov)))
-        return -0.5 * t * t / scale
-    if spec.family == "student_t":
-        scale = 1.0 if spec.cov is None else float(np.max(np.linalg.eigvalsh(spec.cov)))
-        k = 1 if spec.location is None else np.asarray(spec.location).size
-        return -0.5 * (spec.dof + k) * np.log1p(t * t / (spec.dof * scale))
-    if spec.family == "laplace":
-        return -t / spec.scale
-    if spec.family == "quartic_exponential":
-        return -(t ** 4)
-    raise ValueError(f"no density profile for family {spec.family!r}")
-
-
-def sigma2_log_density_profile(spec: Sigma2PriorSpec, s2: np.ndarray) -> np.ndarray:
-    """Unnormalized log density near the origin of the variance axis."""
-    x = np.asarray(s2, dtype=float)
-    if spec.family == "inverse_gamma":
-        return -(spec.alpha + 1.0) * np.log(x) - 1.0 / (spec.beta * x)
-    if spec.family == "gamma_on_variance":
-        return (spec.shape - 1.0) * np.log(x) - spec.rate * x
-    if spec.family == "half_cauchy_on_sd":
-        return -0.5 * np.log(x) - np.log1p(x / spec.scale ** 2)
-    if spec.family == "sharp_zero":
-        return -(x ** (-spec.exponent)) - x
-    raise ValueError(f"no density profile for family {spec.family!r}")
-
-
-def reference_theta_log_density(radii: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    t = np.asarray(radii, dtype=float)
-    return -0.5 * t * t / scale
-
-
-def reference_sigma2_log_density(s2: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray:
-    x = np.asarray(s2, dtype=float)
-    return -(alpha + 1.0) * np.log(x) - 1.0 / (beta * x)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,10 @@ FZ_LINEAR = {
 FZ_LOGIT = {
     "model": "logit", "data": DATA_DIR / "feigl_zelen.csv",
     "data.outcome": "surv50", "data.covariates": "wbc, ag", "prior.epsilon": "1",
+}
+FZ_CONJUGATE = {
+    **FZ_LINEAR, "prior.kind": "conjugate", "prior.alpha": "2", "prior.beta": "1",
+    "prior.theta.mean": "0, 0, 0", "prior.theta.cov_diag": "1, 1, 1",
 }
 
 
@@ -175,6 +180,8 @@ BAD_VALUES = [
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "sampler.scale", "0.1, x"),
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}, "prior.kappa.scale", "x"),
     ("estimate", {**FZ_LOGIT, "deletion.indices": "15"}, "prior.epsilon", "x"),
+    ("gate", {**FZ_CONJUGATE, "deletion.indices": "15"}, "prior.alpha", "x"),
+    ("gate", {**FZ_CONJUGATE, "deletion.indices": "15"}, "prior.beta", "x"),
     ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.replications", "x"),
     ("verify", {**FZ_LINEAR, "deletion.indices": "15"}, "verify.m_grid", "1000, x"),
 ]
@@ -185,6 +192,22 @@ BAD_VALUES = [
 def test_unparseable_value_is_config_error(tmp_path, capsys, command, config, key, value):
     assert run(tmp_path, command, {**config, key: value}) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+@pytest.mark.parametrize("key", ["sampler.draw", "estimate.coord", "Model"])
+def test_unknown_key_is_config_error_before_data_is_read(tmp_path, capsys, key):
+    config = {**PUROMYCIN_MM, "data": tmp_path / "missing.csv", "deletion.indices": "11", key: "10"}
+    assert run(tmp_path, "gate", config) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+
+
+def test_readme_key_table_lists_exactly_the_config_keys(repo_root):
+    text = (repo_root / "README.md").read_text()
+    table = text.split("### Keys", 1)[1].split("\n\n")[1]
+    documented = []
+    for row in table.splitlines()[2:]:
+        documented += re.findall(r"`([^`]+)`", row.split("|")[1])
+    assert sorted(documented) == sorted(cli.KEYS)
 
 
 @pytest.mark.parametrize("measures", ["kl, nonsense", "l1", "bdd", "delta1"])
@@ -208,6 +231,12 @@ OUT_OF_RANGE = [
               "prior.theta.cov_diag": "1, 1, 1"}),
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "prior.kappa.scale": "-1"}),
     ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.draws": "0"}),
+    ("gate", {**FZ_LINEAR, "deletion.indices": "15", "r": "nan"}),
+    ("gate", {**PUROMYCIN_MM, "deletion.indices": "11", "r": "nan"}),
+    ("gate", {**FZ_LOGIT, "deletion.indices": "15", "r": "nan"}),
+    ("gate", {**FZ_LOGIT, "deletion.indices": "15", "prior.epsilon": "inf"}),
+    ("kfold", {**FZ_LINEAR, "deletion.kfold.partitions": "2", "seed": "-1"}),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.scale": "-1, 1, 1"}),
 ]
 
 
@@ -249,6 +278,14 @@ def test_verify_runs_at_the_smallest_settings(tmp_path):
 def test_out_of_range_deletion_index_is_data_error(tmp_path, capsys, index):
     assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.indices": index}) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("case", ["0", "34"])
+def test_out_of_range_flag_case_is_data_error(tmp_path, capsys, case):
+    config = {**FZ_LINEAR, "deletion.scan_size": "2", "scan.flag_cases": f"15, {case}"}
+    assert run(tmp_path, "scan", config) == 3
+    assert capsys.readouterr().err.startswith("data error: scan.flag_cases")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["gate", "scan"])
@@ -296,6 +333,16 @@ def test_wrong_length_sampler_scale_is_config_error(tmp_path, capsys, command, c
     # mm draws 3 parameters and this logit model 3 coefficients
     assert run(tmp_path, command, {**config, "sampler.scale": "0.1, 0.2"}) == 2
     assert capsys.readouterr().err.startswith("config error: sampler.scale ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+@pytest.mark.parametrize("key", ["prior.theta.mean", "prior.theta.cov_diag"])
+def test_wrong_length_conjugate_prior_is_config_error(tmp_path, capsys, command, key):
+    # the FZ design has k = 3 columns: intercept, wbc and ag
+    config = {**FZ_CONJUGATE, "deletion.indices": "15", "sampler.draws": "100", key: "1, 1"}
+    assert run(tmp_path, command, config) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
     assert not (tmp_path / "out").exists()
 
 

@@ -8,31 +8,17 @@ from hypothesis import strategies as st
 from influence_gate.core_model import (
     LogitData,
     MMData,
-    MomentIndexReport,
     RegressionData,
     deletion_set,
 )
 from influence_gate.errors import DegenerateSampleError
 from influence_gate.is_engine import (
-    BoundedAdjustment,
-    GateInputs,
-    LikelihoodPowerAdjustment,
-    MeasureAux,
-    PolynomialAdjustment,
     WeightedSample,
-    adjusted_prior_check,
-    bounding_moment_check,
-    combined_moment_bound,
     deleted_log_likelihood,
     estimate_measure,
     log_weight,
     self_normalized_estimate,
 )
-from influence_gate.prior_tails import ThetaPriorSpec
-
-
-def report_with_r_star(r_star: float) -> MomentIndexReport:
-    return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=r_star, binding="residual")
 
 
 class TestLogWeight:
@@ -119,78 +105,40 @@ class TestEstimateMeasure:
 
     def test_empty_deletion_exact_zeros(self):
         sample = self._sample(const=True)
-        gate = GateInputs(report=report_with_r_star(math.inf))
         for measure in ("kl", "chisq", "hellinger"):
-            est = estimate_measure(sample, measure, gate)
+            est = estimate_measure(sample, measure, math.inf)
             assert est.value == 0.0
             assert est.gate_passed
 
     def test_kl_shift_invariant(self):
         sample = self._sample(seed=3)
-        gate = GateInputs(report=report_with_r_star(5.0))
-        base = estimate_measure(sample, "kl", gate).value
+        base = estimate_measure(sample, "kl", 5.0).value
         shifted = WeightedSample(
             model="linear", draws=sample.draws, log_weights=sample.log_weights + 7.5
         )
-        assert estimate_measure(shifted, "kl", gate).value == pytest.approx(base, rel=1e-12)
+        assert estimate_measure(shifted, "kl", 5.0).value == pytest.approx(base, rel=1e-12)
 
     def test_kl_nonnegative_as_divergence(self):
         sample = self._sample(seed=5)
-        gate = GateInputs(report=report_with_r_star(5.0))
-        assert estimate_measure(sample, "kl", gate).value >= -1e-12
+        assert estimate_measure(sample, "kl", 5.0).value >= -1e-12
 
     def test_chisq_nonnegative(self):
         sample = self._sample(seed=4)
-        gate = GateInputs(report=report_with_r_star(5.0))
-        assert estimate_measure(sample, "chisq", gate).value >= -1e-12
+        assert estimate_measure(sample, "chisq", 5.0).value >= -1e-12
 
     def test_gate_blocked_no_se(self):
         sample = self._sample(seed=6)
-        gate = GateInputs(report=report_with_r_star(3.0))
-        est = estimate_measure(sample, "chisq", gate)  # needs 4 moments
+        est = estimate_measure(sample, "chisq", 3.0)  # needs 4 moments
         assert not est.gate_passed
         assert est.standard_error is None
-        est2 = estimate_measure(sample, "kl", gate)  # needs 2 + delta
+        est2 = estimate_measure(sample, "kl", 3.0)  # needs 2 + delta
         assert est2.gate_passed
         assert est2.standard_error is not None and est2.standard_error > 0
 
     def test_kl_gate_needs_strict_excess(self):
         sample = self._sample(seed=7)
-        est = estimate_measure(sample, "kl", GateInputs(report=report_with_r_star(2.0)))
+        est = estimate_measure(sample, "kl", 2.0)
         assert not est.gate_passed
-
-    def test_delta_measures_need_coord_and_adjustment(self):
-        sample = self._sample(seed=8)
-        gate = GateInputs(report=report_with_r_star(5.0), adjusted_ok=True)
-        est = estimate_measure(sample, "delta1", gate, MeasureAux(coord=0))
-        assert est.gate_passed
-        with pytest.raises(ValueError):
-            estimate_measure(sample, "delta1", gate)
-
-    def test_adjusted_check_gates(self):
-        sample = self._sample(seed=9)
-        rep = report_with_r_star(5.0)
-        blocked = estimate_measure(
-            sample, "delta2", GateInputs(report=rep, adjusted_ok=False), MeasureAux(coord=0)
-        )
-        assert not blocked.gate_passed
-        assert "adjusted-prior-check-failed" in blocked.flags
-        missing = estimate_measure(
-            sample, "delta2", GateInputs(report=rep), MeasureAux(coord=0)
-        )
-        assert not missing.gate_passed
-        assert "adjusted-prior-check-missing" in missing.flags
-
-    def test_l_measures_need_chat_and_q(self):
-        sample = self._sample(seed=10)
-        gate = GateInputs(report=report_with_r_star(6.0), adjusted_ok=True)
-        with pytest.raises(ValueError):
-            estimate_measure(sample, "l1", gate)
-        aux = MeasureAux(c_hat=1.0, log_q=np.zeros(sample.size))
-        est = estimate_measure(sample, "l1", gate, aux)
-        assert est.gate_passed
-        est2 = estimate_measure(sample, "l2", gate, aux)
-        assert est2.value >= 0
 
     def test_cpo_harmonic_mean_identity(self):
         rng = np.random.default_rng(11)
@@ -200,24 +148,13 @@ class TestEstimateMeasure:
         lw = log_weight("linear", draws, data, dels)
         sample = WeightedSample(model="linear", draws=draws, log_weights=lw)
         ll = deleted_log_likelihood("linear", draws, data, dels)
-        est = estimate_measure(
-            sample, "cpo", GateInputs(report=report_with_r_star(5.0)),
-            MeasureAux(deleted_log_lik=ll),
-        )
+        est = estimate_measure(sample, "cpo", 5.0, ll)
         direct = 10.0 / np.sum(1.0 / np.exp(ll))
         assert est.value == pytest.approx(direct, rel=1e-12)
 
-    def test_bdd_matches_self_normalized(self):
-        sample = self._sample(seed=12)
-        g = sample.draws[:, 0]
-        est = estimate_measure(
-            sample, "bdd", GateInputs(report=report_with_r_star(4.0)), MeasureAux(g_values=g)
-        )
-        assert est.value == pytest.approx(self_normalized_estimate(sample, g), rel=1e-12)
-
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
-            estimate_measure(self._sample(), "wasserstein", GateInputs(report=report_with_r_star(3.0)))
+            estimate_measure(self._sample(), "wasserstein", 3.0)
 
 
 class TestWeightedSample:
@@ -228,70 +165,3 @@ class TestWeightedSample:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             WeightedSample(model="mm", draws=np.zeros((3, 3)), log_weights=[0.0, 1.0])
-
-
-class TestAdjustedPriorCheck:
-    def test_normal_mixture_all_polynomials(self):
-        specs = [ThetaPriorSpec.normal([0.0], [[1.0]]), ThetaPriorSpec.normal([1.0], [[4.0]])]
-        assert adjusted_prior_check("linear", PolynomialAdjustment(4), specs)
-
-    def test_t_mixture_needs_dof_above_degree(self):
-        mix5 = [
-            ThetaPriorSpec.normal([0.0], [[1.0]]),
-            ThetaPriorSpec.student_t(5, [0.0], [[1.0]]),
-        ]
-        mix4 = [
-            ThetaPriorSpec.normal([0.0], [[1.0]]),
-            ThetaPriorSpec.student_t(4, [0.0], [[1.0]]),
-        ]
-        assert adjusted_prior_check("linear", PolynomialAdjustment(4), mix5)
-        assert not adjusted_prior_check("linear", PolynomialAdjustment(4), mix4)
-
-    def test_bounded_always_true(self):
-        assert adjusted_prior_check("logit", BoundedAdjustment(), [])
-
-    def test_likelihood_power_uses_flag(self):
-        assert adjusted_prior_check("logit", LikelihoodPowerAdjustment(bounded=True), [])
-        assert not adjusted_prior_check("linear", LikelihoodPowerAdjustment(bounded=False), [])
-
-    def test_unsupported_g_spec(self):
-        with pytest.raises(ValueError):
-            adjusted_prior_check("linear", object(), [])
-
-
-class TestBoundingMomentCheck:
-    def test_linear_thresholds(self):
-        assert not bounding_moment_check("linear", report=report_with_r_star(2.0))
-        assert bounding_moment_check("linear", report=report_with_r_star(3.0))
-
-    def test_logit_uses_criterion_sign(self, ):
-        from influence_gate.logit_gate import max_h_l1_sphere
-
-        data = LogitData(design=[[1.0], [1.0]], outcome=[1, 0])
-        dels = deletion_set([0], 2)
-        crit_neg = max_h_l1_sphere(data, dels, 2.0, 2.0)
-        crit_pos = max_h_l1_sphere(data, dels, 2.0, 0.5)
-        assert bounding_moment_check("logit", criterion=crit_neg)
-        assert not bounding_moment_check("logit", criterion=crit_pos)
-
-
-class TestCombinedBound:
-    def test_equal_case_halves(self):
-        assert combined_moment_bound(4.0, 4.0).bound == pytest.approx(2.0)
-
-    def test_infinite_prior_side(self):
-        assert combined_moment_bound(math.inf, 3.0).bound == pytest.approx(3.0)
-
-    def test_hand_value(self):
-        assert combined_moment_bound(6.0, 3.0).bound == pytest.approx(2.0)
-
-    @given(st.floats(0.1, 100.0), st.floats(0.1, 100.0))
-    def test_below_min(self, rp, rd):
-        b = combined_moment_bound(rp, rd).bound
-        assert b <= min(rp, rd) + 1e-12
-        if abs(rp - rd) < 1e-9:
-            assert b == pytest.approx(rp / 2.0, rel=1e-9)
-
-    def test_positivity_required(self):
-        with pytest.raises(ValueError):
-            combined_moment_bound(-1.0, 2.0)
