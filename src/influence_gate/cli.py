@@ -207,6 +207,18 @@ def _parse_item(key: Key, kind: str, text: str):
     return value
 
 
+def _check_out(out: Path) -> None:
+    """`out` must be a directory or a path that mkdir can make: no part of
+    it may name an existing file. Checked before data is read; the commands
+    make the directory only when they write, so a run that stops on an
+    error leaves none behind."""
+    for part in (out, *out.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"out {out} is not a directory: {part} is a file")
+            return
+
+
 def load_run_config(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -362,6 +374,18 @@ def _subset_label(indices) -> str:
 # --- commands -------------------------------------------------------------------
 
 
+def _check_cases(key: str, cases, n: int) -> None:
+    outside = [case for case in cases if not 1 <= case <= n]
+    if outside:
+        raise DataError(f"{key}: case {outside[0]} is outside 1..{n}")
+
+
+def _deletion(cfg: dict, n: int):
+    """The deletion set of `deletion.indices`, 1-based cases in 1..n."""
+    _check_cases("deletion.indices", cfg["deletion.indices"], n)
+    return deletion_set([i - 1 for i in cfg["deletion.indices"]], n)
+
+
 def _check_scan_size(size: int, n: int, smallest: int) -> None:
     if not smallest <= size <= n:
         raise ConfigError(f"deletion.scan_size must be in [{smallest}, {n}], got {size}")
@@ -377,7 +401,7 @@ def cmd_gate(cfg: dict) -> list:
         raise ConfigError("gate needs deletion.indices or deletion.scan_size")
     family, data, prior = _model_inputs(cfg)
     if indices is not None:
-        sets = [deletion_set([i - 1 for i in indices], data.n).indices]
+        sets = [_deletion(cfg, data.n).indices]
         size = len(sets[0])
     else:
         sets = size
@@ -425,9 +449,7 @@ def cmd_scan(cfg: dict) -> dict:
     top, flag_cases = cfg["scan.top"], cfg["scan.flag_cases"]
     _, data, prior = _model_inputs(cfg)
     _check_scan_size(size, data.n, 1)
-    outside = [case for case in flag_cases if not 1 <= case <= data.n]
-    if outside:
-        raise DataError(f"scan.flag_cases: case {outside[0]} is outside 1..{data.n}")
+    _check_cases("scan.flag_cases", flag_cases, data.n)
     result = linear_gate.scan_deletion_subsets(data, size, prior)
     order_a = np.argsort(result.r_a, kind="stable")
     order_c = np.argsort(result.r_c, kind="stable")
@@ -523,7 +545,7 @@ def _sampling_inputs(cfg: dict, command: str, default_draws: int):
         raise ConfigError(f"{command} needs deletion.indices")
     family, data, prior = _model_inputs(cfg)
     sampler_cfg = _sampler_config(cfg, default_draws, family.draw_width(data))
-    dels = deletion_set([i - 1 for i in cfg["deletion.indices"]], data.n)
+    dels = _deletion(cfg, data.n)
     report = family.moment_index(data, dels, prior) if dels.cardinality else _empty_report()
     return family, data, prior, dels, report, sampler_cfg
 
@@ -646,6 +668,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = Path(args.out)
+        _check_out(cfg["out"])
         dispatch = {
             "gate": cmd_gate,
             "scan": cmd_scan,

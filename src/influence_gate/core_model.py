@@ -264,9 +264,12 @@ def _read_table(path) -> tuple:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if not rows:
         raise MissingColumnError("<header>")
     header = [cell.strip() for cell in rows[0]]

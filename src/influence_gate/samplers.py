@@ -121,23 +121,31 @@ def sample_linear_conjugate(
 
 
 def random_walk_metropolis(log_density, x0, scale, steps, rng) -> tuple:
-    """Shared RW-Metropolis core; returns (chain, acceptance count)."""
+    """Shared RW-Metropolis core; returns (chain, acceptance count).
+
+    Every proposal increment and every uniform is drawn from `rng` up front,
+    so the random stream does not depend on which proposals are accepted.
+    The loop therefore only decides; chain row i is the state held after
+    step i, exactly as a loop writing one row per step would leave it. A
+    held state is written once, as one slice, when it is left and at the end.
+    """
     x = np.array(x0, dtype=float)
     d = x.shape[0]
     lp = log_density(x)
     if not np.isfinite(lp):
         raise SamplerError("initial point has zero density")
     chain = np.empty((steps, d))
-    accepted = 0
+    accepted = held = 0
     noise = rng.standard_normal((steps, d)) * scale
     logu = np.log(rng.random(steps))
-    for i in range(steps):
-        prop = x + noise[i]
+    for i, (step, log_u) in enumerate(zip(noise, logu)):
+        prop = x + step
         lp_prop = log_density(prop)
-        if lp_prop - lp > logu[i]:
-            x, lp = prop, lp_prop
+        if lp_prop - lp > log_u:
+            chain[held:i] = x
+            x, lp, held = prop, lp_prop, i
             accepted += 1
-        chain[i] = x
+    chain[held:] = x
     return chain, accepted
 
 
@@ -193,21 +201,22 @@ def sample_mm(
     half_dof, half_scale = prior.dof, prior.scale
     n = data.n
 
+    log_2pi = math.log(2.0 * math.pi)
+    kappa_power = -0.5 * (half_dof + 1.0)
+    exp, log1p = math.exp, math.log1p
+
     def log_density(p):
-        m, u, w = p
+        m, u, w = p.tolist()
         if m <= 0:
             return -math.inf
-        sigma2 = math.exp(u)
-        kappa = math.exp(w)
+        sigma2 = exp(u)
+        kappa = exp(w)
         x = c / (kappa + c)
         res = v - m * x
-        loglik = -0.5 * n * (math.log(2.0 * math.pi) + u) - float(res @ res) / (2.0 * sigma2)
+        loglik = -0.5 * n * (log_2pi + u) - float(res @ res) / (2.0 * sigma2)
         # 1/sigma2 prior plus the d(sigma2)/du Jacobian cancel; kappa keeps
         # the half-t density and its Jacobian.
-        log_kappa_prior = (
-            -0.5 * (half_dof + 1.0) * math.log1p((kappa / half_scale) ** 2 / half_dof) + w
-        )
-        return loglik + log_kappa_prior
+        return loglik + (kappa_power * log1p((kappa / half_scale) ** 2 / half_dof) + w)
 
     m0 = float(np.max(v)) * 1.1
     kappa0 = float(np.median(c))
@@ -226,33 +235,41 @@ def sample_mm(
     )
 
 
-def _log_prior_beta(spec: ThetaPriorSpec, beta: np.ndarray) -> float:
-    if spec.family == "normal":
-        mu = np.zeros_like(beta) if spec.mean is None else np.asarray(spec.mean, float)
-        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
-        d = beta - mu
-        return -0.5 * float(d @ np.linalg.solve(cov, d))
+def _log_prior_beta(spec: ThetaPriorSpec, k: int):
+    """The coefficient prior's log density on R^k, up to a constant, as a
+    function of beta; its location and scale arrays are made once here."""
+    if spec.family not in ("normal", "laplace", "student_t"):
+        raise ValueError(f"unsupported coefficient prior family {spec.family!r}")
+    mean = spec.mean if spec.family == "normal" else spec.location
+    loc = np.zeros(k) if mean is None else np.asarray(mean, float)
     if spec.family == "laplace":
-        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
-        return -float(np.sum(np.abs(beta - loc))) / spec.scale
-    if spec.family == "student_t":
-        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
-        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
-        d = beta - loc
-        quad = float(d @ np.linalg.solve(cov, d))
-        return -0.5 * (spec.dof + beta.size) * math.log1p(quad / spec.dof)
-    raise ValueError(f"unsupported coefficient prior family {spec.family!r}")
+        scale = spec.scale
+        return lambda beta: -float(np.add.reduce(np.abs(beta - loc))) / scale
+    cov = np.eye(k) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
+    solve = np.linalg.solve
+    if spec.family == "normal":
+        def log_prior(beta):
+            d = beta - loc
+            return -0.5 * float(d @ solve(cov, d))
+    else:
+        power, dof = -0.5 * (spec.dof + k), spec.dof
+
+        def log_prior(beta):
+            d = beta - loc
+            return power * math.log1p(float(d @ solve(cov, d)) / dof)
+    return log_prior
 
 
 def sample_logit(data: LogitData, config: SamplerConfig, prior: ThetaPriorSpec) -> SampleResult:
     """Random-walk Metropolis on beta under a normal, double-exponential,
     or t prior."""
     X, y = data.design, data.outcome
+    log_prior = _log_prior_beta(prior, data.k)
+    add, logaddexp = np.add.reduce, np.logaddexp
 
     def log_density(beta):
         z = X @ beta
-        loglik = float(np.sum(z * y - np.logaddexp(0.0, z)))
-        return loglik + _log_prior_beta(prior, beta)
+        return float(add(z * y - logaddexp(0.0, z))) + log_prior(beta)
 
     start = np.zeros(data.k)
     return _run_mh(log_density, start, config, data.k)

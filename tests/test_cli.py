@@ -246,6 +246,23 @@ def test_out_of_range_setting_is_config_error(tmp_path, command, config):
     assert run(tmp_path, command, config) == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("gate", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("gate", {**FZ_LINEAR, "deletion.scan_size": "1"}),
+])
+@pytest.mark.parametrize("out", ["puromycin.csv", "puromycin.csv/reports"])
+def test_out_under_a_file_is_config_error_before_data_is_read(tmp_path, capsys, monkeypatch,
+                                                              command, config, out):
+    loads = count_calls(monkeypatch, cli, "load_csv")
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items())
+                    + f"out = {DATA_DIR / out}\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: out {DATA_DIR / out} ")
+    assert loads == []
+
+
 VERIFY_SETTINGS = {**FZ_LINEAR, "deletion.indices": "15", "verify.m_grid": "100, 200",
                    "verify.replications": "2", "sampler.draws": "5000"}
 BAD_VERIFY_SETTINGS = [
@@ -278,6 +295,21 @@ def test_verify_runs_at_the_smallest_settings(tmp_path):
 def test_out_of_range_deletion_index_is_data_error(tmp_path, capsys, index):
     assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.indices": index}) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+@pytest.mark.parametrize("case", ["0", "12"])
+def test_out_of_range_deletion_index_is_reported_1_based(tmp_path, capsys, command, case):
+    config = {**PUROMYCIN_MM, "deletion.indices": f"11, {case}"}
+    assert run(tmp_path, command, config) == 3
+    assert capsys.readouterr().err == f"data error: deletion.indices: case {case} is outside 1..11\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_data_naming_a_directory_is_data_error(tmp_path, capsys):
+    # an empty path resolves to the config file's own directory
+    assert run(tmp_path, "gate", {**PUROMYCIN_MM, "data": "", "deletion.indices": "11"}) == 3
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path}")
 
 
 @pytest.mark.parametrize("case", ["0", "34"])

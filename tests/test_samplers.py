@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from influence_gate.core_model import LogitData, RegressionData
+from influence_gate import samplers
+from influence_gate.core_model import LogitData, LogitSchema, RegressionData, load_csv
 from influence_gate.errors import SamplerError
 from influence_gate.linear_gate import LinearPrior
 from influence_gate.mm_gate import KappaPriorSpec
@@ -19,7 +20,7 @@ from influence_gate.samplers import (
     sample_mm,
 )
 
-from conftest import random_regression
+from conftest import DATA_DIR, random_regression
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +245,214 @@ class TestDrawExport:
         assert header == "m,sigma2,kappa"
         body = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(body, res.draws)
+
+
+# --- bit-identity against the per-step Metropolis loop ------------------------------
+#
+# The oracles below are the straightforward forms of the sampler's hot path:
+# a loop that indexes the pre-drawn noise and uniforms and writes one chain row
+# per step, and log densities that rebuild every constant and prior array on
+# each call. The lean core and densities must reproduce them bit for bit.
+
+
+def oracle_random_walk_metropolis(log_density, x0, scale, steps, rng):
+    x = np.array(x0, dtype=float)
+    d = x.shape[0]
+    lp = log_density(x)
+    if not np.isfinite(lp):
+        raise SamplerError("initial point has zero density")
+    chain = np.empty((steps, d))
+    accepted = 0
+    noise = rng.standard_normal((steps, d)) * scale
+    logu = np.log(rng.random(steps))
+    for i in range(steps):
+        prop = x + noise[i]
+        lp_prop = log_density(prop)
+        if lp_prop - lp > logu[i]:
+            x, lp = prop, lp_prop
+            accepted += 1
+        chain[i] = x
+    return chain, accepted
+
+
+def oracle_mm_density(data, prior):
+    c, v = data.concentration, data.velocity
+    half_dof, half_scale = prior.dof, prior.scale
+    n = data.n
+
+    def log_density(p):
+        m, u, w = p
+        if m <= 0:
+            return -math.inf
+        sigma2 = math.exp(u)
+        kappa = math.exp(w)
+        x = c / (kappa + c)
+        res = v - m * x
+        loglik = -0.5 * n * (math.log(2.0 * math.pi) + u) - float(res @ res) / (2.0 * sigma2)
+        log_kappa_prior = (
+            -0.5 * (half_dof + 1.0) * math.log1p((kappa / half_scale) ** 2 / half_dof) + w
+        )
+        return loglik + log_kappa_prior
+
+    return log_density
+
+
+def oracle_log_prior_beta(spec, beta):
+    if spec.family == "normal":
+        mu = np.zeros_like(beta) if spec.mean is None else np.asarray(spec.mean, float)
+        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
+        d = beta - mu
+        return -0.5 * float(d @ np.linalg.solve(cov, d))
+    if spec.family == "laplace":
+        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
+        return -float(np.sum(np.abs(beta - loc))) / spec.scale
+    if spec.family == "student_t":
+        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
+        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
+        d = beta - loc
+        quad = float(d @ np.linalg.solve(cov, d))
+        return -0.5 * (spec.dof + beta.size) * math.log1p(quad / spec.dof)
+    raise ValueError(spec.family)
+
+
+def oracle_logit_density(data, prior):
+    X, y = data.design, data.outcome
+
+    def log_density(beta):
+        z = X @ beta
+        loglik = float(np.sum(z * y - np.logaddexp(0.0, z)))
+        return loglik + oracle_log_prior_beta(prior, beta)
+
+    return log_density
+
+
+COEFFICIENT_PRIORS = [
+    ThetaPriorSpec.laplace(np.zeros(3), 1.0),
+    ThetaPriorSpec.normal([0.1, -0.2, 0.3], np.diag([4.0, 2.0, 3.0])),
+    ThetaPriorSpec.student_t(3.0, [0.0, 0.5, 0.0], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]),
+    ThetaPriorSpec("normal"),
+    ThetaPriorSpec("laplace", scale=2.5),
+    ThetaPriorSpec("student_t", dof=4.0),
+]
+CHAIN_CONFIGS = {
+    "adaptive": dict(draws=1500),
+    "fixed-scale": dict(draws=1500, burn_in=100),
+    "burn-in-thin": dict(draws=500, burn_in=333, thin=3),
+}
+FIXED_SCALES = {"mm": (5.0, 0.3, 0.3), "logit": (0.5, 0.3, 0.4)}
+
+
+@pytest.fixture(scope="module")
+def fz_logit():
+    return load_csv(DATA_DIR / "feigl_zelen.csv",
+                    LogitSchema(outcome="surv50", covariates=("wbc", "ag")))
+
+
+def run_with_oracles(monkeypatch, oracle_density, sample, *args):
+    """`sample(*args)` with the per-step loop and the oracle density in
+    place of the sampler's own; the start point and the warm-up are shared."""
+    run_mh = samplers._run_mh
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "random_walk_metropolis", oracle_random_walk_metropolis)
+        patch.setattr(samplers, "_run_mh",
+                      lambda _density, x0, config, dim: run_mh(oracle_density, x0, config, dim))
+        return sample(*args)
+
+
+def oracle_checked_points(monkeypatch, oracle_density, sample, *args) -> int:
+    """Run `sample(*args)`, asserting at every point its chain evaluates that
+    its own log density equals the oracle's; returns the number of points."""
+    run_mh = samplers._run_mh
+    points = []
+
+    def checked(density):
+        def log_density(p):
+            value = density(p)
+            assert value == oracle_density(p), p
+            points.append(value)
+            return value
+
+        return log_density
+
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "_run_mh",
+                      lambda density, x0, config, dim: run_mh(checked(density), x0, config, dim))
+        sample(*args)
+    return len(points)
+
+
+def assert_same_chain(result, oracle):
+    assert np.array_equal(result.draws, oracle.draws)
+    assert result.acceptance_rate == oracle.acceptance_rate
+    assert np.array_equal(result.proposal_scale, oracle.proposal_scale)
+
+
+def chain_config(model, seed, name):
+    scale = FIXED_SCALES[model] if name == "fixed-scale" else None
+    return SamplerConfig(seed=seed, proposal_scale=scale, **CHAIN_CONFIGS[name])
+
+
+class TestMetropolisBitIdentity:
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_mm_chain_equals_per_step_loop(self, monkeypatch, puromycin, seed, name):
+        prior = KappaPriorSpec(scale=0.7)
+        config = chain_config("mm", seed, name)
+        oracle = run_with_oracles(monkeypatch, oracle_mm_density(puromycin, prior),
+                                  sample_mm, puromycin, config, prior)
+        assert_same_chain(sample_mm(puromycin, config, prior), oracle)
+
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_logit_chain_equals_per_step_loop(self, monkeypatch, fz_logit, seed, name):
+        prior = COEFFICIENT_PRIORS[seed % 3]
+        config = chain_config("logit", seed, name)
+        oracle = run_with_oracles(monkeypatch, oracle_logit_density(fz_logit, prior),
+                                  sample_logit, fz_logit, config, prior)
+        assert_same_chain(sample_logit(fz_logit, config, prior), oracle)
+
+    def test_mm_density_equals_oracle_at_every_point(self, monkeypatch, puromycin):
+        prior = KappaPriorSpec(scale=0.7)
+        config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
+        points = oracle_checked_points(monkeypatch, oracle_mm_density(puromycin, prior),
+                                       sample_mm, puromycin, config, prior)
+        assert points == 1 + config.burn_in + config.draws
+
+    @pytest.mark.parametrize("prior", COEFFICIENT_PRIORS,
+                             ids=[f"{p.family}-{i}" for i, p in enumerate(COEFFICIENT_PRIORS)])
+    def test_logit_density_equals_oracle_at_every_point(self, monkeypatch, fz_logit, prior):
+        config = SamplerConfig(seed=2, draws=1000)
+        assert oracle_checked_points(monkeypatch, oracle_logit_density(fz_logit, prior),
+                                     sample_logit, fz_logit, config, prior) > config.draws
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_core_equals_loop_on_a_half_space_support(self, seed):
+        def log_density(x):
+            return -0.5 * float(x @ x) if x[0] > 0 else -math.inf
+
+        args = (log_density, np.array([1.0, 0.0]), np.array([1.5, 0.7]), 3000)
+        chain, accepted = random_walk_metropolis(*args, np.random.default_rng(seed))
+        expected, expected_accepted = oracle_random_walk_metropolis(
+            *args, np.random.default_rng(seed))
+        assert np.array_equal(chain, expected)
+        assert accepted == expected_accepted
+        assert 0 < accepted < 3000 and np.all(chain[:, 0] > 0)
+
+    def test_core_equals_loop_without_an_acceptance(self):
+        def log_density(x):
+            return 0.0 if x[0] == 1.0 else -math.inf
+
+        args = (log_density, np.array([1.0, 2.0]), np.array([1.0, 1.0]), 500)
+        chain, accepted = random_walk_metropolis(*args, np.random.default_rng(6))
+        expected, _ = oracle_random_walk_metropolis(*args, np.random.default_rng(6))
+        assert accepted == 0
+        assert np.array_equal(chain, expected)
+        assert np.array_equal(chain, np.tile([1.0, 2.0], (500, 1)))
+
+    @pytest.mark.parametrize("prior", COEFFICIENT_PRIORS,
+                             ids=[f"{p.family}-{i}" for i, p in enumerate(COEFFICIENT_PRIORS)])
+    def test_prior_closure_equals_per_call_prior(self, prior):
+        log_prior = samplers._log_prior_beta(prior, 3)
+        rng = np.random.default_rng(7)
+        for beta in rng.standard_normal((200, 3)) * np.array([1.0, 5.0, 0.1]):
+            assert log_prior(beta) == oracle_log_prior_beta(prior, beta)
