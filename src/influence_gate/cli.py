@@ -224,9 +224,11 @@ def load_run_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        mapping = parse_config_text(path.read_text())
+        mapping = parse_config_text(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(mapping, path.parent.resolve())
 
 

@@ -265,11 +265,13 @@ def _read_table(path) -> tuple:
     if not path.exists():
         raise DataError(f"file not found: {path}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise MissingColumnError("<header>")
     header = [cell.strip() for cell in rows[0]]

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core_model import DeletionSet
 from .errors import DegenerateSampleError
@@ -127,6 +126,26 @@ def self_normalized_estimate(sample, g_values) -> float:
     return float(np.sum(w * g) / np.sum(w))
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-d array by the shifted form of Blanchard,
+    Higham & Higham (2021, IMA J. Numer. Anal. 41(4)): the maximal terms
+    (all m ties) are taken out of the shifted sum s and added back as
+    log1p(s/m) + log(m) + a_max. They stay in the array as zeros, so the
+    pairwise sum groups its terms as a sum over the whole array does. The
+    direct log(sum(exp(a))) is taken only where that form is not finite
+    (all entries -inf, or one +inf or NaN). tests/test_is_engine.py pins
+    the result bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.count_nonzero(top)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return out
+
+
 def _measure_value(measure, lw, deleted_log_lik):
     w, log_r_hat = _weight_parts(lw)
     flags = []
@@ -142,7 +161,7 @@ def _measure_value(measure, lw, deleted_log_lik):
         if deleted_log_lik is None:
             raise ValueError("cpo needs deleted_log_lik (exact deleted-case likelihood)")
         ll = np.asarray(deleted_log_lik, dtype=float).ravel()
-        value = float(np.exp(math.log(w.shape[0]) - logsumexp(-ll)))
+        value = float(np.exp(math.log(w.shape[0]) - _logsumexp(-ll)))
     else:
         raise ValueError(f"unknown measure {measure!r}")
     return value, flags

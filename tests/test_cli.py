@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from influence_gate.mm_gate import KappaPriorSpec
 from influence_gate.samplers import SamplerConfig, sample_linear_noninformative, sample_mm
 from influence_gate.tail_verifier import hill_tail_index
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 
 PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
 FZ_LINEAR = {
@@ -263,6 +266,15 @@ def test_out_under_a_file_is_config_error_before_data_is_read(tmp_path, capsys, 
     assert loads == []
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    # a Latin-1 e-acute in a comment: the file is not UTF-8
+    path = tmp_path / "run.cfg"
+    path.write_bytes(f"model = mm\ndata = {DATA_DIR / 'puromycin.csv'}\n# caf\xe9\n".encode("latin-1"))
+    assert main(["gate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: 'utf-8' codec")
+    assert not (tmp_path / "out").exists()
+
+
 VERIFY_SETTINGS = {**FZ_LINEAR, "deletion.indices": "15", "verify.m_grid": "100, 200",
                    "verify.replications": "2", "sampler.draws": "5000"}
 BAD_VERIFY_SETTINGS = [
@@ -310,6 +322,15 @@ def test_data_naming_a_directory_is_data_error(tmp_path, capsys):
     # an empty path resolves to the config file's own directory
     assert run(tmp_path, "gate", {**PUROMYCIN_MM, "data": "", "deletion.indices": "11"}) == 3
     assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path}")
+
+
+def test_non_utf8_data_is_data_error(tmp_path, capsys):
+    data = tmp_path / "mm.csv"
+    data.write_bytes("concentration,velocity\n0.02,67\n0.06,84\n0.11,98\n0.22,131\ncaf\xe9,1\n"
+                     .encode("latin-1"))
+    assert run(tmp_path, "gate", {**PUROMYCIN_MM, "data": data, "deletion.indices": "1"}) == 3
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {data}: 'utf-8' codec")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["0", "34"])
@@ -442,3 +463,35 @@ def test_exported_draws_are_shortest_round_trip_text(tmp_path):
         writer.writerow(["theta_0", "theta_1", "theta_2", "sigma2"])
         writer.writerows([[repr(float(x)) for x in row] for row in draws])
     assert (tmp_path / "out" / "draws.csv").read_bytes() == expected.read_bytes()
+
+
+# Imports the CLI with every SciPy import made to fail, then runs each
+# (command, config, out) triple of its arguments through `main`.
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from influence_gate.cli import main
+args = sys.argv[1:]
+for command, config, out in zip(args[::3], args[1::3], args[2::3]):
+    code = main([command, "--config", config, "--out", out])
+    if code:
+        sys.exit(f"{command} exited {code}")
+"""
+
+
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    runs = [("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "measures": "kl, cpo",
+                          "sampler.draws": "2000"}),
+            ("verify", VERIFY_SETTINGS)]
+    args = []
+    for command, config in runs:
+        path = tmp_path / f"{command}.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        args += [command, str(path), str(tmp_path / command)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "estimate" / "estimates.csv").is_file()
+    assert (tmp_path / "verify" / "verify_report.json").is_file()

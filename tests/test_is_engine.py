@@ -14,11 +14,13 @@ from influence_gate.core_model import (
 from influence_gate.errors import DegenerateSampleError
 from influence_gate.is_engine import (
     WeightedSample,
+    _logsumexp,
     deleted_log_likelihood,
     estimate_measure,
     log_weight,
     self_normalized_estimate,
 )
+from influence_gate.samplers import SamplerConfig, sample_mm
 
 
 class TestLogWeight:
@@ -155,6 +157,98 @@ class TestEstimateMeasure:
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
             estimate_measure(self._sample(), "wasserstein", 3.0)
+
+
+# log(sum(exp(a))) of a = scale * standard_normal(n) drawn with seed n, as
+# float.hex of the value SciPy 1.17.1's scipy.special.logsumexp returns. The
+# values are pinned rather than compared with a live SciPy, whose older
+# releases use another formula.
+LSE_GOLDEN = {
+    (1, 1e-3): "0x1.6a5f0cd8d01abp-12",
+    (1, 1.0): "0x1.61e0d28bbb3a1p-2",
+    (1, 30.0): "0x1.4bc2c562ff867p+3",
+    (1, 700.0): "0x1.e3d15fdb09f96p+7",
+    (2, 1e-3): "0x1.62ce53964b816p-1",
+    (2, 1.0): "0x1.2d3ac050cde9ap-1",
+    (2, 30.0): "0x1.6afb84aa95055p+2",
+    (2, 700.0): "0x1.08acbb66a1ff3p+7",
+    (17, 1e-3): "0x1.6a9e909a85e14p+1",
+    (17, 1.0): "0x1.996995968219ep+1",
+    (17, 30.0): "0x1.be4f4e3c79ae6p+5",
+    (17, 700.0): "0x1.456f28f9e7768p+10",
+    (300, 1e-3): "0x1.6d0ac1ce7ebe9p+2",
+    (300, 1.0): "0x1.87fca5d03ac2ep+2",
+    (300, 30.0): "0x1.5e266e4bb01b0p+6",
+    (300, 700.0): "0x1.fea27eb7d0b56p+10",
+    (2000, 1e-3): "0x1.e67555103cf4bp+2",
+    (2000, 1.0): "0x1.03f4c18277568p+3",
+    (2000, 30.0): "0x1.b18e3cfafa2efp+6",
+    (2000, 700.0): "0x1.3ab0927161b10p+11",
+}
+
+# The same inputs shifted to a maximum of 0, so the shifted sum s of the
+# other terms is small: here log1p(s) and log(1 + s) differ in their last
+# bits, and the form without log1p gives other values.
+LSE_SHIFTED_GOLDEN = {
+    (2, 30.0): "0x1.249086ae00667p-31",
+    (2, 700.0): "0x1.1e35a0325189fp-719",
+    (17, 30.0): "0x1.8f31a85a9cbd4p-23",
+    (17, 700.0): "0x1.33922b736986ap-522",
+    (300, 30.0): "0x1.30414271483c3p-13",
+    (300, 700.0): "0x1.a10b1880a504ep-300",
+    (2000, 30.0): "0x1.fb2b4edb8520ap-2",
+    (2000, 700.0): "0x1.c9affef7e89e0p-16",
+}
+
+
+def _lse_input(n, scale, shifted=False):
+    a = scale * np.random.default_rng(n).standard_normal(n)
+    return a - a.max() if shifted else a
+
+
+def _tied_input():
+    """2000 standard normals with the maximum copied into every 100th entry
+    (20 ties). At seed 160, summing the array without the tied entries,
+    instead of with zeros in their places, changes the last bit."""
+    a = np.random.default_rng(160).standard_normal(2000)
+    a[::100] = a.max()
+    return a
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("n, scale", LSE_GOLDEN)
+    def test_golden(self, n, scale):
+        assert _logsumexp(_lse_input(n, scale)).hex() == LSE_GOLDEN[n, scale]
+
+    @pytest.mark.parametrize("n, scale", LSE_SHIFTED_GOLDEN)
+    def test_shifted_golden(self, n, scale):
+        assert _logsumexp(_lse_input(n, scale, shifted=True)).hex() == LSE_SHIFTED_GOLDEN[n, scale]
+
+    def test_tied_maxima_golden(self):
+        assert _logsumexp(_tied_input()).hex() == "0x1.064efd16c6e7bp+3"
+
+    def test_mm_case_11_cpo_input_golden(self, puromycin):
+        draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000)).draws
+        ll = deleted_log_likelihood("mm", draws, puromycin, deletion_set([10], 11))
+        assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
+
+    @pytest.mark.parametrize("x", [-3.7, 0.0, 1e300, -1e300])
+    def test_single_element_is_itself(self, x):
+        assert _logsumexp(np.array([x])) == x
+
+    def test_all_minus_infinity(self):
+        assert _logsumexp(np.full(4, -math.inf)) == -math.inf
+
+    def test_one_plus_infinity(self):
+        assert _logsumexp(np.array([1.0, math.inf, -2.0])) == math.inf
+
+    @pytest.mark.parametrize("a", [_lse_input(n, s) for n, s in LSE_GOLDEN]
+                             + [_lse_input(n, s, shifted=True) for n, s in LSE_SHIFTED_GOLDEN]
+                             + [_tied_input()])
+    def test_matches_fsum_reference(self, a):
+        a_max = float(np.max(a))
+        ref = a_max + math.log(math.fsum(math.exp(x - a_max) for x in a))
+        assert abs(_logsumexp(a) - ref) <= 4 * np.finfo(float).eps * max(1.0, abs(ref))
 
 
 class TestWeightedSample:
