@@ -25,21 +25,12 @@ from .core_model import (
 from .linear_gate import (
     LeverageReport,
     LinearPrior,
-    bounded_support_M,
-    corollary3_dispatch,
     leverage_minor,
     moment_index_linear,
     rss_star,
     theorem31_verdict,
 )
-from .prior_tails import (
-    Sigma2PriorSpec,
-    TailClass,
-    ThetaPriorSpec,
-    classify_sigma2,
-    classify_theta,
-    transfer_finiteness,
-)
+from .prior_tails import ThetaPriorSpec
 
 __all__ = [
     "DeletionSet",
@@ -53,21 +44,14 @@ __all__ = [
     "MomentIndexReport",
     "MomentVerdict",
     "RegressionData",
-    "Sigma2PriorSpec",
-    "TailClass",
     "ThetaPriorSpec",
     "VerdictTag",
-    "bounded_support_M",
-    "classify_sigma2",
-    "classify_theta",
-    "corollary3_dispatch",
     "deletion_set",
     "leverage_minor",
     "load_csv",
     "moment_index_linear",
     "rss_star",
     "theorem31_verdict",
-    "transfer_finiteness",
 ]
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .errors import (
     SamplerError,
 )
 from .families import FAMILIES, MMPrior
-from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, KappaPriorSpec, MMScanParams
+from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, KappaPriorSpec
 from .prior_tails import ThetaPriorSpec
 from .samplers import SamplerConfig, draws_to_csv
 
@@ -241,7 +241,7 @@ def _model_inputs(cfg: dict):
     if model == "mm":
         schema = MMSchema(concentration=cfg["data.concentration"], velocity=cfg["data.velocity"])
         prior = MMPrior(kappa=KappaPriorSpec(scale=cfg["prior.kappa.scale"]),
-                        scan=MMScanParams(grid_size=cfg["scan.grid_size"]))
+                        grid_size=cfg["scan.grid_size"])
     else:
         if cfg["data.covariates"] is None:
             raise ConfigError(f"data.covariates is required by the {model} model")

@@ -22,7 +22,7 @@ from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
 from .linear_gate import moment_index_linear
 from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
 from .logit_gate import moment_index_logit
-from .mm_gate import KappaPriorSpec, MMScanParams, kappa_profile, moment_index_mm, theorem41_verdict
+from .mm_gate import KappaPriorSpec, kappa_profile, moment_index_mm, theorem41_verdict
 from .prior_tails import ThetaPriorSpec
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
 
@@ -31,11 +31,11 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class MMPrior:
-    """The kappa prior the MM sampler draws under, and the kappa grid on
-    which the moment index scans the Thm 4.1 conditions."""
+    """The kappa prior the MM sampler draws under, and the size of the
+    kappa grid on which the moment index scans the Thm 4.1 conditions."""
 
     kappa: KappaPriorSpec
-    scan: MMScanParams
+    grid_size: int
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _each_set(sets, n: int):
 def _mm_gate_rows(data, prior, sets, r_values):
     """One kappa profile per set serves its index and every r."""
     for indices in _each_set(sets, data.n):
-        profile = kappa_profile(data, deletion_set(indices, data.n), prior.scan)
+        profile = kappa_profile(data, deletion_set(indices, data.n), prior.grid_size)
         rep = profile.moment_index()
         for r in r_values:
             yield indices, r, theorem41_verdict(data, profile.dels, r, profile.scan(r)), rep
@@ -159,7 +159,7 @@ FAMILIES = {
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, prior, config: sample_mm(data, config, prior.kappa),
-        moment_index=lambda data, dels, prior: moment_index_mm(data, dels, prior.scan),
+        moment_index=lambda data, dels, prior: moment_index_mm(data, dels, prior.grid_size),
         gate_rows=_mm_gate_rows,
     ),
     "logit": Family(

@@ -24,7 +24,7 @@ from .core_model import (
     deletion_set,
 )
 from .errors import SingularLeverageError
-from .prior_tails import TailClass, ThetaPriorSpec
+from .prior_tails import ThetaPriorSpec
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -89,8 +89,6 @@ class LeverageReport:
     eigenvalues: np.ndarray
     deleted_residuals: np.ndarray
     rss: float
-    theta_tilde: np.ndarray | None = None
-    theta_tilde_r: float | None = None
 
     @property
     def lambda_max(self) -> float:
@@ -318,8 +316,6 @@ def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrio
     r_values = [float(r) for r in r_values]
     if not all(r > 1 for r in r_values):
         raise ValueError("moment order r must exceed 1")
-    if r_values and not prior.is_noninformative:
-        _require_part_i_prior(prior)
     hat = _hat(data)
     blocks = _subset_blocks(data.n, sets) if isinstance(sets, int) else [np.asarray(sets, dtype=int)]
     results, verdicts = zip(*(_index_batch(hat, idx, data.n, data.k, prior, r_values)
@@ -354,68 +350,29 @@ def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
 # --- single deletion sets: N = 1 calls into the kernel ---------------------------------
 
 
-def leverage_minor(data: RegressionData, dels: DeletionSet, r: float | None = None) -> LeverageReport:
-    """Leverage minor H_del, its ascending spectrum, deleted residuals, RSS.
-
-    When `r` is supplied and (X'X - r X_del X_del') is nonsingular, the
-    stationary point theta_tilde of the r-tilted quadratic form is included.
-    """
+def leverage_minor(data: RegressionData, dels: DeletionSet) -> LeverageReport:
+    """Leverage minor H_del, its ascending spectrum, deleted residuals, RSS."""
     idx = _one_set(data, dels)
     Q, e, rss = _hat(data)
     minors, lam, _ = _spectra(Q, e, idx)
-    theta_tilde = None
-    theta_r = None
-    if r is not None:
-        X, y = data.design, data.response
-        Xi = X[idx[0], :]
-        G = X.T @ X - r * (Xi.T @ Xi)
-        if np.abs(np.linalg.det(G)) > 1e-12 * max(1.0, np.abs(np.linalg.det(X.T @ X))):
-            b = X.T @ y - r * (Xi.T @ y[idx[0]])
-            theta_tilde = np.linalg.solve(G, b)
-            theta_r = float(r)
-    return LeverageReport(
-        minor=minors[0],
-        eigenvalues=lam[0],
-        deleted_residuals=e[idx[0]],
-        rss=rss,
-        theta_tilde=theta_tilde,
-        theta_tilde_r=theta_r,
-    )
-
-
-def _set_spectrum(data: RegressionData, dels: DeletionSet):
-    """(lam, u2, rss) of one nonempty deletion set."""
-    Q, e, rss = _hat(data)
-    _, lam, u2 = _spectra(Q, e, _one_set(data, dels))
-    return lam[0], u2[0], rss
-
-
-def _rss_star_from_spectrum(rss, lam, u2, r):
-    """rss - r * sum(u_i^2 / (1 - r lam_i)); refuses r with some lam_i
-    inside the boundary band around 1/r."""
-    bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
-    if np.any(bad):
-        raise SingularLeverageError(float(lam[np.argmax(bad)]), float(r))
-    return float(rss - r * np.sum(u2 / (1.0 - r * lam)))
+    return LeverageReport(minor=minors[0], eigenvalues=lam[0], deleted_residuals=e[idx[0]], rss=rss)
 
 
 def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
     """Adjusted residual sum of squares at moment order r.
 
     At r = 1 this equals the RSS of the least-squares refit on the
-    case-deleted data; at r = 0 it is the full-data RSS.
+    case-deleted data; at r = 0 it is the full-data RSS. Refuses r with a
+    leverage eigenvalue inside the boundary band around 1/r.
     """
-    lam, u2, rss = _set_spectrum(data, dels)
-    return _rss_star_from_spectrum(rss, lam, u2, float(r))
-
-
-def _require_part_i_prior(prior: LinearPrior) -> None:
-    spec = prior.theta_prior
-    if spec is not None and not (spec.proper and spec.full_support):
-        raise ValueError(
-            "the conjugate-variance result needs a proper coefficient prior with "
-            "full support; use the bounded-support bound for box priors"
-        )
+    r = float(r)
+    Q, e, rss = _hat(data)
+    _, lam, u2 = _spectra(Q, e, _one_set(data, dels))
+    lam, u2 = lam[0], u2[0]
+    bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
+    if np.any(bad):
+        raise SingularLeverageError(float(lam[np.argmax(bad)]), r)
+    return float(rss - r * np.sum(u2 / (1.0 - r * lam)))
 
 
 def theorem31_verdict(
@@ -438,170 +395,6 @@ def moment_index_linear(
 ) -> MomentIndexReport:
     """Moment cut-offs r_a (leverage), r_b (sample size), r_c (residual)."""
     return moment_indices(data, _one_set(data, dels), prior).report(0)
-
-
-def corollary3_dispatch(
-    data: RegressionData,
-    dels: DeletionSet,
-    r: float,
-    theta_tail: TailClass,
-    sigma2_tail: TailClass,
-    moment_side_condition: bool,
-) -> MomentVerdict:
-    """Verdict under nonconjugate priors classified only by tail behavior.
-
-    `moment_side_condition` asserts integrability of the variance prior
-    against the (n - r I)/2 power; finite conclusions require it, infinite
-    conclusions (driven by divergence at variance -> 0) do not.
-    """
-    if not r > 1:
-        raise ValueError("moment order r must exceed 1")
-    lam, u2, rss = _set_spectrum(data, dels)
-    lam_max = float(lam[-1])
-    if abs(lam_max - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL:
-        return MomentVerdict.boundary("leverage eigenvalue equals 1/r")
-    small_leverage = lam_max < 1.0 / r
-
-    def finite_if_asserted(detail: str) -> MomentVerdict:
-        if moment_side_condition:
-            return MomentVerdict.finite(detail)
-        return MomentVerdict.indeterminate(
-            "variance-prior integrability side condition not asserted"
-        )
-
-    if sigma2_tail.is_thick:
-        if not small_leverage:
-            return MomentVerdict.infinite("leverage above 1/r")
-        rs = _rss_star_from_spectrum(rss, lam, u2, r)
-        tol = 1e-9 * max(1.0, abs(rss))
-        if abs(rs) < tol:
-            return MomentVerdict.boundary("rss_star at zero")
-        if rs < 0:
-            return MomentVerdict.infinite("rss_star below zero")
-        return finite_if_asserted("thick variance tail with positive rss_star")
-    if sigma2_tail.is_thin:
-        if small_leverage:
-            return finite_if_asserted("thin variance tail with small leverage")
-        if theta_tail.is_thick:
-            return MomentVerdict.infinite("thick coefficient tail with leverage above 1/r")
-        return MomentVerdict.indeterminate(
-            "both priors thin-tailed with leverage above 1/r; finiteness depends "
-            "on the exact decay rates and can go either way"
-        )
-    if sigma2_tail.kind == "in_family":
-        return MomentVerdict.indeterminate(
-            "variance prior is in the inverse-gamma family; use the exact conjugate verdict"
-        )
-    if theta_tail.kind == "bounded_support":
-        return MomentVerdict.indeterminate(
-            "bounded-support coefficient prior; use the box-support bound"
-        )
-    return MomentVerdict.indeterminate(
-        f"no dispatch rule for variance tail {sigma2_tail.kind!r}"
-    )
-
-
-# --- bounded-support coefficient priors --------------------------------------
-
-
-def _tilted_quadratic(data: RegressionData, dels: DeletionSet, r: float):
-    X, y = data.design, data.response
-    idx = dels.index_array()
-    Xi = X[idx, :]
-    G = X.T @ X - r * (Xi.T @ Xi)
-    b = X.T @ y - r * (Xi.T @ y[idx])
-    return G, b
-
-
-def bounded_support_M(
-    data: RegressionData, dels: DeletionSet, r: float, support_box: np.ndarray,
-    grid_points: int = 33,
-) -> float:
-    """Minimum of theta' G(r) theta - 2 b(r)' theta over a box, k <= 3.
-
-    G(r) = X'X - r X_del X_del' need not be definite, so the minimum is
-    located by a dense grid sweep followed by box-projected coordinate
-    descent from every grid point; the box vertices and the unconstrained
-    stationary point (when admissible) are always included.
-    """
-    box = np.asarray(support_box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ValueError("support_box must have shape (k, 2)")
-    k = data.k
-    if box.shape[0] != k:
-        raise ValueError(f"support_box rows {box.shape[0]} != k={k}")
-    if k > 3:
-        raise ValueError("bounded-support minimization supports k <= 3 only")
-    lo, hi = box[:, 0], box[:, 1]
-    if np.any(hi < lo):
-        raise ValueError("box upper bounds must be >= lower bounds")
-    G, b = _tilted_quadratic(data, dels, float(r))
-
-    def q_value(theta):
-        return np.einsum("...i,ij,...j->...", theta, G, theta) - 2.0 * theta @ b
-
-    axes = [np.linspace(lo[j], hi[j], grid_points) for j in range(k)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-    # Box-projected coordinate descent, vectorized over all starts. For a
-    # coordinate with nonpositive curvature the 1-d restriction is concave,
-    # so its minimum sits at a box end.
-    pts = mesh.copy()
-    for _ in range(80):
-        before = q_value(pts)
-        for j in range(k):
-            rest = pts @ G[j] - pts[:, j] * G[j, j]
-            if G[j, j] > 0:
-                cand = (b[j] - rest) / G[j, j]
-                pts[:, j] = np.clip(cand, lo[j], hi[j])
-            else:
-                pts_lo = pts.copy()
-                pts_lo[:, j] = lo[j]
-                pts_hi = pts.copy()
-                pts_hi[:, j] = hi[j]
-                pts[:, j] = np.where(q_value(pts_lo) <= q_value(pts_hi), lo[j], hi[j])
-        if np.max(before - q_value(pts)) < 1e-13 * max(1.0, np.max(np.abs(before))):
-            break
-
-    candidates = [mesh, pts]
-    corners = np.stack(
-        [np.array([box[j, s >> j & 1] for j in range(k)]) for s in range(2 ** k)]
-    )
-    candidates.append(corners)
-    try:
-        lam_G = np.linalg.eigvalsh((G + G.T) / 2.0)
-        if lam_G[0] > 0:
-            stat = np.linalg.solve(G, b)
-            if np.all(stat >= lo - 1e-12) and np.all(stat <= hi + 1e-12):
-                candidates.append(np.clip(stat, lo, hi)[None, :])
-    except np.linalg.LinAlgError:
-        pass
-    values = np.concatenate([q_value(c) for c in candidates])
-    return float(np.min(values))
-
-
-def bounded_support_verdict(
-    data: RegressionData,
-    dels: DeletionSet,
-    r: float,
-    support_box: np.ndarray,
-    prior: LinearPrior,
-) -> MomentVerdict:
-    """Verdict for a box-supported coefficient prior with conjugate variance."""
-    if prior.is_noninformative:
-        raise ValueError("bounded-support verdict needs the conjugate variance prior")
-    n, I = data.n, dels.cardinality
-    if not n / 2.0 + prior.alpha > r * I / 2.0:
-        return MomentVerdict.infinite("sample size: n/2 + alpha <= r*I/2")
-    M = bounded_support_M(data, dels, r, support_box)
-    rs = rss_star(data, dels, r) if dels.cardinality else 0.0
-    thr = -(2.0 / prior.beta + M)
-    tol = 1e-9 * max(1.0, abs(rs), abs(thr))
-    if abs(rs - thr) < tol:
-        return MomentVerdict.boundary("rss_star at the box-adjusted threshold")
-    if rs > thr:
-        return MomentVerdict.finite("rss_star above the box-adjusted threshold")
-    return MomentVerdict.infinite("rss_star below the box-adjusted threshold")
 
 
 # --- subset scans and k-fold audits --------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict, deletion_set
 from .errors import BudgetError
-from .prior_tails import TailClass, ThetaPriorSpec
 
 # Candidate budget for exact vertex enumeration.
 CANDIDATE_BUDGET = 10_000_000
@@ -99,7 +98,7 @@ def _candidate_directions(data: LogitData):
     if count > CANDIDATE_BUDGET:
         raise BudgetError(
             f"vertex enumeration needs {count} candidates (> {CANDIDATE_BUDGET}); "
-            "pass multistart=N to use the approximate random-direction fallback"
+            "use fewer covariates or cases"
         )
     subsets = np.array(list(combinations(range(m), k - 1)), dtype=int)
     dirs = []
@@ -171,9 +170,11 @@ def max_h_l1_sphere(
     approximate = False
     try:
         betas, scales, count = _candidate_directions(data)
-    except BudgetError:
+    except BudgetError as exc:
         if multistart is None:
-            raise
+            raise BudgetError(
+                f"{exc}, or pass multistart=N to use the approximate random-direction fallback"
+            ) from None
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((int(multistart), data.k))
         betas = raw / np.abs(raw).sum(axis=1, keepdims=True)
@@ -204,50 +205,6 @@ def theorem51_verdict(
     return theorem51_verdicts(data, [dels.indices], [r], epsilon)[0][0]
 
 
-def classify_logit_prior(spec: ThetaPriorSpec) -> TailClass:
-    """Tail class relative to the isotropic double-exponential family.
-
-    Normal and bounded-support priors are thinner than every member; any
-    polynomial tail is thicker; an independent double-exponential prior with
-    common scale s is in-family with rate 1/s.
-    """
-    if spec.family == "normal":
-        return TailClass.thin()
-    if spec.family == "quartic_exponential":
-        return TailClass.thin()
-    if spec.family == "bounded_uniform":
-        return TailClass.thin()
-    if spec.family == "student_t":
-        return TailClass.thick()
-    if spec.family == "laplace":
-        return TailClass.in_family(epsilon=1.0 / spec.scale)
-    if spec.declared_tail is not None:
-        return spec.declared_tail
-    return TailClass.unknown()
-
-
-def corollary5_dispatch(
-    data: LogitData, dels: DeletionSet, r: float, tail: TailClass
-) -> MomentVerdict:
-    """Verdict by tail class relative to the double-exponential family.
-
-    Thick tails reduce to the criterion with epsilon = 0 (an improper flat
-    prior also takes this route, with finiteness conditional on posterior
-    propriety); thin tails give every moment finite; in-family priors use
-    their own exponential rate.
-    """
-    if tail.is_thin or tail.kind == "bounded_support":
-        return MomentVerdict.finite("prior thinner than every double exponential")
-    if tail.is_thick:
-        return theorem51_verdict(data, dels, r, 0.0)
-    if tail.kind == "in_family":
-        eps = tail.params.get("epsilon")
-        if eps is None:
-            raise ValueError("in-family tail class must carry its epsilon")
-        return theorem51_verdict(data, dels, r, float(eps))
-    return MomentVerdict.indeterminate(f"no dispatch rule for tail class {tail.kind!r}")
-
-
 def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> MomentIndexReport:
     """r* = min over vertices of the root of h0 + (r-1)*slope; the first
     vertex attaining it binds. Every per-case contribution is <= 0, so with
@@ -274,16 +231,15 @@ def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
     zero crossing is exact: r* = min over vertices of the per-vertex root.
     Indices above the cap report as +infinity. The leverage and sample-size
     fields do not apply to this model and are +infinity. The vertex table
-    depends only on the data and is built once for all sets and r; the
-    exact-enumeration limits are checked only when verdicts are asked for.
+    depends only on the data and is built once for all sets and r, within
+    the exact-enumeration limits on k, n and the candidate count.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     dsets = [deletion_set(indices, data.n) for indices in sets]
     table = None
     if any(dels.cardinality for dels in dsets):
-        if r_values:
-            _require_exact(data, epsilon)
+        _require_exact(data, epsilon)
         table = VertexTable(data, _candidate_directions(data)[0])
     reports, verdicts = [], []
     for dels in dsets:
@@ -311,13 +267,3 @@ def moment_index_logit(
     """Moment index of one deletion set; see `moment_indices`."""
     return moment_indices(data, [dels.indices], epsilon)[0]
 
-
-def propriety_certificate(data: LogitData, epsilon: float) -> bool:
-    """True when some single deletion certifies a finite first weight moment.
-
-    The deletion weight always exceeds one, so a finite first moment for any
-    case-deleted weight bounds the posterior normalizer: the posterior is
-    proper. A False return is no conclusion.
-    """
-    verdicts = theorem51_verdicts(data, [(i,) for i in range(data.n)], [1.0 + 1e-6], epsilon)
-    return any(per_r[0].is_finite for per_r in verdicts)

@@ -49,11 +49,10 @@ _CUTOFF_NAMES = ("leverage", "sample-size", "residual")
 @dataclass(frozen=True)
 class KappaPriorSpec:
     """Proper prior on kappa; the default is a half-t with 3 degrees of
-    freedom, which has a finite mean (declared, not verified numerically)."""
+    freedom, which has a finite mean."""
 
     dof: float = 3.0
     scale: float = 1.0
-    integrable_mean: bool = True
 
     def __post_init__(self):
         if not (self.dof > 0 and self.scale > 0):
@@ -196,13 +195,6 @@ def _refined_extremum(grid, values, f, find_min, limit_candidates) -> Extremum:
 
 
 @dataclass(frozen=True)
-class MMScanParams:
-    kmin: float | None = None
-    kmax: float | None = None
-    grid_size: int = DEFAULT_GRID_SIZE
-
-
-@dataclass(frozen=True)
 class KappaProfile:
     """The r-free part of the kappa scan of one deletion set: the kappa-sums
     on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
@@ -250,7 +242,7 @@ class KappaProfile:
             terminal_regime=bool(tail_ok and self.head_ok),
         )
 
-    def moment_index(self, r_tol: float = R_TOL) -> MomentIndexReport:
+    def moment_index(self) -> MomentIndexReport:
         """Moment index by bisection on r, each probe scanning this profile.
 
         Bisection is valid because moment finiteness of the nonnegative
@@ -276,14 +268,14 @@ class KappaProfile:
             r_c = math.inf
         else:
             a, b = lo, hi_probe
-            while b - a > r_tol:
+            while b - a > R_TOL:
                 mid = 0.5 * (a + b)
                 if finite_at(mid):
                     a = mid
                 else:
                     b = mid
             r_c = 0.5 * (a + b)
-            if r_c >= hi_probe - 2 * r_tol:
+            if r_c >= hi_probe - 2 * R_TOL:
                 # The residual condition failed only at the leverage/sample cap.
                 r_c = math.inf
         cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
@@ -292,22 +284,18 @@ class KappaProfile:
 
 
 def kappa_profile(data: MMData, dels: DeletionSet,
-                  params: MMScanParams | None = None) -> KappaProfile:
-    """The r-free part of the kappa scan: a log-spaced grid and the
-    kappa-sums on it and at the endpoint limits, with golden-section
-    refinement around each grid extremum of leverage and g and the limits
-    folded into the reported extrema, so they cover the full half-line."""
-    params = params or MMScanParams()
+                  grid_size: int = DEFAULT_GRID_SIZE) -> KappaProfile:
+    """The r-free part of the kappa scan: `grid_size` log-spaced kappa from
+    1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
+    endpoint limits, with golden-section refinement around each grid
+    extremum of leverage and g and the limits folded into the reported
+    extrema, so they cover the full half-line."""
     if dels.cardinality < 1:
         raise ValueError("deletion set must be nonempty")
-    if params.grid_size < MIN_GRID_SIZE:
+    if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     c, v, mask = data.concentration, data.velocity, dels.mask()
-    kmin = 1e-4 * float(c.min()) if params.kmin is None else params.kmin
-    kmax = 1e4 * float(c.max()) if params.kmax is None else params.kmax
-    if not 0 < kmin < kmax:
-        raise ValueError("need 0 < kmin < kmax")
-    grid = np.geomspace(kmin, kmax, params.grid_size)
+    grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), grid_size)
     sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], mask)
     zero, inf = ([float(s) for s in _kappa_sums(x, v, mask)] for x in (np.ones_like(c), c))
 
@@ -328,16 +316,10 @@ def kappa_profile(data: MMData, dels: DeletionSet,
     )
 
 
-def scan_kappa(
-    data: MMData,
-    dels: DeletionSet,
-    r: float,
-    kmin: float | None = None,
-    kmax: float | None = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> KappaScan:
+def scan_kappa(data: MMData, dels: DeletionSet, r: float,
+               grid_size: int = DEFAULT_GRID_SIZE) -> KappaScan:
     """Scan the kappa axis for extrema of leverage, g, and rss_star at r."""
-    return kappa_profile(data, dels, MMScanParams(kmin, kmax, grid_size)).scan(r)
+    return kappa_profile(data, dels, grid_size).scan(r)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -423,11 +405,7 @@ def theorem41_verdict(
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
-def moment_index_mm(
-    data: MMData,
-    dels: DeletionSet,
-    scan_params: MMScanParams | None = None,
-    r_tol: float = R_TOL,
-) -> MomentIndexReport:
+def moment_index_mm(data: MMData, dels: DeletionSet,
+                    grid_size: int = DEFAULT_GRID_SIZE) -> MomentIndexReport:
     """Moment index by bisection on r over one kappa profile of the set."""
-    return kappa_profile(data, dels, scan_params).moment_index(r_tol)
+    return kappa_profile(data, dels, grid_size).moment_index()

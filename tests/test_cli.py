@@ -348,6 +348,40 @@ def test_enumeration_over_budget_is_budget_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("budget error: ")
 
 
+def random_logit(tmp_path, n: int, covariates: int) -> dict:
+    """Config of a logit model on n random cases with an intercept and
+    `covariates` random covariate columns, set for short sampler runs."""
+    rng = np.random.default_rng(n + covariates)
+    names = [f"x{j}" for j in range(covariates)]
+    path = tmp_path / "logit.csv"
+    outcome, design = rng.integers(0, 2, n).tolist(), rng.standard_normal((n, covariates)).tolist()
+    write_table(path, ["y", *names], ([y, *x] for y, x in zip(outcome, design)))
+    return {"model": "logit", "data": path, "data.covariates": ", ".join(names),
+            "deletion.indices": "1", "sampler.draws": "5000",
+            "verify.m_grid": "100, 200", "verify.replications": "2"}
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+def test_vertex_budget_error_names_what_a_user_can_change(tmp_path, capsys, command):
+    # n = 150 and k = 6 are within the limits, but the arrangement has
+    # 2 * C(156, 5) candidate vertices
+    assert run(tmp_path, command, random_logit(tmp_path, 150, 5)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget error: vertex enumeration needs 1443313872 candidates")
+    assert "fewer covariates or cases" in err and "multistart" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate", "verify"])
+@pytest.mark.parametrize("n, covariates", [(201, 1), (8, 6)], ids=["n=201", "k=7"])
+def test_logit_size_limits_apply_to_every_command(tmp_path, capsys, command, n, covariates):
+    assert run(tmp_path, command, random_logit(tmp_path, n, covariates)) == 4
+    err = capsys.readouterr().err
+    assert err == (f"budget error: exact maximization supports k <= 6 and n <= 200; "
+                   f"got k={covariates + 1}, n={n}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["gate", "estimate"])
 def test_flat_prior_with_n_not_above_k_is_data_error(tmp_path, capsys, command):
     path = tmp_path / "three_rows.csv"

@@ -10,9 +10,6 @@ from influence_gate.core_model import LinearSchema, RegressionData, deletion_set
 from influence_gate.errors import SingularLeverageError
 from influence_gate.linear_gate import (
     LinearPrior,
-    bounded_support_M,
-    bounded_support_verdict,
-    corollary3_dispatch,
     fold_moment_indices,
     leverage_minor,
     moment_index_linear,
@@ -20,7 +17,7 @@ from influence_gate.linear_gate import (
     scan_deletion_subsets,
     theorem31_verdict,
 )
-from influence_gate.prior_tails import TailClass, ThetaPriorSpec
+from influence_gate.prior_tails import ThetaPriorSpec
 
 from conftest import DATA_DIR, random_regression
 
@@ -100,20 +97,6 @@ class TestLeverageMinor:
     def test_empty_deletion_rejected(self, derived_linear):
         with pytest.raises(ValueError):
             leverage_minor(derived_linear, deletion_set([], 4))
-
-    def test_theta_tilde_matches_solve(self):
-        rng = np.random.default_rng(3)
-        data = random_regression(rng, 12, 3)
-        dels = deletion_set([2, 7], 12)
-        r = 1.7
-        rep = leverage_minor(data, dels, r=r)
-        X, y = data.design, data.response
-        idx = dels.index_array()
-        Xi = X[idx]
-        G = X.T @ X - r * Xi.T @ Xi
-        b = X.T @ y - r * Xi.T @ y[idx]
-        assert rep.theta_tilde == pytest.approx(np.linalg.solve(G, b), abs=1e-8)
-        assert rep.theta_tilde_r == r
 
     def test_qr_path_matches_direct(self):
         rng = np.random.default_rng(7)
@@ -279,13 +262,6 @@ class TestTheorem31Verdict:
                 if seen_infinite and not v.is_infinite:
                     pytest.fail(f"verdict flipped back to {v.tag} at r={r}")
                 seen_infinite = seen_infinite or v.is_infinite
-
-    def test_requires_full_support_theta_prior(self, derived_linear, delete_last_of_4):
-        box_prior = LinearPrior.conjugate(
-            1.0, 1.0, ThetaPriorSpec.bounded_uniform([[-1.0, 1.0]])
-        )
-        with pytest.raises(ValueError):
-            theorem31_verdict(derived_linear, delete_last_of_4, 2.0, box_prior)
 
 
 class TestMomentIndexLinear:
@@ -485,126 +461,6 @@ class TestCutoffRoot:
         monkeypatch.setattr(linear_gate, "_ROOT_MAX_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="did not settle"):
             linear_gate._cutoffs(lam, u2, rss, 40, 3, NONINF)
-
-
-class TestCorollaryDispatch:
-    def test_thin_sigma_small_leverage_finite(self, derived_linear):
-        v = corollary3_dispatch(
-            derived_linear, deletion_set([3], 4), 2.0,
-            TailClass.thin(), TailClass.thin(), True,
-        )
-        # leverage 0.25 < 1/2
-        assert v.is_finite
-
-    def test_thick_sigma_negative_rss_infinite(self, derived_linear, delete_last_of_4):
-        v = corollary3_dispatch(
-            derived_linear, delete_last_of_4, 2.0,
-            TailClass.in_family(), TailClass.thick(), True,
-        )
-        assert v.is_infinite
-
-    def test_thin_thin_large_leverage_indeterminate(self):
-        # engineered two-case data with h_11 = 3/4 = 1/2 + 1/sum(x^2)
-        data = RegressionData(
-            design=np.array([[math.sqrt(3.0)], [1.0]]), response=[1.0, 2.0]
-        )
-        dels = deletion_set([0], 2)
-        assert leverage_minor(data, dels).lambda_max == pytest.approx(0.75, abs=1e-12)
-        v = corollary3_dispatch(data, dels, 2.0, TailClass.thin(), TailClass.thin(), True)
-        assert v.tag.value == "indeterminate"
-        assert "thin" in v.detail
-
-    def test_thin_sigma_thick_theta_large_leverage_infinite(self):
-        data = RegressionData(
-            design=np.array([[math.sqrt(3.0)], [1.0]]), response=[1.0, 2.0]
-        )
-        v = corollary3_dispatch(
-            data, deletion_set([0], 2), 2.0, TailClass.thick(), TailClass.thin(), True
-        )
-        assert v.is_infinite
-
-    def test_side_condition_gates_finite_only(self, derived_linear, delete_last_of_4):
-        finite_path = corollary3_dispatch(
-            derived_linear, delete_last_of_4, 1.2,
-            TailClass.in_family(), TailClass.thick(), False,
-        )
-        assert finite_path.tag.value == "indeterminate"
-        infinite_path = corollary3_dispatch(
-            derived_linear, delete_last_of_4, 2.0,
-            TailClass.in_family(), TailClass.thick(), False,
-        )
-        assert infinite_path.is_infinite
-
-
-class TestBoundedSupport:
-    def _data(self, seed=0, n=8, k=2):
-        rng = np.random.default_rng(seed)
-        return random_regression(rng, n, k)
-
-    def test_interior_minimum_matches_closed_form(self):
-        data = self._data(seed=5)
-        dels = deletion_set([1], data.n)
-        r = 1.5
-        X, y = data.design, data.response
-        idx = [1]
-        Xi = X[idx]
-        G = X.T @ X - r * Xi.T @ Xi
-        b = X.T @ y - r * Xi.T @ y[idx]
-        assert np.linalg.eigvalsh(G)[0] > 0
-        stat = np.linalg.solve(G, b)
-        target = float(stat @ G @ stat - 2 * b @ stat)
-        box = np.column_stack([stat - 5.0, stat + 5.0])
-        M = bounded_support_M(data, dels, r, box)
-        assert M == pytest.approx(target, rel=1e-9, abs=1e-9)
-
-    def test_degenerate_box_evaluates_point(self):
-        data = self._data(seed=6)
-        dels = deletion_set([0], data.n)
-        r = 2.0
-        theta0 = np.array([0.3, -0.7])
-        box = np.column_stack([theta0, theta0])
-        X, y = data.design, data.response
-        Xi = X[[0]]
-        G = X.T @ X - r * Xi.T @ Xi
-        b = X.T @ y - r * Xi.T @ y[[0]]
-        target = float(theta0 @ G @ theta0 - 2 * b @ theta0)
-        assert bounded_support_M(data, dels, r, box) == pytest.approx(target, rel=1e-12)
-
-    def test_indefinite_form_vertex_oracle(self):
-        # push r past the leverage cut-off so the form is indefinite, with a
-        # box far in the tail: minimum must match 2^k vertex enumeration
-        rng = np.random.default_rng(9)
-        X = np.vstack([rng.standard_normal((5, 2)), [8.0, 0.2]])
-        y = X @ [1.0, -1.0] + rng.standard_normal(6)
-        data = RegressionData(design=X, response=y)
-        dels = deletion_set([5], 6)
-        lam = leverage_minor(data, dels).lambda_max
-        r = 1.5 / lam
-        Xi = X[[5]]
-        G = X.T @ X - r * Xi.T @ Xi
-        assert np.linalg.eigvalsh(G)[0] < 0
-        b = X.T @ y - r * Xi.T @ y[[5]]
-        box = np.array([[30.0, 40.0], [25.0, 35.0]])
-        corners = [
-            np.array([bx, by]) for bx in box[0] for by in box[1]
-        ]
-        oracle = min(float(c @ G @ c - 2 * b @ c) for c in corners)
-        M = bounded_support_M(data, dels, r, box)
-        assert M == pytest.approx(oracle, rel=1e-9)
-
-    def test_k_above_3_rejected(self):
-        data = self._data(seed=10, n=12, k=4)
-        with pytest.raises(ValueError):
-            bounded_support_M(data, deletion_set([0], 12), 2.0, np.zeros((4, 2)))
-
-    def test_verdict_uses_box_threshold(self):
-        data = self._data(seed=12)
-        dels = deletion_set([2], data.n)
-        prior = conj(2.0, 1.0)
-        v = bounded_support_verdict(
-            data, dels, 1.5, np.array([[-0.5, 0.5], [-0.5, 0.5]]), prior
-        )
-        assert v.tag.value in ("finite", "infinite", "boundary")
 
 
 def reference_cutoffs(data, dels, prior):

@@ -9,17 +9,13 @@ from influence_gate.errors import BudgetError
 from influence_gate.logit_gate import (
     VertexTable,
     _candidate_directions,
-    classify_logit_prior,
-    corollary5_dispatch,
     h_eval,
     max_h_l1_sphere,
     moment_index_logit,
     moment_indices,
-    propriety_certificate,
     theorem51_verdict,
     theorem51_verdicts,
 )
-from influence_gate.prior_tails import TailClass, ThetaPriorSpec
 
 
 @pytest.fixture(scope="module")
@@ -192,34 +188,6 @@ class TestTheorem51Verdict:
         assert np.all(lw >= -1e-12)
 
 
-class TestCorollary5:
-    def test_normal_prior_finite_even_full_deletion(self):
-        rng = np.random.default_rng(20)
-        data = LogitData(design=rng.standard_normal((6, 2)), outcome=rng.integers(0, 2, 6))
-        tail = classify_logit_prior(ThetaPriorSpec.normal([0.0, 0.0], np.eye(2)))
-        assert tail.is_thin
-        for dels in (deletion_set([0], 6), deletion_set(range(6), 6)):
-            for r in (2.0, 16.0):
-                assert corollary5_dispatch(data, dels, r, tail).is_finite
-
-    def test_t_prior_dispatches_to_zero_epsilon(self, two_point, delete_first):
-        tail = classify_logit_prior(ThetaPriorSpec.student_t(4, [0.0], [[1.0]]))
-        assert tail.is_thick
-        v = corollary5_dispatch(two_point, delete_first, 2.0, tail)
-        assert v == theorem51_verdict(two_point, delete_first, 2.0, 0.0)
-
-    def test_laplace_prior_in_family_uses_scale(self, two_point, delete_first):
-        tail = classify_logit_prior(ThetaPriorSpec.laplace([0.0], 2.0))
-        assert tail.kind == "in_family"
-        assert tail.params["epsilon"] == pytest.approx(0.5)
-        v = corollary5_dispatch(two_point, delete_first, 2.0, tail)
-        assert v == theorem51_verdict(two_point, delete_first, 2.0, 0.5)
-
-    def test_improper_uniform_via_thick(self, two_point, delete_first):
-        v = corollary5_dispatch(two_point, delete_first, 2.0, TailClass.thick())
-        assert v == theorem51_verdict(two_point, delete_first, 2.0, 0.0)
-
-
 class TestMomentIndexLogit:
     def test_two_point_exact_root(self, two_point, delete_first):
         rep = moment_index_logit(two_point, delete_first, 0.5)
@@ -309,32 +277,3 @@ class TestBatches:
         with pytest.raises(BudgetError):
             theorem51_verdicts(data, [(0,)], [2.0], 0.1)
         assert theorem51_verdicts(data, [()], [2.0], 0.1)[0][0].is_finite
-
-
-class TestProprietyCertificate:
-    def test_non_separable_flat_prior_true(self):
-        data = LogitData(design=[[1.0], [1.0], [1.0]], outcome=[1, 0, 1])
-        assert propriety_certificate(data, 0.0)
-
-    def test_separable_flat_prior_no_conclusion(self):
-        data = LogitData(design=[[-1.0], [1.0]], outcome=[0, 1])
-        assert not propriety_certificate(data, 0.0)
-
-    def test_quadrature_backs_both(self):
-        # non-separable 1-d: posterior normalizer finite by quadrature
-        def norm_const(ys, T=60.0):
-            def f(b):
-                out = 0.0
-                for y in ys:
-                    out += y * b - math.log1p(math.exp(b)) if b < 30 else y * b - b
-                return math.exp(out)
-            val, _ = quad(f, -T, T, limit=300)
-            return val
-
-        assert norm_const([1, 0, 1], T=40) == pytest.approx(norm_const([1, 0, 1], T=80), rel=1e-6)
-        # separable 1-d: normalizer grows without bound
-        assert norm_const([1, 1], T=80) > norm_const([1, 1], T=40) + 30.0
-
-    def test_positive_epsilon_bounded_data_true(self):
-        data = LogitData(design=[[-1.0], [1.0]], outcome=[0, 1])
-        assert propriety_certificate(data, 0.5)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from influence_gate.core_model import MMData, deletion_set
 from influence_gate.mm_gate import (
     KappaPriorSpec,
-    MMScanParams,
     _local_extrema_indices,
     _runs,
     kappa_profile,
@@ -301,7 +300,6 @@ class TestKappaPriorSpec:
     def test_defaults(self):
         spec = KappaPriorSpec()
         assert spec.dof == 3.0
-        assert spec.integrable_mean
 
     def test_positivity(self):
         with pytest.raises(ValueError):
