@@ -10,11 +10,8 @@ diagnostics.
 
 from .core_model import (
     DeletionSet,
-    LinearSchema,
     LogitData,
-    LogitSchema,
     MMData,
-    MMSchema,
     MomentIndexReport,
     MomentVerdict,
     RegressionData,
@@ -30,21 +27,16 @@ from .linear_gate import (
     rss_star,
     theorem31_verdict,
 )
-from .prior_tails import ThetaPriorSpec
 
 __all__ = [
     "DeletionSet",
     "LeverageReport",
     "LinearPrior",
-    "LinearSchema",
     "LogitData",
-    "LogitSchema",
     "MMData",
-    "MMSchema",
     "MomentIndexReport",
     "MomentVerdict",
     "RegressionData",
-    "ThetaPriorSpec",
     "VerdictTag",
     "deletion_set",
     "leverage_minor",

@@ -22,16 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import (
-    LinearSchema,
-    LogitSchema,
-    MMSchema,
-    MomentIndexReport,
-    MomentVerdict,
-    deletion_set,
-    load_csv,
-    write_table,
-)
+from .core_model import MomentIndexReport, MomentVerdict, deletion_set, load_csv, write_table
 from .errors import (
     BudgetError,
     ConfigError,
@@ -40,10 +31,9 @@ from .errors import (
     InfluenceGateError,
     SamplerError,
 )
-from .families import FAMILIES, MMPrior
-from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, KappaPriorSpec
-from .prior_tails import ThetaPriorSpec
-from .samplers import SamplerConfig, draws_to_csv
+from .families import FAMILIES
+from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
+from .samplers import SamplerConfig
 
 SCHEMA_VERSION = 2
 SUBSET_ENUMERATION_BUDGET = 10_000_000
@@ -232,46 +222,11 @@ def load_run_config(path) -> dict:
     return parse_config(mapping, path.parent.resolve())
 
 
-_CONJUGATE_KEYS = ("prior.alpha", "prior.beta", "prior.theta.mean", "prior.theta.cov_diag")
-
-
 def _model_inputs(cfg: dict):
     """(family, data, prior) of the configured model."""
-    model = cfg["model"]
-    if model == "mm":
-        schema = MMSchema(concentration=cfg["data.concentration"], velocity=cfg["data.velocity"])
-        prior = MMPrior(kappa=KappaPriorSpec(scale=cfg["prior.kappa.scale"]),
-                        grid_size=cfg["scan.grid_size"])
-    else:
-        if cfg["data.covariates"] is None:
-            raise ConfigError(f"data.covariates is required by the {model} model")
-        design = {"covariates": cfg["data.covariates"], "intercept": cfg["data.intercept"]}
-        if model == "linear":
-            schema = LinearSchema(response=cfg["data.response"], **design)
-            missing = [name for name in _CONJUGATE_KEYS if cfg[name] is None]
-            if cfg["prior.kind"] == "conjugate" and missing:
-                raise ConfigError(f"{missing[0]} is required by prior.kind = conjugate")
-        else:
-            schema = LogitSchema(outcome=cfg["data.outcome"], **design)
-            prior = cfg["prior.epsilon"]
-    data = load_csv(cfg["data"], schema)
-    if model == "linear":
-        prior = _linear_prior(cfg, data)
-    return FAMILIES[model], data, prior
-
-
-def _linear_prior(cfg: dict, data) -> linear_gate.LinearPrior:
-    if cfg["prior.kind"] == "noninformative":
-        if data.n <= data.k:
-            raise DataError(f"the flat prior gives an improper posterior unless n > k; "
-                            f"got n={data.n}, k={data.k}")
-        return linear_gate.LinearPrior.noninformative()
-    for name in ("prior.theta.mean", "prior.theta.cov_diag"):
-        if len(cfg[name]) != data.k:
-            raise ConfigError(f"{name} must list {data.k} values, one per design column, "
-                              f"got {len(cfg[name])}")
-    theta = ThetaPriorSpec.normal(cfg["prior.theta.mean"], np.diag(cfg["prior.theta.cov_diag"]))
-    return linear_gate.LinearPrior.conjugate(cfg["prior.alpha"], cfg["prior.beta"], theta)
+    family = FAMILIES[cfg["model"]]
+    data, prior = family.inputs(cfg, load_csv(cfg["data"], family.csv_columns(cfg)))
+    return family, data, prior
 
 
 def _sampler_config(cfg: dict, default_draws: int, width: int) -> SamplerConfig:
@@ -546,7 +501,7 @@ def _sampling_inputs(cfg: dict, command: str, default_draws: int):
     if cfg["deletion.indices"] is None:
         raise ConfigError(f"{command} needs deletion.indices")
     family, data, prior = _model_inputs(cfg)
-    sampler_cfg = _sampler_config(cfg, default_draws, family.draw_width(data))
+    sampler_cfg = _sampler_config(cfg, default_draws, len(family.columns(data)))
     dels = _deletion(cfg, data.n)
     report = family.moment_index(data, dels, prior) if dels.cardinality else _empty_report()
     return family, data, prior, dels, report, sampler_cfg
@@ -562,8 +517,8 @@ def cmd_estimate(cfg: dict) -> list:
     """
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
-    loglik = is_engine.deleted_log_likelihood(family.name, result.draws, data, dels)
-    sample = is_engine.WeightedSample(model=family.name, draws=result.draws,
+    loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
+    sample = is_engine.WeightedSample(draws=result.draws,
                                       log_weights=family.log_weight(loglik, dels.cardinality))
     rows = []
     for measure in cfg["measures"]:
@@ -593,7 +548,7 @@ def cmd_estimate(cfg: dict) -> list:
     write_json_report(out / "estimates.json", "estimate", rows,
                       extra={"advisory": advisory, "acceptance_rate": result.acceptance_rate})
     if cfg["sampler.export_draws"]:
-        draws_to_csv(out / "draws.csv", family.name, result.draws)
+        write_table(out / "draws.csv", family.columns(data), result.draws.tolist())
     return rows
 
 
@@ -611,7 +566,7 @@ def cmd_verify(cfg: dict) -> dict:
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     tail = tail_verifier.verify_moment_index(
-        family.name, data, prior, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
+        family, data, prior, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
     )
 
     def estimator(m, rng):
@@ -620,7 +575,7 @@ def cmd_verify(cfg: dict) -> dict:
             burn_in=sampler_cfg.burn_in, thin=1, proposal_scale=sampler_cfg.proposal_scale,
         )
         res = family.sample(data, prior, sub)
-        lw = is_engine.log_weight(family.name, res.draws, data, dels)
+        lw = is_engine.log_weight(family, res.draws, data, dels)
         return is_engine.self_normalized_estimate(np.atleast_1d(lw), res.draws[:, 0])
 
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
@@ -661,13 +616,13 @@ def main(argv=None) -> int:
     for name in ("gate", "scan", "kfold", "estimate", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
     args = parser.parse_args(argv)
     try:
         cfg = load_run_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _parse_value(KEYS["seed"], args.seed, Path("."))
         if args.out is not None:
             cfg["out"] = Path(args.out)
         _check_out(cfg["out"])

@@ -240,26 +240,6 @@ class MomentIndexReport:
 # --- CSV ingestion -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSchema:
-    response: str
-    covariates: tuple
-    intercept: bool = True
-
-
-@dataclass(frozen=True)
-class MMSchema:
-    concentration: str = "concentration"
-    velocity: str = "velocity"
-
-
-@dataclass(frozen=True)
-class LogitSchema:
-    outcome: str
-    covariates: tuple
-    intercept: bool = True
-
-
 def _read_table(path) -> tuple:
     path = Path(path)
     if not path.exists():
@@ -290,45 +270,19 @@ def _column(header, rows, name) -> np.ndarray:
             out[i] = float(cell)
         except ValueError:
             raise NonNumericCellError(i + 1, name, cell) from None
+        if not math.isfinite(out[i]):
+            raise DataError(f"non-finite value {cell!r} at data row {i + 1}, column {name!r}")
     return out
 
 
-def load_csv(path, schema):
-    """Load a typed data set; construction invariants are enforced.
-
-    `schema` selects the model family: LinearSchema -> RegressionData,
-    MMSchema -> MMData, LogitSchema -> LogitData. Covariate order in the
-    schema fixes column order in the design matrix (intercept first when
-    requested).
-    """
+def load_csv(path, names) -> dict:
+    """The named columns of a CSV file as float arrays, keyed by name. They
+    are read in the order given, so a missing column or a bad cell is
+    reported for the first column that has one."""
     header, rows = _read_table(path)
     if not rows:
         raise DataError(f"no data rows in {path}")
-    if isinstance(schema, MMSchema):
-        conc = _column(header, rows, schema.concentration)
-        vel = _column(header, rows, schema.velocity)
-        return MMData(concentration=conc, velocity=vel)
-    if isinstance(schema, LinearSchema):
-        cols = [_column(header, rows, name) for name in schema.covariates]
-        design = _assemble_design(cols, schema.intercept, len(rows))
-        response = _column(header, rows, schema.response)
-        return RegressionData(design=design, response=response)
-    if isinstance(schema, LogitSchema):
-        cols = [_column(header, rows, name) for name in schema.covariates]
-        design = _assemble_design(cols, schema.intercept, len(rows))
-        outcome = _column(header, rows, schema.outcome)
-        return LogitData(design=design, outcome=outcome)
-    raise TypeError(f"unsupported schema type: {type(schema).__name__}")
-
-
-def _assemble_design(cols, intercept: bool, n: int) -> np.ndarray:
-    pieces = []
-    if intercept:
-        pieces.append(np.ones(n))
-    pieces.extend(cols)
-    if not pieces:
-        raise DataError("schema selects no covariates")
-    return np.column_stack(pieces)
+    return {name: _column(header, rows, name) for name in names}
 
 
 def write_table(path, header, rows) -> None:

@@ -1,13 +1,21 @@
-"""One record per model family: what differs between the linear,
-Michaelis-Menten (MM) and logit models once data and prior are loaded.
+"""One record per model family: everything that differs between the linear,
+Michaelis-Menten (MM) and logit models, from the config to the report.
+
+The model is chosen once, when the CLI looks up `FAMILIES[cfg["model"]]`;
+from then on the record carries it, and no other module decodes the model
+name. A record turns a parsed config into the model's inputs in two steps.
+`csv_columns(cfg)` checks the config keys the model needs and names the CSV
+columns it reads, so every config error comes before the data file is read.
+`inputs(cfg, columns)` then builds the data and the prior from the loaded
+columns, a name -> array mapping. The prior is a `LinearPrior` (linear), an
+`MMPrior` (MM) or the Laplace rate epsilon (logit).
 
 The case-deleted weight is the inverse of the deleted cases' likelihood:
 log w = -loglik - I * log_weight_constant for I deleted cases. The constant
 is dropped because every estimate is invariant to a constant shift of the
-log weights. A family's prior is a `LinearPrior` (linear), an `MMPrior` (MM)
-or the Laplace rate epsilon (logit). The records reach the samplers and gate
-kernels through this module's global names, so that a wrapper installed at
-those names sees every call.
+log weights. The records reach the samplers and gate kernels through this
+module's global names, so that a wrapper installed at those names sees
+every call.
 """
 
 import math
@@ -18,16 +26,14 @@ from typing import Callable
 import numpy as np
 
 from .core_model import LogitData, MMData, RegressionData, deletion_set
+from .errors import ConfigError, DataError
+from .linear_gate import LinearPrior
 from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
 from .linear_gate import moment_index_linear
 from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
 from .logit_gate import moment_index_logit
 from .mm_gate import KappaPriorSpec, kappa_profile, moment_index_mm, theorem41_verdict
-from .prior_tails import ThetaPriorSpec
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class MMPrior:
@@ -42,7 +48,10 @@ class MMPrior:
 class Family:
     """The per-model pieces:
 
-    - columns(draw width) -> draw column names; draw_width(data) -> int;
+    - csv_columns(cfg) -> the CSV columns to read, in reading order; raises
+      ConfigError first if a key the model needs is unset;
+    - inputs(cfg, {column: array}) -> (data, prior);
+    - columns(data) -> the names of a draw's parameters, one per draw column;
     - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
     - sample(data, prior, SamplerConfig) -> SampleResult;
     - moment_index(data, nonempty DeletionSet, prior) -> MomentIndexReport;
@@ -51,10 +60,9 @@ class Family:
       the int I for every subset of size I in lexicographic order.
     """
 
-    name: str
-    data_type: type
+    csv_columns: Callable
+    inputs: Callable
     columns: Callable
-    draw_width: Callable
     log_likelihood: Callable
     log_weight_constant: float
     sample: Callable
@@ -66,11 +74,68 @@ class Family:
         return -log_likelihood - cardinality * self.log_weight_constant
 
 
-def family(model: str) -> Family:
-    try:
-        return FAMILIES[model]
-    except KeyError:
-        raise ValueError(f"unknown model tag {model!r}") from None
+# --- config to inputs ------------------------------------------------------------
+
+_CONJUGATE_KEYS = ("prior.alpha", "prior.beta", "prior.theta.mean", "prior.theta.cov_diag")
+
+
+def _covariates(cfg: dict, model: str) -> tuple:
+    if cfg["data.covariates"] is None:
+        raise ConfigError(f"data.covariates is required by the {model} model")
+    return cfg["data.covariates"]
+
+
+def _design(cfg: dict, columns: dict, n: int) -> np.ndarray:
+    """Intercept column first when `data.intercept` is set, then the
+    covariates in config order."""
+    pieces = [np.ones(n)] if cfg["data.intercept"] else []
+    pieces += [columns[name] for name in cfg["data.covariates"]]
+    if not pieces:
+        raise DataError("no design columns: data.covariates is empty and data.intercept is false")
+    return np.column_stack(pieces)
+
+
+def _linear_csv_columns(cfg: dict) -> tuple:
+    covariates = _covariates(cfg, "linear")
+    missing = [name for name in _CONJUGATE_KEYS if cfg[name] is None]
+    if cfg["prior.kind"] == "conjugate" and missing:
+        raise ConfigError(f"{missing[0]} is required by prior.kind = conjugate")
+    return (*covariates, cfg["data.response"])
+
+
+def _linear_inputs(cfg: dict, columns: dict):
+    response = columns[cfg["data.response"]]
+    data = RegressionData(design=_design(cfg, columns, response.size), response=response)
+    if cfg["prior.kind"] == "noninformative":
+        if data.n <= data.k:
+            raise DataError(f"the flat prior gives an improper posterior unless n > k; "
+                            f"got n={data.n}, k={data.k}")
+        return data, LinearPrior.noninformative()
+    for name in ("prior.theta.mean", "prior.theta.cov_diag"):
+        if len(cfg[name]) != data.k:
+            raise ConfigError(f"{name} must list {data.k} values, one per design column, "
+                              f"got {len(cfg[name])}")
+    prior = LinearPrior.conjugate(cfg["prior.alpha"], cfg["prior.beta"],
+                                  cfg["prior.theta.mean"], np.diag(cfg["prior.theta.cov_diag"]))
+    return data, prior
+
+
+def _mm_inputs(cfg: dict, columns: dict):
+    data = MMData(concentration=columns[cfg["data.concentration"]],
+                  velocity=columns[cfg["data.velocity"]])
+    prior = MMPrior(kappa=KappaPriorSpec(scale=cfg["prior.kappa.scale"]),
+                    grid_size=cfg["scan.grid_size"])
+    return data, prior
+
+
+def _logit_inputs(cfg: dict, columns: dict):
+    outcome = columns[cfg["data.outcome"]]
+    return LogitData(design=_design(cfg, columns, outcome.size), outcome=outcome), cfg["prior.epsilon"]
+
+
+# --- likelihoods, samplers and gates ------------------------------------------------
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _gaussian_log_likelihood(y, mean, sigma2):
@@ -106,10 +171,6 @@ def _sample_linear(data, prior, config):
     return sample_linear_conjugate(data, config, prior)
 
 
-def _sample_logit(data, epsilon, config):
-    return sample_logit(data, config, ThetaPriorSpec.laplace(np.zeros(data.k), 1.0 / epsilon))
-
-
 def _linear_gate_rows(data, prior, sets, r_values):
     """One spectral pass gives the cut-offs and the verdicts of every set and r."""
     result, verdicts = linear_indices_and_verdicts(data, sets, r_values, prior)
@@ -143,9 +204,9 @@ def _logit_gate_rows(data, epsilon, sets, r_values):
 
 FAMILIES = {
     "linear": Family(
-        "linear", RegressionData,
-        columns=lambda d: [f"theta_{j}" for j in range(d - 1)] + ["sigma2"],
-        draw_width=lambda data: data.k + 1,
+        csv_columns=_linear_csv_columns,
+        inputs=_linear_inputs,
+        columns=lambda data: [f"theta_{j}" for j in range(data.k)] + ["sigma2"],
         log_likelihood=_linear_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=_sample_linear,
@@ -153,9 +214,9 @@ FAMILIES = {
         gate_rows=_linear_gate_rows,
     ),
     "mm": Family(
-        "mm", MMData,
-        columns=lambda d: ["m", "sigma2", "kappa"],
-        draw_width=lambda data: 3,
+        csv_columns=lambda cfg: (cfg["data.concentration"], cfg["data.velocity"]),
+        inputs=_mm_inputs,
+        columns=lambda data: ["m", "sigma2", "kappa"],
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, prior, config: sample_mm(data, config, prior.kappa),
@@ -163,12 +224,12 @@ FAMILIES = {
         gate_rows=_mm_gate_rows,
     ),
     "logit": Family(
-        "logit", LogitData,
-        columns=lambda d: [f"beta_{j}" for j in range(d)],
-        draw_width=lambda data: data.k,
+        csv_columns=lambda cfg: (*_covariates(cfg, "logit"), cfg["data.outcome"]),
+        inputs=_logit_inputs,
+        columns=lambda data: [f"beta_{j}" for j in range(data.k)],
         log_likelihood=_logit_log_likelihood,
         log_weight_constant=0.0,
-        sample=_sample_logit,
+        sample=lambda data, epsilon, config: sample_logit(data, config, epsilon),
         moment_index=lambda data, dels, epsilon: moment_index_logit(data, dels, epsilon),
         gate_rows=_logit_gate_rows,
     ),

@@ -13,7 +13,6 @@ import numpy as np
 
 from .core_model import DeletionSet
 from .errors import DegenerateSampleError
-from .families import FAMILIES, family
 
 MEASURES = ("kl", "hellinger", "chisq", "cpo")
 
@@ -27,10 +26,8 @@ SE_BATCHES = 32
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Posterior draws with unnormalized log deletion weights; the draw
-    columns are the ones `families.FAMILIES[model].columns` names."""
+    """Posterior draws with unnormalized log deletion weights."""
 
-    model: str
     draws: np.ndarray
     log_weights: np.ndarray
 
@@ -41,8 +38,6 @@ class WeightedSample:
             raise ValueError("draws and log_weights must have equal length")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log weights must be finite")
-        if self.model not in FAMILIES:
-            raise ValueError(f"unknown model tag {self.model!r}")
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "log_weights", lw)
 
@@ -69,29 +64,26 @@ class InfluenceEstimate:
 # --- log weights --------------------------------------------------------------
 
 
-def log_weight(model: str, draw: np.ndarray, data, dels: DeletionSet):
+def log_weight(family, draw: np.ndarray, data, dels: DeletionSet):
     """Log of the unnormalized deletion weight at one draw or a batch: the
     negated deleted-case log-likelihood, less the family's constant per
-    deleted case.
+    deleted case. `family` is the model's `families.Family` record.
 
     Accepts a single parameter point (1-d) or a batch (2-d, one draw per
     row); returns a scalar or a vector accordingly.
     """
     arr = np.asarray(draw, dtype=float)
-    loglik = deleted_log_likelihood(model, arr, data, dels)
-    out = family(model).log_weight(loglik, dels.cardinality)
+    loglik = deleted_log_likelihood(family, arr, data, dels)
+    out = family.log_weight(loglik, dels.cardinality)
     return float(out[0]) if arr.ndim == 1 else out
 
 
-def deleted_log_likelihood(model: str, draws: np.ndarray, data, dels: DeletionSet):
+def deleted_log_likelihood(family, draws: np.ndarray, data, dels: DeletionSet):
     """Exact log likelihood of the deleted cases at each draw."""
-    fam = family(model)
-    if not isinstance(data, fam.data_type):
-        raise TypeError(f"{model} model needs {fam.data_type.__name__}")
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if dels.cardinality == 0:
         return np.zeros(draws.shape[0])
-    return fam.log_likelihood(draws, data, dels.index_array())
+    return family.log_likelihood(draws, data, dels.index_array())
 
 
 # --- estimation ---------------------------------------------------------------

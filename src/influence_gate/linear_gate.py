@@ -24,7 +24,6 @@ from .core_model import (
     deletion_set,
 )
 from .errors import SingularLeverageError
-from .prior_tails import ThetaPriorSpec
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -47,13 +46,15 @@ _ROOT_MAX_SWEEPS = 64
 
 @dataclass(frozen=True)
 class LinearPrior:
-    """Either the conjugate inverse-gamma variance prior (with a proper,
-    full-support coefficient prior) or the flat 1/sigma2 reference prior."""
+    """Either the conjugate prior (inverse-gamma sigma2 with shape alpha and
+    inverse rate beta, normal theta with mean theta_mean and positive
+    definite covariance theta_cov) or the flat 1/sigma2 reference prior."""
 
     kind: str
     alpha: float | None = None
     beta: float | None = None
-    theta_prior: ThetaPriorSpec | None = None
+    theta_mean: np.ndarray | None = None
+    theta_cov: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("conjugate", "noninformative"):
@@ -61,16 +62,21 @@ class LinearPrior:
         if self.kind == "conjugate":
             if not (self.alpha and self.alpha > 0 and self.beta and self.beta > 0):
                 raise ValueError("conjugate prior needs alpha > 0 and beta > 0")
-            if self.theta_prior is None:
-                raise ValueError("conjugate prior needs a theta prior spec")
+            if self.theta_mean is None or self.theta_cov is None:
+                raise ValueError("conjugate prior needs a theta mean and covariance")
+            cov = np.atleast_2d(self.theta_cov)
+            if np.any(np.linalg.eigvalsh((cov + cov.T) / 2.0) <= 0):
+                raise ValueError("covariance must be positive definite")
 
     @staticmethod
     def noninformative() -> "LinearPrior":
         return LinearPrior("noninformative")
 
     @staticmethod
-    def conjugate(alpha: float, beta: float, theta_prior: ThetaPriorSpec) -> "LinearPrior":
-        return LinearPrior("conjugate", alpha=float(alpha), beta=float(beta), theta_prior=theta_prior)
+    def conjugate(alpha: float, beta: float, theta_mean, theta_cov) -> "LinearPrior":
+        return LinearPrior("conjugate", alpha=float(alpha), beta=float(beta),
+                           theta_mean=np.asarray(theta_mean, float),
+                           theta_cov=np.asarray(theta_cov, float))
 
     @property
     def is_noninformative(self) -> bool:

@@ -45,6 +45,22 @@ def delete_last_of_4():
     return deletion_set([3], 4)
 
 
+def model_inputs(config: dict):
+    """(family, data, prior) built as the CLI builds them from a config
+    mapping of keys to values (config text or paths)."""
+    from influence_gate import cli
+
+    return cli._model_inputs(cli.parse_config({k: str(v) for k, v in config.items()}, REPO_ROOT))
+
+
+def feigl_zelen(model: str):
+    """The Feigl-Zelen data with design columns intercept, wbc and ag, as the
+    linear (response time_weeks) or the logit model (outcome surv50) reads it."""
+    config = {"model": model, "data": DATA_DIR / "feigl_zelen.csv", "data.covariates": "wbc, ag",
+              "data.response": "time_weeks", "data.outcome": "surv50"}
+    return model_inputs(config)[1]
+
+
 def random_regression(rng: np.random.Generator, n: int, k: int) -> RegressionData:
     """Full-rank random dataset; redraws on the (rare) rank-deficient draw."""
     while True:

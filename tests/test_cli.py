@@ -13,14 +13,8 @@ import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main
-from influence_gate.core_model import (
-    LinearSchema,
-    LogitSchema,
-    MMSchema,
-    deletion_set,
-    load_csv,
-    write_table,
-)
+from influence_gate.core_model import deletion_set, write_table
+from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import (
     LinearPrior,
@@ -30,10 +24,15 @@ from influence_gate.linear_gate import (
 )
 from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
 from influence_gate.mm_gate import KappaPriorSpec
-from influence_gate.samplers import SamplerConfig, sample_linear_noninformative, sample_mm
+from influence_gate.samplers import (
+    SamplerConfig,
+    sample_linear_noninformative,
+    sample_logit,
+    sample_mm,
+)
 from influence_gate.tail_verifier import hill_tail_index
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, feigl_zelen, model_inputs
 
 PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
 FZ_LINEAR = {
@@ -51,10 +50,10 @@ FZ_CONJUGATE = {
 }
 
 
-def run(tmp_path, command, config: dict) -> int:
+def run(tmp_path, command, config: dict, *flags) -> int:
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
-    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
 
 
 def read_csv(tmp_path, name) -> list:
@@ -92,7 +91,7 @@ def test_linear_gate_rows_match_single_set_functions(tmp_path):
     config = {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}
     assert run(tmp_path, "gate", config) == 0
     rows = read_csv(tmp_path, "gate_report.csv")
-    data = load_csv(config["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    data = feigl_zelen("linear")
     prior = LinearPrior.noninformative()
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
@@ -110,7 +109,7 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
     config = {**FZ_LOGIT, "deletion.scan_size": "2", "r": "2, 4"}
     assert run(tmp_path, "gate", config) == 0
     rows = read_csv(tmp_path, "gate_report.csv")
-    data = load_csv(config["data"], LogitSchema(outcome="surv50", covariates=("wbc", "ag")))
+    data = feigl_zelen("logit")
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
@@ -294,6 +293,20 @@ def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("kfold", {**FZ_LINEAR, "deletion.kfold.partitions": "2"}),
+    ("estimate", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("verify", VERIFY_SETTINGS),
+], ids=["kfold", "estimate", "verify"])
+def test_seed_flag_below_zero_is_config_error_before_data_is_read(tmp_path, capsys, monkeypatch,
+                                                                   command, config):
+    loads = count_calls(monkeypatch, cli, "load_csv")
+    assert run(tmp_path, command, config, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
+    assert loads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_runs_at_the_smallest_settings(tmp_path):
     assert run(tmp_path, "verify", VERIFY_SETTINGS) == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
@@ -330,6 +343,37 @@ def test_non_utf8_data_is_data_error(tmp_path, capsys):
                      .encode("latin-1"))
     assert run(tmp_path, "gate", {**PUROMYCIN_MM, "data": data, "deletion.indices": "1"}) == 3
     assert capsys.readouterr().err.startswith(f"data error: cannot read {data}: 'utf-8' codec")
+    assert not (tmp_path / "out").exists()
+
+
+def with_cell(tmp_path, name: str, row: int, column: str, value: str):
+    """A copy of the bundled data file `name` with the cell of data row
+    `row` (1-based) in `column` set to `value`."""
+    lines = (DATA_DIR / name).read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+NON_FINITE_CELLS = [
+    (PUROMYCIN_MM, "velocity", "nan"),
+    (PUROMYCIN_MM, "concentration", "inf"),
+    (FZ_LINEAR, "wbc", "nan"),
+    (FZ_LINEAR, "time_weeks", "inf"),
+    (FZ_LOGIT, "wbc", "-inf"),
+]
+
+
+@pytest.mark.parametrize("config, column, value", NON_FINITE_CELLS,
+                         ids=[f"{c['model']}-{col}={v}" for c, col, v in NON_FINITE_CELLS])
+def test_non_finite_data_cell_is_data_error(tmp_path, capsys, config, column, value):
+    data = with_cell(tmp_path, config["data"].name, 4, column, value)
+    assert run(tmp_path, "gate", {**config, "data": data, "deletion.indices": "1"}) == 3
+    assert capsys.readouterr().err == (f"data error: non-finite value {value!r} "
+                                       f"at data row 4, column {column!r}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -445,10 +489,10 @@ def test_verify_samples_from_configured_kappa_prior(tmp_path):
               "sampler.draws": "20000", "verify.m_grid": "1000, 2000", "verify.replications": "3"}
     assert run(tmp_path, "verify", config) == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
-    data = load_csv(config["data"], MMSchema(concentration="concentration", velocity="velocity"))
+    _, data, _ = model_inputs(PUROMYCIN_MM)
     draws = sample_mm(data, SamplerConfig(seed=3, draws=20000, burn_in=1000),
                       KappaPriorSpec(scale=5.0)).draws
-    lw = log_weight("mm", draws, data, deletion_set([10], data.n))
+    lw = log_weight(FAMILIES["mm"], draws, data, deletion_set([10], data.n))
     weights = np.sort(np.exp(lw - lw.max()))[::-1]
     assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights, 0.01), rel=1e-12)
 
@@ -464,7 +508,7 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
     assert summary["schema_version"] == 2
     rows = read_csv(tmp_path, "scan_report.csv")
     assert len(rows) == summary["subset_count"] == math.comb(33, 3)
-    data = load_csv(config["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    data = feigl_zelen("linear")
     result = scan_deletion_subsets(data, 3, LinearPrior.noninformative())
     for i in (0, len(rows) - 1):
         assert rows[i]["subset"] == "+".join(str(j + 1) for j in result.subsets[i])
@@ -473,7 +517,7 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
 
 
 def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch):
-    data = load_csv(FZ_LINEAR["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    data = feigl_zelen("linear")
     result = scan_deletion_subsets(data, 3, LinearPrior.noninformative())
     columns = (result.r_a, result.r_b, result.r_c, result.r_star)
     whole = tmp_path / "whole.csv"
@@ -485,18 +529,44 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
     assert (tmp_path / "out" / "scan_report.csv").read_bytes() == whole.read_bytes()
 
 
+def expected_draws_csv(path, header, draws):
+    """The draws as shortest round-trip decimal text under `header`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([[repr(float(x)) for x in row] for row in draws])
+    return path.read_bytes()
+
+
 def test_exported_draws_are_shortest_round_trip_text(tmp_path):
     config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "300",
               "sampler.export_draws": "true", "seed": "3"}
     assert run(tmp_path, "estimate", config) == 0
-    data = load_csv(FZ_LINEAR["data"], LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+    data = feigl_zelen("linear")
     draws = sample_linear_noninformative(data, SamplerConfig(seed=3, draws=300, burn_in=1000)).draws
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_0", "theta_1", "theta_2", "sigma2"])
-        writer.writerows([[repr(float(x)) for x in row] for row in draws])
-    assert (tmp_path / "out" / "draws.csv").read_bytes() == expected.read_bytes()
+    expected = expected_draws_csv(tmp_path / "expected.csv",
+                                  ["theta_0", "theta_1", "theta_2", "sigma2"], draws)
+    assert (tmp_path / "out" / "draws.csv").read_bytes() == expected
+
+
+EXPORTS = {
+    "mm": ({**PUROMYCIN_MM, "deletion.indices": "11"}, ["m", "sigma2", "kappa"],
+           lambda data, config: sample_mm(data, config, KappaPriorSpec(scale=1.0))),
+    "logit": ({**FZ_LOGIT, "deletion.indices": "15", "prior.epsilon": "0.7"},
+              ["beta_0", "beta_1", "beta_2"], lambda data, config: sample_logit(data, config, 0.7)),
+}
+
+
+@pytest.mark.parametrize("model", EXPORTS)
+def test_exported_draws_name_each_parameter(tmp_path, model):
+    config, header, sample = EXPORTS[model]
+    config = {**config, "sampler.draws": "300", "sampler.export_draws": "true"}
+    assert run(tmp_path, "estimate", config, "--seed", "3") == 0
+    _, data, _ = model_inputs(config)
+    draws = sample(data, SamplerConfig(seed=3, draws=300, burn_in=1000)).draws
+    out = (tmp_path / "out" / "draws.csv").read_bytes()
+    assert out.split(b"\r\n", 1)[0].decode() == ",".join(header)
+    assert out == expected_draws_csv(tmp_path / "expected.csv", header, draws)
 
 
 # Imports the CLI with every SciPy import made to fail, then runs each

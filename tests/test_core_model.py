@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from influence_gate.core_model import (
     DeletionSet,
-    LinearSchema,
-    LogitSchema,
     MMData,
-    MMSchema,
     MomentIndexReport,
     MomentVerdict,
     RegressionData,
@@ -27,10 +24,14 @@ from influence_gate.errors import (
     RankDeficiencyError,
 )
 
+from conftest import model_inputs
+
+MM_COLUMNS = ["concentration", "velocity"]
+
 
 class TestLoadCsv:
     def test_puromycin_bundle(self, puromycin_path):
-        data = load_csv(puromycin_path, MMSchema())
+        _, data, _ = model_inputs({"model": "mm", "data": puromycin_path})
         assert isinstance(data, MMData)
         assert data.n == 11
         assert data.concentration[0] == 0.02
@@ -39,54 +40,71 @@ class TestLoadCsv:
     def test_duplicate_constant_columns_rank_deficient(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("y,a,b\n1,2,2\n2,2,2\n3,2,2\n")
+        config = {"model": "linear", "data": p, "data.covariates": "a, b", "data.intercept": "false"}
         with pytest.raises(RankDeficiencyError):
-            load_csv(p, LinearSchema(response="y", covariates=("a", "b"), intercept=False))
+            model_inputs(config)
 
     def test_empty_file_is_schema_error(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(MissingColumnError):
-            load_csv(p, MMSchema())
+            load_csv(p, MM_COLUMNS)
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("concentration,speed\n0.1,5\n")
         with pytest.raises(MissingColumnError) as exc:
-            load_csv(p, MMSchema())
+            load_csv(p, MM_COLUMNS)
         assert exc.value.column == "velocity"
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("concentration,velocity\n0.1,5\n0.2,fast\n")
         with pytest.raises(NonNumericCellError) as exc:
-            load_csv(p, MMSchema())
+            load_csv(p, MM_COLUMNS)
         assert exc.value.row == 2
         assert exc.value.column == "velocity"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "f.csv"
+        p.write_text(f"concentration,velocity\n0.1,5\n0.2,6\n0.3,{cell}\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, MM_COLUMNS)
+        assert str(exc.value) == (f"non-finite value {cell.strip()!r} at data row 3, "
+                                  f"column 'velocity'")
 
     def test_nonpositive_concentration(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("concentration,velocity\n0.1,5\n0,6\n")
         with pytest.raises(NonPositiveConcentrationError) as exc:
-            load_csv(p, MMSchema())
+            model_inputs({"model": "mm", "data": p})
         assert exc.value.row == 2
 
     def test_logit_outcome_domain(self, tmp_path):
         p = tmp_path / "l.csv"
         p.write_text("y,x\n0,1\n2,1.5\n")
         with pytest.raises(OutcomeDomainError):
-            load_csv(p, LogitSchema(outcome="y", covariates=("x",)))
+            model_inputs({"model": "logit", "data": p, "data.covariates": "x"})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
-            load_csv(tmp_path / "nope.csv", MMSchema())
+            load_csv(tmp_path / "nope.csv", MM_COLUMNS)
 
     def test_linear_intercept_prepended(self, tmp_path):
         p = tmp_path / "lin.csv"
         p.write_text("y,x\n1,2\n2,3\n3,5\n")
-        data = load_csv(p, LinearSchema(response="y", covariates=("x",)))
+        _, data, _ = model_inputs({"model": "linear", "data": p, "data.covariates": "x"})
         assert data.k == 2
         assert np.all(data.design[:, 0] == 1.0)
         assert list(data.design[:, 1]) == [2.0, 3.0, 5.0]
+
+    def test_columns_read_by_name_in_any_order(self, tmp_path):
+        p = tmp_path / "cols.csv"
+        p.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        columns = load_csv(p, ["c", "a"])
+        assert list(columns) == ["c", "a"]
+        assert list(columns["c"]) == [3.0, 6.0] and list(columns["a"]) == [1.0, 4.0]
 
 
 class TestRoundTrip:
@@ -97,9 +115,9 @@ class TestRoundTrip:
         p = tmp_path / "rt.csv"
         write_table(p, ["concentration", "velocity"],
                     [[float(c), float(v)] for c, v in zip(conc, vel)])
-        back = load_csv(p, MMSchema())
-        assert np.array_equal(back.concentration, conc)
-        assert np.array_equal(back.velocity, vel)
+        back = load_csv(p, MM_COLUMNS)
+        assert np.array_equal(back["concentration"], conc)
+        assert np.array_equal(back["velocity"], vel)
 
 
 class TestDeletionSet:

@@ -12,6 +12,7 @@ from influence_gate.core_model import (
     deletion_set,
 )
 from influence_gate.errors import DegenerateSampleError
+from influence_gate.families import FAMILIES
 from influence_gate.is_engine import (
     WeightedSample,
     _logsumexp,
@@ -28,7 +29,7 @@ class TestLogWeight:
         rng = np.random.default_rng(0)
         data = RegressionData(design=np.ones((4, 1)), response=[0.0, 1.0, -1.0, 2.0])
         draws = np.column_stack([rng.standard_normal(10), np.abs(rng.standard_normal(10)) + 0.1])
-        lw = log_weight("linear", draws, data, deletion_set([], 4))
+        lw = log_weight(FAMILIES["linear"], draws, data, deletion_set([], 4))
         assert np.all(lw == 0.0)
 
     def test_linear_zero_residual_value(self):
@@ -36,7 +37,7 @@ class TestLogWeight:
         dels = deletion_set([3], 4)
         sigma2 = 0.7
         draw = np.array([2.0, sigma2])  # theta equals the deleted response
-        assert log_weight("linear", draw, data, dels) == pytest.approx(
+        assert log_weight(FAMILIES["linear"], draw, data, dels) == pytest.approx(
             0.5 * math.log(sigma2), abs=1e-14
         )
 
@@ -46,22 +47,22 @@ class TestLogWeight:
         x = puromycin.concentration[4] / (kappa + puromycin.concentration[4])
         res = puromycin.velocity[4] - m * x
         expect = 0.5 * math.log(s2) + res * res / (2 * s2)
-        assert log_weight("mm", np.array([m, s2, kappa]), puromycin, dels) == pytest.approx(
+        assert log_weight(FAMILIES["mm"], np.array([m, s2, kappa]), puromycin, dels) == pytest.approx(
             expect, rel=1e-12
         )
 
     def test_nonpositive_sigma2_rejected(self):
         data = RegressionData(design=np.ones((3, 1)), response=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            log_weight("linear", np.array([0.0, -1.0]), data, deletion_set([0], 3))
+            log_weight(FAMILIES["linear"], np.array([0.0, -1.0]), data, deletion_set([0], 3))
 
     def test_logit_weight_nonnegative_and_exact(self):
         data = LogitData(design=[[1.0], [2.0]], outcome=[1, 0])
         dels = deletion_set([0], 2)
         beta = np.array([-3.0])
         expect = math.log1p(math.exp(-3.0)) - (-3.0)
-        assert log_weight("logit", beta, data, dels) == pytest.approx(expect, rel=1e-12)
-        assert log_weight("logit", beta, data, dels) >= 0
+        assert log_weight(FAMILIES["logit"], beta, data, dels) == pytest.approx(expect, rel=1e-12)
+        assert log_weight(FAMILIES["logit"], beta, data, dels) >= 0
 
 
 class TestSelfNormalizedEstimate:
@@ -103,7 +104,7 @@ class TestEstimateMeasure:
         rng = np.random.default_rng(seed)
         draws = np.column_stack([rng.standard_normal(M), np.abs(rng.standard_normal(M)) + 0.5])
         lw = np.zeros(M) if const else rng.standard_normal(M) * 0.5
-        return WeightedSample(model="linear", draws=draws, log_weights=lw)
+        return WeightedSample(draws=draws, log_weights=lw)
 
     def test_empty_deletion_exact_zeros(self):
         sample = self._sample(const=True)
@@ -115,9 +116,7 @@ class TestEstimateMeasure:
     def test_kl_shift_invariant(self):
         sample = self._sample(seed=3)
         base = estimate_measure(sample, "kl", 5.0).value
-        shifted = WeightedSample(
-            model="linear", draws=sample.draws, log_weights=sample.log_weights + 7.5
-        )
+        shifted = WeightedSample(draws=sample.draws, log_weights=sample.log_weights + 7.5)
         assert estimate_measure(shifted, "kl", 5.0).value == pytest.approx(base, rel=1e-12)
 
     def test_kl_nonnegative_as_divergence(self):
@@ -147,9 +146,9 @@ class TestEstimateMeasure:
         data = RegressionData(design=np.ones((5, 1)), response=[0.0, 1.0, 2.0, 3.0, 4.0])
         dels = deletion_set([2], 5)
         draws = np.column_stack([rng.standard_normal(10) + 2.0, np.abs(rng.standard_normal(10)) + 0.5])
-        lw = log_weight("linear", draws, data, dels)
-        sample = WeightedSample(model="linear", draws=draws, log_weights=lw)
-        ll = deleted_log_likelihood("linear", draws, data, dels)
+        lw = log_weight(FAMILIES["linear"], draws, data, dels)
+        sample = WeightedSample(draws=draws, log_weights=lw)
+        ll = deleted_log_likelihood(FAMILIES["linear"], draws, data, dels)
         est = estimate_measure(sample, "cpo", 5.0, ll)
         direct = 10.0 / np.sum(1.0 / np.exp(ll))
         assert est.value == pytest.approx(direct, rel=1e-12)
@@ -229,7 +228,7 @@ class TestLogSumExp:
 
     def test_mm_case_11_cpo_input_golden(self, puromycin):
         draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000)).draws
-        ll = deleted_log_likelihood("mm", draws, puromycin, deletion_set([10], 11))
+        ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deletion_set([10], 11))
         assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
 
     @pytest.mark.parametrize("x", [-3.7, 0.0, 1e300, -1e300])
@@ -254,8 +253,8 @@ class TestLogSumExp:
 class TestWeightedSample:
     def test_nonfinite_log_weights_rejected(self):
         with pytest.raises(ValueError):
-            WeightedSample(model="linear", draws=np.zeros((2, 2)), log_weights=[0.0, math.nan])
+            WeightedSample(draws=np.zeros((2, 2)), log_weights=[0.0, math.nan])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            WeightedSample(model="mm", draws=np.zeros((3, 3)), log_weights=[0.0, 1.0])
+            WeightedSample(draws=np.zeros((3, 3)), log_weights=[0.0, 1.0])

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from influence_gate import linear_gate
-from influence_gate.core_model import LinearSchema, RegressionData, deletion_set, load_csv
+from influence_gate.core_model import RegressionData, deletion_set
 from influence_gate.errors import SingularLeverageError
 from influence_gate.linear_gate import (
     LinearPrior,
@@ -17,15 +17,28 @@ from influence_gate.linear_gate import (
     scan_deletion_subsets,
     theorem31_verdict,
 )
-from influence_gate.prior_tails import ThetaPriorSpec
 
-from conftest import DATA_DIR, random_regression
+from conftest import feigl_zelen, random_regression
 
 NONINF = LinearPrior.noninformative()
 
 
 def conj(alpha, beta):
-    return LinearPrior.conjugate(alpha, beta, ThetaPriorSpec.normal([0.0], [[1.0]]))
+    return LinearPrior.conjugate(alpha, beta, [0.0], [[1.0]])
+
+
+class TestLinearPrior:
+    def test_conjugate_holds_its_normal_coefficient_prior(self):
+        prior = LinearPrior.conjugate(2, 1, [0.5, -1], np.diag([4, 9]))
+        assert prior.theta_mean.dtype == float and list(prior.theta_mean) == [0.5, -1.0]
+        assert np.array_equal(prior.theta_cov, np.diag([4.0, 9.0]))
+        assert prior.rss_threshold == -2.0
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                             ids=["indefinite", "singular"])
+    def test_conjugate_needs_positive_definite_covariance(self, cov):
+        with pytest.raises(ValueError, match="positive definite"):
+            LinearPrior.conjugate(2.0, 1.0, [0.0, 0.0], cov)
 
 
 # --- oracles -------------------------------------------------------------------
@@ -446,8 +459,7 @@ class TestCutoffRoot:
 
     @pytest.mark.parametrize("prior", [NONINF, conj(2.0, 0.001)], ids=["flat", "conjugate"])
     def test_equals_old_bisection_on_feigl_zelen_triples(self, prior):
-        data = load_csv(DATA_DIR / "feigl_zelen.csv",
-                        LinearSchema(response="time_weeks", covariates=("wbc", "ag")))
+        data = feigl_zelen("linear")
         Q, e, rss = linear_gate._hat(data)
         _, lam, u2 = linear_gate._spectra(Q, e, np.array(list(combinations(range(33), 3))))
         r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, data.n, data.k, prior)

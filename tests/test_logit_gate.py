@@ -178,13 +178,14 @@ class TestTheorem51Verdict:
             seen_finite = seen_finite or v.is_finite
 
     def test_log_weight_nonnegative(self):
+        from influence_gate.families import FAMILIES
         from influence_gate.is_engine import log_weight
 
         rng = np.random.default_rng(19)
         data = LogitData(design=rng.standard_normal((7, 3)), outcome=rng.integers(0, 2, 7))
         dels = deletion_set([1, 6], 7)
         draws = rng.standard_normal((500, 3)) * 10.0
-        lw = log_weight("logit", draws, data, dels)
+        lw = log_weight(FAMILIES["logit"], draws, data, dels)
         assert np.all(lw >= -1e-12)
 
 

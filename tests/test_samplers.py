@@ -5,14 +5,13 @@ import pytest
 from scipy import stats
 
 from influence_gate import samplers
-from influence_gate.core_model import LogitData, LogitSchema, RegressionData, load_csv
+from influence_gate.core_model import LogitData, RegressionData, write_table
 from influence_gate.errors import SamplerError
+from influence_gate.families import FAMILIES
 from influence_gate.linear_gate import LinearPrior
 from influence_gate.mm_gate import KappaPriorSpec
-from influence_gate.prior_tails import ThetaPriorSpec
 from influence_gate.samplers import (
     SamplerConfig,
-    draws_to_csv,
     random_walk_metropolis,
     sample_linear_conjugate,
     sample_linear_noninformative,
@@ -20,7 +19,7 @@ from influence_gate.samplers import (
     sample_mm,
 )
 
-from conftest import DATA_DIR, random_regression
+from conftest import feigl_zelen, random_regression
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +91,7 @@ class TestConjugateSampler:
         """Vanishing prior precision and alpha -> 0, beta -> inf reproduce
         the flat-prior marginals (two-sample KS below the 1% critical)."""
         M = 10_000
-        prior = LinearPrior.conjugate(
-            1e-9, 1e9,
-            ThetaPriorSpec.normal(np.zeros(lin_data.k), np.eye(lin_data.k) * 1e8),
-        )
+        prior = LinearPrior.conjugate(1e-9, 1e9, np.zeros(lin_data.k), np.eye(lin_data.k) * 1e8)
         gibbs = sample_linear_conjugate(
             lin_data, SamplerConfig(seed=5, draws=M, burn_in=200, thin=5), prior
         )
@@ -110,17 +106,13 @@ class TestConjugateSampler:
         X = np.column_stack([np.ones(12), np.arange(12.0)])
         theta0 = np.array([1.0, 2.0])
         data = RegressionData(design=X, response=X @ theta0)
-        prior = LinearPrior.conjugate(
-            2.0, 1e4, ThetaPriorSpec.normal(np.zeros(2), np.eye(2) * 100.0)
-        )
+        prior = LinearPrior.conjugate(2.0, 1e4, np.zeros(2), np.eye(2) * 100.0)
         res = sample_linear_conjugate(data, SamplerConfig(seed=7, draws=2000, burn_in=100), prior)
         prior_median = 1.0 / (1e4 * stats.gamma(2.0).ppf(0.5))
         assert np.median(res.draws[:, 2]) < prior_median
 
     def test_seed_determinism(self, lin_data):
-        prior = LinearPrior.conjugate(
-            1.0, 1.0, ThetaPriorSpec.normal(np.zeros(lin_data.k), np.eye(lin_data.k))
-        )
+        prior = LinearPrior.conjugate(1.0, 1.0, np.zeros(lin_data.k), np.eye(lin_data.k))
         cfg = SamplerConfig(seed=8, draws=200, burn_in=50)
         a = sample_linear_conjugate(lin_data, cfg, prior).draws
         b = sample_linear_conjugate(lin_data, cfg, prior).draws
@@ -193,46 +185,43 @@ class TestMMChain:
 
 class TestLogitChain:
     def test_prior_dominates_without_information(self):
-        # all-flat design column of zeros is rank-deficient for LogitData? no
-        # rank rule there; instead use a strongly informative prior and a
-        # single observation
+        # one nearly flat observation: the posterior is close to the Laplace
+        # prior of rate 2, centred at 0 with mean absolute value 1/2
         data = LogitData(design=[[0.001]], outcome=[1])
-        prior = ThetaPriorSpec.normal([3.0], [[0.25]])
-        res = sample_logit(data, SamplerConfig(seed=14, draws=8000, burn_in=2000), prior)
-        se = math.sqrt(0.25 / 8000) * 6  # generous autocorrelation slack
-        assert abs(res.draws[:, 0].mean() - 3.0) < 4 * se + 0.05
+        res = sample_logit(data, SamplerConfig(seed=14, draws=8000, burn_in=2000), 2.0)
+        se = math.sqrt(0.5 / 8000) * 6  # prior variance 2/rate^2; autocorrelation slack
+        assert abs(res.draws[:, 0].mean()) < 4 * se
+        assert abs(np.abs(res.draws[:, 0]).mean() - 0.5) < 0.05
 
     def test_1d_posterior_mean_matches_quadrature(self):
         from scipy.integrate import quad
 
         data = LogitData(design=[[1.0], [1.0], [1.0]], outcome=[1, 0, 1])
-        prior = ThetaPriorSpec.normal([0.0], [[25.0]])
+        epsilon = 0.7
 
         def unnorm(b):
             ll = 2 * (b - math.log1p(math.exp(b))) - math.log1p(math.exp(b))
-            return math.exp(ll - b * b / 50.0)
+            return math.exp(ll - epsilon * abs(b))
 
-        z0, _ = quad(unnorm, -30, 30, limit=300)
-        z1, _ = quad(lambda b: b * unnorm(b), -30, 30, limit=300)
+        z0, _ = quad(unnorm, -30, 30, points=[0.0], limit=300)
+        z1, _ = quad(lambda b: b * unnorm(b), -30, 30, points=[0.0], limit=300)
         target = z1 / z0
-        res = sample_logit(data, SamplerConfig(seed=15, draws=20_000, burn_in=3000), prior)
+        res = sample_logit(data, SamplerConfig(seed=15, draws=20_000, burn_in=3000), epsilon)
         bm = np.array([c.mean() for c in np.array_split(res.draws[:, 0], 32)])
         se = bm.std(ddof=1) / math.sqrt(32)
         assert abs(res.draws[:, 0].mean() - target) < 4 * se
 
     def test_separable_with_proper_prior_stable(self):
         data = LogitData(design=[[-1.0], [1.0]], outcome=[0, 1])
-        prior = ThetaPriorSpec.laplace([0.0], 2.0)
-        res = sample_logit(data, SamplerConfig(seed=16, draws=5000, burn_in=1000), prior)
+        res = sample_logit(data, SamplerConfig(seed=16, draws=5000, burn_in=1000), 0.5)
         assert np.all(np.isfinite(res.draws))
         assert abs(res.draws[:, 0].mean()) < 20.0
 
     def test_seed_determinism(self):
         data = LogitData(design=[[1.0], [-0.5], [0.25]], outcome=[1, 0, 1])
-        prior = ThetaPriorSpec.normal([0.0], [[4.0]])
         cfg = SamplerConfig(seed=17, draws=400, burn_in=100)
         assert np.array_equal(
-            sample_logit(data, cfg, prior).draws, sample_logit(data, cfg, prior).draws
+            sample_logit(data, cfg, 0.5).draws, sample_logit(data, cfg, 0.5).draws
         )
 
 
@@ -240,7 +229,7 @@ class TestDrawExport:
     def test_csv_roundtrip_columns(self, tmp_path, puromycin):
         res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100))
         out = tmp_path / "draws.csv"
-        draws_to_csv(out, "mm", res.draws)
+        write_table(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
         header = out.read_text().splitlines()[0]
         assert header == "m,sigma2,kappa"
         body = np.loadtxt(out, delimiter=",", skiprows=1)
@@ -297,43 +286,22 @@ def oracle_mm_density(data, prior):
     return log_density
 
 
-def oracle_log_prior_beta(spec, beta):
-    if spec.family == "normal":
-        mu = np.zeros_like(beta) if spec.mean is None else np.asarray(spec.mean, float)
-        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
-        d = beta - mu
-        return -0.5 * float(d @ np.linalg.solve(cov, d))
-    if spec.family == "laplace":
-        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
-        return -float(np.sum(np.abs(beta - loc))) / spec.scale
-    if spec.family == "student_t":
-        loc = np.zeros_like(beta) if spec.location is None else np.asarray(spec.location, float)
-        cov = np.eye(beta.size) if spec.cov is None else np.atleast_2d(np.asarray(spec.cov, float))
-        d = beta - loc
-        quad = float(d @ np.linalg.solve(cov, d))
-        return -0.5 * (spec.dof + beta.size) * math.log1p(quad / spec.dof)
-    raise ValueError(spec.family)
-
-
-def oracle_logit_density(data, prior):
+def oracle_logit_density(data, epsilon):
     X, y = data.design, data.outcome
 
     def log_density(beta):
         z = X @ beta
         loglik = float(np.sum(z * y - np.logaddexp(0.0, z)))
-        return loglik + oracle_log_prior_beta(prior, beta)
+        # the Laplace log density of location 0 and scale 1/epsilon
+        return loglik - float(np.sum(np.abs(beta))) / (1.0 / epsilon)
 
     return log_density
 
 
-COEFFICIENT_PRIORS = [
-    ThetaPriorSpec.laplace(np.zeros(3), 1.0),
-    ThetaPriorSpec.normal([0.1, -0.2, 0.3], np.diag([4.0, 2.0, 3.0])),
-    ThetaPriorSpec.student_t(3.0, [0.0, 0.5, 0.0], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]),
-    ThetaPriorSpec("normal"),
-    ThetaPriorSpec("laplace", scale=2.5),
-    ThetaPriorSpec("student_t", dof=4.0),
-]
+# Laplace prior rates; 0.7 is one where dividing by the scale 1/epsilon and
+# multiplying by epsilon give different last bits.
+LAPLACE_RATES = (1.0, 0.7, 0.3, 2.0, 0.4)
+LAPLACE_IDS = [f"laplace-{i}" for i in range(len(LAPLACE_RATES))]
 CHAIN_CONFIGS = {
     "adaptive": dict(draws=1500),
     "fixed-scale": dict(draws=1500, burn_in=100),
@@ -344,8 +312,7 @@ FIXED_SCALES = {"mm": (5.0, 0.3, 0.3), "logit": (0.5, 0.3, 0.4)}
 
 @pytest.fixture(scope="module")
 def fz_logit():
-    return load_csv(DATA_DIR / "feigl_zelen.csv",
-                    LogitSchema(outcome="surv50", covariates=("wbc", "ag")))
+    return feigl_zelen("logit")
 
 
 def run_with_oracles(monkeypatch, oracle_density, sample, *args):
@@ -405,11 +372,11 @@ class TestMetropolisBitIdentity:
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_logit_chain_equals_per_step_loop(self, monkeypatch, fz_logit, seed, name):
-        prior = COEFFICIENT_PRIORS[seed % 3]
+        epsilon = LAPLACE_RATES[seed % 3]
         config = chain_config("logit", seed, name)
-        oracle = run_with_oracles(monkeypatch, oracle_logit_density(fz_logit, prior),
-                                  sample_logit, fz_logit, config, prior)
-        assert_same_chain(sample_logit(fz_logit, config, prior), oracle)
+        oracle = run_with_oracles(monkeypatch, oracle_logit_density(fz_logit, epsilon),
+                                  sample_logit, fz_logit, config, epsilon)
+        assert_same_chain(sample_logit(fz_logit, config, epsilon), oracle)
 
     def test_mm_density_equals_oracle_at_every_point(self, monkeypatch, puromycin):
         prior = KappaPriorSpec(scale=0.7)
@@ -418,12 +385,11 @@ class TestMetropolisBitIdentity:
                                        sample_mm, puromycin, config, prior)
         assert points == 1 + config.burn_in + config.draws
 
-    @pytest.mark.parametrize("prior", COEFFICIENT_PRIORS,
-                             ids=[f"{p.family}-{i}" for i, p in enumerate(COEFFICIENT_PRIORS)])
-    def test_logit_density_equals_oracle_at_every_point(self, monkeypatch, fz_logit, prior):
+    @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
+    def test_logit_density_equals_oracle_at_every_point(self, monkeypatch, fz_logit, epsilon):
         config = SamplerConfig(seed=2, draws=1000)
-        assert oracle_checked_points(monkeypatch, oracle_logit_density(fz_logit, prior),
-                                     sample_logit, fz_logit, config, prior) > config.draws
+        assert oracle_checked_points(monkeypatch, oracle_logit_density(fz_logit, epsilon),
+                                     sample_logit, fz_logit, config, epsilon) > config.draws
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_core_equals_loop_on_a_half_space_support(self, seed):
@@ -449,10 +415,15 @@ class TestMetropolisBitIdentity:
         assert np.array_equal(chain, expected)
         assert np.array_equal(chain, np.tile([1.0, 2.0], (500, 1)))
 
-    @pytest.mark.parametrize("prior", COEFFICIENT_PRIORS,
-                             ids=[f"{p.family}-{i}" for i, p in enumerate(COEFFICIENT_PRIORS)])
-    def test_prior_closure_equals_per_call_prior(self, prior):
-        log_prior = samplers._log_prior_beta(prior, 3)
+    @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
+    def test_prior_closure_equals_per_call_prior(self, monkeypatch, fz_logit, epsilon):
+        """The sampler's log density, with its prior scale made once, equals
+        the oracle's at points far off any chain."""
+        densities = []
+        with monkeypatch.context() as patch:
+            patch.setattr(samplers, "_run_mh", lambda density, *args: densities.append(density))
+            sample_logit(fz_logit, SamplerConfig(seed=7, draws=1), epsilon)
+        oracle = oracle_logit_density(fz_logit, epsilon)
         rng = np.random.default_rng(7)
         for beta in rng.standard_normal((200, 3)) * np.array([1.0, 5.0, 0.1]):
-            assert log_prior(beta) == oracle_log_prior_beta(prior, beta)
+            assert densities[0](beta) == oracle(beta)
