@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +421,10 @@ def cmd_scan(cfg: dict) -> dict:
         }
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
-    write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS, _scan_rows(result, data.n))
+    with open(out / "scan_report.csv", "w", newline="") as fh:
+        fh.write(",".join(SCAN_CSV_COLUMNS) + "\r\n")
+        for text in _scan_text(result, data.n):
+            fh.write(text)
     summary = {
         "subset_count": result.count,
         "ranking_by_r_a": [_subset_label(result.subsets[i]) for i in order_a[:top]],
@@ -432,18 +435,35 @@ def cmd_scan(cfg: dict) -> dict:
     return summary
 
 
-def _scan_rows(result, n: int):
-    """The scan table's rows, read out of the result arrays SCAN_CSV_BLOCK
-    at a time; labels join 1-based case names from a table of all n."""
-    names = [str(i + 1) for i in range(n)]
-    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
+def _scan_text(result, n: int):
+    """The scan table's data rows as CSV text, one str per SCAN_CSV_BLOCK
+    rows, byte for byte what `write_table` gives for the same rows: fields
+    joined by ",", lines ended by "\r\n" and floats as repr. No field can
+    need quoting: labels hold only digits and "+", and a float's repr has
+    no comma, quote or line break.
 
-    def block(start):
+    Labels join 1-based case names gathered a column at a time. r_b is
+    one value per scan, so a block where it is bitwise constant formats it
+    once; r_star reuses the r_c text wherever the two are bitwise equal,
+    which keeps -0.0 apart from 0.0 and never merges NaN payloads.
+    """
+    names = np.array([str(i + 1) for i in range(n)], dtype=object)
+    for start in range(0, result.count, SCAN_CSV_BLOCK):
         part = slice(start, start + SCAN_CSV_BLOCK)
-        labels = ["+".join(map(names.__getitem__, row)) for row in result.subsets[part].tolist()]
-        return zip(labels, *(col[part].tolist() for col in columns))
-
-    return chain.from_iterable(map(block, range(0, result.count, SCAN_CSV_BLOCK)))
+        labels = map("+".join, zip(*names[result.subsets[part].T].tolist()))
+        r_a, r_b, r_c, r_star = (col[part] for col in
+                                 (result.r_a, result.r_b, result.r_c, result.r_star))
+        b_bits = r_b.view(np.int64)
+        if np.all(b_bits == b_bits[0]):
+            b_text = repeat(repr(r_b[0].item()))
+        else:
+            b_text = map(repr, r_b.tolist())
+        c_text = list(map(repr, r_c.tolist()))
+        star_text = c_text.copy()
+        for i in np.flatnonzero(r_star.view(np.int64) != r_c.view(np.int64)).tolist():
+            star_text[i] = repr(r_star[i].item())
+        rows = zip(labels, map(repr, r_a.tolist()), b_text, c_text, star_text)
+        yield "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
 def cmd_kfold_audit(cfg: dict) -> dict:
@@ -518,8 +538,7 @@ def cmd_estimate(cfg: dict) -> list:
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
-    sample = is_engine.WeightedSample(draws=result.draws,
-                                      log_weights=family.log_weight(loglik, dels.cardinality))
+    sample = is_engine.WeightedSample(family.log_weight(loglik, dels.cardinality))
     rows = []
     for measure in cfg["measures"]:
         est = is_engine.estimate_measure(sample, measure, report.r_star, loglik)

@@ -26,19 +26,14 @@ SE_BATCHES = 32
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Posterior draws with unnormalized log deletion weights."""
+    """Unnormalized log deletion weights of a posterior sample, one per draw."""
 
-    draws: np.ndarray
     log_weights: np.ndarray
 
     def __post_init__(self):
-        draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
         lw = np.asarray(self.log_weights, dtype=float).ravel()
-        if draws.shape[0] != lw.shape[0]:
-            raise ValueError("draws and log_weights must have equal length")
         if not np.all(np.isfinite(lw)):
             raise ValueError("log weights must be finite")
-        object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "log_weights", lw)
 
     @property

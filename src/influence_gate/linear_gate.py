@@ -12,7 +12,7 @@ which at r = 1 equals the refit RSS of the case-deleted least-squares fit.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -305,8 +305,8 @@ def _subset_blocks(n: int, size: int):
     if not 1 <= size <= n:
         raise ValueError("subset size must be in [1, n]")
     combos = combinations(range(n), size)
-    while chunk := list(islice(combos, _SCAN_CHUNK)):
-        yield np.array(chunk, dtype=int)
+    while (chunk := np.fromiter(chain.from_iterable(islice(combos, _SCAN_CHUNK)), dtype=int)).size:
+        yield chunk.reshape(-1, size)
 
 
 def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrior):

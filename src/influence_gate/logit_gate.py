@@ -127,9 +127,11 @@ def _require_exact(data: LogitData, epsilon: float) -> None:
 
 
 def _lex_best(values: np.ndarray, betas: np.ndarray):
-    """Max value with lexicographically smallest argmax among ties."""
+    """Max value with lexicographically smallest argmax among ties. An
+    infinite max makes the tolerance NaN, so values equal to it count as
+    tied on their own."""
     top = float(np.max(values))
-    tied = np.nonzero(values >= top - 1e-15 * max(1.0, abs(top)))[0]
+    tied = np.nonzero((values >= top - 1e-15 * max(1.0, abs(top))) | (values == top))[0]
     order = np.lexsort(betas[tied].T[::-1])
     pick = tied[order[0]]
     return float(values[pick]), betas[pick]
@@ -251,7 +253,9 @@ def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
             continue
         h0, slope = table.parts(dels, epsilon)
         reports.append(_index_report(table.betas, h0, slope))
-        verdicts.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
+        # At huge r the criterion overflows to +-inf, which keeps its sign.
+        with np.errstate(over="ignore"):
+            verdicts.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
     return reports, verdicts
 
 

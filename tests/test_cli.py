@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -516,15 +517,39 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
             result.r_a[i], result.r_b[i], result.r_c[i], result.r_star[i]]
 
 
-def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch):
-    data = feigl_zelen("linear")
-    result = scan_deletion_subsets(data, 3, LinearPrior.noninformative())
+def fz_triples():
+    return scan_deletion_subsets(feigl_zelen("linear"), 3, LinearPrior.noninformative())
+
+
+def edge_values():
+    inf, nan = math.inf, math.nan
+    # r_a, r_b, r_c, r_star: r_b is constant in the first and last blocks
+    # only, and r_star binds on r_c, r_a or r_b, or is -0.0 beside r_c = 0.0.
+    cuts = np.array([
+        [inf, 15.0, 2.5, 2.5], [1.5, 15.0, 3.0, 1.5],
+        [inf, 15.0, inf, 15.0], [1e22, 15.0, 0.0, -0.0],
+        [nan, 15.0, nan, nan], [1e22, -0.0, 1e22, -0.0],
+        [0.1, 0.0, 0.1 + 0.2, 0.0], [inf, nan, nan, nan],
+        [5e-324, nan, 1.7976931348623157e308, 5e-324], [inf, nan, inf, nan], [2.0, nan, 2.0, 2.0],
+    ])
+    subsets = np.array(list(islice(combinations(range(33), 3), len(cuts))))
+    return linear_gate.SubsetScanResult(subsets, *cuts.T)
+
+
+@pytest.mark.parametrize("make_result, block", [
+    (fz_triples, 7),  # C(33, 3) = 7 * 779 + 3
+    (edge_values, 4),  # 11 = 4 + 4 + 3
+], ids=["fz-triples", "edge-values"])
+def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch, make_result,
+                                                           block):
+    result = make_result()
     columns = (result.r_a, result.r_b, result.r_c, result.r_star)
     whole = tmp_path / "whole.csv"
     write_table(whole, SCAN_CSV_COLUMNS,
-                [["+".join(str(j + 1) for j in subset), *map(repr, values)]
+                [["+".join(str(j + 1) for j in subset), *values]
                  for subset, *values in zip(result.subsets.tolist(), *(c.tolist() for c in columns))])
-    monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", 7)  # C(33, 3) = 7 * 779 + 3
+    monkeypatch.setattr(linear_gate, "scan_deletion_subsets", lambda *args: result)
+    monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", block)
     assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0
     assert (tmp_path / "out" / "scan_report.csv").read_bytes() == whole.read_bytes()
 

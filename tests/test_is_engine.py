@@ -102,9 +102,8 @@ class TestSelfNormalizedEstimate:
 class TestEstimateMeasure:
     def _sample(self, seed=0, M=4096, const=False):
         rng = np.random.default_rng(seed)
-        draws = np.column_stack([rng.standard_normal(M), np.abs(rng.standard_normal(M)) + 0.5])
         lw = np.zeros(M) if const else rng.standard_normal(M) * 0.5
-        return WeightedSample(draws=draws, log_weights=lw)
+        return WeightedSample(log_weights=lw)
 
     def test_empty_deletion_exact_zeros(self):
         sample = self._sample(const=True)
@@ -116,7 +115,7 @@ class TestEstimateMeasure:
     def test_kl_shift_invariant(self):
         sample = self._sample(seed=3)
         base = estimate_measure(sample, "kl", 5.0).value
-        shifted = WeightedSample(draws=sample.draws, log_weights=sample.log_weights + 7.5)
+        shifted = WeightedSample(log_weights=sample.log_weights + 7.5)
         assert estimate_measure(shifted, "kl", 5.0).value == pytest.approx(base, rel=1e-12)
 
     def test_kl_nonnegative_as_divergence(self):
@@ -147,7 +146,7 @@ class TestEstimateMeasure:
         dels = deletion_set([2], 5)
         draws = np.column_stack([rng.standard_normal(10) + 2.0, np.abs(rng.standard_normal(10)) + 0.5])
         lw = log_weight(FAMILIES["linear"], draws, data, dels)
-        sample = WeightedSample(draws=draws, log_weights=lw)
+        sample = WeightedSample(log_weights=lw)
         ll = deleted_log_likelihood(FAMILIES["linear"], draws, data, dels)
         est = estimate_measure(sample, "cpo", 5.0, ll)
         direct = 10.0 / np.sum(1.0 / np.exp(ll))
@@ -253,8 +252,4 @@ class TestLogSumExp:
 class TestWeightedSample:
     def test_nonfinite_log_weights_rejected(self):
         with pytest.raises(ValueError):
-            WeightedSample(draws=np.zeros((2, 2)), log_weights=[0.0, math.nan])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightedSample(draws=np.zeros((3, 3)), log_weights=[0.0, 1.0])
+            WeightedSample(log_weights=[0.0, math.nan])

@@ -503,6 +503,18 @@ class TestSubsetScan:
                 # rss_star is decreasing and equals the refit RSS at r = 1
                 assert (result.r_c[i] > 1.0) == (refit_rss(data, dels) > prior.rss_threshold)
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_subset_blocks_split_combinations_at_the_chunk_size(self, monkeypatch, n):
+        monkeypatch.setattr(linear_gate, "_SCAN_CHUNK", 7)
+        for size in range(1, 5):
+            blocks = list(linear_gate._subset_blocks(n, size))
+            total = math.comb(n, size)
+            assert [b.shape for b in blocks] == [(7, size)] * (total // 7) + (
+                [(total % 7, size)] if total % 7 else [])
+            assert all(b.dtype == np.int64 for b in blocks)
+            assert [tuple(row) for b in blocks for row in b.tolist()] == list(
+                combinations(range(n), size))
+
     def test_fold_indices_unequal_sizes(self):
         # n = 33 in 5 folds gives sizes 7, 7, 7, 6, 6: one kernel call per size
         rng = np.random.default_rng(79)

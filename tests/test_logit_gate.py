@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from influence_gate.cli import main
 from influence_gate.core_model import LogitData, deletion_set
 from influence_gate.errors import BudgetError
 from influence_gate.logit_gate import (
@@ -16,6 +17,8 @@ from influence_gate.logit_gate import (
     theorem51_verdict,
     theorem51_verdicts,
 )
+
+from conftest import DATA_DIR, feigl_zelen
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,18 @@ class TestTheorem51Verdict:
             if seen_finite and v.is_infinite:
                 pytest.fail(f"flip at eps={eps}")
             seen_finite = seen_finite or v.is_finite
+
+    def test_overflowing_criterion_is_infinite(self, tmp_path):
+        # At r = 1e308 the criterion overflows to inf at the maximizing vertex.
+        data = feigl_zelen("logit")
+        assert theorem51_verdict(data, deletion_set([14], data.n), 1e308, 1.0).is_infinite
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model = logit\ndata = {DATA_DIR / 'feigl_zelen.csv'}\n"
+                          "data.outcome = surv50\ndata.covariates = wbc, ag\n"
+                          "deletion.indices = 15\nr = 1e308\n")
+        assert main(["gate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        verdict = (tmp_path / "out" / "gate_report.csv").read_text().splitlines()[1].split(",")[2]
+        assert verdict == "infinite"
 
     def test_log_weight_nonnegative(self):
         from influence_gate.families import FAMILIES
