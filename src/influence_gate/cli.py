@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import MomentIndexReport, MomentVerdict, deletion_set, load_csv, write_table
+from .core_model import deletion_set, each_set, load_csv, write_table
 from .errors import (
     BudgetError,
     ConfigError,
@@ -48,6 +48,7 @@ ESTIMATE_CSV_COLUMNS = [
     "deletion", "measure", "value", "gate", "required_moments",
     "available_r_star", "standard_error", "flags",
 ]
+VERIFY_TAIL_CSV_COLUMNS = ["threshold", "exceedances", "estimate"]
 VERIFY_SCALING_CSV_COLUMNS = ["m", "replications", "variance"]
 
 
@@ -359,15 +360,13 @@ def cmd_gate(cfg: dict) -> list:
     family, data, prior = _model_inputs(cfg)
     if indices is not None:
         sets = [_deletion(cfg, data.n).indices]
-        size = len(sets[0])
     else:
         sets = size
         _check_scan_size(size, data.n, 0)
-    if size == 0:
-        constant = MomentVerdict.finite("empty deletion: weight is constant")
-        rows = [_gate_row((), r, constant, _empty_report()) for r in cfg["r"]]
-    else:
-        rows = [_gate_row(*row) for row in family.gate_rows(data, prior, sets, cfg["r"])]
+    reports, verdicts = family.index(data, prior, sets, cfg["r"])
+    rows = [_gate_row(indices, r, verdict, rep)
+            for indices, rep, per_r in zip(each_set(sets, data.n), reports, verdicts)
+            for r, verdict in zip(cfg["r"], per_r)]
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     write_csv_report(out / "gate_report.csv", GATE_CSV_COLUMNS,
@@ -523,7 +522,7 @@ def _sampling_inputs(cfg: dict, command: str, default_draws: int):
     family, data, prior = _model_inputs(cfg)
     sampler_cfg = _sampler_config(cfg, default_draws, len(family.columns(data)))
     dels = _deletion(cfg, data.n)
-    report = family.moment_index(data, dels, prior) if dels.cardinality else _empty_report()
+    report = family.index(data, prior, [dels.indices], ())[0][0]
     return family, data, prior, dels, report, sampler_cfg
 
 
@@ -571,10 +570,6 @@ def cmd_estimate(cfg: dict) -> list:
     return rows
 
 
-def _empty_report():
-    return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf, binding="empty deletion")
-
-
 def cmd_verify(cfg: dict) -> dict:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
     m_grid, reps = cfg["verify.m_grid"], cfg["verify.replications"]
@@ -584,9 +579,9 @@ def cmd_verify(cfg: dict) -> dict:
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
-    tail = tail_verifier.verify_moment_index(
-        family, data, prior, dels, report, sampler_cfg, out_csv=out / "verify_tail.csv"
-    )
+    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report, sampler_cfg)
+    if tail.survival:
+        write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
 
     def estimator(m, rng):
         sub = SamplerConfig(

@@ -8,6 +8,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,12 @@ def deletion_set(indices, n: int) -> DeletionSet:
     return DeletionSet(indices=tuple(sorted(cleaned)), n=n)
 
 
+def each_set(sets, n: int):
+    """The deletion sets that `sets` names: its own items, or for an int I
+    every subset of size I of range(n), in lexicographic order."""
+    return combinations(range(n), sets) if isinstance(sets, int) else sets
+
+
 class VerdictTag(str, Enum):
     FINITE = "finite"
     INFINITE = "infinite"
@@ -216,6 +223,10 @@ class MomentVerdict:
         return self.tag is VerdictTag.INFINITE
 
 
+# Cut-off names in tie order: the first of equal minimal cut-offs binds.
+_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
+
+
 @dataclass(frozen=True)
 class MomentIndexReport:
     """Analytic moment cut-offs; r_star = min(r_a, r_b, r_c)."""
@@ -235,6 +246,13 @@ class MomentIndexReport:
             object.__setattr__(self, "r_star", expected)
         elif not math.isclose(self.r_star, expected, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError("r_star must equal min(r_a, r_b, r_c)")
+
+    @classmethod
+    def of(cls, r_a: float, r_b: float, r_c: float, r_star: float = math.nan):
+        """The report of three cut-offs whose binding names the first
+        minimal one, in the order leverage, sample-size, residual."""
+        cuts = (r_a, r_b, r_c)
+        return cls(r_a, r_b, r_c, binding=_CUTOFF_NAMES[cuts.index(min(cuts))], r_star=r_star)
 
 
 # --- CSV ingestion -----------------------------------------------------------

@@ -20,19 +20,17 @@ every call.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .core_model import LogitData, MMData, RegressionData, deletion_set
+from .core_model import LogitData, MMData, MomentIndexReport, MomentVerdict, RegressionData
 from .errors import ConfigError, DataError
 from .linear_gate import LinearPrior
 from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
-from .linear_gate import moment_index_linear
 from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
-from .logit_gate import moment_index_logit
-from .mm_gate import KappaPriorSpec, kappa_profile, moment_index_mm, theorem41_verdict
+from .mm_gate import KappaPriorSpec
+from .mm_gate import indices_and_verdicts as mm_indices_and_verdicts
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
 
 @dataclass(frozen=True)
@@ -42,6 +40,11 @@ class MMPrior:
 
     kappa: KappaPriorSpec
     grid_size: int
+
+
+_EMPTY_REPORT = MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
+                                  binding="empty deletion")
+_EMPTY_VERDICT = MomentVerdict.finite("empty deletion: weight is constant")
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,9 @@ class Family:
     - columns(data) -> the names of a draw's parameters, one per draw column;
     - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
     - sample(data, prior, SamplerConfig) -> SampleResult;
-    - moment_index(data, nonempty DeletionSet, prior) -> MomentIndexReport;
-    - gate_rows(data, prior, sets, r_values) -> (indices, r, verdict, report)
-      per set and r; `sets` is a list of index tuples of one size I >= 1, or
-      the int I for every subset of size I in lexicographic order.
+    - kernel(data, prior, sets, r_values) -> (reports, verdict lists): the
+      model's batched moment-index kernel, `indices_and_verdicts` of its
+      gate module, for nonempty deletion sets; `index` is its one entry.
     """
 
     csv_columns: Callable
@@ -66,12 +68,27 @@ class Family:
     log_likelihood: Callable
     log_weight_constant: float
     sample: Callable
-    moment_index: Callable
-    gate_rows: Callable
+    kernel: Callable
 
     def log_weight(self, log_likelihood, cardinality: int):
         """Log deletion weight from the deleted cases' log-likelihood."""
         return -log_likelihood - cardinality * self.log_weight_constant
+
+    def index(self, data, prior, sets, r_values):
+        """Moment index of each deletion set and its verdicts at each order
+        r in `r_values`: (reports, one verdict list per set ordered as
+        `r_values`), both indexed and iterated in set order; with no
+        r_values only the reports are meant to be read. `sets` is a list of
+        0-based index tuples of one size I, or the int I for every subset
+        of size I in lexicographic order.
+
+        Deleting no case leaves the weight constant, with every moment
+        finite: the empty set gets no cut-off and a finite verdict at every
+        r, and the kernel is not called.
+        """
+        if (sets if isinstance(sets, int) else len(sets[0])) == 0:
+            return [_EMPTY_REPORT], [[_EMPTY_VERDICT] * len(r_values)]
+        return self.kernel(data, prior, sets, r_values)
 
 
 # --- config to inputs ------------------------------------------------------------
@@ -171,37 +188,6 @@ def _sample_linear(data, prior, config):
     return sample_linear_conjugate(data, config, prior)
 
 
-def _linear_gate_rows(data, prior, sets, r_values):
-    """One spectral pass gives the cut-offs and the verdicts of every set and r."""
-    result, verdicts = linear_indices_and_verdicts(data, sets, r_values, prior)
-    for i, per_r in enumerate(verdicts):
-        rep = result.report(i)
-        for r, verdict in zip(r_values, per_r):
-            yield result.subsets[i], r, verdict, rep
-
-
-def _each_set(sets, n: int):
-    return combinations(range(n), sets) if isinstance(sets, int) else sets
-
-
-def _mm_gate_rows(data, prior, sets, r_values):
-    """One kappa profile per set serves its index and every r."""
-    for indices in _each_set(sets, data.n):
-        profile = kappa_profile(data, deletion_set(indices, data.n), prior.grid_size)
-        rep = profile.moment_index()
-        for r in r_values:
-            yield indices, r, theorem41_verdict(data, profile.dels, r, profile.scan(r)), rep
-
-
-def _logit_gate_rows(data, epsilon, sets, r_values):
-    """One vertex table gives the index and the verdicts of every set and r."""
-    sets = list(_each_set(sets, data.n))
-    reports, verdicts = logit_indices_and_verdicts(data, sets, r_values, epsilon)
-    for indices, rep, per_r in zip(sets, reports, verdicts):
-        for r, verdict in zip(r_values, per_r):
-            yield indices, r, verdict, rep
-
-
 FAMILIES = {
     "linear": Family(
         csv_columns=_linear_csv_columns,
@@ -210,8 +196,7 @@ FAMILIES = {
         log_likelihood=_linear_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=_sample_linear,
-        moment_index=lambda data, dels, prior: moment_index_linear(data, dels, prior),
-        gate_rows=_linear_gate_rows,
+        kernel=lambda data, prior, sets, r: linear_indices_and_verdicts(data, sets, r, prior),
     ),
     "mm": Family(
         csv_columns=lambda cfg: (cfg["data.concentration"], cfg["data.velocity"]),
@@ -220,8 +205,7 @@ FAMILIES = {
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, prior, config: sample_mm(data, config, prior.kappa),
-        moment_index=lambda data, dels, prior: moment_index_mm(data, dels, prior.grid_size),
-        gate_rows=_mm_gate_rows,
+        kernel=lambda data, prior, sets, r: mm_indices_and_verdicts(data, sets, r, prior.grid_size),
     ),
     "logit": Family(
         csv_columns=lambda cfg: (*_covariates(cfg, "logit"), cfg["data.outcome"]),
@@ -230,7 +214,6 @@ FAMILIES = {
         log_likelihood=_logit_log_likelihood,
         log_weight_constant=0.0,
         sample=lambda data, epsilon, config: sample_logit(data, config, epsilon),
-        moment_index=lambda data, dels, epsilon: moment_index_logit(data, dels, epsilon),
-        gate_rows=_logit_gate_rows,
+        kernel=lambda data, epsilon, sets, r: logit_indices_and_verdicts(data, sets, r, epsilon),
     ),
 }

@@ -34,9 +34,6 @@ EIGENVALUE_BOUNDARY_TOL = 1e-9
 # stacked minors and eigenvectors.
 _SCAN_CHUNK = 65536
 
-# Cut-off names in tie order: the first of equal minimal cut-offs binds.
-_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
-
 # The r_c Newton iteration stops for a set once its step is below this
 # relative size (a few ulps). Every Feigl-Zelen 5-subset settles within 17
 # Newton sweeps and 5 ulp steps, so reaching the limit is a fault and raises.
@@ -269,6 +266,10 @@ def _theorem31(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
 
 @dataclass(frozen=True)
 class SubsetScanResult:
+    """Cut-off arrays of N deletion sets. Indexing gives the report of one
+    set, built when it is asked for, so iterating over the result reads the
+    reports off the arrays one set at a time."""
+
     subsets: np.ndarray  # (N, I) int, 0-based; lexicographic in a scan
     r_a: np.ndarray
     r_b: np.ndarray
@@ -279,11 +280,9 @@ class SubsetScanResult:
     def count(self) -> int:
         return self.subsets.shape[0]
 
-    def report(self, i: int) -> MomentIndexReport:
-        """The cut-offs of set i; the first minimal cut-off binds."""
-        cuts = (float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]))
-        return MomentIndexReport(*cuts, binding=_CUTOFF_NAMES[cuts.index(min(cuts))],
-                                 r_star=float(self.r_star[i]))
+    def __getitem__(self, i: int) -> MomentIndexReport:
+        return MomentIndexReport.of(float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]),
+                                    float(self.r_star[i]))
 
 
 def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_values=()):
@@ -317,7 +316,8 @@ def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrio
     `sets` is an (N, I) array of 0-based deletion sets of a common size
     I >= 1, or the int I for every subset of size I in lexicographic order.
     Returns (SubsetScanResult, one verdict list per set, ordered as
-    `r_values`); with no r_values the verdict list is empty.
+    `r_values`); with no r_values the verdict list is empty. The result
+    indexes as the sets' reports.
     """
     r_values = [float(r) for r in r_values]
     if not all(r > 1 for r in r_values):
@@ -329,19 +329,6 @@ def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrio
     result = SubsetScanResult(**{name: np.concatenate([getattr(part, name) for part in results])
                                  for name in ("subsets", "r_a", "r_b", "r_c", "r_star")})
     return result, [row for part in verdicts for row in part]
-
-
-def moment_indices(data: RegressionData, subsets, prior: LinearPrior) -> SubsetScanResult:
-    """Cut-offs r_a, r_b, r_c for each row of an (N, I) array of 0-based
-    deletion sets of a common size I >= 1."""
-    return indices_and_verdicts(data, np.asarray(subsets, dtype=int), (), prior)[0]
-
-
-def theorem31_verdicts(data: RegressionData, subsets, r_values, prior: LinearPrior) -> list:
-    """Thm 3.1 verdicts for each row of an (N, I) array of 0-based deletion
-    sets at each order r in `r_values` (all above 1): one list per set,
-    ordered as `r_values`."""
-    return indices_and_verdicts(data, np.asarray(subsets, dtype=int), r_values, prior)[1]
 
 
 def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
@@ -393,14 +380,14 @@ def theorem31_verdict(
     size condition counts as infinite, while the leverage and residual
     conditions return boundary inside a tolerance band.
     """
-    return theorem31_verdicts(data, _one_set(data, dels), [r], prior)[0][0]
+    return indices_and_verdicts(data, _one_set(data, dels), [r], prior)[1][0][0]
 
 
 def moment_index_linear(
     data: RegressionData, dels: DeletionSet, prior: LinearPrior
 ) -> MomentIndexReport:
     """Moment cut-offs r_a (leverage), r_b (sample size), r_c (residual)."""
-    return moment_indices(data, _one_set(data, dels), prior).report(0)
+    return indices_and_verdicts(data, _one_set(data, dels), (), prior)[0][0]
 
 
 # --- subset scans and k-fold audits --------------------------------------------

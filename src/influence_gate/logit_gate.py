@@ -17,7 +17,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict, deletion_set
+from .core_model import (
+    DeletionSet,
+    LogitData,
+    MomentIndexReport,
+    MomentVerdict,
+    deletion_set,
+    each_set,
+)
 from .errors import BudgetError
 
 # Candidate budget for exact vertex enumeration.
@@ -34,16 +41,10 @@ R_STAR_CAP = 64.0
 
 @dataclass(frozen=True)
 class LogitCriterion:
-    """Maximum of h over the L1 unit sphere with the certifying vertices."""
+    """Maximum of h over the L1 unit sphere and the vertex attaining it."""
 
-    epsilon: float
-    r: float
     max_value: float
     argmax: np.ndarray
-    certificate: tuple
-    candidate_count: int
-    column_scales: np.ndarray
-    approximate: bool = False
 
 
 class VertexTable:
@@ -84,13 +85,12 @@ def _candidate_directions(data: LogitData):
     Normals are the covariate rows (scaled per column to unit max-abs for
     conditioning) plus the coordinate axes. Directions are mapped back to the
     original coordinates before normalization, so epsilon keeps its meaning.
-    Returns (directions, column_scales, candidate_count_estimate).
     """
     X = data.design
     n, k = X.shape
-    scales = np.maximum(np.max(np.abs(X), axis=0), 1e-300)
     if k == 1:
-        return np.array([[1.0], [-1.0]]), scales, 2
+        return np.array([[1.0], [-1.0]])
+    scales = np.maximum(np.max(np.abs(X), axis=0), 1e-300)
     Xs = X / scales
     normals = np.vstack([Xs, np.eye(k)])
     m = normals.shape[0]
@@ -112,8 +112,7 @@ def _candidate_directions(data: LogitData):
     d = d_scaled / scales[None, :]
     d = np.concatenate([d, -d], axis=0)
     norms = np.abs(d).sum(axis=1)
-    d = d[norms > 0] / norms[norms > 0, None]
-    return d, scales, count
+    return d[norms > 0] / norms[norms > 0, None]
 
 
 def _require_exact(data: LogitData, epsilon: float) -> None:
@@ -149,62 +148,22 @@ def _verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
     return MomentVerdict.finite()
 
 
-def theorem51_verdicts(data: LogitData, sets, r_values, epsilon: float) -> list:
-    """Thm 5.1 verdicts for each 0-based deletion set in `sets` at each order
-    r in `r_values`: one list per set, ordered as `r_values`."""
-    return indices_and_verdicts(data, sets, r_values, epsilon)[1]
-
-
 def max_h_l1_sphere(
-    data: LogitData,
-    dels: DeletionSet,
-    r: float,
-    epsilon: float,
-    multistart: int | None = None,
+    data: LogitData, dels: DeletionSet, r: float, epsilon: float
 ) -> LogitCriterion:
-    """Global maximum of h over {beta : sum |beta_j| = 1}.
-
-    Exact for k <= 6 and n <= 200 via arrangement-vertex enumeration; the
-    optional multistart fallback draws random sphere directions instead and
-    is flagged approximate in the result.
-    """
+    """Global maximum of h over {beta : sum |beta_j| = 1}: the N=1 view of
+    the vertex table, exact for k <= 6 and n <= 200."""
     _require_exact(data, epsilon)
-    approximate = False
-    try:
-        betas, scales, count = _candidate_directions(data)
-    except BudgetError as exc:
-        if multistart is None:
-            raise BudgetError(
-                f"{exc}, or pass multistart=N to use the approximate random-direction fallback"
-            ) from None
-        rng = np.random.default_rng(0)
-        raw = rng.standard_normal((int(multistart), data.k))
-        betas = raw / np.abs(raw).sum(axis=1, keepdims=True)
-        scales = np.maximum(np.max(np.abs(data.design), axis=0), 1e-300)
-        count = int(multistart)
-        approximate = True
-    h0, slope = VertexTable(data, betas).parts(dels, epsilon)
-    values = h0 + (r - 1.0) * slope
-    best, arg = _lex_best(values, betas)
-    order = np.argsort(values)[::-1][: min(64, len(values))]
-    certificate = tuple((float(values[i]), tuple(betas[i])) for i in order)
-    return LogitCriterion(
-        epsilon=float(epsilon),
-        r=float(r),
-        max_value=best,
-        argmax=arg,
-        certificate=certificate,
-        candidate_count=int(count),
-        column_scales=scales,
-        approximate=approximate,
-    )
+    table = VertexTable(data, _candidate_directions(data))
+    h0, slope = table.parts(dels, epsilon)
+    return LogitCriterion(*_lex_best(h0 + (r - 1.0) * slope, table.betas))
 
 
 def theorem51_verdict(
     data: LogitData, dels: DeletionSet, r: float, epsilon: float
 ) -> MomentVerdict:
     """Sign of the sphere maximum decides the r-th weight moment."""
-    return theorem51_verdicts(data, [dels.indices], [r], epsilon)[0][0]
+    return indices_and_verdicts(data, [dels.indices], [r], epsilon)[1][0][0]
 
 
 def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> MomentIndexReport:
@@ -226,7 +185,8 @@ def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> Momen
 def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
     """Moment index of each 0-based deletion set in `sets` and its Thm 5.1
     verdicts at each order r in `r_values`: (reports, one verdict list per
-    set ordered as `r_values`).
+    set ordered as `r_values`). `sets` may also be the int I for every
+    subset of size I in lexicographic order.
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
     sphere maximum is a nondecreasing piecewise-affine envelope in r and its
@@ -236,22 +196,11 @@ def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
     depends only on the data and is built once for all sets and r, within
     the exact-enumeration limits on k, n and the candidate count.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    dsets = [deletion_set(indices, data.n) for indices in sets]
-    table = None
-    if any(dels.cardinality for dels in dsets):
-        _require_exact(data, epsilon)
-        table = VertexTable(data, _candidate_directions(data)[0])
+    _require_exact(data, epsilon)
+    table = VertexTable(data, _candidate_directions(data))
     reports, verdicts = [], []
-    for dels in dsets:
-        if dels.cardinality == 0:
-            reports.append(MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
-                                             binding="empty deletion"))
-            verdicts.append([MomentVerdict.finite("empty deletion: weight is constant")]
-                            * len(r_values))
-            continue
-        h0, slope = table.parts(dels, epsilon)
+    for indices in each_set(sets, data.n):
+        h0, slope = table.parts(deletion_set(indices, data.n), epsilon)
         reports.append(_index_report(table.betas, h0, slope))
         # At huge r the criterion overflows to +-inf, which keeps its sign.
         with np.errstate(over="ignore"):
@@ -259,15 +208,8 @@ def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
     return reports, verdicts
 
 
-def moment_indices(data: LogitData, sets, epsilon: float) -> list:
-    """Moment index of each 0-based deletion set in `sets`; see
-    `indices_and_verdicts`."""
-    return indices_and_verdicts(data, sets, (), epsilon)[0]
-
-
 def moment_index_logit(
     data: LogitData, dels: DeletionSet, epsilon: float
 ) -> MomentIndexReport:
-    """Moment index of one deletion set; see `moment_indices`."""
-    return moment_indices(data, [dels.indices], epsilon)[0]
-
+    """Moment index of one deletion set; see `indices_and_verdicts`."""
+    return indices_and_verdicts(data, [dels.indices], (), epsilon)[0][0]

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DeletionSet, MMData, MomentIndexReport, MomentVerdict
+from .core_model import (
+    DeletionSet,
+    MMData,
+    MomentIndexReport,
+    MomentVerdict,
+    deletion_set,
+    each_set,
+)
 
 DEFAULT_GRID_SIZE = 4096
 MIN_GRID_SIZE = 16
@@ -41,9 +48,6 @@ NEGLIGIBLE_INTERVAL_FRACTION = 1e-6
 
 # Width at which the bisection on r for the residual cut-off r_c stops.
 R_TOL = 5e-4
-
-# Tie order of the cut-offs: the first minimal one binds.
-_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,7 @@ class KappaProfile:
 
         lo = 1.0 + 1e-9
         if not finite_at(lo):
-            return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=lo, binding="residual")
+            return MomentIndexReport.of(r_a, r_b, lo)
         hi_probe = hi - 1e-9
         if finite_at(hi_probe):
             r_c = math.inf
@@ -278,9 +282,7 @@ class KappaProfile:
             if r_c >= hi_probe - 2 * R_TOL:
                 # The residual condition failed only at the leverage/sample cap.
                 r_c = math.inf
-        cuts = {"leverage": r_a, "sample-size": r_b, "residual": r_c}
-        binding = min(cuts, key=lambda kk: (cuts[kk], _CUTOFF_NAMES.index(kk)))
-        return MomentIndexReport(r_a=r_a, r_b=r_b, r_c=r_c, binding=binding)
+        return MomentIndexReport.of(r_a, r_b, r_c)
 
 
 def kappa_profile(data: MMData, dels: DeletionSet,
@@ -409,3 +411,18 @@ def moment_index_mm(data: MMData, dels: DeletionSet,
                     grid_size: int = DEFAULT_GRID_SIZE) -> MomentIndexReport:
     """Moment index by bisection on r over one kappa profile of the set."""
     return kappa_profile(data, dels, grid_size).moment_index()
+
+
+def indices_and_verdicts(data: MMData, sets, r_values, grid_size: int = DEFAULT_GRID_SIZE):
+    """Moment index of each nonempty 0-based deletion set in `sets` and its
+    Thm 4.1 verdicts at each order r in `r_values`: (reports, one verdict
+    list per set ordered as `r_values`). `sets` may also be the int I for
+    every subset of size I in lexicographic order. One kappa profile per set
+    serves its index and every r."""
+    reports, verdicts = [], []
+    for indices in each_set(sets, data.n):
+        profile = kappa_profile(data, deletion_set(indices, data.n), grid_size)
+        reports.append(profile.moment_index())
+        verdicts.append([theorem41_verdict(data, profile.dels, r, profile.scan(r))
+                         for r in r_values])
+    return reports, verdicts

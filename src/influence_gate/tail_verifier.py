@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DeletionSet, MomentIndexReport, write_table
+from .core_model import DeletionSet, MomentIndexReport
 from .is_engine import log_weight
 from .samplers import SamplerConfig
 
@@ -111,7 +111,6 @@ def verify_moment_index(
     analytic: MomentIndexReport,
     config: SamplerConfig,
     top_fraction: float = DEFAULT_TOP_FRACTION,
-    out_csv=None,
 ) -> TailReport:
     """Simulate draws from the posterior of `family` (a `families.Family`
     record, with the prior it takes), estimate the weight tail index both
@@ -149,8 +148,6 @@ def verify_moment_index(
         agreement = abs(hill - r_star) / r_star < AGREEMENT_REL_TOL
     else:
         agreement = None
-    if out_csv is not None and rows:
-        write_table(out_csv, ["threshold", "exceedances", "estimate"], rows)
     return TailReport(
         hill_estimate=hill,
         top_fraction=top_fraction,

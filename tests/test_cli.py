@@ -24,7 +24,7 @@ from influence_gate.linear_gate import (
     theorem31_verdict,
 )
 from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
-from influence_gate.mm_gate import KappaPriorSpec
+from influence_gate.mm_gate import KappaPriorSpec, moment_index_mm, scan_kappa, theorem41_verdict
 from influence_gate.samplers import (
     SamplerConfig,
     sample_linear_noninformative,
@@ -45,6 +45,7 @@ FZ_LOGIT = {
     "model": "logit", "data": DATA_DIR / "feigl_zelen.csv",
     "data.outcome": "surv50", "data.covariates": "wbc, ag", "prior.epsilon": "1",
 }
+MODELS = {"linear": FZ_LINEAR, "mm": PUROMYCIN_MM, "logit": FZ_LOGIT}
 FZ_CONJUGATE = {
     **FZ_LINEAR, "prior.kind": "conjugate", "prior.alpha": "2", "prior.beta": "1",
     "prior.theta.mean": "0, 0, 0", "prior.theta.cov_diag": "1, 1, 1",
@@ -123,6 +124,33 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
     assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
 
 
+def test_mm_gate_rows_match_single_set_functions(tmp_path):
+    config = {**PUROMYCIN_MM, "deletion.scan_size": "1", "r": "2, 4"}
+    assert run(tmp_path, "gate", config) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    _, data, _ = model_inputs(config)
+    assert len(rows) == 2 * 11
+    for row in rows:
+        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        r = float(row["r"])
+        verdict = theorem41_verdict(data, dels, r, scan_kappa(data, dels, r))
+        rep = moment_index_mm(data, dels)
+        assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
+        assert row["binding"] == rep.binding
+        for name in ("r_a", "r_b", "r_c", "r_star"):
+            assert float(row[name]) == getattr(rep, name)
+    assert [row["r"] for row in rows[:4]] == ["2.0", "4.0", "2.0", "4.0"]
+
+
+def test_mm_gate_binding_names_the_smallest_cutoff(tmp_path):
+    # Deleting 10 of 11 cases: r_b = (n-1)/I = 1 is below r_c = 1 + 1e-9.
+    config = {**PUROMYCIN_MM, "deletion.indices": ",".join(map(str, range(1, 11))), "r": "2"}
+    assert run(tmp_path, "gate", config) == 0
+    [row] = read_csv(tmp_path, "gate_report.csv")
+    assert (row["r_b"], row["r_c"], row["r_star"]) == ("1.0", "1.000000001", "1.0")
+    assert row["binding"] == "sample-size"
+
+
 def test_logit_gate_enumerates_vertices_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, logit_gate, "_candidate_directions")
     assert run(tmp_path, "gate", {**FZ_LOGIT, "deletion.scan_size": "2", "r": "2, 4"}) == 0
@@ -135,11 +163,27 @@ def test_linear_gate_makes_one_spectral_pass(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_gate_empty_deletion_writes_one_row_per_r(tmp_path):
-    assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "0", "r": "2, 3"}) == 0
+@pytest.mark.parametrize("model", MODELS)
+def test_gate_empty_deletion_writes_one_row_per_r(tmp_path, model):
+    assert run(tmp_path, "gate", {**MODELS[model], "deletion.scan_size": "0", "r": "2, 3"}) == 0
     rows = read_csv(tmp_path, "gate_report.csv")
     assert [(row["deletion"], row["r"]) for row in rows] == [("", "2.0"), ("", "3.0")]
-    assert all(row["verdict"] == "finite" for row in rows)
+    for row in rows:
+        assert (row["verdict"], row["detail"]) == ("finite", "empty deletion: weight is constant")
+        assert (row["r_star"], row["binding"]) == ("inf", "empty deletion")
+
+
+def test_estimate_empty_deletion_is_exact(tmp_path):
+    config = {**PUROMYCIN_MM, "deletion.indices": "", "measures": "kl, cpo",
+              "sampler.draws": "500"}
+    assert run(tmp_path, "estimate", config) == 0
+    rows = {row["measure"]: row for row in read_csv(tmp_path, "estimates.csv")}
+    assert float(rows["kl"]["value"]) == 0.0 and float(rows["cpo"]["value"]) == 1.0
+    for row in rows.values():
+        assert (row["deletion"], row["gate"], row["available_r_star"]) == ("", "passed", "inf")
+        assert float(row["standard_error"]) == 0.0
+    cfg = cli.parse_config({k: str(v) for k, v in config.items()}, REPO_ROOT)
+    assert cli._sampling_inputs(cfg, "estimate", 500)[4].binding == "empty deletion"
 
 
 def test_scan(tmp_path):

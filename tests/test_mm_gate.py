@@ -213,6 +213,13 @@ class TestMomentIndexMM:
         moved = moment_index_mm(pushed, deletion_set([0], 11)).r_star
         assert moved <= base + 1e-6
 
+    def test_sample_size_binds_below_the_residual_probe(self, puromycin):
+        # With 10 of 11 cases deleted the residual condition fails at the
+        # first probe r = 1 + 1e-9, but r_b = (n-1)/I = 1 is smaller still.
+        rep = moment_index_mm(puromycin, deletion_set(range(10), 11))
+        assert (rep.r_b, rep.r_c, rep.r_star) == (1.0, 1.0 + 1e-9, 1.0)
+        assert rep.binding == "sample-size"
+
     def test_invariant_r_star_is_min(self, puromycin):
         rep = moment_index_mm(puromycin, deletion_set([8], 11))
         assert rep.r_star == min(rep.r_a, rep.r_b, rep.r_c)

@@ -16,10 +16,13 @@ from conftest import REPO_ROOT
 PACKAGE = REPO_ROOT / "src" / "influence_gate"
 
 ALLOWED = {
+    "moment_index_linear": "benchmark trace site; N=1 wrapper of the batched Thm 3.1 kernel",
+    "moment_index_mm": "benchmark trace site; N=1 wrapper of the Thm 4.1 kernel",
+    "moment_index_logit": "benchmark trace site; N=1 wrapper of the batched Thm 5.1 kernel",
     "leverage_minor": "benchmark trace site; N=1 view of the leverage spectrum for tests",
     "theorem31_verdict": "benchmark trace site; N=1 wrapper of the batched Thm 3.1 kernel",
     "theorem51_verdict": "benchmark trace site; N=1 wrapper of the batched Thm 5.1 kernel",
-    "max_h_l1_sphere": "benchmark trace site; criterion maximum with its certificate",
+    "max_h_l1_sphere": "benchmark trace site; N=1 view of the vertex table",
     "scan_kappa": "benchmark trace site; N=1 wrapper of kappa_profile(...).scan(r)",
     "h_eval": "N=1 wrapper of VertexTable.parts; tests check hand values",
     "mm_eval": "N=1 pointwise MM quantities; tests check the refit identity",
