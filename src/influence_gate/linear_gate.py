@@ -30,8 +30,14 @@ from .errors import SingularLeverageError
 # noise must not flip the verdict.
 EIGENVALUE_BOUNDARY_TOL = 1e-9
 
+# A leverage eigenvalue at or below this counts as zero: it gives r_a = inf,
+# and on the Gram side (deleted design rows spanning fewer than k dimensions)
+# the residual mass along its eigenvector joins the null-space slot instead
+# of being divided by it.
+_NULL_EIGENVALUE = 1e-14
+
 # Subsets per batched kernel call in a scan; bounds the memory held by the
-# stacked minors and eigenvectors.
+# stacked matrices and eigenvectors.
 _SCAN_CHUNK = 65536
 
 # The r_c Newton iteration stops for a set once its step is below this
@@ -104,7 +110,10 @@ class LeverageReport:
 # leverage minor of a deletion set is H_del = Q_del Q_del', so the n x n hat
 # matrix is never formed. For N deletion sets of a common size I, the
 # spectrum step gives the ascending eigenvalues lam of each H_del and the
-# squared deleted residuals u2 in its eigenbasis. The cut-offs and the
+# squared deleted residuals u2 in its eigenbasis. H_del has rank at most k:
+# sets of I > k cases are diagonalised on the k x k Gram side Q_del' Q_del,
+# with the residual mass outside its range in one lam = 0 slot, and only
+# sets of at most k cases diagonalise the I x I minor. The cut-offs and the
 # Thm 3.1 verdicts are both read off (lam, u2, rss), which one pass computes
 # for both. In the eigenbasis rss_star(r) = rss - sum_i r u2_i / (1 - r lam_i),
 # and with s = 1/r the residual cut-off r_c is the root of the secular
@@ -121,16 +130,37 @@ def _hat(data: RegressionData):
 
 
 def _spectra(Q, e, idx: np.ndarray):
-    """Leverage minors of an (N, I) index array, their ascending spectra and
-    the squared deleted residuals in each eigenbasis."""
+    """Ascending spectra lam of the leverage minors H_del of an (N, I) index
+    array and the squared deleted residuals u2 in each eigenbasis, both (N, I).
+
+    Sets of at most k cases diagonalise the I x I minor. For I > k only the
+    k x k Gram matrix A = Q_del' Q_del = W diag(mu) W' is diagonalised: its
+    eigenvalues mu are the nonzero ones of H_del, and with b = Q_del' e_del
+    the residual mass along each is (W_j' b)^2 / mu_j. The I - k leading
+    columns are lam = 0 slots; the first holds the null-space mass
+    |e_del|^2 - sum_j u2_j, clamped at 0. A mu_j at or below
+    _NULL_EIGENVALUE (the deleted rows span fewer than k dimensions) is
+    zeroed and its mass left to that slot instead of being divided by mu_j.
+    """
     if idx.ndim != 2 or idx.shape[1] < 1:
         raise ValueError("deletion sets must form an (N, I) array with I >= 1")
-    Q_del = Q[idx]
-    minors = Q_del @ np.swapaxes(Q_del, 1, 2)
-    minors = (minors + np.swapaxes(minors, 1, 2)) / 2.0
-    lam, V = np.linalg.eigh(minors)
-    u2 = np.einsum("nij,ni->nj", V, e[idx]) ** 2
-    return minors, lam, u2
+    N, I = idx.shape
+    k = Q.shape[1]
+    Q_del, e_del = Q[idx], e[idx]
+    if I <= k:
+        minors = Q_del @ np.swapaxes(Q_del, 1, 2)
+        minors = (minors + np.swapaxes(minors, 1, 2)) / 2.0
+        lam, V = np.linalg.eigh(minors)
+        return lam, np.einsum("nij,ni->nj", V, e_del) ** 2
+    mu, W = np.linalg.eigh(np.swapaxes(Q_del, 1, 2) @ Q_del)
+    b = e_del[:, None, :] @ Q_del
+    null = mu <= _NULL_EIGENVALUE
+    lam = np.zeros((N, I))
+    u2 = np.zeros((N, I))
+    lam[:, I - k:] = np.where(null, 0.0, mu)
+    u2[:, I - k:] = np.where(null, 0.0, (b @ W)[:, 0, :] ** 2 / np.where(null, 1.0, mu))
+    u2[:, 0] = np.maximum(np.einsum("ni,ni->n", e_del, e_del) - u2.sum(axis=1), 0.0)
+    return lam, u2
 
 
 def _secular_root(lam, u2, C: float, s_lo):
@@ -201,7 +231,7 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     N, I = lam.shape
     lam_max = lam[:, -1]
     with np.errstate(divide="ignore"):
-        r_a = np.where(lam_max > 1e-14, 1.0 / np.maximum(lam_max, 1e-300), np.inf)
+        r_a = np.where(lam_max > _NULL_EIGENVALUE, 1.0 / np.maximum(lam_max, 1e-300), np.inf)
     size = n - k if prior.is_noninformative else n + 2.0 * prior.alpha
     r_b = np.full(N, size / I)
     threshold = prior.rss_threshold
@@ -290,7 +320,7 @@ def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_val
     `r_values`, from one spectral pass: (SubsetScanResult, one verdict list
     per set, ordered as `r_values`, or [] when r_values is empty)."""
     Q, e, rss = hat
-    _, lam, u2 = _spectra(Q, e, idx)
+    lam, u2 = _spectra(Q, e, idx)
     r_a, r_b, r_c = _cutoffs(lam, u2, rss, n, k, prior)
     result = SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
                               r_star=np.minimum(np.minimum(r_a, r_b), r_c))
@@ -347,8 +377,10 @@ def leverage_minor(data: RegressionData, dels: DeletionSet) -> LeverageReport:
     """Leverage minor H_del, its ascending spectrum, deleted residuals, RSS."""
     idx = _one_set(data, dels)
     Q, e, rss = _hat(data)
-    minors, lam, _ = _spectra(Q, e, idx)
-    return LeverageReport(minor=minors[0], eigenvalues=lam[0], deleted_residuals=e[idx[0]], rss=rss)
+    lam, _ = _spectra(Q, e, idx)
+    Q_del = Q[idx[0]]
+    return LeverageReport(minor=Q_del @ Q_del.T, eigenvalues=lam[0], deleted_residuals=e[idx[0]],
+                          rss=rss)
 
 
 def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
@@ -360,7 +392,7 @@ def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
     """
     r = float(r)
     Q, e, rss = _hat(data)
-    _, lam, u2 = _spectra(Q, e, _one_set(data, dels))
+    lam, u2 = _spectra(Q, e, _one_set(data, dels))
     lam, u2 = lam[0], u2[0]
     bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
     if np.any(bad):

@@ -120,6 +120,15 @@ class TestLeverageMinor:
         idx = dels.index_array()
         assert rep.minor == pytest.approx(H[np.ix_(idx, idx)], abs=1e-10)
 
+    def test_more_cases_than_columns_match_the_minor_spectrum(self):
+        # I = 5 > k = 3: the spectrum comes from the Gram side, padded with zeros
+        rng = np.random.default_rng(12)
+        data = random_regression(rng, 20, 3)
+        rep = leverage_minor(data, deletion_set([0, 3, 7, 11, 19], 20))
+        assert rep.minor.shape == (5, 5)
+        assert np.allclose(rep.eigenvalues, np.linalg.eigvalsh(rep.minor), rtol=0.0, atol=1e-12)
+        assert np.all(rep.eigenvalues[:2] == 0.0)
+
 
 class TestRssStar:
     def test_derived_example_formula(self, derived_linear, delete_last_of_4):
@@ -461,7 +470,7 @@ class TestCutoffRoot:
     def test_equals_old_bisection_on_feigl_zelen_triples(self, prior):
         data = feigl_zelen("linear")
         Q, e, rss = linear_gate._hat(data)
-        _, lam, u2 = linear_gate._spectra(Q, e, np.array(list(combinations(range(33), 3))))
+        lam, u2 = linear_gate._spectra(Q, e, np.array(list(combinations(range(33), 3))))
         r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, data.n, data.k, prior)
         root = r_c < r_a
         assert root.sum() > 1000
@@ -473,6 +482,90 @@ class TestCutoffRoot:
         monkeypatch.setattr(linear_gate, "_ROOT_MAX_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="did not settle"):
             linear_gate._cutoffs(lam, u2, rss, 40, 3, NONINF)
+
+
+# --- the spectra from the Gram side -------------------------------------------------
+
+
+def minor_spectra(Q, e, idx):
+    """The I x I form of the spectra, kept as an oracle for the Gram side:
+    eigenpairs of the symmetrised minors Q_del Q_del' and the squared deleted
+    residuals in each eigenbasis."""
+    Q_del = Q[idx]
+    minors = Q_del @ np.swapaxes(Q_del, 1, 2)
+    minors = (minors + np.swapaxes(minors, 1, 2)) / 2.0
+    lam, V = np.linalg.eigh(minors)
+    return lam, np.einsum("nij,ni->nj", V, e[idx]) ** 2
+
+
+def assert_matches_minor_oracle(data, idx, prior):
+    """r_a and r_c from the spectra agree with those from the I x I oracle
+    within 1e-12 relative, r_b exactly, and so do the Thm 3.1 verdicts."""
+    Q, e, rss = linear_gate._hat(data)
+    n, k = data.n, data.k
+    lam, u2 = linear_gate._spectra(Q, e, idx)
+    lam_o, u2_o = minor_spectra(Q, e, idx)
+    assert lam.shape == u2.shape == idx.shape
+    got = linear_gate._cutoffs(lam, u2, rss, n, k, prior)
+    want = linear_gate._cutoffs(lam_o, u2_o, rss, n, k, prior)
+    for name, g, w in zip(("r_a", "r_b", "r_c"), got, want):
+        assert np.array_equal(np.isinf(g), np.isinf(w)), name
+        fin = np.isfinite(w)
+        assert np.all(np.abs(g[fin] - w[fin]) <= 1e-12 * np.abs(w[fin])), name
+    assert np.array_equal(got[1], want[1])
+    for r in (1.5, 2.0, 3.0):
+        assert (linear_gate._theorem31(lam, u2, rss, n, k, r, prior)
+                == linear_gate._theorem31(lam_o, u2_o, rss, n, k, r, prior))
+
+
+class TestGramSpectra:
+    @pytest.mark.parametrize("prior", [NONINF, conj(2.0, 0.001)], ids=["flat", "conjugate"])
+    def test_matches_minor_oracle_on_feigl_zelen(self, prior):
+        data = feigl_zelen("linear")
+        rng = np.random.default_rng(13)
+        assert_matches_minor_oracle(data, np.array(list(combinations(range(33), 4))), prior)
+        for size in (5, 6):
+            idx = np.sort(np.argsort(rng.random((2000, 33)), axis=1)[:, :size], axis=1)
+            assert_matches_minor_oracle(data, idx, prior)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_at_most_k_cases_is_the_minor_arithmetic(self, size):
+        # gate, estimate and verify outputs for these sets stay byte-identical
+        data = feigl_zelen("linear")
+        Q, e, _ = linear_gate._hat(data)
+        idx = np.array(list(combinations(range(33), size)))
+        lam, u2 = linear_gate._spectra(Q, e, idx)
+        lam_o, u2_o = minor_spectra(Q, e, idx)
+        assert np.array_equal(lam, lam_o) and np.array_equal(u2, u2_o)
+
+    @pytest.mark.parametrize("prior", [NONINF, conj(2.0, 0.001)], ids=["flat", "conjugate"])
+    def test_rank_deficient_feigl_zelen_set(self, prior):
+        # cases 15, 16, 17, 32 and 33 all have wbc = 100: their design rows
+        # span 2 of 3 dimensions, so the Gram matrix of the set and of each
+        # of its 4-subsets is singular
+        data = feigl_zelen("linear")
+        cases = np.array([15, 16, 17, 32, 33]) - 1
+        assert np.all(data.design[cases, 1] == data.design[cases[0], 1])
+        Q, e, _ = linear_gate._hat(data)
+        with np.errstate(all="raise"):
+            lam, _ = linear_gate._spectra(Q, e, cases[None, :])
+            assert np.count_nonzero(lam) == 2
+            assert_matches_minor_oracle(data, cases[None, :], prior)
+            assert_matches_minor_oracle(data, np.array(list(combinations(cases, 4))), prior)
+
+    def test_rank_one_deletion_set(self):
+        # every deleted row is the same, so Q_del has rank 1
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((15, 3))
+        X[[2, 5, 8, 9, 13]] = X[2]
+        data = RegressionData(design=X, response=X @ [1.0, -2.0, 0.5] + rng.standard_normal(15))
+        idx = np.array([[2, 5, 8, 9, 13]])
+        Q, e, _ = linear_gate._hat(data)
+        with np.errstate(all="raise"):
+            lam, _ = linear_gate._spectra(Q, e, idx)
+            assert np.count_nonzero(lam) == 1
+            for prior in (NONINF, conj(2.0, 0.001)):
+                assert_matches_minor_oracle(data, idx, prior)
 
 
 def reference_cutoffs(data, dels, prior):
