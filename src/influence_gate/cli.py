@@ -253,16 +253,6 @@ def write_csv_report(path, columns, rows) -> None:
     write_table(path, columns, rows)
 
 
-def validate_report(payload: dict) -> None:
-    """Self-check of the JSON report shape before writing."""
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("report missing schema_version")
-    if not isinstance(payload.get("command"), str):
-        raise ValueError("report missing command")
-    if "rows" in payload and not isinstance(payload["rows"], list):
-        raise ValueError("report rows must be a list")
-
-
 def _jsonable(v):
     if isinstance(v, float):
         if math.isinf(v):
@@ -274,28 +264,35 @@ def _jsonable(v):
     return v
 
 
-def write_json_report(path, command: str, rows: list | None = None,
-                      extra: dict | None = None) -> None:
-    """Write a report; `rows` (optional) repeats the CSV table row by row."""
+def write_json_report(path, command: str, rows=None, extra: dict | None = None) -> None:
+    """Write a report; `rows` (optional), an iterable of dicts, repeats the
+    CSV table row by row."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command}
     if rows is not None:
         payload["rows"] = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
     if extra:
         payload.update({k: _jsonable(v) if not isinstance(v, dict) else v for k, v in extra.items()})
-    validate_report(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str,
-                  loglog: bool = True) -> None:
-    """Minimal hand-emitted SVG: axes, one polyline, labels."""
+def _write_report(out: Path, stem: str, command: str, columns, rows, extra=None) -> None:
+    """Make `out` and write the table `rows`, lists ordered as `columns`, to
+    <stem>.csv and, one object per row, to <stem>.json with `extra`. The
+    row objects are made one at a time as the JSON payload is built."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv_report(out / f"{stem}.csv", columns, rows)
+    write_json_report(out / f"{stem}.json", command, (dict(zip(columns, row)) for row in rows),
+                      extra)
+
+
+def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
+    """Minimal hand-emitted SVG on log-log axes: axes, one polyline, labels.
+    Points that are not finite and positive are left out."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    if loglog:
-        keep &= (xs > 0) & (ys > 0)
+    keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
     xs, ys = xs[keep], ys[keep]
     W, H, pad = 640, 480, 60
     parts = [
@@ -309,8 +306,7 @@ def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str,
         f'text-anchor="middle">{ylabel}</text>',
     ]
     if xs.size >= 2:
-        tx = np.log10(xs) if loglog else xs
-        ty = np.log10(ys) if loglog else ys
+        tx, ty = np.log10(xs), np.log10(ys)
         x0, x1 = float(tx.min()), float(tx.max())
         y0, y1 = float(ty.min()), float(ty.max())
         xr = (x1 - x0) or 1.0
@@ -352,7 +348,7 @@ def _check_scan_size(size: int, n: int, smallest: int) -> None:
         raise BudgetError(f"C({n},{size}) = {total} exceeds budget {SUBSET_ENUMERATION_BUDGET}")
 
 
-def cmd_gate(cfg: dict) -> list:
+def cmd_gate(cfg: dict) -> None:
     """Per-deletion-set verdicts and moment cut-offs, written as CSV + JSON."""
     indices, size = cfg["deletion.indices"], cfg["deletion.scan_size"]
     if indices is None and size is None:
@@ -367,29 +363,16 @@ def cmd_gate(cfg: dict) -> list:
     rows = [_gate_row(indices, r, verdict, rep)
             for indices, rep, per_r in zip(each_set(sets, data.n), reports, verdicts)
             for r, verdict in zip(cfg["r"], per_r)]
-    out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv_report(out / "gate_report.csv", GATE_CSV_COLUMNS,
-                     [[row[c] for c in GATE_CSV_COLUMNS] for row in rows])
-    write_json_report(out / "gate_report.json", "gate", rows)
-    return rows
+    _write_report(cfg["out"], "gate_report", "gate", GATE_CSV_COLUMNS, rows)
 
 
-def _gate_row(indices, r, verdict, rep) -> dict:
-    return {
-        "deletion": _subset_label(indices),
-        "r": float(r),
-        "verdict": verdict.tag.value,
-        "detail": verdict.detail,
-        "r_a": float(rep.r_a),
-        "r_b": float(rep.r_b),
-        "r_c": float(rep.r_c),
-        "r_star": float(rep.r_star),
-        "binding": rep.binding,
-    }
+def _gate_row(indices, r, verdict, rep) -> list:
+    """One gate table row, ordered as GATE_CSV_COLUMNS."""
+    return [_subset_label(indices), float(r), verdict.tag.value, verdict.detail,
+            float(rep.r_a), float(rep.r_b), float(rep.r_c), float(rep.r_star), rep.binding]
 
 
-def cmd_scan(cfg: dict) -> dict:
+def cmd_scan(cfg: dict) -> None:
     """Enumerate all subsets of the configured size, rank by cut-offs.
 
     Linear model only (the scanning machinery rides on the closed-form hat
@@ -431,7 +414,6 @@ def cmd_scan(cfg: dict) -> dict:
         "flagged_cases": flagged,
     }
     write_json_report(out / "scan_report.json", "scan", extra=summary)
-    return summary
 
 
 def _scan_text(result, n: int):
@@ -465,7 +447,7 @@ def _scan_text(result, n: int):
         yield "\r\n".join(map(",".join, rows)) + "\r\n"
 
 
-def cmd_kfold_audit(cfg: dict) -> dict:
+def cmd_kfold_audit(cfg: dict) -> None:
     """Random-partition audit: per-fold moment indices and CLT-failure counts."""
     if cfg["model"] != "linear":
         raise ConfigError("kfold audit supports the linear model")
@@ -486,32 +468,19 @@ def cmd_kfold_audit(cfg: dict) -> dict:
     below = (rstars < 2.0).reshape(len(partitions), folds).sum(axis=1)
     count_ge1 = int(np.sum(below >= 1))
     count_ge2 = int(np.sum(below >= 2))
-    rows = [
-        {
-            "partition": i // folds + 1,
-            "fold": i % folds + 1,
-            "size": len(fold),
-            "r_star": float(rs),
-            "below_2": bool(rs < 2.0),
-        }
-        for i, (fold, rs) in enumerate(zip(all_folds, rstars))
-    ]
-    out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv_report(out / "kfold_report.csv", KFOLD_CSV_COLUMNS,
-                     [[row[c] for c in KFOLD_CSV_COLUMNS] for row in rows])
+    rows = [[i // folds + 1, i % folds + 1, len(fold), float(rs), bool(rs < 2.0)]
+            for i, (fold, rs) in enumerate(zip(all_folds, rstars))]
     summary = {
         "partitions": count,
         "folds": folds,
         "partitions_with_ge1_fold_below_2": count_ge1,
         "partitions_with_ge2_folds_below_2": count_ge2,
     }
-    write_json_report(out / "kfold_report.json", "kfold", rows, extra=summary)
-    return summary
+    _write_report(cfg["out"], "kfold_report", "kfold", KFOLD_CSV_COLUMNS, rows, summary)
 
 
 # Fewest draws that give the Hill estimate its minimum number of exceedances.
-_MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.DEFAULT_TOP_FRACTION)
+_MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.TOP_FRACTION)
 
 
 def _sampling_inputs(cfg: dict, command: str, default_draws: int):
@@ -526,7 +495,7 @@ def _sampling_inputs(cfg: dict, command: str, default_draws: int):
     return family, data, prior, dels, report, sampler_cfg
 
 
-def cmd_estimate(cfg: dict) -> list:
+def cmd_estimate(cfg: dict) -> None:
     """Draw from the posterior and estimate the requested measures with gates.
 
     Blocked measures carry the blocking requirement; the report repeats the
@@ -538,39 +507,27 @@ def cmd_estimate(cfg: dict) -> list:
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
     sample = is_engine.WeightedSample(family.log_weight(loglik, dels.cardinality))
-    rows = []
-    for measure in cfg["measures"]:
-        est = is_engine.estimate_measure(sample, measure, report.r_star, loglik)
-        rows.append(
-            {
-                "deletion": _subset_label(dels.indices),
-                "measure": measure,
-                "value": est.value,
-                "gate": "passed" if est.gate_passed else "blocked",
-                "required_moments": est.required_moments,
-                "available_r_star": est.available_r_star,
-                "standard_error": est.standard_error if est.standard_error is not None else "",
-                "flags": ";".join(est.flags),
-            }
-        )
-    out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv_report(out / "estimates.csv", ESTIMATE_CSV_COLUMNS,
-                     [[row[c] for c in ESTIMATE_CSV_COLUMNS] for row in rows])
+    label = _subset_label(dels.indices)
+    ests = [is_engine.estimate_measure(sample, measure, report.r_star, loglik)
+            for measure in cfg["measures"]]
+    rows = [[label, est.measure, est.value, "passed" if est.gate_passed else "blocked",
+             est.required_moments, est.available_r_star,
+             "" if est.standard_error is None else est.standard_error, ";".join(est.flags)]
+            for est in ests]
     advisory = (
         "blocked measures lack a CLT at this deletion; sampling from a mixture of "
         "the full and case-deleted posteriors restores one (not performed here)"
-        if any(row["gate"] == "blocked" for row in rows)
+        if not all(est.gate_passed for est in ests)
         else ""
     )
-    write_json_report(out / "estimates.json", "estimate", rows,
-                      extra={"advisory": advisory, "acceptance_rate": result.acceptance_rate})
+    out = cfg["out"]
+    _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, rows,
+                  {"advisory": advisory, "acceptance_rate": result.acceptance_rate})
     if cfg["sampler.export_draws"]:
         write_table(out / "draws.csv", family.columns(data), result.draws.tolist())
-    return rows
 
 
-def cmd_verify(cfg: dict) -> dict:
+def cmd_verify(cfg: dict) -> None:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
     m_grid, reps = cfg["verify.m_grid"], cfg["verify.replications"]
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
@@ -615,7 +572,6 @@ def cmd_verify(cfg: dict) -> dict:
         if scaling.loglog_slope is not None:
             svg_line_plot(out / "verify_scaling.svg", scaling.m_grid, scaling.variance_at_m,
                           "estimator variance scaling", "draws", "variance")
-    return summary
 
 
 # --- entry point ----------------------------------------------------------------

@@ -6,7 +6,7 @@ from the 1-based numbering used in data files and reports.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -143,11 +143,6 @@ class DeletionSet:
     def cardinality(self) -> int:
         return len(self.indices)
 
-    @property
-    def complement(self) -> tuple:
-        dropped = set(self.indices)
-        return tuple(i for i in range(self.n) if i not in dropped)
-
     def index_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)
 
@@ -180,15 +175,13 @@ class VerdictTag(str, Enum):
     FINITE = "finite"
     INFINITE = "infinite"
     BOUNDARY = "boundary"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
 class MomentVerdict:
     """Decision about finiteness of a weight moment.
 
-    `detail` names the binding condition for boundary verdicts and the
-    reason for indeterminate ones.
+    `detail` names the binding condition for boundary verdicts.
     """
 
     tag: VerdictTag
@@ -207,12 +200,6 @@ class MomentVerdict:
         if not detail:
             raise ValueError("boundary verdict must name the binding condition")
         return MomentVerdict(VerdictTag.BOUNDARY, detail)
-
-    @staticmethod
-    def indeterminate(reason: str) -> "MomentVerdict":
-        if not reason:
-            raise ValueError("indeterminate verdict must carry a reason")
-        return MomentVerdict(VerdictTag.INDETERMINATE, reason)
 
     @property
     def is_finite(self) -> bool:
@@ -235,24 +222,22 @@ class MomentIndexReport:
     r_b: float
     r_c: float
     binding: str
-    r_star: float = field(default=math.nan)
 
     def __post_init__(self):
         for name in ("r_a", "r_b", "r_c"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        expected = min(self.r_a, self.r_b, self.r_c)
-        if math.isnan(self.r_star):
-            object.__setattr__(self, "r_star", expected)
-        elif not math.isclose(self.r_star, expected, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("r_star must equal min(r_a, r_b, r_c)")
+
+    @property
+    def r_star(self) -> float:
+        return min(self.r_a, self.r_b, self.r_c)
 
     @classmethod
-    def of(cls, r_a: float, r_b: float, r_c: float, r_star: float = math.nan):
+    def of(cls, r_a: float, r_b: float, r_c: float):
         """The report of three cut-offs whose binding names the first
         minimal one, in the order leverage, sample-size, residual."""
         cuts = (r_a, r_b, r_c)
-        return cls(r_a, r_b, r_c, binding=_CUTOFF_NAMES[cuts.index(min(cuts))], r_star=r_star)
+        return cls(r_a, r_b, r_c, binding=_CUTOFF_NAMES[cuts.index(min(cuts))])
 
 
 # --- CSV ingestion -----------------------------------------------------------

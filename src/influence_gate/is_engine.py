@@ -99,15 +99,10 @@ def _weight_parts(log_weights: np.ndarray):
     return u / mean_u, float(m) + math.log(mean_u)
 
 
-def _normalized_weights(log_weights: np.ndarray) -> np.ndarray:
-    return _weight_parts(log_weights)[0]
-
-
-def self_normalized_estimate(sample, g_values) -> float:
+def self_normalized_estimate(log_weights: np.ndarray, g_values) -> float:
     """Weighted mean sum(w g)/sum(w), computed stably in log space."""
-    lw = sample.log_weights if isinstance(sample, WeightedSample) else sample
     g = np.asarray(g_values, dtype=float).ravel()
-    w = _normalized_weights(lw)
+    w = _weight_parts(log_weights)[0]
     if w.shape != g.shape:
         raise ValueError("g_values length must match the number of draws")
     return float(np.sum(w * g) / np.sum(w))

@@ -163,6 +163,13 @@ def _spectra(Q, e, idx: np.ndarray):
     return lam, u2
 
 
+def _rss_star(rss, lam, u2, r):
+    """rss_star(r) = rss - r sum_i u2_i / (1 - r lam_i), summed over the
+    last axis of the spectra lam and u2; r is one order, or one per row."""
+    r = np.asarray(r)
+    return rss - r * np.sum(u2 / (1.0 - r[..., None] * lam), axis=-1)
+
+
 def _secular_root(lam, u2, C: float, s_lo):
     """Root s > lam_max of psi(s) = sum_i u2_i / (s - lam_i) = C > 0 for each
     row, given a point s_lo at or left of it.
@@ -237,7 +244,7 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     threshold = prior.rss_threshold
 
     def excess(r, rows):
-        return rss - r * np.sum(u2[rows] / (1.0 - r[:, None] * lam[rows]), axis=1) - threshold
+        return _rss_star(rss, lam[rows], u2[rows], r) - threshold
 
     sum_u2 = u2.sum(axis=1)
     degenerate = sum_u2 <= 1e-24 * max(1.0, rss)
@@ -273,7 +280,7 @@ def _theorem31(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
     # Sets that fail the leverage check reach no rss_star comparison, so the
     # singular or negative denominators they give here are never read.
     with np.errstate(divide="ignore", invalid="ignore"):
-        rs = rss - r * np.sum(u2 / (1.0 - r * lam), axis=1)
+        rs = _rss_star(rss, lam, u2, r)
     thr = prior.rss_threshold
     tol = 1e-9 * max(1.0, abs(rss), abs(thr))
     outcomes = (
@@ -311,8 +318,7 @@ class SubsetScanResult:
         return self.subsets.shape[0]
 
     def __getitem__(self, i: int) -> MomentIndexReport:
-        return MomentIndexReport.of(float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]),
-                                    float(self.r_star[i]))
+        return MomentIndexReport.of(float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]))
 
 
 def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_values=()):
@@ -397,7 +403,7 @@ def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
     bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
     if np.any(bad):
         raise SingularLeverageError(float(lam[np.argmax(bad)]), r)
-    return float(rss - r * np.sum(u2 / (1.0 - r * lam)))
+    return float(_rss_star(rss, lam, u2, r))
 
 
 def theorem31_verdict(

@@ -49,18 +49,20 @@ NEGLIGIBLE_INTERVAL_FRACTION = 1e-6
 # Width at which the bisection on r for the residual cut-off r_c stops.
 R_TOL = 5e-4
 
+# Degrees of freedom of the half-t prior on kappa; 3 gives it a finite mean.
+KAPPA_PRIOR_DOF = 3.0
+
 
 @dataclass(frozen=True)
 class KappaPriorSpec:
-    """Proper prior on kappa; the default is a half-t with 3 degrees of
-    freedom, which has a finite mean."""
+    """Proper prior on kappa: a half-t with KAPPA_PRIOR_DOF degrees of
+    freedom and the given scale."""
 
-    dof: float = 3.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.dof > 0 and self.scale > 0):
-            raise ValueError("dof and scale must be positive")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,6 @@ class MMEval:
     leverage: float
     g_val: float
     rss_star: float | None
-
-    @property
-    def rss_star_defined(self) -> bool:
-        return self.rss_star is not None
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class KappaScan:
     """
 
     grid: np.ndarray
-    r: float
     c_val: float
     sup_leverage: Extremum
     inf_rss_star: Extremum
@@ -153,14 +150,14 @@ def mm_eval(data: MMData, dels: DeletionSet, r: float, kappa: float) -> MMEval:
     )
 
 
-def _golden_section(f, lo, hi, minimize=True, xtol=GOLDEN_XTOL):
+def _golden_section(f, lo, hi, minimize=True):
     """Golden-section search on [lo, hi]; returns (x, f(x))."""
     sgn = 1.0 if minimize else -1.0
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = sgn * f(c), sgn * f(d)
-    while b - a > xtol:
+    while b - a > GOLDEN_XTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -240,7 +237,7 @@ class KappaProfile:
         if abs(a1) > 1e-12:
             tail_ok = abs(grid[-1] * grid[-1] * A[-1] - a1) <= 0.01 * abs(a1)
         return KappaScan(
-            grid=grid, r=float(r), c_val=C, sup_leverage=self.sup_leverage,
+            grid=grid, c_val=C, sup_leverage=self.sup_leverage,
             inf_rss_star=inf_rss_star, sup_g=self.sup_g, inf_g=self.inf_g,
             sign_change_intervals=tuple(intervals), asymptotic_coefficient=a1,
             terminal_regime=bool(tail_ok and self.head_ok),

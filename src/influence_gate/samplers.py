@@ -14,7 +14,7 @@ import numpy as np
 from .core_model import LogitData, MMData, RegressionData
 from .errors import SamplerError
 from .linear_gate import LinearPrior
-from .mm_gate import KappaPriorSpec
+from .mm_gate import KAPPA_PRIOR_DOF, KappaPriorSpec
 
 # Adaptive warm-up targets this acceptance rate, +/- 0.1.
 TARGET_ACCEPTANCE = 0.3
@@ -46,8 +46,8 @@ class SampleResult:
     proposal_scale: np.ndarray | None = None
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
 def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) -> SampleResult:
@@ -178,9 +178,7 @@ def _run_mh(log_density, x0, config: SamplerConfig, dim: int) -> SampleResult:
     )
 
 
-def sample_mm(
-    data: MMData, config: SamplerConfig, kappa_prior: KappaPriorSpec | None = None
-) -> SampleResult:
+def sample_mm(data: MMData, config: SamplerConfig, kappa_prior: KappaPriorSpec) -> SampleResult:
     """Random-walk Metropolis on (m, log sigma2, log kappa).
 
     The target is the flat 1/sigma2 prior on (m, sigma2) restricted to
@@ -190,9 +188,8 @@ def sample_mm(
     """
     if data.n < 3:
         raise SamplerError("need at least 3 observations")
-    prior = kappa_prior or KappaPriorSpec()
     c, v = data.concentration, data.velocity
-    half_dof, half_scale = prior.dof, prior.scale
+    half_dof, half_scale = KAPPA_PRIOR_DOF, kappa_prior.scale
     n = data.n
 
     log_2pi = math.log(2.0 * math.pi)

@@ -15,8 +15,7 @@ from .core_model import DeletionSet, MomentIndexReport
 from .is_engine import log_weight
 from .samplers import SamplerConfig
 
-DEFAULT_TOP_FRACTION = 0.01
-SENSITIVITY_FRACTIONS = (0.005, 0.01, 0.02)
+TOP_FRACTION = 0.01
 MIN_EXCEEDANCES = 50
 REGRESSION_POINTS = 25
 
@@ -30,8 +29,6 @@ AGREEMENT_MAX_INDEX = 6.0
 @dataclass(frozen=True)
 class TailReport:
     hill_estimate: float
-    top_fraction: float
-    hill_sensitivity: dict
     regression_index: float
     analytic_r_star: float
     agreement: bool | None
@@ -43,18 +40,25 @@ class TailReport:
 @dataclass(frozen=True)
 class ScalingReport:
     m_grid: tuple
-    replications: int
     variance_at_m: tuple
     loglog_slope: float | None
-    degenerate: bool = False
+
+
+def _hill(w: np.ndarray, k: int) -> float:
+    """Hill estimate from the k largest of the descending weights w: the
+    inverse mean log-excess over the threshold w[k], +infinity when that
+    mean is not positive."""
+    mean_excess = float(np.mean(np.log(w[:k]) - math.log(w[k])))
+    if mean_excess <= 0:
+        return math.inf
+    return 1.0 / mean_excess
 
 
 def hill_tail_index(weights_descending: np.ndarray, top_fraction: float) -> float:
     """Hill estimator from the top-fraction order statistics.
 
-    Input must be sorted descending. The estimate is the inverse mean
-    log-excess over the threshold order statistic; constant tails give
-    +infinity (degenerate, flagged by the caller).
+    Input must be sorted descending. Constant tails give +infinity
+    (degenerate, flagged by the caller).
     """
     w = np.asarray(weights_descending, dtype=float).ravel()
     if not 0 < top_fraction <= 0.2:
@@ -67,25 +71,22 @@ def hill_tail_index(weights_descending: np.ndarray, top_fraction: float) -> floa
             f"need at least {MIN_EXCEEDANCES} exceedances; top fraction {top_fraction} "
             f"of {w.size} gives {k}"
         )
-    threshold = w[k]
-    if threshold <= 0:
+    if w[k] <= 0:
         raise ValueError("weights must be positive")
-    mean_excess = float(np.mean(np.log(w[:k]) - math.log(threshold)))
-    if mean_excess <= 0:
-        return math.inf
-    return 1.0 / mean_excess
+    return _hill(w, k)
 
 
-def survival_regression_index(weights_descending: np.ndarray,
-                              points: int = REGRESSION_POINTS) -> tuple:
-    """Slope of log P(W > t) against log(1/t) over upper-tail thresholds.
+def survival_regression_index(weights_descending: np.ndarray) -> tuple:
+    """Slope of log P(W > t) against log(1/t) over REGRESSION_POINTS
+    upper-tail thresholds.
 
     Returns (slope, rows) where rows hold (threshold, exceedances, running
-    estimate) for export.
+    Hill estimate) for export.
     """
     w = np.asarray(weights_descending, dtype=float).ravel()
     M = w.size
-    ranks = np.unique(np.geomspace(max(int(0.0005 * M), 10), int(0.1 * M), points).astype(int))
+    ranks = np.unique(np.geomspace(max(int(0.0005 * M), 10), int(0.1 * M),
+                                   REGRESSION_POINTS).astype(int))
     ranks = ranks[(ranks >= 5) & (ranks < M)]
     if ranks.size < 20:
         raise ValueError("not enough draws for the survival regression (need >= 20 thresholds)")
@@ -95,11 +96,7 @@ def survival_regression_index(weights_descending: np.ndarray,
     log_p = np.log(ranks / M)
     log_inv_t = -np.log(thresholds)
     slope = float(np.polyfit(log_inv_t, log_p, 1)[0])
-    rows = []
-    for j, rank in enumerate(ranks):
-        partial = np.log(w[:rank]) - math.log(w[rank])
-        est = 1.0 / float(np.mean(partial)) if np.mean(partial) > 0 else math.inf
-        rows.append((float(thresholds[j]), int(rank), est))
+    rows = [(float(t), rank, _hill(w, rank)) for t, rank in zip(thresholds, ranks.tolist())]
     return slope, rows
 
 
@@ -110,7 +107,6 @@ def verify_moment_index(
     dels: DeletionSet,
     analytic: MomentIndexReport,
     config: SamplerConfig,
-    top_fraction: float = DEFAULT_TOP_FRACTION,
 ) -> TailReport:
     """Simulate draws from the posterior of `family` (a `families.Family`
     record, with the prior it takes), estimate the weight tail index both
@@ -128,21 +124,13 @@ def verify_moment_index(
     if float(np.max(lw) - np.min(lw)) < 1e-12:
         return TailReport(
             hill_estimate=math.inf,
-            top_fraction=top_fraction,
-            hill_sensitivity={f: math.inf for f in SENSITIVITY_FRACTIONS},
             regression_index=math.inf,
             analytic_r_star=r_star,
             agreement=None,
             degenerate=True,
         )
     w = np.sort(np.exp(lw - np.max(lw)))[::-1]
-    hill = hill_tail_index(w, top_fraction)
-    sensitivity = {}
-    for frac in SENSITIVITY_FRACTIONS:
-        try:
-            sensitivity[frac] = hill_tail_index(w, frac)
-        except ValueError:
-            sensitivity[frac] = math.nan
+    hill = hill_tail_index(w, TOP_FRACTION)
     slope, rows = survival_regression_index(w)
     if math.isfinite(r_star) and r_star <= AGREEMENT_MAX_INDEX and math.isfinite(hill):
         agreement = abs(hill - r_star) / r_star < AGREEMENT_REL_TOL
@@ -150,8 +138,6 @@ def verify_moment_index(
         agreement = None
     return TailReport(
         hill_estimate=hill,
-        top_fraction=top_fraction,
-        hill_sensitivity=sensitivity,
         regression_index=slope,
         analytic_r_star=r_star,
         agreement=agreement,
@@ -177,21 +163,8 @@ def clt_scaling_audit(estimator, m_grid, replications: int, seed: int) -> Scalin
             rng = np.random.default_rng(children[i * replications + rep])
             vals[rep] = estimator(m, rng)
         variances.append(float(np.var(vals, ddof=1)))
-    if all(v == 0.0 for v in variances):
-        return ScalingReport(
-            m_grid=m_grid,
-            replications=replications,
-            variance_at_m=tuple(variances),
-            loglog_slope=None,
-            degenerate=True,
-        )
-    if len(m_grid) < 2:
+    if len(m_grid) < 2 or all(v == 0.0 for v in variances):
         slope = None
     else:
         slope = float(np.polyfit(np.log(m_grid), np.log(variances), 1)[0])
-    return ScalingReport(
-        m_grid=m_grid,
-        replications=replications,
-        variance_at_m=tuple(variances),
-        loglog_slope=slope,
-    )
+    return ScalingReport(m_grid=m_grid, variance_at_m=tuple(variances), loglog_slope=slope)

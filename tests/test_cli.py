@@ -84,7 +84,7 @@ def test_gate_singleton(tmp_path, config, case):
     assert run(tmp_path, "gate", {**config, "deletion.indices": case}) == 0
     rows = read_csv(tmp_path, "gate_report.csv")
     assert [row["deletion"] for row in rows] == [case]
-    assert rows[0]["verdict"] in ("finite", "infinite", "boundary", "indeterminate")
+    assert rows[0]["verdict"] in ("finite", "infinite", "boundary")
     report = json.loads((tmp_path / "out" / "gate_report.json").read_text())
     assert report["command"] == "gate" and len(report["rows"]) == 1
 

@@ -21,6 +21,7 @@ from influence_gate.is_engine import (
     log_weight,
     self_normalized_estimate,
 )
+from influence_gate.mm_gate import KappaPriorSpec
 from influence_gate.samplers import SamplerConfig, sample_mm
 
 
@@ -226,7 +227,8 @@ class TestLogSumExp:
         assert _logsumexp(_tied_input()).hex() == "0x1.064efd16c6e7bp+3"
 
     def test_mm_case_11_cpo_input_golden(self, puromycin):
-        draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000)).draws
+        draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000),
+                          KappaPriorSpec()).draws
         ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deletion_set([10], 11))
         assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
 

@@ -61,7 +61,6 @@ class TestMMEval:
         ev = mm_eval(puromycin, dels, 2.0, 0.5 * (lo + hi))
         assert abs(ev.a_val) < 1e-10
         assert ev.rss_star is None
-        assert not ev.rss_star_defined
 
 
 class TestScanKappa:
@@ -306,8 +305,8 @@ class TestKappaProfile:
 class TestKappaPriorSpec:
     def test_defaults(self):
         spec = KappaPriorSpec()
-        assert spec.dof == 3.0
+        assert spec.scale == 1.0
 
     def test_positivity(self):
         with pytest.raises(ValueError):
-            KappaPriorSpec(dof=-1.0)
+            KappaPriorSpec(scale=-1.0)

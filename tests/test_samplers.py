@@ -168,8 +168,8 @@ class TestMMChain:
 
     def test_seed_determinism(self, puromycin):
         cfg = SamplerConfig(seed=12, draws=300, burn_in=200)
-        a = sample_mm(puromycin, cfg).draws
-        b = sample_mm(puromycin, cfg).draws
+        a = sample_mm(puromycin, cfg, KappaPriorSpec()).draws
+        b = sample_mm(puromycin, cfg, KappaPriorSpec()).draws
         assert np.array_equal(a, b)
 
     def test_doubling_scale_lowers_acceptance(self, puromycin):
@@ -179,7 +179,7 @@ class TestMMChain:
             cfg = SamplerConfig(
                 seed=13, draws=2000, burn_in=500, proposal_scale=tuple(base * mult)
             )
-            rates.append(sample_mm(puromycin, cfg).acceptance_rate)
+            rates.append(sample_mm(puromycin, cfg, KappaPriorSpec()).acceptance_rate)
         assert rates[0] > rates[1] > rates[2]
 
 
@@ -227,7 +227,7 @@ class TestLogitChain:
 
 class TestDrawExport:
     def test_csv_roundtrip_columns(self, tmp_path, puromycin):
-        res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100))
+        res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100), KappaPriorSpec())
         out = tmp_path / "draws.csv"
         write_table(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
         header = out.read_text().splitlines()[0]
@@ -266,7 +266,7 @@ def oracle_random_walk_metropolis(log_density, x0, scale, steps, rng):
 
 def oracle_mm_density(data, prior):
     c, v = data.concentration, data.velocity
-    half_dof, half_scale = prior.dof, prior.scale
+    half_dof, half_scale = 3.0, prior.scale
     n = data.n
 
     def log_density(p):

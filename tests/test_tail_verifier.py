@@ -1,0 +1,63 @@
+"""Tail-index estimators and the variance-scaling audit of `tail_verifier`."""
+
+import math
+
+import numpy as np
+
+from influence_gate.core_model import deletion_set
+from influence_gate.samplers import SamplerConfig
+from influence_gate.tail_verifier import (
+    clt_scaling_audit,
+    hill_tail_index,
+    survival_regression_index,
+    verify_moment_index,
+)
+
+from conftest import DATA_DIR, model_inputs
+
+FZ_LINEAR = {"model": "linear", "data": DATA_DIR / "feigl_zelen.csv",
+             "data.response": "time_weeks", "data.covariates": "wbc, ag"}
+
+
+def pareto_descending(alpha: float, size: int, seed: int) -> np.ndarray:
+    """Exact Pareto(alpha) draws on [1, inf), P(W > t) = t^-alpha, sorted
+    descending."""
+    u = np.random.default_rng(seed).random(size)
+    return np.sort((1.0 - u) ** (-1.0 / alpha))[::-1]
+
+
+def test_hill_recovers_pareto_index():
+    alpha, fraction = 3.0, 0.01
+    w = pareto_descending(alpha, 40_000, seed=7)
+    k = int(fraction * w.size)
+    assert abs(hill_tail_index(w, fraction) - alpha) < 3.0 * alpha / math.sqrt(k)
+
+
+def test_survival_rows_are_the_hill_estimate_at_each_rank():
+    w = pareto_descending(3.0, 20_000, seed=11)
+    _, rows = survival_regression_index(w)
+    assert len(rows) >= 20
+    for threshold, rank, estimate in rows:
+        mean_excess = float(np.mean(np.log(w[:rank]) - math.log(w[rank])))
+        assert threshold == w[rank]
+        assert estimate == 1.0 / mean_excess
+
+
+def test_constant_log_weights_give_a_degenerate_report():
+    family, data, prior = model_inputs(FZ_LINEAR)
+    dels = deletion_set([], data.n)
+    analytic = family.index(data, prior, [dels.indices], ())[0][0]
+    tail = verify_moment_index(family, data, prior, dels, analytic,
+                               SamplerConfig(seed=1, draws=200))
+    assert tail.degenerate is True
+    assert tail.agreement is None
+    assert tail.hill_estimate == math.inf and tail.survival == ()
+
+
+def test_scaling_audit_of_an_iid_mean_has_slope_minus_one():
+    report = clt_scaling_audit(lambda m, rng: rng.standard_normal(m).mean(),
+                               (100, 400, 1600, 6400), replications=200, seed=5)
+    assert abs(report.loglog_slope + 1.0) < 0.2
+    flat = clt_scaling_audit(lambda m, rng: 0.0, (100, 400), replications=3, seed=5)
+    assert flat.variance_at_m == (0.0, 0.0)
+    assert flat.loglog_slope is None
