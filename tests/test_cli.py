@@ -186,6 +186,16 @@ def test_estimate_empty_deletion_is_exact(tmp_path):
     assert cli._sampling_inputs(cfg, "estimate", 500)[4].binding == "empty deletion"
 
 
+def test_estimate_with_mm_proposals_beyond_the_float_range(tmp_path, capsys):
+    """Proposals whose log sigma2 or log kappa leave the float range of exp
+    have density -inf and are rejected, not a traceback."""
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.scale": "1, 1000, 1000",
+              "sampler.draws": "2000"}
+    assert run(tmp_path, "estimate", config) == 0
+    assert capsys.readouterr().err == ""
+    assert {row["measure"] for row in read_csv(tmp_path, "estimates.csv")} >= {"kl", "cpo"}
+
+
 def test_scan(tmp_path):
     assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "2",
                                   "scan.top": "5", "scan.flag_cases": "15"}) == 0

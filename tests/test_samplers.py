@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,11 @@ from conftest import feigl_zelen, random_regression
 def lin_data():
     rng = np.random.default_rng(100)
     return random_regression(rng, 25, 3)
+
+
+def exact_screen(log_density):
+    """A log density as its own screen: exact values with bound 0."""
+    return lambda p: (log_density(np.array(p)), 0.0)
 
 
 def _ls_quantities(data):
@@ -122,8 +128,12 @@ class TestConjugateSampler:
 class TestMHCore:
     def test_detailed_balance_smoke_standard_normal(self):
         rng = np.random.default_rng(9)
+
+        def log_density(x):
+            return -0.5 * float(x @ x)
+
         chain, accepted = random_walk_metropolis(
-            lambda x: -0.5 * float(x @ x), np.zeros(1), np.array([2.4]), 20_000, rng
+            log_density, exact_screen(log_density), np.zeros(1), np.array([2.4]), 20_000, rng
         )
         xs = chain[2000:, 0]
         B = 32
@@ -136,8 +146,13 @@ class TestMHCore:
 
     def test_zero_density_start_rejected(self):
         rng = np.random.default_rng(10)
+
+        def log_density(x):
+            return -math.inf
+
         with pytest.raises(SamplerError):
-            random_walk_metropolis(lambda x: -math.inf, np.zeros(1), np.array([1.0]), 10, rng)
+            random_walk_metropolis(log_density, exact_screen(log_density), np.zeros(1),
+                                   np.array([1.0]), 10, rng)
 
 
 class TestMMChain:
@@ -320,38 +335,112 @@ def run_with_oracles(monkeypatch, oracle_density, sample, *args):
     place of the sampler's own; the start point and the warm-up are shared."""
     run_mh = samplers._run_mh
     with monkeypatch.context() as patch:
-        patch.setattr(samplers, "random_walk_metropolis", oracle_random_walk_metropolis)
-        patch.setattr(samplers, "_run_mh",
-                      lambda _density, x0, config, dim: run_mh(oracle_density, x0, config, dim))
+        patch.setattr(samplers, "random_walk_metropolis",
+                      lambda density, _screen, *rest: oracle_random_walk_metropolis(density, *rest))
+        patch.setattr(samplers, "_run_mh", lambda _density, _screen, x0, config, dim:
+                      run_mh(oracle_density, None, x0, config, dim))
         return sample(*args)
 
 
 def oracle_checked_points(monkeypatch, oracle_density, sample, *args) -> int:
-    """Run `sample(*args)`, asserting at every point its chain evaluates that
-    its own log density equals the oracle's; returns the number of points."""
+    """Run `sample(*args)`, asserting at every point its chain evaluates (each
+    point its screen sees) that its own log density equals the oracle's;
+    returns the number of points."""
     run_mh = samplers._run_mh
     points = []
 
-    def checked(density):
-        def log_density(p):
-            value = density(p)
-            assert value == oracle_density(p), p
+    def checked(density, screen):
+        def checked_screen(p):
+            point = np.array(p)
+            value = density(point)
+            assert value == oracle_density(point), p
             points.append(value)
-            return value
+            return screen(p)
+
+        return checked_screen
+
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "_run_mh", lambda density, screen, x0, config, dim:
+                      run_mh(density, checked(density, screen), x0, config, dim))
+        sample(*args)
+    return len(points)
+
+
+def with_screen(monkeypatch, wrap, sample, *args):
+    """`sample(*args)` with the core given `wrap(screen)` for the sampler's
+    screen; returns the result and the number of exact-density calls."""
+    run_mh = samplers._run_mh
+    calls = []
+
+    def counted(density):
+        def log_density(p):
+            calls.append(p)
+            return density(p)
 
         return log_density
 
     with monkeypatch.context() as patch:
-        patch.setattr(samplers, "_run_mh",
-                      lambda density, x0, config, dim: run_mh(checked(density), x0, config, dim))
-        sample(*args)
-    return len(points)
+        patch.setattr(samplers, "_run_mh", lambda density, screen, *rest:
+                      run_mh(counted(density), wrap(screen), *rest))
+        result = sample(*args)
+    return result, len(calls)
+
+
+def inflated(screen):
+    """Every bound infinite, so every decision falls back to the exact density."""
+    def inflated_screen(p):
+        return screen(p)[0], math.inf
+
+    return inflated_screen
+
+
+def shifted(screen):
+    """The bound widened by 0.5 and the value moved by +0.9 and -0.9 of it
+    on alternate calls: still a valid screen, but one whose errors at the
+    two points of a step add up to 1.8 of one bound, and wide enough that
+    some decisions fall within the margin and go to the exact density."""
+    signs = itertools.cycle((0.9, -0.9))
+
+    def shifted_screen(p):
+        value, bound = screen(p)
+        bound += 0.5
+        return value + next(signs) * bound, bound
+
+    return shifted_screen
+
+
+class _Target(Exception):
+    pass
+
+
+def mh_target(sample, *args) -> tuple:
+    """The (log density, screen) pair that `sample(*args)` hands to the core."""
+    def capture(density, screen, *_):
+        raise _Target(density, screen)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplers, "_run_mh", capture)
+        with pytest.raises(_Target) as caught:
+            sample(*args)
+    return caught.value.args
 
 
 def assert_same_chain(result, oracle):
     assert np.array_equal(result.draws, oracle.draws)
     assert result.acceptance_rate == oracle.acceptance_rate
     assert np.array_equal(result.proposal_scale, oracle.proposal_scale)
+
+
+def assert_guard_path_equals_oracle(monkeypatch, wrap, oracle_density, sample, data, config,
+                                    prior):
+    oracle = run_with_oracles(monkeypatch, oracle_density, sample, data, config, prior)
+    result, calls = with_screen(monkeypatch, wrap, sample, data, config, prior)
+    assert_same_chain(result, oracle)
+    steps = config.burn_in + config.draws * config.thin
+    if wrap is inflated:
+        assert calls >= 2 * steps
+    else:
+        assert 0 < calls < 2 * steps
 
 
 def chain_config(model, seed, name):
@@ -391,13 +480,43 @@ class TestMetropolisBitIdentity:
         assert oracle_checked_points(monkeypatch, oracle_logit_density(fz_logit, epsilon),
                                      sample_logit, fz_logit, config, epsilon) > config.draws
 
+    @pytest.mark.parametrize("wrap", [inflated, shifted])
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    def test_mm_guard_path_equals_per_step_loop(self, monkeypatch, puromycin, name, wrap):
+        prior = KappaPriorSpec(scale=0.7)
+        assert_guard_path_equals_oracle(monkeypatch, wrap, oracle_mm_density(puromycin, prior),
+                                        sample_mm, puromycin, chain_config("mm", 2, name), prior)
+
+    @pytest.mark.parametrize("wrap", [inflated, shifted])
+    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
+    def test_logit_guard_path_equals_per_step_loop(self, monkeypatch, fz_logit, name, wrap):
+        epsilon = LAPLACE_RATES[1]
+        assert_guard_path_equals_oracle(
+            monkeypatch, wrap, oracle_logit_density(fz_logit, epsilon), sample_logit, fz_logit,
+            chain_config("logit", 3, name), epsilon)
+
+    def test_mm_chains_rarely_fall_back(self, monkeypatch, puromycin):
+        """A bound that failed by being too wide would still give the right
+        chains, only slowly; on the 5-seed chains the screen decides alone."""
+        prior = KappaPriorSpec(scale=0.7)
+        steps = calls = 0
+        for seed, name in itertools.product([1, 2, 3, 4, 5], CHAIN_CONFIGS):
+            config = chain_config("mm", seed, name)
+            _, chain_calls = with_screen(monkeypatch, lambda screen: screen,
+                                         sample_mm, puromycin, config, prior)
+            steps += config.burn_in + config.draws * config.thin
+            calls += chain_calls
+        assert steps > 20_000
+        assert calls <= 10  # 0 on x86-64 with OpenBLAS
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_core_equals_loop_on_a_half_space_support(self, seed):
         def log_density(x):
             return -0.5 * float(x @ x) if x[0] > 0 else -math.inf
 
         args = (log_density, np.array([1.0, 0.0]), np.array([1.5, 0.7]), 3000)
-        chain, accepted = random_walk_metropolis(*args, np.random.default_rng(seed))
+        chain, accepted = random_walk_metropolis(
+            log_density, exact_screen(log_density), *args[1:], np.random.default_rng(seed))
         expected, expected_accepted = oracle_random_walk_metropolis(
             *args, np.random.default_rng(seed))
         assert np.array_equal(chain, expected)
@@ -409,7 +528,8 @@ class TestMetropolisBitIdentity:
             return 0.0 if x[0] == 1.0 else -math.inf
 
         args = (log_density, np.array([1.0, 2.0]), np.array([1.0, 1.0]), 500)
-        chain, accepted = random_walk_metropolis(*args, np.random.default_rng(6))
+        chain, accepted = random_walk_metropolis(
+            log_density, exact_screen(log_density), *args[1:], np.random.default_rng(6))
         expected, _ = oracle_random_walk_metropolis(*args, np.random.default_rng(6))
         assert accepted == 0
         assert np.array_equal(chain, expected)
@@ -427,3 +547,102 @@ class TestMetropolisBitIdentity:
         rng = np.random.default_rng(7)
         for beta in rng.standard_normal((200, 3)) * np.array([1.0, 5.0, 0.1]):
             assert densities[0](beta) == oracle(beta)
+
+
+# --- the screens' error bounds --------------------------------------------------------
+
+
+def screened_points(monkeypatch, sample, *args) -> list:
+    """(point, screen value, bound) at every point the chain's screen sees."""
+    run_mh = samplers._run_mh
+    seen = []
+
+    def recording(screen):
+        def recorded(p):
+            value, bound = screen(p)
+            seen.append((p, value, bound))
+            return value, bound
+
+        return recorded
+
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "_run_mh", lambda density, screen, *rest:
+                      run_mh(density, recording(screen), *rest))
+        sample(*args)
+    return seen
+
+
+def assert_within_bound(point, value, bound, exact):
+    if exact == -math.inf:
+        assert value == -math.inf, point
+    else:
+        assert abs(value - exact) <= bound, point
+
+
+def mm_expected(oracle, density, p):
+    """The oracle density at p; where the oracle raises (exp or the kappa
+    prior's square overflows, or sigma2 underflows to 0), the sampler's
+    density must give -inf."""
+    point = np.array(p)
+    try:
+        return oracle(point)
+    except (OverflowError, ZeroDivisionError):
+        assert density(point) == -math.inf, p
+        return -math.inf
+
+
+MM_EXTREMES = list(itertools.product(
+    (-1.0, 0.0, 1e-300, 160.0, 1e6),
+    (-744.0, -700.0, -50.0, 0.0, 4.6, 50.0, 700.0, 709.5),
+    (-744.0, -700.0, -3.0, 0.0, 300.0, 354.0, 355.0, 700.0),
+))
+LOGIT_EXTREMES = list(itertools.product(
+    (0.0, -1e-8, 3.0, -40.0, 1e3), (0.0, 1e-8, -3.0, 40.0, -1e3), (0.0, -3.0, 40.0, 1e3)))
+
+
+class TestScreenBound:
+    @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
+    def test_mm_screen_within_bound_on_a_chain(self, monkeypatch, puromycin, kappa_scale):
+        prior = KappaPriorSpec(scale=kappa_scale)
+        config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
+        density, _ = mh_target(sample_mm, puromycin, config, prior)
+        oracle = oracle_mm_density(puromycin, prior)
+        seen = screened_points(monkeypatch, sample_mm, puromycin, config, prior)
+        assert len(seen) == 1 + config.draws
+        for p, value, bound in seen:
+            assert_within_bound(p, value, bound, mm_expected(oracle, density, p))
+
+    @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
+    def test_mm_screen_within_bound_at_extreme_points(self, puromycin, kappa_scale):
+        prior = KappaPriorSpec(scale=kappa_scale)
+        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), prior)
+        oracle = oracle_mm_density(puromycin, prior)
+        for p in MM_EXTREMES:
+            expected = mm_expected(oracle, density, p)
+            assert density(np.array(p)) == expected, p
+            assert_within_bound(p, *screen(p), expected)
+
+    @pytest.mark.parametrize("p", [(100.0, 800.0, 0.0), (100.0, -800.0, 0.0), (100.0, 0.0, 800.0)])
+    def test_mm_density_is_minus_inf_beyond_the_float_range(self, puromycin, p):
+        """exp(800) overflows and exp(-800) is 0; the density tends to -inf
+        along each axis, so the step is rejected rather than raising."""
+        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1),
+                                    KappaPriorSpec())
+        assert density(np.array(p)) == -math.inf
+        assert screen(p)[0] == -math.inf
+
+    @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
+    def test_logit_screen_within_bound_on_a_chain(self, monkeypatch, fz_logit, epsilon):
+        config = SamplerConfig(seed=4, draws=2000, proposal_scale=(2.0, 1e-4, 1.0))
+        oracle = oracle_logit_density(fz_logit, epsilon)
+        seen = screened_points(monkeypatch, sample_logit, fz_logit, config, epsilon)
+        assert len(seen) == 1 + config.draws
+        for p, value, bound in seen:
+            assert_within_bound(p, value, bound, oracle(np.array(p)))
+
+    @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
+    def test_logit_screen_within_bound_at_extreme_points(self, fz_logit, epsilon):
+        _, screen = mh_target(sample_logit, fz_logit, SamplerConfig(seed=1, draws=1), epsilon)
+        oracle = oracle_logit_density(fz_logit, epsilon)
+        for p in LOGIT_EXTREMES:
+            assert_within_bound(p, *screen(p), oracle(np.array(p)))
