@@ -24,7 +24,6 @@ from .linear_gate import (
     LinearPrior,
     leverage_minor,
     moment_index_linear,
-    rss_star,
     theorem31_verdict,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "leverage_minor",
     "load_csv",
     "moment_index_linear",
-    "rss_star",
     "theorem31_verdict",
 ]
 

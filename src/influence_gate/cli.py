@@ -510,9 +510,13 @@ def cmd_estimate(cfg: dict) -> None:
     label = _subset_label(dels.indices)
     ests = [is_engine.estimate_measure(sample, measure, report.r_star, loglik)
             for measure in cfg["measures"]]
+    # A chain that accepted nothing repeats its start point: every estimate
+    # from it is degenerate, however good the value looks.
+    stuck = ("zero-acceptance",) if result.acceptance_rate == 0 else ()
     rows = [[label, est.measure, est.value, "passed" if est.gate_passed else "blocked",
              est.required_moments, est.available_r_star,
-             "" if est.standard_error is None else est.standard_error, ";".join(est.flags)]
+             "" if est.standard_error is None else est.standard_error,
+             ";".join(est.flags + stuck)]
             for est in ests]
     advisory = (
         "blocked measures lack a CLT at this deletion; sampling from a mixture of "
@@ -547,7 +551,7 @@ def cmd_verify(cfg: dict) -> None:
         )
         res = family.sample(data, prior, sub)
         lw = is_engine.log_weight(family, res.draws, data, dels)
-        return is_engine.self_normalized_estimate(np.atleast_1d(lw), res.draws[:, 0])
+        return is_engine.self_normalized_estimate(lw, res.draws[:, 0])
 
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
     write_csv_report(

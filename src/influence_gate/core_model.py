@@ -13,15 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DeletionRangeError,
-    MissingColumnError,
-    NonNumericCellError,
-    NonPositiveConcentrationError,
-    OutcomeDomainError,
-    RankDeficiencyError,
-)
+from .errors import DataError
 
 # Relative singular-value cutoff for the full-column-rank check, applied to
 # the column-scaled design. Near-singular designs poison every downstream
@@ -35,14 +27,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_full_rank(design: np.ndarray) -> None:
-    scale = np.max(np.abs(design), axis=0)
+def singular_value_ratio(matrix: np.ndarray) -> float:
+    """Smallest over largest singular value of `matrix` with each column
+    scaled to unit max-abs; 0 when a column is all zero."""
+    scale = np.max(np.abs(matrix), axis=0)
     if np.any(scale == 0.0):
-        raise RankDeficiencyError("zero column present")
-    sv = np.linalg.svd(design / scale, compute_uv=False)
-    if sv[-1] <= RANK_TOLERANCE * sv[0]:
-        raise RankDeficiencyError(
-            f"singular value ratio {sv[-1] / sv[0]:.3e} below {RANK_TOLERANCE:g}"
+        return 0.0
+    sv = np.linalg.svd(matrix / scale, compute_uv=False)
+    return float(sv[-1] / sv[0])
+
+
+def _check_full_rank(design: np.ndarray) -> None:
+    if not np.all(np.any(design != 0.0, axis=0)):
+        raise DataError("design matrix is rank deficient: zero column present")
+    ratio = singular_value_ratio(design)
+    if ratio <= RANK_TOLERANCE:
+        raise DataError(
+            f"design matrix is rank deficient: singular value ratio {ratio:.3e} below "
+            f"{RANK_TOLERANCE:g}"
         )
 
 
@@ -93,7 +95,8 @@ class MMData:
             raise DataError("need at least one observation")
         bad = np.nonzero(conc <= 0.0)[0]
         if bad.size:
-            raise NonPositiveConcentrationError(int(bad[0]) + 1, float(conc[bad[0]]))
+            raise DataError(f"concentration must be strictly positive; got {float(conc[bad[0]])} "
+                            f"at data row {int(bad[0]) + 1}")
         object.__setattr__(self, "concentration", _freeze(conc))
         object.__setattr__(self, "velocity", _freeze(vel))
 
@@ -119,7 +122,8 @@ class LogitData:
             raise DataError(f"outcome length {outcome.shape[0]} != n={n}")
         bad = np.nonzero((outcome != 0.0) & (outcome != 1.0))[0]
         if bad.size:
-            raise OutcomeDomainError(int(bad[0]) + 1, float(outcome[bad[0]]))
+            raise DataError(f"outcome must be exactly 0 or 1; got {float(outcome[bad[0]])} "
+                            f"at data row {int(bad[0]) + 1}")
         object.__setattr__(self, "design", _freeze(design))
         object.__setattr__(self, "outcome", _freeze(outcome))
 
@@ -160,7 +164,7 @@ def deletion_set(indices, n: int) -> DeletionSet:
         if idx != raw:
             raise DataError(f"deletion index {raw!r} is not an integer")
         if not 0 <= idx < n:
-            raise DeletionRangeError(idx, n)
+            raise DataError(f"deletion index {idx} out of range for n={n} (0-based)")
         cleaned.add(idx)
     return DeletionSet(indices=tuple(sorted(cleaned)), n=n)
 
@@ -256,7 +260,7 @@ def _read_table(path) -> tuple:
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise MissingColumnError("<header>")
+        raise DataError("required column '<header>' not found in header")
     header = [cell.strip() for cell in rows[0]]
     return header, rows[1:]
 
@@ -265,14 +269,15 @@ def _column(header, rows, name) -> np.ndarray:
     try:
         j = header.index(name)
     except ValueError:
-        raise MissingColumnError(name) from None
+        raise DataError(f"required column {name!r} not found in header") from None
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
         cell = row[j].strip() if j < len(row) else ""
         try:
             out[i] = float(cell)
         except ValueError:
-            raise NonNumericCellError(i + 1, name, cell) from None
+            raise DataError(f"non-numeric value {cell!r} at data row {i + 1}, "
+                            f"column {name!r}") from None
         if not math.isfinite(out[i]):
             raise DataError(f"non-finite value {cell!r} at data row {i + 1}, column {name!r}")
     return out

@@ -17,48 +17,6 @@ class DataError(InfluenceGateError):
     """Problem ingesting or validating a data set."""
 
 
-class MissingColumnError(DataError):
-    def __init__(self, column: str):
-        super().__init__(f"required column {column!r} not found in header")
-        self.column = column
-
-
-class NonNumericCellError(DataError):
-    def __init__(self, row: int, column: str, value: str):
-        super().__init__(
-            f"non-numeric value {value!r} at data row {row}, column {column!r}"
-        )
-        self.row = row
-        self.column = column
-        self.value = value
-
-
-class RankDeficiencyError(DataError):
-    def __init__(self, detail: str = ""):
-        super().__init__(f"design matrix is rank deficient{': ' + detail if detail else ''}")
-
-
-class NonPositiveConcentrationError(DataError):
-    def __init__(self, row: int, value: float):
-        super().__init__(f"concentration must be strictly positive; got {value} at data row {row}")
-        self.row = row
-        self.value = value
-
-
-class OutcomeDomainError(DataError):
-    def __init__(self, row: int, value: float):
-        super().__init__(f"outcome must be exactly 0 or 1; got {value} at data row {row}")
-        self.row = row
-        self.value = value
-
-
-class DeletionRangeError(DataError):
-    def __init__(self, index: int, n: int):
-        super().__init__(f"deletion index {index} out of range for n={n} (0-based)")
-        self.index = index
-        self.n = n
-
-
 class BudgetError(InfluenceGateError):
     """An enumeration or candidate budget was exceeded."""
 
@@ -70,13 +28,3 @@ class SamplerError(InfluenceGateError):
 class DegenerateSampleError(InfluenceGateError):
     """All importance weights underflowed or are otherwise unusable."""
 
-
-class SingularLeverageError(InfluenceGateError):
-    """(I - r * H_del) is numerically singular at the requested r."""
-
-    def __init__(self, eigenvalue: float, r: float):
-        super().__init__(
-            f"(I - r*H_del) is singular: eigenvalue {eigenvalue!r} equals 1/r for r={r!r}"
-        )
-        self.eigenvalue = eigenvalue
-        self.r = r

@@ -24,7 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core_model import LogitData, MMData, MomentIndexReport, MomentVerdict, RegressionData
+from .core_model import (
+    RANK_TOLERANCE,
+    LogitData,
+    MMData,
+    MomentIndexReport,
+    MomentVerdict,
+    RegressionData,
+    singular_value_ratio,
+)
 from .errors import ConfigError, DataError
 from .linear_gate import LinearPrior
 from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
@@ -127,6 +135,9 @@ def _linear_inputs(cfg: dict, columns: dict):
         if data.n <= data.k:
             raise DataError(f"the flat prior gives an improper posterior unless n > k; "
                             f"got n={data.n}, k={data.k}")
+        if singular_value_ratio(np.column_stack([data.design, data.response])) <= RANK_TOLERANCE:
+            raise DataError("the flat prior gives an improper posterior when the design fits "
+                            "the response exactly (RSS = 0)")
         return data, LinearPrior.noninformative()
     for name in ("prior.theta.mean", "prior.theta.cov_diag"):
         if len(cfg[name]) != data.k:

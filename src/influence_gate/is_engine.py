@@ -59,18 +59,12 @@ class InfluenceEstimate:
 # --- log weights --------------------------------------------------------------
 
 
-def log_weight(family, draw: np.ndarray, data, dels: DeletionSet):
-    """Log of the unnormalized deletion weight at one draw or a batch: the
-    negated deleted-case log-likelihood, less the family's constant per
-    deleted case. `family` is the model's `families.Family` record.
-
-    Accepts a single parameter point (1-d) or a batch (2-d, one draw per
-    row); returns a scalar or a vector accordingly.
-    """
-    arr = np.asarray(draw, dtype=float)
-    loglik = deleted_log_likelihood(family, arr, data, dels)
-    out = family.log_weight(loglik, dels.cardinality)
-    return float(out[0]) if arr.ndim == 1 else out
+def log_weight(family, draws: np.ndarray, data, dels: DeletionSet) -> np.ndarray:
+    """Log of the unnormalized deletion weight at each draw, one per row:
+    the negated deleted-case log-likelihood, less the family's constant per
+    deleted case. `family` is the model's `families.Family` record."""
+    loglik = deleted_log_likelihood(family, draws, data, dels)
+    return family.log_weight(loglik, dels.cardinality)
 
 
 def deleted_log_likelihood(family, draws: np.ndarray, data, dels: DeletionSet):

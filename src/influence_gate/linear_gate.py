@@ -23,7 +23,6 @@ from .core_model import (
     RegressionData,
     deletion_set,
 )
-from .errors import SingularLeverageError
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -92,16 +91,12 @@ class LinearPrior:
 
 @dataclass(frozen=True)
 class LeverageReport:
-    """Leverage minor of a deletion set with its spectrum and residuals."""
+    """Leverage minor of a deletion set with its ascending spectrum, and
+    the full-data RSS."""
 
     minor: np.ndarray
     eigenvalues: np.ndarray
-    deleted_residuals: np.ndarray
     rss: float
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
 
 
 # --- the batched kernel -----------------------------------------------------------
@@ -380,30 +375,12 @@ def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
 
 
 def leverage_minor(data: RegressionData, dels: DeletionSet) -> LeverageReport:
-    """Leverage minor H_del, its ascending spectrum, deleted residuals, RSS."""
+    """Leverage minor H_del, its ascending spectrum and the RSS."""
     idx = _one_set(data, dels)
     Q, e, rss = _hat(data)
     lam, _ = _spectra(Q, e, idx)
     Q_del = Q[idx[0]]
-    return LeverageReport(minor=Q_del @ Q_del.T, eigenvalues=lam[0], deleted_residuals=e[idx[0]],
-                          rss=rss)
-
-
-def rss_star(data: RegressionData, dels: DeletionSet, r: float) -> float:
-    """Adjusted residual sum of squares at moment order r.
-
-    At r = 1 this equals the RSS of the least-squares refit on the
-    case-deleted data; at r = 0 it is the full-data RSS. Refuses r with a
-    leverage eigenvalue inside the boundary band around 1/r.
-    """
-    r = float(r)
-    Q, e, rss = _hat(data)
-    lam, u2 = _spectra(Q, e, _one_set(data, dels))
-    lam, u2 = lam[0], u2[0]
-    bad = np.abs(lam - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL if r != 0 else np.zeros_like(lam, bool)
-    if np.any(bad):
-        raise SingularLeverageError(float(lam[np.argmax(bad)]), r)
-    return float(_rss_star(rss, lam, u2, r))
+    return LeverageReport(minor=Q_del @ Q_del.T, eigenvalues=lam[0], rss=rss)
 
 
 def theorem31_verdict(

@@ -70,15 +70,6 @@ class VertexTable:
         return h0, slope
 
 
-def h_eval(
-    data: LogitData, dels: DeletionSet, beta: np.ndarray, r: float, epsilon: float
-) -> float:
-    """Tail-rate criterion at one direction; ties beta'x_i = 0 contribute 0."""
-    beta = np.asarray(beta, dtype=float).ravel()
-    h0, slope = VertexTable(data, beta[None, :]).parts(dels, epsilon)
-    return float(h0[0] + (r - 1.0) * slope[0])
-
-
 def _candidate_directions(data: LogitData):
     """L1-normalized null directions of all (k-1)-subsets of arrangement normals.
 

@@ -17,7 +17,7 @@ g < 1/r, which is how violations are detected on the scan grid.
 
 The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
 depend on r: `kappa_profile` computes them once per deletion set, on the
-grid, at the endpoint limits and in the refinement of the extrema of l and g.
+grid, at the endpoint limits and in the refinement of sup l and inf g.
 `KappaProfile.scan(r)` adds the r part, and `KappaProfile.moment_index`
 bisects on r with every probe reading that one profile.
 """
@@ -66,21 +66,6 @@ class KappaPriorSpec:
 
 
 @dataclass(frozen=True)
-class MMEval:
-    """Pointwise-in-kappa quantities; rss_star is None where A vanishes
-    (a finite set of kappa values, so no error)."""
-
-    kappa: float
-    x: np.ndarray
-    a_val: float
-    b_val: float
-    c_val: float
-    leverage: float
-    g_val: float
-    rss_star: float | None
-
-
-@dataclass(frozen=True)
 class Extremum:
     value: float
     kappa: float
@@ -88,22 +73,14 @@ class Extremum:
 
 @dataclass(frozen=True)
 class KappaScan:
-    """Grid scan of the kappa axis at one r, with refined extrema.
+    """What the Thm 4.1 verdict reads of the kappa axis at one r: C, the
+    refined extrema and the violation intervals, endpoint regimes included."""
 
-    Endpoint behavior is appended analytically: at kappa -> 0 every x_i
-    tends to 1, and at kappa -> infinity the sign of A is governed by the
-    quadratic concentration coefficient stored in `asymptotic_coefficient`.
-    """
-
-    grid: np.ndarray
     c_val: float
     sup_leverage: Extremum
     inf_rss_star: Extremum
-    sup_g: Extremum
     inf_g: Extremum
     sign_change_intervals: tuple
-    asymptotic_coefficient: float
-    terminal_regime: bool
 
 
 def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
@@ -133,21 +110,6 @@ def _v2(data: MMData, mask: np.ndarray) -> list:
     """(sum v^2, sum_del v^2): the first two kappa-sums with v in place of x."""
     v = data.velocity
     return [float(s) for s in _kappa_sums(v, v, mask)[:2]]
-
-
-def mm_eval(data: MMData, dels: DeletionSet, r: float, kappa: float) -> MMEval:
-    """All pointwise quantities at one kappa."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    mask = dels.mask()
-    sums = _sums_at(data, mask, kappa)
-    a, b, cval, rss = _abc(sums, _v2(data, mask), r)
-    c = data.concentration
-    return MMEval(
-        kappa=float(kappa), x=c / (kappa + c), a_val=a, b_val=b, c_val=cval,
-        leverage=sums[1] / sums[0], g_val=sums[3] / sums[2],
-        rss_star=None if np.isnan(rss) else float(rss),
-    )
 
 
 def _golden_section(f, lo, hi, minimize=True):
@@ -200,7 +162,7 @@ class KappaProfile:
     """The r-free part of the kappa scan of one deletion set: the kappa-sums
     on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
     kappa -> infinity (`inf`, x_i ~ c_i/kappa), v2 = (sum v^2, sum_del v^2),
-    and the refined extrema of leverage and g."""
+    and the refined supremum of leverage and infimum of g."""
 
     data: MMData
     dels: DeletionSet
@@ -210,9 +172,7 @@ class KappaProfile:
     inf: list
     v2: list
     sup_leverage: Extremum
-    sup_g: Extremum
     inf_g: Extremum
-    head_ok: bool
 
     def scan(self, r: float) -> KappaScan:
         """Add A, B, C and rss_star at order r, refine the infimum of
@@ -233,15 +193,8 @@ class KappaProfile:
         else:
             inf_rss_star = _refined_extremum(grid, rss, f_rss, True, rss_limits)
         intervals = _violation_intervals(grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
-        tail_ok = True
-        if abs(a1) > 1e-12:
-            tail_ok = abs(grid[-1] * grid[-1] * A[-1] - a1) <= 0.01 * abs(a1)
-        return KappaScan(
-            grid=grid, c_val=C, sup_leverage=self.sup_leverage,
-            inf_rss_star=inf_rss_star, sup_g=self.sup_g, inf_g=self.inf_g,
-            sign_change_intervals=tuple(intervals), asymptotic_coefficient=a1,
-            terminal_regime=bool(tail_ok and self.head_ok),
-        )
+        return KappaScan(c_val=C, sup_leverage=self.sup_leverage, inf_rss_star=inf_rss_star,
+                         inf_g=self.inf_g, sign_change_intervals=tuple(intervals))
 
     def moment_index(self) -> MomentIndexReport:
         """Moment index by bisection on r, each probe scanning this profile.
@@ -287,8 +240,8 @@ def kappa_profile(data: MMData, dels: DeletionSet,
     """The r-free part of the kappa scan: `grid_size` log-spaced kappa from
     1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
     endpoint limits, with golden-section refinement around each grid
-    extremum of leverage and g and the limits folded into the reported
-    extrema, so they cover the full half-line."""
+    maximum of leverage and minimum of g and the limits folded into the
+    reported extrema, so they cover the full half-line."""
     if dels.cardinality < 1:
         raise ValueError("deletion set must be nonempty")
     if grid_size < MIN_GRID_SIZE:
@@ -307,12 +260,9 @@ def kappa_profile(data: MMData, dels: DeletionSet,
         limits = [(zero[k + 1] / zero[k], 0.0), (inf[k + 1] / inf[k], math.inf)]
         return _refined_extremum(grid, sums[k + 1] / sums[k], f, find_min, limits)
 
-    zero_lev = zero[1] / zero[0]
-    return KappaProfile(
-        data=data, dels=dels, grid=grid, sums=sums, zero=zero, inf=inf, v2=_v2(data, mask),
-        sup_leverage=refined(0, False), sup_g=refined(2, False), inf_g=refined(2, True),
-        head_ok=bool(abs(sums[1][0] / sums[0][0] - zero_lev) <= 0.01 * max(zero_lev, 1e-12)),
-    )
+    return KappaProfile(data=data, dels=dels, grid=grid, sums=sums, zero=zero, inf=inf,
+                        v2=_v2(data, mask), sup_leverage=refined(0, False),
+                        inf_g=refined(2, True))
 
 
 def scan_kappa(data: MMData, dels: DeletionSet, r: float,

@@ -188,12 +188,18 @@ def test_estimate_empty_deletion_is_exact(tmp_path):
 
 def test_estimate_with_mm_proposals_beyond_the_float_range(tmp_path, capsys):
     """Proposals whose log sigma2 or log kappa leave the float range of exp
-    have density -inf and are rejected, not a traceback."""
+    have density -inf and are rejected, not a traceback. The chain accepts
+    none of them, and every estimate says so."""
     config = {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.scale": "1, 1000, 1000",
               "sampler.draws": "2000"}
     assert run(tmp_path, "estimate", config) == 0
     assert capsys.readouterr().err == ""
-    assert {row["measure"] for row in read_csv(tmp_path, "estimates.csv")} >= {"kl", "cpo"}
+    rows = read_csv(tmp_path, "estimates.csv")
+    assert {row["measure"] for row in rows} >= {"kl", "cpo"}
+    assert all("zero-acceptance" in row["flags"].split(";") for row in rows)
+    report = json.loads((tmp_path / "out" / "estimates.json").read_text())
+    assert report["acceptance_rate"] == 0.0
+    assert all("zero-acceptance" in row["flags"] for row in report["rows"])
 
 
 def test_scan(tmp_path):
@@ -489,6 +495,18 @@ def test_flat_prior_with_n_not_above_k_is_data_error(tmp_path, capsys, command):
     assert run(tmp_path, command, config) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "n=3" in err and "k=3" in err
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+def test_flat_prior_with_an_exact_fit_is_data_error(tmp_path, capsys, command):
+    # y = 2x + 1 exactly: RSS = 0 and the flat-prior posterior is improper
+    path = tmp_path / "exact.csv"
+    path.write_text("x,y\n1,3\n2,5\n3,7\n4,9\n5,11\n")
+    config = {"model": "linear", "data": path, "data.covariates": "x", "deletion.indices": "1"}
+    assert run(tmp_path, command, config) == 3
+    assert capsys.readouterr().err == ("data error: the flat prior gives an improper posterior "
+                                       "when the design fits the response exactly (RSS = 0)\n")
+    assert not (tmp_path / "out").exists()
 
 
 # --- exit 5 -----------------------------------------------------------------------

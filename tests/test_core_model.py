@@ -14,15 +14,7 @@ from influence_gate.core_model import (
     load_csv,
     write_table,
 )
-from influence_gate.errors import (
-    DataError,
-    DeletionRangeError,
-    MissingColumnError,
-    NonNumericCellError,
-    NonPositiveConcentrationError,
-    OutcomeDomainError,
-    RankDeficiencyError,
-)
+from influence_gate.errors import DataError
 
 from conftest import model_inputs
 
@@ -41,29 +33,35 @@ class TestLoadCsv:
         p = tmp_path / "bad.csv"
         p.write_text("y,a,b\n1,2,2\n2,2,2\n3,2,2\n")
         config = {"model": "linear", "data": p, "data.covariates": "a, b", "data.intercept": "false"}
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(DataError, match=r"^design matrix is rank deficient: singular value "
+                                            r"ratio \S+ below 1e-10$"):
             model_inputs(config)
+
+    def test_zero_column_rank_deficient(self):
+        with pytest.raises(DataError) as exc:
+            RegressionData(design=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], response=[1.0, 2.0, 3.0])
+        assert str(exc.value) == "design matrix is rank deficient: zero column present"
 
     def test_empty_file_is_schema_error(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(MissingColumnError):
+        with pytest.raises(DataError) as exc:
             load_csv(p, MM_COLUMNS)
+        assert str(exc.value) == "required column '<header>' not found in header"
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("concentration,speed\n0.1,5\n")
-        with pytest.raises(MissingColumnError) as exc:
+        with pytest.raises(DataError) as exc:
             load_csv(p, MM_COLUMNS)
-        assert exc.value.column == "velocity"
+        assert str(exc.value) == "required column 'velocity' not found in header"
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("concentration,velocity\n0.1,5\n0.2,fast\n")
-        with pytest.raises(NonNumericCellError) as exc:
+        with pytest.raises(DataError) as exc:
             load_csv(p, MM_COLUMNS)
-        assert exc.value.row == 2
-        assert exc.value.column == "velocity"
+        assert str(exc.value) == "non-numeric value 'fast' at data row 2, column 'velocity'"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
@@ -77,15 +75,16 @@ class TestLoadCsv:
     def test_nonpositive_concentration(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("concentration,velocity\n0.1,5\n0,6\n")
-        with pytest.raises(NonPositiveConcentrationError) as exc:
+        with pytest.raises(DataError) as exc:
             model_inputs({"model": "mm", "data": p})
-        assert exc.value.row == 2
+        assert str(exc.value) == "concentration must be strictly positive; got 0.0 at data row 2"
 
     def test_logit_outcome_domain(self, tmp_path):
         p = tmp_path / "l.csv"
         p.write_text("y,x\n0,1\n2,1.5\n")
-        with pytest.raises(OutcomeDomainError):
+        with pytest.raises(DataError) as exc:
             model_inputs({"model": "logit", "data": p, "data.covariates": "x"})
+        assert str(exc.value) == "outcome must be exactly 0 or 1; got 2.0 at data row 2"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -132,9 +131,9 @@ class TestDeletionSet:
         assert d.cardinality == 0
 
     def test_out_of_range(self):
-        with pytest.raises(DeletionRangeError):
+        with pytest.raises(DataError, match=r"^deletion index 11 out of range for n=11 \(0-based\)$"):
             deletion_set([11], 11)
-        with pytest.raises(DeletionRangeError):
+        with pytest.raises(DataError, match=r"^deletion index -1 out of range for n=11 \(0-based\)$"):
             deletion_set([-1], 11)
 
     def test_full_deletion_allowed(self):
@@ -163,7 +162,8 @@ class TestDataInvariants:
             RegressionData(design=np.ones((3, 1)), response=[1.0, 2.0])
 
     def test_mm_positive_concentration(self):
-        with pytest.raises(NonPositiveConcentrationError):
+        with pytest.raises(DataError, match=r"^concentration must be strictly positive; "
+                                            r"got -0\.2 at data row 2$"):
             MMData(concentration=[0.1, -0.2], velocity=[1.0, 2.0])
 
 

@@ -37,8 +37,8 @@ class TestLogWeight:
         data = RegressionData(design=np.ones((4, 1)), response=[0.0, 1.0, -1.0, 2.0])
         dels = deletion_set([3], 4)
         sigma2 = 0.7
-        draw = np.array([2.0, sigma2])  # theta equals the deleted response
-        assert log_weight(FAMILIES["linear"], draw, data, dels) == pytest.approx(
+        draw = np.array([[2.0, sigma2]])  # theta equals the deleted response
+        assert log_weight(FAMILIES["linear"], draw, data, dels)[0] == pytest.approx(
             0.5 * math.log(sigma2), abs=1e-14
         )
 
@@ -48,22 +48,22 @@ class TestLogWeight:
         x = puromycin.concentration[4] / (kappa + puromycin.concentration[4])
         res = puromycin.velocity[4] - m * x
         expect = 0.5 * math.log(s2) + res * res / (2 * s2)
-        assert log_weight(FAMILIES["mm"], np.array([m, s2, kappa]), puromycin, dels) == pytest.approx(
-            expect, rel=1e-12
-        )
+        lw = log_weight(FAMILIES["mm"], np.array([[m, s2, kappa]]), puromycin, dels)
+        assert lw[0] == pytest.approx(expect, rel=1e-12)
 
     def test_nonpositive_sigma2_rejected(self):
         data = RegressionData(design=np.ones((3, 1)), response=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            log_weight(FAMILIES["linear"], np.array([0.0, -1.0]), data, deletion_set([0], 3))
+            log_weight(FAMILIES["linear"], np.array([[0.0, -1.0]]), data, deletion_set([0], 3))
 
     def test_logit_weight_nonnegative_and_exact(self):
         data = LogitData(design=[[1.0], [2.0]], outcome=[1, 0])
         dels = deletion_set([0], 2)
-        beta = np.array([-3.0])
+        beta = np.array([[-3.0]])
         expect = math.log1p(math.exp(-3.0)) - (-3.0)
-        assert log_weight(FAMILIES["logit"], beta, data, dels) == pytest.approx(expect, rel=1e-12)
-        assert log_weight(FAMILIES["logit"], beta, data, dels) >= 0
+        lw = log_weight(FAMILIES["logit"], beta, data, dels)[0]
+        assert lw == pytest.approx(expect, rel=1e-12)
+        assert lw >= 0
 
 
 class TestSelfNormalizedEstimate:

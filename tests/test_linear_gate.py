@@ -7,13 +7,11 @@ from scipy.optimize import brentq
 
 from influence_gate import linear_gate
 from influence_gate.core_model import RegressionData, deletion_set
-from influence_gate.errors import SingularLeverageError
 from influence_gate.linear_gate import (
     LinearPrior,
     fold_moment_indices,
     leverage_minor,
     moment_index_linear,
-    rss_star,
     scan_deletion_subsets,
     theorem31_verdict,
 )
@@ -65,6 +63,21 @@ def leverage_reference(data: RegressionData, dels):
     coef, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
     e = data.response - data.design @ coef
     return explicit_hat(data)[np.ix_(idx, idx)], e[idx], float(e @ e)
+
+
+def rss_star_reference(data: RegressionData, dels, r: float) -> float:
+    """Independent oracle: rss - r e_del'(I - r H_del)^{-1} e_del from the
+    explicit hat block."""
+    minor, e_del, rss = leverage_reference(data, dels)
+    return float(rss - r * e_del @ np.linalg.solve(np.eye(dels.cardinality) - r * minor, e_del))
+
+
+def kernel_rss_star(data: RegressionData, dels, r: float) -> float:
+    """rss_star of one set as the kernel computes it: its spectra, then
+    `_rss_star`."""
+    Q, e, rss = linear_gate._hat(data)
+    lam, u2 = linear_gate._spectra(Q, e, dels.index_array()[None, :])
+    return float(linear_gate._rss_star(rss, lam[0], u2[0], r))
 
 
 def rc_reference(data, dels, prior, tol=1e-12) -> float:
@@ -135,10 +148,12 @@ class TestRssStar:
         # rss_star(r) = 5 - 2.25 r / (1 - 0.25 r)
         for r in (0.5, 1.2, 2.0, 3.0):
             expect = 5.0 - 2.25 * r / (1.0 - 0.25 * r)
-            assert rss_star(derived_linear, delete_last_of_4, r) == pytest.approx(expect, abs=1e-12)
+            for rss_star in (kernel_rss_star, rss_star_reference):
+                assert rss_star(derived_linear, delete_last_of_4, r) == pytest.approx(
+                    expect, abs=1e-12)
 
     def test_refit_identity_at_r1(self, derived_linear, delete_last_of_4):
-        val = rss_star(derived_linear, delete_last_of_4, 1.0)
+        val = kernel_rss_star(derived_linear, delete_last_of_4, 1.0)
         assert val == pytest.approx(2.0, abs=1e-12)
         assert val == pytest.approx(refit_rss(derived_linear, delete_last_of_4), rel=1e-12)
 
@@ -146,30 +161,37 @@ class TestRssStar:
         # case 4 fits exactly: response equals the deleted-point prediction
         data = RegressionData(design=np.ones((4, 1)), response=[1.0, 2.0, 3.0, 2.0])
         dels = deletion_set([3], 4)
-        base = rss_star(data, dels, 0.0)
+        base = kernel_rss_star(data, dels, 0.0)
         for r in (0.5, 1.0, 2.0, 3.0):
-            assert rss_star(data, dels, r) == pytest.approx(base, abs=1e-12)
+            assert kernel_rss_star(data, dels, r) == pytest.approx(base, abs=1e-12)
 
     def test_r_zero_is_rss(self, derived_linear, delete_last_of_4):
-        assert rss_star(derived_linear, delete_last_of_4, 0.0) == pytest.approx(5.0, abs=1e-12)
+        assert kernel_rss_star(derived_linear, delete_last_of_4, 0.0) == pytest.approx(
+            5.0, abs=1e-12)
 
-    def test_singularity_names_eigenvalue(self, derived_linear, delete_last_of_4):
-        with pytest.raises(SingularLeverageError) as exc:
-            rss_star(derived_linear, delete_last_of_4, 4.0)
-        assert exc.value.eigenvalue == pytest.approx(0.25, abs=1e-9)
+    def test_kernel_matches_explicit_hat_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            data = random_regression(rng, 12, 3)
+            I = int(rng.integers(1, 6))  # sets of more than k = 3 cases take the Gram side
+            dels = deletion_set(rng.choice(12, size=I, replace=False), 12)
+            r_a = 1.0 / leverage_minor(data, dels).eigenvalues[-1]
+            for r in rng.uniform(0.0, 0.95 * r_a, 5):
+                want = rss_star_reference(data, dels, float(r))
+                assert kernel_rss_star(data, dels, float(r)) == pytest.approx(
+                    want, rel=1e-9, abs=1e-10)
 
     def test_monotone_decreasing_in_r(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             data = random_regression(rng, 12, 3)
             dels = deletion_set(rng.choice(12, size=2, replace=False), 12)
-            rep = leverage_minor(data, dels)
-            r_hi = 1.0 / rep.lambda_max
+            r_hi = 1.0 / leverage_minor(data, dels).eigenvalues[-1]
             grid = np.linspace(0.01, r_hi * 0.98, 40)
-            vals = [rss_star(data, dels, float(r)) for r in grid]
+            vals = [kernel_rss_star(data, dels, float(r)) for r in grid]
             diffs = np.diff(vals)
             assert np.all(diffs <= 1e-9)
-            if np.linalg.norm(rep.deleted_residuals) > 1e-8:
+            if np.linalg.norm(leverage_reference(data, dels)[1]) > 1e-8:
                 assert np.all(diffs < 0)
 
 
@@ -187,10 +209,10 @@ class TestRefitIdentityPropertySuite:
                 continue
             data = random_regression(rng, n, k)
             dels = deletion_set(rng.choice(n, size=I, replace=False), n)
-            rep = leverage_minor(data, dels)
-            if rep.lambda_max > 1.0 - 1e-6:
+            lam_max = leverage_minor(data, dels).eigenvalues[-1]
+            if lam_max > 1.0 - 1e-6:
                 continue
-            val = rss_star(data, dels, 1.0)
+            val = kernel_rss_star(data, dels, 1.0)
             oracle = refit_rss(data, dels)
             assert val == pytest.approx(oracle, rel=1e-8, abs=1e-10)
             # spectrum-based vs tilted-Gram positive definiteness
@@ -199,8 +221,8 @@ class TestRefitIdentityPropertySuite:
             Xi = data.design[idx]
             G = data.design.T @ data.design - r * Xi.T @ Xi
             lam_G = np.linalg.eigvalsh((G + G.T) / 2.0)
-            pd_via_minor = rep.lambda_max < 1.0 / r
-            if abs(rep.lambda_max - 1.0 / r) > 1e-9:
+            pd_via_minor = lam_max < 1.0 / r
+            if abs(lam_max - 1.0 / r) > 1e-9:
                 assert pd_via_minor == bool(lam_G[0] > 0)
             checked += 1
 
@@ -239,7 +261,7 @@ class TestTheorem31Verdict:
         y = X @ [1.0, -1.0] + rng.standard_normal(10)
         data = RegressionData(design=X, response=y)
         dels = deletion_set([9], 10)
-        lam = leverage_minor(data, dels).lambda_max
+        lam = leverage_minor(data, dels).eigenvalues[-1]
         r = 2.0 / lam  # guarantees lambda > 1/r
         v = theorem31_verdict(data, dels, r, NONINF)
         assert v.is_infinite

@@ -11,7 +11,6 @@ from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
     VertexTable,
     _candidate_directions,
-    h_eval,
     indices_and_verdicts,
     max_h_l1_sphere,
     moment_index_logit,
@@ -41,23 +40,58 @@ def weight_moment_integrand(beta, r, epsilon):
     return math.exp(r * log_w + loglik - epsilon * abs(beta))
 
 
+def h_reference(data, dels, beta, r, epsilon) -> float:
+    """Oracle: the tail rate h at one direction, summed case by case. Each
+    case adds beta'x_i y_i - max(0, beta'x_i), times -(r - 1) if deleted."""
+    beta = np.asarray(beta, dtype=float)
+    total = -epsilon * float(np.abs(beta).sum())
+    for i in range(data.n):
+        z = float(data.design[i] @ beta)
+        term = z * data.outcome[i] - max(0.0, z)
+        total += -(r - 1.0) * term if i in dels.indices else term
+    return total
+
+
+def h_table(data, dels, beta, r, epsilon) -> float:
+    """h at one direction as the gate computes it, from a one-row vertex table."""
+    h0, slope = VertexTable(data, np.asarray(beta, dtype=float)[None, :]).parts(dels, epsilon)
+    return float(h0[0] + (r - 1.0) * slope[0])
+
+
 def truncated_moment(r, epsilon, T):
     val, _ = quad(weight_moment_integrand, -T, T, args=(r, epsilon), limit=200)
     return val
 
 
 class TestHEval:
+    """h at single directions: the vertex table's parts against hand values
+    and the case-by-case oracle, and the shape of h in beta and r."""
+
     def test_single_term_arithmetic(self):
         data = LogitData(design=[[1.0]], outcome=[1])
         dels = deletion_set([], 1)
-        assert h_eval(data, dels, [1.0], 2.0, 1.0) == pytest.approx(-1.0, abs=1e-14)
+        for h in (h_table, h_reference):
+            assert h(data, dels, [1.0], 2.0, 1.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_two_point_hand_value(self, two_point, delete_first):
-        assert h_eval(two_point, delete_first, [-1.0], 2.0, 0.5) == pytest.approx(0.5, abs=1e-14)
+        for h in (h_table, h_reference):
+            assert h(two_point, delete_first, [-1.0], 2.0, 0.5) == pytest.approx(0.5, abs=1e-14)
+
+    def test_matches_case_by_case_oracle(self):
+        rng = np.random.default_rng(11)
+        data = LogitData(design=rng.standard_normal((9, 3)), outcome=rng.integers(0, 2, 9))
+        betas = rng.standard_normal((50, 3))
+        table = VertexTable(data, betas)
+        for indices in ([], [4], [0, 2, 8]):
+            dels = deletion_set(indices, 9)
+            h0, slope = table.parts(dels, 0.3)
+            for beta, h in zip(betas, h0 + (2.5 - 1.0) * slope):
+                assert h == pytest.approx(h_reference(data, dels, beta, 2.5, 0.3), abs=1e-12)
 
     def test_positive_homogeneity(self, two_point, delete_first):
-        h1 = h_eval(two_point, delete_first, [-1.0], 2.0, 0.5)
-        assert h_eval(two_point, delete_first, [-2.0], 2.0, 0.5) == pytest.approx(2 * h1, abs=1e-12)
+        h1 = h_table(two_point, delete_first, [-1.0], 2.0, 0.5)
+        assert h_table(two_point, delete_first, [-2.0], 2.0, 0.5) == pytest.approx(
+            2 * h1, abs=1e-12)
 
     def test_homogeneity_random(self):
         rng = np.random.default_rng(12)
@@ -65,9 +99,9 @@ class TestHEval:
         dels = deletion_set([1, 4], 8)
         for _ in range(20):
             beta = rng.standard_normal(3)
-            h1 = h_eval(data, dels, beta, 2.5, 0.3)
+            h1 = h_table(data, dels, beta, 2.5, 0.3)
             for c in (0.5, 2.0, 10.0):
-                assert h_eval(data, dels, c * beta, 2.5, 0.3) == pytest.approx(
+                assert h_table(data, dels, c * beta, 2.5, 0.3) == pytest.approx(
                     c * h1, abs=1e-10 * max(1.0, abs(c * h1))
                 )
 
@@ -77,7 +111,7 @@ class TestHEval:
         dels = deletion_set([0, 3], 6)
         for _ in range(10):
             beta = rng.standard_normal(2)
-            v = [h_eval(data, dels, beta, r, 0.2) for r in (1.5, 2.0, 3.0)]
+            v = [h_table(data, dels, beta, r, 0.2) for r in (1.5, 2.0, 3.0)]
             # collinear: value at 2.0 interpolates 1.5 and 3.0
             interp = v[0] + (v[2] - v[0]) * (2.0 - 1.5) / (3.0 - 1.5)
             assert v[1] == pytest.approx(interp, abs=1e-12 * max(1.0, abs(v[1])))
@@ -94,9 +128,8 @@ class TestMaxH:
         data = LogitData(design=rng.standard_normal((12, 3)), outcome=rng.integers(0, 2, 12))
         crit = max_h_l1_sphere(data, deletion_set([2, 5], 12), 2.0, 0.4)
         assert np.abs(crit.argmax).sum() == pytest.approx(1.0, abs=1e-12)
-        assert h_eval(data, deletion_set([2, 5], 12), crit.argmax, 2.0, 0.4) == pytest.approx(
-            crit.max_value, abs=1e-10
-        )
+        h = h_reference(data, deletion_set([2, 5], 12), crit.argmax, 2.0, 0.4)
+        assert h == pytest.approx(crit.max_value, abs=1e-10)
 
     def test_vertex_max_dominates_random_directions(self):
         rng = np.random.default_rng(15)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from influence_gate.core_model import MMData, deletion_set
 from influence_gate.mm_gate import (
     KappaPriorSpec,
+    _abc,
     _local_extrema_indices,
     _runs,
+    _sums_at,
+    _v2,
     kappa_profile,
-    mm_eval,
     moment_index_mm,
     scan_kappa,
     theorem41_verdict,
@@ -28,24 +30,52 @@ def refit_rss_no_intercept(x, v, keep) -> float:
     return float(r @ r)
 
 
+def mm_reference(data, dels, r, kappa) -> dict:
+    """Oracle: the pointwise quantities at one kappa, from x = c/(kappa+c)
+    and the kept (o) and deleted (d) cases."""
+    x, v = data.concentration / (kappa + data.concentration), data.velocity
+    d = np.isin(np.arange(data.n), dels.indices)
+    o = ~d
+    a = x[o] @ x[o] - (r - 1.0) * x[d] @ x[d]
+    b = x[o] @ v[o] - (r - 1.0) * x[d] @ v[d]
+    c = v[o] @ v[o] - (r - 1.0) * v[d] @ v[d]
+    return {"a": a, "b": b, "c": c, "rss_star": c - b * b / a,
+            "leverage": x[d] @ x[d] / (x @ x), "g": x[d] @ v[d] / (x @ v)}
+
+
+def kernel_at(data, dels, r, kappa) -> dict:
+    """The same quantities from the kernel's kappa-sums at one kappa, as the
+    golden-section refinements evaluate them; rss_star is NaN where A
+    vanishes."""
+    mask = dels.mask()
+    sums = _sums_at(data, mask, kappa)
+    a, b, c, rss = _abc(sums, _v2(data, mask), r)
+    return {"a": a, "b": b, "c": c, "rss_star": float(rss),
+            "leverage": sums[1] / sums[0], "g": sums[3] / sums[2]}
+
+
 class TestMMEval:
     def test_leverage_case_11_at_kappa_2(self, puromycin):
-        ev = mm_eval(puromycin, deletion_set([10], 11), 2.0, 2.0)
-        assert ev.leverage == pytest.approx(0.5065, abs=5e-4)
+        dels = deletion_set([10], 11)
+        for at in (kernel_at, mm_reference):
+            assert at(puromycin, dels, 2.0, 2.0)["leverage"] == pytest.approx(0.5065, abs=5e-4)
 
     def test_kappa_to_zero_equalizes(self, puromycin):
-        ev = mm_eval(puromycin, deletion_set([4], 11), 2.0, 1e-9)
-        assert ev.leverage == pytest.approx(1.0 / 11.0, abs=1e-6)
-        assert np.all((ev.x > 0) & (ev.x < 1))
+        dels = deletion_set([4], 11)
+        assert kernel_at(puromycin, dels, 2.0, 1e-9)["leverage"] == pytest.approx(
+            1.0 / 11.0, abs=1e-6)
+        zero = kappa_profile(puromycin, dels).zero
+        assert zero[1] / zero[0] == pytest.approx(1.0 / 11.0, abs=1e-15)
 
     def test_rss_star_refit_identity_at_r1(self, puromycin):
         rng = np.random.default_rng(3)
         dels = deletion_set([6], 11)
         keep = np.array([i for i in range(11) if i != 6])
+        c = puromycin.concentration
         for kappa in rng.uniform(0.01, 20.0, size=20):
-            ev = mm_eval(puromycin, dels, 1.0, float(kappa))
-            oracle = refit_rss_no_intercept(ev.x, puromycin.velocity, keep)
-            assert ev.rss_star == pytest.approx(oracle, rel=1e-10)
+            oracle = refit_rss_no_intercept(c / (kappa + c), puromycin.velocity, keep)
+            rss = kernel_at(puromycin, dels, 1.0, float(kappa))["rss_star"]
+            assert rss == pytest.approx(oracle, rel=1e-10)
 
     def test_rss_star_undefined_tagged_not_raised(self, puromycin):
         dels = deletion_set([10], 11)
@@ -54,19 +84,21 @@ class TestMMEval:
         lo, hi = 0.5, 10.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mm_eval(puromycin, dels, 2.0, mid).a_val > 0:
+            if kernel_at(puromycin, dels, 2.0, mid)["a"] > 0:
                 lo = mid
             else:
                 hi = mid
-        ev = mm_eval(puromycin, dels, 2.0, 0.5 * (lo + hi))
-        assert abs(ev.a_val) < 1e-10
-        assert ev.rss_star is None
+        at = kernel_at(puromycin, dels, 2.0, 0.5 * (lo + hi))
+        assert abs(at["a"]) < 1e-10
+        assert math.isnan(at["rss_star"])
 
 
 class TestScanKappa:
     def test_sup_g_case_1(self, puromycin):
-        scan = scan_kappa(puromycin, deletion_set([0], 11), 2.0)
-        assert scan.sup_g.value == pytest.approx(0.05501, abs=5e-4)
+        profile = kappa_profile(puromycin, deletion_set([0], 11))
+        sums, zero, inf = profile.sums, profile.zero, profile.inf
+        sup_g = max(np.max(sums[3] / sums[2]), zero[3] / zero[2], inf[3] / inf[2])
+        assert sup_g == pytest.approx(0.05501, abs=5e-4)
 
     def test_negative_rss_near_008_case_1(self, puromycin):
         scan = scan_kappa(puromycin, deletion_set([0], 11), 2.0)
@@ -74,46 +106,49 @@ class TestScanKappa:
         assert 0.04 < scan.inf_rss_star.kappa < 0.15
 
     def test_asymptotic_coefficients_match(self, puromycin):
+        # kappa^2 A -> sum c^2 - r sum_del c^2 as kappa -> infinity, at r = 2
         for i, expected in enumerate(TABLE_ASYMPTOTIC):
-            scan = scan_kappa(puromycin, deletion_set([i], 11), 2.0)
-            assert scan.asymptotic_coefficient == pytest.approx(expected, abs=5e-3)
+            inf = kappa_profile(puromycin, deletion_set([i], 11)).inf
+            assert inf[0] - 2.0 * inf[1] == pytest.approx(expected, abs=5e-3)
 
     def test_singleton_leverages_sum_to_one(self, puromycin):
-        grid = np.geomspace(1e-3, 1e3, 64)
-        for kappa in grid:
-            total = sum(
-                mm_eval(puromycin, deletion_set([i], 11), 2.0, float(kappa)).leverage
-                for i in range(11)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        profiles = [kappa_profile(puromycin, deletion_set([i], 11)) for i in range(11)]
+        total = sum(p.sums[1] / p.sums[0] for p in profiles)
+        assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
     def test_sign_equivalences_on_grid(self, puromycin):
         """A < 0 iff leverage > 1/r and B > 0 iff g < 1/r, pointwise."""
-        dels = deletion_set([10], 11)
         r = 2.0
-        for kappa in np.geomspace(1e-3, 1e3, 200):
-            ev = mm_eval(puromycin, dels, r, float(kappa))
-            if abs(ev.a_val) > 1e-10:
-                assert (ev.a_val < 0) == (ev.leverage > 1.0 / r)
-            if abs(ev.b_val) > 1e-10:
-                assert (ev.b_val > 0) == (ev.g_val < 1.0 / r)
+        profile = kappa_profile(puromycin, deletion_set([10], 11))
+        sums = profile.sums
+        A, B, _, _ = _abc(sums, profile.v2, r)
+        lev, g = sums[1] / sums[0], sums[3] / sums[2]
+        clear = np.abs(A) > 1e-10
+        assert np.array_equal((A < 0)[clear], (lev > 1.0 / r)[clear])
+        clear = np.abs(B) > 1e-10
+        assert np.array_equal((B > 0)[clear], (g < 1.0 / r)[clear])
 
     def test_kappa_squared_A_converges(self, puromycin):
         dels = deletion_set([2], 11)
         r = 2.0
-        scan = scan_kappa(puromycin, dels, r)
+        profile = kappa_profile(puromycin, dels)
+        a1 = profile.inf[0] - r * profile.inf[1]
         kappa = 1e3 * float(puromycin.concentration.max())
-        ev = mm_eval(puromycin, dels, r, kappa)
-        assert kappa * kappa * ev.a_val == pytest.approx(
-            scan.asymptotic_coefficient, rel=0.01
-        )
-        assert scan.terminal_regime
+        a = mm_reference(puromycin, dels, r, kappa)["a"]
+        assert kappa * kappa * a == pytest.approx(a1, rel=0.01)
+        # the grid reaches both endpoint regimes: kappa^2 A at its last point
+        # and the leverage at its first are within 1% of their limits
+        grid, sums, zero = profile.grid, profile.sums, profile.zero
+        A = _abc(sums, profile.v2, r)[0]
+        assert grid[-1] ** 2 * A[-1] == pytest.approx(a1, rel=0.01)
+        assert sums[1][0] / sums[0][0] == pytest.approx(zero[1] / zero[0], rel=0.01)
 
     def test_refined_extrema_bracket_grid(self, puromycin):
         dels = deletion_set([0], 11)
-        scan = scan_kappa(puromycin, dels, 2.0)
-        grid_lev = [mm_eval(puromycin, dels, 2.0, float(k)).leverage for k in scan.grid[::97]]
-        assert scan.sup_leverage.value >= max(grid_lev) - 1e-12
+        profile = kappa_profile(puromycin, dels)
+        grid_lev = [mm_reference(puromycin, dels, 2.0, float(k))["leverage"]
+                    for k in profile.grid[::97]]
+        assert profile.scan(2.0).sup_leverage.value >= max(grid_lev) - 1e-12
 
     def test_small_grid_rejected(self, puromycin):
         with pytest.raises(ValueError):
@@ -286,20 +321,18 @@ class TestKappaProfile:
         dels = deletion_set([0, 10], 11)
         profile = kappa_profile(puromycin, dels)
         for r in (1.3, 2.0, 3.7):
-            a, b = profile.scan(r), scan_kappa(puromycin, dels, r)
-            assert np.array_equal(a.grid, b.grid)
-            for name in ("c_val", "sup_leverage", "inf_rss_star", "sup_g", "inf_g",
-                         "sign_change_intervals", "asymptotic_coefficient", "terminal_regime"):
-                assert getattr(a, name) == getattr(b, name), name
+            assert profile.scan(r) == scan_kappa(puromycin, dels, r)
 
     def test_extrema_match_pointwise_evaluation(self, puromycin):
-        dels = deletion_set([0], 11)
-        scan = kappa_profile(puromycin, dels).scan(2.0)
-        for ext, field in ((scan.sup_leverage, "leverage"), (scan.sup_g, "g_val"),
-                           (scan.inf_g, "g_val"), (scan.inf_rss_star, "rss_star")):
-            if 0.0 < ext.kappa < math.inf:
-                ev = mm_eval(puromycin, dels, 2.0, ext.kappa)
-                assert getattr(ev, field) == ext.value
+        for case in (1, 9):  # case 9 has an interior supremum of leverage
+            dels = deletion_set([case - 1], 11)
+            scan = kappa_profile(puromycin, dels).scan(2.0)
+            for ext, field in ((scan.sup_leverage, "leverage"), (scan.inf_g, "g"),
+                               (scan.inf_rss_star, "rss_star")):
+                if 0.0 < ext.kappa < math.inf:
+                    assert kernel_at(puromycin, dels, 2.0, ext.kappa)[field] == ext.value
+                    want = mm_reference(puromycin, dels, 2.0, ext.kappa)[field]
+                    assert ext.value == pytest.approx(want, rel=1e-10)
 
 
 class TestKappaPriorSpec:

@@ -2,13 +2,12 @@
 
 A definition counts as used when some module of the package other than
 `__init__.py` names it (as a name, an attribute or a `from` import), or its
-own module names it outside the definition. The allowlist holds the few
-that only the benchmark's trace sites or the tests reach on purpose.
-Names are matched as text, so a definition that shares its name with a
-variable or an attribute read elsewhere counts as used. An annotated field
-declaration in a class body declares a name and does not use it, so
-`linear_gate.rss_star` is not counted as used through the `rss_star` field
-of `mm_gate.MMEval` and needs its allowlist entry.
+own module names it outside the definition. The allowlist holds the N=1
+views that no command calls but the benchmark's trace sites wrap, so they
+must stay until the trace sites move. Names are matched as text, so a
+definition that shares its name with a variable or an attribute read
+elsewhere counts as used. An annotated field declaration in a class body
+declares a name and does not use it.
 """
 
 import ast
@@ -26,9 +25,6 @@ ALLOWED = {
     "theorem51_verdict": "benchmark trace site; N=1 wrapper of the batched Thm 5.1 kernel",
     "max_h_l1_sphere": "benchmark trace site; N=1 view of the vertex table",
     "scan_kappa": "benchmark trace site; N=1 wrapper of kappa_profile(...).scan(r)",
-    "h_eval": "N=1 wrapper of VertexTable.parts; tests check hand values",
-    "mm_eval": "N=1 pointwise MM quantities; tests check the refit identity",
-    "rss_star": "N=1 view of the rss_star formula; tests check the refit identity",
 }
 
 
