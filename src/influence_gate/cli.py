@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,11 @@ SCAN_CSV_COLUMNS = ["subset", "r_a", "r_b", "r_c", "r_star"]
 # Scan rows are read out of the result arrays this many at a time, so the
 # CSV never needs the whole table as Python objects.
 SCAN_CSV_BLOCK = 16384
+# JSON report rows are encoded and written this many at a time.
+JSON_ROW_BLOCK = 1024
+# With no indent the C encoder runs; this item separator puts each key of a
+# row object on its own line at the depth indent=1 gives a row's keys.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 KFOLD_CSV_COLUMNS = ["partition", "fold", "size", "r_star", "below_2"]
 ESTIMATE_CSV_COLUMNS = [
     "deletion", "measure", "value", "gate", "required_moments",
@@ -264,17 +269,36 @@ def _jsonable(v):
     return v
 
 
+def _json_row(row: dict) -> str:
+    """One row object as json.dump(..., indent=1) lays it out under `rows`;
+    its values must be scalars."""
+    text = _ROW_ENCODER.encode({k: _jsonable(v) for k, v in row.items()})
+    return "{\n   " + text[1:-1] + "\n  }" if row else "{}"
+
+
 def write_json_report(path, command: str, rows=None, extra: dict | None = None) -> None:
-    """Write a report; `rows` (optional), an iterable of dicts, repeats the
-    CSV table row by row."""
+    """Write a report; `rows` (optional), an iterable of dicts with scalar
+    values, repeats the CSV table row by row. The bytes are those of
+    json.dump(payload, fh, indent=1, sort_keys=True) and a newline: the rows
+    are encoded a block at a time and spliced into the rest of the payload."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command}
     if rows is not None:
-        payload["rows"] = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
+        payload["rows"] = []
     if extra:
         payload.update({k: _jsonable(v) if not isinstance(v, dict) else v for k, v in extra.items()})
+    text = json.dumps(payload, indent=1, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        if rows is not None:
+            # Strings escape newlines, so this can only be the top-level key.
+            head, marker, text = text.partition('\n "rows": [')
+            fh.write(head + marker)
+            texts = map(_json_row, rows)
+            if block := ",\n  ".join(islice(texts, JSON_ROW_BLOCK)):
+                fh.write("\n  " + block)
+                while block := ",\n  ".join(islice(texts, JSON_ROW_BLOCK)):
+                    fh.write(",\n  " + block)
+                fh.write("\n ")
+        fh.write(text + "\n")
 
 
 def _write_report(out: Path, stem: str, command: str, columns, rows, extra=None) -> None:
@@ -538,9 +562,9 @@ def cmd_verify(cfg: dict) -> None:
     if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
+    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report, sampler_cfg)
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
-    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report, sampler_cfg)
     if tail.survival:
         write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
 

@@ -19,11 +19,15 @@ The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
 depend on r: `kappa_profile` computes them once per deletion set, on the
 grid, at the endpoint limits and in the refinement of sup l and inf g.
 `KappaProfile.scan(r)` adds the r part, and `KappaProfile.moment_index`
-bisects on r with every probe reading that one profile.
+bisects on r with every probe reading that one profile. The infimum of
+rss_star is refined on first read: a verdict settled by the sample size, a
+violation interval, the leverage or the slope pair never reads it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -74,13 +78,19 @@ class Extremum:
 @dataclass(frozen=True)
 class KappaScan:
     """What the Thm 4.1 verdict reads of the kappa axis at one r: C, the
-    refined extrema and the violation intervals, endpoint regimes included."""
+    refined extrema and the violation intervals, endpoint regimes included.
+    `inf_rss_star` runs `refine_rss_star` on first read; equality compares
+    the other fields."""
 
     c_val: float
     sup_leverage: Extremum
-    inf_rss_star: Extremum
     inf_g: Extremum
     sign_change_intervals: tuple
+    refine_rss_star: Callable[[], Extremum] = field(compare=False, repr=False)
+
+    @cached_property
+    def inf_rss_star(self) -> Extremum:
+        return self.refine_rss_star()
 
 
 def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
@@ -90,9 +100,14 @@ def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
     return x2.sum(axis=0), x2[mask].sum(axis=0), xv.sum(axis=0), xv[mask].sum(axis=0)
 
 
-def _sums_at(data: MMData, mask: np.ndarray, kappa: float) -> list:
+def _sums_at(data: MMData, mask: np.ndarray, kappa: float) -> tuple:
+    """The kappa-sums at one kappa as Python floats, each bit-identical to
+    the `_kappa_sums` sum over the 1-D arrays: one row sum per quantity."""
     c = data.concentration
-    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, mask)]
+    x = c / (kappa + c)
+    w = x * (x, data.velocity)
+    (sum_x2, sum_xv), (del_x2, del_xv) = w.sum(axis=1).tolist(), w[:, mask].sum(axis=1).tolist()
+    return sum_x2, del_x2, sum_xv, del_xv
 
 
 def _abc(sums, v2, r: float, tol=None) -> tuple:
@@ -104,6 +119,23 @@ def _abc(sums, v2, r: float, tol=None) -> tuple:
     defined = np.abs(a) > (1e-14 * np.maximum(1.0, sum_x2) if tol is None else tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         return a, b, c, np.where(defined, c - b * b / np.where(defined, a, 1.0), np.nan)
+
+
+def _rss_star_at(data: MMData, mask: np.ndarray, v2, r: float):
+    """rss_star at order r as a function of one kappa, on Python floats: the
+    value `_abc(_sums_at(...), v2, r)[3]` gives, inf where that is NaN."""
+    c = v2[0] - r * v2[1]
+
+    def f(kappa):
+        sum_x2, del_x2, sum_xv, del_xv = _sums_at(data, mask, kappa)
+        a = sum_x2 - r * del_x2
+        if not abs(a) > 1e-14 * max(1.0, sum_x2):
+            return math.inf
+        b = sum_xv - r * del_xv
+        val = c - b * b / a
+        return math.inf if math.isnan(val) else val
+
+    return f
 
 
 def _v2(data: MMData, mask: np.ndarray) -> list:
@@ -175,26 +207,24 @@ class KappaProfile:
     inf_g: Extremum
 
     def scan(self, r: float) -> KappaScan:
-        """Add A, B, C and rss_star at order r, refine the infimum of
-        rss_star, and find the violation intervals."""
-        grid, mask = self.grid, self.dels.mask()
+        """Add A, B, C and rss_star at order r and find the violation
+        intervals; the infimum of rss_star is refined when first read."""
         A, B, C, rss = _abc(self.sums, self.v2, r)
         a0, b0, _, rss0 = _abc(self.zero, self.v2, r, 1e-14)
         a1, b1, _, rss1 = _abc(self.inf, self.v2, r, 1e-12 * max(1.0, self.inf[0]))
+        intervals = _violation_intervals(self.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
+        return KappaScan(c_val=C, sup_leverage=self.sup_leverage, inf_g=self.inf_g,
+                         sign_change_intervals=tuple(intervals),
+                         refine_rss_star=partial(self._inf_rss_star, r, rss, rss0, rss1))
 
-        def f_rss(kappa):
-            val = _abc(_sums_at(self.data, mask, kappa), self.v2, r)[3]
-            return math.inf if np.isnan(val) else float(val)
-
+    def _inf_rss_star(self, r, rss, rss0, rss1) -> Extremum:
+        """Infimum of rss_star at order r from its grid values and limits."""
         rss_limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
                       if not np.isnan(val)]
         if np.all(np.isnan(rss)) and not rss_limits:
-            inf_rss_star = Extremum(value=-math.inf, kappa=float(grid[0]))
-        else:
-            inf_rss_star = _refined_extremum(grid, rss, f_rss, True, rss_limits)
-        intervals = _violation_intervals(grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
-        return KappaScan(c_val=C, sup_leverage=self.sup_leverage, inf_rss_star=inf_rss_star,
-                         inf_g=self.inf_g, sign_change_intervals=tuple(intervals))
+            return Extremum(value=-math.inf, kappa=float(self.grid[0]))
+        f_rss = _rss_star_at(self.data, self.dels.mask(), self.v2, r)
+        return _refined_extremum(self.grid, rss, f_rss, True, rss_limits)
 
     def moment_index(self) -> MomentIndexReport:
         """Moment index by bisection on r, each probe scanning this profile.
@@ -347,9 +377,8 @@ def theorem41_verdict(
         return MomentVerdict.boundary("leverage touches 1/r on a negligible set")
     if scan.sup_leverage.value >= inv_r - lev_tol:
         return MomentVerdict.boundary("supremum of leverage at 1/r")
-    residual_ok = scan.inf_rss_star.value > rss_tol
     slope_ok = scan.c_val > rss_tol and scan.inf_g.value > inv_r + lev_tol
-    if residual_ok or slope_ok:
+    if slope_ok or scan.inf_rss_star.value > rss_tol:
         return MomentVerdict.finite()
     return MomentVerdict.boundary("infimum of rss_star at zero")
 

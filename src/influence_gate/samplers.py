@@ -81,7 +81,11 @@ def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) ->
     X, y = data.design, data.response
     G = np.linalg.inv(X.T @ X)
     theta_hat = G @ (X.T @ y)
-    rss = float(y @ y - theta_hat @ (X.T @ y))
+    yy = float(y @ y)
+    rss = yy - float(theta_hat @ (X.T @ y))
+    if not rss > 4.0 * n * np.finfo(float).eps * yy:  # within the subtraction's rounding error
+        raise SamplerError(f"flat prior: RSS {rss:.3g} is within rounding error of 0 "
+                           f"(y'y = {yy:.6g}); the design fits the response almost exactly")
     rng = _rng(config.seed)
     M = config.draws
     shape, rate = (n - k) / 2.0, rss / 2.0

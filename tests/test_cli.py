@@ -520,6 +520,21 @@ def test_mm_on_two_cases_is_sampler_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("sampler error: need at least 3 observations")
 
 
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_flat_prior_with_a_near_exact_fit_is_sampler_error(tmp_path, capsys, command):
+    # y = 2x + 1 + (1, -2, 0, 1.5, -0.5) 1e-8 passes the exact-fit refusal,
+    # but y'y - theta_hat'X'y cancels to -2.3e-13, below its rounding error.
+    path = tmp_path / "near_exact.csv"
+    noise = (1.0, -2.0, 0.0, 1.5, -0.5)
+    path.write_text("x,y\n" + "".join(f"{x},{2 * x + 1 + e * 1e-8!r}\n"
+                                       for x, e in zip(range(1, 6), noise)))
+    config = {"model": "linear", "data": path, "data.covariates": "x", "deletion.indices": "1"}
+    assert run(tmp_path, command, config) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("sampler error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- model set-up shared by estimate and verify -------------------------------------
 
 
@@ -587,6 +602,57 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
         assert rows[i]["subset"] == "+".join(str(j + 1) for j in result.subsets[i])
         assert [float(rows[i][c]) for c in ("r_a", "r_b", "r_c", "r_star")] == [
             result.r_a[i], result.r_b[i], result.r_c[i], result.r_star[i]]
+
+
+def json_dump_bytes(command, rows=None, extra=None) -> bytes:
+    """What json.dump(payload, fh, indent=1, sort_keys=True) and a newline
+    write for the payload `write_json_report` builds."""
+    payload = {"schema_version": cli.SCHEMA_VERSION, "command": command}
+    if rows is not None:
+        payload["rows"] = [{k: cli._jsonable(v) for k, v in row.items()} for row in rows]
+    if extra:
+        payload.update({k: cli._jsonable(v) if not isinstance(v, dict) else v
+                        for k, v in extra.items()})
+    return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+
+
+EDGE_ROW = {
+    "text": 'a "quoted" \\ back\nslash, caf\u00e9 \U0001f600', "empty": "",
+    "neg_zero": -0.0, "tiny": 5e-324, "huge": 1e308, "inf": math.inf, "-inf": -math.inf,
+    "nan": math.nan, "int": -7, "true": True, "false": False, "none": None,
+    "np_float": np.float64(0.1), "np_inf": np.float64(-math.inf), "np_int": np.int64(2**40),
+}
+JSON_REPORTS = {
+    "edge-row": ("gate", [EDGE_ROW, {}, {"b": 1, "a": 2}], None),
+    "empty-rows": ("gate", [], None),
+    "no-rows": ("scan", None, {"subset_count": 3, "ranking_by_r_a": ["1+2", "3"],
+                               "flagged_cases": {"7": {"top5_by_r_a": True,
+                                                       "top5_by_r_c": False}}}),
+    "rows-and-extra": ("estimate", [{"case": 1, "estimate": 0.5}],
+                       {"advisory": "", "acceptance_rate": np.float64(0.25)}),
+    "three-blocks": ("kfold", [{"partition": i, "r_star": i / 7, "below_2": i % 3 == 0}
+                               for i in range(5)], {"count": 5}),
+}
+
+
+@pytest.mark.parametrize("report", JSON_REPORTS)
+def test_json_report_bytes_are_those_of_json_dump(tmp_path, monkeypatch, report):
+    command, rows, extra = JSON_REPORTS[report]
+    monkeypatch.setattr(cli, "JSON_ROW_BLOCK", 2)
+    path = tmp_path / "report.json"
+    cli.write_json_report(path, command, None if rows is None else iter(rows), extra)
+    assert path.read_bytes() == json_dump_bytes(command, rows, extra)
+
+
+def test_gate_json_report_bytes_are_those_of_json_dump(tmp_path):
+    assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    assert len(rows) > cli.JSON_ROW_BLOCK
+    written = (tmp_path / "out" / "gate_report.json").read_bytes()
+    report = json.loads(written)
+    assert written == json_dump_bytes("gate", report["rows"])
+    assert [(row["deletion"], row["verdict"]) for row in report["rows"]] == [
+        (row["deletion"], row["verdict"]) for row in rows]
 
 
 def fz_triples():

@@ -1,18 +1,27 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from influence_gate import mm_gate
 from influence_gate.core_model import MMData, deletion_set
 from influence_gate.mm_gate import (
+    Extremum,
     KappaPriorSpec,
+    KappaProfile,
     _abc,
+    _kappa_sums,
     _local_extrema_indices,
+    _refined_extremum,
+    _rss_star_at,
     _runs,
     _sums_at,
     _v2,
+    indices_and_verdicts,
     kappa_profile,
     moment_index_mm,
     scan_kappa,
@@ -321,7 +330,10 @@ class TestKappaProfile:
         dels = deletion_set([0, 10], 11)
         profile = kappa_profile(puromycin, dels)
         for r in (1.3, 2.0, 3.7):
-            assert profile.scan(r) == scan_kappa(puromycin, dels, r)
+            scan, direct = profile.scan(r), scan_kappa(puromycin, dels, r)
+            # inf_rss_star is refined on read and is not among the compared fields
+            assert scan == direct
+            assert scan.inf_rss_star == direct.inf_rss_star
 
     def test_extrema_match_pointwise_evaluation(self, puromycin):
         for case in (1, 9):  # case 9 has an interior supremum of leverage
@@ -343,3 +355,135 @@ class TestKappaPriorSpec:
     def test_positivity(self):
         with pytest.raises(ValueError):
             KappaPriorSpec(scale=-1.0)
+
+
+def array_sums_at(data, mask, kappa) -> list:
+    """Oracle: the kappa-sums at one kappa through the 1-D array kernel."""
+    c = data.concentration
+    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, mask)]
+
+
+def array_rss_star_at(data, mask, v2, r, kappa) -> float:
+    """Oracle: rss_star at one kappa through the array code, inf for NaN."""
+    val = _abc(array_sums_at(data, mask, kappa), v2, r)[3]
+    return math.inf if np.isnan(val) else float(val)
+
+
+LAZY_SCAN = KappaProfile.scan
+
+
+def eager_scan(profile, r):
+    """Oracle: the scan with the infimum of rss_star refined at once by the
+    array objective, as the scan did before refinement moved to first read."""
+    mask = profile.dels.mask()
+    rss = _abc(profile.sums, profile.v2, r)[3]
+    rss0 = _abc(profile.zero, profile.v2, r, 1e-14)[3]
+    rss1 = _abc(profile.inf, profile.v2, r, 1e-12 * max(1.0, profile.inf[0]))[3]
+    limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
+              if not np.isnan(val)]
+    if np.all(np.isnan(rss)) and not limits:
+        inf_rss_star = Extremum(value=-math.inf, kappa=float(profile.grid[0]))
+    else:
+        inf_rss_star = _refined_extremum(
+            profile.grid, rss,
+            lambda kappa: array_rss_star_at(profile.data, mask, profile.v2, r, kappa),
+            True, limits)
+    return dataclasses.replace(LAZY_SCAN(profile, r), refine_rss_star=lambda: inf_rss_star)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def count_refinements(monkeypatch) -> list:
+    """Wrap `mm_gate._refined_extremum`; the returned list gets one entry per
+    call."""
+    calls = []
+    monkeypatch.setattr(mm_gate, "_refined_extremum",
+                        lambda *args: calls.append(args) or _refined_extremum(*args))
+    return calls
+
+
+class TestLazyRssStar:
+    R_VALUES = (1.3, 2.0, 3.7)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_indices_and_verdicts_match_eager_scan(self, puromycin, monkeypatch, size):
+        lazy = indices_and_verdicts(puromycin, size, self.R_VALUES)
+        with monkeypatch.context() as m:
+            m.setattr(mm_gate, "_sums_at", array_sums_at)
+            m.setattr(KappaProfile, "scan", eager_scan)
+            eager = indices_and_verdicts(puromycin, size, self.R_VALUES)
+        assert len(lazy[0]) == math.comb(11, size)
+        assert lazy == eager
+
+    @pytest.mark.parametrize("cases, r, reason", [
+        ([0], 2.0, "violation on a non-negligible kappa set: residual"),
+        ([10], 2.0, "violation on a non-negligible kappa set: leverage, residual"),
+        ([4], 10.5, "sample size: n <= r*I + 1"),
+    ])
+    def test_settled_verdict_never_refines_rss_star(self, puromycin, monkeypatch, cases, r,
+                                                    reason):
+        dels = deletion_set(cases, 11)
+        profile = kappa_profile(puromycin, dels)
+        calls = count_refinements(monkeypatch)
+        verdict = theorem41_verdict(puromycin, dels, r, profile.scan(r))
+        assert verdict.is_infinite and verdict.detail == reason
+        assert calls == []
+
+    def test_slope_pair_verdict_never_refines_rss_star(self, monkeypatch):
+        # With velocities of both signs, C > 0 and g above 1/r settle case 5
+        # at r = 2 as finite although inf rss_star is negative.
+        data = MMData(concentration=[1.72, 0.12, 1.47, 0.39, 1.73, 1.11],
+                      velocity=[-5.0, 13.0, -46.0, -31.0, 51.0, 47.0])
+        dels = deletion_set([4], 6)
+        profile = kappa_profile(data, dels)
+        calls = count_refinements(monkeypatch)
+        scan = profile.scan(2.0)
+        assert theorem41_verdict(data, dels, 2.0, scan).is_finite
+        assert calls == []
+        assert scan.inf_rss_star.value < 0 and len(calls) == 1
+
+    def test_residual_verdict_refines_rss_star_once(self, puromycin, monkeypatch):
+        # r_c of case 1 is 1.59: below it no violation interval settles the
+        # verdict, and C > 0 with inf g above 1/r fails, so rss_star is read.
+        dels = deletion_set([0], 11)
+        profile = kappa_profile(puromycin, dels)
+        calls = count_refinements(monkeypatch)
+        scan = profile.scan(1.5)
+        assert not (scan.c_val > 0 and scan.inf_g.value > 1 / 1.5)
+        assert theorem41_verdict(puromycin, dels, 1.5, scan).is_finite
+        assert scan.inf_rss_star == scan.inf_rss_star == eager_scan(profile, 1.5).inf_rss_star
+        assert len(calls) == 1
+
+    def test_scalar_objective_is_bit_identical_to_array_code(self, puromycin):
+        rng = np.random.default_rng(17)
+        c = puromycin.concentration
+        lo, hi = 1e-4 * float(c.min()), 1e4 * float(c.max())
+        kappas = np.exp(rng.uniform(math.log(lo), math.log(hi), 1000)).tolist()
+        # case 11 at r = 2: A changes sign between kappa = 0.5 and 10
+        a, b = 0.5, 10.0
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if kernel_at(puromycin, deletion_set([10], 11), 2.0, mid)["a"] > 0:
+                a = mid
+            else:
+                b = mid
+        # around the root, |A| runs from below to above the 1e-14 cut
+        kappas += [a * (1.0 + d) for d in np.concatenate([-np.logspace(-16, -8, 33),
+                                                          np.logspace(-16, -8, 33)])]
+        undefined = 0
+        for cases in ([10], [0], [3, 7], [0, 10]):
+            mask = deletion_set(cases, 11).mask()
+            v2 = _v2(puromycin, mask)
+            for kappa in kappas:
+                assert _sums_at(puromycin, mask, kappa) == tuple(
+                    array_sums_at(puromycin, mask, kappa))
+            for r in self.R_VALUES:
+                f = _rss_star_at(puromycin, mask, v2, r)
+                for kappa in kappas:
+                    want = array_rss_star_at(puromycin, mask, v2, r, kappa)
+                    got = f(kappa)
+                    assert type(got) is float and bits(got) == bits(want), (cases, r, kappa)
+                    undefined += math.isinf(want)
+        assert undefined > 0
