@@ -23,16 +23,8 @@ import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
 from .core_model import deletion_set, each_set, load_csv, write_table
-from .errors import (
-    BudgetError,
-    ConfigError,
-    DataError,
-    DegenerateSampleError,
-    InfluenceGateError,
-    SamplerError,
-)
+from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
-from .mm_gate import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
 from .samplers import SamplerConfig
 
 SCHEMA_VERSION = 2
@@ -104,12 +96,11 @@ KEYS = {key.name: key for key in (
     Key("prior.theta.cov_diag", "floats", 0),
     Key("prior.epsilon", "float", 0, 1.0),
     Key("prior.kappa.scale", "float", 0, 1.0),
-    Key("scan.grid_size", "int", MIN_GRID_SIZE, DEFAULT_GRID_SIZE),
     Key("scan.top", "int", 1, 100),
     Key("scan.flag_cases", "ints", None, ()),
     Key("measures", "words", is_engine.MEASURES, is_engine.MEASURES),
     Key("sampler.seed", "int", 0),  # default: seed
-    Key("sampler.draws", "int", 1),  # default: set per command
+    Key("sampler.draws", "int", 2),  # default: set per command; the SE needs 2 batches
     Key("sampler.burn_in", "int", 0, 1000),
     Key("sampler.thin", "int", 1, 1),
     Key("sampler.scale", "floats", 0, ()),
@@ -530,9 +521,9 @@ def cmd_estimate(cfg: dict) -> None:
     family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
-    sample = is_engine.WeightedSample(family.log_weight(loglik, dels.cardinality))
+    log_weights = family.log_weight(loglik, dels.cardinality)
     label = _subset_label(dels.indices)
-    ests = [is_engine.estimate_measure(sample, measure, report.r_star, loglik)
+    ests = [is_engine.estimate_measure(log_weights, measure, report.r_star, loglik)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
     # from it is degenerate, however good the value looks.
@@ -632,21 +623,9 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }
         dispatch[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 4
-    except (SamplerError, DegenerateSampleError) as exc:
-        print(f"sampler error: {exc}", file=sys.stderr)
-        return 5
     except InfluenceGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

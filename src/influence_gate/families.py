@@ -7,8 +7,9 @@ name. A record turns a parsed config into the model's inputs in two steps.
 `csv_columns(cfg)` checks the config keys the model needs and names the CSV
 columns it reads, so every config error comes before the data file is read.
 `inputs(cfg, columns)` then builds the data and the prior from the loaded
-columns, a name -> array mapping. The prior is a `LinearPrior` (linear), an
-`MMPrior` (MM) or the Laplace rate epsilon (logit).
+columns, a name -> array mapping. The prior is a `LinearPrior` (linear),
+the scale of the half-t kappa prior (MM) or the Laplace rate epsilon
+(logit). The MM moment index does not read its prior; the sampler does.
 
 The case-deleted weight is the inverse of the deleted cases' likelihood:
 log w = -loglik - I * log_weight_constant for I deleted cases. The constant
@@ -37,18 +38,8 @@ from .errors import ConfigError, DataError
 from .linear_gate import LinearPrior
 from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
 from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
-from .mm_gate import KappaPriorSpec
 from .mm_gate import indices_and_verdicts as mm_indices_and_verdicts
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
-
-@dataclass(frozen=True)
-class MMPrior:
-    """The kappa prior the MM sampler draws under, and the size of the
-    kappa grid on which the moment index scans the Thm 4.1 conditions."""
-
-    kappa: KappaPriorSpec
-    grid_size: int
-
 
 _EMPTY_REPORT = MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
                                   binding="empty deletion")
@@ -151,9 +142,7 @@ def _linear_inputs(cfg: dict, columns: dict):
 def _mm_inputs(cfg: dict, columns: dict):
     data = MMData(concentration=columns[cfg["data.concentration"]],
                   velocity=columns[cfg["data.velocity"]])
-    prior = MMPrior(kappa=KappaPriorSpec(scale=cfg["prior.kappa.scale"]),
-                    grid_size=cfg["scan.grid_size"])
-    return data, prior
+    return data, cfg["prior.kappa.scale"]
 
 
 def _logit_inputs(cfg: dict, columns: dict):
@@ -215,8 +204,8 @@ FAMILIES = {
         columns=lambda data: ["m", "sigma2", "kappa"],
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
-        sample=lambda data, prior, config: sample_mm(data, config, prior.kappa),
-        kernel=lambda data, prior, sets, r: mm_indices_and_verdicts(data, sets, r, prior.grid_size),
+        sample=lambda data, kappa_scale, config: sample_mm(data, config, kappa_scale),
+        kernel=lambda data, kappa_scale, sets, r: mm_indices_and_verdicts(data, sets, r),
     ),
     "logit": Family(
         csv_columns=lambda cfg: (*_covariates(cfg, "logit"), cfg["data.outcome"]),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import DeletionSet
-from .errors import DegenerateSampleError
+from .errors import SamplerError
 
 MEASURES = ("kl", "hellinger", "chisq", "cpo")
 
@@ -22,23 +22,6 @@ KL_DELTA = 1e-6
 REQUIRED_MOMENTS = {"kl": 2.0 + KL_DELTA, "hellinger": 2.0, "chisq": 4.0, "cpo": 2.0}
 
 SE_BATCHES = 32
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Unnormalized log deletion weights of a posterior sample, one per draw."""
-
-    log_weights: np.ndarray
-
-    def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=float).ravel()
-        if not np.all(np.isfinite(lw)):
-            raise ValueError("log weights must be finite")
-        object.__setattr__(self, "log_weights", lw)
-
-    @property
-    def size(self) -> int:
-        return self.log_weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -82,14 +65,14 @@ def _weight_parts(log_weights: np.ndarray):
     """Normalized weights w/R_hat and log(R_hat), via one max shift."""
     lw = np.asarray(log_weights, dtype=float).ravel()
     if lw.size == 0:
-        raise DegenerateSampleError("no draws")
+        raise SamplerError("no draws")
     m = np.max(lw)
     if not np.isfinite(m):
-        raise DegenerateSampleError("all log weights are -inf or non-finite")
+        raise SamplerError("all log weights are -inf or non-finite")
     u = np.exp(lw - m)
     mean_u = float(np.mean(u))
     if not mean_u > 0:
-        raise DegenerateSampleError("weights underflowed to zero")
+        raise SamplerError("weights underflowed to zero")
     return u / mean_u, float(m) + math.log(mean_u)
 
 
@@ -144,14 +127,16 @@ def _measure_value(measure, lw, deleted_log_lik):
 
 
 def estimate_measure(
-    sample: WeightedSample,
+    log_weights: np.ndarray,
     measure: str,
     r_star: float,
     deleted_log_lik: np.ndarray | None = None,
 ) -> InfluenceEstimate:
     """One influence measure with its CLT gate.
 
-    `r_star` is the analytic moment index of the deletion weight;
+    `log_weights` are the unnormalized log deletion weights of a posterior
+    sample, one per draw, all finite; `r_star` is the analytic moment index
+    of the deletion weight;
     `deleted_log_lik` is the exact deleted-case log-likelihood at each draw,
     which CPO needs. The estimate itself is always computed; the gate
     decides whether a standard error accompanies it. The gate passes when
@@ -159,10 +144,13 @@ def estimate_measure(
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; known: {MEASURES}")
-    value, flags = _measure_value(measure, sample.log_weights, deleted_log_lik)
+    lw = np.asarray(log_weights, dtype=float).ravel()
+    if not np.all(np.isfinite(lw)):
+        raise ValueError("log weights must be finite")
+    value, flags = _measure_value(measure, lw, deleted_log_lik)
     required = REQUIRED_MOMENTS[measure]
     passed = r_star > required
-    se = _batch_means_se(sample, measure, deleted_log_lik) if passed else None
+    se = _batch_means_se(lw, measure, deleted_log_lik) if passed else None
     return InfluenceEstimate(
         measure=measure,
         value=value,
@@ -174,18 +162,18 @@ def estimate_measure(
     )
 
 
-def _batch_means_se(sample: WeightedSample, measure: str, deleted_log_lik) -> float:
+def _batch_means_se(log_weights: np.ndarray, measure: str, deleted_log_lik) -> float:
     """Batch-means standard error: the estimator recomputed on consecutive
     batches, spread of the batch values scaled by sqrt(B). Valid for both
     i.i.d. draws and ergodic chains."""
-    M = sample.size
+    M = log_weights.size
     B = min(SE_BATCHES, max(2, M // 2))
     edges = np.linspace(0, M, B + 1, dtype=int)
     vals = []
     for b in range(B):
         sl = slice(edges[b], edges[b + 1])
         ll = None if deleted_log_lik is None else np.asarray(deleted_log_lik)[sl]
-        v, _ = _measure_value(measure, sample.log_weights[sl], ll)
+        v, _ = _measure_value(measure, log_weights[sl], ll)
         vals.append(v)
     vals = np.asarray(vals)
     return float(np.std(vals, ddof=1) / math.sqrt(B))

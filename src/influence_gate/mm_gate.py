@@ -16,12 +16,14 @@ g = sum_del x_i v_i / sum_all x_i v_i. A < 0 iff l > 1/r and B > 0 iff
 g < 1/r, which is how violations are detected on the scan grid.
 
 The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
-depend on r: `kappa_profile` computes them once per deletion set, on the
-grid, at the endpoint limits and in the refinement of sup l and inf g.
-`KappaProfile.scan(r)` adds the r part, and `KappaProfile.moment_index`
-bisects on r with every probe reading that one profile. The infimum of
-rss_star is refined on first read: a verdict settled by the sample size, a
-violation interval, the leverage or the slope pair never reads it.
+depend on r: `kappa_profile` computes them once per deletion set, on a fixed
+log grid of GRID_SIZE points, at the endpoint limits and in the refinement
+of sup l and inf g. `KappaProfile.scan(r)` adds the r part, and
+`KappaProfile.moment_index` bisects on r with every probe reading that one
+profile. The infimum of rss_star is refined on first read: a verdict
+settled by the sample size, a violation interval, the leverage or the slope
+pair never reads it. Nothing here depends on the kappa prior, which only
+the sampler reads.
 """
 
 import math
@@ -40,8 +42,8 @@ from .core_model import (
     each_set,
 )
 
-DEFAULT_GRID_SIZE = 4096
-MIN_GRID_SIZE = 16
+# Log-spaced kappa points of the scan.
+GRID_SIZE = 4096
 GOLDEN_XTOL = 1e-8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -52,21 +54,6 @@ NEGLIGIBLE_INTERVAL_FRACTION = 1e-6
 
 # Width at which the bisection on r for the residual cut-off r_c stops.
 R_TOL = 5e-4
-
-# Degrees of freedom of the half-t prior on kappa; 3 gives it a finite mean.
-KAPPA_PRIOR_DOF = 3.0
-
-
-@dataclass(frozen=True)
-class KappaPriorSpec:
-    """Proper prior on kappa: a half-t with KAPPA_PRIOR_DOF degrees of
-    freedom and the given scale."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -265,19 +252,16 @@ class KappaProfile:
         return MomentIndexReport.of(r_a, r_b, r_c)
 
 
-def kappa_profile(data: MMData, dels: DeletionSet,
-                  grid_size: int = DEFAULT_GRID_SIZE) -> KappaProfile:
-    """The r-free part of the kappa scan: `grid_size` log-spaced kappa from
+def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
+    """The r-free part of the kappa scan: GRID_SIZE log-spaced kappa from
     1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
     endpoint limits, with golden-section refinement around each grid
     maximum of leverage and minimum of g and the limits folded into the
     reported extrema, so they cover the full half-line."""
     if dels.cardinality < 1:
         raise ValueError("deletion set must be nonempty")
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     c, v, mask = data.concentration, data.velocity, dels.mask()
-    grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), grid_size)
+    grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), GRID_SIZE)
     sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], mask)
     zero, inf = ([float(s) for s in _kappa_sums(x, v, mask)] for x in (np.ones_like(c), c))
 
@@ -295,10 +279,9 @@ def kappa_profile(data: MMData, dels: DeletionSet,
                         inf_g=refined(2, True))
 
 
-def scan_kappa(data: MMData, dels: DeletionSet, r: float,
-               grid_size: int = DEFAULT_GRID_SIZE) -> KappaScan:
+def scan_kappa(data: MMData, dels: DeletionSet, r: float) -> KappaScan:
     """Scan the kappa axis for extrema of leverage, g, and rss_star at r."""
-    return kappa_profile(data, dels, grid_size).scan(r)
+    return kappa_profile(data, dels).scan(r)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -383,13 +366,12 @@ def theorem41_verdict(
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
-def moment_index_mm(data: MMData, dels: DeletionSet,
-                    grid_size: int = DEFAULT_GRID_SIZE) -> MomentIndexReport:
+def moment_index_mm(data: MMData, dels: DeletionSet) -> MomentIndexReport:
     """Moment index by bisection on r over one kappa profile of the set."""
-    return kappa_profile(data, dels, grid_size).moment_index()
+    return kappa_profile(data, dels).moment_index()
 
 
-def indices_and_verdicts(data: MMData, sets, r_values, grid_size: int = DEFAULT_GRID_SIZE):
+def indices_and_verdicts(data: MMData, sets, r_values):
     """Moment index of each nonempty 0-based deletion set in `sets` and its
     Thm 4.1 verdicts at each order r in `r_values`: (reports, one verdict
     list per set ordered as `r_values`). `sets` may also be the int I for
@@ -397,7 +379,7 @@ def indices_and_verdicts(data: MMData, sets, r_values, grid_size: int = DEFAULT_
     serves its index and every r."""
     reports, verdicts = [], []
     for indices in each_set(sets, data.n):
-        profile = kappa_profile(data, deletion_set(indices, data.n), grid_size)
+        profile = kappa_profile(data, deletion_set(indices, data.n))
         reports.append(profile.moment_index())
         verdicts.append([theorem41_verdict(data, profile.dels, r, profile.scan(r))
                          for r in r_values])

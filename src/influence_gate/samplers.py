@@ -29,7 +29,6 @@ import numpy as np
 from .core_model import LogitData, MMData, RegressionData
 from .errors import SamplerError
 from .linear_gate import LinearPrior
-from .mm_gate import KAPPA_PRIOR_DOF, KappaPriorSpec
 
 # Adaptive warm-up targets this acceptance rate, +/- 0.1.
 TARGET_ACCEPTANCE = 0.3
@@ -38,6 +37,9 @@ _WARMUP_BLOCK_SIZE = 100
 # Rows of pre-drawn noise turned into Python floats at a time.
 _BLOCK_ROWS = 64
 _EPS = 2.0 ** -52  # float64 machine epsilon
+
+# Degrees of freedom of the half-t prior on MM kappa; 3 gives it a finite mean.
+KAPPA_PRIOR_DOF = 3.0
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,12 @@ def _run_mh(log_density, screen, x0, config: SamplerConfig, dim: int) -> SampleR
     )
 
 
-def sample_mm(data: MMData, config: SamplerConfig, kappa_prior: KappaPriorSpec) -> SampleResult:
+def sample_mm(data: MMData, config: SamplerConfig, kappa_scale: float) -> SampleResult:
     """Random-walk Metropolis on (m, log sigma2, log kappa).
 
     The target is the flat 1/sigma2 prior on (m, sigma2) restricted to
-    positives, times a half-t prior on kappa, times the Gaussian likelihood;
+    positives, times a half-t prior on kappa (KAPPA_PRIOR_DOF degrees of
+    freedom, scale `kappa_scale` > 0), times the Gaussian likelihood;
     the log transforms carry their Jacobians so the chain moves on an
     unconstrained scale for the two positive nuisance axes. Where exp(u) or
     exp(w) overflows, sigma2 underflows to 0 or the kappa prior's square
@@ -250,10 +253,12 @@ def sample_mm(data: MMData, config: SamplerConfig, kappa_prior: KappaPriorSpec) 
     The bound (2n + 8) eps M doubles the first-order total of (n + 4) eps M,
     which covers the second-order terms and the rounding of the bound.
     """
+    if not kappa_scale > 0:
+        raise ValueError("kappa_scale must be positive")
     if data.n < 3:
         raise SamplerError("need at least 3 observations")
     c, v = data.concentration, data.velocity
-    half_dof, half_scale = KAPPA_PRIOR_DOF, kappa_prior.scale
+    half_dof, half_scale = KAPPA_PRIOR_DOF, kappa_scale
     n = data.n
 
     log_2pi = math.log(2.0 * math.pi)

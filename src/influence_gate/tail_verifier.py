@@ -54,21 +54,19 @@ def _hill(w: np.ndarray, k: int) -> float:
     return 1.0 / mean_excess
 
 
-def hill_tail_index(weights_descending: np.ndarray, top_fraction: float) -> float:
-    """Hill estimator from the top-fraction order statistics.
+def hill_tail_index(weights_descending: np.ndarray) -> float:
+    """Hill estimator from the largest TOP_FRACTION of the order statistics.
 
     Input must be sorted descending. Constant tails give +infinity
     (degenerate, flagged by the caller).
     """
     w = np.asarray(weights_descending, dtype=float).ravel()
-    if not 0 < top_fraction <= 0.2:
-        raise ValueError("top_fraction must be in (0, 0.2]")
     if w.size < 2 or w[0] < w[-1]:
         raise ValueError("weights must be sorted in descending order")
-    k = int(math.floor(top_fraction * w.size))
+    k = int(math.floor(TOP_FRACTION * w.size))
     if k < MIN_EXCEEDANCES:
         raise ValueError(
-            f"need at least {MIN_EXCEEDANCES} exceedances; top fraction {top_fraction} "
+            f"need at least {MIN_EXCEEDANCES} exceedances; top fraction {TOP_FRACTION} "
             f"of {w.size} gives {k}"
         )
     if w[k] <= 0:
@@ -130,7 +128,7 @@ def verify_moment_index(
             degenerate=True,
         )
     w = np.sort(np.exp(lw - np.max(lw)))[::-1]
-    hill = hill_tail_index(w, TOP_FRACTION)
+    hill = hill_tail_index(w)
     slope, rows = survival_regression_index(w)
     if math.isfinite(r_star) and r_star <= AGREEMENT_MAX_INDEX and math.isfinite(hill):
         agreement = abs(hill - r_star) / r_star < AGREEMENT_REL_TOL

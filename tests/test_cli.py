@@ -24,7 +24,7 @@ from influence_gate.linear_gate import (
     theorem31_verdict,
 )
 from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
-from influence_gate.mm_gate import KappaPriorSpec, moment_index_mm, scan_kappa, theorem41_verdict
+from influence_gate.mm_gate import moment_index_mm, scan_kappa, theorem41_verdict
 from influence_gate.samplers import (
     SamplerConfig,
     sample_linear_noninformative,
@@ -270,7 +270,7 @@ def test_readme_key_table_lists_exactly_the_config_keys(repo_root):
     documented = []
     for row in table.splitlines()[2:]:
         documented += re.findall(r"`([^`]+)`", row.split("|")[1])
-    assert sorted(documented) == sorted(cli.KEYS)
+    assert documented == list(cli.KEYS)
 
 
 @pytest.mark.parametrize("measures", ["kl, nonsense", "l1", "bdd", "delta1"])
@@ -351,6 +351,17 @@ BAD_VERIFY_SETTINGS = [
 def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, value):
     assert run(tmp_path, "verify", {**VERIFY_SETTINGS, key: value}) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_draw_is_config_error_before_data_is_read(tmp_path, capsys, monkeypatch):
+    # Batch-means standard errors need two batches, so two draws at least.
+    loads = count_calls(monkeypatch, cli, "load_csv")
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "1"}
+    assert run(tmp_path, "estimate", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sampler.draws ") and "Traceback" not in err
+    assert loads == []
     assert not (tmp_path / "out").exists()
 
 
@@ -567,9 +578,11 @@ def test_wrong_length_conjugate_prior_is_config_error(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command", ["gate", "estimate"])
 def test_mm_grid_size_below_minimum_is_config_error(tmp_path, capsys, command):
+    # The kappa grid is fixed, so any scan.grid_size is an unknown key.
     config = {**PUROMYCIN_MM, "deletion.indices": "11", "scan.grid_size": "8"}
     assert run(tmp_path, command, config) == 2
-    assert capsys.readouterr().err.startswith("config error: scan.grid_size ")
+    assert capsys.readouterr().err.startswith("config error: scan.grid_size is not a known key")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_samples_from_configured_kappa_prior(tmp_path):
@@ -579,10 +592,10 @@ def test_verify_samples_from_configured_kappa_prior(tmp_path):
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
     _, data, _ = model_inputs(PUROMYCIN_MM)
     draws = sample_mm(data, SamplerConfig(seed=3, draws=20000, burn_in=1000),
-                      KappaPriorSpec(scale=5.0)).draws
+                      5.0).draws
     lw = log_weight(FAMILIES["mm"], draws, data, deletion_set([10], data.n))
     weights = np.sort(np.exp(lw - lw.max()))[::-1]
-    assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights, 0.01), rel=1e-12)
+    assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights), rel=1e-12)
 
 
 # --- report shapes ------------------------------------------------------------------
@@ -714,7 +727,7 @@ def test_exported_draws_are_shortest_round_trip_text(tmp_path):
 
 EXPORTS = {
     "mm": ({**PUROMYCIN_MM, "deletion.indices": "11"}, ["m", "sigma2", "kappa"],
-           lambda data, config: sample_mm(data, config, KappaPriorSpec(scale=1.0))),
+           lambda data, config: sample_mm(data, config, 1.0)),
     "logit": ({**FZ_LOGIT, "deletion.indices": "15", "prior.epsilon": "0.7"},
               ["beta_0", "beta_1", "beta_2"], lambda data, config: sample_logit(data, config, 0.7)),
 }

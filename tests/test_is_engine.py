@@ -11,17 +11,15 @@ from influence_gate.core_model import (
     RegressionData,
     deletion_set,
 )
-from influence_gate.errors import DegenerateSampleError
+from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import (
-    WeightedSample,
     _logsumexp,
     deleted_log_likelihood,
     estimate_measure,
     log_weight,
     self_normalized_estimate,
 )
-from influence_gate.mm_gate import KappaPriorSpec
 from influence_gate.samplers import SamplerConfig, sample_mm
 
 
@@ -96,49 +94,47 @@ class TestSelfNormalizedEstimate:
         assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
     def test_degenerate_sample_error(self):
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(SamplerError):
             self_normalized_estimate(np.array([-math.inf, -math.inf]), np.array([1.0, 2.0]))
 
 
 class TestEstimateMeasure:
-    def _sample(self, seed=0, M=4096, const=False):
+    def _log_weights(self, seed=0, M=4096, const=False):
         rng = np.random.default_rng(seed)
-        lw = np.zeros(M) if const else rng.standard_normal(M) * 0.5
-        return WeightedSample(log_weights=lw)
+        return np.zeros(M) if const else rng.standard_normal(M) * 0.5
 
     def test_empty_deletion_exact_zeros(self):
-        sample = self._sample(const=True)
+        lw = self._log_weights(const=True)
         for measure in ("kl", "chisq", "hellinger"):
-            est = estimate_measure(sample, measure, math.inf)
+            est = estimate_measure(lw, measure, math.inf)
             assert est.value == 0.0
             assert est.gate_passed
 
     def test_kl_shift_invariant(self):
-        sample = self._sample(seed=3)
-        base = estimate_measure(sample, "kl", 5.0).value
-        shifted = WeightedSample(log_weights=sample.log_weights + 7.5)
-        assert estimate_measure(shifted, "kl", 5.0).value == pytest.approx(base, rel=1e-12)
+        lw = self._log_weights(seed=3)
+        base = estimate_measure(lw, "kl", 5.0).value
+        assert estimate_measure(lw + 7.5, "kl", 5.0).value == pytest.approx(base, rel=1e-12)
 
     def test_kl_nonnegative_as_divergence(self):
-        sample = self._sample(seed=5)
-        assert estimate_measure(sample, "kl", 5.0).value >= -1e-12
+        lw = self._log_weights(seed=5)
+        assert estimate_measure(lw, "kl", 5.0).value >= -1e-12
 
     def test_chisq_nonnegative(self):
-        sample = self._sample(seed=4)
-        assert estimate_measure(sample, "chisq", 5.0).value >= -1e-12
+        lw = self._log_weights(seed=4)
+        assert estimate_measure(lw, "chisq", 5.0).value >= -1e-12
 
     def test_gate_blocked_no_se(self):
-        sample = self._sample(seed=6)
-        est = estimate_measure(sample, "chisq", 3.0)  # needs 4 moments
+        lw = self._log_weights(seed=6)
+        est = estimate_measure(lw, "chisq", 3.0)  # needs 4 moments
         assert not est.gate_passed
         assert est.standard_error is None
-        est2 = estimate_measure(sample, "kl", 3.0)  # needs 2 + delta
+        est2 = estimate_measure(lw, "kl", 3.0)  # needs 2 + delta
         assert est2.gate_passed
         assert est2.standard_error is not None and est2.standard_error > 0
 
     def test_kl_gate_needs_strict_excess(self):
-        sample = self._sample(seed=7)
-        est = estimate_measure(sample, "kl", 2.0)
+        lw = self._log_weights(seed=7)
+        est = estimate_measure(lw, "kl", 2.0)
         assert not est.gate_passed
 
     def test_cpo_harmonic_mean_identity(self):
@@ -147,15 +143,18 @@ class TestEstimateMeasure:
         dels = deletion_set([2], 5)
         draws = np.column_stack([rng.standard_normal(10) + 2.0, np.abs(rng.standard_normal(10)) + 0.5])
         lw = log_weight(FAMILIES["linear"], draws, data, dels)
-        sample = WeightedSample(log_weights=lw)
         ll = deleted_log_likelihood(FAMILIES["linear"], draws, data, dels)
-        est = estimate_measure(sample, "cpo", 5.0, ll)
+        est = estimate_measure(lw, "cpo", 5.0, ll)
         direct = 10.0 / np.sum(1.0 / np.exp(ll))
         assert est.value == pytest.approx(direct, rel=1e-12)
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
-            estimate_measure(self._sample(), "wasserstein", 3.0)
+            estimate_measure(self._log_weights(), "wasserstein", 3.0)
+
+    def test_nonfinite_log_weights_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_measure([0.0, math.nan], "kl", 5.0)
 
 
 # log(sum(exp(a))) of a = scale * standard_normal(n) drawn with seed n, as
@@ -228,7 +227,7 @@ class TestLogSumExp:
 
     def test_mm_case_11_cpo_input_golden(self, puromycin):
         draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000),
-                          KappaPriorSpec()).draws
+                          1.0).draws
         ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deletion_set([10], 11))
         assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
 
@@ -249,9 +248,3 @@ class TestLogSumExp:
         a_max = float(np.max(a))
         ref = a_max + math.log(math.fsum(math.exp(x - a_max) for x in a))
         assert abs(_logsumexp(a) - ref) <= 4 * np.finfo(float).eps * max(1.0, abs(ref))
-
-
-class TestWeightedSample:
-    def test_nonfinite_log_weights_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedSample(log_weights=[0.0, math.nan])

@@ -10,7 +10,6 @@ from influence_gate.core_model import LogitData, RegressionData, write_table
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.linear_gate import LinearPrior
-from influence_gate.mm_gate import KappaPriorSpec
 from influence_gate.samplers import (
     SamplerConfig,
     random_walk_metropolis,
@@ -159,7 +158,7 @@ class TestMMChain:
     @pytest.fixture(scope="class")
     def chain(self, puromycin):
         cfg = SamplerConfig(seed=11, draws=6000, burn_in=2000, thin=2)
-        return sample_mm(puromycin, cfg, KappaPriorSpec())
+        return sample_mm(puromycin, cfg, 1.0)
 
     def test_sanity_bands(self, chain):
         # plateau velocity near the largest observations; half-saturation
@@ -183,9 +182,14 @@ class TestMMChain:
 
     def test_seed_determinism(self, puromycin):
         cfg = SamplerConfig(seed=12, draws=300, burn_in=200)
-        a = sample_mm(puromycin, cfg, KappaPriorSpec()).draws
-        b = sample_mm(puromycin, cfg, KappaPriorSpec()).draws
+        a = sample_mm(puromycin, cfg, 1.0).draws
+        b = sample_mm(puromycin, cfg, 1.0).draws
         assert np.array_equal(a, b)
+
+    def test_kappa_scale_must_be_positive(self, puromycin):
+        for kappa_scale in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                sample_mm(puromycin, SamplerConfig(seed=12, draws=10), kappa_scale)
 
     def test_doubling_scale_lowers_acceptance(self, puromycin):
         base = np.array([5.0, 0.3, 0.3])
@@ -194,7 +198,7 @@ class TestMMChain:
             cfg = SamplerConfig(
                 seed=13, draws=2000, burn_in=500, proposal_scale=tuple(base * mult)
             )
-            rates.append(sample_mm(puromycin, cfg, KappaPriorSpec()).acceptance_rate)
+            rates.append(sample_mm(puromycin, cfg, 1.0).acceptance_rate)
         assert rates[0] > rates[1] > rates[2]
 
 
@@ -242,7 +246,7 @@ class TestLogitChain:
 
 class TestDrawExport:
     def test_csv_roundtrip_columns(self, tmp_path, puromycin):
-        res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100), KappaPriorSpec())
+        res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100), 1.0)
         out = tmp_path / "draws.csv"
         write_table(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
         header = out.read_text().splitlines()[0]
@@ -279,9 +283,9 @@ def oracle_random_walk_metropolis(log_density, x0, scale, steps, rng):
     return chain, accepted
 
 
-def oracle_mm_density(data, prior):
+def oracle_mm_density(data, kappa_scale):
     c, v = data.concentration, data.velocity
-    half_dof, half_scale = 3.0, prior.scale
+    half_dof, half_scale = 3.0, kappa_scale
     n = data.n
 
     def log_density(p):
@@ -452,11 +456,11 @@ class TestMetropolisBitIdentity:
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_mm_chain_equals_per_step_loop(self, monkeypatch, puromycin, seed, name):
-        prior = KappaPriorSpec(scale=0.7)
+        kappa_scale = 0.7
         config = chain_config("mm", seed, name)
-        oracle = run_with_oracles(monkeypatch, oracle_mm_density(puromycin, prior),
-                                  sample_mm, puromycin, config, prior)
-        assert_same_chain(sample_mm(puromycin, config, prior), oracle)
+        oracle = run_with_oracles(monkeypatch, oracle_mm_density(puromycin, kappa_scale),
+                                  sample_mm, puromycin, config, kappa_scale)
+        assert_same_chain(sample_mm(puromycin, config, kappa_scale), oracle)
 
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -468,10 +472,10 @@ class TestMetropolisBitIdentity:
         assert_same_chain(sample_logit(fz_logit, config, epsilon), oracle)
 
     def test_mm_density_equals_oracle_at_every_point(self, monkeypatch, puromycin):
-        prior = KappaPriorSpec(scale=0.7)
+        kappa_scale = 0.7
         config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
-        points = oracle_checked_points(monkeypatch, oracle_mm_density(puromycin, prior),
-                                       sample_mm, puromycin, config, prior)
+        points = oracle_checked_points(monkeypatch, oracle_mm_density(puromycin, kappa_scale),
+                                       sample_mm, puromycin, config, kappa_scale)
         assert points == 1 + config.burn_in + config.draws
 
     @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
@@ -483,9 +487,10 @@ class TestMetropolisBitIdentity:
     @pytest.mark.parametrize("wrap", [inflated, shifted])
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
     def test_mm_guard_path_equals_per_step_loop(self, monkeypatch, puromycin, name, wrap):
-        prior = KappaPriorSpec(scale=0.7)
-        assert_guard_path_equals_oracle(monkeypatch, wrap, oracle_mm_density(puromycin, prior),
-                                        sample_mm, puromycin, chain_config("mm", 2, name), prior)
+        kappa_scale = 0.7
+        assert_guard_path_equals_oracle(
+            monkeypatch, wrap, oracle_mm_density(puromycin, kappa_scale), sample_mm, puromycin,
+            chain_config("mm", 2, name), kappa_scale)
 
     @pytest.mark.parametrize("wrap", [inflated, shifted])
     @pytest.mark.parametrize("name", CHAIN_CONFIGS)
@@ -498,12 +503,12 @@ class TestMetropolisBitIdentity:
     def test_mm_chains_rarely_fall_back(self, monkeypatch, puromycin):
         """A bound that failed by being too wide would still give the right
         chains, only slowly; on the 5-seed chains the screen decides alone."""
-        prior = KappaPriorSpec(scale=0.7)
+        kappa_scale = 0.7
         steps = calls = 0
         for seed, name in itertools.product([1, 2, 3, 4, 5], CHAIN_CONFIGS):
             config = chain_config("mm", seed, name)
             _, chain_calls = with_screen(monkeypatch, lambda screen: screen,
-                                         sample_mm, puromycin, config, prior)
+                                         sample_mm, puromycin, config, kappa_scale)
             steps += config.burn_in + config.draws * config.thin
             calls += chain_calls
         assert steps > 20_000
@@ -603,20 +608,19 @@ LOGIT_EXTREMES = list(itertools.product(
 class TestScreenBound:
     @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
     def test_mm_screen_within_bound_on_a_chain(self, monkeypatch, puromycin, kappa_scale):
-        prior = KappaPriorSpec(scale=kappa_scale)
         config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
-        density, _ = mh_target(sample_mm, puromycin, config, prior)
-        oracle = oracle_mm_density(puromycin, prior)
-        seen = screened_points(monkeypatch, sample_mm, puromycin, config, prior)
+        density, _ = mh_target(sample_mm, puromycin, config, kappa_scale)
+        oracle = oracle_mm_density(puromycin, kappa_scale)
+        seen = screened_points(monkeypatch, sample_mm, puromycin, config, kappa_scale)
         assert len(seen) == 1 + config.draws
         for p, value, bound in seen:
             assert_within_bound(p, value, bound, mm_expected(oracle, density, p))
 
     @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
     def test_mm_screen_within_bound_at_extreme_points(self, puromycin, kappa_scale):
-        prior = KappaPriorSpec(scale=kappa_scale)
-        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), prior)
-        oracle = oracle_mm_density(puromycin, prior)
+        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1),
+                                    kappa_scale)
+        oracle = oracle_mm_density(puromycin, kappa_scale)
         for p in MM_EXTREMES:
             expected = mm_expected(oracle, density, p)
             assert density(np.array(p)) == expected, p
@@ -626,8 +630,7 @@ class TestScreenBound:
     def test_mm_density_is_minus_inf_beyond_the_float_range(self, puromycin, p):
         """exp(800) overflows and exp(-800) is 0; the density tends to -inf
         along each axis, so the step is rejected rather than raising."""
-        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1),
-                                    KappaPriorSpec())
+        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), 1.0)
         assert density(np.array(p)) == -math.inf
         assert screen(p)[0] == -math.inf
 

@@ -7,6 +7,7 @@ import numpy as np
 from influence_gate.core_model import deletion_set
 from influence_gate.samplers import SamplerConfig
 from influence_gate.tail_verifier import (
+    TOP_FRACTION,
     clt_scaling_audit,
     hill_tail_index,
     survival_regression_index,
@@ -27,10 +28,10 @@ def pareto_descending(alpha: float, size: int, seed: int) -> np.ndarray:
 
 
 def test_hill_recovers_pareto_index():
-    alpha, fraction = 3.0, 0.01
+    alpha = 3.0
     w = pareto_descending(alpha, 40_000, seed=7)
-    k = int(fraction * w.size)
-    assert abs(hill_tail_index(w, fraction) - alpha) < 3.0 * alpha / math.sqrt(k)
+    k = int(TOP_FRACTION * w.size)
+    assert abs(hill_tail_index(w) - alpha) < 3.0 * alpha / math.sqrt(k)
 
 
 def test_survival_rows_are_the_hill_estimate_at_each_rank():
