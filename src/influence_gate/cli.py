@@ -100,7 +100,7 @@ KEYS = {key.name: key for key in (
     Key("scan.flag_cases", "ints", None, ()),
     Key("measures", "words", is_engine.MEASURES, is_engine.MEASURES),
     Key("sampler.seed", "int", 0),  # default: seed
-    Key("sampler.draws", "int", 2),  # default: set per command; the SE needs 2 batches
+    Key("sampler.draws", "int", 4),  # default: set per command; the SE needs 2 batches of 2
     Key("sampler.burn_in", "int", 0, 1000),
     Key("sampler.thin", "int", 1, 1),
     Key("sampler.scale", "floats", 0, ()),

@@ -1,13 +1,14 @@
 """One record per model family: everything that differs between the linear,
 Michaelis-Menten (MM) and logit models, from the config to the report.
 
-The model is chosen once, when the CLI looks up `FAMILIES[cfg["model"]]`;
-from then on the record carries it, and no other module decodes the model
-name. A record turns a parsed config into the model's inputs in two steps.
-`csv_columns(cfg)` checks the config keys the model needs and names the CSV
-columns it reads, so every config error comes before the data file is read.
-`inputs(cfg, columns)` then builds the data and the prior from the loaded
-columns, a name -> array mapping. The prior is a `LinearPrior` (linear),
+The model is chosen when the CLI looks up `FAMILIES[cfg["model"]]`; from
+then on the record carries it. The only other readers of the model name
+are `cli.cmd_scan` and `cli.cmd_kfold_audit`, which refuse every model but
+the linear one. A record turns a parsed config into the model's inputs in
+two steps. `csv_columns(cfg)` checks the config keys the model needs and
+names the CSV columns it reads, so every config error comes before the data
+file is read. `inputs(cfg, columns)` then builds the data and the prior from
+the loaded columns, a name -> array mapping. The prior is a `LinearPrior` (linear),
 the scale of the half-t kappa prior (MM) or the Laplace rate epsilon
 (logit). The MM moment index does not read its prior; the sampler does.
 

@@ -165,9 +165,13 @@ def estimate_measure(
 def _batch_means_se(log_weights: np.ndarray, measure: str, deleted_log_lik) -> float:
     """Batch-means standard error: the estimator recomputed on consecutive
     batches, spread of the batch values scaled by sqrt(B). Valid for both
-    i.i.d. draws and ergodic chains."""
+    i.i.d. draws and ergodic chains. Every batch holds two draws at least,
+    since a one-draw batch has normalized weight 1 and reads 0 for every
+    divergence."""
     M = log_weights.size
-    B = min(SE_BATCHES, max(2, M // 2))
+    if M < 4:
+        raise ValueError(f"the batch-means standard error needs at least 4 draws, got {M}")
+    B = min(SE_BATCHES, M // 2)
     edges = np.linspace(0, M, B + 1, dtype=int)
     vals = []
     for b in range(B):

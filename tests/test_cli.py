@@ -354,15 +354,36 @@ def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
-def test_one_draw_is_config_error_before_data_is_read(tmp_path, capsys, monkeypatch):
-    # Batch-means standard errors need two batches, so two draws at least.
+def assert_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch, draws):
     loads = count_calls(monkeypatch, cli, "load_csv")
-    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "1"}
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": draws}
     assert run(tmp_path, "estimate", config) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: sampler.draws ") and "Traceback" not in err
+    assert err == "config error: sampler.draws must be at least 4, got " + draws + "\n"
     assert loads == []
     assert not (tmp_path / "out").exists()
+
+
+def test_one_draw_is_config_error_before_data_is_read(tmp_path, capsys, monkeypatch):
+    assert_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch, "1")
+
+
+@pytest.mark.parametrize("draws", ["2", "3"])
+def test_two_or_three_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch,
+                                                                 draws):
+    # Batch-means standard errors need two batches of two draws: a one-draw
+    # batch has normalized weight 1, so kl, hellinger and chisq read 0 on it.
+    assert_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch, draws)
+
+
+def test_four_draws_give_positive_standard_errors(tmp_path):
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "4"}
+    assert run(tmp_path, "estimate", config) == 0
+    rows = read_csv(tmp_path, "estimates.csv")
+    assert [row["measure"] for row in rows] == ["kl", "hellinger", "chisq", "cpo"]
+    for row in rows:
+        assert row["gate"] == "passed"
+        assert float(row["standard_error"]) > 0, row
 
 
 @pytest.mark.parametrize("command, config", [

@@ -156,6 +156,23 @@ class TestEstimateMeasure:
         with pytest.raises(ValueError):
             estimate_measure([0.0, math.nan], "kl", 5.0)
 
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_standard_error_needs_four_draws(self, M):
+        lw = self._log_weights(seed=8, M=M)
+        with pytest.raises(ValueError, match="at least 4 draws"):
+            estimate_measure(lw, "kl", 5.0)
+        assert estimate_measure(lw, "chisq", 3.0).standard_error is None  # blocked: no SE
+
+    @pytest.mark.parametrize("measure", ["kl", "hellinger", "chisq"])
+    def test_four_draws_make_two_batches_of_two(self, measure):
+        lw = self._log_weights(seed=8, M=4)
+        halves = [estimate_measure(lw[:2], measure, 1.0).value,
+                  estimate_measure(lw[2:], measure, 1.0).value]
+        se = estimate_measure(lw, measure, 5.0).standard_error
+        assert se > 0
+        # std (ddof 1) of two batch values over sqrt(2) is half their distance
+        assert se == pytest.approx(abs(halves[0] - halves[1]) / 2, rel=1e-12)
+
 
 # log(sum(exp(a))) of a = scale * standard_normal(n) drawn with seed n, as
 # float.hex of the value SciPy 1.17.1's scipy.special.logsumexp returns. The

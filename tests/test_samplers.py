@@ -28,9 +28,9 @@ def lin_data():
     return random_regression(rng, 25, 3)
 
 
-def exact_screen(log_density):
-    """A log density as its own screen: exact values with bound 0."""
-    return lambda p: (log_density(np.array(p)), 0.0)
+def on_tuples(log_density):
+    """A log density of an array as the core calls it, on a tuple of floats."""
+    return lambda p: log_density(np.array(p))
 
 
 def _ls_quantities(data):
@@ -132,7 +132,7 @@ class TestMHCore:
             return -0.5 * float(x @ x)
 
         chain, accepted = random_walk_metropolis(
-            log_density, exact_screen(log_density), np.zeros(1), np.array([2.4]), 20_000, rng
+            on_tuples(log_density), np.zeros(1), np.array([2.4]), 20_000, rng
         )
         xs = chain[2000:, 0]
         B = 32
@@ -150,8 +150,7 @@ class TestMHCore:
             return -math.inf
 
         with pytest.raises(SamplerError):
-            random_walk_metropolis(log_density, exact_screen(log_density), np.zeros(1),
-                                   np.array([1.0]), 10, rng)
+            random_walk_metropolis(on_tuples(log_density), np.zeros(1), np.array([1.0]), 10, rng)
 
 
 class TestMMChain:
@@ -259,8 +258,9 @@ class TestDrawExport:
 #
 # The oracles below are the straightforward forms of the sampler's hot path:
 # a loop that indexes the pre-drawn noise and uniforms and writes one chain row
-# per step, and log densities that rebuild every constant and prior array on
-# each call. The lean core and densities must reproduce them bit for bit.
+# per step, and numpy log densities that rebuild every constant and prior array
+# on each call. The lean core must reproduce the loop bit for bit, and the
+# samplers' chains must be those of the loop run on the oracle densities.
 
 
 def oracle_random_walk_metropolis(log_density, x0, scale, steps, rng):
@@ -339,112 +339,32 @@ def run_with_oracles(monkeypatch, oracle_density, sample, *args):
     place of the sampler's own; the start point and the warm-up are shared."""
     run_mh = samplers._run_mh
     with monkeypatch.context() as patch:
-        patch.setattr(samplers, "random_walk_metropolis",
-                      lambda density, _screen, *rest: oracle_random_walk_metropolis(density, *rest))
-        patch.setattr(samplers, "_run_mh", lambda _density, _screen, x0, config, dim:
-                      run_mh(oracle_density, None, x0, config, dim))
+        patch.setattr(samplers, "random_walk_metropolis", oracle_random_walk_metropolis)
+        patch.setattr(samplers, "_run_mh", lambda _density, x0, config, dim:
+                      run_mh(oracle_density, x0, config, dim))
         return sample(*args)
-
-
-def oracle_checked_points(monkeypatch, oracle_density, sample, *args) -> int:
-    """Run `sample(*args)`, asserting at every point its chain evaluates (each
-    point its screen sees) that its own log density equals the oracle's;
-    returns the number of points."""
-    run_mh = samplers._run_mh
-    points = []
-
-    def checked(density, screen):
-        def checked_screen(p):
-            point = np.array(p)
-            value = density(point)
-            assert value == oracle_density(point), p
-            points.append(value)
-            return screen(p)
-
-        return checked_screen
-
-    with monkeypatch.context() as patch:
-        patch.setattr(samplers, "_run_mh", lambda density, screen, x0, config, dim:
-                      run_mh(density, checked(density, screen), x0, config, dim))
-        sample(*args)
-    return len(points)
-
-
-def with_screen(monkeypatch, wrap, sample, *args):
-    """`sample(*args)` with the core given `wrap(screen)` for the sampler's
-    screen; returns the result and the number of exact-density calls."""
-    run_mh = samplers._run_mh
-    calls = []
-
-    def counted(density):
-        def log_density(p):
-            calls.append(p)
-            return density(p)
-
-        return log_density
-
-    with monkeypatch.context() as patch:
-        patch.setattr(samplers, "_run_mh", lambda density, screen, *rest:
-                      run_mh(counted(density), wrap(screen), *rest))
-        result = sample(*args)
-    return result, len(calls)
-
-
-def inflated(screen):
-    """Every bound infinite, so every decision falls back to the exact density."""
-    def inflated_screen(p):
-        return screen(p)[0], math.inf
-
-    return inflated_screen
-
-
-def shifted(screen):
-    """The bound widened by 0.5 and the value moved by +0.9 and -0.9 of it
-    on alternate calls: still a valid screen, but one whose errors at the
-    two points of a step add up to 1.8 of one bound, and wide enough that
-    some decisions fall within the margin and go to the exact density."""
-    signs = itertools.cycle((0.9, -0.9))
-
-    def shifted_screen(p):
-        value, bound = screen(p)
-        bound += 0.5
-        return value + next(signs) * bound, bound
-
-    return shifted_screen
 
 
 class _Target(Exception):
     pass
 
 
-def mh_target(sample, *args) -> tuple:
-    """The (log density, screen) pair that `sample(*args)` hands to the core."""
-    def capture(density, screen, *_):
-        raise _Target(density, screen)
+def mh_target(sample, *args):
+    """The log density that `sample(*args)` hands to the core."""
+    def capture(density, *_):
+        raise _Target(density)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(samplers, "_run_mh", capture)
         with pytest.raises(_Target) as caught:
             sample(*args)
-    return caught.value.args
+    return caught.value.args[0]
 
 
 def assert_same_chain(result, oracle):
     assert np.array_equal(result.draws, oracle.draws)
     assert result.acceptance_rate == oracle.acceptance_rate
     assert np.array_equal(result.proposal_scale, oracle.proposal_scale)
-
-
-def assert_guard_path_equals_oracle(monkeypatch, wrap, oracle_density, sample, data, config,
-                                    prior):
-    oracle = run_with_oracles(monkeypatch, oracle_density, sample, data, config, prior)
-    result, calls = with_screen(monkeypatch, wrap, sample, data, config, prior)
-    assert_same_chain(result, oracle)
-    steps = config.burn_in + config.draws * config.thin
-    if wrap is inflated:
-        assert calls >= 2 * steps
-    else:
-        assert 0 < calls < 2 * steps
 
 
 def chain_config(model, seed, name):
@@ -471,49 +391,6 @@ class TestMetropolisBitIdentity:
                                   sample_logit, fz_logit, config, epsilon)
         assert_same_chain(sample_logit(fz_logit, config, epsilon), oracle)
 
-    def test_mm_density_equals_oracle_at_every_point(self, monkeypatch, puromycin):
-        kappa_scale = 0.7
-        config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
-        points = oracle_checked_points(monkeypatch, oracle_mm_density(puromycin, kappa_scale),
-                                       sample_mm, puromycin, config, kappa_scale)
-        assert points == 1 + config.burn_in + config.draws
-
-    @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
-    def test_logit_density_equals_oracle_at_every_point(self, monkeypatch, fz_logit, epsilon):
-        config = SamplerConfig(seed=2, draws=1000)
-        assert oracle_checked_points(monkeypatch, oracle_logit_density(fz_logit, epsilon),
-                                     sample_logit, fz_logit, config, epsilon) > config.draws
-
-    @pytest.mark.parametrize("wrap", [inflated, shifted])
-    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
-    def test_mm_guard_path_equals_per_step_loop(self, monkeypatch, puromycin, name, wrap):
-        kappa_scale = 0.7
-        assert_guard_path_equals_oracle(
-            monkeypatch, wrap, oracle_mm_density(puromycin, kappa_scale), sample_mm, puromycin,
-            chain_config("mm", 2, name), kappa_scale)
-
-    @pytest.mark.parametrize("wrap", [inflated, shifted])
-    @pytest.mark.parametrize("name", CHAIN_CONFIGS)
-    def test_logit_guard_path_equals_per_step_loop(self, monkeypatch, fz_logit, name, wrap):
-        epsilon = LAPLACE_RATES[1]
-        assert_guard_path_equals_oracle(
-            monkeypatch, wrap, oracle_logit_density(fz_logit, epsilon), sample_logit, fz_logit,
-            chain_config("logit", 3, name), epsilon)
-
-    def test_mm_chains_rarely_fall_back(self, monkeypatch, puromycin):
-        """A bound that failed by being too wide would still give the right
-        chains, only slowly; on the 5-seed chains the screen decides alone."""
-        kappa_scale = 0.7
-        steps = calls = 0
-        for seed, name in itertools.product([1, 2, 3, 4, 5], CHAIN_CONFIGS):
-            config = chain_config("mm", seed, name)
-            _, chain_calls = with_screen(monkeypatch, lambda screen: screen,
-                                         sample_mm, puromycin, config, kappa_scale)
-            steps += config.burn_in + config.draws * config.thin
-            calls += chain_calls
-        assert steps > 20_000
-        assert calls <= 10  # 0 on x86-64 with OpenBLAS
-
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_core_equals_loop_on_a_half_space_support(self, seed):
         def log_density(x):
@@ -521,12 +398,32 @@ class TestMetropolisBitIdentity:
 
         args = (log_density, np.array([1.0, 0.0]), np.array([1.5, 0.7]), 3000)
         chain, accepted = random_walk_metropolis(
-            log_density, exact_screen(log_density), *args[1:], np.random.default_rng(seed))
+            on_tuples(log_density), *args[1:], np.random.default_rng(seed))
         expected, expected_accepted = oracle_random_walk_metropolis(
             *args, np.random.default_rng(seed))
         assert np.array_equal(chain, expected)
         assert accepted == expected_accepted
         assert 0 < accepted < 3000 and np.all(chain[:, 0] > 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_core_rejects_a_nan_density_as_the_loop_does(self, seed):
+        """A density that is NaN where x[0] < -0.5 (as 0 * inf is) rejects
+        every proposal there."""
+        def log_density(x):
+            return -0.5 * float(x @ x) if x[0] >= -0.5 else math.nan
+
+        args = (log_density, np.array([1.0, 0.0]), np.array([1.5, 0.7]), 3000)
+        noise = np.random.default_rng(seed).standard_normal((3000, 2)) * args[2]
+        chain, accepted = random_walk_metropolis(
+            on_tuples(log_density), *args[1:], np.random.default_rng(seed))
+        expected, expected_accepted = oracle_random_walk_metropolis(
+            *args, np.random.default_rng(seed))
+        assert np.array_equal(chain, expected)
+        assert accepted == expected_accepted
+        assert 0 < accepted < 3000 and np.all(chain[:, 0] >= -0.5)
+        # Proposals from the held states into the NaN region: all rejected.
+        held = np.vstack([args[1], chain[:-1]])
+        assert np.sum((held + noise)[:, 0] < -0.5) > 100
 
     def test_core_equals_loop_without_an_acceptance(self):
         def log_density(x):
@@ -534,45 +431,91 @@ class TestMetropolisBitIdentity:
 
         args = (log_density, np.array([1.0, 2.0]), np.array([1.0, 1.0]), 500)
         chain, accepted = random_walk_metropolis(
-            log_density, exact_screen(log_density), *args[1:], np.random.default_rng(6))
+            on_tuples(log_density), *args[1:], np.random.default_rng(6))
         expected, _ = oracle_random_walk_metropolis(*args, np.random.default_rng(6))
         assert accepted == 0
         assert np.array_equal(chain, expected)
         assert np.array_equal(chain, np.tile([1.0, 2.0], (500, 1)))
 
     @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
-    def test_prior_closure_equals_per_call_prior(self, monkeypatch, fz_logit, epsilon):
+    def test_prior_closure_equals_per_call_prior(self, fz_logit, epsilon):
         """The sampler's log density, with its prior scale made once, equals
-        the oracle's at points far off any chain."""
-        densities = []
-        with monkeypatch.context() as patch:
-            patch.setattr(samplers, "_run_mh", lambda density, *args: densities.append(density))
-            sample_logit(fz_logit, SamplerConfig(seed=7, draws=1), epsilon)
-        oracle = oracle_logit_density(fz_logit, epsilon)
-        rng = np.random.default_rng(7)
-        for beta in rng.standard_normal((200, 3)) * np.array([1.0, 5.0, 0.1]):
-            assert densities[0](beta) == oracle(beta)
+        one that makes the scale on each call, bit for bit, at points far off
+        any chain."""
+        density = mh_target(sample_logit, fz_logit, SamplerConfig(seed=7, draws=1), epsilon)
+        X = fz_logit.design
+        xty = (X.T @ fz_logit.outcome).tolist()
+
+        def per_call(beta):
+            log_sum = float(np.add.reduce(np.logaddexp(0.0, X @ beta)))
+            linear = l1 = 0.0
+            for b, column in zip(beta, xty):
+                linear += b * column
+                l1 += abs(b)
+            return linear - log_sum - l1 / (1.0 / epsilon)
+
+        for beta in LOGIT_SPREAD:
+            assert density(np.array(beta)) == per_call(np.array(beta))
 
 
-# --- the screens' error bounds --------------------------------------------------------
+# --- the densities against the numpy oracles ------------------------------------------
+#
+# Each sampler's log density sums in Python floats where its oracle calls numpy,
+# so the two differ by rounding. The bounds below are proven ones for that
+# difference, with a factor of two to spare; u = eps / 2 is the unit roundoff.
+
+EPS = np.finfo(float).eps
 
 
-def screened_points(monkeypatch, sample, *args) -> list:
-    """(point, screen value, bound) at every point the chain's screen sees."""
+def mm_bound(data, kappa_scale, p) -> float:
+    """(2n + 8) eps M, M = |A| + B + |C|, for A = -n/2 (log 2 pi + u),
+    B = rss / (2 sigma2) and C the kappa-prior term. Both densities compute
+    the same r_i, A and C; each sum of the n nonnegative r_i^2, in any order
+    and with or without FMA, is within gamma_n = n u / (1 - n u) of the true
+    sum, and the two roundings of (A - B) + C add at most 2 u M to each, so
+    the densities differ by at most (n + 3) eps M to first order."""
+    m, u, w = p
+    c, v = data.concentration, data.velocity
+    res = v - m * (c / (math.exp(w) + c))
+    a = -0.5 * data.n * (math.log(2.0 * math.pi) + u)
+    b = float(res @ res) / (2.0 * math.exp(u))
+    prior = -2.0 * math.log1p((math.exp(w) / kappa_scale) ** 2 / 3.0) + w
+    return (2 * data.n + 8) * EPS * (abs(a) + b + abs(prior))
+
+
+def logit_bound(data, epsilon, beta) -> float:
+    """2 (n + 2k + 7) eps (M + L + P), M = sum_j |beta_j| sum_i |x_ij|, L the
+    log-sum and P the prior term. Any order of computing z = X beta is within
+    gamma_k of it per row, which moves sum z_i y_i (y is 0/1) and, log(1 + e^z)
+    being 1-Lipschitz, L by at most k u M each; X'y is within gamma_n per
+    column, its dot with beta adds k u M; each logaddexp is within 4 u of its
+    value, each sum of n terms within gamma_n of its absolute sum, and
+    |beta|_1 / scale within (k + 1) u P."""
+    X = data.design
+    n, k = X.shape
+    beta = np.asarray(beta)
+    mass = float(np.abs(beta) @ np.abs(X).sum(axis=0))
+    log_sum = float(np.sum(np.logaddexp(0.0, X @ beta)))
+    prior = float(np.sum(np.abs(beta))) / (1.0 / epsilon)
+    return 2 * (n + 2 * k + 7) * EPS * (mass + log_sum + prior)
+
+
+def evaluated_points(monkeypatch, sample, *args) -> list:
+    """(point, density value) at every point the chain's log density sees."""
     run_mh = samplers._run_mh
     seen = []
 
-    def recording(screen):
+    def recording(density):
         def recorded(p):
-            value, bound = screen(p)
-            seen.append((p, value, bound))
-            return value, bound
+            value = density(p)
+            seen.append((p, value))
+            return value
 
         return recorded
 
     with monkeypatch.context() as patch:
-        patch.setattr(samplers, "_run_mh", lambda density, screen, *rest:
-                      run_mh(density, recording(screen), *rest))
+        patch.setattr(samplers, "_run_mh", lambda density, *rest:
+                      run_mh(recording(density), *rest))
         sample(*args)
     return seen
 
@@ -588,12 +531,16 @@ def mm_expected(oracle, density, p):
     """The oracle density at p; where the oracle raises (exp or the kappa
     prior's square overflows, or sigma2 underflows to 0), the sampler's
     density must give -inf."""
-    point = np.array(p)
     try:
-        return oracle(point)
+        return oracle(np.array(p))
     except (OverflowError, ZeroDivisionError):
-        assert density(point) == -math.inf, p
+        assert density(p) == -math.inf, p
         return -math.inf
+
+
+def assert_mm_within_bound(data, kappa_scale, p, value, expected):
+    bound = 0.0 if expected == -math.inf else mm_bound(data, kappa_scale, p)
+    assert_within_bound(p, value, bound, expected)
 
 
 MM_EXTREMES = list(itertools.product(
@@ -603,49 +550,56 @@ MM_EXTREMES = list(itertools.product(
 ))
 LOGIT_EXTREMES = list(itertools.product(
     (0.0, -1e-8, 3.0, -40.0, 1e3), (0.0, 1e-8, -3.0, 40.0, -1e3), (0.0, -3.0, 40.0, 1e3)))
+# Points far off any chain, on scales that differ by a factor of 50.
+LOGIT_SPREAD = [tuple(beta) for beta in
+                np.random.default_rng(7).standard_normal((200, 3)) * np.array([1.0, 5.0, 0.1])]
 
 
 class TestScreenBound:
+    """Each density is held to the error bound its float-level form carried
+    when it screened the numpy density: within the bound of the oracle on a
+    chain and at extreme points, and -inf wherever the oracle is."""
+
     @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
     def test_mm_screen_within_bound_on_a_chain(self, monkeypatch, puromycin, kappa_scale):
         config = SamplerConfig(seed=1, draws=5000, proposal_scale=(60.0, 1.0, 1.0))
-        density, _ = mh_target(sample_mm, puromycin, config, kappa_scale)
+        density = mh_target(sample_mm, puromycin, config, kappa_scale)
         oracle = oracle_mm_density(puromycin, kappa_scale)
-        seen = screened_points(monkeypatch, sample_mm, puromycin, config, kappa_scale)
+        seen = evaluated_points(monkeypatch, sample_mm, puromycin, config, kappa_scale)
         assert len(seen) == 1 + config.draws
-        for p, value, bound in seen:
-            assert_within_bound(p, value, bound, mm_expected(oracle, density, p))
+        for p, value in seen:
+            assert_mm_within_bound(puromycin, kappa_scale, p, value,
+                                   mm_expected(oracle, density, p))
 
     @pytest.mark.parametrize("kappa_scale", [0.7, 2.0])
     def test_mm_screen_within_bound_at_extreme_points(self, puromycin, kappa_scale):
-        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1),
-                                    kappa_scale)
+        density = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), kappa_scale)
         oracle = oracle_mm_density(puromycin, kappa_scale)
         for p in MM_EXTREMES:
-            expected = mm_expected(oracle, density, p)
-            assert density(np.array(p)) == expected, p
-            assert_within_bound(p, *screen(p), expected)
+            assert_mm_within_bound(puromycin, kappa_scale, p, density(p),
+                                   mm_expected(oracle, density, p))
 
     @pytest.mark.parametrize("p", [(100.0, 800.0, 0.0), (100.0, -800.0, 0.0), (100.0, 0.0, 800.0)])
     def test_mm_density_is_minus_inf_beyond_the_float_range(self, puromycin, p):
         """exp(800) overflows and exp(-800) is 0; the density tends to -inf
         along each axis, so the step is rejected rather than raising."""
-        density, screen = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), 1.0)
-        assert density(np.array(p)) == -math.inf
-        assert screen(p)[0] == -math.inf
+        density = mh_target(sample_mm, puromycin, SamplerConfig(seed=1, draws=1), 1.0)
+        assert density(p) == -math.inf
 
     @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
     def test_logit_screen_within_bound_on_a_chain(self, monkeypatch, fz_logit, epsilon):
         config = SamplerConfig(seed=4, draws=2000, proposal_scale=(2.0, 1e-4, 1.0))
         oracle = oracle_logit_density(fz_logit, epsilon)
-        seen = screened_points(monkeypatch, sample_logit, fz_logit, config, epsilon)
+        seen = evaluated_points(monkeypatch, sample_logit, fz_logit, config, epsilon)
         assert len(seen) == 1 + config.draws
-        for p, value, bound in seen:
-            assert_within_bound(p, value, bound, oracle(np.array(p)))
+        for p, value in seen:
+            assert_within_bound(p, value, logit_bound(fz_logit, epsilon, p),
+                                oracle(np.array(p)))
 
     @pytest.mark.parametrize("epsilon", LAPLACE_RATES, ids=LAPLACE_IDS)
     def test_logit_screen_within_bound_at_extreme_points(self, fz_logit, epsilon):
-        _, screen = mh_target(sample_logit, fz_logit, SamplerConfig(seed=1, draws=1), epsilon)
+        density = mh_target(sample_logit, fz_logit, SamplerConfig(seed=1, draws=1), epsilon)
         oracle = oracle_logit_density(fz_logit, epsilon)
-        for p in LOGIT_EXTREMES:
-            assert_within_bound(p, *screen(p), oracle(np.array(p)))
+        for p in LOGIT_EXTREMES + LOGIT_SPREAD:
+            assert_within_bound(p, density(p), logit_bound(fz_logit, epsilon, p),
+                                oracle(np.array(p)))
