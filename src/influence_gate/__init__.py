@@ -19,17 +19,10 @@ from .core_model import (
     deletion_set,
     load_csv,
 )
-from .linear_gate import (
-    LeverageReport,
-    LinearPrior,
-    leverage_minor,
-    moment_index_linear,
-    theorem31_verdict,
-)
+from .linear_gate import LinearPrior
 
 __all__ = [
     "DeletionSet",
-    "LeverageReport",
     "LinearPrior",
     "LogitData",
     "MMData",
@@ -38,10 +31,7 @@ __all__ = [
     "RegressionData",
     "VerdictTag",
     "deletion_set",
-    "leverage_minor",
     "load_csv",
-    "moment_index_linear",
-    "theorem31_verdict",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import difflib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -560,10 +560,7 @@ def cmd_verify(cfg: dict) -> None:
         write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
 
     def estimator(m, rng):
-        sub = SamplerConfig(
-            seed=int(rng.integers(0, 2**63 - 1)), draws=m,
-            burn_in=sampler_cfg.burn_in, thin=1, proposal_scale=sampler_cfg.proposal_scale,
-        )
+        sub = replace(sampler_cfg, seed=int(rng.integers(0, 2**63 - 1)), draws=m)
         res = family.sample(data, prior, sub)
         lw = is_engine.log_weight(family, res.draws, data, dels)
         return is_engine.self_normalized_estimate(lw, res.draws[:, 0])

@@ -209,10 +209,6 @@ class MomentVerdict:
     def is_finite(self) -> bool:
         return self.tag is VerdictTag.FINITE
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.tag is VerdictTag.INFINITE
-
 
 # Cut-off names in tie order: the first of equal minimal cut-offs binds.
 _CUTOFF_NAMES = ("leverage", "sample-size", "residual")

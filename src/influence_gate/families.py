@@ -36,10 +36,9 @@ from .core_model import (
     singular_value_ratio,
 )
 from .errors import ConfigError, DataError
-from .linear_gate import LinearPrior
-from .linear_gate import indices_and_verdicts as linear_indices_and_verdicts
-from .logit_gate import indices_and_verdicts as logit_indices_and_verdicts
-from .mm_gate import indices_and_verdicts as mm_indices_and_verdicts
+from .linear_gate import LinearPrior, moment_index_linear
+from .logit_gate import moment_index_logit
+from .mm_gate import moment_index_mm
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
 
 _EMPTY_REPORT = MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
@@ -58,8 +57,9 @@ class Family:
     - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
     - sample(data, prior, SamplerConfig) -> SampleResult;
     - kernel(data, prior, sets, r_values) -> (reports, verdict lists): the
-      model's batched moment-index kernel, `indices_and_verdicts` of its
-      gate module, for nonempty deletion sets; `index` is its one entry.
+      model's batched moment-index kernel, `moment_index_linear`,
+      `moment_index_mm` or `moment_index_logit` of its gate module, for
+      nonempty deletion sets; `index` is its one entry.
     """
 
     csv_columns: Callable
@@ -197,7 +197,7 @@ FAMILIES = {
         log_likelihood=_linear_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=_sample_linear,
-        kernel=lambda data, prior, sets, r: linear_indices_and_verdicts(data, sets, r, prior),
+        kernel=lambda data, prior, sets, r: moment_index_linear(data, sets, r, prior),
     ),
     "mm": Family(
         csv_columns=lambda cfg: (cfg["data.concentration"], cfg["data.velocity"]),
@@ -206,7 +206,7 @@ FAMILIES = {
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, kappa_scale, config: sample_mm(data, config, kappa_scale),
-        kernel=lambda data, kappa_scale, sets, r: mm_indices_and_verdicts(data, sets, r),
+        kernel=lambda data, kappa_scale, sets, r: moment_index_mm(data, sets, r),
     ),
     "logit": Family(
         csv_columns=lambda cfg: (*_covariates(cfg, "logit"), cfg["data.outcome"]),
@@ -215,6 +215,6 @@ FAMILIES = {
         log_likelihood=_logit_log_likelihood,
         log_weight_constant=0.0,
         sample=lambda data, epsilon, config: sample_logit(data, config, epsilon),
-        kernel=lambda data, epsilon, sets, r: logit_indices_and_verdicts(data, sets, r, epsilon),
+        kernel=lambda data, epsilon, sets, r: moment_index_logit(data, sets, r, epsilon),
     ),
 }

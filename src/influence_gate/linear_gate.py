@@ -16,13 +16,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .core_model import (
-    DeletionSet,
-    MomentIndexReport,
-    MomentVerdict,
-    RegressionData,
-    deletion_set,
-)
+from .core_model import MomentIndexReport, MomentVerdict, RegressionData, deletion_set
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -89,28 +83,19 @@ class LinearPrior:
         return 0.0 if self.is_noninformative else -2.0 / self.beta
 
 
-@dataclass(frozen=True)
-class LeverageReport:
-    """Leverage minor of a deletion set with its ascending spectrum, and
-    the full-data RSS."""
-
-    minor: np.ndarray
-    eigenvalues: np.ndarray
-    rss: float
-
-
 # --- the batched kernel -----------------------------------------------------------
 #
 # One thin QR of the design, X = QR, gives the residuals e and the RSS; the
 # leverage minor of a deletion set is H_del = Q_del Q_del', so the n x n hat
-# matrix is never formed. For N deletion sets of a common size I, the
-# spectrum step gives the ascending eigenvalues lam of each H_del and the
+# matrix is never formed. For N deletion sets of a common size I,
+# `leverage_minor` gives the ascending eigenvalues lam of each H_del and the
 # squared deleted residuals u2 in its eigenbasis. H_del has rank at most k:
 # sets of I > k cases are diagonalised on the k x k Gram side Q_del' Q_del,
 # with the residual mass outside its range in one lam = 0 slot, and only
-# sets of at most k cases diagonalise the I x I minor. The cut-offs and the
-# Thm 3.1 verdicts are both read off (lam, u2, rss), which one pass computes
-# for both. In the eigenbasis rss_star(r) = rss - sum_i r u2_i / (1 - r lam_i),
+# sets of at most k cases diagonalise the I x I minor. The cut-offs
+# (`_cutoffs`) and the Thm 3.1 verdicts (`theorem31_verdict`) are both read
+# off (lam, u2, rss), which one pass computes for both. In the eigenbasis
+# rss_star(r) = rss - sum_i r u2_i / (1 - r lam_i),
 # and with s = 1/r the residual cut-off r_c is the root of the secular
 # equation sum_i u2_i / (s - lam_i) = rss - threshold beyond the largest
 # eigenvalue (Bunch, Nielsen & Sorensen 1978), found by a safeguarded
@@ -124,7 +109,7 @@ def _hat(data: RegressionData):
     return Q, e, float(e @ e)
 
 
-def _spectra(Q, e, idx: np.ndarray):
+def leverage_minor(Q, e, idx: np.ndarray):
     """Ascending spectra lam of the leverage minors H_del of an (N, I) index
     array and the squared deleted residuals u2 in each eigenbasis, both (N, I).
 
@@ -256,13 +241,15 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     return r_a, r_b, np.where(linear, (rss - threshold) / np.maximum(sum_u2, 1e-300), r_c)
 
 
-def _theorem31(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
-    """Thm 3.1 verdict at order r for each of N same-size deletion sets.
+def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
+    """Thm 3.1 verdict at order r for each of N same-size deletion sets,
+    from their spectra (lam, u2) and the RSS.
 
     The checks run in order, and the first that fires decides: leverage
     eigenvalue at 1/r (boundary) or above it (infinite), then the sample
     size condition (infinite on equality), then rss_star(r) at the prior
-    threshold (boundary), above it (finite) or below it (infinite).
+    threshold, 0 for the flat prior and -2/beta for the conjugate one
+    (boundary), above it (finite) or below it (infinite).
     """
     N, I = lam.shape
     lam_max = lam[:, -1]
@@ -321,11 +308,11 @@ def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_val
     `r_values`, from one spectral pass: (SubsetScanResult, one verdict list
     per set, ordered as `r_values`, or [] when r_values is empty)."""
     Q, e, rss = hat
-    lam, u2 = _spectra(Q, e, idx)
+    lam, u2 = leverage_minor(Q, e, idx)
     r_a, r_b, r_c = _cutoffs(lam, u2, rss, n, k, prior)
     result = SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
                               r_star=np.minimum(np.minimum(r_a, r_b), r_c))
-    per_r = [_theorem31(lam, u2, rss, n, k, r, prior) for r in r_values]
+    per_r = [theorem31_verdict(lam, u2, rss, n, k, r, prior) for r in r_values]
     return result, [list(row) for row in zip(*per_r)]
 
 
@@ -339,7 +326,7 @@ def _subset_blocks(n: int, size: int):
         yield chunk.reshape(-1, size)
 
 
-def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrior):
+def moment_index_linear(data: RegressionData, sets, r_values, prior: LinearPrior):
     """Cut-offs r_a, r_b, r_c of many deletion sets and their Thm 3.1
     verdicts at each order r in `r_values` (all above 1), both read off one
     spectral pass.
@@ -348,7 +335,7 @@ def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrio
     I >= 1, or the int I for every subset of size I in lexicographic order.
     Returns (SubsetScanResult, one verdict list per set, ordered as
     `r_values`); with no r_values the verdict list is empty. The result
-    indexes as the sets' reports.
+    indexes as the sets' reports. A single deletion set is a (1, I) array.
     """
     r_values = [float(r) for r in r_values]
     if not all(r > 1 for r in r_values):
@@ -360,49 +347,6 @@ def indices_and_verdicts(data: RegressionData, sets, r_values, prior: LinearPrio
     result = SubsetScanResult(**{name: np.concatenate([getattr(part, name) for part in results])
                                  for name in ("subsets", "r_a", "r_b", "r_c", "r_star")})
     return result, [row for part in verdicts for row in part]
-
-
-def _one_set(data: RegressionData, dels: DeletionSet) -> np.ndarray:
-    """The (1, I) index array of a nonempty deletion set built for `data`."""
-    if dels.cardinality < 1:
-        raise ValueError("deletion set must be nonempty")
-    if dels.n != data.n:
-        raise ValueError("deletion set was built for a different n")
-    return dels.index_array()[None, :]
-
-
-# --- single deletion sets: N = 1 calls into the kernel ---------------------------------
-
-
-def leverage_minor(data: RegressionData, dels: DeletionSet) -> LeverageReport:
-    """Leverage minor H_del, its ascending spectrum and the RSS."""
-    idx = _one_set(data, dels)
-    Q, e, rss = _hat(data)
-    lam, _ = _spectra(Q, e, idx)
-    Q_del = Q[idx[0]]
-    return LeverageReport(minor=Q_del @ Q_del.T, eigenvalues=lam[0], rss=rss)
-
-
-def theorem31_verdict(
-    data: RegressionData, dels: DeletionSet, r: float, prior: LinearPrior
-) -> MomentVerdict:
-    """Finite/infinite decision for the r-th weight moment, r > 1.
-
-    Finite requires all of: largest leverage eigenvalue below 1/r, enough
-    observations relative to r times the deletion count, and rss_star(r)
-    above the prior threshold (0 for the flat prior, -2/beta conjugate).
-    Each condition failing strictly gives infinite; equality on the sample
-    size condition counts as infinite, while the leverage and residual
-    conditions return boundary inside a tolerance band.
-    """
-    return indices_and_verdicts(data, _one_set(data, dels), [r], prior)[1][0][0]
-
-
-def moment_index_linear(
-    data: RegressionData, dels: DeletionSet, prior: LinearPrior
-) -> MomentIndexReport:
-    """Moment cut-offs r_a (leverage), r_b (sample size), r_c (residual)."""
-    return indices_and_verdicts(data, _one_set(data, dels), (), prior)[0][0]
 
 
 # --- subset scans and k-fold audits --------------------------------------------
@@ -417,7 +361,7 @@ def scan_deletion_subsets(
     spectral work is batched, _SCAN_CHUNK subsets at a time, so that scans
     over ~1e5 subsets stay cheap.
     """
-    return indices_and_verdicts(data, int(subset_size), (), prior)[0]
+    return moment_index_linear(data, int(subset_size), (), prior)[0]
 
 
 def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -> np.ndarray:

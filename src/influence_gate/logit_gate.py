@@ -12,7 +12,6 @@ directions of all (k-1)-subsets of arrangement normals.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,14 +36,6 @@ MAX_N = 200
 BOUNDARY_BAND = 1e-9
 
 R_STAR_CAP = 64.0
-
-
-@dataclass(frozen=True)
-class LogitCriterion:
-    """Maximum of h over the L1 unit sphere and the vertex attaining it."""
-
-    max_value: float
-    argmax: np.ndarray
 
 
 class VertexTable:
@@ -116,10 +107,11 @@ def _require_exact(data: LogitData, epsilon: float) -> None:
         raise ValueError("epsilon must be nonnegative")
 
 
-def _lex_best(values: np.ndarray, betas: np.ndarray):
-    """Max value with lexicographically smallest argmax among ties. An
-    infinite max makes the tolerance NaN, so values equal to it count as
-    tied on their own."""
+def max_h_l1_sphere(betas: np.ndarray, values: np.ndarray):
+    """Maximum of h over the L1 unit sphere, given h at every vertex (the
+    rows of `betas`): (max value, lexicographically smallest argmax among
+    ties). An infinite max makes the tolerance NaN, so values equal to it
+    count as tied on their own."""
     top = float(np.max(values))
     tied = np.nonzero((values >= top - 1e-15 * max(1.0, abs(top))) | (values == top))[0]
     order = np.lexsort(betas[tied].T[::-1])
@@ -127,9 +119,10 @@ def _lex_best(values: np.ndarray, betas: np.ndarray):
     return float(values[pick]), betas[pick]
 
 
-def _verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
-    """Sign of the sphere maximum of h, given h at every vertex."""
-    best, arg = _lex_best(values, betas)
+def theorem51_verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
+    """Sign of the sphere maximum of h, given h at every vertex, decides the
+    r-th weight moment."""
+    best, arg = max_h_l1_sphere(betas, values)
     if abs(best) <= BOUNDARY_BAND:
         return MomentVerdict.boundary("criterion maximum at zero")
     if best > 0:
@@ -137,24 +130,6 @@ def _verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
             f"criterion positive at direction {np.round(arg, 6).tolist()}"
         )
     return MomentVerdict.finite()
-
-
-def max_h_l1_sphere(
-    data: LogitData, dels: DeletionSet, r: float, epsilon: float
-) -> LogitCriterion:
-    """Global maximum of h over {beta : sum |beta_j| = 1}: the N=1 view of
-    the vertex table, exact for k <= 6 and n <= 200."""
-    _require_exact(data, epsilon)
-    table = VertexTable(data, _candidate_directions(data))
-    h0, slope = table.parts(dels, epsilon)
-    return LogitCriterion(*_lex_best(h0 + (r - 1.0) * slope, table.betas))
-
-
-def theorem51_verdict(
-    data: LogitData, dels: DeletionSet, r: float, epsilon: float
-) -> MomentVerdict:
-    """Sign of the sphere maximum decides the r-th weight moment."""
-    return indices_and_verdicts(data, [dels.indices], [r], epsilon)[1][0][0]
 
 
 def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> MomentIndexReport:
@@ -173,7 +148,7 @@ def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> Momen
     return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=float(roots[i]), binding=binding)
 
 
-def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
+def moment_index_logit(data: LogitData, sets, r_values, epsilon: float):
     """Moment index of each 0-based deletion set in `sets` and its Thm 5.1
     verdicts at each order r in `r_values`: (reports, one verdict list per
     set ordered as `r_values`). `sets` may also be the int I for every
@@ -195,12 +170,7 @@ def indices_and_verdicts(data: LogitData, sets, r_values, epsilon: float):
         reports.append(_index_report(table.betas, h0, slope))
         # At huge r the criterion overflows to +-inf, which keeps its sign.
         with np.errstate(over="ignore"):
-            verdicts.append([_verdict(table.betas, h0 + (r - 1.0) * slope) for r in r_values])
+            verdicts.append([theorem51_verdict(table.betas, h0 + (r - 1.0) * slope)
+                             for r in r_values])
     return reports, verdicts
 
-
-def moment_index_logit(
-    data: LogitData, dels: DeletionSet, epsilon: float
-) -> MomentIndexReport:
-    """Moment index of one deletion set; see `indices_and_verdicts`."""
-    return indices_and_verdicts(data, [dels.indices], (), epsilon)[0][0]

@@ -18,8 +18,8 @@ g < 1/r, which is how violations are detected on the scan grid.
 The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
 depend on r: `kappa_profile` computes them once per deletion set, on a fixed
 log grid of GRID_SIZE points, at the endpoint limits and in the refinement
-of sup l and inf g. `KappaProfile.scan(r)` adds the r part, and
-`KappaProfile.moment_index` bisects on r with every probe reading that one
+of sup l and inf g. `scan_kappa(profile, r)` adds the r part, and
+`KappaProfile.moment_index` bisects on r with every probe scanning that one
 profile. The infimum of rss_star is refined on first read: a verdict
 settled by the sample size, a violation interval, the leverage or the slope
 pair never reads it. Nothing here depends on the kappa prior, which only
@@ -193,26 +193,6 @@ class KappaProfile:
     sup_leverage: Extremum
     inf_g: Extremum
 
-    def scan(self, r: float) -> KappaScan:
-        """Add A, B, C and rss_star at order r and find the violation
-        intervals; the infimum of rss_star is refined when first read."""
-        A, B, C, rss = _abc(self.sums, self.v2, r)
-        a0, b0, _, rss0 = _abc(self.zero, self.v2, r, 1e-14)
-        a1, b1, _, rss1 = _abc(self.inf, self.v2, r, 1e-12 * max(1.0, self.inf[0]))
-        intervals = _violation_intervals(self.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
-        return KappaScan(c_val=C, sup_leverage=self.sup_leverage, inf_g=self.inf_g,
-                         sign_change_intervals=tuple(intervals),
-                         refine_rss_star=partial(self._inf_rss_star, r, rss, rss0, rss1))
-
-    def _inf_rss_star(self, r, rss, rss0, rss1) -> Extremum:
-        """Infimum of rss_star at order r from its grid values and limits."""
-        rss_limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
-                      if not np.isnan(val)]
-        if np.all(np.isnan(rss)) and not rss_limits:
-            return Extremum(value=-math.inf, kappa=float(self.grid[0]))
-        f_rss = _rss_star_at(self.data, self.dels.mask(), self.v2, r)
-        return _refined_extremum(self.grid, rss, f_rss, True, rss_limits)
-
     def moment_index(self) -> MomentIndexReport:
         """Moment index by bisection on r, each probe scanning this profile.
 
@@ -229,7 +209,7 @@ class KappaProfile:
         hi = min(r_a, r_b)
 
         def finite_at(r):
-            return theorem41_verdict(data, dels, r, self.scan(r)).is_finite
+            return theorem41_verdict(data, dels, r, scan_kappa(self, r)).is_finite
 
         lo = 1.0 + 1e-9
         if not finite_at(lo):
@@ -279,9 +259,26 @@ def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
                         inf_g=refined(2, True))
 
 
-def scan_kappa(data: MMData, dels: DeletionSet, r: float) -> KappaScan:
-    """Scan the kappa axis for extrema of leverage, g, and rss_star at r."""
-    return kappa_profile(data, dels).scan(r)
+def scan_kappa(profile: KappaProfile, r: float) -> KappaScan:
+    """Add A, B, C and rss_star at order r to a kappa profile and find the
+    violation intervals; the infimum of rss_star is refined when first read."""
+    A, B, C, rss = _abc(profile.sums, profile.v2, r)
+    a0, b0, _, rss0 = _abc(profile.zero, profile.v2, r, 1e-14)
+    a1, b1, _, rss1 = _abc(profile.inf, profile.v2, r, 1e-12 * max(1.0, profile.inf[0]))
+    intervals = _violation_intervals(profile.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
+    return KappaScan(c_val=C, sup_leverage=profile.sup_leverage, inf_g=profile.inf_g,
+                     sign_change_intervals=tuple(intervals),
+                     refine_rss_star=partial(_inf_rss_star, profile, r, rss, rss0, rss1))
+
+
+def _inf_rss_star(profile: KappaProfile, r, rss, rss0, rss1) -> Extremum:
+    """Infimum of rss_star at order r from its grid values and limits."""
+    rss_limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
+                  if not np.isnan(val)]
+    if np.all(np.isnan(rss)) and not rss_limits:
+        return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
+    f_rss = _rss_star_at(profile.data, profile.dels.mask(), profile.v2, r)
+    return _refined_extremum(profile.grid, rss, f_rss, True, rss_limits)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -366,12 +363,7 @@ def theorem41_verdict(
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
-def moment_index_mm(data: MMData, dels: DeletionSet) -> MomentIndexReport:
-    """Moment index by bisection on r over one kappa profile of the set."""
-    return kappa_profile(data, dels).moment_index()
-
-
-def indices_and_verdicts(data: MMData, sets, r_values):
+def moment_index_mm(data: MMData, sets, r_values):
     """Moment index of each nonempty 0-based deletion set in `sets` and its
     Thm 4.1 verdicts at each order r in `r_values`: (reports, one verdict
     list per set ordered as `r_values`). `sets` may also be the int I for
@@ -381,6 +373,6 @@ def indices_and_verdicts(data: MMData, sets, r_values):
     for indices in each_set(sets, data.n):
         profile = kappa_profile(data, deletion_set(indices, data.n))
         reports.append(profile.moment_index())
-        verdicts.append([theorem41_verdict(data, profile.dels, r, profile.scan(r))
+        verdicts.append([theorem41_verdict(data, profile.dels, r, scan_kappa(profile, r))
                          for r in r_values])
     return reports, verdicts

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point on the bundled data."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -17,14 +18,9 @@ from influence_gate.cli import SCAN_CSV_COLUMNS, main
 from influence_gate.core_model import deletion_set, write_table
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
-from influence_gate.linear_gate import (
-    LinearPrior,
-    moment_index_linear,
-    scan_deletion_subsets,
-    theorem31_verdict,
-)
-from influence_gate.logit_gate import moment_index_logit, theorem51_verdict
-from influence_gate.mm_gate import moment_index_mm, scan_kappa, theorem41_verdict
+from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
+from influence_gate.logit_gate import moment_index_logit
+from influence_gate.mm_gate import moment_index_mm
 from influence_gate.samplers import (
     SamplerConfig,
     sample_linear_noninformative,
@@ -98,8 +94,7 @@ def test_linear_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        verdict = theorem31_verdict(data, dels, float(row["r"]), prior)
-        rep = moment_index_linear(data, dels, prior)
+        [rep], [[verdict]] = moment_index_linear(data, [dels.indices], [float(row["r"])], prior)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -115,8 +110,7 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        verdict = theorem51_verdict(data, dels, float(row["r"]), 1.0)
-        rep = moment_index_logit(data, dels, 1.0)
+        [rep], [[verdict]] = moment_index_logit(data, [dels.indices], [float(row["r"])], 1.0)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -132,9 +126,7 @@ def test_mm_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * 11
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        r = float(row["r"])
-        verdict = theorem41_verdict(data, dels, r, scan_kappa(data, dels, r))
-        rep = moment_index_mm(data, dels)
+        [rep], [[verdict]] = moment_index_mm(data, [dels.indices], [float(row["r"])])
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -158,7 +150,7 @@ def test_logit_gate_enumerates_vertices_once(tmp_path, monkeypatch):
 
 
 def test_linear_gate_makes_one_spectral_pass(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linear_gate, "_spectra")
+    calls = count_calls(monkeypatch, linear_gate, "leverage_minor")
     assert run(tmp_path, "gate", {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}) == 0
     assert len(calls) == 1
 
@@ -404,6 +396,27 @@ def test_verify_runs_at_the_smallest_settings(tmp_path):
     assert run(tmp_path, "verify", VERIFY_SETTINGS) == 0
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
     assert math.isfinite(report["hill_estimate"]) and math.isfinite(report["loglog_slope"])
+
+
+def test_verify_chains_keep_the_sampler_settings(tmp_path, monkeypatch):
+    """The tail chain and every scaling-audit replication chain run with the
+    configured thin, burn-in and proposal scales; only seed and draws vary."""
+    configs = []
+    family = FAMILIES["mm"]
+
+    def sample(data, prior, config):
+        configs.append(config)
+        return family.sample(data, prior, config)
+
+    monkeypatch.setitem(FAMILIES, "mm", dataclasses.replace(family, sample=sample))
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.draws": "5000",
+              "sampler.thin": "2", "sampler.burn_in": "50", "sampler.scale": "10, 0.5, 0.5",
+              "verify.m_grid": "100, 200", "verify.replications": "2"}
+    assert run(tmp_path, "verify", config) == 0
+    assert [c.draws for c in configs] == [5000, 100, 100, 200, 200]
+    assert len({c.seed for c in configs}) == 5
+    for c in configs:
+        assert (c.thin, c.burn_in, c.proposal_scale) == (2, 50, (10.0, 0.5, 0.5))
 
 
 # --- exit 3 and 4 -------------------------------------------------------------------

@@ -170,7 +170,7 @@ class TestDataInvariants:
 class TestMomentVerdict:
     def test_tags(self):
         assert MomentVerdict.finite().is_finite
-        assert MomentVerdict.infinite("x").is_infinite
+        assert MomentVerdict.infinite("x").tag is VerdictTag.INFINITE
         assert MomentVerdict.boundary("leverage").tag is VerdictTag.BOUNDARY
 
     def test_boundary_needs_detail(self):

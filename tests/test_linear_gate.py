@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from influence_gate import linear_gate
-from influence_gate.core_model import RegressionData, deletion_set
+from influence_gate.core_model import RegressionData, VerdictTag, deletion_set
 from influence_gate.linear_gate import (
     LinearPrior,
     fold_moment_indices,
@@ -72,11 +72,32 @@ def rss_star_reference(data: RegressionData, dels, r: float) -> float:
     return float(rss - r * e_del @ np.linalg.solve(np.eye(dels.cardinality) - r * minor, e_del))
 
 
+def one_set(dels) -> np.ndarray:
+    """The (1, I) index array of one deletion set."""
+    return dels.index_array()[None, :]
+
+
+def spectrum(data: RegressionData, dels) -> np.ndarray:
+    """Ascending leverage spectrum of one set, as the kernel computes it."""
+    Q, e, _ = linear_gate._hat(data)
+    return leverage_minor(Q, e, one_set(dels))[0][0]
+
+
+def index_of(data: RegressionData, dels, prior):
+    """The kernel's moment-index report of one set."""
+    return moment_index_linear(data, one_set(dels), (), prior)[0][0]
+
+
+def verdict_at(data: RegressionData, dels, r: float, prior):
+    """The kernel's Thm 3.1 verdict of one set at order r."""
+    return moment_index_linear(data, one_set(dels), [r], prior)[1][0][0]
+
+
 def kernel_rss_star(data: RegressionData, dels, r: float) -> float:
     """rss_star of one set as the kernel computes it: its spectra, then
     `_rss_star`."""
     Q, e, rss = linear_gate._hat(data)
-    lam, u2 = linear_gate._spectra(Q, e, dels.index_array()[None, :])
+    lam, u2 = leverage_minor(Q, e, one_set(dels))
     return float(linear_gate._rss_star(rss, lam[0], u2[0], r))
 
 
@@ -109,38 +130,41 @@ def rc_reference(data, dels, prior, tol=1e-12) -> float:
 class TestLeverageMinor:
     def test_intercept_only_single_case(self):
         data = RegressionData(design=np.ones((4, 1)), response=[1.0, 2.0, 3.0, 4.0])
-        rep = leverage_minor(data, deletion_set([0], 4))
-        assert rep.eigenvalues[0] == pytest.approx(0.25, abs=1e-12)
+        assert spectrum(data, deletion_set([0], 4))[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_singleton_matches_hat_diagonal(self):
         rng = np.random.default_rng(11)
         data = random_regression(rng, 10, 3)
         H = explicit_hat(data)
         for i in range(10):
-            rep = leverage_minor(data, deletion_set([i], 10))
-            assert rep.eigenvalues[0] == pytest.approx(H[i, i], abs=1e-10)
+            assert spectrum(data, deletion_set([i], 10))[0] == pytest.approx(H[i, i], abs=1e-10)
 
     def test_empty_deletion_rejected(self, derived_linear):
         with pytest.raises(ValueError):
-            leverage_minor(derived_linear, deletion_set([], 4))
+            spectrum(derived_linear, deletion_set([], 4))
 
     def test_qr_path_matches_direct(self):
         rng = np.random.default_rng(7)
         data = random_regression(rng, 80, 4)
         H = explicit_hat(data)
         dels = deletion_set([5, 40, 79], 80)
-        rep = leverage_minor(data, dels)
         idx = dels.index_array()
-        assert rep.minor == pytest.approx(H[np.ix_(idx, idx)], abs=1e-10)
+        Q_del = linear_gate._hat(data)[0][idx]
+        assert Q_del @ Q_del.T == pytest.approx(H[np.ix_(idx, idx)], abs=1e-10)
+        assert spectrum(data, dels) == pytest.approx(
+            np.linalg.eigvalsh(H[np.ix_(idx, idx)]), abs=1e-10)
 
     def test_more_cases_than_columns_match_the_minor_spectrum(self):
         # I = 5 > k = 3: the spectrum comes from the Gram side, padded with zeros
         rng = np.random.default_rng(12)
         data = random_regression(rng, 20, 3)
-        rep = leverage_minor(data, deletion_set([0, 3, 7, 11, 19], 20))
-        assert rep.minor.shape == (5, 5)
-        assert np.allclose(rep.eigenvalues, np.linalg.eigvalsh(rep.minor), rtol=0.0, atol=1e-12)
-        assert np.all(rep.eigenvalues[:2] == 0.0)
+        dels = deletion_set([0, 3, 7, 11, 19], 20)
+        Q_del = linear_gate._hat(data)[0][dels.index_array()]
+        minor = Q_del @ Q_del.T
+        lam = spectrum(data, dels)
+        assert minor.shape == (5, 5)
+        assert np.allclose(lam, np.linalg.eigvalsh(minor), rtol=0.0, atol=1e-12)
+        assert np.all(lam[:2] == 0.0)
 
 
 class TestRssStar:
@@ -175,7 +199,7 @@ class TestRssStar:
             data = random_regression(rng, 12, 3)
             I = int(rng.integers(1, 6))  # sets of more than k = 3 cases take the Gram side
             dels = deletion_set(rng.choice(12, size=I, replace=False), 12)
-            r_a = 1.0 / leverage_minor(data, dels).eigenvalues[-1]
+            r_a = 1.0 / spectrum(data, dels)[-1]
             for r in rng.uniform(0.0, 0.95 * r_a, 5):
                 want = rss_star_reference(data, dels, float(r))
                 assert kernel_rss_star(data, dels, float(r)) == pytest.approx(
@@ -186,7 +210,7 @@ class TestRssStar:
         for _ in range(10):
             data = random_regression(rng, 12, 3)
             dels = deletion_set(rng.choice(12, size=2, replace=False), 12)
-            r_hi = 1.0 / leverage_minor(data, dels).eigenvalues[-1]
+            r_hi = 1.0 / spectrum(data, dels)[-1]
             grid = np.linspace(0.01, r_hi * 0.98, 40)
             vals = [kernel_rss_star(data, dels, float(r)) for r in grid]
             diffs = np.diff(vals)
@@ -209,7 +233,7 @@ class TestRefitIdentityPropertySuite:
                 continue
             data = random_regression(rng, n, k)
             dels = deletion_set(rng.choice(n, size=I, replace=False), n)
-            lam_max = leverage_minor(data, dels).eigenvalues[-1]
+            lam_max = spectrum(data, dels)[-1]
             if lam_max > 1.0 - 1e-6:
                 continue
             val = kernel_rss_star(data, dels, 1.0)
@@ -236,7 +260,7 @@ class TestRefitIdentityPropertySuite:
             assert np.trace(H) == pytest.approx(k, abs=1e-10)
             I = int(rng.integers(1, min(4, n + 1)))
             dels = deletion_set(rng.choice(n, size=I, replace=False), n)
-            lam = leverage_minor(data, dels).eigenvalues
+            lam = spectrum(data, dels)
             assert np.all(lam >= -1e-12)
             assert np.all(lam <= 1.0 + 1e-12)
 
@@ -246,12 +270,12 @@ class TestRefitIdentityPropertySuite:
 
 class TestTheorem31Verdict:
     def test_derived_finite_at_1p2(self, derived_linear, delete_last_of_4):
-        v = theorem31_verdict(derived_linear, delete_last_of_4, 1.2, NONINF)
+        v = verdict_at(derived_linear, delete_last_of_4, 1.2, NONINF)
         assert v.is_finite
 
     def test_derived_infinite_at_2(self, derived_linear, delete_last_of_4):
-        v = theorem31_verdict(derived_linear, delete_last_of_4, 2.0, NONINF)
-        assert v.is_infinite
+        v = verdict_at(derived_linear, delete_last_of_4, 2.0, NONINF)
+        assert v.tag is VerdictTag.INFINITE
         assert "rss_star" in v.detail
 
     def test_leverage_dominates_residual(self):
@@ -261,10 +285,10 @@ class TestTheorem31Verdict:
         y = X @ [1.0, -1.0] + rng.standard_normal(10)
         data = RegressionData(design=X, response=y)
         dels = deletion_set([9], 10)
-        lam = leverage_minor(data, dels).eigenvalues[-1]
+        lam = spectrum(data, dels)[-1]
         r = 2.0 / lam  # guarantees lambda > 1/r
-        v = theorem31_verdict(data, dels, r, NONINF)
-        assert v.is_infinite
+        v = verdict_at(data, dels, r, NONINF)
+        assert v.tag is VerdictTag.INFINITE
         assert "leverage" in v.detail
 
     def test_sample_size_equality_is_infinite(self):
@@ -276,12 +300,12 @@ class TestTheorem31Verdict:
         dels = deletion_set([3], 4)
         prior = conj(1.0, 1e6)
         r = (4 + 2 * 1.0) / 1  # n/2 + alpha = rI/2 exactly
-        v = theorem31_verdict(data, dels, r, prior)
-        assert v.is_infinite
+        v = verdict_at(data, dels, r, prior)
+        assert v.tag is VerdictTag.INFINITE
         assert "sample size" in v.detail
 
     def test_boundary_at_leverage(self, derived_linear, delete_last_of_4):
-        v = theorem31_verdict(derived_linear, delete_last_of_4, 4.0, NONINF)
+        v = verdict_at(derived_linear, delete_last_of_4, 4.0, NONINF)
         assert v.tag.value == "boundary"
 
     def test_boundary_band_at_residual(self, derived_linear, delete_last_of_4):
@@ -290,10 +314,11 @@ class TestTheorem31Verdict:
         # 1e-9 * RSS band; 1e-6 away it is outside
         root = 10.0 / 7.0
         for r in (root - 2e-11, root, root + 2e-11):
-            v = theorem31_verdict(derived_linear, delete_last_of_4, r, NONINF)
+            v = verdict_at(derived_linear, delete_last_of_4, r, NONINF)
             assert (v.tag.value, v.detail) == ("boundary", "rss_star at the prior threshold")
-        assert theorem31_verdict(derived_linear, delete_last_of_4, root - 1e-6, NONINF).is_finite
-        assert theorem31_verdict(derived_linear, delete_last_of_4, root + 1e-6, NONINF).is_infinite
+        assert verdict_at(derived_linear, delete_last_of_4, root - 1e-6, NONINF).is_finite
+        v = verdict_at(derived_linear, delete_last_of_4, root + 1e-6, NONINF)
+        assert v.tag is VerdictTag.INFINITE
 
     def test_verdict_monotone_in_r(self):
         rng = np.random.default_rng(99)
@@ -302,15 +327,15 @@ class TestTheorem31Verdict:
             dels = deletion_set(rng.choice(12, size=2, replace=False), 12)
             seen_infinite = False
             for r in np.linspace(1.05, 5.0, 30):
-                v = theorem31_verdict(data, dels, float(r), NONINF)
-                if seen_infinite and not v.is_infinite:
+                v = verdict_at(data, dels, float(r), NONINF)
+                if seen_infinite and v.tag is not VerdictTag.INFINITE:
                     pytest.fail(f"verdict flipped back to {v.tag} at r={r}")
-                seen_infinite = seen_infinite or v.is_infinite
+                seen_infinite = seen_infinite or v.tag is VerdictTag.INFINITE
 
 
 class TestMomentIndexLinear:
     def test_derived_cutoffs(self, derived_linear, delete_last_of_4):
-        rep = moment_index_linear(derived_linear, delete_last_of_4, NONINF)
+        rep = index_of(derived_linear, delete_last_of_4, NONINF)
         assert rep.r_a == pytest.approx(4.0, abs=1e-10)
         assert rep.r_b == pytest.approx(3.0, abs=1e-12)
         assert rep.r_c == pytest.approx(10.0 / 7.0, abs=1e-9)
@@ -323,7 +348,7 @@ class TestMomentIndexLinear:
             data = random_regression(rng, 15, 3)
             dels = deletion_set(rng.choice(15, size=2, replace=False), 15)
             for prior in (NONINF, conj(0.5, 2.0)):
-                rep = moment_index_linear(data, dels, prior)
+                rep = index_of(data, dels, prior)
                 assert rep.r_c == pytest.approx(rc_reference(data, dels, prior), abs=1e-6)
 
     def test_zero_leverage_residual_root(self):
@@ -334,7 +359,7 @@ class TestMomentIndexLinear:
         data = RegressionData(design=X, response=y)
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         e = y - X @ coef
-        rep = moment_index_linear(data, deletion_set([3], 4), NONINF)
+        rep = index_of(data, deletion_set([3], 4), NONINF)
         assert math.isinf(rep.r_a)
         assert rep.r_c == pytest.approx(float(e @ e) / e[3] ** 2, rel=1e-12)
         assert rep.r_c < rep.r_b
@@ -347,19 +372,17 @@ class TestMomentIndexLinear:
         y = np.array([1.0, 2.0, 3.0, 0.0])
         data = RegressionData(design=X, response=y)
         dels = deletion_set([3], 4)
-        rep = moment_index_linear(data, dels, NONINF)
+        rep = index_of(data, dels, NONINF)
         assert math.isinf(rep.r_a)
         assert math.isinf(rep.r_c)
         assert rep.r_star == rep.r_b
         assert rep.binding == "sample-size"
 
     def test_huge_beta_approaches_noninformative(self, derived_linear, delete_last_of_4):
-        base = moment_index_linear(derived_linear, delete_last_of_4, NONINF).r_c
+        base = index_of(derived_linear, delete_last_of_4, NONINF).r_c
         last = None
         for beta in (1e3, 1e6):
-            rc = moment_index_linear(
-                derived_linear, delete_last_of_4, conj(1e-9, beta)
-            ).r_c
+            rc = index_of(derived_linear, delete_last_of_4, conj(1e-9, beta)).r_c
             assert rc > base  # threshold -2/beta < 0 always lets r_c exceed the flat case
             if last is not None:
                 assert abs(rc - base) < abs(last - base)
@@ -370,11 +393,11 @@ class TestMomentIndexLinear:
         rng = np.random.default_rng(44)
         data = random_regression(rng, 12, 3)
         dels = deletion_set([1, 5, 8], 12)
-        rep = moment_index_linear(data, dels, NONINF)
+        rep = index_of(data, dels, NONINF)
         perm = rng.permutation(12)
         data2 = RegressionData(design=data.design[perm], response=data.response[perm])
         mapped = [int(np.where(perm == i)[0][0]) for i in (1, 5, 8)]
-        rep2 = moment_index_linear(data2, deletion_set(mapped, 12), NONINF)
+        rep2 = index_of(data2, deletion_set(mapped, 12), NONINF)
         for field in ("r_a", "r_b", "r_c", "r_star"):
             assert getattr(rep, field) == pytest.approx(getattr(rep2, field), abs=1e-12)
 
@@ -382,10 +405,10 @@ class TestMomentIndexLinear:
         rng = np.random.default_rng(45)
         data = random_regression(rng, 10, 2)
         dels = deletion_set([0, 4], 10)
-        rep = moment_index_linear(data, dels, NONINF)
+        rep = index_of(data, dels, NONINF)
         for c in (0.5, 3.0, 100.0):
             scaled = RegressionData(design=data.design, response=c * data.response)
-            rep2 = moment_index_linear(scaled, dels, NONINF)
+            rep2 = index_of(scaled, dels, NONINF)
             assert rep2.r_a == pytest.approx(rep.r_a, rel=1e-10)
             assert rep2.r_b == rep.r_b
             assert rep2.r_c == pytest.approx(rep.r_c, rel=1e-7)
@@ -395,9 +418,9 @@ class TestMomentIndexLinear:
         data = random_regression(rng, 10, 2)
         dels = deletion_set([3], 10)
         prior = conj(1.0, 0.5)
-        rep = moment_index_linear(data, dels, prior)
+        rep = index_of(data, dels, prior)
         scaled = RegressionData(design=data.design, response=10.0 * data.response)
-        rep2 = moment_index_linear(scaled, dels, prior)
+        rep2 = index_of(scaled, dels, prior)
         assert rep2.r_a == pytest.approx(rep.r_a, rel=1e-10)
         assert rep2.r_b == rep.r_b
         assert rep2.r_c != pytest.approx(rep.r_c, rel=1e-6)
@@ -492,7 +515,7 @@ class TestCutoffRoot:
     def test_equals_old_bisection_on_feigl_zelen_triples(self, prior):
         data = feigl_zelen("linear")
         Q, e, rss = linear_gate._hat(data)
-        lam, u2 = linear_gate._spectra(Q, e, np.array(list(combinations(range(33), 3))))
+        lam, u2 = leverage_minor(Q, e, np.array(list(combinations(range(33), 3))))
         r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, data.n, data.k, prior)
         root = r_c < r_a
         assert root.sum() > 1000
@@ -525,7 +548,7 @@ def assert_matches_minor_oracle(data, idx, prior):
     within 1e-12 relative, r_b exactly, and so do the Thm 3.1 verdicts."""
     Q, e, rss = linear_gate._hat(data)
     n, k = data.n, data.k
-    lam, u2 = linear_gate._spectra(Q, e, idx)
+    lam, u2 = leverage_minor(Q, e, idx)
     lam_o, u2_o = minor_spectra(Q, e, idx)
     assert lam.shape == u2.shape == idx.shape
     got = linear_gate._cutoffs(lam, u2, rss, n, k, prior)
@@ -536,8 +559,8 @@ def assert_matches_minor_oracle(data, idx, prior):
         assert np.all(np.abs(g[fin] - w[fin]) <= 1e-12 * np.abs(w[fin])), name
     assert np.array_equal(got[1], want[1])
     for r in (1.5, 2.0, 3.0):
-        assert (linear_gate._theorem31(lam, u2, rss, n, k, r, prior)
-                == linear_gate._theorem31(lam_o, u2_o, rss, n, k, r, prior))
+        assert (theorem31_verdict(lam, u2, rss, n, k, r, prior)
+                == theorem31_verdict(lam_o, u2_o, rss, n, k, r, prior))
 
 
 class TestGramSpectra:
@@ -556,7 +579,7 @@ class TestGramSpectra:
         data = feigl_zelen("linear")
         Q, e, _ = linear_gate._hat(data)
         idx = np.array(list(combinations(range(33), size)))
-        lam, u2 = linear_gate._spectra(Q, e, idx)
+        lam, u2 = leverage_minor(Q, e, idx)
         lam_o, u2_o = minor_spectra(Q, e, idx)
         assert np.array_equal(lam, lam_o) and np.array_equal(u2, u2_o)
 
@@ -570,7 +593,7 @@ class TestGramSpectra:
         assert np.all(data.design[cases, 1] == data.design[cases[0], 1])
         Q, e, _ = linear_gate._hat(data)
         with np.errstate(all="raise"):
-            lam, _ = linear_gate._spectra(Q, e, cases[None, :])
+            lam, _ = leverage_minor(Q, e, cases[None, :])
             assert np.count_nonzero(lam) == 2
             assert_matches_minor_oracle(data, cases[None, :], prior)
             assert_matches_minor_oracle(data, np.array(list(combinations(cases, 4))), prior)
@@ -584,7 +607,7 @@ class TestGramSpectra:
         idx = np.array([[2, 5, 8, 9, 13]])
         Q, e, _ = linear_gate._hat(data)
         with np.errstate(all="raise"):
-            lam, _ = linear_gate._spectra(Q, e, idx)
+            lam, _ = leverage_minor(Q, e, idx)
             assert np.count_nonzero(lam) == 1
             for prior in (NONINF, conj(2.0, 0.001)):
                 assert_matches_minor_oracle(data, idx, prior)
@@ -641,7 +664,7 @@ class TestSubsetScan:
         for fold, val in zip(folds, vals):
             dels = deletion_set(fold, 33)
             assert val == pytest.approx(min(reference_cutoffs(data, dels, NONINF)), abs=1e-6)
-            assert val == pytest.approx(moment_index_linear(data, dels, NONINF).r_star, abs=1e-12)
+            assert val == pytest.approx(index_of(data, dels, NONINF).r_star, abs=1e-12)
 
     def test_fold_indices_match_singletons(self):
         rng = np.random.default_rng(78)
@@ -649,5 +672,5 @@ class TestSubsetScan:
         folds = [[i] for i in range(9)]
         vals = fold_moment_indices(data, folds, NONINF)
         for i in range(9):
-            rep = moment_index_linear(data, deletion_set([i], 9), NONINF)
+            rep = index_of(data, deletion_set([i], 9), NONINF)
             assert vals[i] == pytest.approx(rep.r_star, abs=1e-10)

@@ -5,19 +5,35 @@ import pytest
 from scipy.integrate import quad
 
 from influence_gate.cli import main
-from influence_gate.core_model import LogitData, deletion_set
+from influence_gate.core_model import LogitData, VerdictTag, deletion_set
 from influence_gate.errors import BudgetError
 from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
     VertexTable,
     _candidate_directions,
-    indices_and_verdicts,
     max_h_l1_sphere,
     moment_index_logit,
-    theorem51_verdict,
 )
 
 from conftest import DATA_DIR, feigl_zelen
+
+
+def index_of(data, dels, eps):
+    """The kernel's moment-index report of one deletion set."""
+    return moment_index_logit(data, [dels.indices], (), eps)[0][0]
+
+
+def verdict_at(data, dels, r, eps):
+    """The kernel's Thm 5.1 verdict of one deletion set at order r."""
+    return moment_index_logit(data, [dels.indices], [r], eps)[1][0][0]
+
+
+def sphere_max(data, dels, r, eps):
+    """(max, argmax) of h over the L1 unit sphere for one deletion set, read
+    off the vertex table as the kernel reads it."""
+    table = VertexTable(data, _candidate_directions(data))
+    h0, slope = table.parts(dels, eps)
+    return max_h_l1_sphere(table.betas, h0 + (r - 1.0) * slope)
 
 
 @pytest.fixture(scope="module")
@@ -119,23 +135,23 @@ class TestHEval:
 
 class TestMaxH:
     def test_two_point_exhaustive(self, two_point, delete_first):
-        crit = max_h_l1_sphere(two_point, delete_first, 2.0, 0.5)
-        assert crit.max_value == pytest.approx(0.5, abs=1e-14)
-        assert crit.argmax == pytest.approx([-1.0])
+        value, argmax = sphere_max(two_point, delete_first, 2.0, 0.5)
+        assert value == pytest.approx(0.5, abs=1e-14)
+        assert argmax == pytest.approx([-1.0])
 
     def test_argmax_satisfies_l1_constraint(self):
         rng = np.random.default_rng(14)
         data = LogitData(design=rng.standard_normal((12, 3)), outcome=rng.integers(0, 2, 12))
-        crit = max_h_l1_sphere(data, deletion_set([2, 5], 12), 2.0, 0.4)
-        assert np.abs(crit.argmax).sum() == pytest.approx(1.0, abs=1e-12)
-        h = h_reference(data, deletion_set([2, 5], 12), crit.argmax, 2.0, 0.4)
-        assert h == pytest.approx(crit.max_value, abs=1e-10)
+        value, argmax = sphere_max(data, deletion_set([2, 5], 12), 2.0, 0.4)
+        assert np.abs(argmax).sum() == pytest.approx(1.0, abs=1e-12)
+        h = h_reference(data, deletion_set([2, 5], 12), argmax, 2.0, 0.4)
+        assert h == pytest.approx(value, abs=1e-10)
 
     def test_vertex_max_dominates_random_directions(self):
         rng = np.random.default_rng(15)
         data = LogitData(design=rng.standard_normal((10, 3)), outcome=rng.integers(0, 2, 10))
         dels = deletion_set([0, 7], 10)
-        crit = max_h_l1_sphere(data, dels, 2.0, 0.1)
+        value, _ = sphere_max(data, dels, 2.0, 0.1)
         raw = rng.standard_normal((100_000, 3))
         dirs = raw / np.abs(raw).sum(axis=1, keepdims=True)
         X, y = data.design, data.outcome
@@ -145,7 +161,7 @@ class TestMaxH:
         h0 = contrib[:, ~mask].sum(axis=1) - 0.1 * np.abs(dirs).sum(axis=1)
         slope = (-contrib[:, mask]).sum(axis=1)
         sample_max = float(np.max(h0 + slope))
-        assert sample_max <= crit.max_value + 1e-9
+        assert sample_max <= value + 1e-9
 
     def test_separable_no_deletion_negative_max(self):
         # perfectly separated at x = 0: every likelihood factor can be made
@@ -155,30 +171,30 @@ class TestMaxH:
         )
         dels = deletion_set([], 4)
         eps = 0.7
-        crit = max_h_l1_sphere(data, dels, 2.0, eps)
-        assert crit.max_value == pytest.approx(-eps, abs=1e-12)
-        assert theorem51_verdict(data, dels, 16.0, eps).is_finite
+        value, _ = sphere_max(data, dels, 2.0, eps)
+        assert value == pytest.approx(-eps, abs=1e-12)
+        assert verdict_at(data, dels, 16.0, eps).is_finite
 
     def test_separable_all_ones_zero_boundary(self):
         data = LogitData(design=[[1.0], [2.0]], outcome=[1, 1])
         dels = deletion_set([], 2)
-        crit = max_h_l1_sphere(data, dels, 2.0, 0.0)
-        assert crit.max_value == pytest.approx(0.0, abs=1e-14)
+        value, _ = sphere_max(data, dels, 2.0, 0.0)
+        assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_budget_errors(self):
         rng = np.random.default_rng(16)
         data = LogitData(design=rng.standard_normal((250, 2)), outcome=rng.integers(0, 2, 250))
         with pytest.raises(BudgetError):
-            max_h_l1_sphere(data, deletion_set([0], 250), 2.0, 0.1)
+            verdict_at(data, deletion_set([0], 250), 2.0, 0.1)
         big = LogitData(design=rng.standard_normal((150, 6)), outcome=rng.integers(0, 2, 150))
         with pytest.raises(BudgetError, match="fewer covariates or cases"):
-            max_h_l1_sphere(big, deletion_set([0], 150), 2.0, 0.1)
+            verdict_at(big, deletion_set([0], 150), 2.0, 0.1)
 
 
 class TestTheorem51Verdict:
     def test_two_point_infinite_then_finite(self, two_point, delete_first):
-        assert theorem51_verdict(two_point, delete_first, 2.0, 0.5).is_infinite
-        assert theorem51_verdict(two_point, delete_first, 2.0, 2.0).is_finite
+        assert verdict_at(two_point, delete_first, 2.0, 0.5).tag is VerdictTag.INFINITE
+        assert verdict_at(two_point, delete_first, 2.0, 2.0).is_finite
 
     def test_quadrature_oracle_confirms(self, two_point, delete_first):
         # infinite at eps=0.5: truncated moment integral blows up with T
@@ -191,7 +207,7 @@ class TestTheorem51Verdict:
         assert abs(large2 - small2) < 1e-8 * max(small2, 1.0)
 
     def test_empty_deletion_short_circuits(self, two_point):
-        v = theorem51_verdict(two_point, deletion_set([], 2), 64.0, 0.0)
+        v = verdict_at(two_point, deletion_set([], 2), 64.0, 0.0)
         assert v.is_finite
 
     def test_monotone_in_r_and_epsilon(self):
@@ -200,21 +216,21 @@ class TestTheorem51Verdict:
         dels = deletion_set([4], 9)
         seen_infinite = False
         for r in (1.5, 2.0, 3.0, 5.0, 9.0, 17.0):
-            v = theorem51_verdict(data, dels, r, 0.25)
+            v = verdict_at(data, dels, r, 0.25)
             if seen_infinite and v.is_finite:
                 pytest.fail(f"flip at r={r}")
-            seen_infinite = seen_infinite or v.is_infinite
+            seen_infinite = seen_infinite or v.tag is VerdictTag.INFINITE
         seen_finite = False
         for eps in (0.0, 0.1, 0.5, 1.0, 4.0, 16.0):
-            v = theorem51_verdict(data, dels, 2.0, eps)
-            if seen_finite and v.is_infinite:
+            v = verdict_at(data, dels, 2.0, eps)
+            if seen_finite and v.tag is VerdictTag.INFINITE:
                 pytest.fail(f"flip at eps={eps}")
             seen_finite = seen_finite or v.is_finite
 
     def test_overflowing_criterion_is_infinite(self, tmp_path):
         # At r = 1e308 the criterion overflows to inf at the maximizing vertex.
         data = feigl_zelen("logit")
-        assert theorem51_verdict(data, deletion_set([14], data.n), 1e308, 1.0).is_infinite
+        assert verdict_at(data, deletion_set([14], data.n), 1e308, 1.0).tag is VerdictTag.INFINITE
         config = tmp_path / "run.cfg"
         config.write_text(f"model = logit\ndata = {DATA_DIR / 'feigl_zelen.csv'}\n"
                           "data.outcome = surv50\ndata.covariates = wbc, ag\n"
@@ -236,7 +252,7 @@ class TestTheorem51Verdict:
 
 class TestMomentIndexLogit:
     def test_two_point_exact_root(self, two_point, delete_first):
-        rep = moment_index_logit(two_point, delete_first, 0.5)
+        rep = index_of(two_point, delete_first, 0.5)
         assert rep.r_star == pytest.approx(1.5, abs=1e-12)
         assert math.isinf(rep.r_a) and math.isinf(rep.r_b)
         assert rep.r_c == rep.r_star
@@ -246,26 +262,26 @@ class TestMomentIndexLogit:
         data = LogitData(design=rng.standard_normal((8, 2)), outcome=rng.integers(0, 2, 8))
         dels = deletion_set([3], 8)
         eps = 0.3
-        rep = moment_index_logit(data, dels, eps)
+        rep = index_of(data, dels, eps)
         lo, hi = 1.0 + 1e-9, 64.0
-        if theorem51_verdict(data, dels, hi, eps).is_finite:
+        if verdict_at(data, dels, hi, eps).is_finite:
             assert math.isinf(rep.r_star)
             return
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if theorem51_verdict(data, dels, mid, eps).is_finite:
+            if verdict_at(data, dels, mid, eps).is_finite:
                 lo = mid
             else:
                 hi = mid
         assert rep.r_star == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
     def test_cap_convention(self, two_point, delete_first):
-        rep = moment_index_logit(two_point, delete_first, 1e6)
+        rep = index_of(two_point, delete_first, 1e6)
         assert math.isinf(rep.r_star)
         assert "cap" in rep.binding
 
     def test_empty_deletion_infinite(self, two_point):
-        rep = moment_index_logit(two_point, deletion_set([], 2), 0.5)
+        rep = index_of(two_point, deletion_set([], 2), 0.5)
         assert math.isinf(rep.r_star)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -279,7 +295,7 @@ class TestMomentIndexLogit:
             dels = deletion_set(rng.choice(n, size, replace=False).tolist(), n)
             for eps in (0.0, 0.3):
                 r_star, arg = index_reference(table.betas, *table.parts(dels, eps))
-                rep = moment_index_logit(data, dels, eps)
+                rep = index_of(data, dels, eps)
                 if r_star > 64.0:
                     assert math.isinf(rep.r_c) and "cap" in rep.binding
                 else:
@@ -309,19 +325,19 @@ class TestBatches:
         data = LogitData(design=rng.standard_normal((10, 2)), outcome=rng.integers(0, 2, 10))
         sets = [(3,), (0, 7), (1, 2, 5)]
         r_values = [1.5, 2.0, 6.0]
-        reports, verdicts = indices_and_verdicts(data, sets, r_values, 0.4)
+        reports, verdicts = moment_index_logit(data, sets, r_values, 0.4)
         assert len(reports) == len(verdicts) == len(sets)
         for indices, rep, per_r in zip(sets, reports, verdicts):
             dels = deletion_set(indices, 10)
-            assert rep == moment_index_logit(data, dels, 0.4)
-            assert per_r == [theorem51_verdict(data, dels, r, 0.4) for r in r_values]
-        assert indices_and_verdicts(data, 2, r_values, 0.4) == indices_and_verdicts(
+            assert rep == index_of(data, dels, 0.4)
+            assert per_r == [verdict_at(data, dels, r, 0.4) for r in r_values]
+        assert moment_index_logit(data, 2, r_values, 0.4) == moment_index_logit(
             data, [(i, j) for i in range(10) for j in range(i + 1, 10)], r_values, 0.4)
 
     def test_budget_checks_apply_to_batches(self):
         rng = np.random.default_rng(25)
         data = LogitData(design=rng.standard_normal((250, 2)), outcome=rng.integers(0, 2, 250))
         with pytest.raises(BudgetError):
-            indices_and_verdicts(data, [(0,)], [2.0], 0.1)
+            moment_index_logit(data, [(0,)], [2.0], 0.1)
         # The empty set needs no vertex table, so its verdict comes within budget.
         assert FAMILIES["logit"].index(data, 0.1, [()], [2.0])[1][0][0].is_finite

@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from influence_gate import mm_gate
-from influence_gate.core_model import MMData, deletion_set
+from influence_gate.core_model import MMData, VerdictTag, deletion_set
 from influence_gate.mm_gate import (
     Extremum,
-    KappaProfile,
     _abc,
     _kappa_sums,
     _local_extrema_indices,
@@ -20,7 +19,6 @@ from influence_gate.mm_gate import (
     _runs,
     _sums_at,
     _v2,
-    indices_and_verdicts,
     kappa_profile,
     moment_index_mm,
     scan_kappa,
@@ -49,6 +47,11 @@ def mm_reference(data, dels, r, kappa) -> dict:
     c = v[o] @ v[o] - (r - 1.0) * v[d] @ v[d]
     return {"a": a, "b": b, "c": c, "rss_star": c - b * b / a,
             "leverage": x[d] @ x[d] / (x @ x), "g": x[d] @ v[d] / (x @ v)}
+
+
+def index_of(data, dels):
+    """The kernel's moment-index report of one deletion set."""
+    return moment_index_mm(data, [dels.indices], ())[0][0]
 
 
 def kernel_at(data, dels, r, kappa) -> dict:
@@ -109,7 +112,7 @@ class TestScanKappa:
         assert sup_g == pytest.approx(0.05501, abs=5e-4)
 
     def test_negative_rss_near_008_case_1(self, puromycin):
-        scan = scan_kappa(puromycin, deletion_set([0], 11), 2.0)
+        scan = scan_kappa(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
         assert scan.inf_rss_star.value < 0
         assert 0.04 < scan.inf_rss_star.kappa < 0.15
 
@@ -156,50 +159,50 @@ class TestScanKappa:
         profile = kappa_profile(puromycin, dels)
         grid_lev = [mm_reference(puromycin, dels, 2.0, float(k))["leverage"]
                     for k in profile.grid[::97]]
-        assert profile.scan(2.0).sup_leverage.value >= max(grid_lev) - 1e-12
+        assert scan_kappa(profile, 2.0).sup_leverage.value >= max(grid_lev) - 1e-12
 
     def test_empty_deletion_rejected(self, puromycin):
         with pytest.raises(ValueError):
-            scan_kappa(puromycin, deletion_set([], 11), 2.0)
+            scan_kappa(kappa_profile(puromycin, deletion_set([], 11)), 2.0)
 
 
 class TestTheorem41Verdict:
     def test_case_11_infinite_at_2(self, puromycin):
         dels = deletion_set([10], 11)
-        scan = scan_kappa(puromycin, dels, 2.0)
+        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
         v = theorem41_verdict(puromycin, dels, 2.0, scan)
-        assert v.is_infinite
+        assert v.tag is VerdictTag.INFINITE
         assert "leverage" in v.detail
 
     def test_case_1_infinite_at_2(self, puromycin):
         dels = deletion_set([0], 11)
-        scan = scan_kappa(puromycin, dels, 2.0)
+        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
         v = theorem41_verdict(puromycin, dels, 2.0, scan)
-        assert v.is_infinite
+        assert v.tag is VerdictTag.INFINITE
         assert "residual" in v.detail
 
     def test_middle_cases_finite_at_2(self, puromycin):
         for i in range(1, 10):
             dels = deletion_set([i], 11)
-            scan = scan_kappa(puromycin, dels, 2.0)
+            scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
             assert theorem41_verdict(puromycin, dels, 2.0, scan).is_finite, f"case {i + 1}"
 
     def test_sample_size_condition(self, puromycin):
         dels = deletion_set([0, 1, 2, 3, 4], 11)  # I = 5, so n <= rI+1 at r = 2
-        scan = scan_kappa(puromycin, dels, 2.0)
+        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
         v = theorem41_verdict(puromycin, dels, 2.0, scan)
-        assert v.is_infinite
+        assert v.tag is VerdictTag.INFINITE
         assert "sample size" in v.detail
 
     def test_verdict_monotone_in_r(self, puromycin):
         dels = deletion_set([4], 11)
         seen_infinite = False
         for r in np.linspace(1.2, 4.0, 15):
-            scan = scan_kappa(puromycin, dels, float(r))
+            scan = scan_kappa(kappa_profile(puromycin, dels), float(r))
             v = theorem41_verdict(puromycin, dels, float(r), scan)
             if seen_infinite and v.is_finite:
                 pytest.fail(f"flip back to finite at r={r}")
-            seen_infinite = seen_infinite or v.is_infinite
+            seen_infinite = seen_infinite or v.tag is VerdictTag.INFINITE
 
 
 # Residual cut-offs r_c of the 11 Puromycin singleton deletions.
@@ -210,21 +213,21 @@ SINGLETON_RC = [1.5937, 2.7912, 4.4963, 5.1689, 2.8678, 5.1914,
 class TestMomentIndexMM:
     # Two-decimal r* of cases 1, 11 and 7; test_singleton holds all 11 to 5e-4.
     def test_case_1(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([0], 11))
+        rep = index_of(puromycin, deletion_set([0], 11))
         assert rep.r_star == pytest.approx(1.59, abs=0.02)
         assert rep.binding == "residual"
 
     def test_case_11(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([10], 11))
+        rep = index_of(puromycin, deletion_set([10], 11))
         assert rep.r_star == pytest.approx(1.32, abs=0.02)
 
     def test_case_7(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([6], 11))
+        rep = index_of(puromycin, deletion_set([6], 11))
         assert rep.r_star == pytest.approx(6.38, abs=0.02)
 
     @pytest.mark.parametrize("case", range(1, 12))
     def test_singleton(self, puromycin, case):
-        rep = moment_index_mm(puromycin, deletion_set([case - 1], 11))
+        rep = index_of(puromycin, deletion_set([case - 1], 11))
         assert rep.r_c == pytest.approx(SINGLETON_RC[case - 1], abs=5e-4)
         assert rep.binding == "residual"
         assert rep.r_star == rep.r_c
@@ -237,29 +240,29 @@ class TestMomentIndexMM:
             velocity=puromycin.velocity[perm],
         )
         new_index = int(np.where(perm == 0)[0][0])
-        a = moment_index_mm(puromycin, deletion_set([0], 11))
-        b = moment_index_mm(data2, deletion_set([new_index], 11))
+        a = index_of(puromycin, deletion_set([0], 11))
+        b = index_of(data2, deletion_set([new_index], 11))
         assert a.r_star == pytest.approx(b.r_star, abs=2e-3)
 
     def test_outlier_perturbation_weakly_decreases(self, puromycin):
         """Moving the deleted velocity away from the fitted curve cannot
         raise the moment index."""
-        base = moment_index_mm(puromycin, deletion_set([0], 11)).r_star
+        base = index_of(puromycin, deletion_set([0], 11)).r_star
         vel = np.array(puromycin.velocity)
         vel[0] += 60.0  # push case 1 further above the curve
         pushed = MMData(concentration=puromycin.concentration, velocity=vel)
-        moved = moment_index_mm(pushed, deletion_set([0], 11)).r_star
+        moved = index_of(pushed, deletion_set([0], 11)).r_star
         assert moved <= base + 1e-6
 
     def test_sample_size_binds_below_the_residual_probe(self, puromycin):
         # With 10 of 11 cases deleted the residual condition fails at the
         # first probe r = 1 + 1e-9, but r_b = (n-1)/I = 1 is smaller still.
-        rep = moment_index_mm(puromycin, deletion_set(range(10), 11))
+        rep = index_of(puromycin, deletion_set(range(10), 11))
         assert (rep.r_b, rep.r_c, rep.r_star) == (1.0, 1.0 + 1e-9, 1.0)
         assert rep.binding == "sample-size"
 
     def test_invariant_r_star_is_min(self, puromycin):
-        rep = moment_index_mm(puromycin, deletion_set([8], 11))
+        rep = index_of(puromycin, deletion_set([8], 11))
         assert rep.r_star == min(rep.r_a, rep.r_b, rep.r_c)
 
 
@@ -321,19 +324,10 @@ class TestGridHelpers:
 
 
 class TestKappaProfile:
-    def test_scan_matches_scan_kappa(self, puromycin):
-        dels = deletion_set([0, 10], 11)
-        profile = kappa_profile(puromycin, dels)
-        for r in (1.3, 2.0, 3.7):
-            scan, direct = profile.scan(r), scan_kappa(puromycin, dels, r)
-            # inf_rss_star is refined on read and is not among the compared fields
-            assert scan == direct
-            assert scan.inf_rss_star == direct.inf_rss_star
-
     def test_extrema_match_pointwise_evaluation(self, puromycin):
         for case in (1, 9):  # case 9 has an interior supremum of leverage
             dels = deletion_set([case - 1], 11)
-            scan = kappa_profile(puromycin, dels).scan(2.0)
+            scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
             for ext, field in ((scan.sup_leverage, "leverage"), (scan.inf_g, "g"),
                                (scan.inf_rss_star, "rss_star")):
                 if 0.0 < ext.kappa < math.inf:
@@ -354,7 +348,7 @@ def array_rss_star_at(data, mask, v2, r, kappa) -> float:
     return math.inf if np.isnan(val) else float(val)
 
 
-LAZY_SCAN = KappaProfile.scan
+LAZY_SCAN = scan_kappa
 
 
 def eager_scan(profile, r):
@@ -393,12 +387,12 @@ class TestLazyRssStar:
     R_VALUES = (1.3, 2.0, 3.7)
 
     @pytest.mark.parametrize("size", [1, 2])
-    def test_indices_and_verdicts_match_eager_scan(self, puromycin, monkeypatch, size):
-        lazy = indices_and_verdicts(puromycin, size, self.R_VALUES)
+    def test_moment_index_mm_matches_eager_scan(self, puromycin, monkeypatch, size):
+        lazy = moment_index_mm(puromycin, size, self.R_VALUES)
         with monkeypatch.context() as m:
             m.setattr(mm_gate, "_sums_at", array_sums_at)
-            m.setattr(KappaProfile, "scan", eager_scan)
-            eager = indices_and_verdicts(puromycin, size, self.R_VALUES)
+            m.setattr(mm_gate, "scan_kappa", eager_scan)
+            eager = moment_index_mm(puromycin, size, self.R_VALUES)
         assert len(lazy[0]) == math.comb(11, size)
         assert lazy == eager
 
@@ -412,8 +406,8 @@ class TestLazyRssStar:
         dels = deletion_set(cases, 11)
         profile = kappa_profile(puromycin, dels)
         calls = count_refinements(monkeypatch)
-        verdict = theorem41_verdict(puromycin, dels, r, profile.scan(r))
-        assert verdict.is_infinite and verdict.detail == reason
+        verdict = theorem41_verdict(puromycin, dels, r, scan_kappa(profile, r))
+        assert verdict.tag is VerdictTag.INFINITE and verdict.detail == reason
         assert calls == []
 
     def test_slope_pair_verdict_never_refines_rss_star(self, monkeypatch):
@@ -424,7 +418,7 @@ class TestLazyRssStar:
         dels = deletion_set([4], 6)
         profile = kappa_profile(data, dels)
         calls = count_refinements(monkeypatch)
-        scan = profile.scan(2.0)
+        scan = scan_kappa(profile, 2.0)
         assert theorem41_verdict(data, dels, 2.0, scan).is_finite
         assert calls == []
         assert scan.inf_rss_star.value < 0 and len(calls) == 1
@@ -435,7 +429,7 @@ class TestLazyRssStar:
         dels = deletion_set([0], 11)
         profile = kappa_profile(puromycin, dels)
         calls = count_refinements(monkeypatch)
-        scan = profile.scan(1.5)
+        scan = scan_kappa(profile, 1.5)
         assert not (scan.c_val > 0 and scan.inf_g.value > 1 / 1.5)
         assert theorem41_verdict(puromycin, dels, 1.5, scan).is_finite
         assert scan.inf_rss_star == scan.inf_rss_star == eager_scan(profile, 1.5).inf_rss_star

@@ -1,31 +1,25 @@
-"""Every top-level function and class of the package is used by the package.
+"""Every top-level function and class of the package is used by the package,
+and every function the benchmark traces is defined where it looks for it.
 
 A definition counts as used when some module of the package other than
 `__init__.py` names it (as a name, an attribute or a `from` import), or its
-own module names it outside the definition. The allowlist holds the N=1
-views that no command calls but the benchmark's trace sites wrap, so they
-must stay until the trace sites move. Names are matched as text, so a
+own module names it outside the definition. The allowlist would hold a
+definition that only tests call; it is empty. Names are matched as text, so a
 definition that shares its name with a variable or an attribute read
 elsewhere counts as used. An annotated field declaration in a class body
 declares a name and does not use it.
 """
 
 import ast
+import importlib
+import inspect
 
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "influence_gate"
+TRACING = REPO_ROOT / "perfbench" / "tracing.py"
 
-ALLOWED = {
-    "moment_index_linear": "benchmark trace site; N=1 wrapper of the batched Thm 3.1 kernel",
-    "moment_index_mm": "benchmark trace site; N=1 wrapper of the Thm 4.1 kernel",
-    "moment_index_logit": "benchmark trace site; N=1 wrapper of the batched Thm 5.1 kernel",
-    "leverage_minor": "benchmark trace site; N=1 view of the leverage spectrum for tests",
-    "theorem31_verdict": "benchmark trace site; N=1 wrapper of the batched Thm 3.1 kernel",
-    "theorem51_verdict": "benchmark trace site; N=1 wrapper of the batched Thm 5.1 kernel",
-    "max_h_l1_sphere": "benchmark trace site; N=1 view of the vertex table",
-    "scan_kappa": "benchmark trace site; N=1 wrapper of kappa_profile(...).scan(r)",
-}
+ALLOWED = {}
 
 
 def _names(node, skip=None) -> set:
@@ -69,3 +63,29 @@ def test_every_definition_is_used_or_allowlisted():
 
 def test_allowlist_names_only_unreferenced_definitions():
     assert sorted(name.split(".")[1] for name in _unreferenced()) == sorted(ALLOWED)
+
+
+def _traced_functions() -> list:
+    """(module, function) pairs of the benchmark's `TARGETS` and `COUNTED`
+    tables, read from the text of its tracing module."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("TARGETS", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    assert sorted(tables) == ["COUNTED", "TARGETS"]
+    return [(module, fn) for table in tables.values()
+            for module, functions in table.items() for fn in functions]
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    """The tracer wraps each name at `influence_gate.<module>.<name>` and
+    fails on a missing one, so a rename must show here first."""
+    missing = []
+    for module, fn in _traced_functions():
+        home = importlib.import_module(f"influence_gate.{module}")
+        value = getattr(home, fn, None)
+        if not (inspect.isfunction(value) and value.__module__ == home.__name__):
+            missing.append(f"{module}.{fn}")
+    assert missing == []
