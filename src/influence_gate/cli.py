@@ -11,6 +11,7 @@ reports. Exit codes: 0 ok, 2 config error, 3 data error, 4 budget error,
 """
 
 import argparse
+import csv
 import difflib
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import deletion_set, each_set, load_csv, write_table
+from .core_model import deletion_set, each_set, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
 from .samplers import SamplerConfig
@@ -246,7 +247,13 @@ def _sampler_config(cfg: dict, default_draws: int, width: int) -> SamplerConfig:
 
 
 def write_csv_report(path, columns, rows) -> None:
-    write_table(path, columns, rows)
+    """Write a CSV table from any iterable of rows, consumed as it is
+    written. Floats come out as shortest round-trip decimal text: the csv
+    module writes str(x), which for a float is repr(x)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _jsonable(v):
@@ -433,7 +440,7 @@ def cmd_scan(cfg: dict) -> None:
 
 def _scan_text(result, n: int):
     """The scan table's data rows as CSV text, one str per SCAN_CSV_BLOCK
-    rows, byte for byte what `write_table` gives for the same rows: fields
+    rows, byte for byte what `write_csv_report` gives for the same rows: fields
     joined by ",", lines ended by "\r\n" and floats as repr. No field can
     need quoting: labels hold only digits and "+", and a float's repr has
     no comma, quote or line break.
@@ -543,7 +550,7 @@ def cmd_estimate(cfg: dict) -> None:
     _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, rows,
                   {"advisory": advisory, "acceptance_rate": result.acceptance_rate})
     if cfg["sampler.export_draws"]:
-        write_table(out / "draws.csv", family.columns(data), result.draws.tolist())
+        write_csv_report(out / "draws.csv", family.columns(data), result.draws.tolist())
 
 
 def cmd_verify(cfg: dict) -> None:
@@ -553,7 +560,8 @@ def cmd_verify(cfg: dict) -> None:
     if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
-    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report, sampler_cfg)
+    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report.r_star,
+                                             sampler_cfg)
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     if tail.survival:

@@ -81,7 +81,8 @@ class RegressionData:
 
 @dataclass(frozen=True)
 class MMData:
-    """Strictly positive substrate concentrations and observed velocities."""
+    """Strictly positive substrate concentrations and observed velocities,
+    of two or more cases."""
 
     concentration: np.ndarray
     velocity: np.ndarray
@@ -91,8 +92,9 @@ class MMData:
         vel = np.asarray(self.velocity, dtype=float).ravel()
         if conc.shape[0] != vel.shape[0]:
             raise DataError("concentration and velocity must have equal length")
-        if conc.shape[0] < 1:
-            raise DataError("need at least one observation")
+        if conc.shape[0] < 2:
+            raise DataError(f"need at least two observations, got {conc.shape[0]}: with one, "
+                            "the flat prior on (m, sigma2) gives an improper posterior")
         bad = np.nonzero(conc <= 0.0)[0]
         if bad.size:
             raise DataError(f"concentration must be strictly positive; got {float(conc[bad[0]])} "
@@ -288,12 +290,3 @@ def load_csv(path, names) -> dict:
         raise DataError(f"no data rows in {path}")
     return {name: _column(header, rows, name) for name in names}
 
-
-def write_table(path, header, rows) -> None:
-    """Write a CSV table from any iterable of rows, consumed as it is
-    written. Floats come out as shortest round-trip decimal text: the csv
-    module writes str(x), which for a float is repr(x)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

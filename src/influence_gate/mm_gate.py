@@ -18,18 +18,17 @@ g < 1/r, which is how violations are detected on the scan grid.
 The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
 depend on r: `kappa_profile` computes them once per deletion set, on a fixed
 log grid of GRID_SIZE points, at the endpoint limits and in the refinement
-of sup l and inf g. `scan_kappa(profile, r)` adds the r part, and
-`KappaProfile.moment_index` bisects on r with every probe scanning that one
-profile. The infimum of rss_star is refined on first read: a verdict
-settled by the sample size, a violation interval, the leverage or the slope
-pair never reads it. Nothing here depends on the kappa prior, which only
-the sampler reads.
+of sup l and inf g. `theorem41_verdict(profile, r)` reads the r part in the
+order of Thm 4.1 and stops at the first check that decides: the sample size
+(no kappa scan), the violation intervals of `scan_kappa(profile, r)`, sup l,
+the slope pair (C and inf g), and last the refined infimum of rss_star.
+`KappaProfile.moment_index` bisects on r with every probe judging that one
+profile. Nothing here depends on the kappa prior, which only the sampler
+reads.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .core_model import (
     deletion_set,
     each_set,
 )
+from .errors import DataError
 
 # Log-spaced kappa points of the scan.
 GRID_SIZE = 4096
@@ -60,24 +60,6 @@ R_TOL = 5e-4
 class Extremum:
     value: float
     kappa: float
-
-
-@dataclass(frozen=True)
-class KappaScan:
-    """What the Thm 4.1 verdict reads of the kappa axis at one r: C, the
-    refined extrema and the violation intervals, endpoint regimes included.
-    `inf_rss_star` runs `refine_rss_star` on first read; equality compares
-    the other fields."""
-
-    c_val: float
-    sup_leverage: Extremum
-    inf_g: Extremum
-    sign_change_intervals: tuple
-    refine_rss_star: Callable[[], Extremum] = field(compare=False, repr=False)
-
-    @cached_property
-    def inf_rss_star(self) -> Extremum:
-        return self.refine_rss_star()
 
 
 def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
@@ -194,7 +176,7 @@ class KappaProfile:
     inf_g: Extremum
 
     def moment_index(self) -> MomentIndexReport:
-        """Moment index by bisection on r, each probe scanning this profile.
+        """Moment index by bisection on r, each probe judging this profile.
 
         Bisection is valid because moment finiteness of the nonnegative
         weight is monotone in r. The leverage cut-off
@@ -209,7 +191,7 @@ class KappaProfile:
         hi = min(r_a, r_b)
 
         def finite_at(r):
-            return theorem41_verdict(data, dels, r, scan_kappa(self, r)).is_finite
+            return theorem41_verdict(self, r).is_finite
 
         lo = 1.0 + 1e-9
         if not finite_at(lo):
@@ -237,13 +219,18 @@ def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
     1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
     endpoint limits, with golden-section refinement around each grid
     maximum of leverage and minimum of g and the limits folded into the
-    reported extrema, so they cover the full half-line."""
+    reported extrema, so they cover the full half-line. Raises DataError
+    unless sum x v is positive on the grid and at both limits."""
     if dels.cardinality < 1:
         raise ValueError("deletion set must be nonempty")
     c, v, mask = data.concentration, data.velocity, dels.mask()
     grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), GRID_SIZE)
     sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], mask)
     zero, inf = ([float(s) for s in _kappa_sums(x, v, mask)] for x in (np.ones_like(c), c))
+    # "B > 0 iff g < 1/r" divides by sum x v, so it must be positive.
+    if not min(zero[2], inf[2], float(sums[2].min())) > 0:
+        raise DataError("the MM gate needs sum_i v_i c_i/(kappa + c_i) > 0 at every kappa; "
+                        "these velocities make it zero or negative")
 
     def refined(k, find_min):
         """Refined extremum of leverage (k = 0) or g (k = 2), sums[k+1]/sums[k]."""
@@ -259,20 +246,23 @@ def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
                         inf_g=refined(2, True))
 
 
-def scan_kappa(profile: KappaProfile, r: float) -> KappaScan:
-    """Add A, B, C and rss_star at order r to a kappa profile and find the
-    violation intervals; the infimum of rss_star is refined when first read."""
-    A, B, C, rss = _abc(profile.sums, profile.v2, r)
-    a0, b0, _, rss0 = _abc(profile.zero, profile.v2, r, 1e-14)
-    a1, b1, _, rss1 = _abc(profile.inf, profile.v2, r, 1e-12 * max(1.0, profile.inf[0]))
-    intervals = _violation_intervals(profile.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
-    return KappaScan(c_val=C, sup_leverage=profile.sup_leverage, inf_g=profile.inf_g,
-                     sign_change_intervals=tuple(intervals),
-                     refine_rss_star=partial(_inf_rss_star, profile, r, rss, rss0, rss1))
+def _abc_on(profile: KappaProfile, r: float) -> tuple:
+    """`_abc` at order r on the grid, as kappa -> 0 and as kappa -> infinity."""
+    return (_abc(profile.sums, profile.v2, r), _abc(profile.zero, profile.v2, r, 1e-14),
+            _abc(profile.inf, profile.v2, r, 1e-12 * max(1.0, profile.inf[0])))
 
 
-def _inf_rss_star(profile: KappaProfile, r, rss, rss0, rss1) -> Extremum:
-    """Infimum of rss_star at order r from its grid values and limits."""
+def scan_kappa(profile: KappaProfile, r: float) -> list:
+    """The violation intervals of a kappa profile at order r: A, B, C and
+    rss_star on the grid and at the endpoint limits, through
+    `_violation_intervals`."""
+    (A, B, C, rss), (a0, b0, _, rss0), (a1, b1, _, rss1) = _abc_on(profile, r)
+    return _violation_intervals(profile.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
+
+
+def _inf_rss_star(profile: KappaProfile, r: float) -> Extremum:
+    """Infimum of rss_star at order r, refined from its grid values and limits."""
+    (*_, rss), (*_, rss0), (*_, rss1) = _abc_on(profile, r)
     rss_limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
                   if not np.isnan(val)]
     if np.all(np.isnan(rss)) and not rss_limits:
@@ -327,38 +317,40 @@ def _violation_intervals(grid, A, B, C, rss, zero, infinity):
     return intervals
 
 
-def theorem41_verdict(
-    data: MMData, dels: DeletionSet, r: float, scan: KappaScan
-) -> MomentVerdict:
+def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     """Uniform-in-kappa finite/infinite decision at moment order r.
 
     Finite: leverage below 1/r uniformly, n > r*I + 1, and either rss_star
     positive uniformly or (C > 0 with g above 1/r uniformly). Infinite: a
     non-negligible kappa set violating leverage or the residual pair, or a
-    sample size failure. Anything else is a boundary case.
+    sample size failure. Anything else is a boundary case. The checks run
+    cheapest first, and the first that decides returns: the sample size
+    (no kappa scan), the violation intervals of `scan_kappa`, sup leverage,
+    the slope pair, and last the refined infimum of rss_star.
     """
     if not r > 1:
         raise ValueError("moment order r must exceed 1")
-    n, I = data.n, dels.cardinality
-    if n <= r * I + 1:
+    if profile.data.n <= r * profile.dels.cardinality + 1:
         return MomentVerdict.infinite("sample size: n <= r*I + 1")
-    if scan.sign_change_intervals:
-        kinds = sorted({name for name, _, _ in scan.sign_change_intervals})
+    intervals = scan_kappa(profile, r)
+    if intervals:
+        kinds = sorted({name for name, _, _ in intervals})
         return MomentVerdict.infinite(
             "violation on a non-negligible kappa set: " + ", ".join(kinds)
         )
     inv_r = 1.0 / r
     lev_tol = 1e-9
-    scaleC = max(1.0, abs(scan.c_val))
-    rss_tol = 1e-9 * scaleC
-    if scan.sup_leverage.value > inv_r + lev_tol:
+    if profile.sup_leverage.value > inv_r + lev_tol:
         # The supremum exceeds 1/r but no non-negligible interval was found:
         # the violation is confined to a vanishing set.
         return MomentVerdict.boundary("leverage touches 1/r on a negligible set")
-    if scan.sup_leverage.value >= inv_r - lev_tol:
+    if profile.sup_leverage.value >= inv_r - lev_tol:
         return MomentVerdict.boundary("supremum of leverage at 1/r")
-    slope_ok = scan.c_val > rss_tol and scan.inf_g.value > inv_r + lev_tol
-    if slope_ok or scan.inf_rss_star.value > rss_tol:
+    c_val = profile.v2[0] - r * profile.v2[1]
+    rss_tol = 1e-9 * max(1.0, abs(c_val))
+    if c_val > rss_tol and profile.inf_g.value > inv_r + lev_tol:
+        return MomentVerdict.finite()
+    if _inf_rss_star(profile, r).value > rss_tol:
         return MomentVerdict.finite()
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
@@ -373,6 +365,5 @@ def moment_index_mm(data: MMData, sets, r_values):
     for indices in each_set(sets, data.n):
         profile = kappa_profile(data, deletion_set(indices, data.n))
         reports.append(profile.moment_index())
-        verdicts.append([theorem41_verdict(data, profile.dels, r, scan_kappa(profile, r))
-                         for r in r_values])
+        verdicts.append([theorem41_verdict(profile, r) for r in r_values])
     return reports, verdicts

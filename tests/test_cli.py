@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
-from influence_gate.cli import SCAN_CSV_COLUMNS, main
-from influence_gate.core_model import deletion_set, write_table
+from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
+from influence_gate.core_model import deletion_set
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
@@ -505,7 +505,7 @@ def random_logit(tmp_path, n: int, covariates: int) -> dict:
     names = [f"x{j}" for j in range(covariates)]
     path = tmp_path / "logit.csv"
     outcome, design = rng.integers(0, 2, n).tolist(), rng.standard_normal((n, covariates)).tolist()
-    write_table(path, ["y", *names], ([y, *x] for y, x in zip(outcome, design)))
+    write_csv_report(path, ["y", *names], ([y, *x] for y, x in zip(outcome, design)))
     return {"model": "logit", "data": path, "data.covariates": ", ".join(names),
             "deletion.indices": "1", "sampler.draws": "5000",
             "verify.m_grid": "100, 200", "verify.replications": "2"}
@@ -551,6 +551,28 @@ def test_flat_prior_with_an_exact_fit_is_data_error(tmp_path, capsys, command):
     assert run(tmp_path, command, config) == 3
     assert capsys.readouterr().err == ("data error: the flat prior gives an improper posterior "
                                        "when the design fits the response exactly (RSS = 0)\n")
+    assert not (tmp_path / "out").exists()
+
+
+MM_UNJUDGED = {
+    # one case: r_b = (n - 1)/I = 0, and the flat-prior posterior is improper
+    "one-case": "concentration,velocity\n0.5,100\n",
+    # sum v = 0 is sum x v as kappa -> 0, the denominator of g
+    "zero-sum": "concentration,velocity\n0.5,1\n1,-1\n2,2\n4,-2\n",
+    "all-zero": "concentration,velocity\n0.5,0\n1,0\n2,0\n4,0\n",
+    # sum v and sum c v are positive, but sum x v is about -0.1 at kappa = 1
+    "negative-inside": "concentration,velocity\n0.001,2\n1,-1\n1000,0.4\n5,0\n",
+}
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+@pytest.mark.parametrize("rows", MM_UNJUDGED.values(), ids=list(MM_UNJUDGED))
+def test_mm_data_the_gate_cannot_judge_is_data_error(tmp_path, capsys, command, rows):
+    path = tmp_path / "mm.csv"
+    path.write_text(rows)
+    assert run(tmp_path, command, {"model": "mm", "data": path, "deletion.indices": "1"}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -730,9 +752,10 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
     result = make_result()
     columns = (result.r_a, result.r_b, result.r_c, result.r_star)
     whole = tmp_path / "whole.csv"
-    write_table(whole, SCAN_CSV_COLUMNS,
-                [["+".join(str(j + 1) for j in subset), *values]
-                 for subset, *values in zip(result.subsets.tolist(), *(c.tolist() for c in columns))])
+    write_csv_report(whole, SCAN_CSV_COLUMNS,
+                     [["+".join(str(j + 1) for j in subset), *values]
+                      for subset, *values in zip(result.subsets.tolist(),
+                                                 *(c.tolist() for c in columns))])
     monkeypatch.setattr(linear_gate, "scan_deletion_subsets", lambda *args: result)
     monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", block)
     assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0

@@ -12,8 +12,8 @@ from influence_gate.core_model import (
     VerdictTag,
     deletion_set,
     load_csv,
-    write_table,
 )
+from influence_gate.cli import write_csv_report
 from influence_gate.errors import DataError
 
 from conftest import model_inputs
@@ -112,8 +112,8 @@ class TestRoundTrip:
         conc = np.abs(rng.standard_normal(9)) + 1e-3
         vel = rng.standard_normal(9) * 100
         p = tmp_path / "rt.csv"
-        write_table(p, ["concentration", "velocity"],
-                    [[float(c), float(v)] for c, v in zip(conc, vel)])
+        write_csv_report(p, ["concentration", "velocity"],
+                         [[float(c), float(v)] for c, v in zip(conc, vel)])
         back = load_csv(p, MM_COLUMNS)
         assert np.array_equal(back["concentration"], conc)
         assert np.array_equal(back["velocity"], vel)

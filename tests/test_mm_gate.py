@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 
@@ -12,6 +11,7 @@ from influence_gate.core_model import MMData, VerdictTag, deletion_set
 from influence_gate.mm_gate import (
     Extremum,
     _abc,
+    _inf_rss_star,
     _kappa_sums,
     _local_extrema_indices,
     _refined_extremum,
@@ -112,9 +112,9 @@ class TestScanKappa:
         assert sup_g == pytest.approx(0.05501, abs=5e-4)
 
     def test_negative_rss_near_008_case_1(self, puromycin):
-        scan = scan_kappa(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
-        assert scan.inf_rss_star.value < 0
-        assert 0.04 < scan.inf_rss_star.kappa < 0.15
+        inf_rss_star = _inf_rss_star(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
+        assert inf_rss_star.value < 0
+        assert 0.04 < inf_rss_star.kappa < 0.15
 
     def test_asymptotic_coefficients_match(self, puromycin):
         # kappa^2 A -> sum c^2 - r sum_del c^2 as kappa -> infinity, at r = 2
@@ -159,7 +159,7 @@ class TestScanKappa:
         profile = kappa_profile(puromycin, dels)
         grid_lev = [mm_reference(puromycin, dels, 2.0, float(k))["leverage"]
                     for k in profile.grid[::97]]
-        assert scan_kappa(profile, 2.0).sup_leverage.value >= max(grid_lev) - 1e-12
+        assert profile.sup_leverage.value >= max(grid_lev) - 1e-12
 
     def test_empty_deletion_rejected(self, puromycin):
         with pytest.raises(ValueError):
@@ -168,29 +168,23 @@ class TestScanKappa:
 
 class TestTheorem41Verdict:
     def test_case_11_infinite_at_2(self, puromycin):
-        dels = deletion_set([10], 11)
-        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
-        v = theorem41_verdict(puromycin, dels, 2.0, scan)
+        v = theorem41_verdict(kappa_profile(puromycin, deletion_set([10], 11)), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "leverage" in v.detail
 
     def test_case_1_infinite_at_2(self, puromycin):
-        dels = deletion_set([0], 11)
-        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
-        v = theorem41_verdict(puromycin, dels, 2.0, scan)
+        v = theorem41_verdict(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "residual" in v.detail
 
     def test_middle_cases_finite_at_2(self, puromycin):
         for i in range(1, 10):
-            dels = deletion_set([i], 11)
-            scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
-            assert theorem41_verdict(puromycin, dels, 2.0, scan).is_finite, f"case {i + 1}"
+            profile = kappa_profile(puromycin, deletion_set([i], 11))
+            assert theorem41_verdict(profile, 2.0).is_finite, f"case {i + 1}"
 
     def test_sample_size_condition(self, puromycin):
         dels = deletion_set([0, 1, 2, 3, 4], 11)  # I = 5, so n <= rI+1 at r = 2
-        scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
-        v = theorem41_verdict(puromycin, dels, 2.0, scan)
+        v = theorem41_verdict(kappa_profile(puromycin, dels), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "sample size" in v.detail
 
@@ -198,8 +192,7 @@ class TestTheorem41Verdict:
         dels = deletion_set([4], 11)
         seen_infinite = False
         for r in np.linspace(1.2, 4.0, 15):
-            scan = scan_kappa(kappa_profile(puromycin, dels), float(r))
-            v = theorem41_verdict(puromycin, dels, float(r), scan)
+            v = theorem41_verdict(kappa_profile(puromycin, dels), float(r))
             if seen_infinite and v.is_finite:
                 pytest.fail(f"flip back to finite at r={r}")
             seen_infinite = seen_infinite or v.tag is VerdictTag.INFINITE
@@ -327,9 +320,9 @@ class TestKappaProfile:
     def test_extrema_match_pointwise_evaluation(self, puromycin):
         for case in (1, 9):  # case 9 has an interior supremum of leverage
             dels = deletion_set([case - 1], 11)
-            scan = scan_kappa(kappa_profile(puromycin, dels), 2.0)
-            for ext, field in ((scan.sup_leverage, "leverage"), (scan.inf_g, "g"),
-                               (scan.inf_rss_star, "rss_star")):
+            profile = kappa_profile(puromycin, dels)
+            for ext, field in ((profile.sup_leverage, "leverage"), (profile.inf_g, "g"),
+                               (_inf_rss_star(profile, 2.0), "rss_star")):
                 if 0.0 < ext.kappa < math.inf:
                     assert kernel_at(puromycin, dels, 2.0, ext.kappa)[field] == ext.value
                     want = mm_reference(puromycin, dels, 2.0, ext.kappa)[field]
@@ -348,12 +341,9 @@ def array_rss_star_at(data, mask, v2, r, kappa) -> float:
     return math.inf if np.isnan(val) else float(val)
 
 
-LAZY_SCAN = scan_kappa
-
-
-def eager_scan(profile, r):
-    """Oracle: the scan with the infimum of rss_star refined at once by the
-    array objective, as the scan did before refinement moved to first read."""
+def eager_inf_rss_star(profile, r):
+    """Oracle: the infimum of rss_star refined by the array objective, from
+    the grid values and limits of `_abc` alone."""
     mask = profile.dels.mask()
     rss = _abc(profile.sums, profile.v2, r)[3]
     rss0 = _abc(profile.zero, profile.v2, r, 1e-14)[3]
@@ -361,13 +351,11 @@ def eager_scan(profile, r):
     limits = [(float(val), kappa) for val, kappa in ((rss0, 0.0), (rss1, math.inf))
               if not np.isnan(val)]
     if np.all(np.isnan(rss)) and not limits:
-        inf_rss_star = Extremum(value=-math.inf, kappa=float(profile.grid[0]))
-    else:
-        inf_rss_star = _refined_extremum(
-            profile.grid, rss,
-            lambda kappa: array_rss_star_at(profile.data, mask, profile.v2, r, kappa),
-            True, limits)
-    return dataclasses.replace(LAZY_SCAN(profile, r), refine_rss_star=lambda: inf_rss_star)
+        return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
+    return _refined_extremum(
+        profile.grid, rss,
+        lambda kappa: array_rss_star_at(profile.data, mask, profile.v2, r, kappa),
+        True, limits)
 
 
 def bits(x: float) -> bytes:
@@ -391,7 +379,7 @@ class TestLazyRssStar:
         lazy = moment_index_mm(puromycin, size, self.R_VALUES)
         with monkeypatch.context() as m:
             m.setattr(mm_gate, "_sums_at", array_sums_at)
-            m.setattr(mm_gate, "scan_kappa", eager_scan)
+            m.setattr(mm_gate, "_inf_rss_star", eager_inf_rss_star)
             eager = moment_index_mm(puromycin, size, self.R_VALUES)
         assert len(lazy[0]) == math.comb(11, size)
         assert lazy == eager
@@ -403,10 +391,9 @@ class TestLazyRssStar:
     ])
     def test_settled_verdict_never_refines_rss_star(self, puromycin, monkeypatch, cases, r,
                                                     reason):
-        dels = deletion_set(cases, 11)
-        profile = kappa_profile(puromycin, dels)
+        profile = kappa_profile(puromycin, deletion_set(cases, 11))
         calls = count_refinements(monkeypatch)
-        verdict = theorem41_verdict(puromycin, dels, r, scan_kappa(profile, r))
+        verdict = theorem41_verdict(profile, r)
         assert verdict.tag is VerdictTag.INFINITE and verdict.detail == reason
         assert calls == []
 
@@ -415,25 +402,22 @@ class TestLazyRssStar:
         # at r = 2 as finite although inf rss_star is negative.
         data = MMData(concentration=[1.72, 0.12, 1.47, 0.39, 1.73, 1.11],
                       velocity=[-5.0, 13.0, -46.0, -31.0, 51.0, 47.0])
-        dels = deletion_set([4], 6)
-        profile = kappa_profile(data, dels)
+        profile = kappa_profile(data, deletion_set([4], 6))
         calls = count_refinements(monkeypatch)
-        scan = scan_kappa(profile, 2.0)
-        assert theorem41_verdict(data, dels, 2.0, scan).is_finite
+        assert theorem41_verdict(profile, 2.0).is_finite
         assert calls == []
-        assert scan.inf_rss_star.value < 0 and len(calls) == 1
+        assert _inf_rss_star(profile, 2.0).value < 0 and len(calls) == 1
 
     def test_residual_verdict_refines_rss_star_once(self, puromycin, monkeypatch):
         # r_c of case 1 is 1.59: below it no violation interval settles the
         # verdict, and C > 0 with inf g above 1/r fails, so rss_star is read.
-        dels = deletion_set([0], 11)
-        profile = kappa_profile(puromycin, dels)
+        profile = kappa_profile(puromycin, deletion_set([0], 11))
         calls = count_refinements(monkeypatch)
-        scan = scan_kappa(profile, 1.5)
-        assert not (scan.c_val > 0 and scan.inf_g.value > 1 / 1.5)
-        assert theorem41_verdict(puromycin, dels, 1.5, scan).is_finite
-        assert scan.inf_rss_star == scan.inf_rss_star == eager_scan(profile, 1.5).inf_rss_star
+        c_val = profile.v2[0] - 1.5 * profile.v2[1]
+        assert not (c_val > 0 and profile.inf_g.value > 1 / 1.5)
+        assert theorem41_verdict(profile, 1.5).is_finite
         assert len(calls) == 1
+        assert _inf_rss_star(profile, 1.5) == eager_inf_rss_star(profile, 1.5)
 
     def test_scalar_objective_is_bit_identical_to_array_code(self, puromycin):
         rng = np.random.default_rng(17)
@@ -466,3 +450,28 @@ class TestLazyRssStar:
                     assert type(got) is float and bits(got) == bits(want), (cases, r, kappa)
                     undefined += math.isinf(want)
         assert undefined > 0
+
+
+def count_scans(monkeypatch) -> list:
+    """Wrap `mm_gate.scan_kappa`; the returned list gets the order r of each
+    call."""
+    orders = []
+    monkeypatch.setattr(mm_gate, "scan_kappa",
+                        lambda profile, r: orders.append(r) or scan_kappa(profile, r))
+    return orders
+
+
+class TestCheckOrder:
+    def test_sample_size_verdict_scans_no_kappa(self, puromycin, monkeypatch):
+        # n = 11 <= 10.5 * 1 + 1 settles case 5 at r = 10.5 before any scan.
+        orders = count_scans(monkeypatch)
+        _, verdicts = moment_index_mm(puromycin, [(4,)], [10.5])
+        assert verdicts[0][0].detail == "sample size: n <= r*I + 1"
+        assert orders and 10.5 not in orders
+
+    def test_singleton_gate_scans_once_per_verdict(self, puromycin, monkeypatch):
+        # 11 bisections and 11 verdicts at r = 2; a second scan per probe
+        # would double this.
+        orders = count_scans(monkeypatch)
+        moment_index_mm(puromycin, 1, [2.0])
+        assert len(orders) == 188

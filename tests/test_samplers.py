@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from influence_gate import samplers
-from influence_gate.core_model import LogitData, RegressionData, write_table
+from influence_gate.cli import write_csv_report
+from influence_gate.core_model import LogitData, RegressionData
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.linear_gate import LinearPrior
@@ -247,7 +248,7 @@ class TestDrawExport:
     def test_csv_roundtrip_columns(self, tmp_path, puromycin):
         res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100), 1.0)
         out = tmp_path / "draws.csv"
-        write_table(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
+        write_csv_report(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
         header = out.read_text().splitlines()[0]
         assert header == "m,sigma2,kappa"
         body = np.loadtxt(out, delimiter=",", skiprows=1)

@@ -47,8 +47,8 @@ def test_survival_rows_are_the_hill_estimate_at_each_rank():
 def test_constant_log_weights_give_a_degenerate_report():
     family, data, prior = model_inputs(FZ_LINEAR)
     dels = deletion_set([], data.n)
-    analytic = family.index(data, prior, [dels.indices], ())[0][0]
-    tail = verify_moment_index(family, data, prior, dels, analytic,
+    r_star = family.index(data, prior, [dels.indices], ())[0][0].r_star
+    tail = verify_moment_index(family, data, prior, dels, r_star,
                                SamplerConfig(seed=1, draws=200))
     assert tail.degenerate is True
     assert tail.agreement is None
