@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import deletion_set, each_set, load_csv
+from .core_model import all_subsets, deletion_set, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
 from .samplers import SamplerConfig
@@ -377,21 +377,25 @@ def cmd_gate(cfg: dict) -> None:
         raise ConfigError("gate needs deletion.indices or deletion.scan_size")
     family, data, prior = _model_inputs(cfg)
     if indices is not None:
-        sets = [_deletion(cfg, data.n).indices]
+        sets = _deletion(cfg, data.n).index_array()[None, :]
     else:
-        sets = size
         _check_scan_size(size, data.n, 0)
-    reports, verdicts = family.index(data, prior, sets, cfg["r"])
-    rows = [_gate_row(indices, r, verdict, rep)
-            for indices, rep, per_r in zip(each_set(sets, data.n), reports, verdicts)
-            for r, verdict in zip(cfg["r"], per_r)]
+        sets = all_subsets(data.n, size)
+    rows = _gate_rows(*family.index(data, prior, sets, cfg["r"]), cfg["r"])
     _write_report(cfg["out"], "gate_report", "gate", GATE_CSV_COLUMNS, rows)
 
 
-def _gate_row(indices, r, verdict, rep) -> list:
-    """One gate table row, ordered as GATE_CSV_COLUMNS."""
-    return [_subset_label(indices), float(r), verdict.tag.value, verdict.detail,
-            float(rep.r_a), float(rep.r_b), float(rep.r_c), float(rep.r_star), rep.binding]
+def _gate_rows(report, verdicts, r_values) -> list:
+    """The gate table, one row per set and order r, ordered as
+    GATE_CSV_COLUMNS. `cmd_gate` passes the report and verdicts straight in,
+    so they are freed before the table is written. A row's r_star is the
+    least of its three cut-off floats, that same object: one more float per
+    row would raise the command's peak memory."""
+    cuts = [map(float, col) for col in (report.r_a, report.r_b, report.r_c)]
+    return [[_subset_label(subset), float(r), verdict.tag.value, verdict.detail,
+             *cut, min(cut), binding]
+            for subset, *cut, binding, per_r in zip(report.subsets, *cuts, report.binding, verdicts)
+            for r, verdict in zip(r_values, per_r)]
 
 
 def cmd_scan(cfg: dict) -> None:
@@ -451,11 +455,11 @@ def _scan_text(result, n: int):
     which keeps -0.0 apart from 0.0 and never merges NaN payloads.
     """
     names = np.array([str(i + 1) for i in range(n)], dtype=object)
+    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
     for start in range(0, result.count, SCAN_CSV_BLOCK):
         part = slice(start, start + SCAN_CSV_BLOCK)
         labels = map("+".join, zip(*names[result.subsets[part].T].tolist()))
-        r_a, r_b, r_c, r_star = (col[part] for col in
-                                 (result.r_a, result.r_b, result.r_c, result.r_star))
+        r_a, r_b, r_c, r_star = (col[part] for col in columns)
         b_bits = r_b.view(np.int64)
         if np.all(b_bits == b_bits[0]):
             b_text = repeat(repr(r_b[0].item()))
@@ -507,14 +511,14 @@ _MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.TOP_
 
 def _sampling_inputs(cfg: dict, command: str, default_draws: int):
     """What estimate and verify share, all checked before any sampling:
-    (family, data, prior, deletion set, its analytic report, sampler config)."""
+    (family, data, prior, deletion set, its analytic r_star, sampler config)."""
     if cfg["deletion.indices"] is None:
         raise ConfigError(f"{command} needs deletion.indices")
     family, data, prior = _model_inputs(cfg)
     sampler_cfg = _sampler_config(cfg, default_draws, len(family.columns(data)))
     dels = _deletion(cfg, data.n)
-    report = family.index(data, prior, [dels.indices], ())[0][0]
-    return family, data, prior, dels, report, sampler_cfg
+    report = family.index(data, prior, dels.index_array()[None, :], ())[0]
+    return family, data, prior, dels, float(report.r_star[0]), sampler_cfg
 
 
 def cmd_estimate(cfg: dict) -> None:
@@ -525,12 +529,12 @@ def cmd_estimate(cfg: dict) -> None:
     restores a CLT when the gate blocks (mixture sampling itself is out of
     scope here).
     """
-    family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
+    family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
     log_weights = family.log_weight(loglik, dels.cardinality)
     label = _subset_label(dels.indices)
-    ests = [is_engine.estimate_measure(log_weights, measure, report.r_star, loglik)
+    ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
     # from it is degenerate, however good the value looks.
@@ -556,12 +560,11 @@ def cmd_estimate(cfg: dict) -> None:
 def cmd_verify(cfg: dict) -> None:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
     m_grid, reps = cfg["verify.m_grid"], cfg["verify.replications"]
-    family, data, prior, dels, report, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
+    family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
     if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
-    tail = tail_verifier.verify_moment_index(family, data, prior, dels, report.r_star,
-                                             sampler_cfg)
+    tail = tail_verifier.verify_moment_index(family, data, prior, dels, r_star, sampler_cfg)
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     if tail.survival:

@@ -8,7 +8,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,10 @@ class RegressionData:
 @dataclass(frozen=True)
 class MMData:
     """Strictly positive substrate concentrations and observed velocities,
-    of two or more cases."""
+    of three or more cases. With one case the flat prior on (m, sigma2)
+    gives an improper posterior. With two, m c/(kappa + c) can fit both
+    points exactly at some kappa0, and then the kappa-marginal, which is
+    proportional to RSS(kappa)^(-(n-1)/2), has a non-integrable spike there."""
 
     concentration: np.ndarray
     velocity: np.ndarray
@@ -92,9 +95,9 @@ class MMData:
         vel = np.asarray(self.velocity, dtype=float).ravel()
         if conc.shape[0] != vel.shape[0]:
             raise DataError("concentration and velocity must have equal length")
-        if conc.shape[0] < 2:
-            raise DataError(f"need at least two observations, got {conc.shape[0]}: with one, "
-                            "the flat prior on (m, sigma2) gives an improper posterior")
+        if conc.shape[0] < 3:
+            raise DataError(f"need at least three observations, got {conc.shape[0]}: with "
+                            "fewer the MM posterior is improper")
         bad = np.nonzero(conc <= 0.0)[0]
         if bad.size:
             raise DataError(f"concentration must be strictly positive; got {float(conc[bad[0]])} "
@@ -171,10 +174,12 @@ def deletion_set(indices, n: int) -> DeletionSet:
     return DeletionSet(indices=tuple(sorted(cleaned)), n=n)
 
 
-def each_set(sets, n: int):
-    """The deletion sets that `sets` names: its own items, or for an int I
-    every subset of size I of range(n), in lexicographic order."""
-    return combinations(range(n), sets) if isinstance(sets, int) else sets
+def all_subsets(n: int, size: int) -> np.ndarray:
+    """Every subset of `size` of range(n) in lexicographic order, one per row
+    of a (C(n, size), size) int array; size 0 gives the one empty set."""
+    count = math.comb(n, size)
+    flat = chain.from_iterable(combinations(range(n), size))
+    return np.fromiter(flat, dtype=int, count=count * size).reshape(count, size)
 
 
 class VerdictTag(str, Enum):
@@ -213,33 +218,40 @@ class MomentVerdict:
 
 
 # Cut-off names in tie order: the first of equal minimal cut-offs binds.
-_CUTOFF_NAMES = ("leverage", "sample-size", "residual")
+_CUTOFF_NAMES = np.array(["leverage", "sample-size", "residual"], dtype=object)
 
 
 @dataclass(frozen=True)
 class MomentIndexReport:
-    """Analytic moment cut-offs; r_star = min(r_a, r_b, r_c)."""
+    """Analytic moment cut-offs of N deletion sets: `subsets` is their
+    (N, I) int array, 0-based, and r_a, r_b, r_c and `binding` hold one
+    entry per set; `binding` names what sets r_star = min(r_a, r_b, r_c)."""
 
-    r_a: float
-    r_b: float
-    r_c: float
-    binding: str
+    subsets: np.ndarray
+    r_a: np.ndarray
+    r_b: np.ndarray
+    r_c: np.ndarray
+    binding: np.ndarray
 
     def __post_init__(self):
         for name in ("r_a", "r_b", "r_c"):
-            if not getattr(self, name) > 0:
+            if not np.all(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
 
     @property
-    def r_star(self) -> float:
-        return min(self.r_a, self.r_b, self.r_c)
+    def r_star(self) -> np.ndarray:
+        return np.minimum(np.minimum(self.r_a, self.r_b), self.r_c)
+
+    @property
+    def count(self) -> int:
+        return self.subsets.shape[0]
 
     @classmethod
-    def of(cls, r_a: float, r_b: float, r_c: float):
-        """The report of three cut-offs whose binding names the first
-        minimal one, in the order leverage, sample-size, residual."""
-        cuts = (r_a, r_b, r_c)
-        return cls(r_a, r_b, r_c, binding=_CUTOFF_NAMES[cuts.index(min(cuts))])
+    def of(cls, subsets, r_a, r_b, r_c):
+        """The report of three cut-off arrays whose binding names, per set,
+        the first minimal one in the order leverage, sample-size, residual."""
+        first = np.where((r_a <= r_b) & (r_a <= r_c), 0, np.where(r_b <= r_c, 1, 2))
+        return cls(subsets, r_a, r_b, r_c, binding=_CUTOFF_NAMES[first])
 
 
 # --- CSV ingestion -----------------------------------------------------------

@@ -41,8 +41,6 @@ from .logit_gate import moment_index_logit
 from .mm_gate import moment_index_mm
 from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
 
-_EMPTY_REPORT = MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=math.inf,
-                                  binding="empty deletion")
 _EMPTY_VERDICT = MomentVerdict.finite("empty deletion: weight is constant")
 
 
@@ -56,8 +54,8 @@ class Family:
     - columns(data) -> the names of a draw's parameters, one per draw column;
     - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
     - sample(data, prior, SamplerConfig) -> SampleResult;
-    - kernel(data, prior, sets, r_values) -> (reports, verdict lists): the
-      model's batched moment-index kernel, `moment_index_linear`,
+    - kernel(data, prior, sets, r_values) -> (MomentIndexReport, verdict
+      lists): the model's batched moment-index kernel, `moment_index_linear`,
       `moment_index_mm` or `moment_index_logit` of its gate module, for
       nonempty deletion sets; `index` is its one entry.
     """
@@ -74,20 +72,21 @@ class Family:
         """Log deletion weight from the deleted cases' log-likelihood."""
         return -log_likelihood - cardinality * self.log_weight_constant
 
-    def index(self, data, prior, sets, r_values):
-        """Moment index of each deletion set and its verdicts at each order
-        r in `r_values`: (reports, one verdict list per set ordered as
-        `r_values`), both indexed and iterated in set order; with no
-        r_values only the reports are meant to be read. `sets` is a list of
-        0-based index tuples of one size I, or the int I for every subset
-        of size I in lexicographic order.
+    def index(self, data, prior, sets: np.ndarray, r_values):
+        """Moment index of each row of `sets`, an (N, I) array of 0-based
+        deletion sets, and its verdicts at each order r in `r_values`:
+        (MomentIndexReport, one verdict list per set ordered as
+        `r_values`); with no r_values only the report is meant to be read.
 
         Deleting no case leaves the weight constant, with every moment
         finite: the empty set gets no cut-off and a finite verdict at every
         r, and the kernel is not called.
         """
-        if (sets if isinstance(sets, int) else len(sets[0])) == 0:
-            return [_EMPTY_REPORT], [[_EMPTY_VERDICT] * len(r_values)]
+        if sets.shape[1] == 0:
+            never = np.full(len(sets), math.inf)
+            binding = np.full(len(sets), "empty deletion", dtype=object)
+            return (MomentIndexReport(sets, never, never, never, binding),
+                    [[_EMPTY_VERDICT] * len(r_values) for _ in sets])
         return self.kernel(data, prior, sets, r_values)
 
 

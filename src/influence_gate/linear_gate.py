@@ -12,11 +12,10 @@ which at r = 1 equals the refit RSS of the case-deleted least-squares fit.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .core_model import MomentIndexReport, MomentVerdict, RegressionData, deletion_set
+from .core_model import MomentIndexReport, MomentVerdict, RegressionData, all_subsets, deletion_set
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -29,9 +28,11 @@ EIGENVALUE_BOUNDARY_TOL = 1e-9
 # of being divided by it.
 _NULL_EIGENVALUE = 1e-14
 
-# Subsets per batched kernel call in a scan; bounds the memory held by the
-# stacked matrices and eigenvectors.
-_SCAN_CHUNK = 65536
+# Deletion sets per spectral pass of the kernel; bounds the memory that the
+# stacked matrices and eigenvectors hold beside the whole set array. On all
+# 237,336 Feigl-Zelen 5-subsets the traced allocation peak is ~30 MB at this
+# size and ~45 MB at 65536.
+_SCAN_CHUNK = 32768
 
 # The r_c Newton iteration stops for a set once its step is below this
 # relative size (a few ulps). Every Feigl-Zelen 5-subset settles within 17
@@ -283,70 +284,26 @@ def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
     return [outcomes[c] for c in np.select(checks, range(len(checks)), len(checks))]
 
 
-@dataclass(frozen=True)
-class SubsetScanResult:
-    """Cut-off arrays of N deletion sets. Indexing gives the report of one
-    set, built when it is asked for, so iterating over the result reads the
-    reports off the arrays one set at a time."""
-
-    subsets: np.ndarray  # (N, I) int, 0-based; lexicographic in a scan
-    r_a: np.ndarray
-    r_b: np.ndarray
-    r_c: np.ndarray
-    r_star: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.subsets.shape[0]
-
-    def __getitem__(self, i: int) -> MomentIndexReport:
-        return MomentIndexReport.of(float(self.r_a[i]), float(self.r_b[i]), float(self.r_c[i]))
-
-
-def _index_batch(hat, idx: np.ndarray, n: int, k: int, prior: LinearPrior, r_values=()):
-    """Cut-offs of an (N, I) index array and its verdicts at each r in
-    `r_values`, from one spectral pass: (SubsetScanResult, one verdict list
-    per set, ordered as `r_values`, or [] when r_values is empty)."""
-    Q, e, rss = hat
-    lam, u2 = leverage_minor(Q, e, idx)
-    r_a, r_b, r_c = _cutoffs(lam, u2, rss, n, k, prior)
-    result = SubsetScanResult(subsets=idx, r_a=r_a, r_b=r_b, r_c=r_c,
-                              r_star=np.minimum(np.minimum(r_a, r_b), r_c))
-    per_r = [theorem31_verdict(lam, u2, rss, n, k, r, prior) for r in r_values]
-    return result, [list(row) for row in zip(*per_r)]
-
-
-def _subset_blocks(n: int, size: int):
-    """Every subset of `size` of range(n) in lexicographic order, as index
-    arrays of at most _SCAN_CHUNK rows."""
-    if not 1 <= size <= n:
-        raise ValueError("subset size must be in [1, n]")
-    combos = combinations(range(n), size)
-    while (chunk := np.fromiter(chain.from_iterable(islice(combos, _SCAN_CHUNK)), dtype=int)).size:
-        yield chunk.reshape(-1, size)
-
-
-def moment_index_linear(data: RegressionData, sets, r_values, prior: LinearPrior):
-    """Cut-offs r_a, r_b, r_c of many deletion sets and their Thm 3.1
+def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior: LinearPrior):
+    """Cut-offs r_a, r_b, r_c of each row of `sets`, an (N, I) array of
+    0-based deletion sets of a common size I >= 1, and their Thm 3.1
     verdicts at each order r in `r_values` (all above 1), both read off one
-    spectral pass.
+    spectral pass, _SCAN_CHUNK sets at a time.
 
-    `sets` is an (N, I) array of 0-based deletion sets of a common size
-    I >= 1, or the int I for every subset of size I in lexicographic order.
-    Returns (SubsetScanResult, one verdict list per set, ordered as
-    `r_values`); with no r_values the verdict list is empty. The result
-    indexes as the sets' reports. A single deletion set is a (1, I) array.
+    Returns (MomentIndexReport, one verdict list per set, ordered as
+    `r_values`); with no r_values the verdict list is empty.
     """
     r_values = [float(r) for r in r_values]
     if not all(r > 1 for r in r_values):
         raise ValueError("moment order r must exceed 1")
-    hat = _hat(data)
-    blocks = _subset_blocks(data.n, sets) if isinstance(sets, int) else [np.asarray(sets, dtype=int)]
-    results, verdicts = zip(*(_index_batch(hat, idx, data.n, data.k, prior, r_values)
-                              for idx in blocks))
-    result = SubsetScanResult(**{name: np.concatenate([getattr(part, name) for part in results])
-                                 for name in ("subsets", "r_a", "r_b", "r_c", "r_star")})
-    return result, [row for part in verdicts for row in part]
+    Q, e, rss = _hat(data)
+    cuts, verdicts = [], []
+    for start in range(0, sets.shape[0], _SCAN_CHUNK):
+        lam, u2 = leverage_minor(Q, e, sets[start:start + _SCAN_CHUNK])
+        cuts.append(_cutoffs(lam, u2, rss, data.n, data.k, prior))
+        per_r = [theorem31_verdict(lam, u2, rss, data.n, data.k, r, prior) for r in r_values]
+        verdicts += map(list, zip(*per_r))
+    return MomentIndexReport.of(sets, *map(np.concatenate, zip(*cuts))), verdicts
 
 
 # --- subset scans and k-fold audits --------------------------------------------
@@ -354,27 +311,24 @@ def moment_index_linear(data: RegressionData, sets, r_values, prior: LinearPrior
 
 def scan_deletion_subsets(
     data: RegressionData, subset_size: int, prior: LinearPrior
-) -> SubsetScanResult:
-    """Cut-offs for every deletion subset of the given size.
-
-    Enumerates all C(n, I) subsets in lexicographic order; the per-subset
-    spectral work is batched, _SCAN_CHUNK subsets at a time, so that scans
-    over ~1e5 subsets stay cheap.
-    """
-    return moment_index_linear(data, int(subset_size), (), prior)[0]
+) -> MomentIndexReport:
+    """Cut-offs for every deletion subset of the given size, in
+    lexicographic order."""
+    if not 1 <= subset_size <= data.n:
+        raise ValueError("subset size must be in [1, n]")
+    return moment_index_linear(data, all_subsets(data.n, subset_size), (), prior)[0]
 
 
 def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -> np.ndarray:
     """r_star for each fold, treating each fold as the deletion set.
 
-    Folds of equal size share one batched kernel call, so a list of folds
-    from many partitions costs one call per distinct fold size.
+    Folds of equal size share one kernel call, so a list of folds from many
+    partitions costs one call per distinct fold size.
     """
     sets = [deletion_set(fold, data.n).indices for fold in folds]
-    hat = _hat(data)
     out = np.empty(len(sets))
     for size in sorted(set(map(len, sets))):
         rows = [i for i, s in enumerate(sets) if len(s) == size]
         idx = np.array([sets[i] for i in rows], dtype=int)
-        out[rows] = _index_batch(hat, idx, data.n, data.k, prior)[0].r_star
+        out[rows] = moment_index_linear(data, idx, (), prior)[0].r_star
     return out

@@ -16,14 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_model import (
-    DeletionSet,
-    LogitData,
-    MomentIndexReport,
-    MomentVerdict,
-    deletion_set,
-    each_set,
-)
+from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict, deletion_set
 from .errors import BudgetError
 
 # Candidate budget for exact vertex enumeration.
@@ -132,27 +125,22 @@ def theorem51_verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
     return MomentVerdict.finite()
 
 
-def _index_report(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> MomentIndexReport:
-    """r* = min over vertices of the root of h0 + (r-1)*slope; the first
-    vertex attaining it binds. Every per-case contribution is <= 0, so with
-    epsilon >= 0 h0 <= 0 and each root is at least 1."""
+def _index_cutoff(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> tuple:
+    """(r*, binding): r* = min over vertices of the root of h0 + (r-1)*slope,
+    and the first vertex attaining it binds. Every per-case contribution is
+    <= 0, so with epsilon >= 0 h0 <= 0 and each root is at least 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.where(slope > 1e-12, 1.0 - h0 / slope, math.inf)
     i = int(np.argmin(roots))
     if roots[i] > R_STAR_CAP:
-        return MomentIndexReport(
-            r_a=math.inf, r_b=math.inf, r_c=math.inf,
-            binding=f"criterion negative up to the r cap {R_STAR_CAP:g}",
-        )
-    binding = "criterion vertex " + str(np.round(betas[i], 9).tolist())
-    return MomentIndexReport(r_a=math.inf, r_b=math.inf, r_c=float(roots[i]), binding=binding)
+        return math.inf, f"criterion negative up to the r cap {R_STAR_CAP:g}"
+    return float(roots[i]), "criterion vertex " + str(np.round(betas[i], 9).tolist())
 
 
-def moment_index_logit(data: LogitData, sets, r_values, epsilon: float):
-    """Moment index of each 0-based deletion set in `sets` and its Thm 5.1
-    verdicts at each order r in `r_values`: (reports, one verdict list per
-    set ordered as `r_values`). `sets` may also be the int I for every
-    subset of size I in lexicographic order.
+def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: float):
+    """Moment index of each row of `sets`, an (N, I) array of 0-based
+    deletion sets, and its Thm 5.1 verdicts at each order r in `r_values`:
+    (MomentIndexReport, one verdict list per set ordered as `r_values`).
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
     sphere maximum is a nondecreasing piecewise-affine envelope in r and its
@@ -164,13 +152,15 @@ def moment_index_logit(data: LogitData, sets, r_values, epsilon: float):
     """
     _require_exact(data, epsilon)
     table = VertexTable(data, _candidate_directions(data))
-    reports, verdicts = [], []
-    for indices in each_set(sets, data.n):
+    cuts, verdicts = [], []
+    for indices in sets:
         h0, slope = table.parts(deletion_set(indices, data.n), epsilon)
-        reports.append(_index_report(table.betas, h0, slope))
+        cuts.append(_index_cutoff(table.betas, h0, slope))
         # At huge r the criterion overflows to +-inf, which keeps its sign.
         with np.errstate(over="ignore"):
             verdicts.append([theorem51_verdict(table.betas, h0 + (r - 1.0) * slope)
                              for r in r_values])
-    return reports, verdicts
-
+    r_c, binding = zip(*cuts)
+    never = np.full(len(cuts), math.inf)
+    return MomentIndexReport(sets, never, never, np.array(r_c),
+                             np.array(binding, dtype=object)), verdicts

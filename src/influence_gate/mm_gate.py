@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (
-    DeletionSet,
-    MMData,
-    MomentIndexReport,
-    MomentVerdict,
-    deletion_set,
-    each_set,
-)
+from .core_model import DeletionSet, MMData, MomentIndexReport, MomentVerdict, deletion_set
 from .errors import DataError
 
 # Log-spaced kappa points of the scan.
@@ -175,8 +168,9 @@ class KappaProfile:
     sup_leverage: Extremum
     inf_g: Extremum
 
-    def moment_index(self) -> MomentIndexReport:
-        """Moment index by bisection on r, each probe judging this profile.
+    def moment_index(self) -> tuple:
+        """Cut-offs (r_a, r_b, r_c) by bisection on r, each probe judging
+        this profile.
 
         Bisection is valid because moment finiteness of the nonnegative
         weight is monotone in r. The leverage cut-off
@@ -195,7 +189,7 @@ class KappaProfile:
 
         lo = 1.0 + 1e-9
         if not finite_at(lo):
-            return MomentIndexReport.of(r_a, r_b, lo)
+            return r_a, r_b, lo
         hi_probe = hi - 1e-9
         if finite_at(hi_probe):
             r_c = math.inf
@@ -211,7 +205,7 @@ class KappaProfile:
             if r_c >= hi_probe - 2 * R_TOL:
                 # The residual condition failed only at the leverage/sample cap.
                 r_c = math.inf
-        return MomentIndexReport.of(r_a, r_b, r_c)
+        return r_a, r_b, r_c
 
 
 def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
@@ -355,15 +349,14 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
-def moment_index_mm(data: MMData, sets, r_values):
-    """Moment index of each nonempty 0-based deletion set in `sets` and its
-    Thm 4.1 verdicts at each order r in `r_values`: (reports, one verdict
-    list per set ordered as `r_values`). `sets` may also be the int I for
-    every subset of size I in lexicographic order. One kappa profile per set
-    serves its index and every r."""
-    reports, verdicts = [], []
-    for indices in each_set(sets, data.n):
+def moment_index_mm(data: MMData, sets: np.ndarray, r_values):
+    """Moment index of each row of `sets`, an (N, I) array of nonempty
+    0-based deletion sets, and its Thm 4.1 verdicts at each order r in
+    `r_values`: (MomentIndexReport, one verdict list per set ordered as
+    `r_values`). One kappa profile per set serves its index and every r."""
+    cuts, verdicts = [], []
+    for indices in sets:
         profile = kappa_profile(data, deletion_set(indices, data.n))
-        reports.append(profile.moment_index())
+        cuts.append(profile.moment_index())
         verdicts.append([theorem41_verdict(profile, r) for r in r_values])
-    return reports, verdicts
+    return MomentIndexReport.of(sets, *np.array(cuts).T), verdicts

@@ -217,8 +217,6 @@ def sample_mm(data: MMData, config: SamplerConfig, kappa_scale: float) -> Sample
     """
     if not kappa_scale > 0:
         raise ValueError("kappa_scale must be positive")
-    if data.n < 3:
-        raise SamplerError("need at least 3 observations")
     c, v = data.concentration, data.velocity
     half_dof, half_scale = KAPPA_PRIOR_DOF, kappa_scale
     n = data.n

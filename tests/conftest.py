@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def derived_linear() -> RegressionData:
 @pytest.fixture(scope="session")
 def delete_last_of_4():
     return deletion_set([3], 4)
+
+
+def one_set(dels) -> np.ndarray:
+    """The (1, I) index array of one deletion set."""
+    return dels.index_array()[None, :]
+
+
+def report_rows(report) -> list:
+    """The rows of a MomentIndexReport, each with its set as a tuple and
+    its cut-offs as Python floats; two reports are equal when these are."""
+    columns = (report.r_a, report.r_b, report.r_c, report.r_star)
+    return [SimpleNamespace(subset=tuple(subset), r_a=r_a, r_b=r_b, r_c=r_c, r_star=r_star,
+                            binding=binding)
+            for subset, r_a, r_b, r_c, r_star, binding in zip(
+                report.subsets.tolist(), *(c.tolist() for c in columns),
+                report.binding.tolist())]
 
 
 def model_inputs(config: dict):

@@ -9,13 +9,14 @@ import re
 import subprocess
 import sys
 from itertools import combinations, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
-from influence_gate.core_model import deletion_set
+from influence_gate.core_model import MomentIndexReport, deletion_set
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
@@ -29,7 +30,7 @@ from influence_gate.samplers import (
 )
 from influence_gate.tail_verifier import hill_tail_index
 
-from conftest import DATA_DIR, REPO_ROOT, feigl_zelen, model_inputs
+from conftest import DATA_DIR, REPO_ROOT, feigl_zelen, model_inputs, one_set, report_rows
 
 PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
 FZ_LINEAR = {
@@ -94,7 +95,8 @@ def test_linear_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        [rep], [[verdict]] = moment_index_linear(data, [dels.indices], [float(row["r"])], prior)
+        report, [[verdict]] = moment_index_linear(data, one_set(dels), [float(row["r"])], prior)
+        [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -110,7 +112,8 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        [rep], [[verdict]] = moment_index_logit(data, [dels.indices], [float(row["r"])], 1.0)
+        report, [[verdict]] = moment_index_logit(data, one_set(dels), [float(row["r"])], 1.0)
+        [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -126,7 +129,8 @@ def test_mm_gate_rows_match_single_set_functions(tmp_path):
     assert len(rows) == 2 * 11
     for row in rows:
         dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
-        [rep], [[verdict]] = moment_index_mm(data, [dels.indices], [float(row["r"])])
+        report, [[verdict]] = moment_index_mm(data, one_set(dels), [float(row["r"])])
+        [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
         assert row["binding"] == rep.binding
         for name in ("r_a", "r_b", "r_c", "r_star"):
@@ -165,6 +169,23 @@ def test_gate_empty_deletion_writes_one_row_per_r(tmp_path, model):
         assert (row["r_star"], row["binding"]) == ("inf", "empty deletion")
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_family_index_gives_one_report_row_aligned_with_the_verdicts(model):
+    family, data, prior = model_inputs(MODELS[model])
+    sets = np.array([[0, 10], [3, 7], [1, 2], [4, 5]])
+    r_values = (1.5, 2.0, 4.0)
+    report, verdicts = family.index(data, prior, sets, r_values)
+    assert isinstance(report, MomentIndexReport)
+    assert report.count == len(verdicts) == len(sets)
+    assert report.subsets.tolist() == sets.tolist()
+    assert report.r_star.tolist() == [min(cuts) for cuts in zip(
+        report.r_a.tolist(), report.r_b.tolist(), report.r_c.tolist())]
+    # Row i of the report and of the verdicts is what set i gets on its own.
+    for i, row in enumerate(report_rows(report)):
+        alone, [per_r] = family.index(data, prior, sets[i:i + 1], r_values)
+        assert report_rows(alone) == [row] and verdicts[i] == per_r
+
+
 def test_estimate_empty_deletion_is_exact(tmp_path):
     config = {**PUROMYCIN_MM, "deletion.indices": "", "measures": "kl, cpo",
               "sampler.draws": "500"}
@@ -175,7 +196,7 @@ def test_estimate_empty_deletion_is_exact(tmp_path):
         assert (row["deletion"], row["gate"], row["available_r_star"]) == ("", "passed", "inf")
         assert float(row["standard_error"]) == 0.0
     cfg = cli.parse_config({k: str(v) for k, v in config.items()}, REPO_ROOT)
-    assert cli._sampling_inputs(cfg, "estimate", 500)[4].binding == "empty deletion"
+    assert cli._sampling_inputs(cfg, "estimate", 500)[4] == math.inf
 
 
 def test_estimate_with_mm_proposals_beyond_the_float_range(tmp_path, capsys):
@@ -576,15 +597,20 @@ def test_mm_data_the_gate_cannot_judge_is_data_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
-# --- exit 5 -----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("command", ["estimate", "verify"])
-def test_mm_on_two_cases_is_sampler_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["gate", "estimate", "verify"])
+def test_mm_on_two_cases_is_data_error(tmp_path, capsys, command):
+    # m c/(kappa + c) fits both points exactly at kappa0 ~ 0.0087, where the
+    # kappa-marginal has a non-integrable spike: the posterior is improper.
     path = tmp_path / "two_rows.csv"
     path.write_text("concentration,velocity\n0.02,67\n0.06,84\n")
-    assert run(tmp_path, command, {"model": "mm", "data": path, "deletion.indices": "1"}) == 5
-    assert capsys.readouterr().err.startswith("sampler error: need at least 3 observations")
+    assert run(tmp_path, command, {"model": "mm", "data": path, "deletion.indices": "1"}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: need at least three observations, got 2")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# --- exit 5 -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("command", ["estimate", "verify"])
@@ -740,7 +766,11 @@ def edge_values():
         [5e-324, nan, 1.7976931348623157e308, 5e-324], [inf, nan, inf, nan], [2.0, nan, 2.0, 2.0],
     ])
     subsets = np.array(list(islice(combinations(range(33), 3), len(cuts))))
-    return linear_gate.SubsetScanResult(subsets, *cuts.T)
+    # A MomentIndexReport refuses cut-offs that are not positive and derives
+    # r_star, so these stand in for a scan result with the fields it reads.
+    r_a, r_b, r_c, r_star = cuts.T
+    return SimpleNamespace(subsets=subsets, r_a=r_a, r_b=r_b, r_c=r_c, r_star=r_star,
+                           count=len(cuts))
 
 
 @pytest.mark.parametrize("make_result, block", [

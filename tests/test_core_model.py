@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,7 +77,7 @@ class TestLoadCsv:
 
     def test_nonpositive_concentration(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text("concentration,velocity\n0.1,5\n0,6\n")
+        p.write_text("concentration,velocity\n0.1,5\n0,6\n0.2,7\n")
         with pytest.raises(DataError) as exc:
             model_inputs({"model": "mm", "data": p})
         assert str(exc.value) == "concentration must be strictly positive; got 0.0 at data row 2"
@@ -164,7 +167,7 @@ class TestDataInvariants:
     def test_mm_positive_concentration(self):
         with pytest.raises(DataError, match=r"^concentration must be strictly positive; "
                                             r"got -0\.2 at data row 2$"):
-            MMData(concentration=[0.1, -0.2], velocity=[1.0, 2.0])
+            MMData(concentration=[0.1, -0.2, 0.3], velocity=[1.0, 2.0, 3.0])
 
 
 class TestMomentVerdict:
@@ -180,9 +183,22 @@ class TestMomentVerdict:
 
 class TestMomentIndexReport:
     def test_r_star_is_min(self):
-        rep = MomentIndexReport(r_a=4.0, r_b=3.0, r_c=10.0 / 7.0, binding="residual")
-        assert rep.r_star == 10.0 / 7.0
+        rep = MomentIndexReport.of(np.array([[3]]), np.array([4.0]), np.array([3.0]),
+                                   np.array([10.0 / 7.0]))
+        assert rep.r_star.tolist() == [10.0 / 7.0] and rep.binding.tolist() == ["residual"]
+        assert rep.count == 1
 
     def test_positive_entries_required(self):
         with pytest.raises(ValueError):
-            MomentIndexReport(r_a=0.0, r_b=1.0, r_c=1.0, binding="leverage")
+            MomentIndexReport(np.array([[3]]), r_a=np.array([0.0]), r_b=np.array([1.0]),
+                              r_c=np.array([1.0]), binding=np.array(["leverage"], dtype=object))
+
+    def test_tie_rule_is_the_first_minimal_cutoff(self):
+        # Every pattern of three cut-offs over three levels, equal ones and
+        # infinity included, against the scalar rule: the first minimal one
+        # in the order leverage, sample-size, residual binds.
+        names = ("leverage", "sample-size", "residual")
+        cuts = list(product((1.5, 2.0, math.inf), repeat=3))
+        rep = MomentIndexReport.of(np.zeros((len(cuts), 1), dtype=int), *np.array(cuts).T)
+        assert rep.binding.tolist() == [names[c.index(min(c))] for c in cuts]
+        assert rep.r_star.tolist() == [min(c) for c in cuts]

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from influence_gate import linear_gate
-from influence_gate.core_model import RegressionData, VerdictTag, deletion_set
+from influence_gate.core_model import RegressionData, VerdictTag, all_subsets, deletion_set
 from influence_gate.linear_gate import (
     LinearPrior,
     fold_moment_indices,
@@ -16,7 +16,7 @@ from influence_gate.linear_gate import (
     theorem31_verdict,
 )
 
-from conftest import feigl_zelen, random_regression
+from conftest import feigl_zelen, one_set, random_regression, report_rows
 
 NONINF = LinearPrior.noninformative()
 
@@ -72,11 +72,6 @@ def rss_star_reference(data: RegressionData, dels, r: float) -> float:
     return float(rss - r * e_del @ np.linalg.solve(np.eye(dels.cardinality) - r * minor, e_del))
 
 
-def one_set(dels) -> np.ndarray:
-    """The (1, I) index array of one deletion set."""
-    return dels.index_array()[None, :]
-
-
 def spectrum(data: RegressionData, dels) -> np.ndarray:
     """Ascending leverage spectrum of one set, as the kernel computes it."""
     Q, e, _ = linear_gate._hat(data)
@@ -84,8 +79,9 @@ def spectrum(data: RegressionData, dels) -> np.ndarray:
 
 
 def index_of(data: RegressionData, dels, prior):
-    """The kernel's moment-index report of one set."""
-    return moment_index_linear(data, one_set(dels), (), prior)[0][0]
+    """The kernel's moment-index report of one set, as one report row."""
+    [row] = report_rows(moment_index_linear(data, one_set(dels), (), prior)[0])
+    return row
 
 
 def verdict_at(data: RegressionData, dels, r: float, prior):
@@ -640,18 +636,35 @@ class TestSubsetScan:
                 assert result.r_star[i] == min(result.r_a[i], result.r_b[i], result.r_c[i])
                 # rss_star is decreasing and equals the refit RSS at r = 1
                 assert (result.r_c[i] > 1.0) == (refit_rss(data, dels) > prior.rss_threshold)
+        for size in (0, 13):
+            with pytest.raises(ValueError, match="subset size must be in"):
+                scan_deletion_subsets(data, size, NONINF)
 
     @pytest.mark.parametrize("n", [9, 10])
-    def test_subset_blocks_split_combinations_at_the_chunk_size(self, monkeypatch, n):
-        monkeypatch.setattr(linear_gate, "_SCAN_CHUNK", 7)
-        for size in range(1, 5):
-            blocks = list(linear_gate._subset_blocks(n, size))
-            total = math.comb(n, size)
-            assert [b.shape for b in blocks] == [(7, size)] * (total // 7) + (
-                [(total % 7, size)] if total % 7 else [])
-            assert all(b.dtype == np.int64 for b in blocks)
-            assert [tuple(row) for b in blocks for row in b.tolist()] == list(
-                combinations(range(n), size))
+    def test_all_subsets_are_combinations_in_order(self, n):
+        for size in range(n + 1):
+            sets = all_subsets(n, size)
+            assert sets.shape == (math.comb(n, size), size)
+            assert sets.dtype == np.int64
+            assert [tuple(row) for row in sets.tolist()] == list(combinations(range(n), size))
+
+    def test_chunked_kernel_equals_one_chunk(self, monkeypatch):
+        # Sizes 1 to 3 diagonalise the I x I minor, 4 and 5 the k x k Gram
+        # side; C(12, I) is not a multiple of the chunk size 7 for any I.
+        rng = np.random.default_rng(80)
+        data = random_regression(rng, 12, 3)
+        r_values = (1.5, 2.0, 3.5)
+        for prior in (NONINF, conj(0.5, 2.0)):
+            for size in range(1, 6):
+                sets = all_subsets(12, size)
+                whole, whole_verdicts = moment_index_linear(data, sets, r_values, prior)
+                with monkeypatch.context() as m:
+                    m.setattr(linear_gate, "_SCAN_CHUNK", 7)
+                    chunked, verdicts = moment_index_linear(data, sets, r_values, prior)
+                for name in ("r_a", "r_b", "r_c"):
+                    assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+                assert chunked.binding.tolist() == whole.binding.tolist()
+                assert verdicts == whole_verdicts and len(verdicts) == len(sets)
 
     def test_fold_indices_unequal_sizes(self):
         # n = 33 in 5 folds gives sizes 7, 7, 7, 6, 6: one kernel call per size

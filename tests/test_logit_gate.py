@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from influence_gate.cli import main
-from influence_gate.core_model import LogitData, VerdictTag, deletion_set
+from influence_gate.core_model import LogitData, VerdictTag, all_subsets, deletion_set
 from influence_gate.errors import BudgetError
 from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
@@ -15,17 +15,18 @@ from influence_gate.logit_gate import (
     moment_index_logit,
 )
 
-from conftest import DATA_DIR, feigl_zelen
+from conftest import DATA_DIR, feigl_zelen, one_set, report_rows
 
 
 def index_of(data, dels, eps):
-    """The kernel's moment-index report of one deletion set."""
-    return moment_index_logit(data, [dels.indices], (), eps)[0][0]
+    """The kernel's moment-index report of one deletion set, as one report row."""
+    [row] = report_rows(moment_index_logit(data, one_set(dels), (), eps)[0])
+    return row
 
 
 def verdict_at(data, dels, r, eps):
     """The kernel's Thm 5.1 verdict of one deletion set at order r."""
-    return moment_index_logit(data, [dels.indices], [r], eps)[1][0][0]
+    return moment_index_logit(data, one_set(dels), [r], eps)[1][0][0]
 
 
 def sphere_max(data, dels, r, eps):
@@ -325,19 +326,24 @@ class TestBatches:
         data = LogitData(design=rng.standard_normal((10, 2)), outcome=rng.integers(0, 2, 10))
         sets = [(3,), (0, 7), (1, 2, 5)]
         r_values = [1.5, 2.0, 6.0]
-        reports, verdicts = moment_index_logit(data, sets, r_values, 0.4)
-        assert len(reports) == len(verdicts) == len(sets)
-        for indices, rep, per_r in zip(sets, reports, verdicts):
+        # Each set is checked inside the batch of every set of its size.
+        for indices in sets:
+            batch = all_subsets(10, len(indices))
+            report, verdicts = moment_index_logit(data, batch, r_values, 0.4)
+            assert report.count == len(verdicts) == len(batch)
+            row = [tuple(s) for s in batch.tolist()].index(indices)
             dels = deletion_set(indices, 10)
-            assert rep == index_of(data, dels, 0.4)
-            assert per_r == [verdict_at(data, dels, r, 0.4) for r in r_values]
-        assert moment_index_logit(data, 2, r_values, 0.4) == moment_index_logit(
-            data, [(i, j) for i in range(10) for j in range(i + 1, 10)], r_values, 0.4)
+            assert report_rows(report)[row] == index_of(data, dels, 0.4)
+            assert verdicts[row] == [verdict_at(data, dels, r, 0.4) for r in r_values]
+        pairs = np.array([(i, j) for i in range(10) for j in range(i + 1, 10)])
+        (scan, scan_verdicts), (listed, listed_verdicts) = (
+            moment_index_logit(data, batch, r_values, 0.4) for batch in (all_subsets(10, 2), pairs))
+        assert report_rows(scan) == report_rows(listed) and scan_verdicts == listed_verdicts
 
     def test_budget_checks_apply_to_batches(self):
         rng = np.random.default_rng(25)
         data = LogitData(design=rng.standard_normal((250, 2)), outcome=rng.integers(0, 2, 250))
         with pytest.raises(BudgetError):
-            moment_index_logit(data, [(0,)], [2.0], 0.1)
+            moment_index_logit(data, np.array([[0]]), [2.0], 0.1)
         # The empty set needs no vertex table, so its verdict comes within budget.
-        assert FAMILIES["logit"].index(data, 0.1, [()], [2.0])[1][0][0].is_finite
+        assert FAMILIES["logit"].index(data, 0.1, all_subsets(250, 0), [2.0])[1][0][0].is_finite

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from influence_gate import mm_gate
-from influence_gate.core_model import MMData, VerdictTag, deletion_set
+from influence_gate.core_model import MMData, VerdictTag, all_subsets, deletion_set
 from influence_gate.mm_gate import (
     Extremum,
     _abc,
@@ -24,6 +24,8 @@ from influence_gate.mm_gate import (
     scan_kappa,
     theorem41_verdict,
 )
+
+from conftest import one_set, report_rows
 
 TABLE_ASYMPTOTIC = [1.97, 1.97, 1.96, 1.96, 1.94, 1.94, 1.87, 1.87, 1.34, 1.34, -0.45]
 
@@ -50,8 +52,9 @@ def mm_reference(data, dels, r, kappa) -> dict:
 
 
 def index_of(data, dels):
-    """The kernel's moment-index report of one deletion set."""
-    return moment_index_mm(data, [dels.indices], ())[0][0]
+    """The kernel's moment-index report of one deletion set, as one report row."""
+    [row] = report_rows(moment_index_mm(data, one_set(dels), ())[0])
+    return row
 
 
 def kernel_at(data, dels, r, kappa) -> dict:
@@ -376,13 +379,14 @@ class TestLazyRssStar:
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_moment_index_mm_matches_eager_scan(self, puromycin, monkeypatch, size):
-        lazy = moment_index_mm(puromycin, size, self.R_VALUES)
+        sets = all_subsets(11, size)
+        lazy, lazy_verdicts = moment_index_mm(puromycin, sets, self.R_VALUES)
         with monkeypatch.context() as m:
             m.setattr(mm_gate, "_sums_at", array_sums_at)
             m.setattr(mm_gate, "_inf_rss_star", eager_inf_rss_star)
-            eager = moment_index_mm(puromycin, size, self.R_VALUES)
-        assert len(lazy[0]) == math.comb(11, size)
-        assert lazy == eager
+            eager, eager_verdicts = moment_index_mm(puromycin, sets, self.R_VALUES)
+        assert lazy.count == math.comb(11, size)
+        assert report_rows(lazy) == report_rows(eager) and lazy_verdicts == eager_verdicts
 
     @pytest.mark.parametrize("cases, r, reason", [
         ([0], 2.0, "violation on a non-negligible kappa set: residual"),
@@ -465,7 +469,7 @@ class TestCheckOrder:
     def test_sample_size_verdict_scans_no_kappa(self, puromycin, monkeypatch):
         # n = 11 <= 10.5 * 1 + 1 settles case 5 at r = 10.5 before any scan.
         orders = count_scans(monkeypatch)
-        _, verdicts = moment_index_mm(puromycin, [(4,)], [10.5])
+        _, verdicts = moment_index_mm(puromycin, np.array([[4]]), [10.5])
         assert verdicts[0][0].detail == "sample size: n <= r*I + 1"
         assert orders and 10.5 not in orders
 
@@ -473,5 +477,5 @@ class TestCheckOrder:
         # 11 bisections and 11 verdicts at r = 2; a second scan per probe
         # would double this.
         orders = count_scans(monkeypatch)
-        moment_index_mm(puromycin, 1, [2.0])
+        moment_index_mm(puromycin, all_subsets(11, 1), [2.0])
         assert len(orders) == 188

@@ -14,7 +14,7 @@ from influence_gate.tail_verifier import (
     verify_moment_index,
 )
 
-from conftest import DATA_DIR, model_inputs
+from conftest import DATA_DIR, model_inputs, one_set
 
 FZ_LINEAR = {"model": "linear", "data": DATA_DIR / "feigl_zelen.csv",
              "data.response": "time_weeks", "data.covariates": "wbc, ag"}
@@ -47,7 +47,7 @@ def test_survival_rows_are_the_hill_estimate_at_each_rank():
 def test_constant_log_weights_give_a_degenerate_report():
     family, data, prior = model_inputs(FZ_LINEAR)
     dels = deletion_set([], data.n)
-    r_star = family.index(data, prior, [dels.indices], ())[0][0].r_star
+    r_star = float(family.index(data, prior, one_set(dels), ())[0].r_star[0])
     tail = verify_moment_index(family, data, prior, dels, r_star,
                                SamplerConfig(seed=1, draws=200))
     assert tail.degenerate is True
