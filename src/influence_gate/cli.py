@@ -26,6 +26,7 @@ from . import is_engine, linear_gate, tail_verifier
 from .core_model import all_subsets, deletion_set, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
+from .parallel import ordered_map
 from .samplers import SamplerConfig
 
 SCHEMA_VERSION = 2
@@ -403,8 +404,11 @@ def cmd_scan(cfg: dict) -> None:
 
     Linear model only (the scanning machinery rides on the closed-form hat
     quantities). The CSV holds the full table, streamed out of the result
-    arrays a block at a time; the JSON holds the subset count, two rankings
-    and membership summaries for flagged cases.
+    arrays a block at a time: the blocks are formatted on the CPUs the
+    process may use and written in order as each arrives, so the file is the
+    same for any CPU count and the whole table is never held as text. The
+    JSON holds the subset count, two rankings and membership summaries for
+    flagged cases.
     """
     if cfg["model"] != "linear":
         raise ConfigError("scan supports the linear model")
@@ -453,10 +457,15 @@ def _scan_text(result, n: int):
     one value per scan, so a block where it is bitwise constant formats it
     once; r_star reuses the r_c text wherever the two are bitwise equal,
     which keeps -0.0 apart from 0.0 and never merges NaN payloads.
+
+    The blocks are formatted by `ordered_map`, on the CPUs the process may
+    use, and come out in row order; at most one block per worker is held
+    at a time.
     """
     names = np.array([str(i + 1) for i in range(n)], dtype=object)
     columns = (result.r_a, result.r_b, result.r_c, result.r_star)
-    for start in range(0, result.count, SCAN_CSV_BLOCK):
+
+    def block(start):
         part = slice(start, start + SCAN_CSV_BLOCK)
         labels = map("+".join, zip(*names[result.subsets[part].T].tolist()))
         r_a, r_b, r_c, r_star = (col[part] for col in columns)
@@ -470,7 +479,9 @@ def _scan_text(result, n: int):
         for i in np.flatnonzero(r_star.view(np.int64) != r_c.view(np.int64)).tolist():
             star_text[i] = repr(r_star[i].item())
         rows = zip(labels, map(repr, r_a.tolist()), b_text, c_text, star_text)
-        yield "\r\n".join(map(",".join, rows)) + "\r\n"
+        return "\r\n".join(map(",".join, rows)) + "\r\n"
+
+    return ordered_map(block, range(0, result.count, SCAN_CSV_BLOCK))
 
 
 def cmd_kfold_audit(cfg: dict) -> None:

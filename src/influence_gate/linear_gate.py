@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import MomentIndexReport, MomentVerdict, RegressionData, all_subsets, deletion_set
+from .parallel import ordered_map
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
 # boundary: the finite/infinite conditions exclude equality and numerical
@@ -29,9 +30,11 @@ EIGENVALUE_BOUNDARY_TOL = 1e-9
 _NULL_EIGENVALUE = 1e-14
 
 # Deletion sets per spectral pass of the kernel; bounds the memory that the
-# stacked matrices and eigenvectors hold beside the whole set array. On all
-# 237,336 Feigl-Zelen 5-subsets the traced allocation peak is ~30 MB at this
-# size and ~45 MB at 65536.
+# stacked matrices and eigenvectors hold beside the whole set array. The
+# chunks run on the CPUs the process may use (`ordered_map`), and each
+# worker process holds one chunk's temporaries, so these figures are per
+# process: on all 237,336 Feigl-Zelen 5-subsets the traced allocation peak
+# is ~30 MB at this size and ~45 MB at 65536.
 _SCAN_CHUNK = 32768
 
 # The r_c Newton iteration stops for a set once its step is below this
@@ -290,6 +293,11 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
     verdicts at each order r in `r_values` (all above 1), both read off one
     spectral pass, _SCAN_CHUNK sets at a time.
 
+    The chunks are independent and run on the CPUs the process may use
+    (`ordered_map`): each returns its cut-offs and one verdict list per
+    order, and these are joined in set order, so the result is the same for
+    any CPU count.
+
     Returns (MomentIndexReport, one verdict list per set, ordered as
     `r_values`); with no r_values the verdict list is empty.
     """
@@ -297,11 +305,15 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
     if not all(r > 1 for r in r_values):
         raise ValueError("moment order r must exceed 1")
     Q, e, rss = _hat(data)
-    cuts, verdicts = [], []
-    for start in range(0, sets.shape[0], _SCAN_CHUNK):
+
+    def chunk(start):
         lam, u2 = leverage_minor(Q, e, sets[start:start + _SCAN_CHUNK])
-        cuts.append(_cutoffs(lam, u2, rss, data.n, data.k, prior))
-        per_r = [theorem31_verdict(lam, u2, rss, data.n, data.k, r, prior) for r in r_values]
+        return (_cutoffs(lam, u2, rss, data.n, data.k, prior),
+                [theorem31_verdict(lam, u2, rss, data.n, data.k, r, prior) for r in r_values])
+
+    cuts, verdicts = [], []
+    for chunk_cuts, per_r in ordered_map(chunk, range(0, sets.shape[0], _SCAN_CHUNK)):
+        cuts.append(chunk_cuts)
         verdicts += map(list, zip(*per_r))
     return MomentIndexReport.of(sets, *map(np.concatenate, zip(*cuts))), verdicts
 

@@ -1,9 +1,12 @@
+import math
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from influence_gate import parallel
 from influence_gate.core_model import MMData, RegressionData, deletion_set
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -87,3 +90,11 @@ def random_regression(rng: np.random.Generator, n: int, k: int) -> RegressionDat
             return RegressionData(design=X, response=y)
         except Exception:
             continue
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make the affinity mask read as `count` CPUs and the cgroup set no CPU
+    quota, so that `ordered_map` forks count - 1 workers even on a runner
+    with fewer CPUs or a CPU limit."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(parallel, "_quota_cpus", lambda: math.inf)

@@ -30,7 +30,15 @@ from influence_gate.samplers import (
 )
 from influence_gate.tail_verifier import hill_tail_index
 
-from conftest import DATA_DIR, REPO_ROOT, feigl_zelen, model_inputs, one_set, report_rows
+from conftest import (
+    DATA_DIR,
+    REPO_ROOT,
+    feigl_zelen,
+    model_inputs,
+    one_set,
+    report_rows,
+    use_cpus,
+)
 
 PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
 FZ_LINEAR = {
@@ -788,8 +796,29 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
                                                  *(c.tolist() for c in columns))])
     monkeypatch.setattr(linear_gate, "scan_deletion_subsets", lambda *args: result)
     monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", block)
-    assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0
-    assert (tmp_path / "out" / "scan_report.csv").read_bytes() == whole.read_bytes()
+    # On two CPUs a forked worker formats every other block while the
+    # report file is open; the header must not be written twice.
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0
+        assert (tmp_path / "out" / "scan_report.csv").read_bytes() == whole.read_bytes()
+
+
+def test_gate_chunks_on_two_cpus_equal_one_cpu(tmp_path, monkeypatch):
+    # C(33, 3) = 5456 triples in chunks of 500: on two CPUs the verdict
+    # lists of every other chunk come back through a forked worker's pipe.
+    monkeypatch.setattr(linear_gate, "_SCAN_CHUNK", 500)
+    config = {**FZ_LINEAR, "deletion.scan_size": "3", "r": "1.5, 2, 4"}
+    reports = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        (tmp_path / str(cpus)).mkdir()
+        assert run(tmp_path / str(cpus), "gate", config) == 0
+        reports.append([(tmp_path / str(cpus) / "out" / name).read_bytes()
+                        for name in ("gate_report.csv", "gate_report.json")])
+    assert reports[0] == reports[1]
+    verdicts = {row["verdict"] for row in read_csv(tmp_path / "2", "gate_report.csv")}
+    assert verdicts == {"finite", "infinite"}
 
 
 def expected_draws_csv(path, header, draws):

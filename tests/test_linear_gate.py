@@ -16,7 +16,7 @@ from influence_gate.linear_gate import (
     theorem31_verdict,
 )
 
-from conftest import feigl_zelen, one_set, random_regression, report_rows
+from conftest import feigl_zelen, one_set, random_regression, report_rows, use_cpus
 
 NONINF = LinearPrior.noninformative()
 
@@ -650,7 +650,9 @@ class TestSubsetScan:
 
     def test_chunked_kernel_equals_one_chunk(self, monkeypatch):
         # Sizes 1 to 3 diagonalise the I x I minor, 4 and 5 the k x k Gram
-        # side; C(12, I) is not a multiple of the chunk size 7 for any I.
+        # side; C(12, I) is not a multiple of the chunk size 7 for any I. On
+        # two CPUs every other chunk, verdict lists included, comes back
+        # through a forked worker's pipe.
         rng = np.random.default_rng(80)
         data = random_regression(rng, 12, 3)
         r_values = (1.5, 2.0, 3.5)
@@ -658,13 +660,15 @@ class TestSubsetScan:
             for size in range(1, 6):
                 sets = all_subsets(12, size)
                 whole, whole_verdicts = moment_index_linear(data, sets, r_values, prior)
-                with monkeypatch.context() as m:
-                    m.setattr(linear_gate, "_SCAN_CHUNK", 7)
-                    chunked, verdicts = moment_index_linear(data, sets, r_values, prior)
-                for name in ("r_a", "r_b", "r_c"):
-                    assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
-                assert chunked.binding.tolist() == whole.binding.tolist()
-                assert verdicts == whole_verdicts and len(verdicts) == len(sets)
+                for cpus in (1, 2):
+                    with monkeypatch.context() as m:
+                        m.setattr(linear_gate, "_SCAN_CHUNK", 7)
+                        use_cpus(m, cpus)
+                        chunked, verdicts = moment_index_linear(data, sets, r_values, prior)
+                    for name in ("r_a", "r_b", "r_c"):
+                        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+                    assert chunked.binding.tolist() == whole.binding.tolist()
+                    assert verdicts == whole_verdicts and len(verdicts) == len(sets)
 
     def test_fold_indices_unequal_sizes(self):
         # n = 33 in 5 folds gives sizes 7, 7, 7, 6, 6: one kernel call per size
