@@ -9,20 +9,17 @@ diagnostics.
 """
 
 from .core_model import (
-    DeletionSet,
     LogitData,
     MMData,
     MomentIndexReport,
     MomentVerdict,
     RegressionData,
     VerdictTag,
-    deletion_set,
     load_csv,
 )
 from .linear_gate import LinearPrior
 
 __all__ = [
-    "DeletionSet",
     "LinearPrior",
     "LogitData",
     "MMData",
@@ -30,7 +27,6 @@ __all__ = [
     "MomentVerdict",
     "RegressionData",
     "VerdictTag",
-    "deletion_set",
     "load_csv",
 ]
 

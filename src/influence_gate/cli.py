@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import all_subsets, deletion_set, load_csv
+from .core_model import all_subsets, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
 from .parallel import ordered_map
@@ -228,16 +228,25 @@ def _model_inputs(cfg: dict):
     return family, data, prior
 
 
-def _sampler_config(cfg: dict, default_draws: int, width: int) -> SamplerConfig:
-    """Sampler settings for a model with `width` parameters per draw."""
+def _sampler_config(cfg: dict, default_draws: int, width: int, chains=()) -> SamplerConfig:
+    """Sampler settings for a model with `width` parameters per draw.
+    `chains` are the draw counts of further chains run with these settings.
+    A BudgetError refuses the longest chain, burn_in + draws * thin steps,
+    when its steps at 8 bytes per parameter exceed sys.maxsize bytes: numpy
+    cannot make an array that large."""
     scale = cfg["sampler.scale"]
     if scale and len(scale) != width:
         raise ConfigError(f"sampler.scale must list {width} values, one per parameter, "
                           f"got {len(scale)}")
     seed, draws = cfg["sampler.seed"], cfg["sampler.draws"]
+    draws = default_draws if draws is None else draws
+    steps = cfg["sampler.burn_in"] + max((draws, *chains)) * cfg["sampler.thin"]
+    if steps * width * 8 > sys.maxsize:
+        raise BudgetError(f"a chain of {steps} steps of {width} parameters needs more than "
+                          f"{sys.maxsize} bytes, the largest array numpy can make")
     return SamplerConfig(
         seed=cfg["seed"] if seed is None else seed,
-        draws=default_draws if draws is None else draws,
+        draws=draws,
         burn_in=cfg["sampler.burn_in"],
         thin=cfg["sampler.thin"],
         proposal_scale=scale or None,
@@ -357,10 +366,12 @@ def _check_cases(key: str, cases, n: int) -> None:
         raise DataError(f"{key}: case {outside[0]} is outside 1..{n}")
 
 
-def _deletion(cfg: dict, n: int):
-    """The deletion set of `deletion.indices`, 1-based cases in 1..n."""
-    _check_cases("deletion.indices", cfg["deletion.indices"], n)
-    return deletion_set([i - 1 for i in cfg["deletion.indices"]], n)
+def _deletion(cfg: dict, n: int) -> np.ndarray:
+    """The deletion set of `deletion.indices`, 1-based cases in 1..n, as the
+    sorted row of its distinct 0-based cases: order and repeats are ignored."""
+    cases = cfg["deletion.indices"]
+    _check_cases("deletion.indices", cases, n)
+    return np.unique(np.array(cases, dtype=int)) - 1
 
 
 def _check_scan_size(size: int, n: int, smallest: int) -> None:
@@ -378,7 +389,7 @@ def cmd_gate(cfg: dict) -> None:
         raise ConfigError("gate needs deletion.indices or deletion.scan_size")
     family, data, prior = _model_inputs(cfg)
     if indices is not None:
-        sets = _deletion(cfg, data.n).index_array()[None, :]
+        sets = _deletion(cfg, data.n)[None, :]
     else:
         _check_scan_size(size, data.n, 0)
         sets = all_subsets(data.n, size)
@@ -491,6 +502,9 @@ def cmd_kfold_audit(cfg: dict) -> None:
     count, folds = cfg["deletion.kfold.partitions"], cfg["deletion.kfold.folds"]
     if count is None:
         raise ConfigError("kfold needs deletion.kfold.partitions")
+    if count * folds > SUBSET_ENUMERATION_BUDGET:
+        raise BudgetError(f"{count} partitions x {folds} folds = {count * folds} folds exceeds "
+                          f"budget {SUBSET_ENUMERATION_BUDGET}")
     _, data, prior = _model_inputs(cfg)
     n = data.n
     if folds > n:
@@ -520,15 +534,16 @@ def cmd_kfold_audit(cfg: dict) -> None:
 _MIN_VERIFY_DRAWS = math.ceil(tail_verifier.MIN_EXCEEDANCES / tail_verifier.TOP_FRACTION)
 
 
-def _sampling_inputs(cfg: dict, command: str, default_draws: int):
+def _sampling_inputs(cfg: dict, command: str, default_draws: int, chains=()):
     """What estimate and verify share, all checked before any sampling:
-    (family, data, prior, deletion set, its analytic r_star, sampler config)."""
+    (family, data, prior, deletion set, its analytic r_star, sampler config).
+    `chains` are the draw counts of the command's further chains."""
     if cfg["deletion.indices"] is None:
         raise ConfigError(f"{command} needs deletion.indices")
     family, data, prior = _model_inputs(cfg)
-    sampler_cfg = _sampler_config(cfg, default_draws, len(family.columns(data)))
+    sampler_cfg = _sampler_config(cfg, default_draws, len(family.columns(data)), chains)
     dels = _deletion(cfg, data.n)
-    report = family.index(data, prior, dels.index_array()[None, :], ())[0]
+    report = family.index(data, prior, dels[None, :], ())[0]
     return family, data, prior, dels, float(report.r_star[0]), sampler_cfg
 
 
@@ -543,8 +558,8 @@ def cmd_estimate(cfg: dict) -> None:
     family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
-    log_weights = family.log_weight(loglik, dels.cardinality)
-    label = _subset_label(dels.indices)
+    log_weights = family.log_weight(loglik, dels.size)
+    label = _subset_label(dels)
     ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
@@ -571,8 +586,9 @@ def cmd_estimate(cfg: dict) -> None:
 def cmd_verify(cfg: dict) -> None:
     """Tail-index and variance-scaling audit against the analytic verdicts."""
     m_grid, reps = cfg["verify.m_grid"], cfg["verify.replications"]
-    family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000)
-    if dels.cardinality and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
+    family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "verify", 100_000,
+                                                                      m_grid)
+    if dels.size and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
     tail = tail_verifier.verify_moment_index(family, data, prior, dels, r_star, sampler_cfg)
@@ -645,6 +661,9 @@ def main(argv=None) -> int:
     except InfluenceGateError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"{BudgetError.prefix}: out of memory: {exc}", file=sys.stderr)
+        return BudgetError.exit_code
     return 0
 
 

@@ -1,7 +1,10 @@
-"""Shared data containers, CSV ingestion, and deletion-set handling.
+"""Shared data containers, CSV ingestion, and deletion-set enumeration.
 
 Case indices are 0-based everywhere in the library; the CLI converts to and
-from the 1-based numbering used in data files and reports.
+from the 1-based numbering used in data files and reports. A deletion set is
+a sorted int array of distinct cases, and N sets of one size are the rows of
+an (N, I) int array, as `all_subsets` gives them. The gate kernels, weights
+and verifier index with such rows as they are and check none of this.
 """
 
 import csv
@@ -139,39 +142,6 @@ class LogitData:
     @property
     def k(self) -> int:
         return self.design.shape[1]
-
-
-@dataclass(frozen=True)
-class DeletionSet:
-    """Sorted, deduplicated set of 0-based case indices to delete."""
-
-    indices: tuple
-    n: int
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.indices)
-
-    def index_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n, dtype=bool)
-        m[list(self.indices)] = True
-        return m
-
-
-def deletion_set(indices, n: int) -> DeletionSet:
-    """Build a validated DeletionSet; input order and duplicates are ignored."""
-    cleaned = set()
-    for raw in indices:
-        idx = int(raw)
-        if idx != raw:
-            raise DataError(f"deletion index {raw!r} is not an integer")
-        if not 0 <= idx < n:
-            raise DataError(f"deletion index {idx} out of range for n={n} (0-based)")
-        cleaned.add(idx)
-    return DeletionSet(indices=tuple(sorted(cleaned)), n=n)
 
 
 def all_subsets(n: int, size: int) -> np.ndarray:

@@ -74,7 +74,9 @@ class Family:
 
     def index(self, data, prior, sets: np.ndarray, r_values):
         """Moment index of each row of `sets`, an (N, I) array of 0-based
-        deletion sets, and its verdicts at each order r in `r_values`:
+        deletion sets, each row sorted and distinct as `all_subsets`, the
+        CLI and the k-fold folds give them, and its verdicts at each order r
+        in `r_values`:
         (MomentIndexReport, one verdict list per set ordered as
         `r_values`); with no r_values only the report is meant to be read.
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DeletionSet
 from .errors import SamplerError
 
 MEASURES = ("kl", "hellinger", "chisq", "cpo")
@@ -42,20 +41,21 @@ class InfluenceEstimate:
 # --- log weights --------------------------------------------------------------
 
 
-def log_weight(family, draws: np.ndarray, data, dels: DeletionSet) -> np.ndarray:
+def log_weight(family, draws: np.ndarray, data, dels: np.ndarray) -> np.ndarray:
     """Log of the unnormalized deletion weight at each draw, one per row:
     the negated deleted-case log-likelihood, less the family's constant per
-    deleted case. `family` is the model's `families.Family` record."""
+    deleted case. `family` is the model's `families.Family` record and
+    `dels` the sorted, distinct 0-based deleted cases."""
     loglik = deleted_log_likelihood(family, draws, data, dels)
-    return family.log_weight(loglik, dels.cardinality)
+    return family.log_weight(loglik, dels.size)
 
 
-def deleted_log_likelihood(family, draws: np.ndarray, data, dels: DeletionSet):
-    """Exact log likelihood of the deleted cases at each draw."""
+def deleted_log_likelihood(family, draws: np.ndarray, data, dels: np.ndarray):
+    """Exact log likelihood of the deleted cases `dels` at each draw."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if dels.cardinality == 0:
+    if dels.size == 0:
         return np.zeros(draws.shape[0])
-    return family.log_likelihood(draws, data, dels.index_array())
+    return family.log_likelihood(draws, data, dels)
 
 
 # --- estimation ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import MomentIndexReport, MomentVerdict, RegressionData, all_subsets, deletion_set
+from .core_model import MomentIndexReport, MomentVerdict, RegressionData, all_subsets
 from .parallel import ordered_map
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
@@ -289,7 +289,8 @@ def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
 
 def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior: LinearPrior):
     """Cut-offs r_a, r_b, r_c of each row of `sets`, an (N, I) array of
-    0-based deletion sets of a common size I >= 1, and their Thm 3.1
+    0-based deletion sets of a common size I >= 1, each row sorted and
+    distinct as `all_subsets` gives them, and their Thm 3.1
     verdicts at each order r in `r_values` (all above 1), both read off one
     spectral pass, _SCAN_CHUNK sets at a time.
 
@@ -332,15 +333,15 @@ def scan_deletion_subsets(
 
 
 def fold_moment_indices(data: RegressionData, folds: list, prior: LinearPrior) -> np.ndarray:
-    """r_star for each fold, treating each fold as the deletion set.
+    """r_star for each fold, treating each fold, a sorted list of distinct
+    0-based cases, as the deletion set.
 
     Folds of equal size share one kernel call, so a list of folds from many
     partitions costs one call per distinct fold size.
     """
-    sets = [deletion_set(fold, data.n).indices for fold in folds]
-    out = np.empty(len(sets))
-    for size in sorted(set(map(len, sets))):
-        rows = [i for i, s in enumerate(sets) if len(s) == size]
-        idx = np.array([sets[i] for i in rows], dtype=int)
+    out = np.empty(len(folds))
+    for size in sorted(set(map(len, folds))):
+        rows = [i for i, fold in enumerate(folds) if len(fold) == size]
+        idx = np.array([folds[i] for i in rows], dtype=int)
         out[rows] = moment_index_linear(data, idx, (), prior)[0].r_star
     return out

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core_model import DeletionSet, LogitData, MomentIndexReport, MomentVerdict, deletion_set
+from .core_model import LogitData, MomentIndexReport, MomentVerdict
 from .errors import BudgetError
 
 # Candidate budget for exact vertex enumeration.
@@ -42,16 +42,19 @@ class VertexTable:
         self.contrib = Z * data.outcome[None, :] - np.maximum(Z, 0.0)
         self.l1 = np.abs(betas).sum(axis=1)
 
-    def parts(self, dels: DeletionSet, epsilon: float):
-        """h(beta, r, eps) = h0(beta) + (r-1) * slope(beta) for every row.
+    def parts(self, dels: np.ndarray, epsilon: float):
+        """h(beta, r, eps) = h0(beta) + (r-1) * slope(beta) for every row,
+        with `dels` the sorted, distinct deleted cases.
 
         slope = sum over deleted cases of max(0, beta'x_i) - beta'x_i y_i >= 0,
-        so h is affine and nondecreasing in r for every direction.
+        so h is affine and nondecreasing in r for every direction. Both sums
+        gather their columns by an int index: the copy that deleting columns
+        from `contrib` makes is laid out otherwise, and its sums round
+        differently in the last bit.
         """
-        mask = dels.mask()
-        h0 = self.contrib[:, ~mask].sum(axis=1) - epsilon * self.l1
-        slope = (-self.contrib[:, mask]).sum(axis=1) if mask.any() else np.zeros(len(self.l1))
-        return h0, slope
+        kept = np.delete(np.arange(self.contrib.shape[1]), dels)
+        h0 = self.contrib[:, kept].sum(axis=1) - epsilon * self.l1
+        return h0, (-self.contrib[:, dels]).sum(axis=1)
 
 
 def _candidate_directions(data: LogitData):
@@ -139,7 +142,8 @@ def _index_cutoff(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> tuple
 
 def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: float):
     """Moment index of each row of `sets`, an (N, I) array of 0-based
-    deletion sets, and its Thm 5.1 verdicts at each order r in `r_values`:
+    deletion sets, each row sorted and distinct as `all_subsets` gives them,
+    and its Thm 5.1 verdicts at each order r in `r_values`:
     (MomentIndexReport, one verdict list per set ordered as `r_values`).
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
@@ -153,8 +157,8 @@ def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: flo
     _require_exact(data, epsilon)
     table = VertexTable(data, _candidate_directions(data))
     cuts, verdicts = [], []
-    for indices in sets:
-        h0, slope = table.parts(deletion_set(indices, data.n), epsilon)
+    for dels in sets:
+        h0, slope = table.parts(dels, epsilon)
         cuts.append(_index_cutoff(table.betas, h0, slope))
         # At huge r the criterion overflows to +-inf, which keeps its sign.
         with np.errstate(over="ignore"):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DeletionSet, MMData, MomentIndexReport, MomentVerdict, deletion_set
+from .core_model import MMData, MomentIndexReport, MomentVerdict
 from .errors import DataError
 
 # Log-spaced kappa points of the scan.
@@ -55,20 +55,21 @@ class Extremum:
     kappa: float
 
 
-def _kappa_sums(x: np.ndarray, v: np.ndarray, mask: np.ndarray) -> tuple:
+def _kappa_sums(x: np.ndarray, v: np.ndarray, dels: np.ndarray) -> tuple:
     """(sum x^2, sum_del x^2, sum x v, sum_del x v) over the cases, the first
-    axis of x and v; a second axis of x runs over kappa values."""
+    axis of x and v, with `dels` the deleted cases; a second axis of x runs
+    over kappa values."""
     x2, xv = x * x, x * v
-    return x2.sum(axis=0), x2[mask].sum(axis=0), xv.sum(axis=0), xv[mask].sum(axis=0)
+    return x2.sum(axis=0), x2[dels].sum(axis=0), xv.sum(axis=0), xv[dels].sum(axis=0)
 
 
-def _sums_at(data: MMData, mask: np.ndarray, kappa: float) -> tuple:
+def _sums_at(data: MMData, dels: np.ndarray, kappa: float) -> tuple:
     """The kappa-sums at one kappa as Python floats, each bit-identical to
     the `_kappa_sums` sum over the 1-D arrays: one row sum per quantity."""
     c = data.concentration
     x = c / (kappa + c)
     w = x * (x, data.velocity)
-    (sum_x2, sum_xv), (del_x2, del_xv) = w.sum(axis=1).tolist(), w[:, mask].sum(axis=1).tolist()
+    (sum_x2, sum_xv), (del_x2, del_xv) = w.sum(axis=1).tolist(), w[:, dels].sum(axis=1).tolist()
     return sum_x2, del_x2, sum_xv, del_xv
 
 
@@ -83,13 +84,13 @@ def _abc(sums, v2, r: float, tol=None) -> tuple:
         return a, b, c, np.where(defined, c - b * b / np.where(defined, a, 1.0), np.nan)
 
 
-def _rss_star_at(data: MMData, mask: np.ndarray, v2, r: float):
+def _rss_star_at(data: MMData, dels: np.ndarray, v2, r: float):
     """rss_star at order r as a function of one kappa, on Python floats: the
     value `_abc(_sums_at(...), v2, r)[3]` gives, inf where that is NaN."""
     c = v2[0] - r * v2[1]
 
     def f(kappa):
-        sum_x2, del_x2, sum_xv, del_xv = _sums_at(data, mask, kappa)
+        sum_x2, del_x2, sum_xv, del_xv = _sums_at(data, dels, kappa)
         a = sum_x2 - r * del_x2
         if not abs(a) > 1e-14 * max(1.0, sum_x2):
             return math.inf
@@ -100,10 +101,10 @@ def _rss_star_at(data: MMData, mask: np.ndarray, v2, r: float):
     return f
 
 
-def _v2(data: MMData, mask: np.ndarray) -> list:
+def _v2(data: MMData, dels: np.ndarray) -> list:
     """(sum v^2, sum_del v^2): the first two kappa-sums with v in place of x."""
     v = data.velocity
-    return [float(s) for s in _kappa_sums(v, v, mask)[:2]]
+    return [float(s) for s in _kappa_sums(v, v, dels)[:2]]
 
 
 def _golden_section(f, lo, hi, minimize=True):
@@ -153,13 +154,13 @@ def _refined_extremum(grid, values, f, find_min, limit_candidates) -> Extremum:
 
 @dataclass(frozen=True)
 class KappaProfile:
-    """The r-free part of the kappa scan of one deletion set: the kappa-sums
-    on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
+    """The r-free part of the kappa scan of one deletion set `dels`, a
+    sorted row of distinct cases: the kappa-sums on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
     kappa -> infinity (`inf`, x_i ~ c_i/kappa), v2 = (sum v^2, sum_del v^2),
     and the refined supremum of leverage and infimum of g."""
 
     data: MMData
-    dels: DeletionSet
+    dels: np.ndarray
     grid: np.ndarray
     sums: tuple
     zero: list
@@ -181,7 +182,7 @@ class KappaProfile:
         data, dels = self.data, self.dels
         sup_lev = self.sup_leverage.value
         r_a = math.inf if sup_lev <= 1e-14 else 1.0 / sup_lev
-        r_b = (data.n - 1.0) / dels.cardinality
+        r_b = (data.n - 1.0) / dels.size
         hi = min(r_a, r_b)
 
         def finite_at(r):
@@ -208,19 +209,19 @@ class KappaProfile:
         return r_a, r_b, r_c
 
 
-def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
+def kappa_profile(data: MMData, dels: np.ndarray) -> KappaProfile:
     """The r-free part of the kappa scan: GRID_SIZE log-spaced kappa from
     1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
     endpoint limits, with golden-section refinement around each grid
     maximum of leverage and minimum of g and the limits folded into the
     reported extrema, so they cover the full half-line. Raises DataError
     unless sum x v is positive on the grid and at both limits."""
-    if dels.cardinality < 1:
+    if dels.size < 1:
         raise ValueError("deletion set must be nonempty")
-    c, v, mask = data.concentration, data.velocity, dels.mask()
+    c, v = data.concentration, data.velocity
     grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), GRID_SIZE)
-    sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], mask)
-    zero, inf = ([float(s) for s in _kappa_sums(x, v, mask)] for x in (np.ones_like(c), c))
+    sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], dels)
+    zero, inf = ([float(s) for s in _kappa_sums(x, v, dels)] for x in (np.ones_like(c), c))
     # "B > 0 iff g < 1/r" divides by sum x v, so it must be positive.
     if not min(zero[2], inf[2], float(sums[2].min())) > 0:
         raise DataError("the MM gate needs sum_i v_i c_i/(kappa + c_i) > 0 at every kappa; "
@@ -229,14 +230,14 @@ def kappa_profile(data: MMData, dels: DeletionSet) -> KappaProfile:
     def refined(k, find_min):
         """Refined extremum of leverage (k = 0) or g (k = 2), sums[k+1]/sums[k]."""
         def f(kappa):
-            s = _sums_at(data, mask, kappa)
+            s = _sums_at(data, dels, kappa)
             return s[k + 1] / s[k]
 
         limits = [(zero[k + 1] / zero[k], 0.0), (inf[k + 1] / inf[k], math.inf)]
         return _refined_extremum(grid, sums[k + 1] / sums[k], f, find_min, limits)
 
     return KappaProfile(data=data, dels=dels, grid=grid, sums=sums, zero=zero, inf=inf,
-                        v2=_v2(data, mask), sup_leverage=refined(0, False),
+                        v2=_v2(data, dels), sup_leverage=refined(0, False),
                         inf_g=refined(2, True))
 
 
@@ -261,7 +262,7 @@ def _inf_rss_star(profile: KappaProfile, r: float) -> Extremum:
                   if not np.isnan(val)]
     if np.all(np.isnan(rss)) and not rss_limits:
         return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
-    f_rss = _rss_star_at(profile.data, profile.dels.mask(), profile.v2, r)
+    f_rss = _rss_star_at(profile.data, profile.dels, profile.v2, r)
     return _refined_extremum(profile.grid, rss, f_rss, True, rss_limits)
 
 
@@ -324,7 +325,7 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     """
     if not r > 1:
         raise ValueError("moment order r must exceed 1")
-    if profile.data.n <= r * profile.dels.cardinality + 1:
+    if profile.data.n <= r * profile.dels.size + 1:
         return MomentVerdict.infinite("sample size: n <= r*I + 1")
     intervals = scan_kappa(profile, r)
     if intervals:
@@ -351,12 +352,13 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
 
 def moment_index_mm(data: MMData, sets: np.ndarray, r_values):
     """Moment index of each row of `sets`, an (N, I) array of nonempty
-    0-based deletion sets, and its Thm 4.1 verdicts at each order r in
-    `r_values`: (MomentIndexReport, one verdict list per set ordered as
-    `r_values`). One kappa profile per set serves its index and every r."""
+    0-based deletion sets, each row sorted and distinct as `all_subsets`
+    gives them, and its Thm 4.1 verdicts at each order r in `r_values`:
+    (MomentIndexReport, one verdict list per set ordered as `r_values`). One
+    kappa profile per set serves its index and every r."""
     cuts, verdicts = [], []
-    for indices in sets:
-        profile = kappa_profile(data, deletion_set(indices, data.n))
+    for dels in sets:
+        profile = kappa_profile(data, dels)
         cuts.append(profile.moment_index())
         verdicts.append([theorem41_verdict(profile, r) for r in r_values])
     return MomentIndexReport.of(sets, *np.array(cuts).T), verdicts

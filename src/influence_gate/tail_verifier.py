@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DeletionSet
 from .is_engine import log_weight
 from .samplers import SamplerConfig
 
@@ -102,12 +101,13 @@ def verify_moment_index(
     family,
     data,
     prior,
-    dels: DeletionSet,
+    dels: np.ndarray,
     r_star: float,
     config: SamplerConfig,
 ) -> TailReport:
     """Simulate draws from the posterior of `family` (a `families.Family`
-    record, with the prior it takes), estimate the weight tail index both
+    record, with the prior it takes), estimate the tail index of the
+    weights of deleting `dels`, the sorted, distinct 0-based cases, both
     ways, and compare it with the analytic moment index `r_star`.
 
     Agreement is judged only when the analytic index is at most 6 (thinner

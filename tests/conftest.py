@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from influence_gate import parallel
-from influence_gate.core_model import MMData, RegressionData, deletion_set
+from influence_gate.core_model import MMData, RegressionData
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -46,12 +46,19 @@ def derived_linear() -> RegressionData:
 
 @pytest.fixture(scope="session")
 def delete_last_of_4():
-    return deletion_set([3], 4)
+    return np.array([3])
+
+
+def deleted(cases) -> np.ndarray:
+    """A deletion set as the kernels, weights and verifier take it: the
+    sorted int row of the distinct 0-based `cases`."""
+    return np.unique(np.asarray(cases, dtype=int))
 
 
 def one_set(dels) -> np.ndarray:
-    """The (1, I) index array of one deletion set."""
-    return dels.index_array()[None, :]
+    """The (1, I) index array of one deletion set, a sorted row of
+    distinct 0-based cases."""
+    return dels[None, :]
 
 
 def report_rows(report) -> list:

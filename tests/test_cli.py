@@ -16,7 +16,7 @@ import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
-from influence_gate.core_model import MomentIndexReport, deletion_set
+from influence_gate.core_model import MomentIndexReport
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
@@ -33,6 +33,7 @@ from influence_gate.tail_verifier import hill_tail_index
 from conftest import (
     DATA_DIR,
     REPO_ROOT,
+    deleted,
     feigl_zelen,
     model_inputs,
     one_set,
@@ -94,6 +95,29 @@ def test_gate_singleton(tmp_path, config, case):
     assert report["command"] == "gate" and len(report["rows"]) == 1
 
 
+@pytest.mark.parametrize("config", MODELS.values(), ids=MODELS)
+def test_gate_ignores_order_and_repeats_of_deletion_indices(tmp_path, config):
+    for name, cases in (("given", "3, 1, 3"), ("plain", "1, 3")):
+        (tmp_path / name).mkdir()
+        assert run(tmp_path / name, "gate", {**config, "deletion.indices": cases}) == 0
+    for report in ("gate_report.csv", "gate_report.json"):
+        given, plain = ((tmp_path / name / "out" / report).read_bytes() for name in ("given", "plain"))
+        assert given == plain
+    assert [row["deletion"] for row in read_csv(tmp_path / "given", "gate_report.csv")] == ["1+3"]
+
+
+@pytest.mark.parametrize("config, case, column, text", [
+    (FZ_LOGIT, "15", "r_star", "1.2408602150537635"),
+    (PUROMYCIN_MM, "11", "r_c", "1.3233123627623362"),
+], ids=["logit", "mm"])
+def test_gate_cutoff_bits(tmp_path, config, case, column, text):
+    # Every bit: how the kernels gather the deleted cases' columns moves the
+    # last bit of these sums, which the reference comparisons tolerate.
+    assert run(tmp_path, "gate", {**config, "deletion.indices": case}) == 0
+    [row] = read_csv(tmp_path, "gate_report.csv")
+    assert row[column] == text
+
+
 def test_linear_gate_rows_match_single_set_functions(tmp_path):
     config = {**FZ_LINEAR, "deletion.scan_size": "2", "r": "2, 4"}
     assert run(tmp_path, "gate", config) == 0
@@ -102,7 +126,7 @@ def test_linear_gate_rows_match_single_set_functions(tmp_path):
     prior = LinearPrior.noninformative()
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
-        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        dels = deleted([int(c) - 1 for c in row["deletion"].split("+")])
         report, [[verdict]] = moment_index_linear(data, one_set(dels), [float(row["r"])], prior)
         [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
@@ -119,7 +143,7 @@ def test_logit_gate_rows_match_single_set_functions(tmp_path):
     data = feigl_zelen("logit")
     assert len(rows) == 2 * math.comb(33, 2)
     for row in rows:
-        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        dels = deleted([int(c) - 1 for c in row["deletion"].split("+")])
         report, [[verdict]] = moment_index_logit(data, one_set(dels), [float(row["r"])], 1.0)
         [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
@@ -136,7 +160,7 @@ def test_mm_gate_rows_match_single_set_functions(tmp_path):
     _, data, _ = model_inputs(config)
     assert len(rows) == 2 * 11
     for row in rows:
-        dels = deletion_set([int(c) - 1 for c in row["deletion"].split("+")], data.n)
+        dels = deleted([int(c) - 1 for c in row["deletion"].split("+")])
         report, [[verdict]] = moment_index_mm(data, one_set(dels), [float(row["r"])])
         [rep] = report_rows(report)
         assert (row["verdict"], row["detail"]) == (verdict.tag.value, verdict.detail)
@@ -527,6 +551,50 @@ def test_enumeration_over_budget_is_budget_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("budget error: ")
 
 
+def test_kfold_over_budget_is_budget_error(tmp_path, capsys, monkeypatch):
+    # 2,000,001 partitions of 5 folds are 10,000,005 folds: refused before
+    # the data are read, so before any permutation is drawn
+    reads = count_calls(monkeypatch, cli, "_model_inputs")
+    config = {**FZ_LINEAR, "deletion.kfold.partitions": "2000001", "deletion.kfold.folds": "5"}
+    assert run(tmp_path, "kfold", config) == 4
+    assert capsys.readouterr().err == ("budget error: 2000001 partitions x 5 folds = 10000005 "
+                                       "folds exceeds budget 10000000\n")
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+@pytest.mark.parametrize("config", [{**FZ_LINEAR, "deletion.indices": "15"},
+                                    {**PUROMYCIN_MM, "deletion.indices": "11"}],
+                         ids=["linear", "mm"])
+def test_unallocatable_sample_is_budget_error(tmp_path, capsys, command, config):
+    # 10^17 draws are within numpy's array limit but far beyond any address
+    # space, so the first array of draws can never be mapped
+    assert run(tmp_path, command, {**config, "sampler.draws": str(10**17)}) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget error: out of memory: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value, steps", [
+    ("estimate", "sampler.draws", str(10**18), 10**18 + 1000),
+    ("estimate", "sampler.thin", str(10**15), 10**19 + 1000),
+    ("verify", "verify.m_grid", f"1000, {10**18}", 10**18 + 1000),
+])
+def test_chain_beyond_numpy_array_limit_is_budget_error(tmp_path, capsys, monkeypatch, command,
+                                                        key, value, steps):
+    samples = []
+    monkeypatch.setitem(FAMILIES, "mm", dataclasses.replace(
+        FAMILIES["mm"], sample=lambda *args: samples.append(args)))
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", key: value}
+    assert run(tmp_path, command, config) == 4
+    assert capsys.readouterr().err == (f"budget error: a chain of {steps} steps of 3 parameters "
+                                       f"needs more than {sys.maxsize} bytes, the largest array "
+                                       f"numpy can make\n")
+    assert samples == []
+    assert not (tmp_path / "out").exists()
+
+
 def random_logit(tmp_path, n: int, covariates: int) -> dict:
     """Config of a logit model on n random cases with an intercept and
     `covariates` random covariate columns, set for short sampler runs."""
@@ -683,7 +751,7 @@ def test_verify_samples_from_configured_kappa_prior(tmp_path):
     _, data, _ = model_inputs(PUROMYCIN_MM)
     draws = sample_mm(data, SamplerConfig(seed=3, draws=20000, burn_in=1000),
                       5.0).draws
-    lw = log_weight(FAMILIES["mm"], draws, data, deletion_set([10], data.n))
+    lw = log_weight(FAMILIES["mm"], draws, data, deleted([10]))
     weights = np.sort(np.exp(lw - lw.max()))[::-1]
     assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights), rel=1e-12)
 

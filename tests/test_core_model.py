@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influence_gate.core_model import (
-    DeletionSet,
     MMData,
     MomentIndexReport,
     MomentVerdict,
     RegressionData,
     VerdictTag,
-    deletion_set,
     load_csv,
 )
-from influence_gate.cli import write_csv_report
+from influence_gate.cli import _deletion, write_csv_report
 from influence_gate.errors import DataError
 
 from conftest import model_inputs
@@ -123,36 +121,40 @@ class TestRoundTrip:
 
 
 class TestDeletionSet:
+    """A deletion set is a sorted int row of distinct 0-based cases; the CLI
+    makes one from the 1-based cases of `deletion.indices`."""
+
+    @staticmethod
+    def row(cases, n):
+        return _deletion({"deletion.indices": tuple(cases)}, n)
+
     def test_dedup_and_sort(self):
-        d = deletion_set([3, 1, 3], 5)
-        assert d.indices == (1, 3)
-        assert d.cardinality == 2
+        d = self.row([4, 2, 4], 5)
+        assert d.dtype.kind == "i"
+        assert d.tolist() == [1, 3]
+        assert d.size == 2
 
     def test_empty_allowed(self):
-        d = deletion_set([], 4)
-        assert d.indices == ()
-        assert d.cardinality == 0
+        d = self.row([], 4)
+        assert d.tolist() == []
+        assert d.size == 0
 
     def test_out_of_range(self):
-        with pytest.raises(DataError, match=r"^deletion index 11 out of range for n=11 \(0-based\)$"):
-            deletion_set([11], 11)
-        with pytest.raises(DataError, match=r"^deletion index -1 out of range for n=11 \(0-based\)$"):
-            deletion_set([-1], 11)
+        with pytest.raises(DataError, match=r"^deletion.indices: case 12 is outside 1..11$"):
+            self.row([12], 11)
+        with pytest.raises(DataError, match=r"^deletion.indices: case 0 is outside 1..11$"):
+            self.row([0], 11)
 
     def test_full_deletion_allowed(self):
-        d = deletion_set(range(4), 4)
-        assert d.cardinality == 4
+        d = self.row(range(1, 5), 4)
+        assert d.size == 4
 
-    @given(st.lists(st.integers(min_value=0, max_value=9), max_size=20), st.randoms())
+    @given(st.lists(st.integers(min_value=1, max_value=10), max_size=20), st.randoms())
     @settings(max_examples=100, deadline=None)
     def test_order_insensitive(self, items, pyrandom):
         shuffled = list(items)
         pyrandom.shuffle(shuffled)
-        assert deletion_set(items, 10) == deletion_set(shuffled, 10)
-
-    def test_mask(self):
-        d = deletion_set([0, 2], 4)
-        assert list(d.mask()) == [True, False, True, False]
+        assert np.array_equal(self.row(items, 10), self.row(shuffled, 10))
 
 
 class TestDataInvariants:

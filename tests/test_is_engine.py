@@ -9,7 +9,6 @@ from influence_gate.core_model import (
     LogitData,
     MMData,
     RegressionData,
-    deletion_set,
 )
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
@@ -22,18 +21,20 @@ from influence_gate.is_engine import (
 )
 from influence_gate.samplers import SamplerConfig, sample_mm
 
+from conftest import deleted
+
 
 class TestLogWeight:
     def test_empty_deletion_is_zero(self):
         rng = np.random.default_rng(0)
         data = RegressionData(design=np.ones((4, 1)), response=[0.0, 1.0, -1.0, 2.0])
         draws = np.column_stack([rng.standard_normal(10), np.abs(rng.standard_normal(10)) + 0.1])
-        lw = log_weight(FAMILIES["linear"], draws, data, deletion_set([], 4))
+        lw = log_weight(FAMILIES["linear"], draws, data, deleted([]))
         assert np.all(lw == 0.0)
 
     def test_linear_zero_residual_value(self):
         data = RegressionData(design=np.ones((4, 1)), response=[0.0, 1.0, -1.0, 2.0])
-        dels = deletion_set([3], 4)
+        dels = deleted([3])
         sigma2 = 0.7
         draw = np.array([[2.0, sigma2]])  # theta equals the deleted response
         assert log_weight(FAMILIES["linear"], draw, data, dels)[0] == pytest.approx(
@@ -41,7 +42,7 @@ class TestLogWeight:
         )
 
     def test_mm_matches_linear_form(self, puromycin):
-        dels = deletion_set([4], 11)
+        dels = deleted([4])
         m, s2, kappa = 160.0, 25.0, 0.5
         x = puromycin.concentration[4] / (kappa + puromycin.concentration[4])
         res = puromycin.velocity[4] - m * x
@@ -52,11 +53,11 @@ class TestLogWeight:
     def test_nonpositive_sigma2_rejected(self):
         data = RegressionData(design=np.ones((3, 1)), response=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            log_weight(FAMILIES["linear"], np.array([[0.0, -1.0]]), data, deletion_set([0], 3))
+            log_weight(FAMILIES["linear"], np.array([[0.0, -1.0]]), data, deleted([0]))
 
     def test_logit_weight_nonnegative_and_exact(self):
         data = LogitData(design=[[1.0], [2.0]], outcome=[1, 0])
-        dels = deletion_set([0], 2)
+        dels = deleted([0])
         beta = np.array([[-3.0]])
         expect = math.log1p(math.exp(-3.0)) - (-3.0)
         lw = log_weight(FAMILIES["logit"], beta, data, dels)[0]
@@ -140,7 +141,7 @@ class TestEstimateMeasure:
     def test_cpo_harmonic_mean_identity(self):
         rng = np.random.default_rng(11)
         data = RegressionData(design=np.ones((5, 1)), response=[0.0, 1.0, 2.0, 3.0, 4.0])
-        dels = deletion_set([2], 5)
+        dels = deleted([2])
         draws = np.column_stack([rng.standard_normal(10) + 2.0, np.abs(rng.standard_normal(10)) + 0.5])
         lw = log_weight(FAMILIES["linear"], draws, data, dels)
         ll = deleted_log_likelihood(FAMILIES["linear"], draws, data, dels)
@@ -245,7 +246,7 @@ class TestLogSumExp:
     def test_mm_case_11_cpo_input_golden(self, puromycin):
         draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000),
                           1.0).draws
-        ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deletion_set([10], 11))
+        ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deleted([10]))
         assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
 
     @pytest.mark.parametrize("x", [-3.7, 0.0, 1e300, -1e300])

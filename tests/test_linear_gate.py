@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from influence_gate import linear_gate
-from influence_gate.core_model import RegressionData, VerdictTag, all_subsets, deletion_set
+from influence_gate.core_model import RegressionData, VerdictTag, all_subsets
 from influence_gate.linear_gate import (
     LinearPrior,
     fold_moment_indices,
@@ -16,7 +16,7 @@ from influence_gate.linear_gate import (
     theorem31_verdict,
 )
 
-from conftest import feigl_zelen, one_set, random_regression, report_rows, use_cpus
+from conftest import deleted, feigl_zelen, one_set, random_regression, report_rows, use_cpus
 
 NONINF = LinearPrior.noninformative()
 
@@ -44,7 +44,7 @@ class TestLinearPrior:
 
 def refit_rss(data: RegressionData, dels) -> float:
     """Independent oracle: least squares on the case-deleted rows."""
-    keep = [i for i in range(data.n) if i not in dels.indices]
+    keep = [i for i in range(data.n) if i not in dels]
     X, y = data.design[keep], data.response[keep]
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     r = y - X @ coef
@@ -59,7 +59,7 @@ def explicit_hat(data: RegressionData) -> np.ndarray:
 def leverage_reference(data: RegressionData, dels):
     """Independent oracle: leverage minor from the explicit hat matrix, and
     residuals and RSS from a least-squares solve."""
-    idx = list(dels.indices)
+    idx = dels.tolist()
     coef, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
     e = data.response - data.design @ coef
     return explicit_hat(data)[np.ix_(idx, idx)], e[idx], float(e @ e)
@@ -69,7 +69,7 @@ def rss_star_reference(data: RegressionData, dels, r: float) -> float:
     """Independent oracle: rss - r e_del'(I - r H_del)^{-1} e_del from the
     explicit hat block."""
     minor, e_del, rss = leverage_reference(data, dels)
-    return float(rss - r * e_del @ np.linalg.solve(np.eye(dels.cardinality) - r * minor, e_del))
+    return float(rss - r * e_del @ np.linalg.solve(np.eye(dels.size) - r * minor, e_del))
 
 
 def spectrum(data: RegressionData, dels) -> np.ndarray:
@@ -105,7 +105,7 @@ def rc_reference(data, dels, prior, tol=1e-12) -> float:
     thr = prior.rss_threshold
 
     def value(r):
-        M = np.eye(dels.cardinality) - r * minor
+        M = np.eye(dels.size) - r * minor
         return rss - r * e_del @ np.linalg.solve(M, e_del)
 
     if value(r_hi) > thr:
@@ -126,36 +126,35 @@ def rc_reference(data, dels, prior, tol=1e-12) -> float:
 class TestLeverageMinor:
     def test_intercept_only_single_case(self):
         data = RegressionData(design=np.ones((4, 1)), response=[1.0, 2.0, 3.0, 4.0])
-        assert spectrum(data, deletion_set([0], 4))[0] == pytest.approx(0.25, abs=1e-12)
+        assert spectrum(data, deleted([0]))[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_singleton_matches_hat_diagonal(self):
         rng = np.random.default_rng(11)
         data = random_regression(rng, 10, 3)
         H = explicit_hat(data)
         for i in range(10):
-            assert spectrum(data, deletion_set([i], 10))[0] == pytest.approx(H[i, i], abs=1e-10)
+            assert spectrum(data, deleted([i]))[0] == pytest.approx(H[i, i], abs=1e-10)
 
     def test_empty_deletion_rejected(self, derived_linear):
         with pytest.raises(ValueError):
-            spectrum(derived_linear, deletion_set([], 4))
+            spectrum(derived_linear, deleted([]))
 
     def test_qr_path_matches_direct(self):
         rng = np.random.default_rng(7)
         data = random_regression(rng, 80, 4)
         H = explicit_hat(data)
-        dels = deletion_set([5, 40, 79], 80)
-        idx = dels.index_array()
+        idx = deleted([5, 40, 79])
         Q_del = linear_gate._hat(data)[0][idx]
         assert Q_del @ Q_del.T == pytest.approx(H[np.ix_(idx, idx)], abs=1e-10)
-        assert spectrum(data, dels) == pytest.approx(
+        assert spectrum(data, idx) == pytest.approx(
             np.linalg.eigvalsh(H[np.ix_(idx, idx)]), abs=1e-10)
 
     def test_more_cases_than_columns_match_the_minor_spectrum(self):
         # I = 5 > k = 3: the spectrum comes from the Gram side, padded with zeros
         rng = np.random.default_rng(12)
         data = random_regression(rng, 20, 3)
-        dels = deletion_set([0, 3, 7, 11, 19], 20)
-        Q_del = linear_gate._hat(data)[0][dels.index_array()]
+        dels = deleted([0, 3, 7, 11, 19])
+        Q_del = linear_gate._hat(data)[0][dels]
         minor = Q_del @ Q_del.T
         lam = spectrum(data, dels)
         assert minor.shape == (5, 5)
@@ -180,7 +179,7 @@ class TestRssStar:
     def test_zero_deleted_residual_constant(self):
         # case 4 fits exactly: response equals the deleted-point prediction
         data = RegressionData(design=np.ones((4, 1)), response=[1.0, 2.0, 3.0, 2.0])
-        dels = deletion_set([3], 4)
+        dels = deleted([3])
         base = kernel_rss_star(data, dels, 0.0)
         for r in (0.5, 1.0, 2.0, 3.0):
             assert kernel_rss_star(data, dels, r) == pytest.approx(base, abs=1e-12)
@@ -194,7 +193,7 @@ class TestRssStar:
         for _ in range(20):
             data = random_regression(rng, 12, 3)
             I = int(rng.integers(1, 6))  # sets of more than k = 3 cases take the Gram side
-            dels = deletion_set(rng.choice(12, size=I, replace=False), 12)
+            dels = deleted(rng.choice(12, size=I, replace=False))
             r_a = 1.0 / spectrum(data, dels)[-1]
             for r in rng.uniform(0.0, 0.95 * r_a, 5):
                 want = rss_star_reference(data, dels, float(r))
@@ -205,7 +204,7 @@ class TestRssStar:
         rng = np.random.default_rng(21)
         for _ in range(10):
             data = random_regression(rng, 12, 3)
-            dels = deletion_set(rng.choice(12, size=2, replace=False), 12)
+            dels = deleted(rng.choice(12, size=2, replace=False))
             r_hi = 1.0 / spectrum(data, dels)[-1]
             grid = np.linspace(0.01, r_hi * 0.98, 40)
             vals = [kernel_rss_star(data, dels, float(r)) for r in grid]
@@ -228,7 +227,7 @@ class TestRefitIdentityPropertySuite:
             if n - I <= k:
                 continue
             data = random_regression(rng, n, k)
-            dels = deletion_set(rng.choice(n, size=I, replace=False), n)
+            dels = deleted(rng.choice(n, size=I, replace=False))
             lam_max = spectrum(data, dels)[-1]
             if lam_max > 1.0 - 1e-6:
                 continue
@@ -237,8 +236,7 @@ class TestRefitIdentityPropertySuite:
             assert val == pytest.approx(oracle, rel=1e-8, abs=1e-10)
             # spectrum-based vs tilted-Gram positive definiteness
             r = float(rng.uniform(1.01, 3.0))
-            idx = dels.index_array()
-            Xi = data.design[idx]
+            Xi = data.design[dels]
             G = data.design.T @ data.design - r * Xi.T @ Xi
             lam_G = np.linalg.eigvalsh((G + G.T) / 2.0)
             pd_via_minor = lam_max < 1.0 / r
@@ -255,7 +253,7 @@ class TestRefitIdentityPropertySuite:
             H = explicit_hat(data)
             assert np.trace(H) == pytest.approx(k, abs=1e-10)
             I = int(rng.integers(1, min(4, n + 1)))
-            dels = deletion_set(rng.choice(n, size=I, replace=False), n)
+            dels = deleted(rng.choice(n, size=I, replace=False))
             lam = spectrum(data, dels)
             assert np.all(lam >= -1e-12)
             assert np.all(lam <= 1.0 + 1e-12)
@@ -280,7 +278,7 @@ class TestTheorem31Verdict:
         X = np.vstack([rng.standard_normal((9, 2)), [50.0, 0.0]])
         y = X @ [1.0, -1.0] + rng.standard_normal(10)
         data = RegressionData(design=X, response=y)
-        dels = deletion_set([9], 10)
+        dels = deleted([9])
         lam = spectrum(data, dels)[-1]
         r = 2.0 / lam  # guarantees lambda > 1/r
         v = verdict_at(data, dels, r, NONINF)
@@ -293,7 +291,7 @@ class TestTheorem31Verdict:
         # is the one that fires
         data = RegressionData(design=[[1.0], [2.0], [3.0], [0.01]],
                               response=[1.0, 2.0, 3.0, 0.0])
-        dels = deletion_set([3], 4)
+        dels = deleted([3])
         prior = conj(1.0, 1e6)
         r = (4 + 2 * 1.0) / 1  # n/2 + alpha = rI/2 exactly
         v = verdict_at(data, dels, r, prior)
@@ -320,7 +318,7 @@ class TestTheorem31Verdict:
         rng = np.random.default_rng(99)
         for _ in range(8):
             data = random_regression(rng, 12, 2)
-            dels = deletion_set(rng.choice(12, size=2, replace=False), 12)
+            dels = deleted(rng.choice(12, size=2, replace=False))
             seen_infinite = False
             for r in np.linspace(1.05, 5.0, 30):
                 v = verdict_at(data, dels, float(r), NONINF)
@@ -342,7 +340,7 @@ class TestMomentIndexLinear:
         rng = np.random.default_rng(17)
         for _ in range(10):
             data = random_regression(rng, 15, 3)
-            dels = deletion_set(rng.choice(15, size=2, replace=False), 15)
+            dels = deleted(rng.choice(15, size=2, replace=False))
             for prior in (NONINF, conj(0.5, 2.0)):
                 rep = index_of(data, dels, prior)
                 assert rep.r_c == pytest.approx(rc_reference(data, dels, prior), abs=1e-6)
@@ -355,7 +353,7 @@ class TestMomentIndexLinear:
         data = RegressionData(design=X, response=y)
         coef, *_ = np.linalg.lstsq(X, y, rcond=None)
         e = y - X @ coef
-        rep = index_of(data, deletion_set([3], 4), NONINF)
+        rep = index_of(data, deleted([3]), NONINF)
         assert math.isinf(rep.r_a)
         assert rep.r_c == pytest.approx(float(e @ e) / e[3] ** 2, rel=1e-12)
         assert rep.r_c < rep.r_b
@@ -367,7 +365,7 @@ class TestMomentIndexLinear:
         X = np.array([[1.0], [2.0], [3.0], [0.0]])
         y = np.array([1.0, 2.0, 3.0, 0.0])
         data = RegressionData(design=X, response=y)
-        dels = deletion_set([3], 4)
+        dels = deleted([3])
         rep = index_of(data, dels, NONINF)
         assert math.isinf(rep.r_a)
         assert math.isinf(rep.r_c)
@@ -388,19 +386,19 @@ class TestMomentIndexLinear:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(44)
         data = random_regression(rng, 12, 3)
-        dels = deletion_set([1, 5, 8], 12)
+        dels = deleted([1, 5, 8])
         rep = index_of(data, dels, NONINF)
         perm = rng.permutation(12)
         data2 = RegressionData(design=data.design[perm], response=data.response[perm])
         mapped = [int(np.where(perm == i)[0][0]) for i in (1, 5, 8)]
-        rep2 = index_of(data2, deletion_set(mapped, 12), NONINF)
+        rep2 = index_of(data2, deleted(mapped), NONINF)
         for field in ("r_a", "r_b", "r_c", "r_star"):
             assert getattr(rep, field) == pytest.approx(getattr(rep2, field), abs=1e-12)
 
     def test_response_scaling_noninformative(self):
         rng = np.random.default_rng(45)
         data = random_regression(rng, 10, 2)
-        dels = deletion_set([0, 4], 10)
+        dels = deleted([0, 4])
         rep = index_of(data, dels, NONINF)
         for c in (0.5, 3.0, 100.0):
             scaled = RegressionData(design=data.design, response=c * data.response)
@@ -412,7 +410,7 @@ class TestMomentIndexLinear:
     def test_response_scaling_conjugate_moves_rc_only(self):
         rng = np.random.default_rng(46)
         data = random_regression(rng, 10, 2)
-        dels = deletion_set([3], 10)
+        dels = deleted([3])
         prior = conj(1.0, 0.5)
         rep = index_of(data, dels, prior)
         scaled = RegressionData(design=data.design, response=10.0 * data.response)
@@ -613,7 +611,7 @@ def reference_cutoffs(data, dels, prior):
     """(r_a, r_b, r_c) from the independent oracles."""
     minor, _, _ = leverage_reference(data, dels)
     r_a = 1.0 / np.linalg.eigvalsh(minor)[-1]
-    I = dels.cardinality
+    I = dels.size
     r_b = (data.n - data.k) / I if prior.is_noninformative else (data.n + 2 * prior.alpha) / I
     return r_a, r_b, rc_reference(data, dels, prior)
 
@@ -628,7 +626,7 @@ class TestSubsetScan:
             assert [tuple(s) for s in result.subsets] == list(combinations(range(12), 2))
             pick = rng.choice(result.count, size=12, replace=False)
             for i in pick:
-                dels = deletion_set(result.subsets[i], 12)
+                dels = deleted(result.subsets[i])
                 r_a, r_b, r_c = reference_cutoffs(data, dels, prior)
                 assert result.r_a[i] == pytest.approx(r_a, rel=1e-9)
                 assert result.r_b[i] == r_b
@@ -675,11 +673,11 @@ class TestSubsetScan:
         rng = np.random.default_rng(79)
         data = random_regression(rng, 33, 3)
         perm = rng.permutation(33)
-        folds = [perm[f::5].tolist() for f in range(5)]
+        folds = [sorted(perm[f::5].tolist()) for f in range(5)]
         assert [len(f) for f in folds] == [7, 7, 7, 6, 6]
         vals = fold_moment_indices(data, folds, NONINF)
         for fold, val in zip(folds, vals):
-            dels = deletion_set(fold, 33)
+            dels = deleted(fold)
             assert val == pytest.approx(min(reference_cutoffs(data, dels, NONINF)), abs=1e-6)
             assert val == pytest.approx(index_of(data, dels, NONINF).r_star, abs=1e-12)
 
@@ -689,5 +687,5 @@ class TestSubsetScan:
         folds = [[i] for i in range(9)]
         vals = fold_moment_indices(data, folds, NONINF)
         for i in range(9):
-            rep = index_of(data, deletion_set([i], 9), NONINF)
+            rep = index_of(data, deleted([i]), NONINF)
             assert vals[i] == pytest.approx(rep.r_star, abs=1e-10)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from influence_gate.cli import main
-from influence_gate.core_model import LogitData, VerdictTag, all_subsets, deletion_set
+from influence_gate.core_model import LogitData, VerdictTag, all_subsets
 from influence_gate.errors import BudgetError
 from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
@@ -15,7 +15,7 @@ from influence_gate.logit_gate import (
     moment_index_logit,
 )
 
-from conftest import DATA_DIR, feigl_zelen, one_set, report_rows
+from conftest import DATA_DIR, deleted, feigl_zelen, one_set, report_rows
 
 
 def index_of(data, dels, eps):
@@ -44,7 +44,7 @@ def two_point():
 
 @pytest.fixture(scope="module")
 def delete_first():
-    return deletion_set([0], 2)
+    return deleted([0])
 
 
 def weight_moment_integrand(beta, r, epsilon):
@@ -65,7 +65,7 @@ def h_reference(data, dels, beta, r, epsilon) -> float:
     for i in range(data.n):
         z = float(data.design[i] @ beta)
         term = z * data.outcome[i] - max(0.0, z)
-        total += -(r - 1.0) * term if i in dels.indices else term
+        total += -(r - 1.0) * term if i in dels else term
     return total
 
 
@@ -86,7 +86,7 @@ class TestHEval:
 
     def test_single_term_arithmetic(self):
         data = LogitData(design=[[1.0]], outcome=[1])
-        dels = deletion_set([], 1)
+        dels = deleted([])
         for h in (h_table, h_reference):
             assert h(data, dels, [1.0], 2.0, 1.0) == pytest.approx(-1.0, abs=1e-14)
 
@@ -100,7 +100,7 @@ class TestHEval:
         betas = rng.standard_normal((50, 3))
         table = VertexTable(data, betas)
         for indices in ([], [4], [0, 2, 8]):
-            dels = deletion_set(indices, 9)
+            dels = deleted(indices)
             h0, slope = table.parts(dels, 0.3)
             for beta, h in zip(betas, h0 + (2.5 - 1.0) * slope):
                 assert h == pytest.approx(h_reference(data, dels, beta, 2.5, 0.3), abs=1e-12)
@@ -113,7 +113,7 @@ class TestHEval:
     def test_homogeneity_random(self):
         rng = np.random.default_rng(12)
         data = LogitData(design=rng.standard_normal((8, 3)), outcome=rng.integers(0, 2, 8))
-        dels = deletion_set([1, 4], 8)
+        dels = deleted([1, 4])
         for _ in range(20):
             beta = rng.standard_normal(3)
             h1 = h_table(data, dels, beta, 2.5, 0.3)
@@ -125,7 +125,7 @@ class TestHEval:
     def test_affine_in_r(self):
         rng = np.random.default_rng(13)
         data = LogitData(design=rng.standard_normal((6, 2)), outcome=rng.integers(0, 2, 6))
-        dels = deletion_set([0, 3], 6)
+        dels = deleted([0, 3])
         for _ in range(10):
             beta = rng.standard_normal(2)
             v = [h_table(data, dels, beta, r, 0.2) for r in (1.5, 2.0, 3.0)]
@@ -143,20 +143,20 @@ class TestMaxH:
     def test_argmax_satisfies_l1_constraint(self):
         rng = np.random.default_rng(14)
         data = LogitData(design=rng.standard_normal((12, 3)), outcome=rng.integers(0, 2, 12))
-        value, argmax = sphere_max(data, deletion_set([2, 5], 12), 2.0, 0.4)
+        value, argmax = sphere_max(data, deleted([2, 5]), 2.0, 0.4)
         assert np.abs(argmax).sum() == pytest.approx(1.0, abs=1e-12)
-        h = h_reference(data, deletion_set([2, 5], 12), argmax, 2.0, 0.4)
+        h = h_reference(data, deleted([2, 5]), argmax, 2.0, 0.4)
         assert h == pytest.approx(value, abs=1e-10)
 
     def test_vertex_max_dominates_random_directions(self):
         rng = np.random.default_rng(15)
         data = LogitData(design=rng.standard_normal((10, 3)), outcome=rng.integers(0, 2, 10))
-        dels = deletion_set([0, 7], 10)
+        dels = deleted([0, 7])
         value, _ = sphere_max(data, dels, 2.0, 0.1)
         raw = rng.standard_normal((100_000, 3))
         dirs = raw / np.abs(raw).sum(axis=1, keepdims=True)
         X, y = data.design, data.outcome
-        mask = dels.mask()
+        mask = np.isin(np.arange(data.n), dels)
         Z = dirs @ X.T
         contrib = Z * y[None, :] - np.maximum(Z, 0.0)
         h0 = contrib[:, ~mask].sum(axis=1) - 0.1 * np.abs(dirs).sum(axis=1)
@@ -170,7 +170,7 @@ class TestMaxH:
         data = LogitData(
             design=[[-2.0], [-1.0], [1.0], [2.0]], outcome=[0, 0, 1, 1]
         )
-        dels = deletion_set([], 4)
+        dels = deleted([])
         eps = 0.7
         value, _ = sphere_max(data, dels, 2.0, eps)
         assert value == pytest.approx(-eps, abs=1e-12)
@@ -178,7 +178,7 @@ class TestMaxH:
 
     def test_separable_all_ones_zero_boundary(self):
         data = LogitData(design=[[1.0], [2.0]], outcome=[1, 1])
-        dels = deletion_set([], 2)
+        dels = deleted([])
         value, _ = sphere_max(data, dels, 2.0, 0.0)
         assert value == pytest.approx(0.0, abs=1e-14)
 
@@ -186,10 +186,10 @@ class TestMaxH:
         rng = np.random.default_rng(16)
         data = LogitData(design=rng.standard_normal((250, 2)), outcome=rng.integers(0, 2, 250))
         with pytest.raises(BudgetError):
-            verdict_at(data, deletion_set([0], 250), 2.0, 0.1)
+            verdict_at(data, deleted([0]), 2.0, 0.1)
         big = LogitData(design=rng.standard_normal((150, 6)), outcome=rng.integers(0, 2, 150))
         with pytest.raises(BudgetError, match="fewer covariates or cases"):
-            verdict_at(big, deletion_set([0], 150), 2.0, 0.1)
+            verdict_at(big, deleted([0]), 2.0, 0.1)
 
 
 class TestTheorem51Verdict:
@@ -208,13 +208,13 @@ class TestTheorem51Verdict:
         assert abs(large2 - small2) < 1e-8 * max(small2, 1.0)
 
     def test_empty_deletion_short_circuits(self, two_point):
-        v = verdict_at(two_point, deletion_set([], 2), 64.0, 0.0)
+        v = verdict_at(two_point, deleted([]), 64.0, 0.0)
         assert v.is_finite
 
     def test_monotone_in_r_and_epsilon(self):
         rng = np.random.default_rng(18)
         data = LogitData(design=rng.standard_normal((9, 2)), outcome=rng.integers(0, 2, 9))
-        dels = deletion_set([4], 9)
+        dels = deleted([4])
         seen_infinite = False
         for r in (1.5, 2.0, 3.0, 5.0, 9.0, 17.0):
             v = verdict_at(data, dels, r, 0.25)
@@ -231,7 +231,7 @@ class TestTheorem51Verdict:
     def test_overflowing_criterion_is_infinite(self, tmp_path):
         # At r = 1e308 the criterion overflows to inf at the maximizing vertex.
         data = feigl_zelen("logit")
-        assert verdict_at(data, deletion_set([14], data.n), 1e308, 1.0).tag is VerdictTag.INFINITE
+        assert verdict_at(data, deleted([14]), 1e308, 1.0).tag is VerdictTag.INFINITE
         config = tmp_path / "run.cfg"
         config.write_text(f"model = logit\ndata = {DATA_DIR / 'feigl_zelen.csv'}\n"
                           "data.outcome = surv50\ndata.covariates = wbc, ag\n"
@@ -245,7 +245,7 @@ class TestTheorem51Verdict:
 
         rng = np.random.default_rng(19)
         data = LogitData(design=rng.standard_normal((7, 3)), outcome=rng.integers(0, 2, 7))
-        dels = deletion_set([1, 6], 7)
+        dels = deleted([1, 6])
         draws = rng.standard_normal((500, 3)) * 10.0
         lw = log_weight(FAMILIES["logit"], draws, data, dels)
         assert np.all(lw >= -1e-12)
@@ -261,7 +261,7 @@ class TestMomentIndexLogit:
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(23)
         data = LogitData(design=rng.standard_normal((8, 2)), outcome=rng.integers(0, 2, 8))
-        dels = deletion_set([3], 8)
+        dels = deleted([3])
         eps = 0.3
         rep = index_of(data, dels, eps)
         lo, hi = 1.0 + 1e-9, 64.0
@@ -282,7 +282,7 @@ class TestMomentIndexLogit:
         assert "cap" in rep.binding
 
     def test_empty_deletion_infinite(self, two_point):
-        rep = index_of(two_point, deletion_set([], 2), 0.5)
+        rep = index_of(two_point, deleted([]), 0.5)
         assert math.isinf(rep.r_star)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -293,7 +293,7 @@ class TestMomentIndexLogit:
         data = LogitData(design=rng.integers(-2, 3, (n, k)), outcome=rng.integers(0, 2, n))
         table = VertexTable(data, _candidate_directions(data))
         for size in (1, 2, 4):
-            dels = deletion_set(rng.choice(n, size, replace=False).tolist(), n)
+            dels = deleted(rng.choice(n, size, replace=False).tolist())
             for eps in (0.0, 0.3):
                 r_star, arg = index_reference(table.betas, *table.parts(dels, eps))
                 rep = index_of(data, dels, eps)
@@ -332,7 +332,7 @@ class TestBatches:
             report, verdicts = moment_index_logit(data, batch, r_values, 0.4)
             assert report.count == len(verdicts) == len(batch)
             row = [tuple(s) for s in batch.tolist()].index(indices)
-            dels = deletion_set(indices, 10)
+            dels = deleted(indices)
             assert report_rows(report)[row] == index_of(data, dels, 0.4)
             assert verdicts[row] == [verdict_at(data, dels, r, 0.4) for r in r_values]
         pairs = np.array([(i, j) for i in range(10) for j in range(i + 1, 10)])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from influence_gate import mm_gate
-from influence_gate.core_model import MMData, VerdictTag, all_subsets, deletion_set
+from influence_gate.core_model import MMData, VerdictTag, all_subsets
 from influence_gate.mm_gate import (
     Extremum,
     _abc,
@@ -25,7 +25,7 @@ from influence_gate.mm_gate import (
     theorem41_verdict,
 )
 
-from conftest import one_set, report_rows
+from conftest import deleted, one_set, report_rows
 
 TABLE_ASYMPTOTIC = [1.97, 1.97, 1.96, 1.96, 1.94, 1.94, 1.87, 1.87, 1.34, 1.34, -0.45]
 
@@ -42,7 +42,7 @@ def mm_reference(data, dels, r, kappa) -> dict:
     """Oracle: the pointwise quantities at one kappa, from x = c/(kappa+c)
     and the kept (o) and deleted (d) cases."""
     x, v = data.concentration / (kappa + data.concentration), data.velocity
-    d = np.isin(np.arange(data.n), dels.indices)
+    d = np.isin(np.arange(data.n), dels)
     o = ~d
     a = x[o] @ x[o] - (r - 1.0) * x[d] @ x[d]
     b = x[o] @ v[o] - (r - 1.0) * x[d] @ v[d]
@@ -61,21 +61,20 @@ def kernel_at(data, dels, r, kappa) -> dict:
     """The same quantities from the kernel's kappa-sums at one kappa, as the
     golden-section refinements evaluate them; rss_star is NaN where A
     vanishes."""
-    mask = dels.mask()
-    sums = _sums_at(data, mask, kappa)
-    a, b, c, rss = _abc(sums, _v2(data, mask), r)
+    sums = _sums_at(data, dels, kappa)
+    a, b, c, rss = _abc(sums, _v2(data, dels), r)
     return {"a": a, "b": b, "c": c, "rss_star": float(rss),
             "leverage": sums[1] / sums[0], "g": sums[3] / sums[2]}
 
 
 class TestMMEval:
     def test_leverage_case_11_at_kappa_2(self, puromycin):
-        dels = deletion_set([10], 11)
+        dels = deleted([10])
         for at in (kernel_at, mm_reference):
             assert at(puromycin, dels, 2.0, 2.0)["leverage"] == pytest.approx(0.5065, abs=5e-4)
 
     def test_kappa_to_zero_equalizes(self, puromycin):
-        dels = deletion_set([4], 11)
+        dels = deleted([4])
         assert kernel_at(puromycin, dels, 2.0, 1e-9)["leverage"] == pytest.approx(
             1.0 / 11.0, abs=1e-6)
         zero = kappa_profile(puromycin, dels).zero
@@ -83,7 +82,7 @@ class TestMMEval:
 
     def test_rss_star_refit_identity_at_r1(self, puromycin):
         rng = np.random.default_rng(3)
-        dels = deletion_set([6], 11)
+        dels = deleted([6])
         keep = np.array([i for i in range(11) if i != 6])
         c = puromycin.concentration
         for kappa in rng.uniform(0.01, 20.0, size=20):
@@ -92,7 +91,7 @@ class TestMMEval:
             assert rss == pytest.approx(oracle, rel=1e-10)
 
     def test_rss_star_undefined_tagged_not_raised(self, puromycin):
-        dels = deletion_set([10], 11)
+        dels = deleted([10])
         # find a kappa where A crosses zero at r=2 (leverage = 1/2); A is
         # positive at kappa=0.5 and negative at kappa=10 for this case
         lo, hi = 0.5, 10.0
@@ -109,31 +108,31 @@ class TestMMEval:
 
 class TestScanKappa:
     def test_sup_g_case_1(self, puromycin):
-        profile = kappa_profile(puromycin, deletion_set([0], 11))
+        profile = kappa_profile(puromycin, deleted([0]))
         sums, zero, inf = profile.sums, profile.zero, profile.inf
         sup_g = max(np.max(sums[3] / sums[2]), zero[3] / zero[2], inf[3] / inf[2])
         assert sup_g == pytest.approx(0.05501, abs=5e-4)
 
     def test_negative_rss_near_008_case_1(self, puromycin):
-        inf_rss_star = _inf_rss_star(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
+        inf_rss_star = _inf_rss_star(kappa_profile(puromycin, deleted([0])), 2.0)
         assert inf_rss_star.value < 0
         assert 0.04 < inf_rss_star.kappa < 0.15
 
     def test_asymptotic_coefficients_match(self, puromycin):
         # kappa^2 A -> sum c^2 - r sum_del c^2 as kappa -> infinity, at r = 2
         for i, expected in enumerate(TABLE_ASYMPTOTIC):
-            inf = kappa_profile(puromycin, deletion_set([i], 11)).inf
+            inf = kappa_profile(puromycin, deleted([i])).inf
             assert inf[0] - 2.0 * inf[1] == pytest.approx(expected, abs=5e-3)
 
     def test_singleton_leverages_sum_to_one(self, puromycin):
-        profiles = [kappa_profile(puromycin, deletion_set([i], 11)) for i in range(11)]
+        profiles = [kappa_profile(puromycin, deleted([i])) for i in range(11)]
         total = sum(p.sums[1] / p.sums[0] for p in profiles)
         assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
     def test_sign_equivalences_on_grid(self, puromycin):
         """A < 0 iff leverage > 1/r and B > 0 iff g < 1/r, pointwise."""
         r = 2.0
-        profile = kappa_profile(puromycin, deletion_set([10], 11))
+        profile = kappa_profile(puromycin, deleted([10]))
         sums = profile.sums
         A, B, _, _ = _abc(sums, profile.v2, r)
         lev, g = sums[1] / sums[0], sums[3] / sums[2]
@@ -143,7 +142,7 @@ class TestScanKappa:
         assert np.array_equal((B > 0)[clear], (g < 1.0 / r)[clear])
 
     def test_kappa_squared_A_converges(self, puromycin):
-        dels = deletion_set([2], 11)
+        dels = deleted([2])
         r = 2.0
         profile = kappa_profile(puromycin, dels)
         a1 = profile.inf[0] - r * profile.inf[1]
@@ -158,7 +157,7 @@ class TestScanKappa:
         assert sums[1][0] / sums[0][0] == pytest.approx(zero[1] / zero[0], rel=0.01)
 
     def test_refined_extrema_bracket_grid(self, puromycin):
-        dels = deletion_set([0], 11)
+        dels = deleted([0])
         profile = kappa_profile(puromycin, dels)
         grid_lev = [mm_reference(puromycin, dels, 2.0, float(k))["leverage"]
                     for k in profile.grid[::97]]
@@ -166,33 +165,33 @@ class TestScanKappa:
 
     def test_empty_deletion_rejected(self, puromycin):
         with pytest.raises(ValueError):
-            scan_kappa(kappa_profile(puromycin, deletion_set([], 11)), 2.0)
+            scan_kappa(kappa_profile(puromycin, deleted([])), 2.0)
 
 
 class TestTheorem41Verdict:
     def test_case_11_infinite_at_2(self, puromycin):
-        v = theorem41_verdict(kappa_profile(puromycin, deletion_set([10], 11)), 2.0)
+        v = theorem41_verdict(kappa_profile(puromycin, deleted([10])), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "leverage" in v.detail
 
     def test_case_1_infinite_at_2(self, puromycin):
-        v = theorem41_verdict(kappa_profile(puromycin, deletion_set([0], 11)), 2.0)
+        v = theorem41_verdict(kappa_profile(puromycin, deleted([0])), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "residual" in v.detail
 
     def test_middle_cases_finite_at_2(self, puromycin):
         for i in range(1, 10):
-            profile = kappa_profile(puromycin, deletion_set([i], 11))
+            profile = kappa_profile(puromycin, deleted([i]))
             assert theorem41_verdict(profile, 2.0).is_finite, f"case {i + 1}"
 
     def test_sample_size_condition(self, puromycin):
-        dels = deletion_set([0, 1, 2, 3, 4], 11)  # I = 5, so n <= rI+1 at r = 2
+        dels = deleted([0, 1, 2, 3, 4])  # I = 5, so n <= rI+1 at r = 2
         v = theorem41_verdict(kappa_profile(puromycin, dels), 2.0)
         assert v.tag is VerdictTag.INFINITE
         assert "sample size" in v.detail
 
     def test_verdict_monotone_in_r(self, puromycin):
-        dels = deletion_set([4], 11)
+        dels = deleted([4])
         seen_infinite = False
         for r in np.linspace(1.2, 4.0, 15):
             v = theorem41_verdict(kappa_profile(puromycin, dels), float(r))
@@ -209,21 +208,21 @@ SINGLETON_RC = [1.5937, 2.7912, 4.4963, 5.1689, 2.8678, 5.1914,
 class TestMomentIndexMM:
     # Two-decimal r* of cases 1, 11 and 7; test_singleton holds all 11 to 5e-4.
     def test_case_1(self, puromycin):
-        rep = index_of(puromycin, deletion_set([0], 11))
+        rep = index_of(puromycin, deleted([0]))
         assert rep.r_star == pytest.approx(1.59, abs=0.02)
         assert rep.binding == "residual"
 
     def test_case_11(self, puromycin):
-        rep = index_of(puromycin, deletion_set([10], 11))
+        rep = index_of(puromycin, deleted([10]))
         assert rep.r_star == pytest.approx(1.32, abs=0.02)
 
     def test_case_7(self, puromycin):
-        rep = index_of(puromycin, deletion_set([6], 11))
+        rep = index_of(puromycin, deleted([6]))
         assert rep.r_star == pytest.approx(6.38, abs=0.02)
 
     @pytest.mark.parametrize("case", range(1, 12))
     def test_singleton(self, puromycin, case):
-        rep = index_of(puromycin, deletion_set([case - 1], 11))
+        rep = index_of(puromycin, deleted([case - 1]))
         assert rep.r_c == pytest.approx(SINGLETON_RC[case - 1], abs=5e-4)
         assert rep.binding == "residual"
         assert rep.r_star == rep.r_c
@@ -236,29 +235,29 @@ class TestMomentIndexMM:
             velocity=puromycin.velocity[perm],
         )
         new_index = int(np.where(perm == 0)[0][0])
-        a = index_of(puromycin, deletion_set([0], 11))
-        b = index_of(data2, deletion_set([new_index], 11))
+        a = index_of(puromycin, deleted([0]))
+        b = index_of(data2, deleted([new_index]))
         assert a.r_star == pytest.approx(b.r_star, abs=2e-3)
 
     def test_outlier_perturbation_weakly_decreases(self, puromycin):
         """Moving the deleted velocity away from the fitted curve cannot
         raise the moment index."""
-        base = index_of(puromycin, deletion_set([0], 11)).r_star
+        base = index_of(puromycin, deleted([0])).r_star
         vel = np.array(puromycin.velocity)
         vel[0] += 60.0  # push case 1 further above the curve
         pushed = MMData(concentration=puromycin.concentration, velocity=vel)
-        moved = index_of(pushed, deletion_set([0], 11)).r_star
+        moved = index_of(pushed, deleted([0])).r_star
         assert moved <= base + 1e-6
 
     def test_sample_size_binds_below_the_residual_probe(self, puromycin):
         # With 10 of 11 cases deleted the residual condition fails at the
         # first probe r = 1 + 1e-9, but r_b = (n-1)/I = 1 is smaller still.
-        rep = index_of(puromycin, deletion_set(range(10), 11))
+        rep = index_of(puromycin, deleted(range(10)))
         assert (rep.r_b, rep.r_c, rep.r_star) == (1.0, 1.0 + 1e-9, 1.0)
         assert rep.binding == "sample-size"
 
     def test_invariant_r_star_is_min(self, puromycin):
-        rep = index_of(puromycin, deletion_set([8], 11))
+        rep = index_of(puromycin, deleted([8]))
         assert rep.r_star == min(rep.r_a, rep.r_b, rep.r_c)
 
 
@@ -322,7 +321,7 @@ class TestGridHelpers:
 class TestKappaProfile:
     def test_extrema_match_pointwise_evaluation(self, puromycin):
         for case in (1, 9):  # case 9 has an interior supremum of leverage
-            dels = deletion_set([case - 1], 11)
+            dels = deleted([case - 1])
             profile = kappa_profile(puromycin, dels)
             for ext, field in ((profile.sup_leverage, "leverage"), (profile.inf_g, "g"),
                                (_inf_rss_star(profile, 2.0), "rss_star")):
@@ -332,22 +331,21 @@ class TestKappaProfile:
                     assert ext.value == pytest.approx(want, rel=1e-10)
 
 
-def array_sums_at(data, mask, kappa) -> list:
+def array_sums_at(data, dels, kappa) -> list:
     """Oracle: the kappa-sums at one kappa through the 1-D array kernel."""
     c = data.concentration
-    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, mask)]
+    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, dels)]
 
 
-def array_rss_star_at(data, mask, v2, r, kappa) -> float:
+def array_rss_star_at(data, dels, v2, r, kappa) -> float:
     """Oracle: rss_star at one kappa through the array code, inf for NaN."""
-    val = _abc(array_sums_at(data, mask, kappa), v2, r)[3]
+    val = _abc(array_sums_at(data, dels, kappa), v2, r)[3]
     return math.inf if np.isnan(val) else float(val)
 
 
 def eager_inf_rss_star(profile, r):
     """Oracle: the infimum of rss_star refined by the array objective, from
     the grid values and limits of `_abc` alone."""
-    mask = profile.dels.mask()
     rss = _abc(profile.sums, profile.v2, r)[3]
     rss0 = _abc(profile.zero, profile.v2, r, 1e-14)[3]
     rss1 = _abc(profile.inf, profile.v2, r, 1e-12 * max(1.0, profile.inf[0]))[3]
@@ -357,7 +355,7 @@ def eager_inf_rss_star(profile, r):
         return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
     return _refined_extremum(
         profile.grid, rss,
-        lambda kappa: array_rss_star_at(profile.data, mask, profile.v2, r, kappa),
+        lambda kappa: array_rss_star_at(profile.data, profile.dels, profile.v2, r, kappa),
         True, limits)
 
 
@@ -395,7 +393,7 @@ class TestLazyRssStar:
     ])
     def test_settled_verdict_never_refines_rss_star(self, puromycin, monkeypatch, cases, r,
                                                     reason):
-        profile = kappa_profile(puromycin, deletion_set(cases, 11))
+        profile = kappa_profile(puromycin, deleted(cases))
         calls = count_refinements(monkeypatch)
         verdict = theorem41_verdict(profile, r)
         assert verdict.tag is VerdictTag.INFINITE and verdict.detail == reason
@@ -406,7 +404,7 @@ class TestLazyRssStar:
         # at r = 2 as finite although inf rss_star is negative.
         data = MMData(concentration=[1.72, 0.12, 1.47, 0.39, 1.73, 1.11],
                       velocity=[-5.0, 13.0, -46.0, -31.0, 51.0, 47.0])
-        profile = kappa_profile(data, deletion_set([4], 6))
+        profile = kappa_profile(data, deleted([4]))
         calls = count_refinements(monkeypatch)
         assert theorem41_verdict(profile, 2.0).is_finite
         assert calls == []
@@ -415,7 +413,7 @@ class TestLazyRssStar:
     def test_residual_verdict_refines_rss_star_once(self, puromycin, monkeypatch):
         # r_c of case 1 is 1.59: below it no violation interval settles the
         # verdict, and C > 0 with inf g above 1/r fails, so rss_star is read.
-        profile = kappa_profile(puromycin, deletion_set([0], 11))
+        profile = kappa_profile(puromycin, deleted([0]))
         calls = count_refinements(monkeypatch)
         c_val = profile.v2[0] - 1.5 * profile.v2[1]
         assert not (c_val > 0 and profile.inf_g.value > 1 / 1.5)
@@ -432,7 +430,7 @@ class TestLazyRssStar:
         a, b = 0.5, 10.0
         for _ in range(200):
             mid = 0.5 * (a + b)
-            if kernel_at(puromycin, deletion_set([10], 11), 2.0, mid)["a"] > 0:
+            if kernel_at(puromycin, deleted([10]), 2.0, mid)["a"] > 0:
                 a = mid
             else:
                 b = mid
@@ -441,15 +439,15 @@ class TestLazyRssStar:
                                                           np.logspace(-16, -8, 33)])]
         undefined = 0
         for cases in ([10], [0], [3, 7], [0, 10]):
-            mask = deletion_set(cases, 11).mask()
-            v2 = _v2(puromycin, mask)
+            dels = deleted(cases)
+            v2 = _v2(puromycin, dels)
             for kappa in kappas:
-                assert _sums_at(puromycin, mask, kappa) == tuple(
-                    array_sums_at(puromycin, mask, kappa))
+                assert _sums_at(puromycin, dels, kappa) == tuple(
+                    array_sums_at(puromycin, dels, kappa))
             for r in self.R_VALUES:
-                f = _rss_star_at(puromycin, mask, v2, r)
+                f = _rss_star_at(puromycin, dels, v2, r)
                 for kappa in kappas:
-                    want = array_rss_star_at(puromycin, mask, v2, r, kappa)
+                    want = array_rss_star_at(puromycin, dels, v2, r, kappa)
                     got = f(kappa)
                     assert type(got) is float and bits(got) == bits(want), (cases, r, kappa)
                     undefined += math.isinf(want)

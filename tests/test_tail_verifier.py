@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from influence_gate.core_model import deletion_set
 from influence_gate.samplers import SamplerConfig
 from influence_gate.tail_verifier import (
     TOP_FRACTION,
@@ -14,7 +13,7 @@ from influence_gate.tail_verifier import (
     verify_moment_index,
 )
 
-from conftest import DATA_DIR, model_inputs, one_set
+from conftest import DATA_DIR, deleted, model_inputs, one_set
 
 FZ_LINEAR = {"model": "linear", "data": DATA_DIR / "feigl_zelen.csv",
              "data.response": "time_weeks", "data.covariates": "wbc, ag"}
@@ -46,7 +45,7 @@ def test_survival_rows_are_the_hill_estimate_at_each_rank():
 
 def test_constant_log_weights_give_a_degenerate_report():
     family, data, prior = model_inputs(FZ_LINEAR)
-    dels = deletion_set([], data.n)
+    dels = deleted([])
     r_star = float(family.index(data, prior, one_set(dels), ())[0].r_star[0])
     tail = verify_moment_index(family, data, prior, dels, r_star,
                                SamplerConfig(seed=1, draws=200))
