@@ -17,13 +17,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import all_subsets, load_csv
+from .core_model import BLOCK_ELEMENTS, all_subsets, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
 from .parallel import ordered_map
@@ -558,13 +558,17 @@ def cmd_estimate(cfg: dict) -> None:
     family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     result = family.sample(data, prior, sampler_cfg)
     loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
+    acceptance_rate = result.acceptance_rate
+    # Unless they are exported, the draws are not read again: free them.
+    draws = result.draws if cfg["sampler.export_draws"] else None
+    del result
     log_weights = family.log_weight(loglik, dels.size)
     label = _subset_label(dels)
     ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
     # from it is degenerate, however good the value looks.
-    stuck = ("zero-acceptance",) if result.acceptance_rate == 0 else ()
+    stuck = ("zero-acceptance",) if acceptance_rate == 0 else ()
     rows = [[label, est.measure, est.value, "passed" if est.gate_passed else "blocked",
              est.required_moments, est.available_r_star,
              "" if est.standard_error is None else est.standard_error,
@@ -578,9 +582,12 @@ def cmd_estimate(cfg: dict) -> None:
     )
     out = cfg["out"]
     _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, rows,
-                  {"advisory": advisory, "acceptance_rate": result.acceptance_rate})
-    if cfg["sampler.export_draws"]:
-        write_csv_report(out / "draws.csv", family.columns(data), result.draws.tolist())
+                  {"advisory": advisory, "acceptance_rate": acceptance_rate})
+    if draws is not None:
+        block = max(1, BLOCK_ELEMENTS // draws.shape[1])
+        write_csv_report(out / "draws.csv", family.columns(data),
+                         chain.from_iterable(draws[start:start + block].tolist()
+                                             for start in range(0, len(draws), block)))
 
 
 def cmd_verify(cfg: dict) -> None:

@@ -23,6 +23,12 @@ from .errors import DataError
 # eigen-solve, so this is enforced at construction.
 RANK_TOLERANCE = 1e-10
 
+# Float entries in one block of per-draw temporaries. The exact flat-prior
+# sampler, the deleted-case log-likelihood and the draws.csv writer work on
+# row blocks of about this many entries, so what they hold beyond their
+# output does not grow with the number of draws or of deleted cases.
+BLOCK_ELEMENTS = 1 << 16
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)

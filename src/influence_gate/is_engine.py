@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_model import BLOCK_ELEMENTS
 from .errors import SamplerError
 
 MEASURES = ("kl", "hellinger", "chisq", "cpo")
@@ -51,11 +52,22 @@ def log_weight(family, draws: np.ndarray, data, dels: np.ndarray) -> np.ndarray:
 
 
 def deleted_log_likelihood(family, draws: np.ndarray, data, dels: np.ndarray):
-    """Exact log likelihood of the deleted cases `dels` at each draw."""
+    """Exact log likelihood of the deleted cases `dels` at each draw.
+
+    `family.log_likelihood` runs on row blocks of BLOCK_ELEMENTS // |I|
+    draws (one row at least) and writes into one preallocated M-vector, so
+    its (rows, |I|) temporaries stay about BLOCK_ELEMENTS entries whatever
+    M and |I| are. Every family's likelihood is a row-wise function of the
+    draws, so the result equals one call on all draws, bit for bit,
+    wherever the BLAS product of a row block equals those rows of the
+    whole product."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if dels.size == 0:
-        return np.zeros(draws.shape[0])
-    return family.log_likelihood(draws, data, dels)
+    out = np.zeros(draws.shape[0])
+    if dels.size:
+        rows = max(1, BLOCK_ELEMENTS // dels.size)
+        for start in range(0, len(out), rows):
+            out[start:start + rows] = family.log_likelihood(draws[start:start + rows], data, dels)
+    return out
 
 
 # --- estimation ---------------------------------------------------------------
@@ -69,11 +81,13 @@ def _weight_parts(log_weights: np.ndarray):
     m = np.max(lw)
     if not np.isfinite(m):
         raise SamplerError("all log weights are -inf or non-finite")
-    u = np.exp(lw - m)
-    mean_u = float(np.mean(u))
+    w = lw - m
+    np.exp(w, out=w)
+    mean_u = float(np.mean(w))
     if not mean_u > 0:
         raise SamplerError("weights underflowed to zero")
-    return u / mean_u, float(m) + math.log(mean_u)
+    w /= mean_u
+    return w, float(m) + math.log(mean_u)
 
 
 def self_normalized_estimate(log_weights: np.ndarray, g_values) -> float:
@@ -98,7 +112,9 @@ def _logsumexp(a: np.ndarray) -> np.float64:
         a_max = np.max(a)
         top = a == a_max
         m = np.count_nonzero(top)
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        shifted = np.where(top, -np.inf, a)
+        shifted -= a_max
+        s = np.sum(np.exp(shifted, out=shifted))
         out = np.log1p(s / m) + np.log(m) + a_max
         if not np.isfinite(out):
             out = np.log(np.sum(np.exp(a)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import LogitData, MMData, RegressionData
+from .core_model import BLOCK_ELEMENTS, LogitData, MMData, RegressionData
 from .errors import SamplerError
 from .linear_gate import LinearPrior
 
@@ -67,6 +67,15 @@ def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) ->
     sigma2 is inverse gamma with shape (n-k)/2 and rate RSS/2; theta given
     sigma2 is normal around the least-squares solution with covariance
     sigma2 (X'X)^{-1}. Being i.i.d., burn_in and thin are ignored.
+
+    The (M, k+1) draws are allocated once. All M gammas are drawn first and
+    sigma2 is divided into the last column; the normals then follow, one
+    block of about BLOCK_ELEMENTS entries at a time, and each block's
+    theta_hat + sqrt(sigma2) * (z @ L.T) is made in place and copied into
+    its rows. Beyond the draws, this holds one M-vector of gammas and one
+    block. The stream order is that of one (M, k) normal draw, so the draws
+    equal, bit for bit, the unblocked form wherever the BLAS product of a
+    row block equals those rows of the whole product.
     """
     n, k = data.n, data.k
     if n <= k:
@@ -82,11 +91,18 @@ def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) ->
     rng = _rng(config.seed)
     M = config.draws
     shape, rate = (n - k) / 2.0, rss / 2.0
-    sigma2 = rate / rng.gamma(shape, 1.0, size=M)
+    draws = np.empty((M, k + 1))
+    sigma2 = draws[:, k]
+    np.divide(rate, rng.gamma(shape, 1.0, size=M), out=sigma2)
     L = np.linalg.cholesky(G)
-    z = rng.standard_normal((M, k))
-    theta = theta_hat[None, :] + np.sqrt(sigma2)[:, None] * (z @ L.T)
-    return SampleResult(draws=np.column_stack([theta, sigma2]), acceptance_rate=1.0)
+    rows = max(1, BLOCK_ELEMENTS // k)
+    for start in range(0, M, rows):
+        block = slice(start, start + rows)
+        theta = rng.standard_normal((len(sigma2[block]), k)) @ L.T
+        theta *= np.sqrt(sigma2[block])[:, None]
+        theta += theta_hat
+        draws[block, :k] = theta
+    return SampleResult(draws=draws, acceptance_rate=1.0)
 
 
 def sample_linear_conjugate(

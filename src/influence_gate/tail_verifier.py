@@ -115,9 +115,8 @@ def verify_moment_index(
     sit within 25% of the analytic value. Constant weights (for instance an
     empty deletion) short-circuit to a degenerate report.
     """
-    result = family.sample(data, prior, config)
-    lw = log_weight(family, result.draws, data, dels)
-    lw = np.asarray(lw, dtype=float)
+    # The draws are freed once their log weights are taken.
+    lw = log_weight(family, family.sample(data, prior, config).draws, data, dels)
     r_star = float(r_star)
     if float(np.max(lw) - np.min(lw)) < 1e-12:
         return TailReport(
@@ -127,7 +126,10 @@ def verify_moment_index(
             agreement=None,
             degenerate=True,
         )
-    w = np.sort(np.exp(lw - np.max(lw)))[::-1]
+    w = lw - np.max(lw)
+    np.exp(w, out=w)
+    w.sort()
+    w = w[::-1]
     hill = hill_tail_index(w)
     slope, rows = survival_regression_index(w)
     if math.isfinite(r_star) and r_star <= AGREEMENT_MAX_INDEX and math.isfinite(hill):

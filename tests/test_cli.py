@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, islice
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
-from influence_gate.core_model import MomentIndexReport
+from influence_gate.core_model import BLOCK_ELEMENTS, MomentIndexReport
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
@@ -229,6 +230,24 @@ def test_estimate_empty_deletion_is_exact(tmp_path):
         assert float(row["standard_error"]) == 0.0
     cfg = cli.parse_config({k: str(v) for k, v in config.items()}, REPO_ROOT)
     assert cli._sampling_inputs(cfg, "estimate", 500)[4] == math.inf
+
+
+@pytest.mark.parametrize("cases", ["15", "1, 2, 3, 15, 16, 17, 32, 33"])
+def test_estimate_memory_does_not_grow_with_the_deletion_size(tmp_path, cases):
+    """Beyond the draws (4 M-vectors here), estimate holds a few M-vectors
+    and one block, whatever the deletion size: its traced peak stays below
+    10 M-vectors at one deleted case and at eight."""
+    draws = 200_000
+    config = {**FZ_LINEAR, "deletion.indices": cases, "sampler.draws": str(draws)}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(tmp_path, "estimate", config) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * draws, peak / (8 * draws)
 
 
 def test_estimate_with_mm_proposals_beyond_the_float_range(tmp_path, capsys):
@@ -898,15 +917,24 @@ def expected_draws_csv(path, header, draws):
     return path.read_bytes()
 
 
-def test_exported_draws_are_shortest_round_trip_text(tmp_path):
-    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "300",
+def assert_linear_draws_exported(tmp_path, draws):
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": str(draws),
               "sampler.export_draws": "true", "seed": "3"}
     assert run(tmp_path, "estimate", config) == 0
     data = feigl_zelen("linear")
-    draws = sample_linear_noninformative(data, SamplerConfig(seed=3, draws=300, burn_in=1000)).draws
+    draws = sample_linear_noninformative(data, SamplerConfig(seed=3, draws=draws, burn_in=1000)).draws
     expected = expected_draws_csv(tmp_path / "expected.csv",
                                   ["theta_0", "theta_1", "theta_2", "sigma2"], draws)
     assert (tmp_path / "out" / "draws.csv").read_bytes() == expected
+
+
+def test_exported_draws_are_shortest_round_trip_text(tmp_path):
+    assert_linear_draws_exported(tmp_path, 300)
+
+
+def test_exported_draws_span_two_row_blocks(tmp_path):
+    """One row block of the four-column linear draws, and 17 rows more."""
+    assert_linear_draws_exported(tmp_path, BLOCK_ELEMENTS // 4 + 17)
 
 
 EXPORTS = {

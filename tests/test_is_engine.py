@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influence_gate.core_model import (
+    BLOCK_ELEMENTS,
     LogitData,
     MMData,
     RegressionData,
@@ -21,7 +22,7 @@ from influence_gate.is_engine import (
 )
 from influence_gate.samplers import SamplerConfig, sample_mm
 
-from conftest import deleted
+from conftest import deleted, feigl_zelen
 
 
 class TestLogWeight:
@@ -63,6 +64,32 @@ class TestLogWeight:
         lw = log_weight(FAMILIES["logit"], beta, data, dels)[0]
         assert lw == pytest.approx(expect, rel=1e-12)
         assert lw >= 0
+
+
+def random_draws(rng, model, M, k):
+    """M finite draws of the model's parameters with positive variances
+    (and MM kappa)."""
+    draws = rng.standard_normal((M, k))
+    if model != "logit":
+        positive = [k - 1] if model == "linear" else [1, 2]
+        draws[:, positive] = np.exp(draws[:, positive])
+    return draws
+
+
+class TestBlockedLogLikelihood:
+    @pytest.mark.parametrize("model", ["linear", "mm", "logit"])
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_blocks_equal_one_call_bit_for_bit(self, puromycin, model, size):
+        """One block of BLOCK_ELEMENTS // |I| rows and 17 rows more."""
+        data = puromycin if model == "mm" else feigl_zelen(model)
+        family = FAMILIES[model]
+        k = len(family.columns(data))
+        dels = deleted([0, 1, 2, 4, 5, 6, 8, 10][:size] if model == "mm"
+                       else [0, 1, 2, 14, 15, 16, 31, 32][:size])
+        M = BLOCK_ELEMENTS // size + 17
+        draws = random_draws(np.random.default_rng(size), model, M, k)
+        got = deleted_log_likelihood(family, draws, data, dels)
+        assert got.tobytes() == family.log_likelihood(draws, data, dels).tobytes()
 
 
 class TestSelfNormalizedEstimate:

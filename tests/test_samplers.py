@@ -7,7 +7,7 @@ from scipy import stats
 
 from influence_gate import samplers
 from influence_gate.cli import write_csv_report
-from influence_gate.core_model import LogitData, RegressionData
+from influence_gate.core_model import BLOCK_ELEMENTS, LogitData, RegressionData
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.linear_gate import LinearPrior
@@ -64,6 +64,24 @@ class TestNoninformativeSampler:
         var = b * b / ((a - 1) ** 2 * (a - 2))
         err = abs(res.draws[:, k].mean() - mean)
         assert err < 4 * math.sqrt(var / M)
+
+    def test_blocked_draws_equal_the_closed_form_bit_for_bit(self):
+        """One block of normals and 17 rows more: the in-place, blocked
+        fill equals the closed form over all draws from the same stream."""
+        data = feigl_zelen("linear")
+        X, y, n, k = data.design, data.response, data.n, data.k
+        M = BLOCK_ELEMENTS // k + 17
+        got = sample_linear_noninformative(data, SamplerConfig(seed=7, draws=M)).draws
+        G = np.linalg.inv(X.T @ X)
+        theta_hat = G @ (X.T @ y)
+        rss = float(y @ y) - float(theta_hat @ (X.T @ y))
+        rng = samplers._rng(7)
+        sigma2 = (rss / 2.0) / rng.gamma((n - k) / 2.0, 1.0, size=M)
+        z = rng.standard_normal((M, k))
+        theta = theta_hat + np.sqrt(sigma2)[:, None] * (z @ np.linalg.cholesky(G).T)
+        assert got.shape == (M, k + 1)
+        assert got[:, :k].tobytes() == theta.tobytes()
+        assert got[:, k].tobytes() == sigma2.tobytes()
 
     def test_seed_determinism(self, lin_data):
         cfg = SamplerConfig(seed=77, draws=500)
