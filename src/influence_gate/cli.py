@@ -36,7 +36,7 @@ GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "
 SCAN_CSV_COLUMNS = ["subset", "r_a", "r_b", "r_c", "r_star"]
 # Scan rows are read out of the result arrays this many at a time, so the
 # CSV never needs the whole table as Python objects.
-SCAN_CSV_BLOCK = 16384
+SCAN_CSV_BLOCK = 4096
 # JSON report rows are encoded and written this many at a time.
 JSON_ROW_BLOCK = 1024
 # With no indent the C encoder runs; this item separator puts each key of a
@@ -431,30 +431,31 @@ def cmd_scan(cfg: dict) -> None:
     _check_scan_size(size, data.n, 1)
     _check_cases("scan.flag_cases", flag_cases, data.n)
     result = linear_gate.scan_deletion_subsets(data, size, prior)
-    order_a = np.argsort(result.r_a, kind="stable")
-    order_c = np.argsort(result.r_c, kind="stable")
-    flagged = {}
-    for case in flag_cases:
-        idx0 = case - 1
-        in_a = int(np.sum([idx0 in result.subsets[i] for i in order_a[:top]]))
-        in_c = int(np.sum([idx0 in result.subsets[i] for i in order_c[:top]]))
-        flagged[str(case)] = {
-            f"top{top}_by_r_a": in_a,
-            f"top{top}_by_r_c": in_c,
-        }
+    summary = _scan_summary(result, top, flag_cases)
     out = cfg["out"]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scan_report.csv", "w", newline="") as fh:
         fh.write(",".join(SCAN_CSV_COLUMNS) + "\r\n")
         for text in _scan_text(result, data.n):
             fh.write(text)
-    summary = {
-        "subset_count": result.count,
-        "ranking_by_r_a": [_subset_label(result.subsets[i]) for i in order_a[:top]],
-        "ranking_by_r_c": [_subset_label(result.subsets[i]) for i in order_c[:top]],
-        "flagged_cases": flagged,
-    }
     write_json_report(out / "scan_report.json", "scan", extra=summary)
+
+
+def _scan_summary(result, top: int, flag_cases) -> dict:
+    """The scan's JSON summary: the subset count, the `top` subsets by r_a
+    and by r_c (stable order), and how many of each hold each flagged case.
+    The two rankings, one int64 per subset each, are freed on return, before
+    the CSV is streamed."""
+    tops = {name: result.subsets[np.argsort(getattr(result, name), kind="stable")[:top]]
+            for name in ("r_a", "r_c")}
+    return {
+        "subset_count": result.count,
+        "ranking_by_r_a": [_subset_label(subset) for subset in tops["r_a"]],
+        "ranking_by_r_c": [_subset_label(subset) for subset in tops["r_c"]],
+        "flagged_cases": {str(case): {f"top{top}_by_{name}": int(np.sum(subsets == case - 1))
+                                      for name, subsets in tops.items()}
+                          for case in flag_cases},
+    }
 
 
 def _scan_text(result, n: int):
@@ -599,10 +600,6 @@ def cmd_verify(cfg: dict) -> None:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
     tail = tail_verifier.verify_moment_index(family, data, prior, dels, r_star, sampler_cfg)
-    out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    if tail.survival:
-        write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
 
     def estimator(m, rng):
         sub = replace(sampler_cfg, seed=int(rng.integers(0, 2**63 - 1)), draws=m)
@@ -610,7 +607,13 @@ def cmd_verify(cfg: dict) -> None:
         lw = is_engine.log_weight(family, res.draws, data, dels)
         return is_engine.self_normalized_estimate(lw, res.draws[:, 0])
 
+    # Every chain runs before anything is written, so a sampler error in a
+    # replication leaves no partial output directory.
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
+    out = cfg["out"]
+    out.mkdir(parents=True, exist_ok=True)
+    if tail.survival:
+        write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
     write_csv_report(
         out / "verify_scaling.csv", VERIFY_SCALING_CSV_COLUMNS,
         [[m, reps, v] for m, v in zip(scaling.m_grid, scaling.variance_at_m)],

@@ -2,9 +2,10 @@
 
 Case indices are 0-based everywhere in the library; the CLI converts to and
 from the 1-based numbering used in data files and reports. A deletion set is
-a sorted int array of distinct cases, and N sets of one size are the rows of
-an (N, I) int array, as `all_subsets` gives them. The gate kernels, weights
-and verifier index with such rows as they are and check none of this.
+a sorted integer array of distinct cases, and N sets of one size are the
+rows of an (N, I) integer array, as `all_subsets` gives them. The gate
+kernels, weights and verifier index with such rows as they are and check
+none of this.
 """
 
 import csv
@@ -152,10 +153,15 @@ class LogitData:
 
 def all_subsets(n: int, size: int) -> np.ndarray:
     """Every subset of `size` of range(n) in lexicographic order, one per row
-    of a (C(n, size), size) int array; size 0 gives the one empty set."""
+    of a (C(n, size), size) array; size 0 gives the one empty set.
+
+    The dtype is the narrowest unsigned one that holds n,
+    `np.min_scalar_type(n)`: uint8 up to n = 255 and uint16 up to 65,535. It
+    holds every case i and its 1-based label i + 1, and for n < 256 takes an
+    eighth of the memory of int64 rows."""
     count = math.comb(n, size)
     flat = chain.from_iterable(combinations(range(n), size))
-    return np.fromiter(flat, dtype=int, count=count * size).reshape(count, size)
+    return np.fromiter(flat, dtype=np.min_scalar_type(n), count=count * size).reshape(count, size)
 
 
 class VerdictTag(str, Enum):
@@ -200,7 +206,7 @@ _CUTOFF_NAMES = np.array(["leverage", "sample-size", "residual"], dtype=object)
 @dataclass(frozen=True)
 class MomentIndexReport:
     """Analytic moment cut-offs of N deletion sets: `subsets` is their
-    (N, I) int array, 0-based, and r_a, r_b, r_c and `binding` hold one
+    (N, I) integer array, 0-based, and r_a, r_b, r_c and `binding` hold one
     entry per set; `binding` names what sets r_star = min(r_a, r_b, r_c)."""
 
     subsets: np.ndarray
@@ -225,8 +231,11 @@ class MomentIndexReport:
     @classmethod
     def of(cls, subsets, r_a, r_b, r_c):
         """The report of three cut-off arrays whose binding names, per set,
-        the first minimal one in the order leverage, sample-size, residual."""
-        first = np.where((r_a <= r_b) & (r_a <= r_c), 0, np.where(r_b <= r_c, 1, 2))
+        the first minimal one in the order leverage, sample-size, residual.
+        The positions are uint8, not the int64 that plain 0, 1, 2 give: at
+        10^7 sets their two arrays take 20 MB instead of 160 MB."""
+        first = np.where((r_a <= r_b) & (r_a <= r_c), np.uint8(0),
+                         np.where(r_b <= r_c, np.uint8(1), np.uint8(2)))
         return cls(subsets, r_a, r_b, r_c, binding=_CUTOFF_NAMES[first])
 
 

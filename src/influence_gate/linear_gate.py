@@ -30,12 +30,15 @@ EIGENVALUE_BOUNDARY_TOL = 1e-9
 _NULL_EIGENVALUE = 1e-14
 
 # Deletion sets per spectral pass of the kernel; bounds the memory that the
-# stacked matrices and eigenvectors hold beside the whole set array. The
-# chunks run on the CPUs the process may use (`ordered_map`), and each
-# worker process holds one chunk's temporaries, so these figures are per
-# process: on all 237,336 Feigl-Zelen 5-subsets the traced allocation peak
-# is ~30 MB at this size and ~45 MB at 65536.
-_SCAN_CHUNK = 32768
+# stacked matrices and eigenvectors hold beside the whole set array and the
+# cut-off arrays. The chunks run on the CPUs the process may use
+# (`ordered_map`), and each worker process holds one chunk's temporaries,
+# so these figures are per process: on all 237,336 Feigl-Zelen 5-subsets
+# the kernel's traced allocation peak is ~11 MB at this size (~9 MB of it
+# the report it returns), ~22 MB at 32768 and ~37 MB at 65536. At
+# or above C(33, 3) = 5,456, the Feigl-Zelen triples stay one chunk and
+# their `gate` forks nothing.
+_SCAN_CHUNK = 8192
 
 # The r_c Newton iteration stops for a set once its step is below this
 # relative size (a few ulps). Every Feigl-Zelen 5-subset settles within 17
@@ -296,8 +299,9 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
 
     The chunks are independent and run on the CPUs the process may use
     (`ordered_map`): each returns its cut-offs and one verdict list per
-    order, and these are joined in set order, so the result is the same for
-    any CPU count.
+    order. The cut-offs are written into one (3, N) array allocated up
+    front, whose rows are the report's r_a, r_b and r_c, and the verdicts
+    are joined in set order, so the result is the same for any CPU count.
 
     Returns (MomentIndexReport, one verdict list per set, ordered as
     `r_values`); with no r_values the verdict list is empty.
@@ -312,11 +316,12 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
         return (_cutoffs(lam, u2, rss, data.n, data.k, prior),
                 [theorem31_verdict(lam, u2, rss, data.n, data.k, r, prior) for r in r_values])
 
-    cuts, verdicts = [], []
-    for chunk_cuts, per_r in ordered_map(chunk, range(0, sets.shape[0], _SCAN_CHUNK)):
-        cuts.append(chunk_cuts)
+    starts = range(0, sets.shape[0], _SCAN_CHUNK)
+    cuts, verdicts = np.empty((3, sets.shape[0])), []
+    for start, (chunk_cuts, per_r) in zip(starts, ordered_map(chunk, starts)):
+        cuts[:, start:start + _SCAN_CHUNK] = chunk_cuts
         verdicts += map(list, zip(*per_r))
-    return MomentIndexReport.of(sets, *map(np.concatenate, zip(*cuts))), verdicts
+    return MomentIndexReport.of(sets, *cuts), verdicts
 
 
 # --- subset scans and k-fold audits --------------------------------------------

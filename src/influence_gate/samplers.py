@@ -183,7 +183,12 @@ def random_walk_metropolis(log_density, x0, scale, steps, rng) -> tuple:
 
 
 def _adaptive_scale(log_density, x0, init_scale, rng):
-    """Short warm-up tuning per-coordinate scales toward 0.3 acceptance."""
+    """Short warm-up tuning the proposal scales toward 0.3 acceptance:
+    (scales, last warm-up state). After each block of _WARMUP_BLOCK_SIZE
+    steps, one common factor, exp of the acceptance gap clamped to
+    [-0.5, 0.5], multiplies every coordinate's scale, so the ratios of
+    `init_scale` are kept; it stops once the block's acceptance is within
+    0.1 of the target or after _WARMUP_BLOCKS blocks."""
     scale = np.array(init_scale, dtype=float)
     x = np.array(x0, dtype=float)
     for _ in range(_WARMUP_BLOCKS):

@@ -17,7 +17,8 @@ import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
-from influence_gate.core_model import BLOCK_ELEMENTS, MomentIndexReport
+from influence_gate.core_model import BLOCK_ELEMENTS, MomentIndexReport, all_subsets
+from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
@@ -219,6 +220,32 @@ def test_family_index_gives_one_report_row_aligned_with_the_verdicts(model):
         assert report_rows(alone) == [row] and verdicts[i] == per_r
 
 
+@pytest.mark.parametrize("model, size", [("linear", 3), ("mm", 2), ("logit", 2)])
+def test_kernels_read_narrow_rows_as_int64_rows(model, size):
+    """`all_subsets` gives uint8 rows for n < 256; each family's kernel
+    (moment_index_linear, moment_index_mm, moment_index_logit) reports the
+    same cut-off bits, binding names and verdicts for them as for the same
+    sets as int64."""
+    family, data, prior = model_inputs(MODELS[model])
+    sets = all_subsets(data.n, size)
+    assert sets.dtype == np.uint8
+    r_values = (1.5, 2.0, 4.0)
+    narrow, narrow_verdicts = family.kernel(data, prior, sets, r_values)
+    wide, wide_verdicts = family.kernel(data, prior, sets.astype(np.int64), r_values)
+    for name in ("r_a", "r_b", "r_c"):
+        assert getattr(narrow, name).tobytes() == getattr(wide, name).tobytes()
+    assert narrow.binding.tolist() == wide.binding.tolist()
+    assert narrow.subsets.tolist() == wide.subsets.tolist()
+    assert narrow_verdicts == wide_verdicts and len(narrow_verdicts) == len(sets)
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_the_last_case_label_does_not_wrap_in_narrow_rows(n, dtype):
+    sets = all_subsets(n, 1)
+    assert sets.dtype == dtype
+    assert cli._subset_label(sets[-1]) == str(n)
+
+
 def test_estimate_empty_deletion_is_exact(tmp_path):
     config = {**PUROMYCIN_MM, "deletion.indices": "", "measures": "kl, cpo",
               "sampler.draws": "500"}
@@ -248,6 +275,25 @@ def test_estimate_memory_does_not_grow_with_the_deletion_size(tmp_path, cases):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 8 * draws, peak / (8 * draws)
+
+
+def test_scan_memory_of_all_feigl_zelen_5_subsets(tmp_path, monkeypatch):
+    """On one CPU, a scan of all 237,336 Feigl-Zelen 5-subsets holds the
+    uint8 subset rows, the cut-offs, the binding names, r_star and one
+    chunk's or one CSV block's temporaries: ~13 MB traced, where int64
+    rows, concatenated chunk cut-offs and rankings held through the CSV
+    peaked at ~30 MB."""
+    use_cpus(monkeypatch, 1)
+    config = {**FZ_LINEAR, "deletion.scan_size": "5", "scan.flag_cases": "15"}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(tmp_path, "scan", config) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak / 1e6
 
 
 def test_estimate_with_mm_proposals_beyond_the_float_range(tmp_path, capsys):
@@ -720,6 +766,28 @@ def test_flat_prior_with_a_near_exact_fit_is_sampler_error(tmp_path, capsys, com
     assert run(tmp_path, command, config) == 5
     err = capsys.readouterr().err
     assert err.startswith("sampler error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_sampler_error_in_a_replication_chain_writes_nothing(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The tail chain is the first sample and the first scaling-audit
+    replication the second; every chain runs before the first file is
+    written, so a failure in the audit leaves no output directory."""
+    family = FAMILIES["linear"]
+    calls = []
+
+    def sample(data, prior, config):
+        calls.append(config.draws)
+        if len(calls) == 2:
+            raise SamplerError("replication chain failed")
+        return family.sample(data, prior, config)
+
+    monkeypatch.setitem(FAMILIES, "linear", dataclasses.replace(family, sample=sample))
+    assert run(tmp_path, "verify", VERIFY_SETTINGS) == 5
+    err = capsys.readouterr().err
+    assert err == "sampler error: replication chain failed\n"
+    assert calls == [5000, 100]
     assert not (tmp_path / "out").exists()
 
 

@@ -643,7 +643,7 @@ class TestSubsetScan:
         for size in range(n + 1):
             sets = all_subsets(n, size)
             assert sets.shape == (math.comb(n, size), size)
-            assert sets.dtype == np.int64
+            assert sets.dtype == np.min_scalar_type(n)
             assert [tuple(row) for row in sets.tolist()] == list(combinations(range(n), size))
 
     def test_chunked_kernel_equals_one_chunk(self, monkeypatch):
