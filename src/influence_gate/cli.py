@@ -256,11 +256,29 @@ def _sampler_config(cfg: dict, default_draws: int, width: int, chains=()) -> Sam
 # --- report plumbing -----------------------------------------------------------
 
 
+def _make_out(out: Path) -> None:
+    """Make the output directory `out` and its parents; one that cannot be
+    made (a read-only or virtual file system, say) is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+
+
+def _open_report(path, newline=None):
+    """`path` opened for writing text; a report file that cannot be opened
+    is a config error, as an output directory that cannot be made is."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_csv_report(path, columns, rows) -> None:
     """Write a CSV table from any iterable of rows, consumed as it is
     written. Floats come out as shortest round-trip decimal text: the csv
     module writes str(x), which for a float is repr(x)."""
-    with open(path, "w", newline="") as fh:
+    with _open_report(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -295,7 +313,7 @@ def write_json_report(path, command: str, rows=None, extra: dict | None = None) 
     if extra:
         payload.update({k: _jsonable(v) if not isinstance(v, dict) else v for k, v in extra.items()})
     text = json.dumps(payload, indent=1, sort_keys=True)
-    with open(path, "w") as fh:
+    with _open_report(path) as fh:
         if rows is not None:
             # Strings escape newlines, so this can only be the top-level key.
             head, marker, text = text.partition('\n "rows": [')
@@ -313,7 +331,7 @@ def _write_report(out: Path, stem: str, command: str, columns, rows, extra=None)
     """Make `out` and write the table `rows`, lists ordered as `columns`, to
     <stem>.csv and, one object per row, to <stem>.json with `extra`. The
     row objects are made one at a time as the JSON payload is built."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     write_csv_report(out / f"{stem}.csv", columns, rows)
     write_json_report(out / f"{stem}.json", command, (dict(zip(columns, row)) for row in rows),
                       extra)
@@ -350,7 +368,8 @@ def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
         for a, b in zip(px, py):
             parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="steelblue"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    with _open_report(path) as fh:
+        fh.write("\n".join(parts))
 
 
 def _subset_label(indices) -> str:
@@ -433,8 +452,8 @@ def cmd_scan(cfg: dict) -> None:
     result = linear_gate.scan_deletion_subsets(data, size, prior)
     summary = _scan_summary(result, top, flag_cases)
     out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scan_report.csv", "w", newline="") as fh:
+    _make_out(out)
+    with _open_report(out / "scan_report.csv", newline="") as fh:
         fh.write(",".join(SCAN_CSV_COLUMNS) + "\r\n")
         for text in _scan_text(result, data.n):
             fh.write(text)
@@ -467,20 +486,23 @@ def _scan_text(result, n: int):
 
     Labels join 1-based case names gathered a column at a time. r_b is
     one value per scan, so a block where it is bitwise constant formats it
-    once; r_star reuses the r_c text wherever the two are bitwise equal,
-    which keeps -0.0 apart from 0.0 and never merges NaN payloads.
+    once. Each block takes its r_star from its own cut-off slices, as the
+    report's r_star property does for the whole table, so no r_star array
+    is held beside the cut-offs; r_star reuses the r_c text wherever the
+    two are bitwise equal, which keeps -0.0 apart from 0.0 and never merges
+    NaN payloads.
 
-    The blocks are formatted by `ordered_map`, on the CPUs the process may
-    use, and come out in row order; at most one block per worker is held
-    at a time.
+    The blocks are formatted by `ordered_map`, in worker processes when the
+    process may use more than one CPU, and come out in row order; at most
+    two blocks per worker are in flight at a time.
     """
     names = np.array([str(i + 1) for i in range(n)], dtype=object)
-    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
 
     def block(start):
         part = slice(start, start + SCAN_CSV_BLOCK)
         labels = map("+".join, zip(*names[result.subsets[part].T].tolist()))
-        r_a, r_b, r_c, r_star = (col[part] for col in columns)
+        r_a, r_b, r_c = result.r_a[part], result.r_b[part], result.r_c[part]
+        r_star = np.minimum(np.minimum(r_a, r_b), r_c)
         b_bits = r_b.view(np.int64)
         if np.all(b_bits == b_bits[0]):
             b_text = repeat(repr(r_b[0].item()))
@@ -611,7 +633,7 @@ def cmd_verify(cfg: dict) -> None:
     # replication leaves no partial output directory.
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
     out = cfg["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     if tail.survival:
         write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
     write_csv_report(

@@ -32,12 +32,13 @@ _NULL_EIGENVALUE = 1e-14
 # Deletion sets per spectral pass of the kernel; bounds the memory that the
 # stacked matrices and eigenvectors hold beside the whole set array and the
 # cut-off arrays. The chunks run on the CPUs the process may use
-# (`ordered_map`), and each worker process holds one chunk's temporaries,
-# so these figures are per process: on all 237,336 Feigl-Zelen 5-subsets
-# the kernel's traced allocation peak is ~11 MB at this size (~9 MB of it
-# the report it returns), ~22 MB at 32768 and ~37 MB at 65536. At
-# or above C(33, 3) = 5,456, the Feigl-Zelen triples stay one chunk and
-# their `gate` forks nothing.
+# (`ordered_map`): on more than one, each worker process holds one chunk's
+# temporaries and the calling process only gathers the cut-offs and
+# verdicts. Run in one process, on all 237,336 Feigl-Zelen 5-subsets, the
+# kernel's traced allocation peak is ~11 MB at this size (~9 MB of it the
+# report it returns), ~22 MB at 32768 and ~37 MB at 65536. At or above
+# C(33, 3) = 5,456, the Feigl-Zelen triples stay one chunk and their
+# `gate` forks nothing.
 _SCAN_CHUNK = 8192
 
 # The r_c Newton iteration stops for a set once its step is below this

@@ -2,15 +2,15 @@
 
 `ordered_map(fn, items)` yields fn(item) for each item, in item order. The
 worker count W is the number of CPUs in the process's affinity mask, capped
-at the CPU quota of its cgroup (see `_quota_cpus`) and at the item count,
-and item i goes to worker i mod W. Worker 0 is the calling process; the
-others are `os.fork` children, which inherit fn and the data it reads, so
-nothing but results is pickled. Each child sends its results back through
-its own pipe, one item at a time, and blocks on the pipe until the parent
-reads: the parent holds at most one pending result per child. A child's
-results arrive as pickled copies of what fn returns, so the output does
-not depend on W. Each worker holds what fn allocates for one item, so
-memory grows with W.
+at the CPU quota of its cgroup (see `_quota_cpus`) and at the item count.
+Where W is 1 or less, the items are mapped in this process. Otherwise W
+worker processes of a `concurrent.futures.ProcessPoolExecutor` compute
+them while this process only collects. The workers are forked, so they
+inherit fn and the data it reads: only items and results are pickled, and
+fn may be a closure. At most 2W items are in flight, so this process holds
+O(W) results. A result arrives as a pickled copy of what fn returns, so
+the output does not depend on W. Each worker holds what fn allocates for
+one item, so memory grows with W.
 
 W is 1, and nothing is forked, where `os.fork` or `os.sched_getaffinity`
 is missing and where another Python thread is running: a forked child gets
@@ -19,17 +19,15 @@ thread holds would stay held in the child. That check does not see the
 threads of a BLAS library. numpy's OpenBLAS registers a `pthread_atfork`
 handler that stops its thread pool before each fork, so a child starts
 without BLAS threads and starts its own on its first call; Python 3.12 and
-later still emit a DeprecationWarning at a fork while that pool runs.
+later still emit a DeprecationWarning at a fork while that pool runs. The
+pool forks all W workers before it starts its own management thread.
 """
 
 import math
 import os
-import pickle
 import threading
-
-# signal.SIGKILL, the same on every POSIX system. Importing `signal` for it
-# would build its enums on every start-up, which fork-less commands pay too.
-_SIGKILL = 9
+from collections import deque
+from itertools import islice
 
 _PROC_CGROUP = "/proc/self/cgroup"
 _CGROUP_ROOT = "/sys/fs/cgroup"
@@ -94,74 +92,44 @@ def _read(path: str) -> str:
 def ordered_map(fn, items):
     """Yield fn(item) for each of `items`, in order, computed on up to as
     many processes as the process may use CPUs (see the module doc). Where
-    W is 1 it forks nothing and computes every item here.
+    W is 1 or less it forks nothing and computes every item here.
 
-    An exception that fn raises in a child is raised here with its type and
-    message. A child that ends without sending a result raises RuntimeError,
-    and one whose result cannot be pickled raises pickle.PicklingError.
-    Every child is killed and reaped when the generator ends, raises or is
-    closed; one that has already sent every result is exiting anyway.
+    An exception that fn raises in a worker is raised here with its type
+    and message, and so is one that pickling a result raises. A worker that
+    dies raises `concurrent.futures.process.BrokenProcessPool`, a
+    RuntimeError. Every worker is joined when the generator ends, raises or
+    is closed; items not yet started are cancelled.
     """
     items = list(items)
     workers = _worker_count(len(items))
-    pids, pipes = [], []
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # Imported here: commands that never fork do not pay for the import.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_install, initargs=(fn,))
     try:
-        for worker in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fn, list(enumerate(items))[worker::workers], write_fd, pipes)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)  # only the parent gets here: _serve never returns
-        for index, item in enumerate(items):
-            worker = index % workers
-            yield fn(item) if worker == 0 else _receive(pipes[worker - 1], index)
+        todo = iter(items)
+        pending = deque(pool.submit(_call, item) for item in islice(todo, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(_call, item) for item in islice(todo, 1))
+            yield result
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _receive(pipe, index: int):
-    """The result of item `index` from a child's pipe, or its exception."""
-    try:
-        ok, value = pickle.load(pipe)
-    except EOFError:
-        raise RuntimeError(f"worker process ended before sending the result of item {index}") \
-            from None
-    if not ok:
-        raise value
-    return value
+# The fn of the pool this worker process serves, set as the worker starts.
+_worker_fn = None
 
 
-def _serve(fn, indexed_items, write_fd: int, pipes) -> None:
-    """Child side of `ordered_map`: send (True, fn(item)) or (False,
-    exception) for each (index, item), pickled, then leave through
-    os._exit. A normal exit would run the parent's exit handlers and flush
-    the buffers of files it had open, such as a report being written, so
-    their data would be written twice."""
-    code = 1
-    try:
-        for pipe in pipes:
-            pipe.close()  # the read ends of this and earlier children
-        with open(write_fd, "wb") as out:
-            for index, item in indexed_items:
-                try:
-                    message = (True, fn(item))
-                except Exception as exc:
-                    message = (False, exc)
-                try:
-                    frame = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:
-                    frame = pickle.dumps((False, pickle.PicklingError(
-                        f"worker result of item {index} cannot be pickled: {exc}")))
-                out.write(frame)
-                out.flush()
-        code = 0
-    finally:
-        os._exit(code)
+def _install(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call(item):
+    return _worker_fn(item)

@@ -101,7 +101,7 @@ def random_regression(rng: np.random.Generator, n: int, k: int) -> RegressionDat
 
 def use_cpus(monkeypatch, count: int) -> None:
     """Make the affinity mask read as `count` CPUs and the cgroup set no CPU
-    quota, so that `ordered_map` forks count - 1 workers even on a runner
-    with fewer CPUs or a CPU limit."""
+    quota, so that `ordered_map` forks `count` workers, or none where count
+    is 1, even on a runner with fewer CPUs or a CPU limit."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     monkeypatch.setattr(parallel, "_quota_cpus", lambda: math.inf)

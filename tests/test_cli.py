@@ -464,6 +464,25 @@ def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("gate", {**PUROMYCIN_MM, "deletion.indices": "11"}),
+    ("scan", {**FZ_LINEAR, "deletion.scan_size": "1"}),
+    ("kfold", {**FZ_LINEAR, "deletion.kfold.partitions": "2"}),
+    ("estimate", {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "1000"}),
+    ("verify", VERIFY_SETTINGS),
+], ids=["gate", "scan", "kfold", "estimate", "verify"])
+def test_out_that_cannot_be_made_is_config_error(tmp_path, capsys, command, config):
+    # /proc exists, so the path passes the check before data is read, but
+    # no directory can be made in it.
+    out = f"/proc/influence_gate_{command}"
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def assert_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch, draws):
     loads = count_calls(monkeypatch, cli, "load_csv")
     config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": draws}
@@ -919,21 +938,22 @@ def fz_triples():
 
 def edge_values():
     inf, nan = math.inf, math.nan
-    # r_a, r_b, r_c, r_star: r_b is constant in the first and last blocks
-    # only, and r_star binds on r_c, r_a or r_b, or is -0.0 beside r_c = 0.0.
+    # r_a, r_b, r_c. r_b is bitwise constant in the first and last blocks
+    # only. r_star, their minimum, shares r_c's bits (its text is reused)
+    # in rows 0, 3, 4 and 10: -0.0 in row 3, NaN in rows 4 and 10. It
+    # differs in the rest: r_a binds in row 1, r_b in rows 2, 5 and 6
+    # (-0.0 beside r_c = 1e22 in row 5, 0.0 in row 6), and a NaN r_b gives
+    # a NaN r_star beside a number in rows 7 to 9.
     cuts = np.array([
-        [inf, 15.0, 2.5, 2.5], [1.5, 15.0, 3.0, 1.5],
-        [inf, 15.0, inf, 15.0], [1e22, 15.0, 0.0, -0.0],
-        [nan, 15.0, nan, nan], [1e22, -0.0, 1e22, -0.0],
-        [0.1, 0.0, 0.1 + 0.2, 0.0], [inf, nan, nan, nan],
-        [5e-324, nan, 1.7976931348623157e308, 5e-324], [inf, nan, inf, nan], [2.0, nan, 2.0, 2.0],
+        [inf, 15.0, 2.5], [1.5, 15.0, 3.0], [inf, 15.0, inf], [1e22, 15.0, -0.0],
+        [nan, 15.0, nan], [1e22, -0.0, 1e22], [0.1, 0.0, 0.1 + 0.2], [inf, nan, 2.0],
+        [5e-324, nan, 1.7976931348623157e308], [inf, nan, inf], [2.0, nan, nan],
     ])
     subsets = np.array(list(islice(combinations(range(33), 3), len(cuts))))
-    # A MomentIndexReport refuses cut-offs that are not positive and derives
-    # r_star, so these stand in for a scan result with the fields it reads.
-    r_a, r_b, r_c, r_star = cuts.T
-    return SimpleNamespace(subsets=subsets, r_a=r_a, r_b=r_b, r_c=r_c, r_star=r_star,
-                           count=len(cuts))
+    # A MomentIndexReport refuses cut-offs that are not positive, so these
+    # stand in for a scan result with the fields `cmd_scan` reads.
+    r_a, r_b, r_c = cuts.T
+    return SimpleNamespace(subsets=subsets, r_a=r_a, r_b=r_b, r_c=r_c, count=len(cuts))
 
 
 @pytest.mark.parametrize("make_result, block", [
@@ -943,7 +963,7 @@ def edge_values():
 def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch, make_result,
                                                            block):
     result = make_result()
-    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
+    columns = (result.r_a, result.r_b, result.r_c, MomentIndexReport.r_star.fget(result))
     whole = tmp_path / "whole.csv"
     write_csv_report(whole, SCAN_CSV_COLUMNS,
                      [["+".join(str(j + 1) for j in subset), *values]
@@ -951,8 +971,8 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
                                                  *(c.tolist() for c in columns))])
     monkeypatch.setattr(linear_gate, "scan_deletion_subsets", lambda *args: result)
     monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", block)
-    # On two CPUs a forked worker formats every other block while the
-    # report file is open; the header must not be written twice.
+    # On two CPUs forked workers format the blocks while the report file
+    # is open; the header must not be written twice.
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
         assert run(tmp_path, "scan", {**FZ_LINEAR, "deletion.scan_size": "3"}) == 0
@@ -961,7 +981,7 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
 
 def test_gate_chunks_on_two_cpus_equal_one_cpu(tmp_path, monkeypatch):
     # C(33, 3) = 5456 triples in chunks of 500: on two CPUs the verdict
-    # lists of every other chunk come back through a forked worker's pipe.
+    # lists of every chunk come back pickled from a worker process.
     monkeypatch.setattr(linear_gate, "_SCAN_CHUNK", 500)
     config = {**FZ_LINEAR, "deletion.scan_size": "3", "r": "1.5, 2, 4"}
     reports = []

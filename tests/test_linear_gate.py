@@ -649,8 +649,8 @@ class TestSubsetScan:
     def test_chunked_kernel_equals_one_chunk(self, monkeypatch):
         # Sizes 1 to 3 diagonalise the I x I minor, 4 and 5 the k x k Gram
         # side; C(12, I) is not a multiple of the chunk size 7 for any I. On
-        # two CPUs every other chunk, verdict lists included, comes back
-        # through a forked worker's pipe.
+        # two CPUs every chunk, verdict lists included, comes back pickled
+        # from a worker process.
         rng = np.random.default_rng(80)
         data = random_regression(rng, 12, 3)
         r_values = (1.5, 2.0, 3.5)
