@@ -16,6 +16,7 @@ import difflib
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -198,13 +199,19 @@ def _parse_item(key: Key, kind: str, text: str):
 
 def _check_out(out: Path) -> None:
     """`out` must be a directory or a path that mkdir can make: no part of
-    it may name an existing file. Checked before data is read; the commands
-    make the directory only when they write, so a run that stops on an
-    error leaves none behind."""
+    it may name an existing file, and a probe directory must be makeable in
+    its nearest existing part (`os.access` calls /proc writable for root).
+    Checked before data is read; the commands make the directory only when
+    they write, so a run that stops on an error leaves none behind."""
     for part in (out, *out.parents):
         if part.exists():
             if not part.is_dir():
                 raise ConfigError(f"out {out} is not a directory: {part} is a file")
+            try:
+                with tempfile.TemporaryDirectory(dir=part):
+                    pass
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
             return
 
 
@@ -621,7 +628,10 @@ def cmd_verify(cfg: dict) -> None:
     if dels.size and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
-    tail = tail_verifier.verify_moment_index(family, data, prior, dels, r_star, sampler_cfg)
+    # The draws are freed once they are weighted, the weights once checked.
+    tail = tail_verifier.verify_moment_index(
+        is_engine.log_weight(family, family.sample(data, prior, sampler_cfg).draws, data, dels),
+        r_star)
 
     def estimator(m, rng):
         sub = replace(sampler_cfg, seed=int(rng.integers(0, 2**63 - 1)), draws=m)
@@ -638,12 +648,12 @@ def cmd_verify(cfg: dict) -> None:
         write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
     write_csv_report(
         out / "verify_scaling.csv", VERIFY_SCALING_CSV_COLUMNS,
-        [[m, reps, v] for m, v in zip(scaling.m_grid, scaling.variance_at_m)],
+        [[m, reps, v] for m, v in zip(m_grid, scaling.variance_at_m)],
     )
     summary = {
         "hill_estimate": tail.hill_estimate,
         "regression_index": tail.regression_index,
-        "analytic_r_star": tail.analytic_r_star,
+        "analytic_r_star": r_star,
         "agreement": tail.agreement,
         "degenerate": tail.degenerate,
         "loglog_slope": scaling.loglog_slope,
@@ -656,7 +666,7 @@ def cmd_verify(cfg: dict) -> None:
                           [e / sampler_cfg.draws for e in exceedances],
                           "weight survival function", "threshold", "P(W > t)")
         if scaling.loglog_slope is not None:
-            svg_line_plot(out / "verify_scaling.svg", scaling.m_grid, scaling.variance_at_m,
+            svg_line_plot(out / "verify_scaling.svg", m_grid, scaling.variance_at_m,
                           "estimator variance scaling", "draws", "variance")
 
 

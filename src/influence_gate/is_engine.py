@@ -122,8 +122,15 @@ def _logsumexp(a: np.ndarray) -> np.float64:
 
 
 def _measure_value(measure, lw, deleted_log_lik):
-    w, log_r_hat = _weight_parts(lw)
+    """(value, flags) of `measure` on the log weights `lw`. CPO reads only
+    the deleted-case log-likelihood, so it never normalizes the weights."""
     flags = []
+    if measure == "cpo":
+        if deleted_log_lik is None:
+            raise ValueError("cpo needs deleted_log_lik (exact deleted-case likelihood)")
+        ll = np.asarray(deleted_log_lik, dtype=float).ravel()
+        return float(np.exp(math.log(ll.size) - _logsumexp(-ll))), flags
+    w, log_r_hat = _weight_parts(lw)
     if measure == "kl":
         value = float(np.mean(w * lw) - log_r_hat)
     elif measure == "hellinger":
@@ -132,11 +139,6 @@ def _measure_value(measure, lw, deleted_log_lik):
             flags.append("hellinger-outside-[0,2]")
     elif measure == "chisq":
         value = float(np.mean((w - 1.0) ** 2))
-    elif measure == "cpo":
-        if deleted_log_lik is None:
-            raise ValueError("cpo needs deleted_log_lik (exact deleted-case likelihood)")
-        ll = np.asarray(deleted_log_lik, dtype=float).ravel()
-        value = float(np.exp(math.log(w.shape[0]) - _logsumexp(-ll)))
     else:
         raise ValueError(f"unknown measure {measure!r}")
     return value, flags

@@ -12,11 +12,10 @@ directions of all (k-1)-subsets of arrangement normals.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 
-from .core_model import LogitData, MomentIndexReport, MomentVerdict
+from .core_model import LogitData, MomentIndexReport, MomentVerdict, all_subsets
 from .errors import BudgetError
 
 # Candidate budget for exact vertex enumeration.
@@ -78,7 +77,7 @@ def _candidate_directions(data: LogitData):
             f"vertex enumeration needs {count} candidates (> {CANDIDATE_BUDGET}); "
             "use fewer covariates or cases"
         )
-    subsets = np.array(list(combinations(range(m), k - 1)), dtype=int)
+    subsets = all_subsets(m, k - 1)
     dirs = []
     chunk = 65536
     for start in range(0, subsets.shape[0], chunk):

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .is_engine import log_weight
-from .samplers import SamplerConfig
-
 TOP_FRACTION = 0.01
 MIN_EXCEEDANCES = 50
 REGRESSION_POINTS = 25
@@ -29,7 +26,6 @@ AGREEMENT_MAX_INDEX = 6.0
 class TailReport:
     hill_estimate: float
     regression_index: float
-    analytic_r_star: float
     agreement: bool | None
     degenerate: bool = False
     # (threshold, exceedances, running estimate) per regression threshold
@@ -38,7 +34,6 @@ class TailReport:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    m_grid: tuple
     variance_at_m: tuple
     loglog_slope: float | None
 
@@ -97,32 +92,22 @@ def survival_regression_index(weights_descending: np.ndarray) -> tuple:
     return slope, rows
 
 
-def verify_moment_index(
-    family,
-    data,
-    prior,
-    dels: np.ndarray,
-    r_star: float,
-    config: SamplerConfig,
-) -> TailReport:
-    """Simulate draws from the posterior of `family` (a `families.Family`
-    record, with the prior it takes), estimate the tail index of the
-    weights of deleting `dels`, the sorted, distinct 0-based cases, both
-    ways, and compare it with the analytic moment index `r_star`.
+def verify_moment_index(log_weights: np.ndarray, r_star: float) -> TailReport:
+    """Estimate the tail index of the weights whose logs are `log_weights`,
+    one per posterior draw, both ways, and compare it with the analytic
+    moment index `r_star`.
 
     Agreement is judged only when the analytic index is at most 6 (thinner
     tails are not estimable at these sample sizes): the Hill estimate must
     sit within 25% of the analytic value. Constant weights (for instance an
     empty deletion) short-circuit to a degenerate report.
     """
-    # The draws are freed once their log weights are taken.
-    lw = log_weight(family, family.sample(data, prior, config).draws, data, dels)
+    lw = np.asarray(log_weights, dtype=float).ravel()
     r_star = float(r_star)
     if float(np.max(lw) - np.min(lw)) < 1e-12:
         return TailReport(
             hill_estimate=math.inf,
             regression_index=math.inf,
-            analytic_r_star=r_star,
             agreement=None,
             degenerate=True,
         )
@@ -139,7 +124,6 @@ def verify_moment_index(
     return TailReport(
         hill_estimate=hill,
         regression_index=slope,
-        analytic_r_star=r_star,
         agreement=agreement,
         survival=tuple(rows),
     )
@@ -167,4 +151,4 @@ def clt_scaling_audit(estimator, m_grid, replications: int, seed: int) -> Scalin
         slope = None
     else:
         slope = float(np.polyfit(np.log(m_grid), np.log(variances), 1)[0])
-    return ScalingReport(m_grid=m_grid, variance_at_m=tuple(variances), loglog_slope=slope)
+    return ScalingReport(variance_at_m=tuple(variances), loglog_slope=slope)

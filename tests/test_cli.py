@@ -60,9 +60,13 @@ FZ_CONJUGATE = {
 }
 
 
+def config_text(config: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in config.items())
+
+
 def run(tmp_path, command, config: dict, *flags) -> int:
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    path.write_text(config_text(config))
     return main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
 
 
@@ -259,6 +263,32 @@ def test_estimate_empty_deletion_is_exact(tmp_path):
     assert cli._sampling_inputs(cfg, "estimate", 500)[4] == math.inf
 
 
+def test_conjugate_prior_gate_and_estimate(tmp_path):
+    # Feigl-Zelen case 15 under the conjugate prior: r_a = 1/h_15,15,
+    # r_b = (n + 2 alpha) / I and r_c is where rss_star(r) meets -2/beta.
+    config = {**FZ_CONJUGATE, "prior.beta": "0.001", "prior.theta.cov_diag": "100, 100, 100",
+              "deletion.indices": "15", "r": "2, 4", "sampler.draws": "2000"}
+    assert run(tmp_path, "gate", config) == 0
+    rows = read_csv(tmp_path, "gate_report.csv")
+    assert [row["r"] for row in rows] == ["2.0", "4.0"]
+    data = feigl_zelen("linear")
+    X, y = data.design, data.response
+    H = X @ np.linalg.solve(X.T @ X, X.T)
+    e = y - H @ y
+    for row in rows:
+        assert row["r_a"] == "5.236061368688325"
+        assert float(row["r_a"]) == pytest.approx(1.0 / H[14, 14], rel=1e-12)
+        assert row["r_b"] == "37.0"
+        r_c = float(row["r_c"])
+        rss_star = e @ e - r_c * e[14] ** 2 / (1.0 - r_c * H[14, 14])
+        assert rss_star == pytest.approx(-2.0 / 0.001, rel=1e-9)
+        assert row["r_star"] == row["r_c"]
+    assert run(tmp_path, "estimate", config) == 0
+    estimates = read_csv(tmp_path, "estimates.csv")
+    assert len(estimates) == 4
+    assert {row["available_r_star"] for row in estimates} == {rows[0]["r_star"]}
+
+
 @pytest.mark.parametrize("cases", ["15", "1, 2, 3, 15, 16, 17, 32, 33"])
 def test_estimate_memory_does_not_grow_with_the_deletion_size(tmp_path, cases):
     """Beyond the draws (4 M-vectors here), estimate holds a few M-vectors
@@ -429,8 +459,7 @@ def test_out_under_a_file_is_config_error_before_data_is_read(tmp_path, capsys, 
                                                               command, config, out):
     loads = count_calls(monkeypatch, cli, "load_csv")
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items())
-                    + f"out = {DATA_DIR / out}\n")
+    path.write_text(config_text(config) + f"out = {DATA_DIR / out}\n")
     assert main([command, "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: out {DATA_DIR / out} ")
     assert loads == []
@@ -471,16 +500,64 @@ def test_bad_verify_setting_rejected_before_sampling(tmp_path, capsys, key, valu
     ("estimate", {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": "1000"}),
     ("verify", VERIFY_SETTINGS),
 ], ids=["gate", "scan", "kfold", "estimate", "verify"])
-def test_out_that_cannot_be_made_is_config_error(tmp_path, capsys, command, config):
-    # /proc exists, so the path passes the check before data is read, but
-    # no directory can be made in it.
+def test_out_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch, command, config):
+    # /proc exists and is a directory, but no directory can be made in it:
+    # checked before data is read.
+    loads = count_calls(monkeypatch, cli, "load_csv")
     out = f"/proc/influence_gate_{command}"
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    path.write_text(config_text(config))
     assert main([command, "--config", str(path), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ")
     assert "Traceback" not in err
+    assert loads == []
+
+
+CONFIG_ERRORS = [
+    ("two-deletion-specs", "gate", config_text({**FZ_LINEAR, "deletion.indices": "15",
+                                                "deletion.scan_size": "2"}),
+     "deletion.indices: exactly one deletion spec allowed"),
+    ("model-missing", "gate", config_text({"data": DATA_DIR / "puromycin.csv",
+                                           "deletion.indices": "11"}),
+     "model is required"),
+    ("empty-measures", "estimate",
+     config_text({**PUROMYCIN_MM, "deletion.indices": "11", "measures": ""}),
+     "measures must list one or more values"),
+    ("intercept-maybe", "gate",
+     config_text({**FZ_LINEAR, "deletion.indices": "15", "data.intercept": "maybe"}),
+     "data.intercept must be a boolean, got 'maybe'"),
+    ("line-without-equals", "gate", "deletion.indices 15\n" + config_text(FZ_LINEAR),
+     "line 1: expected 'key = value', got 'deletion.indices 15'"),
+    ("empty-key", "gate", "= 3\n" + config_text(FZ_LINEAR), "line 1: empty key"),
+    ("missing-config-file", "gate", None, "config file not found: "),
+    ("scan-without-size", "scan", config_text(FZ_LINEAR), "scan needs deletion.scan_size"),
+    ("kfold-without-partitions", "kfold", config_text(FZ_LINEAR),
+     "kfold needs deletion.kfold.partitions"),
+    ("kfold-folds-above-n", "kfold",
+     config_text({**FZ_LINEAR, "deletion.kfold.partitions": "2", "deletion.kfold.folds": "34"}),
+     "deletion.kfold.folds must be in [2, 33], got 34"),
+    ("estimate-without-indices", "estimate", config_text(FZ_LINEAR),
+     "estimate needs deletion.indices"),
+    ("scan-on-mm", "scan", config_text({**PUROMYCIN_MM, "deletion.scan_size": "2"}),
+     "scan supports the linear model"),
+    ("kfold-on-logit", "kfold", config_text({**FZ_LOGIT, "deletion.kfold.partitions": "2"}),
+     "kfold audit supports the linear model"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", [case[1:] for case in CONFIG_ERRORS],
+                         ids=[case[0] for case in CONFIG_ERRORS])
+def test_documented_config_error_exits_2(tmp_path, capsys, command, text, message):
+    # text None: the config file does not exist
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_draws_are_config_error_before_data_is_read(tmp_path, capsys, monkeypatch, draws):
@@ -1066,7 +1143,7 @@ def test_cli_imports_and_runs_without_scipy(tmp_path):
     args = []
     for command, config in runs:
         path = tmp_path / f"{command}.cfg"
-        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        path.write_text(config_text(config))
         args += [command, str(path), str(tmp_path / command)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -3,8 +3,8 @@
 import math
 
 import numpy as np
+import pytest
 
-from influence_gate.samplers import SamplerConfig
 from influence_gate.tail_verifier import (
     TOP_FRACTION,
     clt_scaling_audit,
@@ -12,11 +12,6 @@ from influence_gate.tail_verifier import (
     survival_regression_index,
     verify_moment_index,
 )
-
-from conftest import DATA_DIR, deleted, model_inputs, one_set
-
-FZ_LINEAR = {"model": "linear", "data": DATA_DIR / "feigl_zelen.csv",
-             "data.response": "time_weeks", "data.covariates": "wbc, ag"}
 
 
 def pareto_descending(alpha: float, size: int, seed: int) -> np.ndarray:
@@ -44,14 +39,23 @@ def test_survival_rows_are_the_hill_estimate_at_each_rank():
 
 
 def test_constant_log_weights_give_a_degenerate_report():
-    family, data, prior = model_inputs(FZ_LINEAR)
-    dels = deleted([])
-    r_star = float(family.index(data, prior, one_set(dels), ())[0].r_star[0])
-    tail = verify_moment_index(family, data, prior, dels, r_star,
-                               SamplerConfig(seed=1, draws=200))
+    tail = verify_moment_index(np.full(200, -1.5), 4.6)
     assert tail.degenerate is True
     assert tail.agreement is None
     assert tail.hill_estimate == math.inf and tail.survival == ()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("r_star, agreement", [(3.0, True), (6.0, False), (7.0, None)])
+def test_agreement_rule_on_exact_pareto_log_weights(seed, r_star, agreement):
+    # Pareto(3) weights have moment index 3. The Hill estimate lands within
+    # 25% of an analytic 3 and outside 25% of 6; an analytic index above 6
+    # is not judged. The draws are shuffled: the input need not be sorted.
+    w = pareto_descending(3.0, 40_000, seed)
+    np.random.default_rng(seed).shuffle(w)
+    tail = verify_moment_index(np.log(w), r_star)
+    assert tail.degenerate is False
+    assert tail.agreement is agreement
 
 
 def test_scaling_audit_of_an_iid_mean_has_slope_minus_one():
