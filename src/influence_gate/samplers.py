@@ -61,47 +61,95 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
-def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) -> SampleResult:
-    """i.i.d. draws from the flat-prior posterior.
+def linear_noninformative_blocks(data: RegressionData, config: SamplerConfig):
+    """i.i.d. draws from the flat-prior posterior, as an iterator of row
+    blocks of (theta, sigma2), in draw order.
 
     sigma2 is inverse gamma with shape (n-k)/2 and rate RSS/2; theta given
     sigma2 is normal around the least-squares solution with covariance
     sigma2 (X'X)^{-1}. Being i.i.d., burn_in and thin are ignored.
 
-    The (M, k+1) draws are allocated once. All M gammas are drawn first and
-    sigma2 is divided into the last column; the normals then follow, one
-    block of about BLOCK_ELEMENTS entries at a time, and each block's
-    theta_hat + sqrt(sigma2) * (z @ L.T) is made in place and copied into
-    its rows. Beyond the draws, this holds one M-vector of gammas and one
-    block. The stream order is that of one (M, k) normal draw, so the draws
-    equal, bit for bit, the unblocked form wherever the BLAS product of a
-    row block equals those rows of the whole product.
+    The set-up runs on the call: the least-squares solve, its checks and
+    all M gammas, drawn into one M-vector and turned into sigma2 in place.
+    The normals then follow as the iterator is read, one fresh (rows, k+1)
+    block of BLOCK_ELEMENTS // k rows at a time, with each block's
+    theta_hat + sqrt(sigma2) * (z @ L.T) made in place; the sigma2 vector is
+    freed with the iterator. The stream order is that of one (M, k) normal
+    draw after the gammas.
+
+    A design whose normal equations fail in floating point is a
+    SamplerError that names how (`_normal_equations`).
     """
     n, k = data.n, data.k
     if n <= k:
         raise SamplerError(f"flat prior needs n > k; got n={n}, k={k}")
-    X, y = data.design, data.response
-    G = np.linalg.inv(X.T @ X)
-    theta_hat = G @ (X.T @ y)
-    yy = float(y @ y)
-    rss = yy - float(theta_hat @ (X.T @ y))
-    if not rss > 4.0 * n * np.finfo(float).eps * yy:  # within the subtraction's rounding error
-        raise SamplerError(f"flat prior: RSS {rss:.3g} is within rounding error of 0 "
-                           f"(y'y = {yy:.6g}); the design fits the response almost exactly")
+    theta_hat, rss, L = _normal_equations(data.design, data.response)
     rng = _rng(config.seed)
-    M = config.draws
-    shape, rate = (n - k) / 2.0, rss / 2.0
-    draws = np.empty((M, k + 1))
-    sigma2 = draws[:, k]
-    np.divide(rate, rng.gamma(shape, 1.0, size=M), out=sigma2)
-    L = np.linalg.cholesky(G)
+    sigma2 = rng.gamma((n - k) / 2.0, 1.0, size=config.draws)
+    np.divide(rss / 2.0, sigma2, out=sigma2)
+    return _normal_blocks(rng, sigma2, theta_hat, L)
+
+
+def _normal_equations(X, y):
+    """(theta_hat, RSS, Cholesky factor of (X'X)^{-1}) of the least-squares
+    fit by the normal equations, or a SamplerError naming how they fail in
+    floating point: X'X, X'y or y'y overflows; X'X cannot be inverted, or
+    its inverse is not positive definite; the RSS is not finite; or the RSS
+    y'y - theta_hat'X'y is lost to cancellation, not above its rounding
+    error 4 n eps y'y, where an SVD fit tells an ill-conditioned X'X from a
+    design that fits the response almost exactly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        XtX, Xty, yy = X.T @ X, X.T @ y, float(y @ y)
+    if not (np.all(np.isfinite(XtX)) and np.all(np.isfinite(Xty)) and math.isfinite(yy)):
+        raise SamplerError("flat prior: X'X, X'y or y'y overflows the float range")
+
+    def ill_conditioned():
+        return (f"X'X is too ill-conditioned for the normal equations (condition number "
+                f"{np.linalg.cond(XtX):.3g})")
+
+    try:
+        G = np.linalg.inv(XtX)
+        theta_hat = G @ Xty
+        rss = yy - float(theta_hat @ Xty)
+        if not math.isfinite(rss):
+            raise SamplerError(f"flat prior: {ill_conditioned()}: the RSS is {rss}")
+        rounding = 4.0 * len(y) * np.finfo(float).eps * yy
+        if not rss > rounding:
+            fit = y - X @ np.linalg.lstsq(X, y)[0]
+            svd_rss = float(fit @ fit)
+            cause = (f"{ill_conditioned()}, and the RSS by SVD is {svd_rss:.3g}"
+                     if svd_rss > rounding else "the design fits the response almost exactly")
+            raise SamplerError(f"flat prior: the RSS y'y - theta_hat'X'y = {rss:.3g} is lost to "
+                               f"cancellation, not above its rounding error {rounding:.3g}: "
+                               f"{cause}")
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise SamplerError(f"flat prior: {ill_conditioned()}: {exc}") from None
+    return theta_hat, rss, L
+
+
+def _normal_blocks(rng, sigma2, theta_hat, L):
+    k = theta_hat.size
     rows = max(1, BLOCK_ELEMENTS // k)
-    for start in range(0, M, rows):
-        block = slice(start, start + rows)
-        theta = rng.standard_normal((len(sigma2[block]), k)) @ L.T
-        theta *= np.sqrt(sigma2[block])[:, None]
+    for start in range(0, sigma2.size, rows):
+        scale = sigma2[start:start + rows]
+        block = np.empty((scale.size, k + 1))
+        theta = rng.standard_normal((scale.size, k)) @ L.T
+        theta *= np.sqrt(scale)[:, None]
         theta += theta_hat
-        draws[block, :k] = theta
+        block[:, :k] = theta
+        block[:, k] = scale
+        yield block
+
+
+def sample_linear_noninformative(data: RegressionData, config: SamplerConfig) -> SampleResult:
+    """The (M, k+1) draws of `linear_noninformative_blocks`, filled a block
+    at a time into one array allocated up front."""
+    draws = np.empty((config.draws, data.k + 1))
+    start = 0
+    for block in linear_noninformative_blocks(data, config):
+        draws[start:start + len(block)] = block
+        start += len(block)
     return SampleResult(draws=draws, acceptance_rate=1.0)
 
 

@@ -77,8 +77,9 @@ def survival_regression_index(weights_descending: np.ndarray) -> tuple:
     """
     w = np.asarray(weights_descending, dtype=float).ravel()
     M = w.size
-    ranks = np.unique(np.geomspace(max(int(0.0005 * M), 10), int(0.1 * M),
-                                   REGRESSION_POINTS).astype(int))
+    # The distinct ranks, sorted as a set: np.unique's first call imports numpy.ma.
+    grid = np.geomspace(max(int(0.0005 * M), 10), int(0.1 * M), REGRESSION_POINTS)
+    ranks = np.array(sorted(set(grid.astype(int).tolist())), dtype=int)
     ranks = ranks[(ranks >= 5) & (ranks < M)]
     if ranks.size < 20:
         raise ValueError("not enough draws for the survival regression (need >= 20 thresholds)")

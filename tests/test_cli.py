@@ -291,9 +291,11 @@ def test_conjugate_prior_gate_and_estimate(tmp_path):
 
 @pytest.mark.parametrize("cases", ["15", "1, 2, 3, 15, 16, 17, 32, 33"])
 def test_estimate_memory_does_not_grow_with_the_deletion_size(tmp_path, cases):
-    """Beyond the draws (4 M-vectors here), estimate holds a few M-vectors
-    and one block, whatever the deletion size: its traced peak stays below
-    10 M-vectors at one deleted case and at eight."""
+    """estimate never holds the (M, 4) draws: it holds the M gammas and the
+    log-likelihoods while it streams the draws, a block at a time, and the
+    log-likelihoods, log weights and one measure's weights after, whatever
+    the deletion size. Its traced peak stays below 5.5 M-vectors at one
+    deleted case and at eight; holding the draws took 7.5 and 6.1."""
     draws = 200_000
     config = {**FZ_LINEAR, "deletion.indices": cases, "sampler.draws": str(draws)}
     tracemalloc.start()
@@ -304,7 +306,7 @@ def test_estimate_memory_does_not_grow_with_the_deletion_size(tmp_path, cases):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 8 * draws, peak / (8 * draws)
+    assert peak < 5.5 * 8 * draws, peak / (8 * draws)
 
 
 def test_scan_memory_of_all_feigl_zelen_5_subsets(tmp_path, monkeypatch):
@@ -862,16 +864,74 @@ def test_flat_prior_with_a_near_exact_fit_is_sampler_error(tmp_path, capsys, com
     assert run(tmp_path, command, config) == 5
     err = capsys.readouterr().err
     assert err.startswith("sampler error: ") and "Traceback" not in err
+    assert "the design fits the response almost exactly" in err
+    assert not (tmp_path / "out").exists()
+
+
+def quadratic_csv(path, x0: float, response):
+    """40 cases of (x, x^2, y) with x = x0 + linspace(0, 1, 40) and y =
+    response(x, i) at case index i."""
+    x = x0 + np.linspace(0.0, 1.0, 40)
+    y = response(x, np.arange(40.0))
+    path.write_text("x,x2,y\n" + "".join(f"{float(a)!r},{float(a * a)!r},{float(b)!r}\n"
+                                          for a, b in zip(x, y)))
+    return path
+
+
+def feigl_zelen_with_cell(path, case: int, column: str, value: str):
+    """The bundled Feigl-Zelen data with one cell replaced."""
+    with open(DATA_DIR / "feigl_zelen.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[case][rows[0].index(column)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+# (data, covariates, response, what the message names). On the quadratic
+# designs the singular-value ratio of [X, y] is 1.6e-8 and 1.6e-10, above
+# RANK_TOLERANCE, so the gate accepts them; the normal equations do not.
+NORMAL_EQUATIONS_FAILURES = {
+    "x-near-1000": (lambda path: quadratic_csv(path, 1000.0, lambda x, i: np.sin(i)),
+                    "x, x2", "y", "Matrix is not positive definite"),
+    "x-near-10^4": (lambda path: quadratic_csv(path, 1e4, lambda x, i: x * x / 1e4 + np.cos(i)),
+                    "x, x2", "y", "is lost to cancellation"),
+    "cell-at-1e200": (lambda path: feigl_zelen_with_cell(path, 5, "wbc", "1e200"),
+                      "wbc, ag", "time_weeks", "X'X, X'y or y'y overflows the float range"),
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+@pytest.mark.parametrize("design", NORMAL_EQUATIONS_FAILURES)
+def test_flat_prior_design_the_normal_equations_cannot_solve_is_sampler_error(
+        tmp_path, capsys, command, design):
+    """Data the gate accepts, on which the flat-prior sampler's normal
+    equations fail in floating point, is a sampler error that names the
+    condition, not a traceback or an exact fit."""
+    make, covariates, response, condition = NORMAL_EQUATIONS_FAILURES[design]
+    config = {"model": "linear", "data": make(tmp_path / "design.csv"),
+              "data.covariates": covariates, "data.response": response,
+              "deletion.indices": "15"}
+    (tmp_path / "gate").mkdir()
+    assert run(tmp_path / "gate", "gate", config) == 0
+    capsys.readouterr()
+    assert run(tmp_path, command, config) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("sampler error: flat prior: ") and "Traceback" not in err
+    assert condition in err and "fits the response" not in err
     assert not (tmp_path / "out").exists()
 
 
 def test_verify_sampler_error_in_a_replication_chain_writes_nothing(tmp_path, capsys,
                                                                    monkeypatch):
-    """The tail chain is the first sample and the first scaling-audit
-    replication the second; every chain runs before the first file is
-    written, so a failure in the audit leaves no output directory."""
+    """The tail chain is the first sample, streamed, and the first
+    scaling-audit replication the second; every chain runs before the first
+    file is written, so a failure in the audit leaves no output directory."""
     family = FAMILIES["linear"]
     calls = []
+
+    def stream(data, prior, config):
+        calls.append(config.draws)
+        return family.stream(data, prior, config)
 
     def sample(data, prior, config):
         calls.append(config.draws)
@@ -879,7 +939,8 @@ def test_verify_sampler_error_in_a_replication_chain_writes_nothing(tmp_path, ca
             raise SamplerError("replication chain failed")
         return family.sample(data, prior, config)
 
-    monkeypatch.setitem(FAMILIES, "linear", dataclasses.replace(family, sample=sample))
+    monkeypatch.setitem(FAMILIES, "linear", dataclasses.replace(family, sample=sample,
+                                                                stream=stream))
     assert run(tmp_path, "verify", VERIFY_SETTINGS) == 5
     err = capsys.readouterr().err
     assert err == "sampler error: replication chain failed\n"
@@ -1102,6 +1163,21 @@ def test_exported_draws_span_two_row_blocks(tmp_path):
     assert_linear_draws_exported(tmp_path, BLOCK_ELEMENTS // 4 + 17)
 
 
+def test_estimates_do_not_depend_on_exporting_the_draws(tmp_path):
+    """One streamed block of the three-coefficient linear draws and 17 rows
+    more: kept for draws.csv or dropped once weighted, the blocks give the
+    same estimates, bit for bit."""
+    config = {**FZ_LINEAR, "deletion.indices": "15", "sampler.draws": str(BLOCK_ELEMENTS // 3 + 17)}
+    reports = []
+    for export in ("false", "true"):
+        (tmp_path / export).mkdir()
+        assert run(tmp_path / export, "estimate", {**config, "sampler.export_draws": export}) == 0
+        reports.append([(tmp_path / export / "out" / name).read_bytes()
+                        for name in ("estimates.csv", "estimates.json")])
+    assert reports[0] == reports[1]
+    assert (tmp_path / "true" / "out" / "draws.csv").is_file()
+
+
 EXPORTS = {
     "mm": ({**PUROMYCIN_MM, "deletion.indices": "11"}, ["m", "sigma2", "kappa"],
            lambda data, config: sample_mm(data, config, 1.0)),
@@ -1122,24 +1198,24 @@ def test_exported_draws_name_each_parameter(tmp_path, model):
     assert out == expected_draws_csv(tmp_path / "expected.csv", header, draws)
 
 
-# Imports the CLI with every SciPy import made to fail, then runs each
-# (command, config, out) triple of its arguments through `main`.
-NO_SCIPY_SCRIPT = """
+# Runs the prelude, imports the CLI, runs each (command, config, out)
+# triple of its arguments through `main` and then runs the epilogue.
+CLI_SCRIPT = """
 import sys
-sys.modules["scipy"] = None
+{prelude}
 from influence_gate.cli import main
 args = sys.argv[1:]
 for command, config, out in zip(args[::3], args[1::3], args[2::3]):
     code = main([command, "--config", config, "--out", out])
     if code:
-        sys.exit(f"{command} exited {code}")
+        sys.exit(f"{{command}} exited {{code}}")
+{epilogue}
 """
 
 
-def test_cli_imports_and_runs_without_scipy(tmp_path):
-    runs = [("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "measures": "kl, cpo",
-                          "sampler.draws": "2000"}),
-            ("verify", VERIFY_SETTINGS)]
+def run_cli_script(tmp_path, runs, prelude="", epilogue=""):
+    """Run the (command, config) pairs `runs` by CLI_SCRIPT in a new
+    interpreter, each into tmp_path/<command>; the finished process."""
     args = []
     for command, config in runs:
         path = tmp_path / f"{command}.cfg"
@@ -1147,8 +1223,27 @@ def test_cli_imports_and_runs_without_scipy(tmp_path):
         args += [command, str(path), str(tmp_path / command)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *args], env=env,
+    script = CLI_SCRIPT.format(prelude=prelude, epilogue=epilogue)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cli_imports_and_runs_without_scipy(tmp_path):
+    runs = [("estimate", {**PUROMYCIN_MM, "deletion.indices": "11", "measures": "kl, cpo",
+                          "sampler.draws": "2000"}),
+            ("verify", VERIFY_SETTINGS)]
+    done = run_cli_script(tmp_path, runs, prelude='sys.modules["scipy"] = None')
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "estimate" / "estimates.csv").is_file()
+    assert (tmp_path / "verify" / "verify_report.json").is_file()
+
+
+def test_estimate_and_verify_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs about 10 ms to import; np.unique's first call imports
+    it, so neither command calls np.unique."""
+    runs = [("estimate", {**FZ_LINEAR, "deletion.indices": "15, 1, 15", "sampler.draws": "2000"}),
+            ("verify", VERIFY_SETTINGS)]
+    epilogue = 'sys.exit("numpy.ma imported" if "numpy.ma" in sys.modules else 0)'
+    done = run_cli_script(tmp_path, runs, epilogue=epilogue)
+    assert done.returncode == 0, done.stderr
     assert (tmp_path / "verify" / "verify_report.json").is_file()

@@ -106,6 +106,12 @@ class TestLoadCsv:
         assert list(columns) == ["c", "a"]
         assert list(columns["c"]) == [3.0, 6.0] and list(columns["a"]) == [1.0, 4.0]
 
+    def test_utf8_byte_order_mark_is_not_part_of_the_first_column_name(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,4\n")
+        columns = load_csv(p, ["x", "y"])
+        assert list(columns["x"]) == [1.0, 3.0] and list(columns["y"]) == [2.0, 4.0]
+
 
 class TestRoundTrip:
     def test_write_then_load_bit_exact(self, tmp_path):

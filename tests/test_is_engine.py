@@ -80,7 +80,8 @@ class TestBlockedLogLikelihood:
     @pytest.mark.parametrize("model", ["linear", "mm", "logit"])
     @pytest.mark.parametrize("size", [1, 8])
     def test_blocks_equal_one_call_bit_for_bit(self, puromycin, model, size):
-        """One block of BLOCK_ELEMENTS // |I| rows and 17 rows more."""
+        """One block of BLOCK_ELEMENTS // |I| rows and 17 rows more, given
+        as one block of draws and as blocks of 5,000 rows, as a generator."""
         data = puromycin if model == "mm" else feigl_zelen(model)
         family = FAMILIES[model]
         k = len(family.columns(data))
@@ -88,8 +89,10 @@ class TestBlockedLogLikelihood:
                        else [0, 1, 2, 14, 15, 16, 31, 32][:size])
         M = BLOCK_ELEMENTS // size + 17
         draws = random_draws(np.random.default_rng(size), model, M, k)
-        got = deleted_log_likelihood(family, draws, data, dels)
-        assert got.tobytes() == family.log_likelihood(draws, data, dels).tobytes()
+        whole = family.log_likelihood(draws, data, dels).tobytes()
+        assert deleted_log_likelihood(family, (draws,), data, dels, M).tobytes() == whole
+        blocks = (draws[start:start + 5000] for start in range(0, M, 5000))
+        assert deleted_log_likelihood(family, blocks, data, dels, M).tobytes() == whole
 
 
 class TestSelfNormalizedEstimate:
@@ -171,7 +174,7 @@ class TestEstimateMeasure:
         dels = deleted([2])
         draws = np.column_stack([rng.standard_normal(10) + 2.0, np.abs(rng.standard_normal(10)) + 0.5])
         lw = log_weight(FAMILIES["linear"], draws, data, dels)
-        ll = deleted_log_likelihood(FAMILIES["linear"], draws, data, dels)
+        ll = deleted_log_likelihood(FAMILIES["linear"], (draws,), data, dels, len(draws))
         est = estimate_measure(lw, "cpo", 5.0, ll)
         direct = 10.0 / np.sum(1.0 / np.exp(ll))
         assert est.value == pytest.approx(direct, rel=1e-12)
@@ -273,8 +276,9 @@ class TestLogSumExp:
     def test_mm_case_11_cpo_input_golden(self, puromycin):
         draws = sample_mm(puromycin, SamplerConfig(seed=1, draws=5000, burn_in=1000),
                           1.0).draws
-        ll = deleted_log_likelihood(FAMILIES["mm"], draws, puromycin, deleted([10]))
+        ll = deleted_log_likelihood(FAMILIES["mm"], (draws,), puromycin, deleted([10]), len(draws))
         assert _logsumexp(-ll).hex() == "0x1.7fe130db476a2p+3"
+        assert _logsumexp(ll, negate=True).hex() == "0x1.7fe130db476a2p+3"
 
     @pytest.mark.parametrize("x", [-3.7, 0.0, 1e300, -1e300])
     def test_single_element_is_itself(self, x):

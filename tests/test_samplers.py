@@ -13,6 +13,7 @@ from influence_gate.families import FAMILIES
 from influence_gate.linear_gate import LinearPrior
 from influence_gate.samplers import (
     SamplerConfig,
+    linear_noninformative_blocks,
     random_walk_metropolis,
     sample_linear_conjugate,
     sample_linear_noninformative,
@@ -82,6 +83,16 @@ class TestNoninformativeSampler:
         assert got.shape == (M, k + 1)
         assert got[:, :k].tobytes() == theta.tobytes()
         assert got[:, k].tobytes() == sigma2.tobytes()
+
+    def test_sampled_draws_are_the_streamed_blocks(self):
+        """One block of BLOCK_ELEMENTS // k rows and 17 rows more: the
+        filled (M, k+1) table equals the streamed blocks joined, bit for bit."""
+        data = feigl_zelen("linear")
+        config = SamplerConfig(seed=7, draws=BLOCK_ELEMENTS // data.k + 17)
+        blocks = list(linear_noninformative_blocks(data, config))
+        assert [len(block) for block in blocks] == [BLOCK_ELEMENTS // data.k, 17]
+        draws = sample_linear_noninformative(data, config).draws
+        assert draws.tobytes() == np.concatenate(blocks).tobytes()
 
     def test_seed_determinism(self, lin_data):
         cfg = SamplerConfig(seed=77, draws=500)
