@@ -11,14 +11,13 @@ reports. Exit codes: 0 ok, 2 config error, 3 data error, 4 budget error,
 """
 
 import argparse
-import csv
 import difflib
 import json
 import math
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +34,12 @@ SUBSET_ENUMERATION_BUDGET = 10_000_000
 
 GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "r_star", "binding"]
 SCAN_CSV_COLUMNS = ["subset", "r_a", "r_b", "r_c", "r_star"]
-# Scan rows are read out of the result arrays this many at a time, so the
-# CSV never needs the whole table as Python objects.
+# Report tables are turned into text a block of rows at a time, so no
+# report needs its whole table as Python objects: the scan table
+# SCAN_CSV_BLOCK rows at a time, every other table JSON_ROW_BLOCK rows (the
+# gate table, the rows of JSON_ROW_BLOCK deletion sets) at a time.
 SCAN_CSV_BLOCK = 4096
-# JSON report rows are encoded and written this many at a time.
 JSON_ROW_BLOCK = 1024
-# With no indent the C encoder runs; this item separator puts each key of a
-# row object on its own line at the depth indent=1 gives a row's keys.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": "))
 KFOLD_CSV_COLUMNS = ["partition", "fold", "size", "r_star", "below_2"]
 ESTIMATE_CSV_COLUMNS = [
     "deletion", "measure", "value", "gate", "required_moments",
@@ -281,14 +278,10 @@ def _open_report(path, newline=None):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def write_csv_report(path, columns, rows) -> None:
-    """Write a CSV table from any iterable of rows, consumed as it is
-    written. Floats come out as shortest round-trip decimal text: the csv
-    module writes str(x), which for a float is repr(x)."""
-    with _open_report(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _csv_field(s: str) -> str:
+    """`s` as the csv module writes it: quoted, quotes doubled, if it holds
+    a comma, a quote or a line break."""
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
 def _jsonable(v):
@@ -302,85 +295,154 @@ def _jsonable(v):
     return v
 
 
-def _json_row(row: dict) -> str:
-    """One row object as json.dump(..., indent=1) lays it out under `rows`;
-    its values must be scalars."""
-    text = _ROW_ENCODER.encode({k: _jsonable(v) for k, v in row.items()})
-    return "{\n   " + text[1:-1] + "\n  }" if row else "{}"
+def _float_texts(values, before=None, before_texts=None) -> list:
+    """repr of each float of the float64 array `values`: once if all are
+    bitwise equal, else taken from the column before, `before` with texts
+    `before_texts`, in each row where that holds the same bits."""
+    bits = values.view(np.int64)
+    if bits.size > 1 and np.all(bits == bits[0]):
+        return [float.__repr__(values[0].item())] * bits.size
+    fresh = None
+    if getattr(before, "dtype", None) == np.float64:
+        fresh = np.flatnonzero(bits != before.view(np.int64))
+    if fresh is None or fresh.size == bits.size:
+        return list(map(float.__repr__, values.tolist()))
+    texts = before_texts.copy()
+    for i, text in zip(fresh.tolist(), map(float.__repr__, values[fresh].tolist())):
+        texts[i] = text
+    return texts
 
 
-def write_json_report(path, command: str, rows=None, extra: dict | None = None) -> None:
-    """Write a report; `rows` (optional), an iterable of dicts with scalar
-    values, repeats the CSV table row by row. The bytes are those of
-    json.dump(payload, fh, indent=1, sort_keys=True) and a newline: the rows
-    are encoded a block at a time and spliced into the rest of the payload."""
-    payload = {"schema_version": SCHEMA_VERSION, "command": command}
+def _column_texts(values, with_json: bool, before=()):
+    """(CSV texts, JSON texts or None) of a column, a NumPy array or a list
+    of scalars: what the csv module writes for each, and json.dumps for its
+    `_jsonable`. A float64 array's texts come from `_float_texts`, given
+    `before`, the column before and its CSV texts."""
+    if getattr(values, "dtype", None) == np.float64:
+        csv_texts = _float_texts(values, *before)
+        # Only inf, -inf and nan hold an "n"; `_jsonable` makes them strings.
+        json_texts = (csv_texts if not with_json or "n" not in "".join(csv_texts)
+                      else [f'"{t}"' if "n" in t else t for t in csv_texts])
+        return csv_texts, json_texts if with_json else None
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    try:
+        joined = "".join(values)  # a TypeError unless every value is a str
+    except TypeError:
+        joined = None
+    if joined is not None:
+        csv_texts = (values if not any(c in joined for c in ',"\r\n')
+                     else list(map(_csv_field, values)))
+        json_texts = map(json.encoder.encode_basestring_ascii, values)
+    elif (kinds := set(map(type, values))) in ({int}, {bool}):
+        csv_texts = list(map(str, values))
+        json_texts = csv_texts if kinds == {int} else map(("false", "true").__getitem__, values)
+    else:
+        csv_texts = ["" if v is None else _csv_field(v) if isinstance(v, str) else str(v)
+                     for v in values]
+        json_texts = (json.dumps(_jsonable(v)) for v in values)
+    return csv_texts, list(json_texts) if with_json else None
+
+
+def _table_text(names, columns, with_json=False, count=None):
+    """(CSV lines, JSON row objects or None) of a block of a table: `count`
+    rows (by default the length of the first column) held as `columns`, one
+    per name. Each column becomes text once, and both are joined from
+    those texts: the lines as the csv module writes them, the objects
+    joined by ",\n  " as json.dump(..., indent=1, sort_keys=True) lays out a
+    report's `rows`."""
+    count = len(columns[0]) if count is None else count
+    texts, before = [], ()
+    for column in columns:
+        texts.append(_column_texts(column, with_json, before))
+        before = column, texts[-1][0]
+    fields = [csv_texts for csv_texts, _ in texts]
+    if len(fields) == 1:  # the csv module quotes a lone empty field
+        fields = [[t or '""' for t in fields[0]]]
+    lines = map(",".join, zip(*fields)) if fields else repeat("", count)
+    lines = "\r\n".join(lines) + "\r\n" if count else ""
+    if not with_json:
+        return lines, None
+    keys = sorted(range(len(names)), key=names.__getitem__)
+    template = "{\n   " + ",\n   ".join(json.encoder.encode_basestring_ascii(names[j]).replace(
+        "%", "%%") + ": %s" for j in keys) + "\n  }" if names else "{}"
+    values = zip(*(texts[j][1] for j in keys)) if names else repeat((), count)
+    return lines, ",\n  ".join(map(template.__mod__, values))
+
+
+def _batches(items):
+    """Lists of JSON_ROW_BLOCK consecutive `items`, the last maybe shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, JSON_ROW_BLOCK)), [])
+
+
+def write_csv_report(path, columns, rows=None, text=()) -> None:
+    """Write the CSV table headed by `columns`; its lines are `rows`, rows of
+    one value per column formatted JSON_ROW_BLOCK at a time as they are
+    consumed, or else `text`, blocks of lines from `_table_text`."""
     if rows is not None:
+        text = (_table_text(columns, list(zip(*block)), count=len(block))[0]
+                for block in _batches(rows))
+    with _open_report(path, newline="") as fh:
+        fh.write(_table_text(columns, [[name] for name in columns], count=1)[0])
+        fh.writelines(text)
+
+
+def write_json_report(path, command: str, rows=None, extra: dict | None = None,
+                      text=None) -> None:
+    """Write a report; it repeats a table under `rows` given `rows`, dicts
+    of scalars, or `text`, blocks of row objects from `_table_text`. The
+    bytes are those of json.dump(payload, fh, indent=1, sort_keys=True) and
+    a newline: runs of rows with the same keys are formatted JSON_ROW_BLOCK
+    rows at a time, and each block is spliced into the rest as it is made."""
+    if rows is not None:
+        text = (_table_text(list(block[0]), [[row[k] for row in block] for k in block[0]],
+                            True, len(block))[1]
+                for _, run in groupby(rows, dict.keys) for block in _batches(run))
+    payload = {"schema_version": SCHEMA_VERSION, "command": command}
+    if text is not None:
         payload["rows"] = []
     if extra:
         payload.update({k: _jsonable(v) if not isinstance(v, dict) else v for k, v in extra.items()})
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    tail = json.dumps(payload, indent=1, sort_keys=True)
     with _open_report(path) as fh:
-        if rows is not None:
+        if text is not None:
             # Strings escape newlines, so this can only be the top-level key.
-            head, marker, text = text.partition('\n "rows": [')
+            head, marker, tail = tail.partition('\n "rows": [')
             fh.write(head + marker)
-            texts = map(_json_row, rows)
-            if block := ",\n  ".join(islice(texts, JSON_ROW_BLOCK)):
+            blocks = filter(None, text)
+            if block := next(blocks, None):
                 fh.write("\n  " + block)
-                while block := ",\n  ".join(islice(texts, JSON_ROW_BLOCK)):
+                for block in blocks:
                     fh.write(",\n  " + block)
                 fh.write("\n ")
-        fh.write(text + "\n")
+        fh.write(tail + "\n")
 
 
-def _write_report(out: Path, stem: str, command: str, columns, rows, extra=None) -> None:
-    """Make `out` and write the table `rows`, lists ordered as `columns`, to
-    <stem>.csv and, one object per row, to <stem>.json with `extra`. The
-    row objects are made one at a time as the JSON payload is built."""
+def _write_report(out: Path, stem: str, command: str, columns, blocks, extra=None) -> None:
+    """Make `out` and write the table `blocks`, blocks of columns ordered as
+    `columns`, to <stem>.json, one object per row beside `extra`, and to
+    <stem>.csv. Each block becomes text once: its objects are written as
+    they are made, its CSV lines kept for the CSV, which is written next."""
     _make_out(out)
-    write_csv_report(out / f"{stem}.csv", columns, rows)
-    write_json_report(out / f"{stem}.json", command, (dict(zip(columns, row)) for row in rows),
-                      extra)
+    lines = []
+
+    def objects():
+        for block in blocks:
+            csv_text, json_text = _table_text(columns, block, True)
+            lines.append(csv_text)
+            yield json_text
+
+    write_json_report(out / f"{stem}.json", command, extra=extra, text=objects())
+    write_csv_report(out / f"{stem}.csv", columns, text=lines)
 
 
-def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
-    """Minimal hand-emitted SVG on log-log axes: axes, one polyline, labels.
-    Points that are not finite and positive are left out."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
-    xs, ys = xs[keep], ys[keep]
-    W, H, pad = 640, 480, 60
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W // 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-        f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H - pad}" stroke="black"/>',
-        f'<text x="{W // 2}" y="{H - 16}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="18" y="{H // 2}" font-size="12" transform="rotate(-90 18 {H // 2})" '
-        f'text-anchor="middle">{ylabel}</text>',
-    ]
-    if xs.size >= 2:
-        tx, ty = np.log10(xs), np.log10(ys)
-        x0, x1 = float(tx.min()), float(tx.max())
-        y0, y1 = float(ty.min()), float(ty.max())
-        xr = (x1 - x0) or 1.0
-        yr = (y1 - y0) or 1.0
-        px = pad + (tx - x0) / xr * (W - 2 * pad)
-        py = (H - pad) - (ty - y0) / yr * (H - 2 * pad)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
-        for a, b in zip(px, py):
-            parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="steelblue"/>')
-    parts.append("</svg>")
-    with _open_report(path) as fh:
-        fh.write("\n".join(parts))
-
-
-def _subset_label(indices) -> str:
-    return "+".join(str(int(i) + 1) for i in indices)
+def _subset_labels(subsets, n: int) -> list:
+    """The label of each row of `subsets`, sets of cases 0..n-1: its
+    1-based cases joined by "+"."""
+    if not subsets.shape[1]:
+        return [""] * len(subsets)
+    names = np.array([str(i + 1) for i in range(n)], dtype=object)
+    return list(map("+".join, zip(*names[subsets.T].tolist())))
 
 
 # --- commands -------------------------------------------------------------------
@@ -420,21 +482,26 @@ def cmd_gate(cfg: dict) -> None:
     else:
         _check_scan_size(size, data.n, 0)
         sets = all_subsets(data.n, size)
-    rows = _gate_rows(*family.index(data, prior, sets, cfg["r"]), cfg["r"])
-    _write_report(cfg["out"], "gate_report", "gate", GATE_CSV_COLUMNS, rows)
+    _write_report(cfg["out"], "gate_report", "gate", GATE_CSV_COLUMNS,
+                  _gate_blocks(*family.index(data, prior, sets, cfg["r"]), cfg["r"], data.n))
 
 
-def _gate_rows(report, verdicts, r_values) -> list:
-    """The gate table, one row per set and order r, ordered as
-    GATE_CSV_COLUMNS. `cmd_gate` passes the report and verdicts straight in,
-    so they are freed before the table is written. A row's r_star is the
-    least of its three cut-off floats, that same object: one more float per
-    row would raise the command's peak memory."""
-    cuts = [map(float, col) for col in (report.r_a, report.r_b, report.r_c)]
-    return [[_subset_label(subset), float(r), verdict.tag.value, verdict.detail,
-             *cut, min(cut), binding]
-            for subset, *cut, binding, per_r in zip(report.subsets, *cuts, report.binding, verdicts)
-            for r, verdict in zip(r_values, per_r)]
+def _gate_blocks(report, verdicts, r_values, n: int):
+    """The gate table, one row per set and order r, as blocks of columns
+    ordered as GATE_CSV_COLUMNS, the rows of JSON_ROW_BLOCK sets a block.
+    `cmd_gate` passes the verdicts straight in, so they are freed once
+    their texts are read, before the first block."""
+    k, r = len(r_values), np.array(r_values, dtype=float)
+    tags, details = zip(*((v.tag.value, v.detail) for per_set in verdicts for v in per_set))
+    del verdicts
+    for start in range(0, report.count, JSON_ROW_BLOCK):
+        part = slice(start, start + JSON_ROW_BLOCK)
+        r_a, r_b, r_c = report.r_a[part], report.r_b[part], report.r_c[part]
+        cuts = (r_a, r_b, r_c, np.minimum(np.minimum(r_a, r_b), r_c), report.binding[part])
+        rows = slice(start * k, start * k + len(r_a) * k)
+        yield [_subset_labels(np.repeat(report.subsets[part], k, axis=0), n),
+               np.tile(r, len(r_a)), tags[rows], details[rows],
+               *(np.repeat(column, k) for column in cuts)]
 
 
 def cmd_scan(cfg: dict) -> None:
@@ -458,17 +525,14 @@ def cmd_scan(cfg: dict) -> None:
     _check_scan_size(size, data.n, 1)
     _check_cases("scan.flag_cases", flag_cases, data.n)
     result = linear_gate.scan_deletion_subsets(data, size, prior)
-    summary = _scan_summary(result, top, flag_cases)
+    summary = _scan_summary(result, top, flag_cases, data.n)
     out = cfg["out"]
     _make_out(out)
-    with _open_report(out / "scan_report.csv", newline="") as fh:
-        fh.write(",".join(SCAN_CSV_COLUMNS) + "\r\n")
-        for text in _scan_text(result, data.n):
-            fh.write(text)
+    write_csv_report(out / "scan_report.csv", SCAN_CSV_COLUMNS, text=_scan_text(result, data.n))
     write_json_report(out / "scan_report.json", "scan", extra=summary)
 
 
-def _scan_summary(result, top: int, flag_cases) -> dict:
+def _scan_summary(result, top: int, flag_cases, n: int) -> dict:
     """The scan's JSON summary: the subset count, the `top` subsets by r_a
     and by r_c (stable order), and how many of each hold each flagged case.
     The two rankings, one int64 per subset each, are freed on return, before
@@ -477,8 +541,8 @@ def _scan_summary(result, top: int, flag_cases) -> dict:
             for name in ("r_a", "r_c")}
     return {
         "subset_count": result.count,
-        "ranking_by_r_a": [_subset_label(subset) for subset in tops["r_a"]],
-        "ranking_by_r_c": [_subset_label(subset) for subset in tops["r_c"]],
+        "ranking_by_r_a": _subset_labels(tops["r_a"], n),
+        "ranking_by_r_c": _subset_labels(tops["r_c"], n),
         "flagged_cases": {str(case): {f"top{top}_by_{name}": int(np.sum(subsets == case - 1))
                                       for name, subsets in tops.items()}
                           for case in flag_cases},
@@ -486,42 +550,21 @@ def _scan_summary(result, top: int, flag_cases) -> dict:
 
 
 def _scan_text(result, n: int):
-    """The scan table's data rows as CSV text, one str per SCAN_CSV_BLOCK
-    rows, byte for byte what `write_csv_report` gives for the same rows: fields
-    joined by ",", lines ended by "\r\n" and floats as repr. No field can
-    need quoting: labels hold only digits and "+", and a float's repr has
-    no comma, quote or line break.
-
-    Labels join 1-based case names gathered a column at a time. r_b is
-    one value per scan, so a block where it is bitwise constant formats it
-    once. Each block takes its r_star from its own cut-off slices, as the
-    report's r_star property does for the whole table, so no r_star array
-    is held beside the cut-offs; r_star reuses the r_c text wherever the
-    two are bitwise equal, which keeps -0.0 apart from 0.0 and never merges
-    NaN payloads.
+    """The scan table's data lines, one `_table_text` block per
+    SCAN_CSV_BLOCK rows. Each block takes its r_star from its own cut-off
+    slices, as the report's r_star property does for the whole table, so no
+    r_star array is held beside the cut-offs.
 
     The blocks are formatted by `ordered_map`, in worker processes when the
     process may use more than one CPU, and come out in row order; at most
     two blocks per worker are in flight at a time.
     """
-    names = np.array([str(i + 1) for i in range(n)], dtype=object)
-
     def block(start):
         part = slice(start, start + SCAN_CSV_BLOCK)
-        labels = map("+".join, zip(*names[result.subsets[part].T].tolist()))
         r_a, r_b, r_c = result.r_a[part], result.r_b[part], result.r_c[part]
         r_star = np.minimum(np.minimum(r_a, r_b), r_c)
-        b_bits = r_b.view(np.int64)
-        if np.all(b_bits == b_bits[0]):
-            b_text = repeat(repr(r_b[0].item()))
-        else:
-            b_text = map(repr, r_b.tolist())
-        c_text = list(map(repr, r_c.tolist()))
-        star_text = c_text.copy()
-        for i in np.flatnonzero(r_star.view(np.int64) != r_c.view(np.int64)).tolist():
-            star_text[i] = repr(r_star[i].item())
-        rows = zip(labels, map(repr, r_a.tolist()), b_text, c_text, star_text)
-        return "\r\n".join(map(",".join, rows)) + "\r\n"
+        labels = _subset_labels(result.subsets[part], n)
+        return _table_text(SCAN_CSV_COLUMNS, [labels, r_a, r_b, r_c, r_star])[0]
 
     return ordered_map(block, range(0, result.count, SCAN_CSV_BLOCK))
 
@@ -550,15 +593,18 @@ def cmd_kfold_audit(cfg: dict) -> None:
     below = (rstars < 2.0).reshape(len(partitions), folds).sum(axis=1)
     count_ge1 = int(np.sum(below >= 1))
     count_ge2 = int(np.sum(below >= 2))
-    rows = [[i // folds + 1, i % folds + 1, len(fold), float(rs), bool(rs < 2.0)]
-            for i, (fold, rs) in enumerate(zip(all_folds, rstars))]
+    index = np.arange(len(all_folds))
+    columns = [index // folds + 1, index % folds + 1, np.array([len(fold) for fold in all_folds]),
+               rstars, rstars < 2.0]
+    blocks = ([column[start:start + JSON_ROW_BLOCK] for column in columns]
+              for start in range(0, len(all_folds), JSON_ROW_BLOCK))
     summary = {
         "partitions": count,
         "folds": folds,
         "partitions_with_ge1_fold_below_2": count_ge1,
         "partitions_with_ge2_folds_below_2": count_ge2,
     }
-    _write_report(cfg["out"], "kfold_report", "kfold", KFOLD_CSV_COLUMNS, rows, summary)
+    _write_report(cfg["out"], "kfold_report", "kfold", KFOLD_CSV_COLUMNS, blocks, summary)
 
 
 # Fewest draws that give the Hill estimate its minimum number of exceedances.
@@ -595,7 +641,7 @@ def cmd_estimate(cfg: dict) -> None:
         blocks = list(blocks)
     loglik = is_engine.deleted_log_likelihood(family, blocks, data, dels, sampler_cfg.draws)
     log_weights = family.log_weight(loglik, dels.size)
-    label = _subset_label(dels)
+    label = _subset_labels(dels[None, :], data.n)[0]
     ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
@@ -613,11 +659,13 @@ def cmd_estimate(cfg: dict) -> None:
         else ""
     )
     out = cfg["out"]
-    _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, rows,
+    _write_report(out, "estimates", "estimate", ESTIMATE_CSV_COLUMNS, [list(zip(*rows))],
                   {"advisory": advisory, "acceptance_rate": acceptance_rate})
     if export:
-        write_csv_report(out / "draws.csv", family.columns(data),
-                         chain.from_iterable(block.tolist() for block in blocks))
+        names = family.columns(data)
+        write_csv_report(out / "draws.csv", names, text=(
+            _table_text(names, list(block[start:start + JSON_ROW_BLOCK].T))[0]
+            for block in blocks for start in range(0, len(block), JSON_ROW_BLOCK)))
 
 
 def cmd_verify(cfg: dict) -> None:
@@ -663,14 +711,17 @@ def cmd_verify(cfg: dict) -> None:
     }
     write_json_report(out / "verify_report.json", "verify", [summary])
     if not tail.degenerate:
+        from .svg import line_plot  # only verify plots, so no other command compiles it
+
         if tail.survival:
             thresholds, exceedances, _ = zip(*tail.survival)
-            svg_line_plot(out / "verify_survival.svg", thresholds,
-                          [e / sampler_cfg.draws for e in exceedances],
-                          "weight survival function", "threshold", "P(W > t)")
+            with _open_report(out / "verify_survival.svg") as fh:
+                fh.write(line_plot(thresholds, [e / sampler_cfg.draws for e in exceedances],
+                                   "weight survival function", "threshold", "P(W > t)"))
         if scaling.loglog_slope is not None:
-            svg_line_plot(out / "verify_scaling.svg", m_grid, scaling.variance_at_m,
-                          "estimator variance scaling", "draws", "variance")
+            with _open_report(out / "verify_scaling.svg") as fh:
+                fh.write(line_plot(m_grid, scaling.variance_at_m,
+                                   "estimator variance scaling", "draws", "variance"))
 
 
 # --- entry point ----------------------------------------------------------------

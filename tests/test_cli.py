@@ -247,7 +247,7 @@ def test_kernels_read_narrow_rows_as_int64_rows(model, size):
 def test_the_last_case_label_does_not_wrap_in_narrow_rows(n, dtype):
     sets = all_subsets(n, 1)
     assert sets.dtype == dtype
-    assert cli._subset_label(sets[-1]) == str(n)
+    assert cli._subset_labels(sets[-1:], n) == [str(n)]
 
 
 def test_estimate_empty_deletion_is_exact(tmp_path):
@@ -888,9 +888,13 @@ def feigl_zelen_with_cell(path, case: int, column: str, value: str):
 
 
 # (data, covariates, response, what the message names). On the quadratic
-# designs the singular-value ratio of [X, y] is 1.6e-8 and 1.6e-10, above
-# RANK_TOLERANCE, so the gate accepts them; the normal equations do not.
+# designs the singular-value ratio of [X, y] is 1.6e-6, 1.8e-8 and 1.6e-10,
+# above RANK_TOLERANCE, so the gate accepts them; the normal equations do
+# not. Near x = 100 they solve, but y'y - theta_hat'X'y reads 17.64 where
+# |y - X theta_hat|^2 and the SVD fit read 19.64.
 NORMAL_EQUATIONS_FAILURES = {
+    "x-near-100": (lambda path: quadratic_csv(path, 100.0, lambda x, i: x + np.sin(i)),
+                   "x, x2", "y", "disagrees with |y - X theta_hat|^2"),
     "x-near-1000": (lambda path: quadratic_csv(path, 1000.0, lambda x, i: np.sin(i)),
                     "x, x2", "y", "Matrix is not positive definite"),
     "x-near-10^4": (lambda path: quadratic_csv(path, 1e4, lambda x, i: x * x / 1e4 + np.cos(i)),
@@ -919,6 +923,15 @@ def test_flat_prior_design_the_normal_equations_cannot_solve_is_sampler_error(
     assert err.startswith("sampler error: flat prior: ") and "Traceback" not in err
     assert condition in err and "fits the response" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_flat_prior_normal_equations_near_x_1_still_sample(tmp_path):
+    """Near x = 1 (X'X condition number 2e4) the two RSS values differ by
+    5e-12, a relative 2.4e-13: well inside sqrt(eps), so the chain runs."""
+    config = {"model": "linear", "data.covariates": "x, x2", "data.response": "y",
+              "data": quadratic_csv(tmp_path / "design.csv", 1.0, lambda x, i: x + np.sin(i)),
+              "deletion.indices": "15", "sampler.draws": "1000"}
+    assert run(tmp_path, "estimate", config) == 0
 
 
 def test_verify_sampler_error_in_a_replication_chain_writes_nothing(tmp_path, capsys,
