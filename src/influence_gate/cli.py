@@ -17,7 +17,7 @@ import math
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +34,9 @@ SUBSET_ENUMERATION_BUDGET = 10_000_000
 
 GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "r_star", "binding"]
 SCAN_CSV_COLUMNS = ["subset", "r_a", "r_b", "r_c", "r_star"]
-# Report tables are turned into text a block of rows at a time, so no
-# report needs its whole table as Python objects: the scan table
-# SCAN_CSV_BLOCK rows at a time, every other table JSON_ROW_BLOCK rows (the
-# gate table, the rows of JSON_ROW_BLOCK deletion sets) at a time.
+# Report tables become text a block of rows at a time, so no report holds
+# its whole table as Python objects: the scan table SCAN_CSV_BLOCK rows a
+# block, every other JSON_ROW_BLOCK rows (the gate, JSON_ROW_BLOCK sets).
 SCAN_CSV_BLOCK = 4096
 JSON_ROW_BLOCK = 1024
 KFOLD_CSV_COLUMNS = ["partition", "fold", "size", "r_star", "below_2"]
@@ -285,41 +284,29 @@ def _csv_field(s: str) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-    if isinstance(v, (np.floating, np.integer)):
-        return _jsonable(v.item())
-    return v
+    """`v` as a report holds it: a NumPy scalar as a Python one, and inf,
+    -inf and nan as those strings."""
+    v = v.item() if isinstance(v, (np.floating, np.integer)) else v
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _float_texts(values, before=None, before_texts=None) -> list:
-    """repr of each float of the float64 array `values`: once if all are
-    bitwise equal, else taken from the column before, `before` with texts
-    `before_texts`, in each row where that holds the same bits."""
-    bits = values.view(np.int64)
-    if bits.size > 1 and np.all(bits == bits[0]):
-        return [float.__repr__(values[0].item())] * bits.size
-    fresh = None
-    if getattr(before, "dtype", None) == np.float64:
-        fresh = np.flatnonzero(bits != before.view(np.int64))
-    if fresh is None or fresh.size == bits.size:
-        return list(map(float.__repr__, values.tolist()))
-    texts = before_texts.copy()
-    for i, text in zip(fresh.tolist(), map(float.__repr__, values[fresh].tolist())):
-        texts[i] = text
-    return texts
-
-
-def _column_texts(values, with_json: bool, before=()):
+def _column_texts(values, with_json: bool, like=None, like_texts=None):
     """(CSV texts, JSON texts or None) of a column, a NumPy array or a list
-    of scalars: what the csv module writes for each, and json.dumps for its
-    `_jsonable`. A float64 array's texts come from `_float_texts`, given
-    `before`, the column before and its CSV texts."""
+    of scalars: what the csv module writes for each value, and json.dumps
+    for its `_jsonable`. A float64 array is formatted once if it is bitwise
+    constant, and else takes the texts `like_texts` of `like`, a float64
+    array as long, in the rows where the two hold the same bits."""
     if getattr(values, "dtype", None) == np.float64:
-        csv_texts = _float_texts(values, *before)
+        bits = values.view(np.int64)
+        if bits.size and np.all(bits == bits[0]):
+            csv_texts = [float.__repr__(values[0].item())] * bits.size
+        elif getattr(like, "dtype", None) != np.float64 or like.size != bits.size or (
+                fresh := np.flatnonzero(bits != like.view(np.int64))).size == bits.size:
+            csv_texts = list(map(float.__repr__, values.tolist()))
+        else:
+            csv_texts = like_texts.copy()
+            for i in fresh.tolist():
+                csv_texts[i] = float.__repr__(values[i].item())
         # Only inf, -inf and nan hold an "n"; `_jsonable` makes them strings.
         json_texts = (csv_texts if not with_json or "n" not in "".join(csv_texts)
                       else [f'"{t}"' if "n" in t else t for t in csv_texts])
@@ -344,17 +331,21 @@ def _column_texts(values, with_json: bool, before=()):
 
 
 def _table_text(names, columns, with_json=False, count=None):
-    """(CSV lines, JSON row objects or None) of a block of a table: `count`
-    rows (by default the length of the first column) held as `columns`, one
-    per name. Each column becomes text once, and both are joined from
-    those texts: the lines as the csv module writes them, the objects
-    joined by ",\n  " as json.dump(..., indent=1, sort_keys=True) lays out a
-    report's `rows`."""
-    count = len(columns[0]) if count is None else count
-    texts, before = [], ()
+    """(CSV lines, JSON row objects or None) of a block of `count` rows (by
+    default as many as the longest column) held as `columns`, one per name;
+    a shorter column gives each value count // len(column) rows in a row.
+    Each column becomes text once, and both are joined from those texts:
+    the lines as the csv module writes them, the objects as json.dump(...,
+    indent=1, sort_keys=True) lays out a report's `rows`."""
+    count = max(map(len, columns), default=0) if count is None else count
+    texts, like = [], ()
     for column in columns:
-        texts.append(_column_texts(column, with_json, before))
-        before = column, texts[-1][0]
+        csv_texts, json_texts = _column_texts(column, with_json, *like)
+        like = column, csv_texts
+        if len(csv_texts) < count:
+            csv_texts, json_texts = ([t for t in ts for _ in range(count // len(ts))]
+                                     if ts is not None else None for ts in (csv_texts, json_texts))
+        texts.append((csv_texts, json_texts))
     fields = [csv_texts for csv_texts, _ in texts]
     if len(fields) == 1:  # the csv module quotes a lone empty field
         fields = [[t or '""' for t in fields[0]]]
@@ -375,25 +366,23 @@ def _batches(items):
     return iter(lambda: list(islice(items, JSON_ROW_BLOCK)), [])
 
 
-def write_csv_report(path, columns, rows=None, text=()) -> None:
+def write_csv_report(path, columns, rows=(), text=()) -> None:
     """Write the CSV table headed by `columns`; its lines are `rows`, rows of
     one value per column formatted JSON_ROW_BLOCK at a time as they are
-    consumed, or else `text`, blocks of lines from `_table_text`."""
-    if rows is not None:
-        text = (_table_text(columns, list(zip(*block)), count=len(block))[0]
-                for block in _batches(rows))
+    consumed, then `text`, blocks of lines from `_table_text`."""
     with _open_report(path, newline="") as fh:
-        fh.write(_table_text(columns, [[name] for name in columns], count=1)[0])
+        for block in chain([[columns]], _batches(rows)):
+            fh.write(_table_text(columns, list(zip(*block)), count=len(block))[0])
         fh.writelines(text)
 
 
 def write_json_report(path, command: str, rows=None, extra: dict | None = None,
                       text=None) -> None:
     """Write a report; it repeats a table under `rows` given `rows`, dicts
-    of scalars, or `text`, blocks of row objects from `_table_text`. The
-    bytes are those of json.dump(payload, fh, indent=1, sort_keys=True) and
-    a newline: runs of rows with the same keys are formatted JSON_ROW_BLOCK
-    rows at a time, and each block is spliced into the rest as it is made."""
+    of scalars formatted JSON_ROW_BLOCK at a time, or `text`, blocks of row
+    objects from `_table_text`, each spliced into the rest as it is made.
+    The bytes are those of json.dump(payload, fh, indent=1, sort_keys=True)
+    and a newline."""
     if rows is not None:
         text = (_table_text(list(block[0]), [[row[k] for row in block] for k in block[0]],
                             True, len(block))[1]
@@ -434,6 +423,41 @@ def _write_report(out: Path, stem: str, command: str, columns, blocks, extra=Non
 
     write_json_report(out / f"{stem}.json", command, extra=extra, text=objects())
     write_csv_report(out / f"{stem}.csv", columns, text=lines)
+
+
+def svg_line_plot(path, xs, ys, title: str, xlabel: str, ylabel: str) -> None:
+    """Minimal hand-emitted SVG on log-log axes: axes, one polyline, labels.
+    Points that are not finite and positive are left out."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
+    xs, ys = xs[keep], ys[keep]
+    W, H, pad = 640, 480, 60
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W // 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H - pad}" stroke="black"/>',
+        f'<text x="{W // 2}" y="{H - 16}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="18" y="{H // 2}" font-size="12" transform="rotate(-90 18 {H // 2})" '
+        f'text-anchor="middle">{ylabel}</text>',
+    ]
+    if xs.size >= 2:
+        tx, ty = np.log10(xs), np.log10(ys)
+        x0, x1 = float(tx.min()), float(tx.max())
+        y0, y1 = float(ty.min()), float(ty.max())
+        xr = (x1 - x0) or 1.0
+        yr = (y1 - y0) or 1.0
+        px = pad + (tx - x0) / xr * (W - 2 * pad)
+        py = (H - pad) - (ty - y0) / yr * (H - 2 * pad)
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
+        for a, b in zip(px, py):
+            parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="steelblue"/>')
+    parts.append("</svg>")
+    with _open_report(path) as fh:
+        fh.write("\n".join(parts))
 
 
 def _subset_labels(subsets, n: int) -> list:
@@ -489,19 +513,19 @@ def cmd_gate(cfg: dict) -> None:
 def _gate_blocks(report, verdicts, r_values, n: int):
     """The gate table, one row per set and order r, as blocks of columns
     ordered as GATE_CSV_COLUMNS, the rows of JSON_ROW_BLOCK sets a block.
-    `cmd_gate` passes the verdicts straight in, so they are freed once
-    their texts are read, before the first block."""
+    The columns of a set's values hold one per set: the table gives each to
+    the set's rows, one per r. `cmd_gate` passes the verdicts straight in,
+    so they are freed once their texts are read, before the first block."""
     k, r = len(r_values), np.array(r_values, dtype=float)
     tags, details = zip(*((v.tag.value, v.detail) for per_set in verdicts for v in per_set))
     del verdicts
     for start in range(0, report.count, JSON_ROW_BLOCK):
         part = slice(start, start + JSON_ROW_BLOCK)
         r_a, r_b, r_c = report.r_a[part], report.r_b[part], report.r_c[part]
-        cuts = (r_a, r_b, r_c, np.minimum(np.minimum(r_a, r_b), r_c), report.binding[part])
-        rows = slice(start * k, start * k + len(r_a) * k)
-        yield [_subset_labels(np.repeat(report.subsets[part], k, axis=0), n),
-               np.tile(r, len(r_a)), tags[rows], details[rows],
-               *(np.repeat(column, k) for column in cuts)]
+        rows = slice(start * k, (start + len(r_a)) * k)
+        yield [_subset_labels(report.subsets[part], n), np.tile(r, len(r_a)), tags[rows],
+               details[rows], r_a, r_b, r_c, np.minimum(np.minimum(r_a, r_b), r_c),
+               report.binding[part]]
 
 
 def cmd_scan(cfg: dict) -> None:
@@ -711,17 +735,14 @@ def cmd_verify(cfg: dict) -> None:
     }
     write_json_report(out / "verify_report.json", "verify", [summary])
     if not tail.degenerate:
-        from .svg import line_plot  # only verify plots, so no other command compiles it
-
         if tail.survival:
             thresholds, exceedances, _ = zip(*tail.survival)
-            with _open_report(out / "verify_survival.svg") as fh:
-                fh.write(line_plot(thresholds, [e / sampler_cfg.draws for e in exceedances],
-                                   "weight survival function", "threshold", "P(W > t)"))
+            svg_line_plot(out / "verify_survival.svg", thresholds,
+                          [e / sampler_cfg.draws for e in exceedances],
+                          "weight survival function", "threshold", "P(W > t)")
         if scaling.loglog_slope is not None:
-            with _open_report(out / "verify_scaling.svg") as fh:
-                fh.write(line_plot(m_grid, scaling.variance_at_m,
-                                   "estimator variance scaling", "draws", "variance"))
+            svg_line_plot(out / "verify_scaling.svg", m_grid, scaling.variance_at_m,
+                          "estimator variance scaling", "draws", "variance")
 
 
 # --- entry point ----------------------------------------------------------------

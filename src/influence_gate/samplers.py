@@ -98,10 +98,11 @@ def _normal_equations(X, y):
     y'y - theta_hat'X'y is lost to cancellation, not above its rounding
     error 4 n eps y'y, where an SVD fit tells an ill-conditioned X'X from a
     design that fits the response almost exactly; or that RSS disagrees
-    with |y - X theta_hat|^2 by more than sqrt(eps) of it. An error of d in
-    theta_hat moves y'y - theta_hat'X'y by about d'X'y, but |y - X theta_hat|^2
-    only by d'X'Xd, so a wider gap means theta_hat has lost half its digits
-    and the posterior scale of sigma^2 would be drawn from a wrong RSS."""
+    with |y - X theta_hat|^2 by more than sqrt(eps) of it plus that same
+    rounding error. An error of d in theta_hat moves y'y - theta_hat'X'y by
+    about d'X'y, but |y - X theta_hat|^2 only by d'X'Xd, so a wider gap means
+    theta_hat has lost half its digits and the posterior scale of sigma^2
+    would be drawn from a wrong RSS."""
     with np.errstate(over="ignore", invalid="ignore"):
         XtX, Xty, yy = X.T @ X, X.T @ y, float(y @ y)
     if not (np.all(np.isfinite(XtX)) and np.all(np.isfinite(Xty)) and math.isfinite(yy)):
@@ -131,7 +132,7 @@ def _normal_equations(X, y):
         raise SamplerError(f"flat prior: {ill_conditioned()}: {exc}") from None
     residual = y - X @ theta_hat
     direct = float(residual @ residual)
-    if not abs(rss - direct) <= math.sqrt(np.finfo(float).eps) * direct:
+    if not abs(rss - direct) <= math.sqrt(np.finfo(float).eps) * direct + rounding:
         raise SamplerError(f"flat prior: the RSS y'y - theta_hat'X'y = {rss:.6g} disagrees with "
                            f"|y - X theta_hat|^2 = {direct:.6g}: {ill_conditioned()}")
     return theta_hat, rss, L

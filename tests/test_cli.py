@@ -925,11 +925,22 @@ def test_flat_prior_design_the_normal_equations_cannot_solve_is_sampler_error(
     assert not (tmp_path / "out").exists()
 
 
-def test_flat_prior_normal_equations_near_x_1_still_sample(tmp_path):
-    """Near x = 1 (X'X condition number 2e4) the two RSS values differ by
-    5e-12, a relative 2.4e-13: well inside sqrt(eps), so the chain runs."""
-    config = {"model": "linear", "data.covariates": "x, x2", "data.response": "y",
-              "data": quadratic_csv(tmp_path / "design.csv", 1.0, lambda x, i: x + np.sin(i)),
+# (covariates, x0, response) of designs whose two RSS values differ only by
+# rounding. Near x = 1 (X'X condition number 2e4) they differ by 5e-12, a
+# relative 2.4e-13. On a line (condition number 18) with y near 1e4, y'y
+# is 4e9, and y'y - theta_hat'X'y carries a rounding error of about 1e-6
+# however good theta_hat is.
+NORMAL_EQUATIONS_WITHIN_ROUNDING = {
+    "x-near-1": ("x, x2", 1.0, lambda x, i: x + np.sin(i)),
+    "y-near-10^4": ("x", 0.0, lambda x, i: 1e4 + np.sin(i)),
+}
+
+
+@pytest.mark.parametrize("design", NORMAL_EQUATIONS_WITHIN_ROUNDING)
+def test_flat_prior_normal_equations_within_rounding_still_sample(tmp_path, design):
+    covariates, x0, response = NORMAL_EQUATIONS_WITHIN_ROUNDING[design]
+    config = {"model": "linear", "data.covariates": covariates, "data.response": "y",
+              "data": quadratic_csv(tmp_path / "design.csv", x0, response),
               "deletion.indices": "15", "sampler.draws": "1000"}
     assert run(tmp_path, "estimate", config) == 0
 
