@@ -17,7 +17,6 @@ import math
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -330,14 +329,14 @@ def _column_texts(values, with_json: bool, like=None, like_texts=None):
     return csv_texts, list(json_texts) if with_json else None
 
 
-def _table_text(names, columns, with_json=False, count=None):
-    """(CSV lines, JSON row objects or None) of a block of `count` rows (by
-    default as many as the longest column) held as `columns`, one per name;
-    a shorter column gives each value count // len(column) rows in a row.
-    Each column becomes text once, and both are joined from those texts:
-    the lines as the csv module writes them, the objects as json.dump(...,
-    indent=1, sort_keys=True) lays out a report's `rows`."""
-    count = max(map(len, columns), default=0) if count is None else count
+def _table_text(names, columns, with_json=False):
+    """(CSV lines, JSON row objects or None) of a block of `count` rows, as
+    many as the longest of `columns`, one column per name; a shorter column
+    gives each value count // len(column) rows in a row. Each column becomes
+    text once, and both are joined from those texts: the lines as the csv
+    module writes them, the objects as json.dump(..., indent=1,
+    sort_keys=True) lays out a report's `rows`."""
+    count = max(map(len, columns))
     texts, like = [], ()
     for column in columns:
         csv_texts, json_texts = _column_texts(column, with_json, *like)
@@ -349,44 +348,28 @@ def _table_text(names, columns, with_json=False, count=None):
     fields = [csv_texts for csv_texts, _ in texts]
     if len(fields) == 1:  # the csv module quotes a lone empty field
         fields = [[t or '""' for t in fields[0]]]
-    lines = map(",".join, zip(*fields)) if fields else repeat("", count)
-    lines = "\r\n".join(lines) + "\r\n" if count else ""
+    lines = "\r\n".join(map(",".join, zip(*fields))) + "\r\n" if count else ""
     if not with_json:
         return lines, None
     keys = sorted(range(len(names)), key=names.__getitem__)
     template = "{\n   " + ",\n   ".join(json.encoder.encode_basestring_ascii(names[j]).replace(
-        "%", "%%") + ": %s" for j in keys) + "\n  }" if names else "{}"
-    values = zip(*(texts[j][1] for j in keys)) if names else repeat((), count)
-    return lines, ",\n  ".join(map(template.__mod__, values))
+        "%", "%%") + ": %s" for j in keys) + "\n  }"
+    return lines, ",\n  ".join(map(template.__mod__, zip(*(texts[j][1] for j in keys))))
 
 
-def _batches(items):
-    """Lists of JSON_ROW_BLOCK consecutive `items`, the last maybe shorter."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, JSON_ROW_BLOCK)), [])
-
-
-def write_csv_report(path, columns, rows=(), text=()) -> None:
-    """Write the CSV table headed by `columns`; its lines are `rows`, rows of
-    one value per column formatted JSON_ROW_BLOCK at a time as they are
-    consumed, then `text`, blocks of lines from `_table_text`."""
+def write_csv_report(path, columns, text) -> None:
+    """Write the CSV table headed by `columns` whose data lines are `text`,
+    blocks of lines from `_table_text`, each written as it is made."""
     with _open_report(path, newline="") as fh:
-        for block in chain([[columns]], _batches(rows)):
-            fh.write(_table_text(columns, list(zip(*block)), count=len(block))[0])
+        fh.write(_table_text(columns, [[name] for name in columns])[0])
         fh.writelines(text)
 
 
-def write_json_report(path, command: str, rows=None, extra: dict | None = None,
-                      text=None) -> None:
-    """Write a report; it repeats a table under `rows` given `rows`, dicts
-    of scalars formatted JSON_ROW_BLOCK at a time, or `text`, blocks of row
-    objects from `_table_text`, each spliced into the rest as it is made.
-    The bytes are those of json.dump(payload, fh, indent=1, sort_keys=True)
-    and a newline."""
-    if rows is not None:
-        text = (_table_text(list(block[0]), [[row[k] for row in block] for k in block[0]],
-                            True, len(block))[1]
-                for _, run in groupby(rows, dict.keys) for block in _batches(run))
+def write_json_report(path, command: str, extra: dict | None = None, text=None) -> None:
+    """Write a report; given `text`, blocks of row objects from
+    `_table_text`, it holds a table under `rows`, each block spliced into
+    the rest as it is made. The bytes are those of json.dump(payload, fh,
+    indent=1, sort_keys=True) and a newline."""
     payload = {"schema_version": SCHEMA_VERSION, "command": command}
     if text is not None:
         payload["rows"] = []
@@ -719,12 +702,12 @@ def cmd_verify(cfg: dict) -> None:
     scaling = tail_verifier.clt_scaling_audit(estimator, m_grid, reps, seed=cfg["seed"])
     out = cfg["out"]
     _make_out(out)
-    if tail.survival:
-        write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS, tail.survival)
-    write_csv_report(
-        out / "verify_scaling.csv", VERIFY_SCALING_CSV_COLUMNS,
-        [[m, reps, v] for m, v in zip(m_grid, scaling.variance_at_m)],
-    )
+    survival = list(zip(*tail.survival))
+    if survival:
+        write_csv_report(out / "verify_tail.csv", VERIFY_TAIL_CSV_COLUMNS,
+                         [_table_text(VERIFY_TAIL_CSV_COLUMNS, survival)[0]])
+    write_csv_report(out / "verify_scaling.csv", VERIFY_SCALING_CSV_COLUMNS, [_table_text(
+        VERIFY_SCALING_CSV_COLUMNS, [m_grid, [reps], scaling.variance_at_m])[0]])
     summary = {
         "hill_estimate": tail.hill_estimate,
         "regression_index": tail.regression_index,
@@ -733,10 +716,11 @@ def cmd_verify(cfg: dict) -> None:
         "degenerate": tail.degenerate,
         "loglog_slope": scaling.loglog_slope,
     }
-    write_json_report(out / "verify_report.json", "verify", [summary])
+    write_json_report(out / "verify_report.json", "verify", text=[
+        _table_text(list(summary), [[value] for value in summary.values()], True)[1]])
     if not tail.degenerate:
-        if tail.survival:
-            thresholds, exceedances, _ = zip(*tail.survival)
+        if survival:
+            thresholds, exceedances, _ = survival
             svg_line_plot(out / "verify_survival.svg", thresholds,
                           [e / sampler_cfg.draws for e in exceedances],
                           "weight survival function", "threshold", "P(W > t)")

@@ -168,7 +168,8 @@ def _secular_root(lam, u2, C: float, s_lo):
     one taken. Iterates rise from max(s_lo, max_i lam_i + u2_i/C), left of
     the root because psi exceeds each of its terms, and are capped at
     lam_max + sum u2 / C, right of it because psi(s) <= sum u2 / (s - lam_max).
-    A row drops out once its step is within a few ulps.
+    A row drops out once its step is within a few ulps. The step never
+    forms the RSS squared, which overflows once the RSS passes ~1e154.
     """
     s = np.maximum(s_lo, np.max(lam + u2 / C, axis=1))
     cap = lam[:, -1] + u2.sum(axis=1) / C
@@ -178,7 +179,7 @@ def _secular_root(lam, u2, C: float, s_lo):
         d = 1.0 / (st[:, None] - lam[todo])
         t = u2[todo] * d
         psi = t.sum(axis=1)
-        step = (psi - C) * psi / (C * (t * d).sum(axis=1))
+        step = (psi - C) / (t * d).sum(axis=1) * (psi / C)
         s[todo] = np.minimum(st + np.maximum(step, 0.0), cap[todo])
         todo = todo[s[todo] - st > _ROOT_RTOL * st]
         if todo.size == 0:
@@ -235,7 +236,7 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
         return _rss_star(rss, lam[rows], u2[rows], r) - threshold
 
     sum_u2 = u2.sum(axis=1)
-    degenerate = sum_u2 <= 1e-24 * max(1.0, rss)
+    degenerate = sum_u2 <= 1e-24 * rss
     linear = np.isinf(r_a) & ~degenerate
     # rss_star is tested just below r_a, where every 1 - r lam_i is positive;
     # the relative margin matters only for large r_a, where r_a - 1e-9
@@ -272,7 +273,7 @@ def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         rs = _rss_star(rss, lam, u2, r)
     thr = prior.rss_threshold
-    tol = 1e-9 * max(1.0, abs(rss), abs(thr))
+    tol = 1e-9 * max(abs(rss), abs(thr))
     outcomes = (
         MomentVerdict.boundary("leverage eigenvalue equals 1/r"),
         MomentVerdict.infinite("leverage above 1/r"),

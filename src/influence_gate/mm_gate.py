@@ -108,13 +108,14 @@ def _v2(data: MMData, dels: np.ndarray) -> list:
 
 
 def _golden_section(f, lo, hi, minimize=True):
-    """Golden-section search on [lo, hi]; returns (x, f(x))."""
+    """Golden-section search on [lo, hi]; returns (x, f(x)). The bracket
+    stops GOLDEN_XTOL wide, or 4 ulps wide where floats lie further apart."""
     sgn = 1.0 if minimize else -1.0
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = sgn * f(c), sgn * f(d)
-    while b - a > GOLDEN_XTOL:
+    while b - a > max(GOLDEN_XTOL, 4 * math.ulp(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -252,7 +253,8 @@ def scan_kappa(profile: KappaProfile, r: float) -> list:
     rss_star on the grid and at the endpoint limits, through
     `_violation_intervals`."""
     (A, B, C, rss), (a0, b0, _, rss0), (a1, b1, _, rss1) = _abc_on(profile, r)
-    return _violation_intervals(profile.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1))
+    return _violation_intervals(profile.grid, A, B, C, rss, (a0, b0, rss0), (a1, b1, rss1),
+                                profile.v2[0])
 
 
 def _inf_rss_star(profile: KappaProfile, r: float) -> Extremum:
@@ -272,7 +274,7 @@ def _runs(mask: np.ndarray) -> list:
     return list(zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _violation_intervals(grid, A, B, C, rss, zero, infinity):
+def _violation_intervals(grid, A, B, C, rss, zero, infinity, sum_v2):
     """Kappa-intervals where an infinite-moment condition holds strictly.
 
     Two families: 'leverage' where A < 0 (leverage above 1/r) and
@@ -280,14 +282,15 @@ def _violation_intervals(grid, A, B, C, rss, zero, infinity):
     A run needs three consecutive grid points and non-negligible width.
     Endpoint regimes extend beyond the grid and are recorded with 0 or inf
     endpoints; `zero` and `infinity` are the (A, B, rss_star) limits, as
-    coefficients of kappa^-2, kappa^-1 and 1 at infinity.
+    coefficients of kappa^-2, kappa^-1 and 1 at infinity. The tolerances
+    on C, rss_star and B scale with sum_v2 = sum v^2, as those values do.
     """
-    scaleC = max(1.0, abs(C))
-    tol = 1e-9 * scaleC
+    tol = 1e-9 * max(1e-9 * sum_v2, abs(C))
+    b_tol = 1e-12 * math.sqrt(sum_v2)
     intervals = []
 
     lev_mask = A < -1e-12 * np.maximum(1.0, np.abs(A).max())
-    res_mask = (rss < -tol) & ((C < -tol) | (B > 1e-12))
+    res_mask = (rss < -tol) & ((C < -tol) | (B > b_tol))
     for name, mask in (("leverage", lev_mask), ("residual", res_mask)):
         for i0, i1 in _runs(mask):
             if i1 - i0 + 1 < 3:
@@ -301,13 +304,13 @@ def _violation_intervals(grid, A, B, C, rss, zero, infinity):
     a1, b1, rss1 = infinity
     if a1 < -1e-12:
         intervals.append(("leverage", float(grid[-1]), math.inf))
-    elif a1 > 1e-12 and rss1 < -tol and (C < -tol or b1 > 1e-12):
+    elif a1 > 1e-12 and rss1 < -tol and (C < -tol or b1 > b_tol):
         intervals.append(("residual", float(grid[-1]), math.inf))
     # kappa -> 0 regime.
     a0, b0, rss0 = zero
     if a0 < -1e-12:
         intervals.append(("leverage", 0.0, float(grid[0])))
-    elif rss0 < -tol and (C < -tol or b0 > 1e-12):
+    elif rss0 < -tol and (C < -tol or b0 > b_tol):
         intervals.append(("residual", 0.0, float(grid[0])))
     return intervals
 
@@ -342,7 +345,7 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     if profile.sup_leverage.value >= inv_r - lev_tol:
         return MomentVerdict.boundary("supremum of leverage at 1/r")
     c_val = profile.v2[0] - r * profile.v2[1]
-    rss_tol = 1e-9 * max(1.0, abs(c_val))
+    rss_tol = 1e-9 * max(1e-9 * profile.v2[0], abs(c_val))
     if c_val > rss_tol and profile.inf_g.value > inv_r + lev_tol:
         return MomentVerdict.finite()
     if _inf_rss_star(profile, r).value > rss_tol:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 from pathlib import Path
@@ -47,6 +48,14 @@ def derived_linear() -> RegressionData:
 @pytest.fixture(scope="session")
 def delete_last_of_4():
     return np.array([3])
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and `rows` to `path` through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def deleted(cases) -> np.ndarray:

@@ -16,14 +16,20 @@ import numpy as np
 import pytest
 
 from influence_gate import cli, linear_gate, logit_gate
-from influence_gate.cli import SCAN_CSV_COLUMNS, main, write_csv_report
-from influence_gate.core_model import BLOCK_ELEMENTS, MomentIndexReport, all_subsets
+from influence_gate.cli import SCAN_CSV_COLUMNS, main
+from influence_gate.core_model import (
+    BLOCK_ELEMENTS,
+    MMData,
+    MomentIndexReport,
+    RegressionData,
+    all_subsets,
+)
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
 from influence_gate.is_engine import log_weight
 from influence_gate.linear_gate import LinearPrior, moment_index_linear, scan_deletion_subsets
 from influence_gate.logit_gate import moment_index_logit
-from influence_gate.mm_gate import moment_index_mm
+from influence_gate.mm_gate import R_TOL, moment_index_mm
 from influence_gate.samplers import (
     SamplerConfig,
     sample_linear_noninformative,
@@ -41,6 +47,7 @@ from conftest import (
     one_set,
     report_rows,
     use_cpus,
+    write_csv,
 )
 
 PUROMYCIN_MM = {"model": "mm", "data": DATA_DIR / "puromycin.csv"}
@@ -241,6 +248,32 @@ def test_kernels_read_narrow_rows_as_int64_rows(model, size):
     assert narrow.binding.tolist() == wide.binding.tolist()
     assert narrow.subsets.tolist() == wide.subsets.tolist()
     assert narrow_verdicts == wide_verdicts and len(narrow_verdicts) == len(sets)
+
+
+@pytest.mark.parametrize("model, size, tolerance", [("linear", 2, 1e-12), ("mm", 1, R_TOL)],
+                         ids=["linear", "mm"])
+@pytest.mark.parametrize("exponent", [-80, -9, 9, 80])
+def test_flat_prior_verdicts_and_cutoffs_do_not_depend_on_units(model, size, tolerance,
+                                                                 exponent):
+    """The Feigl-Zelen design and Puromycin's concentrations taken in units
+    10^exponent times larger, and the response or velocities 10^exponent
+    times smaller, give the same verdicts and, within `tolerance`, the same
+    cut-offs under the flat prior. (The conjugate prior's beta carries the
+    response's units, so it is not rescaled here.) At exponent -80 the RSS
+    passes 1e154, and at 9 and 80 the kappa refinement runs where floats
+    lie further apart than the golden-section tolerance."""
+    family, data, prior = model_inputs(MODELS[model])
+    up, down = 10.0 ** exponent, 10.0 ** -exponent
+    scaled = (RegressionData(design=data.design * up, response=data.response * down)
+              if model == "linear" else
+              MMData(concentration=data.concentration * up, velocity=data.velocity * down))
+    sets, r_values = all_subsets(data.n, size), (1.5, 2.0, 4.0)
+    (report, verdicts), (base, base_verdicts) = (family.index(d, prior, sets, r_values)
+                                                 for d in (scaled, data))
+    assert [[v.tag for v in per_r] for per_r in verdicts] == [
+        [v.tag for v in per_r] for per_r in base_verdicts]
+    for name in ("r_a", "r_b", "r_c"):
+        np.testing.assert_allclose(getattr(report, name), getattr(base, name), rtol=tolerance)
 
 
 @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
@@ -765,7 +798,7 @@ def random_logit(tmp_path, n: int, covariates: int) -> dict:
     names = [f"x{j}" for j in range(covariates)]
     path = tmp_path / "logit.csv"
     outcome, design = rng.integers(0, 2, n).tolist(), rng.standard_normal((n, covariates)).tolist()
-    write_csv_report(path, ["y", *names], ([y, *x] for y, x in zip(outcome, design)))
+    write_csv(path, ["y", *names], ([y, *x] for y, x in zip(outcome, design)))
     return {"model": "logit", "data": path, "data.covariates": ", ".join(names),
             "deletion.indices": "1", "sampler.draws": "5000",
             "verify.m_grid": "100, 200", "verify.replications": "2"}
@@ -1062,7 +1095,7 @@ EDGE_ROW = {
     "np_float": np.float64(0.1), "np_inf": np.float64(-math.inf), "np_int": np.int64(2**40),
 }
 JSON_REPORTS = {
-    "edge-row": ("gate", [EDGE_ROW, {}, {"b": 1, "a": 2}], None),
+    "edge-row": ("gate", [EDGE_ROW], None),
     "empty-rows": ("gate", [], None),
     "no-rows": ("scan", None, {"subset_count": 3, "ranking_by_r_a": ["1+2", "3"],
                                "flagged_cases": {"7": {"top5_by_r_a": True,
@@ -1074,12 +1107,19 @@ JSON_REPORTS = {
 }
 
 
+def json_text_blocks(rows, block: int = 2) -> list:
+    """`rows`, dicts with one key set, as `_table_text` row objects of
+    `block` rows a block, each held as columns."""
+    names = list(rows[0]) if rows else []
+    return [cli._table_text(names, [[row[k] for row in rows[i:i + block]] for k in names], True)[1]
+            for i in range(0, len(rows), block)]
+
+
 @pytest.mark.parametrize("report", JSON_REPORTS)
-def test_json_report_bytes_are_those_of_json_dump(tmp_path, monkeypatch, report):
+def test_json_report_bytes_are_those_of_json_dump(tmp_path, report):
     command, rows, extra = JSON_REPORTS[report]
-    monkeypatch.setattr(cli, "JSON_ROW_BLOCK", 2)
     path = tmp_path / "report.json"
-    cli.write_json_report(path, command, None if rows is None else iter(rows), extra)
+    cli.write_json_report(path, command, extra, None if rows is None else json_text_blocks(rows))
     assert path.read_bytes() == json_dump_bytes(command, rows, extra)
 
 
@@ -1092,6 +1132,20 @@ def test_gate_json_report_bytes_are_those_of_json_dump(tmp_path):
     assert written == json_dump_bytes("gate", report["rows"])
     assert [(row["deletion"], row["verdict"]) for row in report["rows"]] == [
         (row["deletion"], row["verdict"]) for row in rows]
+
+
+def test_verify_reports_are_what_the_csv_and_json_modules_write(tmp_path):
+    config = {**PUROMYCIN_MM, "deletion.indices": "11", "sampler.draws": "20000",
+              "verify.m_grid": "1000, 4000", "verify.replications": "5"}
+    assert run(tmp_path, "verify", config) == 0
+    for name in ("verify_tail.csv", "verify_scaling.csv"):
+        path = tmp_path / "out" / name
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        write_csv(tmp_path / "rewritten.csv", table[0], table[1:])
+        assert (tmp_path / "rewritten.csv").read_bytes() == path.read_bytes(), name
+    written = (tmp_path / "out" / "verify_report.json").read_text()
+    assert json.dumps(json.loads(written), indent=1, sort_keys=True) + "\n" == written
 
 
 def fz_triples():
@@ -1127,10 +1181,9 @@ def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatc
     result = make_result()
     columns = (result.r_a, result.r_b, result.r_c, MomentIndexReport.r_star.fget(result))
     whole = tmp_path / "whole.csv"
-    write_csv_report(whole, SCAN_CSV_COLUMNS,
-                     [["+".join(str(j + 1) for j in subset), *values]
-                      for subset, *values in zip(result.subsets.tolist(),
-                                                 *(c.tolist() for c in columns))])
+    write_csv(whole, SCAN_CSV_COLUMNS,
+              [["+".join(str(j + 1) for j in subset), *values]
+               for subset, *values in zip(result.subsets.tolist(), *(c.tolist() for c in columns))])
     monkeypatch.setattr(linear_gate, "scan_deletion_subsets", lambda *args: result)
     monkeypatch.setattr(cli, "SCAN_CSV_BLOCK", block)
     # On two CPUs forked workers format the blocks while the report file
@@ -1160,10 +1213,7 @@ def test_gate_chunks_on_two_cpus_equal_one_cpu(tmp_path, monkeypatch):
 
 def expected_draws_csv(path, header, draws):
     """The draws as shortest round-trip decimal text under `header`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([[repr(float(x)) for x in row] for row in draws])
+    write_csv(path, header, [[repr(float(x)) for x in row] for row in draws])
     return path.read_bytes()
 
 

@@ -14,10 +14,10 @@ from influence_gate.core_model import (
     VerdictTag,
     load_csv,
 )
-from influence_gate.cli import _deletion, write_csv_report
+from influence_gate.cli import _deletion
 from influence_gate.errors import DataError
 
-from conftest import model_inputs
+from conftest import model_inputs, write_csv
 
 MM_COLUMNS = ["concentration", "velocity"]
 
@@ -119,8 +119,8 @@ class TestRoundTrip:
         conc = np.abs(rng.standard_normal(9)) + 1e-3
         vel = rng.standard_normal(9) * 100
         p = tmp_path / "rt.csv"
-        write_csv_report(p, ["concentration", "velocity"],
-                         [[float(c), float(v)] for c, v in zip(conc, vel)])
+        write_csv(p, ["concentration", "velocity"],
+                  [[float(c), float(v)] for c, v in zip(conc, vel)])
         back = load_csv(p, MM_COLUMNS)
         assert np.array_equal(back["concentration"], conc)
         assert np.array_equal(back["velocity"], vel)

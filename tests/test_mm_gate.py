@@ -11,6 +11,7 @@ from influence_gate.core_model import MMData, VerdictTag, all_subsets
 from influence_gate.mm_gate import (
     Extremum,
     _abc,
+    _golden_section,
     _inf_rss_star,
     _kappa_sums,
     _local_extrema_indices,
@@ -290,6 +291,22 @@ def local_extrema_reference(values, find_min: bool) -> list:
     if best not in idx:
         idx.append(best)
     return idx
+
+
+def test_golden_section_stops_on_a_bracket_far_beyond_its_tolerance():
+    """Near 1e120 adjacent floats lie ~1e104 apart, so a bracket can never
+    shrink to GOLDEN_XTOL; the search must stop a few floats wide instead.
+    `f` raises where an unbounded search would loop."""
+    calls = []
+
+    def f(kappa):
+        calls.append(kappa)
+        if len(calls) > 300:
+            raise RuntimeError("golden-section search did not stop")
+        return (kappa / 1e120 - 1.5) ** 2
+
+    kappa, value = _golden_section(f, 1e120, 2e120)
+    assert abs(kappa / 1.5e120 - 1.0) < 1e-7 and value == f(kappa)
 
 
 class TestGridHelpers:

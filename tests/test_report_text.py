@@ -1,12 +1,11 @@
 """The report table formatter against the csv and json modules: random
-tables, written as blocks of columns and as rows, must give byte for byte
-what csv.writer and json.dumps(payload, indent=1, sort_keys=True) write."""
+tables, written as blocks of columns, must give byte for byte what
+csv.writer and json.dumps(payload, indent=1, sort_keys=True) write."""
 
 import csv
 import io
 import json
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -79,22 +78,6 @@ def test_column_blocks_write_what_the_csv_and_json_modules_write(tmp_path_factor
     assert (out / "table.csv").read_bytes() == csv_module_bytes(names, rows)
     assert (out / "table.json").read_bytes() == json_module_bytes(
         [dict(zip(names, row)) for row in rows])
-
-
-@settings(max_examples=150, deadline=None)
-@given(table=tables(), block=st.integers(1, 4), keys=st.lists(st.integers(1, 4), max_size=9))
-def test_rows_and_dict_rows_write_what_the_csv_and_json_modules_write(tmp_path_factory, table,
-                                                                      block, keys):
-    names, _, _ = table
-    rows = rows_of(table)
-    # Dict rows whose key sets change from row to row: runs share a key set.
-    dicts = [dict(zip(names[:width], row)) for width, row in zip(keys, rows)]
-    out = tmp_path_factory.getbasetemp()
-    with mock.patch.object(cli, "JSON_ROW_BLOCK", block):
-        cli.write_csv_report(out / "rows.csv", names, iter(rows))
-        cli.write_json_report(out / "rows.json", "gate", iter(dicts))
-    assert (out / "rows.csv").read_bytes() == csv_module_bytes(names, rows)
-    assert (out / "rows.json").read_bytes() == json_module_bytes(dicts)
 
 
 def test_a_float64_column_reuses_the_texts_of_the_column_before_only_where_bits_match():

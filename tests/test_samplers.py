@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from influence_gate import samplers
-from influence_gate.cli import write_csv_report
+from influence_gate.cli import _table_text, write_csv_report
 from influence_gate.core_model import BLOCK_ELEMENTS, LogitData, RegressionData
 from influence_gate.errors import SamplerError
 from influence_gate.families import FAMILIES
@@ -277,7 +277,9 @@ class TestDrawExport:
     def test_csv_roundtrip_columns(self, tmp_path, puromycin):
         res = sample_mm(puromycin, SamplerConfig(seed=18, draws=50, burn_in=100), 1.0)
         out = tmp_path / "draws.csv"
-        write_csv_report(out, FAMILIES["mm"].columns(puromycin), res.draws.tolist())
+        names = FAMILIES["mm"].columns(puromycin)
+        # Column blocks, as `estimate` writes draws.csv.
+        write_csv_report(out, names, [_table_text(names, list(res.draws.T))[0]])
         header = out.read_text().splitlines()[0]
         assert header == "m,sigma2,kappa"
         body = np.loadtxt(out, delimiter=",", skiprows=1)
