@@ -37,6 +37,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def binary_exponent(values: np.ndarray) -> int:
+    """The p for which max|values| / 2^p is in [1, 2) (-1 for all zeros). The
+    gates divide data by 2^p, which is exact, to judge it in any units."""
+    return math.frexp(float(np.max(np.abs(values))))[1] - 1
+
+
 def singular_value_ratio(matrix: np.ndarray) -> float:
     """Smallest over largest singular value of `matrix` with each column
     scaled to unit max-abs; 0 when a column is all zero."""

@@ -11,11 +11,17 @@ adjusted residual sum of squares
 which at r = 1 equals the refit RSS of the case-deleted least-squares fit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import MomentIndexReport, MomentVerdict, RegressionData, all_subsets
+from .core_model import (
+    MomentIndexReport,
+    MomentVerdict,
+    RegressionData,
+    all_subsets,
+    binary_exponent,
+)
 from .parallel import ordered_map
 
 # Eigenvalue within this distance of 1/r is treated as exactly on the
@@ -110,11 +116,16 @@ class LinearPrior:
 # Newton iteration vectorized across sets.
 
 
-def _hat(data: RegressionData):
-    """Thin-QR factor Q, residual vector and RSS of the least-squares fit."""
-    Q, _ = np.linalg.qr(data.design)
-    e = data.response - Q @ (Q.T @ data.response)
-    return Q, e, float(e @ e)
+def least_squares(data: RegressionData):
+    """The linear model's one least-squares fit, by the thin QR X = QR, for
+    the gate and both linear samplers: (Q, R, theta_hat = R^{-1}Q'y, e, p),
+    e the residuals y - QQ'y over 2^p (`binary_exponent`). e'e is the RSS
+    over 4^p, exactly, and in range in any units of the response."""
+    Q, R = np.linalg.qr(data.design)
+    qty = Q.T @ data.response
+    e = data.response - Q @ qty
+    p = binary_exponent(e)
+    return Q, R, np.linalg.solve(R, qty), np.ldexp(e, -p), p
 
 
 def leverage_minor(Q, e, idx: np.ndarray):
@@ -305,13 +316,20 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
     front, whose rows are the report's r_a, r_b and r_c, and the verdicts
     are joined in set order, so the result is the same for any CPU count.
 
+    The RSS and u2 come from the scaled residuals of `least_squares`, and
+    -2/beta is scaled with them: the result does not depend on units.
+
     Returns (MomentIndexReport, one verdict list per set, ordered as
     `r_values`); with no r_values the verdict list is empty.
     """
     r_values = [float(r) for r in r_values]
     if not all(r > 1 for r in r_values):
         raise ValueError("moment order r must exceed 1")
-    Q, e, rss = _hat(data)
+    Q, _, _, e, p = least_squares(data)
+    rss = float(e @ e)
+    if not prior.is_noninformative:  # out of range, -2/beta reads -inf or -0
+        with np.errstate(over="ignore"):
+            prior = replace(prior, beta=max(float(np.ldexp(prior.beta, 2 * p)), 5e-324))
 
     def chunk(start):
         lam, u2 = leverage_minor(Q, e, sets[start:start + _SCAN_CHUNK])

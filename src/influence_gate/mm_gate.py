@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import MMData, MomentIndexReport, MomentVerdict
+from .core_model import MMData, MomentIndexReport, MomentVerdict, binary_exponent
 from .errors import DataError
 
 # Log-spaced kappa points of the scan.
@@ -358,7 +358,10 @@ def moment_index_mm(data: MMData, sets: np.ndarray, r_values):
     0-based deletion sets, each row sorted and distinct as `all_subsets`
     gives them, and its Thm 4.1 verdicts at each order r in `r_values`:
     (MomentIndexReport, one verdict list per set ordered as `r_values`). One
-    kappa profile per set serves its index and every r."""
+    kappa profile per set serves its index and every r. The profiles read c
+    and v each divided by 2^p (`binary_exponent`), so that no kappa-sum
+    leaves the float range and the verdicts are the same in any units."""
+    data = MMData(*(np.ldexp(a, -binary_exponent(a)) for a in (data.concentration, data.velocity)))
     cuts, verdicts = [], []
     for dels in sets:
         profile = kappa_profile(data, dels)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core_model import BLOCK_ELEMENTS, LogitData, MMData, RegressionData
 from .errors import SamplerError
-from .linear_gate import LinearPrior
+from .linear_gate import LinearPrior, least_squares
 
 # Adaptive warm-up targets this acceptance rate, +/- 0.1.
 TARGET_ACCEPTANCE = 0.3
@@ -69,73 +69,35 @@ def linear_noninformative_blocks(data: RegressionData, config: SamplerConfig):
     sigma2 is normal around the least-squares solution with covariance
     sigma2 (X'X)^{-1}. Being i.i.d., burn_in and thin are ignored.
 
-    The set-up runs on the call: the least-squares solve, its checks and
-    all M gammas, drawn into one M-vector and turned into sigma2 in place.
-    The normals then follow as the iterator is read, one fresh (rows, k+1)
+    The set-up runs on the call: the fit X = QR (`least_squares`) and all M
+    gammas, drawn into one M-vector and turned into sigma2 in place. The
+    normals then follow as the iterator is read, one fresh (rows, k+1)
     block of BLOCK_ELEMENTS // k rows at a time, with each block's
     theta_hat + sqrt(sigma2) * (z @ L.T) made in place; the sigma2 vector is
     freed with the iterator. The stream order is that of one (M, k) normal
-    draw after the gammas.
+    draw after the gammas. L is the Cholesky factor of (X'X)^{-1} =
+    R^{-1}R^{-T}, the transposed R factor of qr(R^{-T}) with its columns
+    signed to a positive diagonal, so X'X is never formed.
 
-    A design whose normal equations fail in floating point is a
-    SamplerError that names how (`_normal_equations`).
+    An RSS that is not a positive normal float is a SamplerError.
     """
     n, k = data.n, data.k
     if n <= k:
         raise SamplerError(f"flat prior needs n > k; got n={n}, k={k}")
-    theta_hat, rss, L = _normal_equations(data.design, data.response)
+    _, R, theta_hat, e, p = least_squares(data)
+    scaled = float(e @ e)
+    with np.errstate(over="ignore"):
+        rss = float(np.ldexp(scaled, 2 * p))
+    if not np.finfo(float).tiny <= rss < math.inf:
+        way = "underflows" if rss < 1.0 else "overflows"
+        raise SamplerError(f"flat prior: the RSS {scaled!r} x 2^{2 * p} {way} the normal float "
+                           "range in the response's units, so sigma2 cannot be drawn")
+    F = np.linalg.qr(np.linalg.solve(R, np.eye(k)).T, mode="r")
+    L = (F * np.copysign(1.0, np.diag(F))[:, None]).T
     rng = _rng(config.seed)
     sigma2 = rng.gamma((n - k) / 2.0, 1.0, size=config.draws)
     np.divide(rss / 2.0, sigma2, out=sigma2)
     return _normal_blocks(rng, sigma2, theta_hat, L)
-
-
-def _normal_equations(X, y):
-    """(theta_hat, RSS, Cholesky factor of (X'X)^{-1}) of the least-squares
-    fit by the normal equations, or a SamplerError naming how they fail in
-    floating point: X'X, X'y or y'y overflows; X'X cannot be inverted, or
-    its inverse is not positive definite; the RSS is not finite; the RSS
-    y'y - theta_hat'X'y is lost to cancellation, not above its rounding
-    error 4 n eps y'y, where an SVD fit tells an ill-conditioned X'X from a
-    design that fits the response almost exactly; or that RSS disagrees
-    with |y - X theta_hat|^2 by more than sqrt(eps) of it plus that same
-    rounding error. An error of d in theta_hat moves y'y - theta_hat'X'y by
-    about d'X'y, but |y - X theta_hat|^2 only by d'X'Xd, so a wider gap means
-    theta_hat has lost half its digits and the posterior scale of sigma^2
-    would be drawn from a wrong RSS."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        XtX, Xty, yy = X.T @ X, X.T @ y, float(y @ y)
-    if not (np.all(np.isfinite(XtX)) and np.all(np.isfinite(Xty)) and math.isfinite(yy)):
-        raise SamplerError("flat prior: X'X, X'y or y'y overflows the float range")
-
-    def ill_conditioned():
-        return (f"X'X is too ill-conditioned for the normal equations (condition number "
-                f"{np.linalg.cond(XtX):.3g})")
-
-    try:
-        G = np.linalg.inv(XtX)
-        theta_hat = G @ Xty
-        rss = yy - float(theta_hat @ Xty)
-        if not math.isfinite(rss):
-            raise SamplerError(f"flat prior: {ill_conditioned()}: the RSS is {rss}")
-        rounding = 4.0 * len(y) * np.finfo(float).eps * yy
-        if not rss > rounding:
-            fit = y - X @ np.linalg.lstsq(X, y)[0]
-            svd_rss = float(fit @ fit)
-            cause = (f"{ill_conditioned()}, and the RSS by SVD is {svd_rss:.3g}"
-                     if svd_rss > rounding else "the design fits the response almost exactly")
-            raise SamplerError(f"flat prior: the RSS y'y - theta_hat'X'y = {rss:.3g} is lost to "
-                               f"cancellation, not above its rounding error {rounding:.3g}: "
-                               f"{cause}")
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise SamplerError(f"flat prior: {ill_conditioned()}: {exc}") from None
-    residual = y - X @ theta_hat
-    direct = float(residual @ residual)
-    if not abs(rss - direct) <= math.sqrt(np.finfo(float).eps) * direct + rounding:
-        raise SamplerError(f"flat prior: the RSS y'y - theta_hat'X'y = {rss:.6g} disagrees with "
-                           f"|y - X theta_hat|^2 = {direct:.6g}: {ill_conditioned()}")
-    return theta_hat, rss, L
 
 
 def _normal_blocks(rng, sigma2, theta_hat, L):
@@ -168,27 +130,35 @@ def sample_linear_conjugate(
 ) -> SampleResult:
     """Gibbs chain with exact full conditionals under a normal-theta,
     inverse-gamma-sigma2 prior (beta is the inverse rate, matching the
-    -2/beta residual threshold)."""
+    -2/beta residual threshold).
+
+    The chain starts at sigma2 = RSS/(n - k) of `least_squares` (1 if 0).
+    An X'X or X'y that overflows, or a precision with no Cholesky factor,
+    is a SamplerError."""
     if prior.is_noninformative:
         raise ValueError("use sample_linear_noninformative for the flat prior")
     X, y = data.design, data.response
     n, k = data.n, data.k
     prec0 = np.linalg.inv(np.atleast_2d(prior.theta_cov))
     prec0_mu0 = prec0 @ prior.theta_mean.ravel()
-    XtX, Xty = X.T @ X, X.T @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        XtX, Xty = X.T @ X, X.T @ y
+    if not (np.all(np.isfinite(XtX)) and np.all(np.isfinite(Xty))):
+        raise SamplerError("conjugate prior: X'X or X'y overflows the float range")
     rng = _rng(config.seed)
-    theta_hat = np.linalg.solve(XtX, Xty)
-    sigma2 = float(np.sum((y - X @ theta_hat) ** 2) / max(n - k, 1))
-    if sigma2 <= 0:
-        sigma2 = 1.0
-    theta = theta_hat.copy()
+    _, _, _, e, p = least_squares(data)
+    with np.errstate(over="ignore"):
+        sigma2 = float(np.ldexp(float(e @ e), 2 * p)) / max(n - k, 1) or 1.0
     total = config.burn_in + config.draws * config.thin
     out = np.empty((config.draws, k + 1))
     kept = 0
     prior_rate = 1.0 / prior.beta
     for it in range(total):
         prec = XtX / sigma2 + prec0
-        L = np.linalg.cholesky(prec)
+        try:
+            L = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError as exc:
+            raise SamplerError(f"conjugate prior: X'X/sigma2 + the prior precision: {exc}") from None
         mean = np.linalg.solve(prec, Xty / sigma2 + prec0_mu0)
         z = rng.standard_normal(k)
         theta = mean + np.linalg.solve(L.T, z)

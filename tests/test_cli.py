@@ -1,19 +1,25 @@
 """End-to-end runs of the command-line entry point on the bundled data."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from itertools import combinations, islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influence_gate import cli, linear_gate, logit_gate
 from influence_gate.cli import SCAN_CSV_COLUMNS, main
@@ -274,6 +280,38 @@ def test_flat_prior_verdicts_and_cutoffs_do_not_depend_on_units(model, size, tol
         [v.tag for v in per_r] for per_r in base_verdicts]
     for name in ("r_a", "r_b", "r_c"):
         np.testing.assert_allclose(getattr(report, name), getattr(base, name), rtol=tolerance)
+
+
+# (model, column) of one data column taken alone in other units: the last
+# linear column is the response.
+UNIT_COLUMNS = {"linear-wbc": ("linear", 1), "linear-ag": ("linear", 2),
+                "linear-response": ("linear", 3), "mm-concentration": ("mm", 0),
+                "mm-velocity": ("mm", 1)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [-300, -200, -160, 160, 200, 300])
+@pytest.mark.parametrize("column", UNIT_COLUMNS)
+def test_flat_prior_gates_read_one_column_in_any_units(column, exponent):
+    """One column in units 10^exponent times larger gives the bundled
+    verdicts, with cut-offs within 1e-12 (linear) or R_TOL (MM) and no
+    warning, across the float range. Beyond about 10^+-150 the linear RSS
+    and u2, and the MM kappa-sums, once left the float range."""
+    model, j = UNIT_COLUMNS[column]
+    family, data, prior = model_inputs(MODELS[model])
+    columns = ([*data.design.T, data.response] if model == "linear"
+               else [data.concentration, data.velocity])
+    columns[j] = columns[j] * 10.0 ** exponent
+    scaled = (RegressionData(design=np.column_stack(columns[:-1]), response=columns[-1])
+              if model == "linear" else MMData(*columns))
+    sets, r_values = all_subsets(data.n, 2 if model == "linear" else 1), (1.5, 2.0, 4.0)
+    (report, verdicts), (base, base_verdicts) = (family.index(d, prior, sets, r_values)
+                                                 for d in (scaled, data))
+    assert [[v.tag for v in per_r] for per_r in verdicts] == [
+        [v.tag for v in per_r] for per_r in base_verdicts]
+    for name in ("r_a", "r_b", "r_c"):
+        np.testing.assert_allclose(getattr(report, name), getattr(base, name),
+                                   rtol=1e-12 if model == "linear" else R_TOL)
 
 
 @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
@@ -885,22 +923,6 @@ def test_mm_on_two_cases_is_data_error(tmp_path, capsys, command):
 # --- exit 5 -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["estimate", "verify"])
-def test_flat_prior_with_a_near_exact_fit_is_sampler_error(tmp_path, capsys, command):
-    # y = 2x + 1 + (1, -2, 0, 1.5, -0.5) 1e-8 passes the exact-fit refusal,
-    # but y'y - theta_hat'X'y cancels to -2.3e-13, below its rounding error.
-    path = tmp_path / "near_exact.csv"
-    noise = (1.0, -2.0, 0.0, 1.5, -0.5)
-    path.write_text("x,y\n" + "".join(f"{x},{2 * x + 1 + e * 1e-8!r}\n"
-                                       for x, e in zip(range(1, 6), noise)))
-    config = {"model": "linear", "data": path, "data.covariates": "x", "deletion.indices": "1"}
-    assert run(tmp_path, command, config) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("sampler error: ") and "Traceback" not in err
-    assert "the design fits the response almost exactly" in err
-    assert not (tmp_path / "out").exists()
-
-
 def quadratic_csv(path, x0: float, response):
     """40 cases of (x, x^2, y) with x = x0 + linspace(0, 1, 40) and y =
     response(x, i) at case index i."""
@@ -908,6 +930,14 @@ def quadratic_csv(path, x0: float, response):
     y = response(x, np.arange(40.0))
     path.write_text("x,x2,y\n" + "".join(f"{float(a)!r},{float(a * a)!r},{float(b)!r}\n"
                                           for a, b in zip(x, y)))
+    return path
+
+
+def near_exact_csv(path):
+    """y = 2x + 1 + (1, -2, 0, 1.5, -0.5) 1e-8 at x = 1, ..., 5."""
+    noise = (1.0, -2.0, 0.0, 1.5, -0.5)
+    path.write_text("x,y\n" + "".join(f"{x},{2 * x + 1 + e * 1e-8!r}\n"
+                                       for x, e in zip(range(1, 6), noise)))
     return path
 
 
@@ -920,62 +950,108 @@ def feigl_zelen_with_cell(path, case: int, column: str, value: str):
     return path
 
 
-# (data, covariates, response, what the message names). On the quadratic
-# designs the singular-value ratio of [X, y] is 1.6e-6, 1.8e-8 and 1.6e-10,
-# above RANK_TOLERANCE, so the gate accepts them; the normal equations do
-# not. Near x = 100 they solve, but y'y - theta_hat'X'y reads 17.64 where
-# |y - X theta_hat|^2 and the SVD fit read 19.64.
-NORMAL_EQUATIONS_FAILURES = {
+def design_config(design: str, path) -> dict:
+    make, covariates, response, deletion = ACCEPTED_DESIGNS[design]
+    return {"model": "linear", "data": make(path), "data.covariates": covariates,
+            "data.response": response, "deletion.indices": deletion}
+
+
+# (data, covariates, response, deletion) of designs the gate accepts on
+# which the normal equations failed or lost digits. On the quadratic designs
+# near x = 100, 1000 and 10^4 the singular-value ratio of [X, y] is 1.6e-6,
+# 1.8e-8 and 1.6e-10, above RANK_TOLERANCE; near x = 1 (X'X condition number
+# 2e4) and for y near 1e4 on a line the normal-equation RSS was right only
+# to its rounding error. The near-exact fit cancelled y'y - theta_hat'X'y to
+# -2.3e-13, and a cell at 1e200 overflows X'X.
+ACCEPTED_DESIGNS = {
+    "x-near-1": (lambda path: quadratic_csv(path, 1.0, lambda x, i: x + np.sin(i)),
+                 "x, x2", "y", "15"),
     "x-near-100": (lambda path: quadratic_csv(path, 100.0, lambda x, i: x + np.sin(i)),
-                   "x, x2", "y", "disagrees with |y - X theta_hat|^2"),
+                   "x, x2", "y", "15"),
     "x-near-1000": (lambda path: quadratic_csv(path, 1000.0, lambda x, i: np.sin(i)),
-                    "x, x2", "y", "Matrix is not positive definite"),
+                    "x, x2", "y", "15"),
     "x-near-10^4": (lambda path: quadratic_csv(path, 1e4, lambda x, i: x * x / 1e4 + np.cos(i)),
-                    "x, x2", "y", "is lost to cancellation"),
+                    "x, x2", "y", "15"),
+    "y-near-10^4": (lambda path: quadratic_csv(path, 0.0, lambda x, i: 1e4 + np.sin(i)),
+                    "x", "y", "15"),
+    "near-exact-fit": (near_exact_csv, "x", "y", "1"),
     "cell-at-1e200": (lambda path: feigl_zelen_with_cell(path, 5, "wbc", "1e200"),
-                      "wbc, ag", "time_weeks", "X'X, X'y or y'y overflows the float range"),
+                      "wbc, ag", "time_weeks", "15"),
 }
 
 
 @pytest.mark.parametrize("command", ["estimate", "verify"])
-@pytest.mark.parametrize("design", NORMAL_EQUATIONS_FAILURES)
-def test_flat_prior_design_the_normal_equations_cannot_solve_is_sampler_error(
-        tmp_path, capsys, command, design):
-    """Data the gate accepts, on which the flat-prior sampler's normal
-    equations fail in floating point, is a sampler error that names the
-    condition, not a traceback or an exact fit."""
-    make, covariates, response, condition = NORMAL_EQUATIONS_FAILURES[design]
-    config = {"model": "linear", "data": make(tmp_path / "design.csv"),
-              "data.covariates": covariates, "data.response": response,
-              "deletion.indices": "15"}
+@pytest.mark.parametrize("design", ACCEPTED_DESIGNS)
+def test_flat_prior_samples_every_design_the_gate_accepts(tmp_path, capsys, command, design):
+    """The samplers read the gate's least-squares fit, so data the gate
+    accepts samples under the flat prior."""
+    config = {**design_config(design, tmp_path / "design.csv"), "sampler.draws": "5000",
+              "verify.m_grid": "1000, 2000", "verify.replications": "2"}
+    (tmp_path / "gate").mkdir()
+    assert run(tmp_path / "gate", "gate", config) == 0
+    assert run(tmp_path, command, config) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_flat_prior_sigma2_on_the_x_near_1000_design(tmp_path):
+    """E sigma2 = RSS/(n - k - 2) within 3 Monte Carlo SEs, with the RSS of
+    the gate's fit, where cholesky(inv(X'X)) once failed."""
+    config = design_config("x-near-1000", tmp_path / "design.csv")
+    _, data, _ = model_inputs(config)
+    _, _, _, e, p = linear_gate.least_squares(data)
+    a, rate = (data.n - data.k) / 2.0, np.ldexp(float(e @ e), 2 * p) / 2.0
+    sigma2 = sample_linear_noninformative(data, SamplerConfig(seed=3, draws=50_000)).draws[:, -1]
+    se = math.sqrt(rate * rate / ((a - 1) ** 2 * (a - 2)) / sigma2.size)
+    assert abs(sigma2.mean() - rate / (a - 1)) < 3 * se
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 40), k=st.integers(1, 4), intercept=st.booleans(),
+       exponents=st.lists(st.floats(-150.0, 150.0), min_size=5, max_size=5),
+       collinear=st.sampled_from([0.0, 1e-4, 1e-8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_commands_exit_cleanly_on_generated_designs(n, k, intercept, exponents,
+                                                           collinear, seed):
+    """gate, and estimate at 200 draws, exit 0, 3 (data error) or 5 (an RSS
+    that leaves the float range in the response's units) with no
+    traceback, on random designs whose covariates and response are each
+    in units from 1e-150 to 1e150, some with near-collinear columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k))
+    if collinear:
+        X[:, -1] = X[:, 0] + collinear * rng.standard_normal(n)
+    columns = [*X.T, X @ rng.standard_normal(k) + rng.standard_normal(n)]
+    columns = [column * 10.0 ** exponent for column, exponent in zip(columns, exponents[-k - 1:])]
+    names = [f"x{j}" for j in range(k)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.csv"
+        path.write_text(",".join(names) + ",y\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in np.column_stack(columns).tolist()))
+        config = {"model": "linear", "data": path, "data.covariates": ", ".join(names),
+                  "data.intercept": str(intercept).lower(), "deletion.indices": "1",
+                  "sampler.draws": "200"}
+        for command in ("gate", "estimate"):
+            (Path(tmp) / command).mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(Path(tmp) / command, command, config)
+            assert code in (0, 3, 5) and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+def test_conjugate_prior_with_an_overflowing_design_is_sampler_error(tmp_path, capsys,
+                                                                      command):
+    """A cell at 1e200 overflows X'X, which the Gibbs sampler reads."""
+    config = {**FZ_CONJUGATE, "prior.theta.cov_diag": "100, 100, 100", "deletion.indices": "15",
+              "data": feigl_zelen_with_cell(tmp_path / "design.csv", 5, "wbc", "1e200"),
+              "sampler.draws": "5000"}
     (tmp_path / "gate").mkdir()
     assert run(tmp_path / "gate", "gate", config) == 0
     capsys.readouterr()
     assert run(tmp_path, command, config) == 5
     err = capsys.readouterr().err
-    assert err.startswith("sampler error: flat prior: ") and "Traceback" not in err
-    assert condition in err and "fits the response" not in err
+    assert err.startswith("sampler error: conjugate prior: X'X or X'y overflows")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-# (covariates, x0, response) of designs whose two RSS values differ only by
-# rounding. Near x = 1 (X'X condition number 2e4) they differ by 5e-12, a
-# relative 2.4e-13. On a line (condition number 18) with y near 1e4, y'y
-# is 4e9, and y'y - theta_hat'X'y carries a rounding error of about 1e-6
-# however good theta_hat is.
-NORMAL_EQUATIONS_WITHIN_ROUNDING = {
-    "x-near-1": ("x, x2", 1.0, lambda x, i: x + np.sin(i)),
-    "y-near-10^4": ("x", 0.0, lambda x, i: 1e4 + np.sin(i)),
-}
-
-
-@pytest.mark.parametrize("design", NORMAL_EQUATIONS_WITHIN_ROUNDING)
-def test_flat_prior_normal_equations_within_rounding_still_sample(tmp_path, design):
-    covariates, x0, response = NORMAL_EQUATIONS_WITHIN_ROUNDING[design]
-    config = {"model": "linear", "data.covariates": covariates, "data.response": "y",
-              "data": quadratic_csv(tmp_path / "design.csv", x0, response),
-              "deletion.indices": "15", "sampler.draws": "1000"}
-    assert run(tmp_path, "estimate", config) == 0
 
 
 def test_verify_sampler_error_in_a_replication_chain_writes_nothing(tmp_path, capsys,

@@ -51,6 +51,14 @@ def refit_rss(data: RegressionData, dels) -> float:
     return float(r @ r)
 
 
+def least_squares_parts(data: RegressionData):
+    """(Q, e, RSS) of `least_squares` in the response's units: its scaled
+    residuals times 2^p, which is exact."""
+    Q, _, _, e, p = linear_gate.least_squares(data)
+    e = np.ldexp(e, p)
+    return Q, e, float(e @ e)
+
+
 def explicit_hat(data: RegressionData) -> np.ndarray:
     X = data.design
     return X @ np.linalg.inv(X.T @ X) @ X.T
@@ -74,7 +82,7 @@ def rss_star_reference(data: RegressionData, dels, r: float) -> float:
 
 def spectrum(data: RegressionData, dels) -> np.ndarray:
     """Ascending leverage spectrum of one set, as the kernel computes it."""
-    Q, e, _ = linear_gate._hat(data)
+    Q, e, _ = least_squares_parts(data)
     return leverage_minor(Q, e, one_set(dels))[0][0]
 
 
@@ -92,7 +100,7 @@ def verdict_at(data: RegressionData, dels, r: float, prior):
 def kernel_rss_star(data: RegressionData, dels, r: float) -> float:
     """rss_star of one set as the kernel computes it: its spectra, then
     `_rss_star`."""
-    Q, e, rss = linear_gate._hat(data)
+    Q, e, rss = least_squares_parts(data)
     lam, u2 = leverage_minor(Q, e, one_set(dels))
     return float(linear_gate._rss_star(rss, lam[0], u2[0], r))
 
@@ -144,7 +152,7 @@ class TestLeverageMinor:
         data = random_regression(rng, 80, 4)
         H = explicit_hat(data)
         idx = deleted([5, 40, 79])
-        Q_del = linear_gate._hat(data)[0][idx]
+        Q_del = least_squares_parts(data)[0][idx]
         assert Q_del @ Q_del.T == pytest.approx(H[np.ix_(idx, idx)], abs=1e-10)
         assert spectrum(data, idx) == pytest.approx(
             np.linalg.eigvalsh(H[np.ix_(idx, idx)]), abs=1e-10)
@@ -154,7 +162,7 @@ class TestLeverageMinor:
         rng = np.random.default_rng(12)
         data = random_regression(rng, 20, 3)
         dels = deleted([0, 3, 7, 11, 19])
-        Q_del = linear_gate._hat(data)[0][dels]
+        Q_del = least_squares_parts(data)[0][dels]
         minor = Q_del @ Q_del.T
         lam = spectrum(data, dels)
         assert minor.shape == (5, 5)
@@ -508,7 +516,7 @@ class TestCutoffRoot:
     @pytest.mark.parametrize("prior", [NONINF, conj(2.0, 0.001)], ids=["flat", "conjugate"])
     def test_equals_old_bisection_on_feigl_zelen_triples(self, prior):
         data = feigl_zelen("linear")
-        Q, e, rss = linear_gate._hat(data)
+        Q, e, rss = least_squares_parts(data)
         lam, u2 = leverage_minor(Q, e, np.array(list(combinations(range(33), 3))))
         r_a, _, r_c = linear_gate._cutoffs(lam, u2, rss, data.n, data.k, prior)
         root = r_c < r_a
@@ -540,7 +548,7 @@ def minor_spectra(Q, e, idx):
 def assert_matches_minor_oracle(data, idx, prior):
     """r_a and r_c from the spectra agree with those from the I x I oracle
     within 1e-12 relative, r_b exactly, and so do the Thm 3.1 verdicts."""
-    Q, e, rss = linear_gate._hat(data)
+    Q, e, rss = least_squares_parts(data)
     n, k = data.n, data.k
     lam, u2 = leverage_minor(Q, e, idx)
     lam_o, u2_o = minor_spectra(Q, e, idx)
@@ -571,7 +579,7 @@ class TestGramSpectra:
     def test_at_most_k_cases_is_the_minor_arithmetic(self, size):
         # gate, estimate and verify outputs for these sets stay byte-identical
         data = feigl_zelen("linear")
-        Q, e, _ = linear_gate._hat(data)
+        Q, e, _ = least_squares_parts(data)
         idx = np.array(list(combinations(range(33), size)))
         lam, u2 = leverage_minor(Q, e, idx)
         lam_o, u2_o = minor_spectra(Q, e, idx)
@@ -585,7 +593,7 @@ class TestGramSpectra:
         data = feigl_zelen("linear")
         cases = np.array([15, 16, 17, 32, 33]) - 1
         assert np.all(data.design[cases, 1] == data.design[cases[0], 1])
-        Q, e, _ = linear_gate._hat(data)
+        Q, e, _ = least_squares_parts(data)
         with np.errstate(all="raise"):
             lam, _ = leverage_minor(Q, e, cases[None, :])
             assert np.count_nonzero(lam) == 2
@@ -599,7 +607,7 @@ class TestGramSpectra:
         X[[2, 5, 8, 9, 13]] = X[2]
         data = RegressionData(design=X, response=X @ [1.0, -2.0, 0.5] + rng.standard_normal(15))
         idx = np.array([[2, 5, 8, 9, 13]])
-        Q, e, _ = linear_gate._hat(data)
+        Q, e, _ = least_squares_parts(data)
         with np.errstate(all="raise"):
             lam, _ = leverage_minor(Q, e, idx)
             assert np.count_nonzero(lam) == 1

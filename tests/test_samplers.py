@@ -68,18 +68,23 @@ class TestNoninformativeSampler:
 
     def test_blocked_draws_equal_the_closed_form_bit_for_bit(self):
         """One block of normals and 17 rows more: the in-place, blocked
-        fill equals the closed form over all draws from the same stream."""
+        fill equals the closed form over all draws from the same stream,
+        with theta_hat, the RSS and L = chol((X'X)^{-1}) from X = QR."""
         data = feigl_zelen("linear")
         X, y, n, k = data.design, data.response, data.n, data.k
         M = BLOCK_ELEMENTS // k + 17
         got = sample_linear_noninformative(data, SamplerConfig(seed=7, draws=M)).draws
-        G = np.linalg.inv(X.T @ X)
-        theta_hat = G @ (X.T @ y)
-        rss = float(y @ y) - float(theta_hat @ (X.T @ y))
+        Q, R = np.linalg.qr(X)
+        theta_hat = np.linalg.solve(R, Q.T @ y)
+        e = y - Q @ (Q.T @ y)
+        rss = float(e @ e)
+        F = np.linalg.qr(np.linalg.solve(R, np.eye(k)).T, mode="r")
+        L = (F * np.sign(np.diag(F))[:, None]).T
+        np.testing.assert_allclose(L @ L.T, np.linalg.inv(X.T @ X), rtol=1e-12)
         rng = samplers._rng(7)
         sigma2 = (rss / 2.0) / rng.gamma((n - k) / 2.0, 1.0, size=M)
         z = rng.standard_normal((M, k))
-        theta = theta_hat + np.sqrt(sigma2)[:, None] * (z @ np.linalg.cholesky(G).T)
+        theta = theta_hat + np.sqrt(sigma2)[:, None] * (z @ L.T)
         assert got.shape == (M, k + 1)
         assert got[:, :k].tobytes() == theta.tobytes()
         assert got[:, k].tobytes() == sigma2.tobytes()
