@@ -642,14 +642,13 @@ def cmd_estimate(cfg: dict) -> None:
     family, data, prior, dels, r_star, sampler_cfg = _sampling_inputs(cfg, "estimate", 10_000)
     blocks, acceptance_rate = family.draw_blocks(data, prior, sampler_cfg)
     # Exported blocks are kept for draws.csv; otherwise each is dropped once
-    # its log-likelihood is taken.
+    # weighted.
     export = cfg["sampler.export_draws"]
     if export:
         blocks = list(blocks)
-    loglik = is_engine.deleted_log_likelihood(family, blocks, data, dels, sampler_cfg.draws)
-    log_weights = family.log_weight(loglik, dels.size)
+    log_weights = is_engine.log_weight(family, blocks, data, dels, sampler_cfg.draws)
     label = _subset_labels(dels[None, :], data.n)[0]
-    ests = [is_engine.estimate_measure(log_weights, measure, r_star, loglik)
+    ests = [is_engine.estimate_measure(log_weights, measure, r_star)
             for measure in cfg["measures"]]
     # A chain that accepted nothing repeats its start point: every estimate
     # from it is degenerate, however good the value looks.
@@ -686,15 +685,12 @@ def cmd_verify(cfg: dict) -> None:
     # Each block of draws is dropped once weighted, the weights once checked.
     blocks, _ = family.draw_blocks(data, prior, sampler_cfg)
     tail = tail_verifier.verify_moment_index(
-        family.log_weight(
-            is_engine.deleted_log_likelihood(family, blocks, data, dels, sampler_cfg.draws),
-            dels.size),
-        r_star)
+        is_engine.log_weight(family, blocks, data, dels, sampler_cfg.draws), r_star)
 
     def estimator(m, rng):
         sub = replace(sampler_cfg, seed=int(rng.integers(0, 2**63 - 1)), draws=m)
         res = family.sample(data, prior, sub)
-        lw = is_engine.log_weight(family, res.draws, data, dels)
+        lw = is_engine.log_weight(family, (res.draws,), data, dels, len(res.draws))
         return is_engine.self_normalized_estimate(lw, res.draws[:, 0])
 
     # Every chain runs before anything is written, so a sampler error in a

@@ -12,12 +12,8 @@ the loaded columns, a name -> array mapping. The prior is a `LinearPrior` (linea
 the scale of the half-t kappa prior (MM) or the Laplace rate epsilon
 (logit). The MM moment index does not read its prior; the sampler does.
 
-The case-deleted weight is the inverse of the deleted cases' likelihood:
-log w = -loglik - I * log_weight_constant for I deleted cases. The constant
-is dropped because every estimate is invariant to a constant shift of the
-log weights. The records reach the samplers and gate kernels through this
-module's global names, so that a wrapper installed at those names sees
-every call.
+The records reach the samplers and gate kernels through this module's
+global names, so that a wrapper installed at those names sees every call.
 """
 
 import math
@@ -59,7 +55,9 @@ class Family:
       ConfigError first if a key the model needs is unset;
     - inputs(cfg, {column: array}) -> (data, prior);
     - columns(data) -> the names of a draw's parameters, one per draw column;
-    - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw;
+    - log_likelihood(draws, data, 0-based deleted indices) -> one value per draw,
+      the exact log density with its constants, whose negation is the log
+      deletion weight;
     - sample(data, prior, SamplerConfig) -> SampleResult;
     - stream(data, prior, SamplerConfig) -> an iterator of row blocks of
       the draws, in draw order, from a sampler that never holds the whole
@@ -74,17 +72,9 @@ class Family:
     inputs: Callable
     columns: Callable
     log_likelihood: Callable
-    log_weight_constant: float
     sample: Callable
     stream: Callable
     kernel: Callable
-
-    def log_weight(self, log_likelihood: np.ndarray, cardinality: int) -> np.ndarray:
-        """Log deletion weight from the deleted cases' log-likelihood, made
-        in one new M-vector."""
-        out = np.negative(log_likelihood)
-        out -= cardinality * self.log_weight_constant
-        return out
 
     def draw_blocks(self, data, prior, config):
         """(row blocks of the config.draws posterior draws, in draw order;
@@ -183,9 +173,6 @@ def _logit_inputs(cfg: dict, columns: dict):
 
 # --- likelihoods, samplers and gates ------------------------------------------------
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def _gaussian_log_likelihood(y, mean, sigma2):
     """Normal log-likelihood of responses y (I,) at means (M, I), variances (M,)."""
     if np.any(sigma2 <= 0):
@@ -229,7 +216,6 @@ FAMILIES = {
         inputs=_linear_inputs,
         columns=lambda data: [f"theta_{j}" for j in range(data.k)] + ["sigma2"],
         log_likelihood=_linear_log_likelihood,
-        log_weight_constant=_HALF_LOG_2PI,
         sample=_sample_linear,
         stream=_stream_linear,
         kernel=lambda data, prior, sets, r: moment_index_linear(data, sets, r, prior),
@@ -239,7 +225,6 @@ FAMILIES = {
         inputs=_mm_inputs,
         columns=lambda data: ["m", "sigma2", "kappa"],
         log_likelihood=_mm_log_likelihood,
-        log_weight_constant=_HALF_LOG_2PI,
         sample=lambda data, kappa_scale, config: sample_mm(data, config, kappa_scale),
         stream=lambda data, kappa_scale, config: None,
         kernel=lambda data, kappa_scale, sets, r: moment_index_mm(data, sets, r),
@@ -249,7 +234,6 @@ FAMILIES = {
         inputs=_logit_inputs,
         columns=lambda data: [f"beta_{j}" for j in range(data.k)],
         log_likelihood=_logit_log_likelihood,
-        log_weight_constant=0.0,
         sample=lambda data, epsilon, config: sample_logit(data, config, epsilon),
         stream=lambda data, epsilon, config: None,
         kernel=lambda data, epsilon, sets, r: moment_index_logit(data, sets, r, epsilon),

@@ -1,9 +1,10 @@
 """Deletion weights, self-normalized estimation, and gated influence measures.
 
-All weight arithmetic happens in log space with a single max-shift pass;
-every measure below is a function of the normalized weights w_m / R_hat, so
-estimates are invariant to constant shifts of the log weights (CPO is the
-exception: it needs the exact deleted-case likelihood).
+The deletion weight of a draw is exactly w = 1/L_I, the inverse of the
+deleted cases' likelihood, so its posterior mean R = p(y_-I)/p(y) is the
+reciprocal of the conditional predictive ordinate: CPO = 1/R. Every measure
+reads the one max-shift normalizer `_weight_parts`: kl, hellinger and chisq
+are functions of the normalized weights w_m / R_hat, and CPO is 1/R_hat.
 """
 
 import math
@@ -42,14 +43,14 @@ class InfluenceEstimate:
 # --- log weights --------------------------------------------------------------
 
 
-def log_weight(family, draws: np.ndarray, data, dels: np.ndarray) -> np.ndarray:
-    """Log of the unnormalized deletion weight at each draw, one per row:
-    the negated deleted-case log-likelihood, less the family's constant per
-    deleted case. `family` is the model's `families.Family` record and
-    `dels` the sorted, distinct 0-based deleted cases."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    loglik = deleted_log_likelihood(family, (draws,), data, dels, len(draws))
-    return family.log_weight(loglik, dels.size)
+def log_weight(family, blocks, data, dels: np.ndarray, size: int) -> np.ndarray:
+    """Log of the deletion weight w = 1/L_I at each of `size` draws, given
+    as the row blocks `blocks` as `deleted_log_likelihood` takes them: that
+    log-likelihood, negated in place. `family` is the model's
+    `families.Family` record and `dels` the sorted, distinct 0-based
+    deleted cases."""
+    out = deleted_log_likelihood(family, blocks, data, dels, size)
+    return np.negative(out, out=out)
 
 
 def deleted_log_likelihood(family, blocks, data, dels: np.ndarray, size: int) -> np.ndarray:
@@ -83,7 +84,8 @@ def deleted_log_likelihood(family, blocks, data, dels: np.ndarray, size: int) ->
 
 
 def _weight_parts(log_weights: np.ndarray):
-    """Normalized weights w/R_hat and log(R_hat), via one max shift."""
+    """Normalized weights w/R_hat and log(R_hat), via one max shift; R_hat
+    is the mean weight, so exp(-log(R_hat)) estimates the CPO."""
     lw = np.asarray(log_weights, dtype=float).ravel()
     if lw.size == 0:
         raise SamplerError("no draws")
@@ -108,44 +110,15 @@ def self_normalized_estimate(log_weights: np.ndarray, g_values) -> float:
     return float(np.sum(w * g) / np.sum(w))
 
 
-def _logsumexp(a: np.ndarray, negate: bool = False) -> np.float64:
-    """log(sum(exp(b))) of b = -a where `negate` is set and b = a
-    otherwise, `a` a 1-d array, by the shifted form of Blanchard, Higham &
-    Higham (2021, IMA J. Numer. Anal. 41(4)): the maximal terms (all m
-    ties) are taken out of the shifted sum s and added back as
-    log1p(s/m) + log(m) + b_max. They stay in the array as zeros, so the
-    pairwise sum groups its terms as a sum over the whole array does. b is
-    made in one temporary and shifted and exponentiated in place. The
-    direct log(sum(exp(b))) is taken, from `a` again, only where that form
-    is not finite (all entries -inf, or one +inf or NaN).
-    tests/test_is_engine.py pins the result bit for bit."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = np.negative(a) if negate else np.array(a, dtype=float)
-        b_max = np.max(b)
-        top = b == b_max
-        m = np.count_nonzero(top)
-        np.copyto(b, -np.inf, where=top)
-        b -= b_max
-        s = np.sum(np.exp(b, out=b))
-        out = np.log1p(s / m) + np.log(m) + b_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(np.negative(a) if negate else a)))
-    return out
-
-
-def _measure_value(measure, lw, deleted_log_lik):
-    """(value, flags) of `measure` on the log weights `lw`. CPO reads only
-    the deleted-case log-likelihood, so it never normalizes the weights.
-    Each measure works its normalized weights in place, so it holds one
-    M-vector beside its inputs."""
+def _measure_value(measure, lw):
+    """(value, flags) of `measure` on the log weights `lw`. Each measure
+    works its normalized weights in place, so it holds one M-vector beside
+    its input."""
     flags = []
-    if measure == "cpo":
-        if deleted_log_lik is None:
-            raise ValueError("cpo needs deleted_log_lik (exact deleted-case likelihood)")
-        ll = np.asarray(deleted_log_lik, dtype=float).ravel()
-        return float(np.exp(math.log(ll.size) - _logsumexp(ll, negate=True))), flags
     w, log_r_hat = _weight_parts(lw)
-    if measure == "kl":
+    if measure == "cpo":
+        value = float(np.exp(-log_r_hat))
+    elif measure == "kl":
         w *= lw
         value = float(np.mean(w) - log_r_hat)
     elif measure == "hellinger":
@@ -161,19 +134,14 @@ def _measure_value(measure, lw, deleted_log_lik):
     return value, flags
 
 
-def estimate_measure(
-    log_weights: np.ndarray,
-    measure: str,
-    r_star: float,
-    deleted_log_lik: np.ndarray | None = None,
-) -> InfluenceEstimate:
+def estimate_measure(log_weights: np.ndarray, measure: str, r_star: float) -> InfluenceEstimate:
     """One influence measure with its CLT gate.
 
-    `log_weights` are the unnormalized log deletion weights of a posterior
-    sample, one per draw, all finite; `r_star` is the analytic moment index
-    of the deletion weight;
-    `deleted_log_lik` is the exact deleted-case log-likelihood at each draw,
-    which CPO needs. The estimate itself is always computed; the gate
+    `log_weights` are the log deletion weights -log L_I of a posterior
+    sample, one per draw, all finite, as `log_weight` makes them; kl,
+    hellinger and chisq would read the same from any constant shift of
+    them, CPO only from these. `r_star` is the analytic moment index of the
+    deletion weight. The estimate itself is always computed; the gate
     decides whether a standard error accompanies it. The gate passes when
     r_star strictly exceeds the measure's requirement.
     """
@@ -182,10 +150,10 @@ def estimate_measure(
     lw = np.asarray(log_weights, dtype=float).ravel()
     if not np.all(np.isfinite(lw)):
         raise ValueError("log weights must be finite")
-    value, flags = _measure_value(measure, lw, deleted_log_lik)
+    value, flags = _measure_value(measure, lw)
     required = REQUIRED_MOMENTS[measure]
     passed = r_star > required
-    se = _batch_means_se(lw, measure, deleted_log_lik) if passed else None
+    se = _batch_means_se(lw, measure) if passed else None
     return InfluenceEstimate(
         measure=measure,
         value=value,
@@ -197,7 +165,7 @@ def estimate_measure(
     )
 
 
-def _batch_means_se(log_weights: np.ndarray, measure: str, deleted_log_lik) -> float:
+def _batch_means_se(log_weights: np.ndarray, measure: str) -> float:
     """Batch-means standard error: the estimator recomputed on consecutive
     batches, spread of the batch values scaled by sqrt(B). Valid for both
     i.i.d. draws and ergodic chains. Every batch holds two draws at least,
@@ -208,11 +176,5 @@ def _batch_means_se(log_weights: np.ndarray, measure: str, deleted_log_lik) -> f
         raise ValueError(f"the batch-means standard error needs at least 4 draws, got {M}")
     B = min(SE_BATCHES, M // 2)
     edges = np.linspace(0, M, B + 1, dtype=int)
-    vals = []
-    for b in range(B):
-        sl = slice(edges[b], edges[b + 1])
-        ll = None if deleted_log_lik is None else np.asarray(deleted_log_lik)[sl]
-        v, _ = _measure_value(measure, log_weights[sl], ll)
-        vals.append(v)
-    vals = np.asarray(vals)
+    vals = [_measure_value(measure, log_weights[edges[b]:edges[b + 1]])[0] for b in range(B)]
     return float(np.std(vals, ddof=1) / math.sqrt(B))

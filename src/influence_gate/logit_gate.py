@@ -131,7 +131,7 @@ def _index_cutoff(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> tuple
     """(r*, binding): r* = min over vertices of the root of h0 + (r-1)*slope,
     and the first vertex attaining it binds. Every per-case contribution is
     <= 0, so with epsilon >= 0 h0 <= 0 and each root is at least 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.where(slope > 1e-12, 1.0 - h0 / slope, math.inf)
     i = int(np.argmin(roots))
     if roots[i] > R_STAR_CAP:

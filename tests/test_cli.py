@@ -1128,7 +1128,7 @@ def test_verify_samples_from_configured_kappa_prior(tmp_path):
     _, data, _ = model_inputs(PUROMYCIN_MM)
     draws = sample_mm(data, SamplerConfig(seed=3, draws=20000, burn_in=1000),
                       5.0).draws
-    lw = log_weight(FAMILIES["mm"], draws, data, deleted([10]))
+    lw = log_weight(FAMILIES["mm"], (draws,), data, deleted([10]), len(draws))
     weights = np.sort(np.exp(lw - lw.max()))[::-1]
     assert report["hill_estimate"] == pytest.approx(hill_tail_index(weights), rel=1e-12)
 

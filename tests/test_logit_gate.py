@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ class TestTheorem51Verdict:
         verdict = (tmp_path / "out" / "gate_report.csv").read_text().splitlines()[1].split(",")[2]
         assert verdict == "infinite"
 
+    def test_huge_epsilon_gate_is_infinite_without_warnings(self, tmp_path):
+        # At epsilon = 1e300, h0/slope overflows to -inf: every root is inf.
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model = logit\ndata = {DATA_DIR / 'feigl_zelen.csv'}\n"
+                          "data.outcome = surv50\ndata.covariates = wbc, ag\n"
+                          "deletion.indices = 15\nprior.epsilon = 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert (tmp_path / "out" / "gate_report.csv").read_text().splitlines()[1] == (
+            "15,2.0,finite,,inf,inf,inf,inf,criterion negative up to the r cap 64")
+
     def test_log_weight_nonnegative(self):
         from influence_gate.is_engine import log_weight
 
@@ -247,7 +261,7 @@ class TestTheorem51Verdict:
         data = LogitData(design=rng.standard_normal((7, 3)), outcome=rng.integers(0, 2, 7))
         dels = deleted([1, 6])
         draws = rng.standard_normal((500, 3)) * 10.0
-        lw = log_weight(FAMILIES["logit"], draws, data, dels)
+        lw = log_weight(FAMILIES["logit"], (draws,), data, dels, len(draws))
         assert np.all(lw >= -1e-12)
 
 

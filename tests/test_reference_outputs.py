@@ -3,8 +3,10 @@
 The seed-1 `estimate` commands of the `sample` workload must give the rows
 and acceptance rate in perfbench/reference/sample.json: the Metropolis
 chains of Puromycin MM case 11 and Feigl-Zelen logit case 15 at 100,000
-draws, and the exact linear draws of Feigl-Zelen case 15. The commands
-and the reference are read from perfbench/, which nothing here writes to.
+draws, and the exact linear draws of Feigl-Zelen case 15. Its seed-1
+`verify` commands, of Puromycin MM case 11 and Feigl-Zelen linear case 15,
+must give the recorded tail and scaling statistics. The commands and the
+reference are read from perfbench/, which nothing here writes to.
 """
 
 import csv
@@ -40,14 +42,18 @@ def close(got, want) -> bool:
     return got == want
 
 
+def run_command(tmp_path, command, subcommand):
+    """Run a seed-1 workload command of `subcommand` into tmp_path/out."""
+    assert command.subcommand == subcommand
+    config = tmp_path / "run.cfg"
+    config.write_text(command.config_text(REPO_ROOT, 1))
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("label", ["estimate_mm", "estimate_logit", "estimate_linear"])
 def test_seeded_estimate_equals_the_benchmark_reference(tmp_path, sample_commands, reference,
                                                         label):
-    command = sample_commands[label]
-    assert command.subcommand == "estimate"
-    config = tmp_path / "run.cfg"
-    config.write_text(command.config_text(REPO_ROOT, 1))
-    assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    run_command(tmp_path, sample_commands[label], "estimate")
     with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
         rows = [[row["measure"], float(row["value"]), row["gate"],
                  float(row["required_moments"]), float(row["available_r_star"]),
@@ -59,3 +65,14 @@ def test_seeded_estimate_equals_the_benchmark_reference(tmp_path, sample_command
     for row, want_row in zip(rows, want["rows"]):
         assert all(map(close, row, want_row)), (row, want_row)
     assert close(rate, want["acceptance_rate"])
+
+
+@pytest.mark.parametrize("label", ["verify_mm", "verify_linear"])
+def test_seeded_verify_equals_the_benchmark_reference(tmp_path, sample_commands, reference,
+                                                      label):
+    run_command(tmp_path, sample_commands[label], "verify")
+    got = json.loads((tmp_path / "out" / "verify_report.json").read_text())["rows"][0]
+    want = reference[label]
+    assert set(want) <= set(got)
+    for name, value in want.items():
+        assert close(got[name], value), (name, got[name], value)
