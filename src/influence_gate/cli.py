@@ -503,12 +503,10 @@ def _gate_blocks(report, verdicts, r_values, n: int):
     tags, details = zip(*((v.tag.value, v.detail) for per_set in verdicts for v in per_set))
     del verdicts
     for start in range(0, report.count, JSON_ROW_BLOCK):
-        part = slice(start, start + JSON_ROW_BLOCK)
-        r_a, r_b, r_c = report.r_a[part], report.r_b[part], report.r_c[part]
-        rows = slice(start * k, (start + len(r_a)) * k)
-        yield [_subset_labels(report.subsets[part], n), np.tile(r, len(r_a)), tags[rows],
-               details[rows], r_a, r_b, r_c, np.minimum(np.minimum(r_a, r_b), r_c),
-               report.binding[part]]
+        part = report.rows(slice(start, start + JSON_ROW_BLOCK))
+        rows = slice(start * k, (start + part.count) * k)
+        yield [_subset_labels(part.subsets, n), np.tile(r, part.count), tags[rows],
+               details[rows], part.r_a, part.r_b, part.r_c, part.r_star, part.binding]
 
 
 def cmd_scan(cfg: dict) -> None:
@@ -558,20 +556,18 @@ def _scan_summary(result, top: int, flag_cases, n: int) -> dict:
 
 def _scan_text(result, n: int):
     """The scan table's data lines, one `_table_text` block per
-    SCAN_CSV_BLOCK rows. Each block takes its r_star from its own cut-off
-    slices, as the report's r_star property does for the whole table, so no
-    r_star array is held beside the cut-offs.
+    SCAN_CSV_BLOCK rows. Each block reads r_star off its own row slice of
+    the report, so no r_star array of the whole table is held beside the
+    cut-offs.
 
     The blocks are formatted by `ordered_map`, in worker processes when the
     process may use more than one CPU, and come out in row order; at most
     two blocks per worker are in flight at a time.
     """
     def block(start):
-        part = slice(start, start + SCAN_CSV_BLOCK)
-        r_a, r_b, r_c = result.r_a[part], result.r_b[part], result.r_c[part]
-        r_star = np.minimum(np.minimum(r_a, r_b), r_c)
-        labels = _subset_labels(result.subsets[part], n)
-        return _table_text(SCAN_CSV_COLUMNS, [labels, r_a, r_b, r_c, r_star])[0]
+        part = result.rows(slice(start, start + SCAN_CSV_BLOCK))
+        labels = _subset_labels(part.subsets, n)
+        return _table_text(SCAN_CSV_COLUMNS, [labels, part.r_a, part.r_b, part.r_c, part.r_star])[0]
 
     return ordered_map(block, range(0, result.count, SCAN_CSV_BLOCK))
 

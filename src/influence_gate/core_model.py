@@ -10,7 +10,7 @@ none of this.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, combinations
 from pathlib import Path
@@ -233,6 +233,10 @@ class MomentIndexReport:
     @property
     def count(self) -> int:
         return self.subsets.shape[0]
+
+    def rows(self, part: slice) -> "MomentIndexReport":
+        """The report of the sets in `part`, whose arrays are views of these."""
+        return type(self)(*(getattr(self, field.name)[part] for field in fields(self)))
 
     @classmethod
     def of(cls, subsets, r_a, r_b, r_c):

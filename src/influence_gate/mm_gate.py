@@ -16,19 +16,23 @@ g = sum_del x_i v_i / sum_all x_i v_i. A < 0 iff l > 1/r and B > 0 iff
 g < 1/r, which is how violations are detected on the scan grid.
 
 The kappa-sums (sum x^2, sum_del x^2, sum x v, sum_del x v), l and g do not
-depend on r: `kappa_profile` computes them once per deletion set, on a fixed
-log grid of GRID_SIZE points, at the endpoint limits and in the refinement
-of sup l and inf g. `theorem41_verdict(profile, r)` reads the r part in the
-order of Thm 4.1 and stops at the first check that decides: the sample size
-(no kappa scan), the violation intervals of `scan_kappa(profile, r)`, sup l,
-the slope pair (C and inf g), and last the refined infimum of rss_star.
+depend on r: a `KappaProfile` holds them once per deletion set, on a fixed
+log grid of GRID_SIZE points and at the endpoint limits. `_refined_extremum`
+refines each extremum over kappa (sup l, inf g, inf rss_star) from there by
+a log-zoom over arrays of kappa with a relative stop, so in any units.
+`theorem41_verdict(profile, r)` reads the r part in the order of Thm 4.1
+and stops at the first check that decides: the sample size (no kappa scan),
+the violation intervals of `scan_kappa(profile, r)`, sup l, the slope pair
+(C and inf g), and last the refined infimum of rss_star.
 `KappaProfile.moment_index` bisects on r with every probe judging that one
-profile. Nothing here depends on the kappa prior, which only the sampler
-reads.
+profile. At r = 0 rss_star is the RSS of the fit of v on x, and
+`min_fit_rss_fraction` reads its least value to tell an exact curve.
+Nothing here depends on the kappa prior, which only the sampler reads.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +41,10 @@ from .errors import DataError
 
 # Log-spaced kappa points of the scan.
 GRID_SIZE = 4096
-GOLDEN_XTOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Log-spaced kappa points per bracket in each round of the refinement, and
+# the relative bracket width hi/lo - 1 at which it stops.
+ZOOM_POINTS = 129
+ZOOM_RTOL = 1e-9
 
 # A kappa-interval counts as non-negligible when a strict violation holds at
 # three consecutive scan points spanning more than this fraction of kappa;
@@ -57,20 +63,18 @@ class Extremum:
 
 def _kappa_sums(x: np.ndarray, v: np.ndarray, dels: np.ndarray) -> tuple:
     """(sum x^2, sum_del x^2, sum x v, sum_del x v) over the cases, the first
-    axis of x and v, with `dels` the deleted cases; a second axis of x runs
+    axis of x and v, with `dels` the deleted cases; further axes of x run
     over kappa values."""
     x2, xv = x * x, x * v
     return x2.sum(axis=0), x2[dels].sum(axis=0), xv.sum(axis=0), xv[dels].sum(axis=0)
 
 
-def _sums_at(data: MMData, dels: np.ndarray, kappa: float) -> tuple:
-    """The kappa-sums at one kappa as Python floats, each bit-identical to
-    the `_kappa_sums` sum over the 1-D arrays: one row sum per quantity."""
-    c = data.concentration
-    x = c / (kappa + c)
-    w = x * (x, data.velocity)
-    (sum_x2, sum_xv), (del_x2, del_xv) = w.sum(axis=1).tolist(), w[:, dels].sum(axis=1).tolist()
-    return sum_x2, del_x2, sum_xv, del_xv
+def _sums_on(data: MMData, dels: np.ndarray, kappa) -> tuple:
+    """The kappa-sums at each kappa of an array of any shape, with x_i =
+    c_i/(kappa + c_i); each sum has the shape of kappa."""
+    shape = (-1,) + (1,) * np.ndim(kappa)
+    c = data.concentration.reshape(shape)
+    return _kappa_sums(c / (kappa + c), data.velocity.reshape(shape), dels)
 
 
 def _abc(sums, v2, r: float, tol=None) -> tuple:
@@ -82,50 +86,6 @@ def _abc(sums, v2, r: float, tol=None) -> tuple:
     defined = np.abs(a) > (1e-14 * np.maximum(1.0, sum_x2) if tol is None else tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         return a, b, c, np.where(defined, c - b * b / np.where(defined, a, 1.0), np.nan)
-
-
-def _rss_star_at(data: MMData, dels: np.ndarray, v2, r: float):
-    """rss_star at order r as a function of one kappa, on Python floats: the
-    value `_abc(_sums_at(...), v2, r)[3]` gives, inf where that is NaN."""
-    c = v2[0] - r * v2[1]
-
-    def f(kappa):
-        sum_x2, del_x2, sum_xv, del_xv = _sums_at(data, dels, kappa)
-        a = sum_x2 - r * del_x2
-        if not abs(a) > 1e-14 * max(1.0, sum_x2):
-            return math.inf
-        b = sum_xv - r * del_xv
-        val = c - b * b / a
-        return math.inf if math.isnan(val) else val
-
-    return f
-
-
-def _v2(data: MMData, dels: np.ndarray) -> list:
-    """(sum v^2, sum_del v^2): the first two kappa-sums with v in place of x."""
-    v = data.velocity
-    return [float(s) for s in _kappa_sums(v, v, dels)[:2]]
-
-
-def _golden_section(f, lo, hi, minimize=True):
-    """Golden-section search on [lo, hi]; returns (x, f(x)). The bracket
-    stops GOLDEN_XTOL wide, or 4 ulps wide where floats lie further apart."""
-    sgn = 1.0 if minimize else -1.0
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = sgn * f(c), sgn * f(d)
-    while b - a > max(GOLDEN_XTOL, 4 * math.ulp(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = sgn * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = sgn * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def _local_extrema_indices(values: np.ndarray, find_min: bool) -> list:
@@ -140,25 +100,44 @@ def _local_extrema_indices(values: np.ndarray, find_min: bool) -> list:
     return idx
 
 
-def _refined_extremum(grid, values, f, find_min, limit_candidates) -> Extremum:
-    """Best of a golden-section refinement around each grid extremum and the
-    (value, kappa) endpoint candidates; the first best candidate wins ties."""
-    cands = []
-    for i in _local_extrema_indices(values, find_min):
-        x, fx = _golden_section(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                                minimize=find_min)
-        cands.append((fx, x))
-    cands.extend(limit_candidates)
-    fx, x = (min if find_min else max)(cands, key=lambda t: t[0])
-    return Extremum(value=float(fx), kappa=float(x))
+def _refined_extremum(grid, values, f, find_min, limits) -> Extremum:
+    """Best of the (value, kappa) `limits` and a log-zoom around the best
+    GRID_SIZE // ZOOM_POINTS grid extrema of `values`, f on `grid`. f maps
+    an array of kappa to values of its shape, NaN (counted worst) where
+    undefined. Each round evaluates f at ZOOM_POINTS log-spaced kappa across
+    every bracket, at most GRID_SIZE in all, and shrinks each bracket to its
+    best point's two neighbours, until all have hi/lo - 1 < ZOOM_RTOL. The
+    first best candidate wins ties."""
+    sgn = 1.0 if find_min else -1.0
+    idx = np.array(_local_extrema_indices(values, find_min))
+    idx = idx[np.sort(np.argsort(sgn * values[idx], kind="stable")[:GRID_SIZE // ZOOM_POINTS])]
+    lo, hi = np.log(grid[np.clip(idx[:, None] + [-1, 1], 0, grid.size - 1)]).T
+    t = np.linspace(0.0, 1.0, ZOOM_POINTS)
+    while True:
+        kappa = np.exp(lo[:, None] + (hi - lo)[:, None] * t)
+        vals = sgn * f(kappa)
+        vals[np.isnan(vals)] = np.inf
+        best = vals.argmin(axis=1)
+        lo, hi = (lo + (hi - lo) * t[np.maximum(best - 1, 0)],
+                  lo + (hi - lo) * t[np.minimum(best + 1, ZOOM_POINTS - 1)])
+        if np.all(np.expm1(hi - lo) < ZOOM_RTOL):
+            break
+    rows = np.arange(idx.size)
+    cands = [*zip(vals[rows, best].tolist(), kappa[rows, best].tolist()),
+             *((sgn * value, at) for value, at in limits)]
+    value, at = min(cands, key=lambda cand: cand[0])
+    return Extremum(value=float(sgn * value), kappa=float(at))
 
 
 @dataclass(frozen=True)
 class KappaProfile:
     """The r-free part of the kappa scan of one deletion set `dels`, a
-    sorted row of distinct cases: the kappa-sums on the grid, as kappa -> 0 (`zero`, x_i = 1) and the coefficients as
-    kappa -> infinity (`inf`, x_i ~ c_i/kappa), v2 = (sum v^2, sum_del v^2),
-    and the refined supremum of leverage and infimum of g."""
+    sorted row of distinct cases: GRID_SIZE log-spaced kappa from
+    1e-4 min(c) to 1e4 max(c), the kappa-sums on them, as kappa -> 0
+    (`zero`, x_i = 1) and the coefficients as kappa -> infinity (`inf`,
+    x_i ~ c_i/kappa), and v2 = (sum v^2, sum_del v^2), the first two
+    kappa-sums with v in place of x. The supremum of leverage and the
+    infimum of g are refined when first read."""
 
     data: MMData
     dels: np.ndarray
@@ -167,8 +146,33 @@ class KappaProfile:
     zero: list
     inf: list
     v2: list
-    sup_leverage: Extremum
-    inf_g: Extremum
+
+    @classmethod
+    def of(cls, data: MMData, dels: np.ndarray) -> "KappaProfile":
+        """The profile of `dels` without the checks of `kappa_profile`."""
+        c, v = data.concentration, data.velocity
+        grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), GRID_SIZE)
+        zero, inf, v2 = ([float(s) for s in _kappa_sums(x, v, dels)]
+                         for x in (np.ones_like(c), c, v))
+        return cls(data, dels, grid, _sums_on(data, dels, grid), zero, inf, v2[:2])
+
+    @cached_property
+    def sup_leverage(self) -> Extremum:
+        return self._refined(0, False)
+
+    @cached_property
+    def inf_g(self) -> Extremum:
+        return self._refined(2, True)
+
+    def _refined(self, k: int, find_min: bool) -> Extremum:
+        """The extremum of leverage (k = 0) or g (k = 2), kappa-sum k + 1
+        over kappa-sum k, on the grid and at both limits, refined."""
+        def f(kappa):
+            s = _sums_on(self.data, self.dels, kappa)
+            return s[k + 1] / s[k]
+
+        limits = [(self.zero[k + 1] / self.zero[k], 0.0), (self.inf[k + 1] / self.inf[k], math.inf)]
+        return _refined_extremum(self.grid, self.sums[k + 1] / self.sums[k], f, find_min, limits)
 
     def moment_index(self) -> tuple:
         """Cut-offs (r_a, r_b, r_c) by bisection on r, each probe judging
@@ -180,11 +184,9 @@ class KappaProfile:
         r_b = (n-1)/I do not depend on the residual scan, so bisection runs
         inside (1, min(r_a, r_b)].
         """
-        data, dels = self.data, self.dels
         sup_lev = self.sup_leverage.value
         r_a = math.inf if sup_lev <= 1e-14 else 1.0 / sup_lev
-        r_b = (data.n - 1.0) / dels.size
-        hi = min(r_a, r_b)
+        r_b = (self.data.n - 1.0) / self.dels.size
 
         def finite_at(r):
             return theorem41_verdict(self, r).is_finite
@@ -192,54 +194,32 @@ class KappaProfile:
         lo = 1.0 + 1e-9
         if not finite_at(lo):
             return r_a, r_b, lo
-        hi_probe = hi - 1e-9
+        hi_probe = min(r_a, r_b) - 1e-9
         if finite_at(hi_probe):
-            r_c = math.inf
-        else:
-            a, b = lo, hi_probe
-            while b - a > R_TOL:
-                mid = 0.5 * (a + b)
-                if finite_at(mid):
-                    a = mid
-                else:
-                    b = mid
-            r_c = 0.5 * (a + b)
-            if r_c >= hi_probe - 2 * R_TOL:
-                # The residual condition failed only at the leverage/sample cap.
-                r_c = math.inf
-        return r_a, r_b, r_c
+            return r_a, r_b, math.inf
+        a, b = lo, hi_probe
+        while b - a > R_TOL:
+            mid = 0.5 * (a + b)
+            if finite_at(mid):
+                a = mid
+            else:
+                b = mid
+        r_c = 0.5 * (a + b)
+        # The residual condition failed only at the leverage/sample cap.
+        return r_a, r_b, math.inf if r_c >= hi_probe - 2 * R_TOL else r_c
 
 
 def kappa_profile(data: MMData, dels: np.ndarray) -> KappaProfile:
-    """The r-free part of the kappa scan: GRID_SIZE log-spaced kappa from
-    1e-4 min(c) to 1e4 max(c) and the kappa-sums on them and at the
-    endpoint limits, with golden-section refinement around each grid
-    maximum of leverage and minimum of g and the limits folded into the
-    reported extrema, so they cover the full half-line. Raises DataError
-    unless sum x v is positive on the grid and at both limits."""
+    """The `KappaProfile` of a nonempty deletion set; DataError unless sum x v
+    is positive on the grid and at both limits."""
     if dels.size < 1:
         raise ValueError("deletion set must be nonempty")
-    c, v = data.concentration, data.velocity
-    grid = np.geomspace(1e-4 * float(c.min()), 1e4 * float(c.max()), GRID_SIZE)
-    sums = _kappa_sums(c[:, None] / (grid + c[:, None]), v[:, None], dels)
-    zero, inf = ([float(s) for s in _kappa_sums(x, v, dels)] for x in (np.ones_like(c), c))
+    profile = KappaProfile.of(data, dels)
     # "B > 0 iff g < 1/r" divides by sum x v, so it must be positive.
-    if not min(zero[2], inf[2], float(sums[2].min())) > 0:
+    if not min(profile.zero[2], profile.inf[2], float(profile.sums[2].min())) > 0:
         raise DataError("the MM gate needs sum_i v_i c_i/(kappa + c_i) > 0 at every kappa; "
                         "these velocities make it zero or negative")
-
-    def refined(k, find_min):
-        """Refined extremum of leverage (k = 0) or g (k = 2), sums[k+1]/sums[k]."""
-        def f(kappa):
-            s = _sums_at(data, dels, kappa)
-            return s[k + 1] / s[k]
-
-        limits = [(zero[k + 1] / zero[k], 0.0), (inf[k + 1] / inf[k], math.inf)]
-        return _refined_extremum(grid, sums[k + 1] / sums[k], f, find_min, limits)
-
-    return KappaProfile(data=data, dels=dels, grid=grid, sums=sums, zero=zero, inf=inf,
-                        v2=_v2(data, dels), sup_leverage=refined(0, False),
-                        inf_g=refined(2, True))
+    return profile
 
 
 def _abc_on(profile: KappaProfile, r: float) -> tuple:
@@ -264,8 +244,11 @@ def _inf_rss_star(profile: KappaProfile, r: float) -> Extremum:
                   if not np.isnan(val)]
     if np.all(np.isnan(rss)) and not rss_limits:
         return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
-    f_rss = _rss_star_at(profile.data, profile.dels, profile.v2, r)
-    return _refined_extremum(profile.grid, rss, f_rss, True, rss_limits)
+
+    def f(kappa):
+        return _abc(_sums_on(profile.data, profile.dels, kappa), profile.v2, r)[3]
+
+    return _refined_extremum(profile.grid, rss, f, True, rss_limits)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -322,9 +305,7 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     positive uniformly or (C > 0 with g above 1/r uniformly). Infinite: a
     non-negligible kappa set violating leverage or the residual pair, or a
     sample size failure. Anything else is a boundary case. The checks run
-    cheapest first, and the first that decides returns: the sample size
-    (no kappa scan), the violation intervals of `scan_kappa`, sup leverage,
-    the slope pair, and last the refined infimum of rss_star.
+    in the order the module docstring gives, cheapest first.
     """
     if not r > 1:
         raise ValueError("moment order r must exceed 1")
@@ -333,9 +314,8 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     intervals = scan_kappa(profile, r)
     if intervals:
         kinds = sorted({name for name, _, _ in intervals})
-        return MomentVerdict.infinite(
-            "violation on a non-negligible kappa set: " + ", ".join(kinds)
-        )
+        return MomentVerdict.infinite("violation on a non-negligible kappa set: "
+                                      + ", ".join(kinds))
     inv_r = 1.0 / r
     lev_tol = 1e-9
     if profile.sup_leverage.value > inv_r + lev_tol:
@@ -353,15 +333,30 @@ def theorem41_verdict(profile: KappaProfile, r: float) -> MomentVerdict:
     return MomentVerdict.boundary("infimum of rss_star at zero")
 
 
+def _unit_free(data: MMData) -> MMData:
+    """c and v each divided by 2^p (`binary_exponent`), which is exact, so
+    that no kappa-sum leaves the float range."""
+    return MMData(*(np.ldexp(a, -binary_exponent(a)) for a in (data.concentration, data.velocity)))
+
+
+def min_fit_rss_fraction(data: MMData) -> float:
+    """The minimum over kappa in [0, inf] of S(kappa) = sum v^2 -
+    (sum x v)^2/sum x^2, the RSS of the least-squares fit of v = m x(kappa),
+    as a fraction of sum v^2, in any units: rss_star at r = 0, which reads
+    no deleted case. At rounding level, m c/(kappa + c) fits v exactly."""
+    profile = KappaProfile.of(_unit_free(data), np.arange(0))
+    # Rescaled, sum v^2 >= 1 unless every v is 0, which m = 0 fits exactly.
+    return _inf_rss_star(profile, 0.0).value / max(profile.v2[0], 1.0)
+
+
 def moment_index_mm(data: MMData, sets: np.ndarray, r_values):
     """Moment index of each row of `sets`, an (N, I) array of nonempty
     0-based deletion sets, each row sorted and distinct as `all_subsets`
     gives them, and its Thm 4.1 verdicts at each order r in `r_values`:
     (MomentIndexReport, one verdict list per set ordered as `r_values`). One
     kappa profile per set serves its index and every r. The profiles read c
-    and v each divided by 2^p (`binary_exponent`), so that no kappa-sum
-    leaves the float range and the verdicts are the same in any units."""
-    data = MMData(*(np.ldexp(a, -binary_exponent(a)) for a in (data.concentration, data.velocity)))
+    and v `_unit_free`, so the verdicts are the same in any units."""
+    data = _unit_free(data)
     cuts, verdicts = [], []
     for dels in sets:
         profile = kappa_profile(data, dels)

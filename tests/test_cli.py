@@ -12,9 +12,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from itertools import combinations, islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +46,7 @@ from influence_gate.tail_verifier import hill_tail_index
 
 from conftest import (
     DATA_DIR,
+    PUROMYCIN_CONC,
     REPO_ROOT,
     deleted,
     feigl_zelen,
@@ -907,6 +908,35 @@ def test_mm_data_the_gate_cannot_judge_is_data_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+def mm_curve_csv(path, noise: float):
+    """Puromycin's concentrations c and v = 100 c/(0.5 + c) (1 + noise z_i)
+    for fixed standard normal z."""
+    c = np.array(PUROMYCIN_CONC)
+    v = 100.0 * c / (0.5 + c) * (1.0 + noise * np.random.default_rng(5).standard_normal(c.size))
+    write_csv(path, ["concentration", "velocity"], zip(c.tolist(), v.tolist()))
+    return path
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate", "verify"])
+def test_mm_exact_curve_is_data_error(tmp_path, capsys, command):
+    # RSS(kappa) = 0 at kappa = 0.5, where the kappa-marginal, proportional
+    # to RSS(kappa)^(-(n-1)/2), has a non-integrable spike.
+    config = {"model": "mm", "data": mm_curve_csv(tmp_path / "exact.csv", 0.0),
+              "deletion.indices": "11"}
+    assert run(tmp_path, command, config) == 3
+    assert capsys.readouterr().err == ("data error: the MM posterior is improper when "
+                                       "m c/(kappa + c) fits the velocities exactly at some "
+                                       "kappa (RSS = 0)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "estimate"])
+def test_mm_curve_with_1e_6_relative_noise_is_judged(tmp_path, command):
+    config = {"model": "mm", "data": mm_curve_csv(tmp_path / "noisy.csv", 1e-6),
+              "deletion.indices": "11", "sampler.draws": "2000"}
+    assert run(tmp_path, command, config) == 0
+
+
 @pytest.mark.parametrize("command", ["gate", "estimate", "verify"])
 def test_mm_on_two_cases_is_data_error(tmp_path, capsys, command):
     # m c/(kappa + c) fits both points exactly at kappa0 ~ 0.0087, where the
@@ -1005,6 +1035,31 @@ def test_flat_prior_sigma2_on_the_x_near_1000_design(tmp_path):
     assert abs(sigma2.mean() - rate / (a - 1)) < 3 * se
 
 
+def generated_run_codes(columns: dict, config: dict) -> list:
+    """The exit codes of gate, and of estimate at 200 draws, on `columns`
+    written as the CSV `config` reads; neither may print a traceback or
+    issue a RuntimeWarning."""
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(path, list(columns), zip(*(column.tolist() for column in columns.values())))
+        for command in ("gate", "estimate"):
+            (Path(tmp) / command).mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                codes.append(run(Path(tmp) / command, command,
+                                 {**config, "data": path, "sampler.draws": "200"}))
+            assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return codes
+
+
+def in_units(columns: dict, exponents) -> dict:
+    """Each column times 10 to its exponent."""
+    return {name: column * 10.0 ** e for (name, column), e in zip(columns.items(), exponents)}
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 40), k=st.integers(1, 4), intercept=st.booleans(),
        exponents=st.lists(st.floats(-150.0, 150.0), min_size=5, max_size=5),
@@ -1019,22 +1074,54 @@ def test_linear_commands_exit_cleanly_on_generated_designs(n, k, intercept, expo
     X = rng.standard_normal((n, k))
     if collinear:
         X[:, -1] = X[:, 0] + collinear * rng.standard_normal(n)
-    columns = [*X.T, X @ rng.standard_normal(k) + rng.standard_normal(n)]
-    columns = [column * 10.0 ** exponent for column, exponent in zip(columns, exponents[-k - 1:])]
     names = [f"x{j}" for j in range(k)]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "design.csv"
-        path.write_text(",".join(names) + ",y\n" + "".join(
-            ",".join(map(repr, row)) + "\n" for row in np.column_stack(columns).tolist()))
-        config = {"model": "linear", "data": path, "data.covariates": ", ".join(names),
-                  "data.intercept": str(intercept).lower(), "deletion.indices": "1",
-                  "sampler.draws": "200"}
-        for command in ("gate", "estimate"):
-            (Path(tmp) / command).mkdir()
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = run(Path(tmp) / command, command, config)
-            assert code in (0, 3, 5) and "Traceback" not in err.getvalue()
+    columns = in_units(dict(zip([*names, "y"], [*X.T, X @ rng.standard_normal(k)
+                                                + rng.standard_normal(n)])), exponents[-k - 1:])
+    config = {"model": "linear", "data.covariates": ", ".join(names),
+              "data.intercept": str(intercept).lower(), "deletion.indices": "1"}
+    assert set(generated_run_codes(columns, config)) <= {0, 3, 5}
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 12), curve=st.sampled_from(["noisy", "exact", "equal-c", "signed"]),
+       exponents=st.lists(st.floats(-150.0, 150.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mm_commands_exit_cleanly_on_generated_data(n, curve, exponents, seed):
+    """The same for MM data in units from 1e-150 to 1e150: noisy curves,
+    exact curves, equal concentrations and velocities of both signs, each
+    of three cases or more; any documented error code may come out."""
+    rng = np.random.default_rng(seed)
+    c = np.full(n, 0.5) if curve == "equal-c" else 10.0 ** rng.uniform(-2.0, 1.0, n)
+    v = 100.0 * c / (10.0 ** rng.uniform(-2.0, 1.0) + c)
+    if curve in ("noisy", "equal-c"):
+        v *= 1.0 + 0.1 * rng.standard_normal(n)
+    elif curve == "signed":
+        v = rng.standard_normal(n)
+    columns = in_units({"concentration": c, "velocity": v}, exponents)
+    codes = generated_run_codes(columns, {"model": "mm", "deletion.indices": "1"})
+    assert set(codes) <= {0, 2, 3, 4, 5} and (curve != "exact" or codes == [3, 3])
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(4, 30), k=st.integers(1, 3), intercept=st.booleans(),
+       exponents=st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=3),
+       separated=st.booleans(), collinear=st.sampled_from([0.0, 1e-4, 1e-8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_logit_commands_exit_cleanly_on_generated_designs(n, k, intercept, exponents, separated,
+                                                          collinear, seed):
+    """The same for logit designs with covariates in units from 1e-150 to
+    1e150, some with outcomes a covariate separates and some with
+    near-collinear columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k))
+    if collinear:
+        X[:, -1] = X[:, 0] + collinear * rng.standard_normal(n)
+    y = (X[:, 0] > 0) if separated else rng.random(n) < 0.5
+    names = [f"x{j}" for j in range(k)]
+    columns = {**in_units(dict(zip(names, X.T)), exponents), "y": y.astype(float)}
+    config = {"model": "logit", "data.outcome": "y", "data.covariates": ", ".join(names),
+              "data.intercept": str(intercept).lower(), "deletion.indices": "1"}
+    assert set(generated_run_codes(columns, config)) <= {0, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("command", ["estimate", "verify"])
@@ -1242,10 +1329,15 @@ def edge_values():
         [5e-324, nan, 1.7976931348623157e308], [inf, nan, inf], [2.0, nan, nan],
     ])
     subsets = np.array(list(islice(combinations(range(33), 3), len(cuts))))
-    # A MomentIndexReport refuses cut-offs that are not positive, so these
-    # stand in for a scan result with the fields `cmd_scan` reads.
-    r_a, r_b, r_c = cuts.T
-    return SimpleNamespace(subsets=subsets, r_a=r_a, r_b=r_b, r_c=r_c, count=len(cuts))
+    return UncheckedReport.of(subsets, *cuts.T)
+
+
+class UncheckedReport(MomentIndexReport):
+    """A MomentIndexReport that takes cut-offs which are not positive, to
+    stand in for a scan result with edge values; its row slices are too."""
+
+    def __post_init__(self):
+        pass
 
 
 @pytest.mark.parametrize("make_result, block", [
@@ -1255,7 +1347,7 @@ def edge_values():
 def test_scan_csv_streamed_in_blocks_equals_one_whole_table(tmp_path, monkeypatch, make_result,
                                                            block):
     result = make_result()
-    columns = (result.r_a, result.r_b, result.r_c, MomentIndexReport.r_star.fget(result))
+    columns = (result.r_a, result.r_b, result.r_c, result.r_star)
     whole = tmp_path / "whole.csv"
     write_csv(whole, SCAN_CSV_COLUMNS,
               [["+".join(str(j + 1) for j in subset), *values]

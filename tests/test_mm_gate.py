@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -9,18 +8,19 @@ from hypothesis import strategies as st
 from influence_gate import mm_gate
 from influence_gate.core_model import MMData, VerdictTag, all_subsets
 from influence_gate.mm_gate import (
+    GRID_SIZE,
+    ZOOM_POINTS,
+    ZOOM_RTOL,
     Extremum,
+    KappaProfile,
     _abc,
-    _golden_section,
     _inf_rss_star,
-    _kappa_sums,
     _local_extrema_indices,
     _refined_extremum,
-    _rss_star_at,
     _runs,
-    _sums_at,
-    _v2,
+    _sums_on,
     kappa_profile,
+    min_fit_rss_fraction,
     moment_index_mm,
     scan_kappa,
     theorem41_verdict,
@@ -60,10 +60,11 @@ def index_of(data, dels):
 
 def kernel_at(data, dels, r, kappa) -> dict:
     """The same quantities from the kernel's kappa-sums at one kappa, as the
-    golden-section refinements evaluate them; rss_star is NaN where A
-    vanishes."""
-    sums = _sums_at(data, dels, kappa)
-    a, b, c, rss = _abc(sums, _v2(data, dels), r)
+    grid and the refinement evaluate them; rss_star is NaN where A vanishes.
+    The kappa is one of a pair: numpy sums the cases of a lone kappa
+    pairwise, and those of a kappa array one case after another."""
+    sums = [s[0] for s in _sums_on(data, dels, np.full(2, kappa))]
+    a, b, c, rss = _abc(sums, KappaProfile.of(data, dels).v2, r)
     return {"a": a, "b": b, "c": c, "rss_star": float(rss),
             "leverage": sums[1] / sums[0], "g": sums[3] / sums[2]}
 
@@ -293,20 +294,75 @@ def local_extrema_reference(values, find_min: bool) -> list:
     return idx
 
 
-def test_golden_section_stops_on_a_bracket_far_beyond_its_tolerance():
-    """Near 1e120 adjacent floats lie ~1e104 apart, so a bracket can never
-    shrink to GOLDEN_XTOL; the search must stop a few floats wide instead.
-    `f` raises where an unbounded search would loop."""
-    calls = []
+@pytest.mark.parametrize("unit", [1e120, 1e-300])
+@pytest.mark.parametrize("find_min", [True, False])
+def test_zoom_stops_in_a_few_rounds_in_any_units(unit, find_min):
+    """The zoom's stop is relative, hi/lo - 1 < ZOOM_RTOL, so near 1e120,
+    where adjacent floats lie ~1e104 apart, and near 1e-300 it stops within
+    the same few rounds; `f` raises where an unbounded zoom would loop."""
+    rounds = []
+    sgn = 1.0 if find_min else -1.0
+
+    def objective(kappa):
+        return sgn * (kappa / unit - 1.5) ** 2
 
     def f(kappa):
-        calls.append(kappa)
-        if len(calls) > 300:
-            raise RuntimeError("golden-section search did not stop")
-        return (kappa / 1e120 - 1.5) ** 2
+        rounds.append(kappa.shape)
+        if len(rounds) > 6:
+            raise RuntimeError("the zoom did not stop")
+        return objective(kappa)
 
-    kappa, value = _golden_section(f, 1e120, 2e120)
-    assert abs(kappa / 1.5e120 - 1.0) < 1e-7 and value == f(kappa)
+    grid = np.geomspace(1e-1 * unit, 1e1 * unit, 64)
+    ext = _refined_extremum(grid, objective(grid), f, find_min, [])
+    assert len(rounds) == 5 and abs(ext.kappa / (1.5 * unit) - 1.0) < 10 * ZOOM_RTOL
+    assert ext.value == objective(np.array(ext.kappa)) and abs(ext.value) < 1e-16
+
+
+def test_zoom_on_a_plateau_refines_the_best_extrema_only():
+    """On a plateau nearly every interior grid point is a local extremum;
+    the zoom brackets the best GRID_SIZE // ZOOM_POINTS of them, so each
+    round evaluates f at no more kappa than the grid has."""
+    sizes = []
+
+    def f(kappa):
+        sizes.append(kappa.size)
+        return 2.0 + 1e-16 * np.cos(1e4 * np.log(kappa))
+
+    grid = np.geomspace(1e-3, 1e3, GRID_SIZE)
+    values = f(grid)
+    sizes.clear()
+    ext = _refined_extremum(grid, values, f, True, [(3.0, 0.0)])
+    assert len(_local_extrema_indices(values, True)) > 1000
+    assert sizes == [GRID_SIZE // ZOOM_POINTS * ZOOM_POINTS] * len(sizes) and len(sizes) <= 6
+    assert ext.value <= values.min()
+
+
+class TestMinFitRss:
+    EPS = np.finfo(float).eps
+
+    def curve(self, puromycin, noise):
+        c = puromycin.concentration
+        z = np.random.default_rng(5).standard_normal(c.size)
+        return MMData(concentration=c, velocity=100.0 * c / (0.5 + c) * (1.0 + noise * z))
+
+    def test_bundled_data_fit_leaves_a_fraction_of_sum_v2(self, puromycin):
+        # the least RSS over kappa, against sum v^2 = 148,208
+        assert min_fit_rss_fraction(puromycin) == pytest.approx(5.8e-3, rel=0.01)
+
+    def test_exact_curve_is_at_rounding_level_and_noise_is_not(self, puromycin):
+        # On the grid alone the exact curve's least RSS is ~1e-7 of sum v^2;
+        # the zoom takes it to rounding level.
+        assert abs(min_fit_rss_fraction(self.curve(puromycin, 0.0))) <= 4 * self.EPS
+        assert min_fit_rss_fraction(self.curve(puromycin, 1e-6)) > 100 * self.EPS
+
+    @pytest.mark.parametrize("c_unit, v_unit", [(1e-300, 1.0), (1e4, 1.0), (1.0, 1e300),
+                                                (1.0, 1e-6)])
+    def test_in_any_units(self, puromycin, c_unit, v_unit):
+        for data in (puromycin, self.curve(puromycin, 0.0)):
+            scaled = MMData(concentration=data.concentration * c_unit,
+                            velocity=data.velocity * v_unit)
+            want = min_fit_rss_fraction(data)
+            assert min_fit_rss_fraction(scaled) == pytest.approx(want, rel=1e-9, abs=4 * self.EPS)
 
 
 class TestGridHelpers:
@@ -348,18 +404,6 @@ class TestKappaProfile:
                     assert ext.value == pytest.approx(want, rel=1e-10)
 
 
-def array_sums_at(data, dels, kappa) -> list:
-    """Oracle: the kappa-sums at one kappa through the 1-D array kernel."""
-    c = data.concentration
-    return [float(s) for s in _kappa_sums(c / (kappa + c), data.velocity, dels)]
-
-
-def array_rss_star_at(data, dels, v2, r, kappa) -> float:
-    """Oracle: rss_star at one kappa through the array code, inf for NaN."""
-    val = _abc(array_sums_at(data, dels, kappa), v2, r)[3]
-    return math.inf if np.isnan(val) else float(val)
-
-
 def eager_inf_rss_star(profile, r):
     """Oracle: the infimum of rss_star refined by the array objective, from
     the grid values and limits of `_abc` alone."""
@@ -372,17 +416,15 @@ def eager_inf_rss_star(profile, r):
         return Extremum(value=-math.inf, kappa=float(profile.grid[0]))
     return _refined_extremum(
         profile.grid, rss,
-        lambda kappa: array_rss_star_at(profile.data, profile.dels, profile.v2, r, kappa),
+        lambda kappa: _abc(_sums_on(profile.data, profile.dels, kappa), profile.v2, r)[3],
         True, limits)
 
 
-def bits(x: float) -> bytes:
-    return struct.pack("<d", x)
-
-
-def count_refinements(monkeypatch) -> list:
-    """Wrap `mm_gate._refined_extremum`; the returned list gets one entry per
-    call."""
+def count_refinements(monkeypatch, profile) -> list:
+    """Wrap `mm_gate._refined_extremum` once the profile's leverage and g
+    extrema, refined when first read, are; the returned list gets one entry
+    per call."""
+    assert profile.sup_leverage and profile.inf_g
     calls = []
     monkeypatch.setattr(mm_gate, "_refined_extremum",
                         lambda *args: calls.append(args) or _refined_extremum(*args))
@@ -397,7 +439,6 @@ class TestLazyRssStar:
         sets = all_subsets(11, size)
         lazy, lazy_verdicts = moment_index_mm(puromycin, sets, self.R_VALUES)
         with monkeypatch.context() as m:
-            m.setattr(mm_gate, "_sums_at", array_sums_at)
             m.setattr(mm_gate, "_inf_rss_star", eager_inf_rss_star)
             eager, eager_verdicts = moment_index_mm(puromycin, sets, self.R_VALUES)
         assert lazy.count == math.comb(11, size)
@@ -411,7 +452,7 @@ class TestLazyRssStar:
     def test_settled_verdict_never_refines_rss_star(self, puromycin, monkeypatch, cases, r,
                                                     reason):
         profile = kappa_profile(puromycin, deleted(cases))
-        calls = count_refinements(monkeypatch)
+        calls = count_refinements(monkeypatch, profile)
         verdict = theorem41_verdict(profile, r)
         assert verdict.tag is VerdictTag.INFINITE and verdict.detail == reason
         assert calls == []
@@ -422,7 +463,7 @@ class TestLazyRssStar:
         data = MMData(concentration=[1.72, 0.12, 1.47, 0.39, 1.73, 1.11],
                       velocity=[-5.0, 13.0, -46.0, -31.0, 51.0, 47.0])
         profile = kappa_profile(data, deleted([4]))
-        calls = count_refinements(monkeypatch)
+        calls = count_refinements(monkeypatch, profile)
         assert theorem41_verdict(profile, 2.0).is_finite
         assert calls == []
         assert _inf_rss_star(profile, 2.0).value < 0 and len(calls) == 1
@@ -431,44 +472,12 @@ class TestLazyRssStar:
         # r_c of case 1 is 1.59: below it no violation interval settles the
         # verdict, and C > 0 with inf g above 1/r fails, so rss_star is read.
         profile = kappa_profile(puromycin, deleted([0]))
-        calls = count_refinements(monkeypatch)
+        calls = count_refinements(monkeypatch, profile)
         c_val = profile.v2[0] - 1.5 * profile.v2[1]
         assert not (c_val > 0 and profile.inf_g.value > 1 / 1.5)
         assert theorem41_verdict(profile, 1.5).is_finite
         assert len(calls) == 1
         assert _inf_rss_star(profile, 1.5) == eager_inf_rss_star(profile, 1.5)
-
-    def test_scalar_objective_is_bit_identical_to_array_code(self, puromycin):
-        rng = np.random.default_rng(17)
-        c = puromycin.concentration
-        lo, hi = 1e-4 * float(c.min()), 1e4 * float(c.max())
-        kappas = np.exp(rng.uniform(math.log(lo), math.log(hi), 1000)).tolist()
-        # case 11 at r = 2: A changes sign between kappa = 0.5 and 10
-        a, b = 0.5, 10.0
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if kernel_at(puromycin, deleted([10]), 2.0, mid)["a"] > 0:
-                a = mid
-            else:
-                b = mid
-        # around the root, |A| runs from below to above the 1e-14 cut
-        kappas += [a * (1.0 + d) for d in np.concatenate([-np.logspace(-16, -8, 33),
-                                                          np.logspace(-16, -8, 33)])]
-        undefined = 0
-        for cases in ([10], [0], [3, 7], [0, 10]):
-            dels = deleted(cases)
-            v2 = _v2(puromycin, dels)
-            for kappa in kappas:
-                assert _sums_at(puromycin, dels, kappa) == tuple(
-                    array_sums_at(puromycin, dels, kappa))
-            for r in self.R_VALUES:
-                f = _rss_star_at(puromycin, dels, v2, r)
-                for kappa in kappas:
-                    want = array_rss_star_at(puromycin, dels, v2, r, kappa)
-                    got = f(kappa)
-                    assert type(got) is float and bits(got) == bits(want), (cases, r, kappa)
-                    undefined += math.isinf(want)
-        assert undefined > 0
 
 
 def count_scans(monkeypatch) -> list:
