@@ -39,12 +39,12 @@ _NULL_EIGENVALUE = 1e-14
 # stacked matrices and eigenvectors hold beside the whole set array and the
 # cut-off arrays. The chunks run on the CPUs the process may use
 # (`ordered_map`): on more than one, each worker process holds one chunk's
-# temporaries and the calling process only gathers the cut-offs and
-# verdicts. Run in one process, on all 237,336 Feigl-Zelen 5-subsets, the
-# kernel's traced allocation peak is ~11 MB at this size (~9 MB of it the
-# report it returns), ~22 MB at 32768 and ~37 MB at 65536. At or above
-# C(33, 3) = 5,456, the Feigl-Zelen triples stay one chunk and their
-# `gate` forks nothing.
+# temporaries and the calling process only gathers the cut-offs. Run in
+# one process, on all 237,336 Feigl-Zelen 5-subsets, the kernel's traced
+# allocation peak is ~11 MB at this size (~9 MB of it the report it
+# returns), ~22 MB at 32768 and ~37 MB at 65536. At or above C(33, 3) =
+# 5,456, the Feigl-Zelen triples stay one chunk and their `gate` forks
+# nothing.
 _SCAN_CHUNK = 8192
 
 # The r_c Newton iteration stops for a set once its step is below this
@@ -107,13 +107,14 @@ class LinearPrior:
 # sets of I > k cases are diagonalised on the k x k Gram side Q_del' Q_del,
 # with the residual mass outside its range in one lam = 0 slot, and only
 # sets of at most k cases diagonalise the I x I minor. The cut-offs
-# (`_cutoffs`) and the Thm 3.1 verdicts (`theorem31_verdict`) are both read
-# off (lam, u2, rss), which one pass computes for both. In the eigenbasis
+# (`_cutoffs`) are read off (lam, u2, rss): r_a = 1/lam_max, r_b from the
+# sample size alone, and in the eigenbasis
 # rss_star(r) = rss - sum_i r u2_i / (1 - r lam_i),
-# and with s = 1/r the residual cut-off r_c is the root of the secular
+# so with s = 1/r the residual cut-off r_c is the root of the secular
 # equation sum_i u2_i / (s - lam_i) = rss - threshold beyond the largest
 # eigenvalue (Bunch, Nielsen & Sorensen 1978), found by a safeguarded
-# Newton iteration vectorized across sets.
+# Newton iteration vectorized across sets. The Thm 3.1 verdicts are read
+# off the three cut-offs (`theorem31_verdict`), not off the spectra.
 
 
 def least_squares(data: RegressionData):
@@ -261,44 +262,32 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
     return r_a, r_b, np.where(linear, (rss - threshold) / np.maximum(sum_u2, 1e-300), r_c)
 
 
-def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
-    """Thm 3.1 verdict at order r for each of N same-size deletion sets,
-    from their spectra (lam, u2) and the RSS.
+def theorem31_verdict(report: MomentIndexReport, r: float, prior: LinearPrior) -> list:
+    """Thm 3.1 verdict at order r of each set of `report`, read off its
+    cut-offs; the prior only names the sample-size condition.
 
-    The checks run in order, and the first that fires decides: leverage
-    eigenvalue at 1/r (boundary) or above it (infinite), then the sample
-    size condition (infinite on equality), then rss_star(r) at the prior
-    threshold, 0 for the flat prior and -2/beta for the conjugate one
-    (boundary), above it (finite) or below it (infinite).
+    The conditions are checked in the theorem's order, and the first that
+    fires decides: the largest leverage eigenvalue 1/r_a at 1/r within
+    EIGENVALUE_BOUNDARY_TOL (boundary) or above it, r > r_a (infinite); the
+    sample size, r >= r_b (infinite, equality included); then rss_star(r),
+    which crosses the prior threshold at r_c: within 1e-9 r_c of it
+    (boundary), below it (finite) or beyond it (infinite).
     """
-    N, I = lam.shape
-    lam_max = lam[:, -1]
-    if prior.is_noninformative:
-        size_fails = not n > r * I + k
-        size_verdict = MomentVerdict.infinite("sample size: n <= r*I + k")
-    else:
-        size_fails = not n / 2.0 + prior.alpha > r * I / 2.0
-        size_verdict = MomentVerdict.infinite("sample size: n/2 + alpha <= r*I/2")
-    # Sets that fail the leverage check reach no rss_star comparison, so the
-    # singular or negative denominators they give here are never read.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rs = _rss_star(rss, lam, u2, r)
-    thr = prior.rss_threshold
-    tol = 1e-9 * max(abs(rss), abs(thr))
     outcomes = (
         MomentVerdict.boundary("leverage eigenvalue equals 1/r"),
         MomentVerdict.infinite("leverage above 1/r"),
-        size_verdict,
+        MomentVerdict.infinite("sample size: n <= r*I + k" if prior.is_noninformative
+                               else "sample size: n/2 + alpha <= r*I/2"),
         MomentVerdict.boundary("rss_star at the prior threshold"),
         MomentVerdict.finite(),
         MomentVerdict.infinite("rss_star below the prior threshold"),
     )
     checks = (
-        np.abs(lam_max - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL,
-        lam_max > 1.0 / r,
-        np.full(N, size_fails),
-        np.abs(rs - thr) < tol,
-        rs > thr,
+        np.abs(1.0 / report.r_a - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL,
+        r > report.r_a,
+        r >= report.r_b,
+        np.isfinite(report.r_c) & (np.abs(r - report.r_c) <= 1e-9 * report.r_c),
+        r < report.r_c,
     )
     return [outcomes[c] for c in np.select(checks, range(len(checks)), len(checks))]
 
@@ -306,15 +295,14 @@ def theorem31_verdict(lam, u2, rss, n, k, r, prior: LinearPrior) -> list:
 def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior: LinearPrior):
     """Cut-offs r_a, r_b, r_c of each row of `sets`, an (N, I) array of
     0-based deletion sets of a common size I >= 1, each row sorted and
-    distinct as `all_subsets` gives them, and their Thm 3.1
-    verdicts at each order r in `r_values` (all above 1), both read off one
-    spectral pass, _SCAN_CHUNK sets at a time.
+    distinct as `all_subsets` gives them, from one spectral pass,
+    _SCAN_CHUNK sets at a time, and their Thm 3.1 verdicts at each order r
+    in `r_values` (all above 1), read off the cut-offs (`theorem31_verdict`).
 
     The chunks are independent and run on the CPUs the process may use
-    (`ordered_map`): each returns its cut-offs and one verdict list per
-    order. The cut-offs are written into one (3, N) array allocated up
-    front, whose rows are the report's r_a, r_b and r_c, and the verdicts
-    are joined in set order, so the result is the same for any CPU count.
+    (`ordered_map`): each returns its cut-offs only, written into one (3, N)
+    array allocated up front, whose rows are the report's r_a, r_b and r_c,
+    so the result is the same for any CPU count.
 
     The RSS and u2 come from the scaled residuals of `least_squares`, and
     -2/beta is scaled with them: the result does not depend on units.
@@ -333,15 +321,15 @@ def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior:
 
     def chunk(start):
         lam, u2 = leverage_minor(Q, e, sets[start:start + _SCAN_CHUNK])
-        return (_cutoffs(lam, u2, rss, data.n, data.k, prior),
-                [theorem31_verdict(lam, u2, rss, data.n, data.k, r, prior) for r in r_values])
+        return _cutoffs(lam, u2, rss, data.n, data.k, prior)
 
     starts = range(0, sets.shape[0], _SCAN_CHUNK)
-    cuts, verdicts = np.empty((3, sets.shape[0])), []
-    for start, (chunk_cuts, per_r) in zip(starts, ordered_map(chunk, starts)):
+    cuts = np.empty((3, sets.shape[0]))
+    for start, chunk_cuts in zip(starts, ordered_map(chunk, starts)):
         cuts[:, start:start + _SCAN_CHUNK] = chunk_cuts
-        verdicts += map(list, zip(*per_r))
-    return MomentIndexReport.of(sets, *cuts), verdicts
+    report = MomentIndexReport.of(sets, *cuts)
+    per_r = [theorem31_verdict(report, r, prior) for r in r_values]
+    return report, list(map(list, zip(*per_r)))
 
 
 # --- subset scans and k-fold audits --------------------------------------------

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core_model import LogitData, MomentIndexReport, MomentVerdict, all_subsets
+from .core_model import LogitData, MomentIndexReport, MomentVerdict, all_subsets, binary_exponent
 from .errors import BudgetError
 
 # Candidate budget for exact vertex enumeration.
@@ -139,6 +139,14 @@ def _index_cutoff(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> tuple
     return float(roots[i]), "criterion vertex " + str(np.round(betas[i], 9).tolist())
 
 
+def _unit_free(data: LogitData, epsilon: float):
+    """X and epsilon divided by 2^p (`binary_exponent` of X), exactly: h
+    scales by 2^-p, and the absolute bounds on it read max |x_ij| in [1, 2)."""
+    p = binary_exponent(data.design)
+    with np.errstate(over="ignore"):
+        return LogitData(np.ldexp(data.design, -p), data.outcome), float(np.ldexp(epsilon, -p))
+
+
 def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: float):
     """Moment index of each row of `sets`, an (N, I) array of 0-based
     deletion sets, each row sorted and distinct as `all_subsets` gives them,
@@ -151,9 +159,12 @@ def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: flo
     Indices above the cap report as +infinity. The leverage and sample-size
     fields do not apply to this model and are +infinity. The vertex table
     depends only on the data and is built once for all sets and r, within
-    the exact-enumeration limits on k, n and the candidate count.
+    the exact-enumeration limits on k, n and the candidate count. X and
+    epsilon are read `_unit_free`: scaling both by one factor is the same
+    model (beta -> beta / factor), and changes no verdict.
     """
     _require_exact(data, epsilon)
+    data, epsilon = _unit_free(data, epsilon)
     table = VertexTable(data, _candidate_directions(data))
     cuts, verdicts = [], []
     for dels in sets:

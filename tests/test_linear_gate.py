@@ -6,7 +6,13 @@ import pytest
 from scipy.optimize import brentq
 
 from influence_gate import linear_gate
-from influence_gate.core_model import RegressionData, VerdictTag, all_subsets
+from influence_gate.core_model import (
+    MomentIndexReport,
+    MomentVerdict,
+    RegressionData,
+    VerdictTag,
+    all_subsets,
+)
 from influence_gate.linear_gate import (
     LinearPrior,
     fold_moment_indices,
@@ -379,6 +385,9 @@ class TestMomentIndexLinear:
         assert math.isinf(rep.r_c)
         assert rep.r_star == rep.r_b
         assert rep.binding == "sample-size"
+        # r_c = inf is no boundary, however far r lies below it
+        assert verdict_at(data, dels, 2.0, NONINF) == MomentVerdict.finite()
+        assert verdict_at(data, dels, 3.0, NONINF).detail == "sample size: n <= r*I + k"
 
     def test_huge_beta_approaches_noninformative(self, derived_linear, delete_last_of_4):
         base = index_of(derived_linear, delete_last_of_4, NONINF).r_c
@@ -561,8 +570,8 @@ def assert_matches_minor_oracle(data, idx, prior):
         assert np.all(np.abs(g[fin] - w[fin]) <= 1e-12 * np.abs(w[fin])), name
     assert np.array_equal(got[1], want[1])
     for r in (1.5, 2.0, 3.0):
-        assert (theorem31_verdict(lam, u2, rss, n, k, r, prior)
-                == theorem31_verdict(lam_o, u2_o, rss, n, k, r, prior))
+        assert (theorem31_verdict(MomentIndexReport.of(idx, *got), r, prior)
+                == theorem31_verdict(MomentIndexReport.of(idx, *want), r, prior))
 
 
 class TestGramSpectra:

@@ -1,15 +1,18 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
 from influence_gate.cli import main
 from influence_gate.core_model import LogitData, VerdictTag, all_subsets
 from influence_gate.errors import BudgetError
 from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
+    R_STAR_CAP,
     VertexTable,
     _candidate_directions,
     max_h_l1_sphere,
@@ -361,3 +364,67 @@ class TestBatches:
             moment_index_logit(data, np.array([[0]]), [2.0], 0.1)
         # The empty set needs no vertex table, so its verdict comes within budget.
         assert FAMILIES["logit"].index(data, 0.1, all_subsets(250, 0), [2.0])[1][0][0].is_finite
+
+
+def lp_index(data, dels, epsilon) -> float:
+    """Independent oracle by linear programming. With s_i = 1 - 2 y_i, the
+    index is r* = 1 + min over beta of g(beta) / s(beta), where
+    g = sum over kept cases of max(0, s_j x_j'beta) + epsilon |beta|_1 and
+    s = sum over deleted cases of max(0, s_i x_i'beta), the largest
+    (sum_{i in S} s_i x_i)'beta over nonempty S. Both are positively
+    homogeneous, so r* - 1 is the least over S of the LP "min g(beta)
+    subject to (sum_{i in S} s_i x_i)'beta = 1"; an infeasible S adds
+    nothing, and an index above R_STAR_CAP reads as infinite.
+
+    The LP's variables are beta (free), t_j >= s_j x_j'beta for the kept
+    cases and u >= |beta|, all but beta nonnegative."""
+    X, sign = data.design, 1.0 - 2.0 * data.outcome
+    kept = np.setdiff1d(np.arange(data.n), dels)
+    m, k = kept.size, data.k
+    cost = np.concatenate([np.zeros(k), np.ones(m), np.full(k, epsilon)])
+    A_ub = np.vstack([np.hstack([sign[kept, None] * X[kept], -np.eye(m), np.zeros((m, k))]),
+                      np.hstack([np.eye(k), np.zeros((k, m)), -np.eye(k)]),
+                      np.hstack([-np.eye(k), np.zeros((k, m)), -np.eye(k)])])
+    bounds = [(None, None)] * k + [(0, None)] * (m + k)
+    best = math.inf
+    for size in range(1, len(dels) + 1):
+        for S in map(list, combinations(dels, size)):
+            a = np.concatenate([(sign[S, None] * X[S]).sum(axis=0), np.zeros(m + k)])
+            fit = linprog(cost, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=a[None, :], b_eq=[1.0],
+                          bounds=bounds, method="highs")
+            if fit.status == 0:
+                best = min(best, 1.0 + fit.fun)
+    return math.inf if best > R_STAR_CAP else best
+
+
+def assert_matches_lp(data, sets, epsilon) -> None:
+    """The gate's r* of every row of `sets` equals the LP oracle's within
+    1e-12 relative, infinities included."""
+    report, _ = moment_index_logit(data, sets, (), epsilon)
+    want = np.array([lp_index(data, dels.astype(int), epsilon) for dels in sets])
+    np.testing.assert_allclose(report.r_star, want, rtol=1e-12)
+
+
+class TestLinearProgramOracle:
+    def test_feigl_zelen_singletons(self):
+        assert_matches_lp(feigl_zelen("logit"), all_subsets(33, 1), 1.0)
+
+    @pytest.mark.parametrize("size, count", [(2, 40), (3, 12)])
+    def test_feigl_zelen_pairs_and_triples(self, size, count):
+        sets = all_subsets(33, size)
+        sets = sets[np.random.default_rng(size).choice(len(sets), count, replace=False)]
+        assert_matches_lp(feigl_zelen("logit"), sets, 1.0)
+
+    @pytest.mark.parametrize("k, n", [(4, 30), (5, 20), (6, 12)])
+    def test_synthetic_designs(self, k, n):
+        # The strong prior puts the indices beyond the cap; a zero row
+        # deleted alone (case 0, no intercept) leaves every LP infeasible.
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((n, k))
+        X[0] = 0.0
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ rng.standard_normal(k)))).astype(float)
+        data = LogitData(design=X, outcome=y)
+        sets = np.array([[0], [1], [2], [3]])
+        for epsilon in (0.0, 0.5, 120.0):
+            assert_matches_lp(data, sets, epsilon)
+        assert_matches_lp(data, np.array([[1, 2], [3, 4], [0, 5]]), 0.5)
