@@ -28,7 +28,7 @@ from .families import FAMILIES
 from .parallel import ordered_map
 from .samplers import SamplerConfig
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SUBSET_ENUMERATION_BUDGET = 10_000_000
 
 GATE_CSV_COLUMNS = ["deletion", "r", "verdict", "detail", "r_a", "r_b", "r_c", "r_star", "binding"]

@@ -208,6 +208,14 @@ class MomentVerdict:
 # Cut-off names in tie order: the first of equal minimal cut-offs binds.
 _CUTOFF_NAMES = np.array(["leverage", "sample-size", "residual"], dtype=object)
 
+# The tag at each cut-off, in the same order: equality in the sample size
+# already makes the moment infinite.
+_AT_CUTOFF = (VerdictTag.BOUNDARY, VerdictTag.INFINITE, VerdictTag.BOUNDARY)
+
+# An order r within this distance of a finite cut-off, relative to it, is at
+# the cut-off: the conditions exclude equality, and rounding must not decide.
+CUTOFF_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class MomentIndexReport:
@@ -233,6 +241,21 @@ class MomentIndexReport:
     @property
     def count(self) -> int:
         return self.subsets.shape[0]
+
+    def verdicts(self, r: float, texts: dict) -> list:
+        """The verdict at order r of each set, read off its cut-offs. `texts`
+        maps each cut-off name a family has (as in `binding`) to its details
+        (at the cut-off, beyond it). Checked in the order r_a, r_b, r_c, the
+        first that fires decides: r within CUTOFF_BAND times a finite cut-off
+        of it (tag `_AT_CUTOFF`), then r beyond it (infinite); else finite."""
+        checks, outcomes = [], []
+        for name, cut, tag in zip(_CUTOFF_NAMES, (self.r_a, self.r_b, self.r_c), _AT_CUTOFF):
+            if name in texts:
+                at, beyond = texts[name]
+                checks += [np.isfinite(cut) & (np.abs(r - cut) <= CUTOFF_BAND * cut), r > cut]
+                outcomes += [MomentVerdict(tag, at), MomentVerdict.infinite(beyond)]
+        outcomes.append(MomentVerdict.finite())
+        return [outcomes[c] for c in np.select(checks, range(len(checks)), len(checks))]
 
     def rows(self, part: slice) -> "MomentIndexReport":
         """The report of the sets in `part`, whose arrays are views of these."""

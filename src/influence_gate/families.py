@@ -65,7 +65,8 @@ class Family:
     - kernel(data, prior, sets, r_values) -> (MomentIndexReport, verdict
       lists): the model's batched moment-index kernel, `moment_index_linear`,
       `moment_index_mm` or `moment_index_logit` of its gate module, for
-      nonempty deletion sets; `index` is its one entry.
+      nonempty deletion sets; `index` is its one entry. Linear and logit
+      verdicts are read off the report (`MomentIndexReport.verdicts`).
     """
 
     csv_columns: Callable

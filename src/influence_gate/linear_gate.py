@@ -15,19 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import (
-    MomentIndexReport,
-    MomentVerdict,
-    RegressionData,
-    all_subsets,
-    binary_exponent,
-)
+from .core_model import MomentIndexReport, RegressionData, all_subsets, binary_exponent
 from .parallel import ordered_map
-
-# Eigenvalue within this distance of 1/r is treated as exactly on the
-# boundary: the finite/infinite conditions exclude equality and numerical
-# noise must not flip the verdict.
-EIGENVALUE_BOUNDARY_TOL = 1e-9
 
 # A leverage eigenvalue at or below this counts as zero: it gives r_a = inf,
 # and on the Gram side (deleted design rows spanning fewer than k dimensions)
@@ -264,32 +253,17 @@ def _cutoffs(lam, u2, rss, n, k, prior: LinearPrior):
 
 def theorem31_verdict(report: MomentIndexReport, r: float, prior: LinearPrior) -> list:
     """Thm 3.1 verdict at order r of each set of `report`, read off its
-    cut-offs; the prior only names the sample-size condition.
-
-    The conditions are checked in the theorem's order, and the first that
-    fires decides: the largest leverage eigenvalue 1/r_a at 1/r within
-    EIGENVALUE_BOUNDARY_TOL (boundary) or above it, r > r_a (infinite); the
-    sample size, r >= r_b (infinite, equality included); then rss_star(r),
-    which crosses the prior threshold at r_c: within 1e-9 r_c of it
-    (boundary), below it (finite) or beyond it (infinite).
-    """
-    outcomes = (
-        MomentVerdict.boundary("leverage eigenvalue equals 1/r"),
-        MomentVerdict.infinite("leverage above 1/r"),
-        MomentVerdict.infinite("sample size: n <= r*I + k" if prior.is_noninformative
-                               else "sample size: n/2 + alpha <= r*I/2"),
-        MomentVerdict.boundary("rss_star at the prior threshold"),
-        MomentVerdict.finite(),
-        MomentVerdict.infinite("rss_star below the prior threshold"),
-    )
-    checks = (
-        np.abs(1.0 / report.r_a - 1.0 / r) < EIGENVALUE_BOUNDARY_TOL,
-        r > report.r_a,
-        r >= report.r_b,
-        np.isfinite(report.r_c) & (np.abs(r - report.r_c) <= 1e-9 * report.r_c),
-        r < report.r_c,
-    )
-    return [outcomes[c] for c in np.select(checks, range(len(checks)), len(checks))]
+    cut-offs (`MomentIndexReport.verdicts`); the prior only names the
+    sample-size condition. The largest leverage eigenvalue exceeds 1/r
+    beyond r_a, the sample size fails from r_b on (equality included), and
+    rss_star falls below the prior threshold beyond r_c."""
+    sample_size = ("sample size: n <= r*I + k" if prior.is_noninformative
+                   else "sample size: n/2 + alpha <= r*I/2")
+    return report.verdicts(r, {
+        "leverage": ("leverage eigenvalue equals 1/r", "leverage above 1/r"),
+        "sample-size": (sample_size, sample_size),
+        "residual": ("rss_star at the prior threshold", "rss_star below the prior threshold"),
+    })
 
 
 def moment_index_linear(data: RegressionData, sets: np.ndarray, r_values, prior: LinearPrior):

@@ -8,26 +8,26 @@ whole L1 unit sphere and infinite when h > 0 somewhere on it. h is
 positively homogeneous and piecewise linear on the central hyperplane
 arrangement {beta'x_i = 0} union {beta_j = 0}, so its maximum over the
 sphere is attained at an arrangement vertex; the solver enumerates the null
-directions of all (k-1)-subsets of arrangement normals.
+directions of all (k-1)-subsets of arrangement normals. At each vertex h is
+affine and nondecreasing in r, so the least root r* over the vertices
+settles the verdict at every r, and the verdicts are read off it
+(`theorem51_verdict`) without a second pass over the vertices.
 """
 
 import math
 
 import numpy as np
 
-from .core_model import LogitData, MomentIndexReport, MomentVerdict, all_subsets, binary_exponent
-from .errors import BudgetError
+from .core_model import LogitData, MomentIndexReport, all_subsets, binary_exponent
+from .errors import BudgetError, DataError
 
 # Candidate budget for exact vertex enumeration.
 CANDIDATE_BUDGET = 10_000_000
 MAX_K = 6
 MAX_N = 200
 
-# |max h| below this band is a boundary verdict: the exact zero case needs
-# conditions the sign test cannot supply.
-BOUNDARY_BAND = 1e-9
-
-R_STAR_CAP = 64.0
+# A slope or criterion value within this of 0 (`_unit_free` units) is rounding's.
+ZERO_FLOOR = 1e-12
 
 
 class VertexTable:
@@ -57,7 +57,8 @@ class VertexTable:
 
 
 def _candidate_directions(data: LogitData):
-    """L1-normalized null directions of all (k-1)-subsets of arrangement normals.
+    """L1-normalized null directions of all (k-1)-subsets of arrangement
+    normals, each distinct one once, in the order of its first subset.
 
     Normals are the covariate rows (scaled per column to unit max-abs for
     conditioning) plus the coordinate axes. Directions are mapped back to the
@@ -68,15 +69,12 @@ def _candidate_directions(data: LogitData):
     if k == 1:
         return np.array([[1.0], [-1.0]])
     scales = np.maximum(np.max(np.abs(X), axis=0), 1e-300)
-    Xs = X / scales
-    normals = np.vstack([Xs, np.eye(k)])
+    normals = np.vstack([X / scales, np.eye(k)])
     m = normals.shape[0]
     count = math.comb(m, k - 1) * 2
     if count > CANDIDATE_BUDGET:
-        raise BudgetError(
-            f"vertex enumeration needs {count} candidates (> {CANDIDATE_BUDGET}); "
-            "use fewer covariates or cases"
-        )
+        raise BudgetError(f"vertex enumeration needs {count} candidates (> {CANDIDATE_BUDGET}); "
+                          "use fewer covariates or cases")
     subsets = all_subsets(m, k - 1)
     dirs = []
     chunk = 65536
@@ -85,63 +83,66 @@ def _candidate_directions(data: LogitData):
         _, sv, vh = np.linalg.svd(block)
         ok = sv[:, -1] > 1e-10 * np.maximum(sv[:, 0], 1e-300)
         dirs.append(vh[ok, -1, :])
-    d_scaled = np.concatenate(dirs, axis=0)
-    d = d_scaled / scales[None, :]
+    d = np.concatenate(dirs, axis=0) / scales[None, :]
     d = np.concatenate([d, -d], axis=0)
     norms = np.abs(d).sum(axis=1)
-    return d[norms > 0] / norms[norms > 0, None]
+    # A vertex is the null direction of many subsets; its first copy stays.
+    return _first_copies(d[norms > 0] / norms[norms > 0, None])
+
+
+def _first_copies(rows: np.ndarray) -> np.ndarray:
+    """`rows` in order, less each row equal under == (+0.0, -0.0 alike) to an
+    earlier one. Rows are sorted by a key, and whole only if unequal ones share it."""
+    key = (rows * np.sqrt(np.arange(2.0, rows.shape[1] + 2))).sum(axis=1)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    later = np.flatnonzero(first[group] != np.arange(len(rows)))
+    if not np.array_equal(rows[later], rows[first[group[later]]]):
+        _, first = np.unique(rows + 0.0, axis=0, return_index=True)
+    return rows[np.sort(first)]
 
 
 def _require_exact(data: LogitData, epsilon: float) -> None:
     if data.k > MAX_K or data.n > MAX_N:
-        raise BudgetError(
-            f"exact maximization supports k <= {MAX_K} and n <= {MAX_N}; "
-            f"got k={data.k}, n={data.n}"
-        )
+        raise BudgetError(f"exact maximization supports k <= {MAX_K} and n <= {MAX_N}; "
+                          f"got k={data.k}, n={data.n}")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
 
 
 def max_h_l1_sphere(betas: np.ndarray, values: np.ndarray):
-    """Maximum of h over the L1 unit sphere, given h at every vertex (the
-    rows of `betas`): (max value, lexicographically smallest argmax among
-    ties). An infinite max makes the tolerance NaN, so values equal to it
-    count as tied on their own."""
-    top = float(np.max(values))
-    tied = np.nonzero((values >= top - 1e-15 * max(1.0, abs(top))) | (values == top))[0]
-    order = np.lexsort(betas[tied].T[::-1])
-    pick = tied[order[0]]
-    return float(values[pick]), betas[pick]
+    """The best vertex: (the maximum of `values`, one per row of `betas`,
+    and the first row that attains it). Given h at every vertex, it is the
+    maximum of h over the L1 unit sphere and a direction attaining it."""
+    i = int(np.argmax(values))
+    return float(values[i]), betas[i]
 
 
-def theorem51_verdict(betas: np.ndarray, values: np.ndarray) -> MomentVerdict:
-    """Sign of the sphere maximum of h, given h at every vertex, decides the
-    r-th weight moment."""
-    best, arg = max_h_l1_sphere(betas, values)
-    if abs(best) <= BOUNDARY_BAND:
-        return MomentVerdict.boundary("criterion maximum at zero")
-    if best > 0:
-        return MomentVerdict.infinite(
-            f"criterion positive at direction {np.round(arg, 6).tolist()}"
-        )
-    return MomentVerdict.finite()
+def theorem51_verdict(report: MomentIndexReport, r: float) -> list:
+    """Thm 5.1 verdict at order r of each set of `report`, read off r*
+    (`MomentIndexReport.verdicts`): the sphere maximum of h is nondecreasing
+    in r, negative below r* and positive beyond, at the vertex `binding` names."""
+    return report.verdicts(r, {"residual": ("criterion maximum at zero",
+                                            "criterion positive at the binding vertex")})
 
 
 def _index_cutoff(betas: np.ndarray, h0: np.ndarray, slope: np.ndarray) -> tuple:
     """(r*, binding): r* = min over vertices of the root of h0 + (r-1)*slope,
     and the first vertex attaining it binds. Every per-case contribution is
-    <= 0, so with epsilon >= 0 h0 <= 0 and each root is at least 1."""
+    <= 0, so with epsilon >= 0 h0 <= 0 and each root is at least 1. A
+    vertex whose slope is under ZERO_FLOOR, or whose root overflows, has
+    none; on a proper posterior its h0 is negative."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots = np.where(slope > 1e-12, 1.0 - h0 / slope, math.inf)
-    i = int(np.argmin(roots))
-    if roots[i] > R_STAR_CAP:
-        return math.inf, f"criterion negative up to the r cap {R_STAR_CAP:g}"
-    return float(roots[i]), "criterion vertex " + str(np.round(betas[i], 9).tolist())
+        roots = np.where(slope > ZERO_FLOOR, 1.0 - h0 / slope, math.inf)
+    # np.argmin(roots), called through a name that the traced perfbench run counts.
+    least, vertex = max_h_l1_sphere(betas, -roots)
+    if least == -math.inf:
+        return math.inf, "criterion negative at every r"
+    return -least, "criterion vertex " + str(np.round(vertex, 9).tolist())
 
 
 def _unit_free(data: LogitData, epsilon: float):
     """X and epsilon divided by 2^p (`binary_exponent` of X), exactly: h
-    scales by 2^-p, and the absolute bounds on it read max |x_ij| in [1, 2)."""
+    scales by 2^-p, and ZERO_FLOOR reads max |x_ij| in [1, 2)."""
     p = binary_exponent(data.design)
     with np.errstate(over="ignore"):
         return LogitData(np.ldexp(data.design, -p), data.outcome), float(np.ldexp(epsilon, -p))
@@ -150,31 +151,29 @@ def _unit_free(data: LogitData, epsilon: float):
 def moment_index_logit(data: LogitData, sets: np.ndarray, r_values, epsilon: float):
     """Moment index of each row of `sets`, an (N, I) array of 0-based
     deletion sets, each row sorted and distinct as `all_subsets` gives them,
-    and its Thm 5.1 verdicts at each order r in `r_values`:
+    and its Thm 5.1 verdicts at each order r in `r_values`, read off the
+    index (`theorem51_verdict`):
     (MomentIndexReport, one verdict list per set ordered as `r_values`).
 
     For each candidate vertex h(r) = h0 + (r-1)*slope with slope >= 0, so the
     sphere maximum is a nondecreasing piecewise-affine envelope in r and its
-    zero crossing is exact: r* = min over vertices of the per-vertex root.
-    Indices above the cap report as +infinity. The leverage and sample-size
-    fields do not apply to this model and are +infinity. The vertex table
-    depends only on the data and is built once for all sets and r, within
-    the exact-enumeration limits on k, n and the candidate count. X and
-    epsilon are read `_unit_free`: scaling both by one factor is the same
-    model (beta -> beta / factor), and changes no verdict.
+    zero crossing is exact: r* = min over vertices of the per-vertex root,
+    +infinity where no vertex has one (r_a and r_b do not apply: +infinity).
+    The vertex table depends only on the data and is built once, within the
+    exact-enumeration limits. X and epsilon are read `_unit_free`: scaling
+    both by one factor is the same model (beta -> beta / factor). DataError
+    where h at r = 0, the posterior's own tail rate, is within ZERO_FLOOR of
+    0 at a vertex: separated outcomes make it improper, or rounding cannot
+    tell (a rootless vertex with h0 = 0 would read finite below r*).
     """
     _require_exact(data, epsilon)
     data, epsilon = _unit_free(data, epsilon)
     table = VertexTable(data, _candidate_directions(data))
-    cuts, verdicts = [], []
-    for dels in sets:
-        h0, slope = table.parts(dels, epsilon)
-        cuts.append(_index_cutoff(table.betas, h0, slope))
-        # At huge r the criterion overflows to +-inf, which keeps its sign.
-        with np.errstate(over="ignore"):
-            verdicts.append([theorem51_verdict(table.betas, h0 + (r - 1.0) * slope)
-                             for r in r_values])
-    r_c, binding = zip(*cuts)
-    never = np.full(len(cuts), math.inf)
-    return MomentIndexReport(sets, never, never, np.array(r_c),
-                             np.array(binding, dtype=object)), verdicts
+    if np.max(table.contrib.sum(axis=1) - epsilon * table.l1) >= -ZERO_FLOOR:
+        raise DataError("the logit posterior is improper, or within rounding of it: a direction "
+                        "separates the outcomes and prior.epsilon is too small to bound it")
+    r_c, binding = zip(*(_index_cutoff(table.betas, *table.parts(dels, epsilon)) for dels in sets))
+    never = np.full(len(sets), math.inf)
+    report = MomentIndexReport(sets, never, never, np.array(r_c), np.array(binding, dtype=object))
+    per_r = [theorem51_verdict(report, r) for r in r_values]
+    return report, list(map(list, zip(*per_r)))

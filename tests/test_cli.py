@@ -1228,7 +1228,7 @@ def test_scan_json_holds_summaries_and_csv_holds_every_subset(tmp_path):
     assert run(tmp_path, "scan", config) == 0
     summary = json.loads((tmp_path / "out" / "scan_report.json").read_text())
     assert "rows" not in summary
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     rows = read_csv(tmp_path, "scan_report.csv")
     assert len(rows) == summary["subset_count"] == math.comb(33, 3)
     data = feigl_zelen("linear")

@@ -328,6 +328,18 @@ class TestTheorem31Verdict:
         v = verdict_at(derived_linear, delete_last_of_4, root + 1e-6, NONINF)
         assert v.tag is VerdictTag.INFINITE
 
+    def test_leverage_band_is_relative_to_r_a(self):
+        # An absolute band on 1/r once read r_a = inf at r >= 2e9, and
+        # r_a = 1e12 at r = 1e9, as "leverage eigenvalue equals 1/r".
+        cut = np.array([math.inf, 1e12])
+        report = MomentIndexReport.of(np.array([[0], [1]]), cut, np.full(2, math.inf), cut)
+        for r in (1e9, 2e9):
+            assert theorem31_verdict(report, r, NONINF) == [MomentVerdict.finite()] * 2
+        [_, v] = theorem31_verdict(report, 1e12 * (1.0 + 1e-10), NONINF)
+        assert (v.tag, v.detail) == (VerdictTag.BOUNDARY, "leverage eigenvalue equals 1/r")
+        [_, v] = theorem31_verdict(report, 1e12 * (1.0 + 1e-8), NONINF)
+        assert (v.tag, v.detail) == (VerdictTag.INFINITE, "leverage above 1/r")
+
     def test_verdict_monotone_in_r(self):
         rng = np.random.default_rng(99)
         for _ in range(8):

@@ -9,12 +9,13 @@ from scipy.optimize import linprog
 
 from influence_gate.cli import main
 from influence_gate.core_model import LogitData, VerdictTag, all_subsets
-from influence_gate.errors import BudgetError
+from influence_gate.errors import BudgetError, DataError
 from influence_gate.families import FAMILIES
 from influence_gate.logit_gate import (
-    R_STAR_CAP,
     VertexTable,
     _candidate_directions,
+    _first_copies,
+    _unit_free,
     max_h_l1_sphere,
     moment_index_logit,
 )
@@ -39,6 +40,23 @@ def sphere_max(data, dels, r, eps):
     table = VertexTable(data, _candidate_directions(data))
     h0, slope = table.parts(dels, eps)
     return max_h_l1_sphere(table.betas, h0 + (r - 1.0) * slope)
+
+
+def per_r_tags(data, sets, r_values, eps) -> list:
+    """Oracle: the Thm 5.1 tag of each row of `sets` at each order r, from
+    the sign of the sphere maximum of h at that r, as a second pass over the
+    vertex table at each r once read it: a maximum within 1e-9 of zero (in
+    the kernel's units, `_unit_free`) is a boundary."""
+    data, eps = _unit_free(data, eps)
+    table = VertexTable(data, _candidate_directions(data))
+    r_values = np.asarray(r_values, dtype=float)
+    tags = []
+    for dels in sets:
+        h0, slope = table.parts(dels, eps)
+        best = np.max(h0[None, :] + (r_values[:, None] - 1.0) * slope[None, :], axis=1)
+        tags.append([VerdictTag.BOUNDARY if abs(b) <= 1e-9 else
+                     VerdictTag.INFINITE if b > 0 else VerdictTag.FINITE for b in best])
+    return tags
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +214,36 @@ class TestMaxH:
             verdict_at(big, deleted([0]), 2.0, 0.1)
 
 
+def first_copies_reference(rows):
+    """Oracle: each row unless an earlier one equals it under ==, in order."""
+    seen, keep = set(), []
+    for i, row in enumerate(rows):
+        if tuple(row + 0.0) not in seen:
+            seen.add(tuple(row + 0.0))
+            keep.append(i)
+    return rows[keep]
+
+
+class TestFirstCopies:
+    def test_feigl_zelen_table_holds_each_vertex_once(self):
+        d = _candidate_directions(feigl_zelen("logit"))
+        assert d.shape == (784, 3)
+        assert _first_copies(d).tobytes() == d.tobytes()
+
+    def test_matches_loop_on_rows_with_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-1, 2, (400, 3)) * 0.5 * rng.choice([1.0, -1.0], (400, 3))
+        assert np.any(np.signbit(rows) & (rows == 0.0))
+        assert _first_copies(rows).tobytes() == first_copies_reference(rows).tobytes()
+
+    def test_rows_that_share_a_key_are_told_apart(self):
+        # 1.224744871391589 * sqrt(2) rounds to sqrt(3): both rows get one key.
+        rows = np.array([[1.224744871391589, 0.0], [0.0, 1.0], [1.224744871391589, -0.0]])
+        key = (rows * np.sqrt([2.0, 3.0])).sum(axis=1)
+        assert key[0] == key[1]
+        assert _first_copies(rows).tobytes() == rows[:2].tobytes()
+
+
 class TestTheorem51Verdict:
     def test_two_point_infinite_then_finite(self, two_point, delete_first):
         assert verdict_at(two_point, delete_first, 2.0, 0.5).tag is VerdictTag.INFINITE
@@ -245,7 +293,7 @@ class TestTheorem51Verdict:
         assert verdict == "infinite"
 
     def test_huge_epsilon_gate_is_infinite_without_warnings(self, tmp_path):
-        # At epsilon = 1e300, h0/slope overflows to -inf: every root is inf.
+        # At epsilon = 1e300 the index is finite, 1e298, and reads so quietly.
         config = tmp_path / "run.cfg"
         config.write_text(f"model = logit\ndata = {DATA_DIR / 'feigl_zelen.csv'}\n"
                           "data.outcome = surv50\ndata.covariates = wbc, ag\n"
@@ -255,7 +303,8 @@ class TestTheorem51Verdict:
             assert main(["gate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert [str(w.message) for w in caught] == []
         assert (tmp_path / "out" / "gate_report.csv").read_text().splitlines()[1] == (
-            "15,2.0,finite,,inf,inf,inf,inf,criterion negative up to the r cap 64")
+            '15,2.0,finite,,inf,inf,1.0000000000000001e+298,1.0000000000000001e+298,'
+            '"criterion vertex [0.0, -1.0, 0.0]"')
 
     def test_log_weight_nonnegative(self):
         from influence_gate.is_engine import log_weight
@@ -282,21 +331,28 @@ class TestMomentIndexLogit:
         eps = 0.3
         rep = index_of(data, dels, eps)
         lo, hi = 1.0 + 1e-9, 64.0
-        if verdict_at(data, dels, hi, eps).is_finite:
-            assert math.isinf(rep.r_star)
-            return
+        assert per_r_tags(data, [dels], [hi], eps) == [[VerdictTag.INFINITE]]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if verdict_at(data, dels, mid, eps).is_finite:
+            if per_r_tags(data, [dels], [mid], eps) == [[VerdictTag.FINITE]]:
                 lo = mid
             else:
                 hi = mid
         assert rep.r_star == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
-    def test_cap_convention(self, two_point, delete_first):
+    def test_large_index_is_the_exact_root(self, two_point, delete_first):
+        # h = -1e6 + (r - 1) at beta = -1; no cap turns the root into inf.
         rep = index_of(two_point, delete_first, 1e6)
-        assert math.isinf(rep.r_star)
-        assert "cap" in rep.binding
+        assert rep.r_star == 1.0 + 1e6
+        assert rep.binding == "criterion vertex [-1.0]"
+
+    def test_no_root_at_any_vertex(self):
+        # A deleted all-zero row adds slope 0 at every vertex: h never rises.
+        data = LogitData(design=[[1.0], [0.0], [-1.0]], outcome=[1, 0, 1])
+        report, [[verdict]] = moment_index_logit(data, one_set(deleted([1])), [1e308], 0.0)
+        assert math.isinf(report.r_star[0])
+        assert report.binding[0] == "criterion negative at every r"
+        assert verdict.is_finite
 
     def test_empty_deletion_infinite(self, two_point):
         rep = index_of(two_point, deleted([]), 0.5)
@@ -314,11 +370,82 @@ class TestMomentIndexLogit:
             for eps in (0.0, 0.3):
                 r_star, arg = index_reference(table.betas, *table.parts(dels, eps))
                 rep = index_of(data, dels, eps)
-                if r_star > 64.0:
-                    assert math.isinf(rep.r_c) and "cap" in rep.binding
+                assert rep.r_c == r_star
+                if arg is None:
+                    assert rep.binding == "criterion negative at every r"
                 else:
-                    assert rep.r_c == r_star
                     assert rep.binding == "criterion vertex " + str(np.round(arg, 9).tolist())
+
+
+class TestVerdictsReadOffTheIndex:
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 120.0])
+    def test_tags_equal_the_per_r_pass_on_feigl_zelen(self, eps):
+        data = feigl_zelen("logit")
+        r_values = [1.5, 2.0, 3.0, 4.0, 10.0, 70.0, 200.0]
+        for size in (1, 2, 3):
+            sets = all_subsets(33, size)
+            _, verdicts = moment_index_logit(data, sets, r_values, eps)
+            assert [[v.tag for v in per_set] for per_set in verdicts] == per_r_tags(
+                data, sets, r_values, eps)
+
+    @pytest.mark.parametrize("r", [65.0, 70.0, 200.0])
+    def test_infinite_exactly_beyond_r_star_past_the_old_cap(self, r):
+        # At epsilon = 120, 46 Feigl-Zelen pairs have an index above 64,
+        # which a cap once reported as inf while their verdicts turned
+        # infinite; every index here is finite.
+        report, verdicts = moment_index_logit(feigl_zelen("logit"), all_subsets(33, 2), [r], 120.0)
+        assert np.all(np.isfinite(report.r_star)) and np.sum(report.r_star > 64.0) == 46
+        tags = np.array([per_set[0].tag.value for per_set in verdicts])
+        assert np.array_equal(tags == "infinite", r > report.r_star)
+        assert set(tags) <= {"finite", "infinite"}
+
+
+class TestImproperPosterior:
+    def test_separated_outcomes_under_the_flat_prior(self):
+        # The vertex beta = 1 fits both cases: h = 0 at every r there, so
+        # the per-r pass read boundary below r*, and the posterior is improper.
+        data = LogitData(design=[[1.0], [2.0]], outcome=[1, 1])
+        for eps in (0.0, 1e-300):
+            with pytest.raises(DataError, match="improper"):
+                moment_index_logit(data, one_set(deleted([1])), [2.0], eps)
+        report, verdicts = moment_index_logit(data, one_set(deleted([1])), [1.5, 2.0, 3.0], 1.0)
+        assert report.r_star[0] == 2.0
+        assert [[v.tag for v in verdicts[0]]] == per_r_tags(
+            data, one_set(deleted([1])), [1.5, 2.0, 3.0], 1.0)
+
+    def test_refused_exactly_when_separated_and_read_off_otherwise(self):
+        # Small integer designs: many are separated, often weakly (cases on
+        # the separating hyperplane), and many kept sets of the rest are, so
+        # r* = 1 is common among the read-off verdicts.
+        r_values = [1.5, 2.0, 3.0, 4.0, 10.0, 70.0]
+        refused = read = at_one = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            data = LogitData(design=rng.integers(-2, 3, (7, 1 + seed % 3)),
+                             outcome=rng.integers(0, 2, 7))
+            if separated(data):
+                with pytest.raises(DataError, match="improper"):
+                    moment_index_logit(data, all_subsets(7, 1), r_values, 0.0)
+                refused += 1
+                continue
+            for size in (1, 2, 3):
+                sets = all_subsets(7, size)
+                report, verdicts = moment_index_logit(data, sets, r_values, 0.0)
+                assert [[v.tag for v in per_set] for per_set in verdicts] == per_r_tags(
+                    data, sets, r_values, 0.0)
+                at_one += int(np.sum(report.r_star == 1.0))
+            read += 1
+        assert (refused, read) == (11, 29) and at_one == 635
+
+    def test_gate_exits_with_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "sep.csv").write_text("x,y\n1,1\n2,1\n")
+        (tmp_path / "run.cfg").write_text(
+            "model = logit\ndata = sep.csv\ndata.outcome = y\ndata.covariates = x\n"
+            "data.intercept = false\nprior.epsilon = 1e-300\ndeletion.indices = 2\n")
+        code = main(["gate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: the logit posterior is improper")
+        assert not (tmp_path / "out").exists()
 
 
 def index_reference(betas, h0, slope):
@@ -374,7 +501,7 @@ def lp_index(data, dels, epsilon) -> float:
     (sum_{i in S} s_i x_i)'beta over nonempty S. Both are positively
     homogeneous, so r* - 1 is the least over S of the LP "min g(beta)
     subject to (sum_{i in S} s_i x_i)'beta = 1"; an infeasible S adds
-    nothing, and an index above R_STAR_CAP reads as infinite.
+    nothing, and with none feasible the index is infinite.
 
     The LP's variables are beta (free), t_j >= s_j x_j'beta for the kept
     cases and u >= |beta|, all but beta nonnegative."""
@@ -394,7 +521,21 @@ def lp_index(data, dels, epsilon) -> float:
                           bounds=bounds, method="highs")
             if fit.status == 0:
                 best = min(best, 1.0 + fit.fun)
-    return math.inf if best > R_STAR_CAP else best
+    return best
+
+
+def separated(data) -> bool:
+    """Oracle by linear programming: some beta != 0 has s_i x_i'beta <= 0
+    for every case, s_i = 1 - 2 y_i, so the outcomes are separated (perhaps
+    weakly). Such a beta has some beta_j = +-1 after scaling."""
+    X, sign = data.design, 1.0 - 2.0 * data.outcome
+    for j, v in ((j, v) for j in range(data.k) for v in (1.0, -1.0)):
+        fit = linprog(np.zeros(data.k), A_ub=sign[:, None] * X, b_ub=np.zeros(data.n),
+                      A_eq=np.eye(data.k)[j][None, :], b_eq=[v],
+                      bounds=[(None, None)] * data.k, method="highs")
+        if fit.status == 0:
+            return True
+    return False
 
 
 def assert_matches_lp(data, sets, epsilon) -> None:
@@ -417,14 +558,21 @@ class TestLinearProgramOracle:
 
     @pytest.mark.parametrize("k, n", [(4, 30), (5, 20), (6, 12)])
     def test_synthetic_designs(self, k, n):
-        # The strong prior puts the indices beyond the cap; a zero row
+        # The strong prior puts the indices far out; a zero row
         # deleted alone (case 0, no intercept) leaves every LP infeasible.
+        # The k = 5 design is separated, so its flat-prior posterior is
+        # improper and the gate refuses it.
         rng = np.random.default_rng(k)
         X = rng.standard_normal((n, k))
         X[0] = 0.0
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ rng.standard_normal(k)))).astype(float)
         data = LogitData(design=X, outcome=y)
         sets = np.array([[0], [1], [2], [3]])
+        assert separated(data) == (k == 5)
         for epsilon in (0.0, 0.5, 120.0):
-            assert_matches_lp(data, sets, epsilon)
+            if epsilon == 0.0 and k == 5:
+                with pytest.raises(DataError, match="improper"):
+                    moment_index_logit(data, sets, (), epsilon)
+            else:
+                assert_matches_lp(data, sets, epsilon)
         assert_matches_lp(data, np.array([[1, 2], [3, 4], [0, 5]]), 0.5)
